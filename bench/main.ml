@@ -214,10 +214,9 @@ let scale_tests =
 (* The conflict-driven axis: the hard family (three-deep nests on the
    array ring near the phase transition, Suite.hard) at sizes where the
    paper's enhanced backjumper starts to thrash on rediscovered
-   conflicts.  Per size: the enhanced solve, the nogood-learning solve
-   (Cdl) and the racing portfolio on the same pre-built network.  The
-   enhanced-vs-cdl p50 ratio is the speedup column of BENCH_hard.json
-   (--hard-json). *)
+   conflicts.  Per size: the enhanced solve and the nogood-learning
+   solve (Cdl) on the same pre-built network.  The enhanced-vs-cdl p50
+   ratio is the speedup column of BENCH_hard.json (--hard-json). *)
 let hard_sizes = [ 20; 80; 150; 200 ]
 
 let hard_builds =
@@ -233,7 +232,6 @@ let hard_tests =
     (List.concat_map
        (fun (n, _spec, build) ->
          let net = build.Build.network in
-         let compiled = Mlo_csp.Network.compile net in
          [
            Test.make
              ~name:(Printf.sprintf "hard/solve-enh:hard-%d" n)
@@ -246,10 +244,6 @@ let hard_tests =
                   ignore
                     (Mlo_csp.Cdl.solve_components
                        ~config:Mlo_csp.Cdl.default_config net)));
-           Test.make
-             ~name:(Printf.sprintf "hard/solve-portfolio:hard-%d" n)
-             (Staged.stage (fun () ->
-                  ignore (Mlo_csp.Portfolio.race ~domains:2 compiled)));
          ])
        (Lazy.force hard_builds))
 
@@ -622,9 +616,9 @@ let write_scale_json file rows =
   Format.printf "wrote scale stats for %d sizes to %s@." (List.length sizes)
     file
 
-(* Schema "memlayout-hard-bench/1": one object per hard-family size with
+(* Schema "memlayout-hard-bench/2": one object per hard-family size with
    network shape, per-scheme percentile stats on the same pre-built
-   network, and the enhanced-vs-learning p50 speedups — the conflict-
+   network, and the enhanced-vs-learning p50 speedup — the conflict-
    driven solving claim of DESIGN.md Section 14, recorded as data. *)
 let write_hard_json file rows =
   let find kind n =
@@ -642,15 +636,15 @@ let write_hard_json file rows =
         st.p50 st.p90 st.p99 st.mad st.samples
     | None -> "null"
   in
-  let speedup over = function
-    | Some (e : stats), Some (s : stats) when s.p50 > 0. && over ->
+  let speedup = function
+    | Some (e : stats), Some (s : stats) when s.p50 > 0. ->
       Printf.sprintf "%.2f" (e.p50 /. s.p50)
     | _ -> "null"
   in
   let oc = open_out file in
   output_string oc
     "{\n\
-    \  \"schema\": \"memlayout-hard-bench/1\",\n\
+    \  \"schema\": \"memlayout-hard-bench/2\",\n\
     \  \"clock\": \"monotonic\",\n\
     \  \"unit\": \"ns/run\",\n\
     \  \"sizes\": {\n";
@@ -660,23 +654,19 @@ let write_hard_json file rows =
       let net = build.Build.network in
       let enh = find "solve-enh" n in
       let cdl = find "solve-cdl" n in
-      let pf = find "solve-portfolio" n in
       Printf.fprintf oc
         "    \"hard-%d\": {\n\
         \      \"arrays\": %d, \"nests\": %d, \"components\": %d,\n\
         \      \"solve_enhanced\": %s,\n\
         \      \"solve_cdl\": %s,\n\
-        \      \"solve_portfolio\": %s,\n\
-        \      \"speedup_cdl\": %s,\n\
-        \      \"speedup_portfolio\": %s\n\
+        \      \"speedup_cdl\": %s\n\
         \    }%s\n"
         n
         (Array.length (Mlo_ir.Program.arrays spec.Spec.program))
         (Array.length (Mlo_ir.Program.nests spec.Spec.program))
         (Array.length (Mlo_csp.Network.components net))
-        (stat_json enh) (stat_json cdl) (stat_json pf)
-        (speedup true (enh, cdl))
-        (speedup true (enh, pf))
+        (stat_json enh) (stat_json cdl)
+        (speedup (enh, cdl))
         (if i = List.length sizes - 1 then "" else ","))
     sizes;
   output_string oc "  }\n}\n";
@@ -696,8 +686,8 @@ let usage () =
      \                   percentiles and the serial-vs-parallel solve speedup\n\
      \                   (default FILE: BENCH_scale.json)\n\
      \  --hard-json [FILE]  run only the hard/ group and dump per-size\n\
-     \                   percentiles and the enhanced-vs-cdl/portfolio solve\n\
-     \                   speedups (default FILE: BENCH_hard.json)\n\
+     \                   percentiles and the enhanced-vs-cdl solve speedup\n\
+     \                   (default FILE: BENCH_hard.json)\n\
      \  --smoke [FILTER] short benchmark run, no tables (CI); FILTER, if\n\
      \                   given, runs only kernels whose name starts with it\n\
      \                   (e.g. table3/ or scale/)";

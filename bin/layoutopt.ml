@@ -61,7 +61,7 @@ let workload_arg =
   Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
 let scheme_names =
-  [ "heuristic"; "base"; "enhanced"; "enhanced-ac"; "cdl"; "portfolio"; "bnb" ]
+  [ "heuristic"; "base"; "enhanced"; "enhanced-ac"; "cdl"; "bnb" ]
 
 let scheme_arg =
   let doc =
@@ -85,9 +85,8 @@ let explain_flag =
 let domains_arg =
   let doc =
     "Number of OCaml domains for parallel work: independent network \
-     components in 'solve' (for -s portfolio it instead sizes the racing \
-     pool), the simulation sweep in 'table3' (default there: up to 8, \
-     bounded by the machine); 1 forces serial execution."
+     components in 'solve', the simulation sweep in 'table3' (default \
+     there: up to 8, bounded by the machine); 1 forces serial execution."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -102,7 +101,7 @@ let validated_domains = function
 
 let restarts_arg =
   let doc =
-    "For -s cdl/portfolio: number of Luby-bounded restart runs before \
+    "For -s cdl: number of Luby-bounded restart runs before \
      the final unbounded run (0 disables restarting)."
   in
   Arg.(
@@ -112,7 +111,7 @@ let restarts_arg =
 
 let learn_limit_arg =
   let doc =
-    "For -s cdl/portfolio: keep at most this many learned nogoods \
+    "For -s cdl and -s bnb: keep at most this many learned nogoods \
      (largest, least-active nogoods are forgotten first)."
   in
   Arg.(
@@ -163,20 +162,14 @@ let objective_of name =
 (* An unknown scheme must die with a single-line error naming the
    alternatives — not an exception trace or a usage dump. *)
 let scheme_of ~seed ~restarts ~learn_limit ?(bound_slack = 0.0) name =
-  let cdl_config =
-    { Mlo_csp.Cdl.default_config with Mlo_csp.Cdl.restarts; learn_limit }
-  in
   match String.lowercase_ascii name with
   | "heuristic" -> Optimizer.Heuristic
   | "base" -> Optimizer.Base seed
   | "enhanced" -> Optimizer.Enhanced seed
   | "enhanced-ac" -> Optimizer.Enhanced_ac seed
-  | "cdl" -> Optimizer.Cdl cdl_config
-  | "portfolio" ->
-    Optimizer.Portfolio
-      { Mlo_csp.Portfolio.default_config with
-        Mlo_csp.Portfolio.seed;
-        cdl = cdl_config }
+  | "cdl" ->
+    Optimizer.Cdl
+      { Mlo_csp.Cdl.default_config with Mlo_csp.Cdl.restarts; learn_limit }
   | "bnb" ->
     Optimizer.Bnb
       { Mlo_csp.Bnb.default_config with
@@ -299,9 +292,6 @@ let solve_cmd =
       Format.printf "%a" pp_pruned sol.Optimizer.pruned_values;
       (match sol.Optimizer.solver_stats with
       | Some st -> Format.printf "solver: %a@." Stats.pp st
-      | None -> ());
-      (match sol.Optimizer.portfolio_winner with
-      | Some w -> Format.printf "portfolio winner: %s@." w
       | None -> ());
       (match sol.Optimizer.heuristic_evaluations with
       | Some n -> Format.printf "heuristic: %d combinations scored@." n

@@ -17,7 +17,6 @@ type scheme =
   | Enhanced_ac of int
   | Custom of Solver.config
   | Cdl of Mlo_csp.Cdl.config
-  | Portfolio of Mlo_csp.Portfolio.config
   | Bnb of Mlo_csp.Bnb.config
 
 type objective = Estimated_misses | Distinct_lines
@@ -28,7 +27,6 @@ type solution = {
   solver_stats : Stats.t option;
   heuristic_evaluations : int option;
   pruned_values : Mlo_netgen.Prune.info option;
-  portfolio_winner : string option;
   objective_value : float option;
   elapsed_s : float;
 }
@@ -36,7 +34,7 @@ type solution = {
 exception No_solution of string
 
 let config_of_scheme ?max_checks = function
-  | Heuristic | Cdl _ | Portfolio _ | Bnb _ -> None
+  | Heuristic | Cdl _ | Bnb _ -> None
   | Base seed -> Some (Schemes.base ~seed ?max_checks ())
   | Enhanced seed -> Some (Schemes.enhanced ~seed ?max_checks ())
   | Enhanced_ac seed -> Some (Schemes.enhanced_with_ac ~seed ?max_checks ())
@@ -49,7 +47,6 @@ let scheme_label = function
   | Enhanced_ac _ -> "enhanced-ac"
   | Custom _ -> "custom"
   | Cdl _ -> "cdl"
-  | Portfolio _ -> "portfolio"
   | Bnb _ -> "bnb"
 
 let objective_label = function
@@ -105,12 +102,10 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
       solver_stats = None;
       heuristic_evaluations = Some r.Propagation.evaluations;
       pruned_values = None;
-      portfolio_winner = None;
       objective_value = None;
       elapsed_s = Mlo_csp.Clock.wall_s () -. t0;
     }
-  | Base _ | Enhanced _ | Enhanced_ac _ | Custom _ | Cdl _ | Portfolio _
-  | Bnb _ ->
+  | Base _ | Enhanced _ | Enhanced_ac _ | Custom _ | Cdl _ | Bnb _ ->
     let build0 =
       Trace.with_span ~cat:"optimizer" "build-network" (fun () ->
           Build.build ?candidates prog)
@@ -178,12 +173,10 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
       | Solver.Finished o -> outcome_r := Some o
     in
     let on_event = Option.map (fun _ -> on_event_fn) proof in
-    let all_vars = lazy (Array.init (Mlo_csp.Network.num_vars netp) Fun.id) in
     let preprocess_ac =
       match scheme with
       | Cdl cfg -> cfg.Mlo_csp.Cdl.preprocess = Solver.Arc_consistency
       | Bnb cfg -> cfg.Mlo_csp.Bnb.preprocess = Solver.Arc_consistency
-      | Portfolio _ -> false
       | Heuristic | Base _ | Enhanced _ | Enhanced_ac _ | Custom _ -> (
         match config_of_scheme ?max_checks scheme with
         | Some c -> c.Solver.preprocess = Solver.Arc_consistency
@@ -282,10 +275,8 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
     (* Component-wise search: independent subnetworks are solved
        separately (decision-equivalent to the whole-network solve; a
        single-component network takes the identical path), across
-       [domains] worker domains when more than one is requested.  The
-       portfolio instead races its members on the whole network, using
-       [domains] to size the racing pool. *)
-    let result, winner =
+       [domains] worker domains when more than one is requested. *)
+    let result =
       match scheme with
       | Cdl cfg ->
         let cfg =
@@ -293,38 +284,8 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
           | None -> cfg
           | Some m -> { cfg with Mlo_csp.Cdl.max_checks = Some m }
         in
-        ( Mlo_csp.Cdl.solve_components ~config:cfg ~domains ?on_event
-            build.Build.network,
-          None )
-      | Portfolio cfg ->
-        let cfg =
-          match max_checks with
-          | None -> cfg
-          | Some m -> { cfg with Mlo_csp.Portfolio.max_checks = Some m }
-        in
-        (* the race runs on the whole network, so its certificate is a
-           single component covering every variable *)
-        let on_learn =
-          Option.map
-            (fun f ~dead lits ->
-              f ~comp:0 ~vars:(Lazy.force all_vars)
-                (Solver.Learned { dead; lits }))
-            on_event
-        in
-        let r =
-          Mlo_csp.Portfolio.race ~config:cfg ~domains ?on_learn
-            (Mlo_csp.Network.compile build.Build.network)
-        in
-        Option.iter
-          (fun f ->
-            f ~comp:0 ~vars:(Lazy.force all_vars)
-              (Solver.Finished r.Mlo_csp.Portfolio.outcome))
-          on_event;
-        ( {
-            Solver.outcome = r.Mlo_csp.Portfolio.outcome;
-            stats = r.Mlo_csp.Portfolio.stats;
-          },
-          r.Mlo_csp.Portfolio.winner )
+        Mlo_csp.Cdl.solve_components ~config:cfg ~domains ?on_event
+          build.Build.network
       | Bnb cfg ->
         let cfg =
           match max_checks with
@@ -338,17 +299,16 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
             ~layout:
               (Mlo_csp.Network.value net (Build.var_of_array build name) v)
         in
-        ( Trace.with_span ~cat:"optimizer" "bnb"
-            ~args:[ ("objective", Trace.Str (objective_label objective)) ]
-            (fun () ->
-              Mlo_csp.Bnb.branch_and_bound ~config:cfg ~domains ?on_event
-                ~cost net),
-          None )
+        Trace.with_span ~cat:"optimizer" "bnb"
+          ~args:[ ("objective", Trace.Str (objective_label objective)) ]
+          (fun () ->
+            Mlo_csp.Bnb.branch_and_bound ~config:cfg ~domains ?on_event ~cost
+              net)
       | Heuristic | Base _ | Enhanced _ | Enhanced_ac _ | Custom _ ->
         let config =
           Option.get (config_of_scheme ?max_checks scheme)
         in
-        (Solver.solve_components ~config ~domains build.Build.network, None)
+        Solver.solve_components ~config ~domains build.Build.network
     in
     Option.iter (fun sink -> sink (assemble_proof result.Solver.outcome)) proof;
     (match result.Solver.outcome with
@@ -386,7 +346,6 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
         solver_stats = Some result.Solver.stats;
         heuristic_evaluations = None;
         pruned_values = prune_info;
-        portfolio_winner = winner;
         objective_value;
         elapsed_s = Mlo_csp.Clock.wall_s () -. t0;
       })

@@ -17,9 +17,6 @@ type scheme =
   | Cdl of Mlo_csp.Cdl.config
       (** conflict-driven search with nogood learning, VSIDS ordering and
           Luby restarts ({!Mlo_csp.Cdl}) *)
-  | Portfolio of Mlo_csp.Portfolio.config
-      (** racing portfolio over enhanced / enhanced-ac / cdl /
-          min-conflicts ({!Mlo_csp.Portfolio}) *)
   | Bnb of Mlo_csp.Bnb.config
       (** optimizing branch and bound ({!Mlo_csp.Bnb}): searches the
           satisfying assignments for the one minimizing the static cost
@@ -44,9 +41,6 @@ type solution = {
   pruned_values : Mlo_netgen.Prune.info option;
       (** dominance-pruning counts ([Some] only when [optimize] ran with
           [~prune_dominated:true] and a network scheme) *)
-  portfolio_winner : string option;
-      (** which portfolio member's answer was taken ([Some] only for
-          [Portfolio]) *)
   objective_value : float option;
       (** the chosen layouts' total cost under the requested objective
           ([Some] only for [Bnb]; computed by {!objective_cost}) *)
@@ -59,7 +53,7 @@ exception No_solution of string
 
 val scheme_label : scheme -> string
 (** Short stable name ("heuristic", "base", "enhanced", "enhanced-ac",
-    "custom", "cdl", "portfolio", "bnb") — used for trace span arguments
+    "custom", "cdl", "bnb") — used for trace span arguments
     and CLI messages. *)
 
 val objective_label : objective -> string
@@ -108,11 +102,9 @@ val optimize :
     satisfiability-preserving, ignored by [Heuristic]); [domains]
     (default 1: serial) solves independent network components on that
     many OCaml domains ({!Mlo_csp.Solver.solve_components} — outcome and
-    merged stats are identical to the serial solve).  For [Portfolio],
-    [domains] instead sizes the racing pool (the portfolio runs on the
-    whole network) and [solution.portfolio_winner] names the member whose
-    answer was taken.  [objective] (default [Estimated_misses]) selects
-    the cost the [Bnb] scheme minimizes; the other schemes ignore it.
+    merged stats are identical to the serial solve).  [objective]
+    (default [Estimated_misses]) selects the cost the [Bnb] scheme
+    minimizes; the other schemes ignore it.
 
     [proof] receives a {!Mlo_verify.Proof.t} certificate of the solver
     run, stated against the {e original} (pre-prune, pre-AC) network:

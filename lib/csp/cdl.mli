@@ -23,11 +23,12 @@
       complete conflict-directed search, and learning only removes
       refuted subtrees.
 
-    Lookahead is always forward checking; conflict sets are the
-    conflict-directed ones.  Solutions are verified against the compiled
-    network before being returned (learning is pruning-only, so this is
-    an internal assertion, not a filter).  Emits [solver] trace instants
-    for [learn], [forget] and [restart] events. *)
+    This is the Satisfy mode of the conflict-directed kernel that also
+    runs {!Bnb}.  Lookahead is always forward checking; conflict sets
+    are the conflict-directed ones.  Solutions are verified against the
+    compiled network before being returned (learning is pruning-only, so
+    this is an internal assertion, not a filter).  Emits [solver] trace
+    instants for [learn], [forget] and [restart] events. *)
 
 type config = {
   restarts : int;

@@ -31,14 +31,5 @@ val solve : ?config:config -> 'a Network.t -> result
 (** Runs min-conflicts.  A returned [Solution] always satisfies
     {!Network.verify}. *)
 
-val solve_compiled :
-  ?config:config -> ?cancel:(unit -> bool) -> Compiled.t -> result
-(** Min-conflicts against the compiled view only — {!Compiled.t} is
-    immutable, so this is safe to run on a worker Domain while siblings
-    read the same view (unlike {!solve}, whose network queries touch lazy
-    caches).  [cancel] is polled every few reassignments; a cancelled run
-    returns its best-so-far [Stuck].  Used as the stochastic member of
-    the racing portfolio. *)
-
 val conflicts : 'a Network.t -> int array -> int
 (** Number of constraints a complete assignment violates. *)

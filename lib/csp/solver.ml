@@ -617,7 +617,7 @@ let merge_component_stats stats ~n ~vars (s : Stats.t) =
    instead of letting every worker burn a full budget.
 
    The driver is generic in the per-component engine ([run]) so the
-   conflict-driven scheme ({!Cdl}) and the portfolio reuse the exact
+   conflict-directed schemes ({!Cdl}, {!Bnb}) reuse the exact
    decomposition, budget-sharing and merge logic. *)
 let component_driver ?(domains = 1) ~max_checks ~run net =
   let comp = Network.compile net in

@@ -147,8 +147,8 @@ val component_driver :
     component's index and [vars] maps its local variable indices back to
     the whole network (proof emission relies on both).  A
     single-component network is passed to [run] whole, as component 0
-    with the identity mapping.  {!Cdl.solve_components} and the
-    portfolio build on this. *)
+    with the identity mapping.  {!Cdl.solve_components} and
+    {!Bnb.branch_and_bound} build on this. *)
 
 type event =
   | Learned of { dead : int; lits : (int * int) array }
@@ -163,7 +163,7 @@ type event =
       (** The component's search ended; always the component's last
           event. *)
 (** Solver events for proof logging, reported per component by
-    {!Cdl.solve_components} and {!Bnb.solve_components} via their
+    {!Cdl.solve_components} and {!Bnb.branch_and_bound} via their
     [on_event] callbacks.  Variable indices are local to the component;
     the [vars] array of the enclosing component maps them back. *)
 

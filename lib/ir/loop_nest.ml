@@ -14,6 +14,12 @@ let make ~name loops accesses =
   if List.length (List.sort_uniq String.compare vars) <> List.length vars then
     invalid_arg "Loop_nest.make: duplicate loop variable names";
   let d = List.length loops in
+  (* every legal loop order is enumerated (d! of them), so the depth is
+     capped where that stays cheap *)
+  if d > 6 then
+    invalid_arg
+      (Printf.sprintf "Loop_nest.make: %d loops exceed the maximum depth of 6"
+         d);
   List.iter
     (fun a ->
       if Access.depth a <> d then
@@ -99,7 +105,6 @@ let all_perms d =
 
 let permutations t =
   let d = depth t in
-  if d > 6 then invalid_arg "Loop_nest.permutations: depth too large";
   List.map (fun p -> (p, permute t p)) (all_perms d)
 
 let equal a b =

@@ -15,9 +15,10 @@ type t = private {
 }
 
 val make : name:string -> loop list -> Access.t list -> t
-(** Builds a nest.  Raises [Invalid_argument] if there are no loops, a loop
-    is empty ([hi <= lo]), loop variable names collide, there are no
-    accesses, or an access depth differs from the number of loops. *)
+(** Builds a nest.  Raises [Invalid_argument] if there are no loops or
+    more than 6, a loop is empty ([hi <= lo]), loop variable names
+    collide, there are no accesses, or an access depth differs from the
+    number of loops. *)
 
 val name : t -> string
 val depth : t -> int
@@ -53,8 +54,8 @@ val interchange : t -> t
 
 val permutations : t -> (int array * t) list
 (** All [depth!] loop orders of the nest, paired with the permutation that
-    produced each (identity first).  Depth is expected to be small
-    (kernels are depth 2-3); raises [Invalid_argument] above depth 6. *)
+    produced each (identity first): at most [6! = 720], since {!make}
+    caps the depth at 6. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -73,7 +73,6 @@ let test_explain_flags_unserved () =
       solver_stats = None;
       heuristic_evaluations = None;
       pruned_values = None;
-      portfolio_winner = None;
       objective_value = None;
       elapsed_s = 0.;
     }

@@ -146,6 +146,22 @@ let test_parse_duplicate_loop_var () =
     "array A[4][4]\nnest n:\n for i = 0 .. 3\n  for i = 0 .. 3\n   load A[i][i]"
     2 "duplicate"
 
+(* Every legal loop order of a nest is enumerated, so nests deeper than
+   6 are an input error at the nest, not a crash further down. *)
+let deep_source =
+  "array A[2][2][2][2][2][2][2]\n\
+   nest deep:\n\
+  \ for a = 0 .. 1\n\
+  \  for b = 0 .. 1\n\
+  \   for c = 0 .. 1\n\
+  \    for d = 0 .. 1\n\
+  \     for e = 0 .. 1\n\
+  \      for f = 0 .. 1\n\
+  \       for g = 0 .. 1\n\
+  \        store A[a][b][c][d][e][f][g]"
+
+let test_parse_depth_limit () = check_error deep_source 2 "maximum depth of 6"
+
 (* ------------------------------------------------------------------ *)
 (* Round trip                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -213,6 +229,7 @@ let () =
           Alcotest.test_case "errors carry positions" `Quick test_parse_errors;
           Alcotest.test_case "duplicate loop variable" `Quick
             test_parse_duplicate_loop_var;
+          Alcotest.test_case "nest deeper than 6" `Quick test_parse_depth_limit;
         ] );
       ( "roundtrip",
         [

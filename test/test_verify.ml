@@ -156,7 +156,7 @@ let certify_bnb ?(config = Bnb.default_config) ~costs net =
   let comp_data, on_event = make_recorder ~costs () in
   let idx name = int_of_string (String.sub name 1 (String.length name - 1)) in
   let cost name v = costs.(idx name).(v) in
-  let r = Bnb.solve_components ~config ~on_event ~cost net in
+  let r = Bnb.branch_and_bound ~config ~on_event ~cost net in
   let verdict =
     match r.Solver.outcome with
     | Solver.Solution a ->
@@ -341,14 +341,13 @@ let prop_bnb_mutations_rejected =
 (* Workload goldens through the Optimizer plumbing                      *)
 (* ------------------------------------------------------------------ *)
 
-let capture_proof ?max_checks ?(domains = 1) ?(prune = false) ?objective
-    scheme name =
+let capture_proof ?max_checks ?(prune = false) ?objective scheme name =
   let spec = Suite.by_name name in
   let proof = ref None in
   let result =
     match
       Optimizer.optimize ~candidates:spec.Spec.candidates ?max_checks
-        ~prune_dominated:prune ~domains ?objective
+        ~prune_dominated:prune ?objective
         ~proof:(fun p -> proof := Some p)
         scheme spec.Spec.program
     with
@@ -396,19 +395,6 @@ let test_benchmark_sat_goldens () =
       | _ -> Alcotest.failf "%s: expected a sat verdict" name);
       alcotest_check ~what:name spec proof)
     [ "med-im04"; "mxm"; "radar"; "shape"; "track" ]
-
-(* The racing portfolio cancels its losers mid-run; only the winner's
-   log may reach the certificate, which must still verify. *)
-let test_portfolio_golden () =
-  let spec, proof, result =
-    capture_proof ~domains:2
-      (Optimizer.Portfolio Mlo_csp.Portfolio.default_config)
-      "radar"
-  in
-  (match result with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "radar unexpectedly unsolved: %s" msg);
-  alcotest_check ~what:"portfolio radar" spec proof
 
 let test_hard_unsat_goldens () =
   List.iter
@@ -594,8 +580,6 @@ let () =
         [
           Alcotest.test_case "five benchmarks (cdl, sat)" `Slow
             test_benchmark_sat_goldens;
-          Alcotest.test_case "portfolio winner-only log" `Slow
-            test_portfolio_golden;
           Alcotest.test_case "hard-150/hard-200 (cdl, unsat)" `Slow
             test_hard_unsat_goldens;
           Alcotest.test_case "med-im04 bnb optimum" `Slow
