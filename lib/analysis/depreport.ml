@@ -14,6 +14,7 @@ type pair_report = {
   src_write : bool;
   dst_write : bool;
   deps : Dependence.dep list;
+  decided_by : Dependence.method_;
 }
 
 type nest_report = {
@@ -27,6 +28,7 @@ type nest_report = {
 type t = {
   program : string;
   nests : nest_report list;
+  closed_form_pairs : int;
   checks : int;
   eliminations : int;
   splits : int;
@@ -50,6 +52,7 @@ let nest_report nest =
           src_write = Access.is_write a1;
           dst_write = Access.is_write a2;
           deps;
+          decided_by = Dependence.pair_method nest a1 a2;
         })
       (Dependence.pair_deps nest)
   in
@@ -81,9 +84,15 @@ let run prog =
       ("eliminations", float_of_int eliminations);
       ("splits", float_of_int splits);
     ];
+  let closed_form_pairs =
+    List.concat_map (fun nr -> nr.pairs) nests
+    |> List.filter (fun pr -> pr.decided_by = Dependence.Closed_form)
+    |> List.length
+  in
   {
     program = Program.name prog;
     nests;
+    closed_form_pairs;
     checks;
     eliminations;
     splits;
@@ -91,6 +100,9 @@ let run prog =
   }
 
 let pinned nr = nr.legal_orders = 1 && nr.total_orders > 1
+
+let pair_count t =
+  List.fold_left (fun acc nr -> acc + List.length nr.pairs) 0 t.nests
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>program %s@," t.program;
@@ -104,21 +116,24 @@ let pp ppf t =
         List.iter
           (fun pr ->
             let kind w = if w then "write" else "read" in
+            let by = Dependence.method_label pr.decided_by in
             if pr.deps = [] then
-              Format.fprintf ppf "  %s (%s) / %s (%s): independent@,"
-                pr.src_ref (kind pr.src_write) pr.dst_ref (kind pr.dst_write)
+              Format.fprintf ppf "  %s (%s) / %s (%s): independent [%s]@,"
+                pr.src_ref (kind pr.src_write) pr.dst_ref (kind pr.dst_write) by
             else
-              Format.fprintf ppf "  %s (%s) -> %s (%s): %a@," pr.src_ref
+              Format.fprintf ppf "  %s (%s) -> %s (%s): %a [%s]@," pr.src_ref
                 (kind pr.src_write) pr.dst_ref (kind pr.dst_write)
                 (Format.pp_print_list
                    ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
                    Dependence.pp_dep)
-                pr.deps)
+                pr.deps by)
           nr.pairs)
     t.nests;
   Format.fprintf ppf
-    "@,presburger: %d checks, %d eliminations, %d splits (depth <= %d)@]"
-    t.checks t.eliminations t.splits t.max_split_depth
+    "@,closed-form: %d of %d pairs@,\
+     presburger: %d checks, %d eliminations, %d splits (depth <= %d)@]"
+    t.closed_form_pairs (pair_count t) t.checks t.eliminations t.splits
+    t.max_split_depth
 
 let dep_json = function
   | Dependence.Distance d ->
@@ -153,6 +168,7 @@ let pair_json pr =
       ("src_write", Json.Bool pr.src_write);
       ("dst_write", Json.Bool pr.dst_write);
       ("independent", Json.Bool (pr.deps = []));
+      ("method", Json.Str (Dependence.method_label pr.decided_by));
       ("deps", Json.Arr (List.map dep_json pr.deps));
     ]
 
@@ -172,6 +188,7 @@ let to_json t =
     [
       ("program", Json.Str t.program);
       ("nests", Json.Arr (List.map nest_json t.nests));
+      ("closed_form_pairs", Json.Num (float_of_int t.closed_form_pairs));
       ( "presburger",
         Json.Obj
           [

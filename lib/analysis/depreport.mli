@@ -6,7 +6,9 @@
     realized direction vectors — together with each nest's legal
     loop-order count and the Presburger engine's effort counters for the
     run (feasibility checks, eliminations, splinter case-splits and the
-    deepest split nesting). *)
+    deepest split nesting).  Each pair names the method that decided it
+    ([closed-form] or [omega]), and the run counts its closed-form pairs,
+    so a report with no Presburger checks explains itself. *)
 
 type pair_report = {
   src : int;  (** body index of the first access of the pair *)
@@ -16,6 +18,8 @@ type pair_report = {
   src_write : bool;
   dst_write : bool;
   deps : Mlo_ir.Dependence.dep list;  (** [[]] = proven independent *)
+  decided_by : Mlo_ir.Dependence.method_;
+      (** closed form (uniform pair) or the Omega test *)
 }
 
 type nest_report = {
@@ -29,6 +33,8 @@ type nest_report = {
 type t = {
   program : string;
   nests : nest_report list;
+  closed_form_pairs : int;
+      (** pairs decided without the Presburger engine this run *)
   checks : int;  (** Presburger feasibility/range probes this run *)
   eliminations : int;
   splits : int;
@@ -48,5 +54,5 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> Mlo_obs.Json.t
 (** One target object of the [memlayout-deps/1] schema: fields
     [program], [nests] (with [pairs], [legal_orders], [total_orders],
-    [pinned] and per-dep [kind]/[vector]/[dirs]) and [presburger]
-    (effort counters). *)
+    [pinned], per-pair [method] and per-dep [kind]/[vector]/[dirs]),
+    [closed_form_pairs] and [presburger] (effort counters). *)

@@ -75,6 +75,14 @@ let objective_cost ?geometry ?(objective = Estimated_misses) prog layouts =
     (fun acc (name, layout) -> acc +. cost ~array_name:name ~layout)
     0.0 layouts
 
+(* Name -> layout lookup over a solution's layouts, hashed once so the
+   per-access lookups of restructuring and simulation stay O(1) on
+   programs with many arrays. *)
+let lookup_in layouts =
+  let tbl = Hashtbl.create (List.length layouts) in
+  List.iter (fun (name, layout) -> Hashtbl.replace tbl name layout) layouts;
+  Hashtbl.find_opt tbl
+
 let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
     ?(objective = Estimated_misses) ?proof scheme prog =
   Trace.with_span ~cat:"optimizer" "optimize"
@@ -330,7 +338,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
       raise (No_solution (Program.name prog ^ ": check budget exhausted"))
     | Solver.Solution assignment ->
       let layouts = Build.assignment_layouts build assignment in
-      let lookup name = List.assoc_opt name layouts in
+      let lookup = lookup_in layouts in
       let restructured =
         Trace.with_span ~cat:"optimizer" "restructure" (fun () ->
             Select.restructure prog lookup)
@@ -350,7 +358,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
         elapsed_s = Mlo_csp.Clock.wall_s () -. t0;
       })
 
-let lookup sol name = List.assoc_opt name sol.layouts
+let lookup sol = lookup_in sol.layouts
 
 let simulate ?config sol =
   Simulate.run ?config sol.restructured ~layouts:(lookup sol)

@@ -116,6 +116,8 @@ val optimize :
     [Heuristic] (there is nothing to certify). *)
 
 val lookup : solution -> string -> Mlo_layout.Layout.t option
+(** [lookup sol] hashes the solution's layouts once; apply it to one
+    solution and reuse the resulting function for many names. *)
 
 val simulate :
   ?config:Mlo_cachesim.Hierarchy.config ->

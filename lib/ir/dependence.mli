@@ -16,7 +16,17 @@
     [*] is refined into [<]/[=]/[>] with infeasible subtrees pruned.  A
     leaf whose per-level distance is unique collapses to an exact
     {!Distance}; otherwise it is reported as a {!Direction} vector.
-    There is no [Unknown]: every verdict is a proof. *)
+    There is no [Unknown]: every verdict is a proof.
+
+    {b Uniform pairs} (both references share the access matrix [F]) are
+    decided in closed form, without the engine: their realized distance
+    set is [{δ : F·δ = o1 − o2, |δ_j| <= hi_j − 1 − lo_j}], and when [F]
+    minus its zero columns has full column rank that set is a box (one
+    exact solution on the levels [F] mentions, each other level free
+    over its span), so the same tree walk yields the same dependence
+    list.  Non-uniform pairs, rank-deficient ones, and pairs with an
+    index coefficient or offset of magnitude [>= 2^30] take the Omega
+    path. *)
 
 type direction =
   | Lt  (** source iteration earlier on this level ([delta >= 1]) *)
@@ -63,8 +73,24 @@ val legal_permutations : Loop_nest.t -> (int array * Loop_nest.t) list
     (always includes the identity, listed first).  The dependence set is
     computed once and reused across candidate orders. *)
 
+type method_ =
+  | Closed_form  (** uniform pair, decided without the Presburger engine *)
+  | Omega  (** decided by the Omega test on the bounded conflict system *)
+
+val pair_method : Loop_nest.t -> Access.t -> Access.t -> method_
+(** Which method {!pair_deps} uses for a reference pair of the nest. *)
+
+val method_label : method_ -> string
+(** ["closed-form"] or ["omega"] — for reports. *)
+
 val direction_char : direction -> char
 (** ['<'], ['='] or ['>'] — for diagnostics and reports. *)
 
 val pp_dep : Format.formatter -> dep -> unit
 (** [(1, 0)] for distances, [(<, >)] for direction vectors. *)
+
+(**/**)
+
+val omega_pair_deps : Loop_nest.t -> Access.t -> Access.t -> dep list
+(** The Omega-test path for one reference pair, whatever its shape: the
+    oracle the closed form is tested against. *)

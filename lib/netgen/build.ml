@@ -10,7 +10,13 @@ type t = {
   network : Layout.t Network.t;
   program : Program.t;
   constrained_arrays : string array;
+  var_index : (string, int) Hashtbl.t;
 }
+
+let index_of names =
+  let tbl = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace tbl name i) names;
+  tbl
 
 let add_unique layout layouts =
   if List.exists (Layout.equal layout) layouts then layouts
@@ -61,14 +67,8 @@ let build_internal ?(relax = false) ?(candidates = fun _ -> []) ~make_sink prog 
     Array.map (fun n -> Array.of_list (Hashtbl.find domains_tbl n)) names
   in
   let network = Network.create ~names ~domains in
-  let var_of name =
-    let rec go i =
-      if i >= Array.length names then raise Not_found
-      else if String.equal names.(i) name then i
-      else go (i + 1)
-    in
-    go 0
-  in
+  let var_index = index_of names in
+  let var_of = Hashtbl.find var_index in
   let layout_index name layout =
     let dom = Hashtbl.find domains_tbl name in
     let rec go i = function
@@ -165,7 +165,7 @@ let build_internal ?(relax = false) ?(candidates = fun _ -> []) ~make_sink prog 
         in
         Network.add_allowed network i j [ (def names.(i), def names.(j)) ])
       (Network.constraint_pairs network);
-  { network; program = prog; constrained_arrays = names }
+  { network; program = prog; constrained_arrays = names; var_index }
 
 let no_sink _network _nest _pairs = ()
 
@@ -189,13 +189,7 @@ let weighted ?relax ?candidates prog =
   let t = build_internal ?relax ?candidates ~make_sink prog in
   (t, Option.get !w)
 
-let var_of_array t name =
-  let rec go i =
-    if i >= Array.length t.constrained_arrays then raise Not_found
-    else if String.equal t.constrained_arrays.(i) name then i
-    else go (i + 1)
-  in
-  go 0
+let var_of_array t name = Hashtbl.find t.var_index name
 
 let assignment_layouts t assignment =
   Array.to_list
@@ -229,10 +223,7 @@ let shards ?relax ?candidates prog =
   @@ fun () ->
   let arrays = Program.arrays prog in
   let n = Array.length arrays in
-  let index = Hashtbl.create n in
-  Array.iteri
-    (fun i info -> Hashtbl.replace index (Array_info.name info) i)
-    arrays;
+  let index = index_of (Array.map Array_info.name arrays) in
   (* union-find, smaller index wins: each class root ends up being the
      class's first-declared array, so shards come out in declaration
      order of their leading array *)
@@ -295,6 +286,7 @@ let shards ?relax ?candidates prog =
           ~domains:[| Array.of_list domain |];
       program = prog;
       constrained_arrays = [| name |];
+      var_index = index_of [| name |];
     }
   in
   Array.of_list

@@ -11,6 +11,8 @@ type t = {
   program : Mlo_ir.Program.t;
   constrained_arrays : string array;
       (** network variable index -> array name (declaration order) *)
+  var_index : (string, int) Hashtbl.t;
+      (** the inverse map, array name -> network variable index *)
 }
 
 val build :

@@ -602,7 +602,25 @@ let test_depreport_nonuniform () =
         (pr.Depreport.src_ref ^ " independent")
         [] pr.Depreport.deps)
     disjoint.Depreport.pairs;
-  Alcotest.(check bool) "engine did work" true (r.Depreport.checks > 0)
+  Alcotest.(check bool) "engine did work" true (r.Depreport.checks > 0);
+  (* the self pairs are uniform and need no engine; the cross pairs of
+     both nests have different access matrices *)
+  List.iter
+    (fun nr ->
+      List.iter
+        (fun pr ->
+          let expect =
+            if pr.Depreport.src = pr.Depreport.dst then
+              Mlo_ir.Dependence.Closed_form
+            else Mlo_ir.Dependence.Omega
+          in
+          Alcotest.(check string)
+            (pr.Depreport.src_ref ^ " / " ^ pr.Depreport.dst_ref)
+            (Mlo_ir.Dependence.method_label expect)
+            (Mlo_ir.Dependence.method_label pr.Depreport.decided_by))
+        nr.Depreport.pairs)
+    [ transpose; disjoint ];
+  Alcotest.(check int) "closed-form pairs" 2 r.Depreport.closed_form_pairs
 
 (* The JSON document is what CI greps; pin the schema-relevant shape. *)
 let test_depreport_json_shape () =
@@ -633,6 +651,18 @@ let test_depreport_json_shape () =
            | _ -> Alcotest.fail "nest is not an object")
          nests
      | _ -> Alcotest.fail "nests is not an array");
+    (match get "closed_form_pairs" with
+     | Json.Num n -> Alcotest.(check (float 0.)) "closed_form_pairs" 2. n
+     | _ -> Alcotest.fail "closed_form_pairs is not a number");
+    (match get "nests" with
+     | Json.Arr (Json.Obj nf :: _) -> (
+       match List.assoc_opt "pairs" nf with
+       | Some (Json.Arr (Json.Obj pf :: _)) -> (
+         match List.assoc_opt "method" pf with
+         | Some (Json.Str ("closed-form" | "omega")) -> ()
+         | _ -> Alcotest.fail "pair method missing")
+       | _ -> Alcotest.fail "first nest has no pairs")
+     | _ -> Alcotest.fail "no nests");
     (match get "presburger" with
      | Json.Obj pf ->
        List.iter

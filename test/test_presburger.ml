@@ -258,35 +258,137 @@ let dep_covers dep delta =
              | Dependence.Gt -> dl <= -1)
            dirs delta
 
+(* [pair_deps] summarizes exactly the realized distance set of every
+   conflicting pair of [nest]. *)
+let summarizes_realized nest =
+  List.for_all
+    (fun (i, j, ds) ->
+      let r = realized nest i j in
+      (* complete: every realized distance is covered by some dep *)
+      List.for_all
+        (fun delta -> List.exists (fun d -> dep_covers d delta) ds)
+        r
+      (* sound: every dep is witnessed by a realized distance and is
+         normalized (first non-Eq component is Lt) *)
+      && List.for_all
+           (fun d ->
+             (match d with
+             | Dependence.Distance v -> List.mem v r
+             | Dependence.Direction dirs ->
+                 (match
+                    Array.to_list dirs
+                    |> List.find_opt (fun x -> x <> Dependence.Eq)
+                  with
+                 | Some Dependence.Lt -> true
+                 | _ -> false)
+                 && List.exists (fun delta -> dep_covers d delta) r)
+             [@warning "-4"])
+           ds
+      && (ds = []) = (r = []))
+    (Dependence.pair_deps nest)
+
 let prop_deps_oracle =
   QCheck.Test.make
     ~name:"pair deps summarize exactly the realized distance set" ~count:250
-    gen_nest (fun nest ->
+    gen_nest summarizes_realized
+
+(* Random nests whose two references share one access matrix — the
+   closed-form path — with forced zero columns, rank-deficient matrices
+   (more mentioned levels than array dimensions, or a repeated row),
+   nonzero lower bounds and single-trip levels. *)
+let gen_uniform_nest =
+  QCheck.map
+    (fun seed ->
+      let rng = Rng.create (seed + 57) in
+      let depth = 1 + Rng.int rng 3 in
+      let dims = 1 + Rng.int rng 2 in
+      let loops =
+        List.init depth (fun l ->
+            let lo = Rng.int rng 5 - 2 in
+            let hi = lo + 1 + Rng.int rng 4 in
+            { Loop_nest.var = Printf.sprintf "i%d" l; lo; hi })
+      in
+      let zero_col = Rng.int rng (depth + 1) in
+      let row () =
+        List.init depth (fun l -> if l = zero_col then 0 else Rng.int rng 5 - 2)
+      in
+      let rows =
+        match List.init dims (fun _ -> row ()) with
+        | [ r; _ ] when Rng.int rng 4 = 0 -> [ r; List.map (fun c -> 2 * c) r ]
+        | rows -> rows
+      in
+      let access mk =
+        mk "A" (List.map (fun r -> Affine.make r (Rng.int rng 7 - 3)) rows)
+      in
+      let w = access Access.write in
+      let o =
+        if Rng.int rng 4 = 0 then access Access.write else access Access.read
+      in
+      Loop_nest.make ~name:"uniform" loops [ w; o ])
+    QCheck.(int_bound 1_000_000)
+
+let prop_uniform_oracle =
+  QCheck.Test.make
+    ~name:"uniform pairs summarize exactly the realized distance set"
+    ~count:300 gen_uniform_nest summarizes_realized
+
+let prop_uniform_matches_omega =
+  QCheck.Test.make
+    ~name:"closed form returns the Omega path's dep list, order included"
+    ~count:400 gen_uniform_nest (fun nest ->
+      let accs = Loop_nest.accesses nest in
       List.for_all
         (fun (i, j, ds) ->
-          let r = realized nest i j in
-          (* complete: every realized distance is covered by some dep *)
-          List.for_all
-            (fun delta -> List.exists (fun d -> dep_covers d delta) ds)
-            r
-          (* sound: every dep is witnessed by a realized distance and is
-             normalized (first non-Eq component is Lt) *)
-          && List.for_all
-               (fun d ->
-                 (match d with
-                 | Dependence.Distance v -> List.mem v r
-                 | Dependence.Direction dirs ->
-                     (match
-                        Array.to_list dirs
-                        |> List.find_opt (fun x -> x <> Dependence.Eq)
-                      with
-                     | Some Dependence.Lt -> true
-                     | _ -> false)
-                     && List.exists (fun delta -> dep_covers d delta) r)
-                 [@warning "-4"])
-               ds
-          && (ds = []) = (r = []))
+          ds = Dependence.omega_pair_deps nest accs.(i) accs.(j))
         (Dependence.pair_deps nest))
+
+let test_uniform_generator_covers_both_methods () =
+  (* the generator must reach the closed form and, through rank
+     deficiency, the Omega fallback — or the two properties above
+     would compare a path with itself *)
+  let closed = ref 0 and omega = ref 0 in
+  for seed = 0 to 199 do
+    let nest =
+      QCheck.Gen.generate1
+        ~rand:(Random.State.make [| seed |])
+        gen_uniform_nest.QCheck.gen
+    in
+    let accs = Loop_nest.accesses nest in
+    List.iter
+      (fun (i, j, _) ->
+        match Dependence.pair_method nest accs.(i) accs.(j) with
+        | Dependence.Closed_form -> incr closed
+        | Dependence.Omega -> incr omega)
+      (Dependence.pair_deps nest)
+  done;
+  Alcotest.(check bool) "closed-form pairs generated" true (!closed > 0);
+  Alcotest.(check bool) "rank-deficient pairs generated" true (!omega > 0)
+
+let test_overflow_guard () =
+  (* store A[3e18*i+1][j]; load A[3e18*i][j]: uniform, but a coefficient
+     beyond 2^30 sends the pair to the Omega path, whose equality
+     3e18*(i-i') = -1 is refuted by its gcd test *)
+  let big = 3_000_000_000_000_000_000 in
+  let loops =
+    [
+      { Loop_nest.var = "i"; lo = 0; hi = 4 };
+      { Loop_nest.var = "j"; lo = 0; hi = 4 };
+    ]
+  in
+  let j = Affine.make [ 0; 1 ] 0 in
+  let w = Access.write "A" [ Affine.make [ big; 0 ] 1; j ] in
+  let r = Access.read "A" [ Affine.make [ big; 0 ] 0; j ] in
+  let nest = Loop_nest.make ~name:"overflow" loops [ w; r ] in
+  Alcotest.(check bool) "guarded to omega" true
+    (Dependence.pair_method nest w r = Dependence.Omega);
+  Alcotest.(check bool) "same verdict as the Omega path" true
+    (List.for_all
+       (fun (i, j, ds) ->
+         let accs = Loop_nest.accesses nest in
+         ds = Dependence.omega_pair_deps nest accs.(i) accs.(j))
+       (Dependence.pair_deps nest));
+  Alcotest.(check int) "write/read pair independent" 0
+    (List.length (List.filter (fun (i, j, _) -> i <> j) (Dependence.deps nest)))
 
 let prop_legality_oracle =
   QCheck.Test.make
@@ -391,6 +493,35 @@ let test_objective_never_worse () =
     (Suite.all ())
     [ 26132.; 67536.; 97672.; 136978.; 102167. ]
 
+let test_closed_form_coverage () =
+  (* every dependent pair of the paper programs, their simulation-size
+     twins and scale-100 is uniform with a full-rank matrix once zero
+     columns drop: legality needs no Presburger check at all *)
+  let progs =
+    List.concat_map
+      (fun s -> [ s.Spec.program; s.Spec.sim_program ])
+      (Suite.all ())
+    @ [ (Suite.by_name "scale-100").Spec.program ]
+  in
+  let before = (P.stats ()).P.checks in
+  let closed = ref 0 in
+  List.iter
+    (fun prog ->
+      Array.iter
+        (fun nest ->
+          ignore (Dependence.legal_permutations nest);
+          let accs = Loop_nest.accesses nest in
+          List.iter
+            (fun (i, j, _) ->
+              if Dependence.pair_method nest accs.(i) accs.(j)
+                 = Dependence.Closed_form
+              then incr closed)
+            (Dependence.pair_deps nest))
+        (Program.nests prog))
+    progs;
+  Alcotest.(check int) "presburger checks" 0 ((P.stats ()).P.checks - before);
+  Alcotest.(check bool) "closed-form pairs seen" true (!closed > 0)
+
 (* ------------------------------------------------------------------ *)
 
 let props =
@@ -400,6 +531,8 @@ let props =
       prop_range_oracle;
       prop_deps_oracle;
       prop_legality_oracle;
+      prop_uniform_oracle;
+      prop_uniform_matches_omega;
     ]
 
 let () =
@@ -413,6 +546,13 @@ let () =
             test_dark_shadow_splinter;
           Alcotest.test_case "range extrema" `Quick test_range;
         ] );
+      ( "uniform",
+        [
+          Alcotest.test_case "generator reaches both methods" `Quick
+            test_uniform_generator_covers_both_methods;
+          Alcotest.test_case "overflow guard keeps the omega verdict" `Quick
+            test_overflow_guard;
+        ] );
       ("oracles", props);
       ( "goldens",
         [
@@ -420,6 +560,8 @@ let () =
             test_suite_legal_order_goldens;
           Alcotest.test_case "scale family gains legal orders" `Quick
             test_scale_gains_legal_orders;
+          Alcotest.test_case "closed form decides every suite pair" `Quick
+            test_closed_form_coverage;
           Alcotest.test_case "objective never worse than GCD era" `Slow
             test_objective_never_worse;
         ] );
