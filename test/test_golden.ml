@@ -193,6 +193,92 @@ let test_effort_counters () =
   Alcotest.(check string) "cdl/bnb verdicts and effort counters"
     golden_effort actual
 
+(* ------------------------------------------------------------------ *)
+(* Certificates: the exact bytes `solve --proof` writes                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One row per certificate [Optimizer.optimize ~proof] writes: its line
+   count and the MD5 of its NDJSON lines.  Any change to what a
+   certificate contains — step order, literal mapping, deletion
+   justifications (dominance under "+prune", arc consistency under
+   enhanced-ac), incumbent and optimum costs — moves a digest. *)
+let golden_certificates =
+  "Med-Im04 cdl sat lines=3 md5=13934aed1eee60b223ce4bdb7b53107f\n\
+   Med-Im04 bnb optimal lines=56 md5=c414de1cdf5ee0954367ca23c59f1915\n\
+   Med-Im04 bnb+prune optimal lines=94 md5=a5dfea2a47f867db574a859cb0717ec4\n\
+   Med-Im04 enhanced-ac sat lines=205 md5=0acaf5bd2586260e511e9e83094bbc9e\n\
+   MxM cdl sat lines=3 md5=25f0cd8d862940c5ace3f776b927c6aa\n\
+   MxM bnb optimal lines=8 md5=f45eca52ba819b6f91933d13299a851e\n\
+   MxM bnb+prune optimal lines=34 md5=dda62e89f5ba74fca29a8b38cf3d11e6\n\
+   MxM enhanced-ac sat lines=26 md5=712f0ac0d22f121038d4f5be0e9b9c2d\n\
+   Radar cdl sat lines=3 md5=1d638c703cdceb854195cd790b098e92\n\
+   Radar bnb optimal lines=60 md5=6031c07287f713fefe085e4795a25478\n\
+   Radar bnb+prune optimal lines=70 md5=468800689eaf47a1f4261af660bf4f69\n\
+   Radar enhanced-ac sat lines=367 md5=0a5775aafa22aca5f7493a887a53486a\n\
+   Shape cdl sat lines=3 md5=99699ad1b8b22a29bd8bc4942886edf3\n\
+   Shape bnb optimal lines=83 md5=6fc6979c73c144e678e8b9dd448ceabc\n\
+   Shape bnb+prune optimal lines=131 md5=65f1c7df04b0b201598ee719451aa9e1\n\
+   Shape enhanced-ac sat lines=578 md5=302d3045a0eb959f5bf1c947fd1f68a2\n\
+   Track cdl sat lines=3 md5=8a42dad28153f9a65464689f04fc56ad\n\
+   Track bnb optimal lines=50 md5=fa2bf8295a4ac192b8f91afc4517aeb8\n\
+   Track bnb+prune optimal lines=69 md5=847bbf4820ab885cf51a6665ed966fbd\n\
+   Track enhanced-ac sat lines=343 md5=0fc5186514d84638edf44140e6d0fa7e\n\
+   hard-20 bnb optimal lines=64 md5=7f4527f649b8c45e88c5e995e7faabd9\n\
+   hard-150 cdl unsat lines=108 md5=88b92756cb84a4835b0ca12f62f319d4\n\
+   scale-100 cdl sat lines=55 md5=f67276ed459f948ec5a23477f62ae3fd\n\
+   scale-100 bnb optimal lines=157 md5=0b885e66133ad6056c8c75cfc8be30db"
+
+let certificate_row spec label ?(prune = false) scheme =
+  let proof = ref None in
+  (try
+     ignore
+       (Optimizer.optimize ~candidates:spec.Spec.candidates
+          ~prune_dominated:prune
+          ~proof:(fun p -> proof := Some p)
+          scheme spec.Spec.program)
+   with Optimizer.No_solution _ -> ());
+  match !proof with
+  | None -> Alcotest.failf "%s %s: no certificate" spec.Spec.name label
+  | Some p ->
+    let lines = Mlo_verify.Proof.to_lines p in
+    let verdict =
+      match p.Mlo_verify.Proof.verdict with
+      | Some (Mlo_verify.Proof.Sat _) -> "sat"
+      | Some Mlo_verify.Proof.Unsat -> "unsat"
+      | Some (Mlo_verify.Proof.Optimal _) -> "optimal"
+      | Some Mlo_verify.Proof.Aborted -> "aborted"
+      | None -> "none"
+    in
+    Printf.sprintf "%s %s%s %s lines=%d md5=%s" spec.Spec.name label
+      (if prune then "+prune" else "")
+      verdict (List.length lines)
+      (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+let test_certificates () =
+  let cdl = Optimizer.Cdl Cdl.default_config
+  and bnb = Optimizer.Bnb Bnb.default_config in
+  let paper = List.map Suite.by_name workloads in
+  let actual =
+    List.concat_map
+      (fun spec ->
+        [
+          certificate_row spec "cdl" cdl;
+          certificate_row spec "bnb" bnb;
+          certificate_row spec "bnb" ~prune:true bnb;
+          certificate_row spec "enhanced-ac" (Optimizer.Enhanced_ac 1);
+        ])
+      paper
+    @ [
+        certificate_row (Suite.by_name "hard-20") "bnb" bnb;
+        certificate_row (Suite.by_name "hard-150") "cdl" cdl;
+        certificate_row (Suite.by_name "scale-100") "cdl" cdl;
+        certificate_row (Suite.by_name "scale-100") "bnb" bnb;
+      ]
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "certificate line counts and digests"
+    golden_certificates actual
+
 let () =
   Alcotest.run "golden"
     [
@@ -203,5 +289,6 @@ let () =
           Alcotest.test_case "table3 cycles" `Slow test_table3;
           Alcotest.test_case "cdl/bnb effort counters" `Slow
             test_effort_counters;
+          Alcotest.test_case "certificates" `Slow test_certificates;
         ] );
     ]
