@@ -316,78 +316,16 @@ let bnb_tests =
    O(network) cost independent of search length), and the independent
    checker replaying the finished certificate. *)
 let record_cdl net =
-  let comp_data = Hashtbl.create 8 in
-  let on_event ~comp ~vars ev =
-    let _, steps_r, outcome_r =
-      match Hashtbl.find_opt comp_data comp with
-      | Some s -> s
-      | None ->
-        let s = (vars, ref [], ref None) in
-        Hashtbl.add comp_data comp s;
-        s
-    in
-    match ev with
-    | Solver.Learned { dead; lits } ->
-      steps_r :=
-        Mlo_verify.Proof.Ng
-          {
-            comp;
-            dead = vars.(dead);
-            lits = Array.map (fun (x, v) -> (vars.(x), v)) lits;
-          }
-        :: !steps_r
-    | Solver.Incumbent _ -> ()
-    | Solver.Finished o -> outcome_r := Some o
-  in
-  let r =
+  let r = Mlo_verify.Proof.recorder () in
+  ( r,
     Mlo_csp.Cdl.solve_components ~config:Mlo_csp.Cdl.default_config
-      ~on_event net
-  in
-  (r, comp_data)
+      ~on_event:(Mlo_verify.Proof.record r) net )
 
-let assemble_cdl ~workload net (r, comp_data) =
-  let unsat =
-    match r.Solver.outcome with Solver.Unsatisfiable -> true | _ -> false
-  in
-  let steps =
-    Hashtbl.fold (fun k _ acc -> k :: acc) comp_data []
-    |> List.sort compare
-    |> List.concat_map (fun k ->
-           let vars, steps_r, outcome_r = Hashtbl.find comp_data k in
-           let keep =
-             (not unsat)
-             ||
-             match !outcome_r with
-             | Some Solver.Unsatisfiable -> true
-             | _ -> false
-           in
-           if not keep then []
-           else
-             Mlo_verify.Proof.Comp { id = k; vars = Array.copy vars }
-             :: List.rev !steps_r)
-  in
-  let verdict =
-    match r.Solver.outcome with
-    | Solver.Solution a -> Mlo_verify.Proof.Sat a
-    | Solver.Unsatisfiable -> Mlo_verify.Proof.Unsat
-    | Solver.Aborted -> Mlo_verify.Proof.Aborted
-  in
-  let n = Mlo_csp.Network.num_vars net in
-  {
-    Mlo_verify.Proof.header =
-      {
-        Mlo_verify.Proof.workload;
-        scheme = "cdl";
-        objective = None;
-        pruned = false;
-        slack = 0.0;
-        names = Array.init n (Mlo_csp.Network.name net);
-        domain_sizes = Array.init n (Mlo_csp.Network.domain_size net);
-        digest = Mlo_verify.Proof.digest net;
-      };
-    steps;
-    verdict = Some verdict;
-  }
+let assemble_cdl ~workload net (r, result) =
+  Mlo_verify.Proof.certificate
+    (Mlo_verify.Proof.header ~workload ~scheme:"cdl" ~objective:None
+       ~pruned:false ~slack:0.0 net)
+    ~dels:[] ~survivors:None ~costs:None r result
 
 let proof_tests =
   lazy

@@ -150,12 +150,12 @@ let objective_arg =
   Arg.(value & opt string "misses" & info [ "objective" ] ~docv:"OBJ" ~doc)
 
 let objective_of name =
-  match String.lowercase_ascii name with
-  | "misses" -> Optimizer.Estimated_misses
-  | "lines" -> Optimizer.Distinct_lines
-  | other ->
+  let name = String.lowercase_ascii name in
+  match Optimizer.objective_of_label name with
+  | Some objective -> objective
+  | None ->
     Printf.eprintf
-      "layoutopt: unknown objective '%s' (valid objectives: %s)\n" other
+      "layoutopt: unknown objective '%s' (valid objectives: %s)\n" name
       (String.concat ", " objective_names);
     exit 2
 
@@ -298,9 +298,16 @@ let solve_cmd =
       | None -> ());
       (match sol.Optimizer.objective_value with
       | Some c ->
-        Format.printf "objective: %s = %.17g@."
+        let cut =
+          match sol.Optimizer.solver_stats with
+          | Some st -> st.Stats.cut
+          | None -> false
+        in
+        Format.printf "objective: %s = %.17g%s@."
           (Optimizer.objective_label objective)
           c
+          (if cut then " (not proven optimal: the check budget cut the search)"
+           else "")
       | None -> ());
       Format.printf "elapsed: %.4fs@." sol.Optimizer.elapsed_s;
       if explain then
@@ -318,21 +325,13 @@ let solve_cmd =
 (* simulate                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let reference_flag =
-  let doc =
-    "Use the interpretive reference engine instead of the compiled \
-     address-stream engine (slower; counters are identical)."
-  in
-  Arg.(value & flag & info [ "reference" ] ~doc)
-
 let simulate_cmd =
-  let run workload scheme seed max_checks restarts learn_limit reference trace =
+  let run workload scheme seed max_checks restarts learn_limit trace =
     let spec = spec_of_workload workload in
     let scheme = scheme_of ~seed ~restarts ~learn_limit scheme in
     let prog = spec.Spec.sim_program in
-    let engine = if reference then Simulate.run_reference else Simulate.run in
     with_trace trace @@ fun () ->
-    let original = engine prog ~layouts:(fun _ -> None) in
+    let original = Simulate.run prog ~layouts:(fun _ -> None) in
     Format.printf "original : %a@." Simulate.pp_report original;
     match
       Optimizer.optimize ~candidates:spec.Spec.candidates ~max_checks scheme
@@ -343,7 +342,7 @@ let simulate_cmd =
       exit 1
     | sol ->
       let report =
-        engine sol.Optimizer.restructured ~layouts:(Optimizer.lookup sol)
+        Simulate.run sol.Optimizer.restructured ~layouts:(Optimizer.lookup sol)
       in
       Format.printf "optimized: %a@." Simulate.pp_report report;
       Format.printf "improvement: %.2f%%@."
@@ -354,7 +353,7 @@ let simulate_cmd =
        ~doc:"Simulate a workload before and after layout optimization")
     Term.(
       const run $ workload_arg $ scheme_arg $ seed_arg $ max_checks_arg
-      $ restarts_arg $ learn_limit_arg $ reference_flag $ trace_arg)
+      $ restarts_arg $ learn_limit_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* optimize-file                                                        *)
@@ -822,19 +821,11 @@ let verify_cmd =
               match p.Proof.verdict with
               | Some (Proof.Optimal _) ->
                 let objective =
-                  match p.Proof.header.Proof.objective with
-                  | Some "lines" -> Optimizer.Distinct_lines
-                  | _ -> Optimizer.Estimated_misses
+                  Option.bind p.Proof.header.Proof.objective
+                    Optimizer.objective_of_label
+                  |> Option.value ~default:Optimizer.Estimated_misses
                 in
-                let cost =
-                  Optimizer.layout_cost ~objective spec.Spec.program
-                in
-                Some
-                  (Array.init (Network.num_vars net) (fun i ->
-                       let name = Network.name net i in
-                       Array.init (Network.domain_size net i) (fun v ->
-                           cost ~array_name:name
-                             ~layout:(Network.value net i v))))
+                Some (Optimizer.cost_table ~objective spec.Spec.program net)
               | _ -> None
             in
             Trace.with_span ~cat:"verify" "check" (fun () ->

@@ -9,6 +9,9 @@ module Propagation = Mlo_heuristic.Propagation
 module Simulate = Mlo_cachesim.Simulate
 module Hierarchy = Mlo_cachesim.Hierarchy
 module Trace = Mlo_obs.Trace
+module Network = Mlo_csp.Network
+module Prune = Mlo_netgen.Prune
+module Proof = Mlo_verify.Proof
 
 type scheme =
   | Heuristic
@@ -33,13 +36,6 @@ type solution = {
 
 exception No_solution of string
 
-let config_of_scheme ?max_checks = function
-  | Heuristic | Cdl _ | Bnb _ -> None
-  | Base seed -> Some (Schemes.base ~seed ?max_checks ())
-  | Enhanced seed -> Some (Schemes.enhanced ~seed ?max_checks ())
-  | Enhanced_ac seed -> Some (Schemes.enhanced_with_ac ~seed ?max_checks ())
-  | Custom c -> Some c
-
 let scheme_label = function
   | Heuristic -> "heuristic"
   | Base _ -> "base"
@@ -52,6 +48,11 @@ let scheme_label = function
 let objective_label = function
   | Estimated_misses -> "misses"
   | Distinct_lines -> "lines"
+
+let objective_of_label = function
+  | "misses" -> Some Estimated_misses
+  | "lines" -> Some Distinct_lines
+  | _ -> None
 
 let metric_of_objective = function
   | Estimated_misses -> Mlo_analysis.Locality.Misses
@@ -75,6 +76,13 @@ let objective_cost ?geometry ?(objective = Estimated_misses) prog layouts =
     (fun acc (name, layout) -> acc +. cost ~array_name:name ~layout)
     0.0 layouts
 
+let cost_table ~objective prog net =
+  let cost = layout_cost ~objective prog in
+  Array.init (Network.num_vars net) (fun i ->
+      let name = Network.name net i in
+      Array.init (Network.domain_size net i) (fun v ->
+          cost ~array_name:name ~layout:(Network.value net i v)))
+
 (* Name -> layout lookup over a solution's layouts, hashed once so the
    per-access lookups of restructuring and simulation stay O(1) on
    programs with many arrays. *)
@@ -82,6 +90,68 @@ let lookup_in layouts =
   let tbl = Hashtbl.create (List.length layouts) in
   List.iter (fun (name, layout) -> Hashtbl.replace tbl name layout) layouts;
   Hashtbl.find_opt tbl
+
+(* Component-wise search of a network scheme, across [domains] worker
+   domains.  Returns the preprocessing the engine ran, bnb's cost table
+   over the original network [net0] (read through [orig], which maps a
+   value of the solved [build] back to [net0]) and the result. *)
+let search ?max_checks ~domains ~objective ?on_event scheme prog ~net0 ~orig
+    build =
+  let net = build.Build.network in
+  let solver config =
+    (config.Solver.preprocess, None, Solver.solve_components ~config ~domains net)
+  in
+  match scheme with
+  | Heuristic -> assert false
+  | Base seed -> solver (Schemes.base ~seed ?max_checks ())
+  | Enhanced seed -> solver (Schemes.enhanced ~seed ?max_checks ())
+  | Enhanced_ac seed -> solver (Schemes.enhanced_with_ac ~seed ?max_checks ())
+  | Custom config -> solver config
+  | Cdl cfg ->
+    let cfg =
+      match max_checks with
+      | None -> cfg
+      | Some m -> { cfg with Mlo_csp.Cdl.max_checks = Some m }
+    in
+    ( cfg.Mlo_csp.Cdl.preprocess,
+      None,
+      Mlo_csp.Cdl.solve_components ~config:cfg ~domains ?on_event net )
+  | Bnb cfg ->
+    let cfg =
+      match max_checks with
+      | None -> cfg
+      | Some m -> { cfg with Mlo_csp.Bnb.max_checks = Some m }
+    in
+    let costs = cost_table ~objective prog net0 in
+    let cost name v =
+      let i = Build.var_of_array build name in
+      costs.(i).(orig i v)
+    in
+    ( cfg.Mlo_csp.Bnb.preprocess,
+      Some costs,
+      Trace.with_span ~cat:"optimizer" "bnb"
+        ~args:[ ("objective", Trace.Str (objective_label objective)) ]
+        (fun () ->
+          Mlo_csp.Bnb.branch_and_bound ~config:cfg ~domains ?on_event ~cost net)
+    )
+
+(* Arc-consistency preprocessing's deletions on the solved network,
+   in original value indices.  A wipe needs no step: the checker's own
+   fixpoint derives it from the network. *)
+let ac_deletions ~orig net =
+  match Mlo_csp.Propagate.ac2001 net with
+  | Mlo_csp.Propagate.Wiped _ -> []
+  | Mlo_csp.Propagate.Reduced doms ->
+    let dels = ref [] in
+    for i = Array.length doms - 1 downto 0 do
+      for v = Network.domain_size net i - 1 downto 0 do
+        if not (Mlo_csp.Bitset.mem doms.(i) v) then
+          dels :=
+            Proof.Del { var = i; value = orig i v; reason = Arc_inconsistent }
+            :: !dels
+      done
+    done;
+    !dels
 
 let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
     ?(objective = Estimated_misses) ?proof scheme prog =
@@ -120,211 +190,52 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
     in
     let build, prune_info =
       if prune_dominated then
-        let b, info = Mlo_netgen.Prune.apply build0 in
+        let b, info = Prune.apply build0 in
         (b, Some info)
       else (build0, None)
     in
-    (* ---- proof logging -------------------------------------------
-       Certificates are stated against the *original* network
-       [build0], so everything the solvers report on the (possibly
-       pruned) view is translated back through the survivor map.
-       Per-component event streams are buffered by the engines and
-       replayed serially, so the collection below is single-threaded
-       even under [domains > 1]. *)
-    let net0 = build0.Build.network in
-    let netp = build.Build.network in
-    let surv =
-      match prune_info with
-      | Some info -> fun i v -> info.Mlo_netgen.Prune.survivors.(i).(v)
-      | None -> fun _ v -> v
+    let net0 = build0.Build.network and net = build.Build.network in
+    (* Everything is stated against the original network [net0]: the
+       survivor map takes a value of the solved view back to it. *)
+    let survivors = Option.map (fun info -> info.Prune.survivors) prune_info in
+    let orig i v = match survivors with Some s -> s.(i).(v) | None -> v in
+    let recorder = Proof.recorder () in
+    let preprocess, costs, result =
+      search ?max_checks ~domains ~objective
+        ?on_event:(Option.map (fun _ -> Proof.record recorder) proof)
+        scheme prog ~net0 ~orig build
     in
-    let costs0 =
-      (* separable cost table over the original domains, for incumbent
-         steps and the verifier's bound checks *)
-      lazy
-        (let cost_of_layout = layout_cost ~objective prog in
-         Array.init
-           (Mlo_csp.Network.num_vars net0)
-           (fun i ->
-             let name = Mlo_csp.Network.name net0 i in
-             Array.init (Mlo_csp.Network.domain_size net0 i) (fun v ->
-                 cost_of_layout ~array_name:name
-                   ~layout:(Mlo_csp.Network.value net0 i v))))
-    in
-    let comp_data :
-        (int, int array * Mlo_verify.Proof.step list ref * Solver.outcome option ref)
-        Hashtbl.t =
-      Hashtbl.create 8
-    in
-    let on_event_fn ~comp ~vars ev =
-      let _, steps_r, outcome_r =
-        match Hashtbl.find_opt comp_data comp with
-        | Some slot -> slot
-        | None ->
-          let slot = (vars, ref [], ref None) in
-          Hashtbl.add comp_data comp slot;
-          slot
-      in
-      match ev with
-      | Solver.Learned { dead; lits } ->
-        let glits = Array.map (fun (x, v) -> (vars.(x), surv vars.(x) v)) lits in
-        steps_r :=
-          Mlo_verify.Proof.Ng { comp; dead = vars.(dead); lits = glits }
-          :: !steps_r
-      | Solver.Incumbent { assignment } ->
-        let glits = Array.mapi (fun x v -> (vars.(x), surv vars.(x) v)) assignment in
-        let costs0 = Lazy.force costs0 in
-        let cost =
-          Array.fold_left (fun acc (x, v) -> acc +. costs0.(x).(v)) 0.0 glits
+    Option.iter
+      (fun sink ->
+        let slack = match scheme with Bnb c -> c.Mlo_csp.Bnb.bound_slack | _ -> 0. in
+        let header =
+          Proof.header ~workload:(Program.name prog)
+            ~scheme:(scheme_label scheme)
+            ~objective:(Option.map (fun _ -> objective_label objective) costs)
+            ~pruned:prune_dominated ~slack net0
         in
-        steps_r := Mlo_verify.Proof.Inc { comp; lits = glits; cost } :: !steps_r
-      | Solver.Finished o -> outcome_r := Some o
-    in
-    let on_event = Option.map (fun _ -> on_event_fn) proof in
-    let preprocess_ac =
-      match scheme with
-      | Cdl cfg -> cfg.Mlo_csp.Cdl.preprocess = Solver.Arc_consistency
-      | Bnb cfg -> cfg.Mlo_csp.Bnb.preprocess = Solver.Arc_consistency
-      | Heuristic | Base _ | Enhanced _ | Enhanced_ac _ | Custom _ -> (
-        match config_of_scheme ?max_checks scheme with
-        | Some c -> c.Solver.preprocess = Solver.Arc_consistency
-        | None -> false)
-    in
-    let assemble_proof outcome =
-      let open Mlo_verify.Proof in
-      let num0 = Mlo_csp.Network.num_vars net0 in
-      let header =
-        {
-          workload = Program.name prog;
-          scheme = scheme_label scheme;
-          objective =
-            (match scheme with
-            | Bnb _ -> Some (objective_label objective)
-            | _ -> None);
-          pruned = prune_dominated;
-          slack =
-            (match scheme with
-            | Bnb cfg -> cfg.Mlo_csp.Bnb.bound_slack
-            | _ -> 0.0);
-          names = Array.init num0 (Mlo_csp.Network.name net0);
-          domain_sizes = Array.init num0 (Mlo_csp.Network.domain_size net0);
-          digest = digest net0;
-        }
-      in
-      let pre_steps =
-        let dels = ref [] in
-        (match prune_info with
-        | Some info ->
-          List.iter
-            (fun (var, value, by) ->
-              dels := Del { var; value; reason = Dominated by } :: !dels)
-            info.Mlo_netgen.Prune.removed
-        | None -> ());
-        (if preprocess_ac then
-           match Mlo_csp.Propagate.ac2001 netp with
-           | Mlo_csp.Propagate.Reduced doms ->
-             Array.iteri
-               (fun i bs ->
-                 for v = 0 to Mlo_csp.Network.domain_size netp i - 1 do
-                   if not (Mlo_csp.Bitset.mem bs v) then
-                     dels :=
-                       Del { var = i; value = surv i v; reason = Arc_inconsistent }
-                       :: !dels
-                 done)
-               doms
-           | Mlo_csp.Propagate.Wiped _ ->
-             (* the checker's own fixpoint derives the wipe; nothing to
-                justify beyond the network itself *)
-             ());
-        List.rev !dels
-      in
-      let unsat_only =
-        match outcome with Solver.Unsatisfiable -> true | _ -> false
-      in
-      let comp_steps =
-        Hashtbl.fold (fun k _ acc -> k :: acc) comp_data []
-        |> List.sort compare
-        |> List.concat_map (fun k ->
-               let vars, steps_r, outcome_r = Hashtbl.find comp_data k in
-               let keep =
-                 (not unsat_only)
-                 ||
-                 match !outcome_r with
-                 | Some Solver.Unsatisfiable -> true
-                 | _ -> false
-               in
-               if not keep then []
-               else
-                 let steps = List.rev !steps_r in
-                 let steps =
-                   (* an UNSAT certificate must carry no incumbents *)
-                   if unsat_only then
-                     List.filter (function Inc _ -> false | _ -> true) steps
-                   else steps
-                 in
-                 Comp { id = k; vars = Array.copy vars } :: steps)
-      in
-      let verdict =
-        match outcome with
-        | Solver.Unsatisfiable -> Unsat
-        | Solver.Aborted -> Aborted
-        | Solver.Solution a ->
-          let ga = Array.mapi surv a in
-          (match scheme with
-          | Bnb _ ->
-            let costs0 = Lazy.force costs0 in
-            let cost = ref 0.0 in
-            Array.iteri (fun i v -> cost := !cost +. costs0.(i).(v)) ga;
-            Optimal { cost = !cost; assignment = ga }
-          | _ -> Sat ga)
-      in
-      { header; steps = pre_steps @ comp_steps; verdict = Some verdict }
-    in
-    (* Component-wise search: independent subnetworks are solved
-       separately (decision-equivalent to the whole-network solve; a
-       single-component network takes the identical path), across
-       [domains] worker domains when more than one is requested. *)
-    let result =
-      match scheme with
-      | Cdl cfg ->
-        let cfg =
-          match max_checks with
-          | None -> cfg
-          | Some m -> { cfg with Mlo_csp.Cdl.max_checks = Some m }
+        let dominated =
+          match prune_info with
+          | Some info ->
+            List.map
+              (fun (var, value, by) ->
+                Proof.Del { var; value; reason = Proof.Dominated by })
+              info.Prune.removed
+          | None -> []
         in
-        Mlo_csp.Cdl.solve_components ~config:cfg ~domains ?on_event
-          build.Build.network
-      | Bnb cfg ->
-        let cfg =
-          match max_checks with
-          | None -> cfg
-          | Some m -> { cfg with Mlo_csp.Bnb.max_checks = Some m }
+        let dels =
+          match preprocess with
+          | Solver.Arc_consistency -> dominated @ ac_deletions ~orig net
+          | Solver.No_preprocess -> dominated
         in
-        let cost_of_layout = layout_cost ~objective prog in
-        let net = build.Build.network in
-        let cost name v =
-          cost_of_layout ~array_name:name
-            ~layout:
-              (Mlo_csp.Network.value net (Build.var_of_array build name) v)
-        in
-        Trace.with_span ~cat:"optimizer" "bnb"
-          ~args:[ ("objective", Trace.Str (objective_label objective)) ]
-          (fun () ->
-            Mlo_csp.Bnb.branch_and_bound ~config:cfg ~domains ?on_event ~cost
-              net)
-      | Heuristic | Base _ | Enhanced _ | Enhanced_ac _ | Custom _ ->
-        let config =
-          Option.get (config_of_scheme ?max_checks scheme)
-        in
-        Solver.solve_components ~config ~domains build.Build.network
-    in
-    Option.iter (fun sink -> sink (assemble_proof result.Solver.outcome)) proof;
+        sink (Proof.certificate header ~dels ~survivors ~costs recorder result))
+      proof;
     (match result.Solver.outcome with
     | Solver.Unsatisfiable ->
       let detail =
-        match Mlo_analysis.Netcheck.unsat_core build.Build.network with
+        match Mlo_analysis.Netcheck.unsat_core net with
         | Some (core, wiped) ->
-          let name = Mlo_csp.Network.name build.Build.network in
+          let name = Network.name net in
           Printf.sprintf
             "; no arc-consistent value for %s, minimal unsat core: %s"
             (name wiped)
@@ -343,18 +254,16 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
         Trace.with_span ~cat:"optimizer" "restructure" (fun () ->
             Select.restructure prog lookup)
       in
-      let objective_value =
-        match scheme with
-        | Bnb _ -> Some (objective_cost ~objective prog layouts)
-        | _ -> None
-      in
       {
         layouts;
         restructured;
         solver_stats = Some result.Solver.stats;
         heuristic_evaluations = None;
         pruned_values = prune_info;
-        objective_value;
+        objective_value =
+          Option.map
+            (fun c -> Mlo_csp.Bnb.cost_of ~costs:c (Array.mapi orig assignment))
+            costs;
         elapsed_s = Mlo_csp.Clock.wall_s () -. t0;
       })
 

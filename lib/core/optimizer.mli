@@ -59,6 +59,9 @@ val scheme_label : scheme -> string
 val objective_label : objective -> string
 (** "misses" or "lines" — the CLI's [--objective] vocabulary. *)
 
+val objective_of_label : string -> objective option
+(** The inverse of {!objective_label}; [None] for any other string. *)
+
 val objective_cost :
   ?geometry:Mlo_cachesim.Cache.geometry ->
   ?objective:objective ->
@@ -81,9 +84,16 @@ val layout_cost :
   float
 (** The separable per-(array, layout) charge underlying both the [Bnb]
     scheme and {!objective_cost}: the array's whole-program cost under
-    the layout with every other array at its default.  Exposed so the
-    certificate checker can rebuild the exact cost table an [Optimal]
-    proof was logged against. *)
+    the layout with every other array at its default. *)
+
+val cost_table :
+  objective:objective ->
+  Mlo_ir.Program.t ->
+  Mlo_layout.Layout.t Mlo_csp.Network.t ->
+  float array array
+(** {!layout_cost} of every value [v] of every variable [i] of [net],
+    at [.(i).(v)]: the one table behind the [Bnb] scheme's search, its
+    objective value and its [Optimal] certificates. *)
 
 val optimize :
   ?candidates:(string -> Mlo_layout.Layout.t list) ->
@@ -107,13 +117,15 @@ val optimize :
     minimizes; the other schemes ignore it.
 
     [proof] receives a {!Mlo_verify.Proof.t} certificate of the solver
-    run, stated against the {e original} (pre-prune, pre-AC) network:
-    preprocessing removals as justified [Del] steps, learned nogoods and
-    branch-and-bound incumbents per component, and a verdict matching
-    the outcome ([Sat], [Unsat], [Optimal] for [Bnb] solutions, or
-    [Aborted]).  The sink is called before {!No_solution} is raised, so
-    UNSAT and budget-abort certificates are still delivered.  Ignored by
-    [Heuristic] (there is nothing to certify). *)
+    run ({!Mlo_verify.Proof.certificate}), stated against the
+    {e original} (pre-prune, pre-AC) network: preprocessing removals as
+    justified [Del] steps, learned nogoods and branch-and-bound
+    incumbents per component, and a verdict matching the outcome ([Sat],
+    [Unsat], [Optimal] for [Bnb] solutions, or [Aborted]; a [Bnb]
+    solution the check budget cut is only [Sat]).  The sink is called
+    before {!No_solution} is raised, so UNSAT and budget-abort
+    certificates are still delivered.  Ignored by [Heuristic] (there is
+    nothing to certify). *)
 
 val lookup : solution -> string -> Mlo_layout.Layout.t option
 (** [lookup sol] hashes the solution's layouts once; apply it to one

@@ -47,20 +47,7 @@ let run config ~max_checks ?cancel ?on_event ~costs comp =
     ~preprocess:config.preprocess ~learn_limit:config.learn_limit ~max_checks
     ?cancel ?on_event comp
 
-let solve_compiled ?(config = default_config) ?cancel ?on_learn ?on_leaf ~costs
-    comp =
-  let on_event =
-    match (on_learn, on_leaf) with
-    | None, None -> None
-    | _ ->
-      Some
-        (function
-        | Solver.Learned { dead; lits } ->
-          Option.iter (fun f -> f ~dead lits) on_learn
-        | Solver.Incumbent { assignment } ->
-          Option.iter (fun f -> f assignment) on_leaf
-        | Solver.Finished _ -> ())
-  in
+let solve_compiled ?(config = default_config) ?cancel ?on_event ~costs comp =
   run config ~max_checks:config.max_checks ?cancel ?on_event ~costs comp
 
 let costs_of_network ~cost net =

@@ -76,8 +76,7 @@ val lower_bound :
 val solve_compiled :
   ?config:config ->
   ?cancel:(unit -> bool) ->
-  ?on_learn:(dead:int -> (int * int) array -> unit) ->
-  ?on_leaf:(int array -> unit) ->
+  ?on_event:(Solver.event -> unit) ->
   costs:float array array ->
   Compiled.t ->
   Solver.result
@@ -87,15 +86,15 @@ val solve_compiled :
     the default slack it has minimum {!cost_of} over all consistent
     assignments.  When the check budget (or [cancel]) interrupts a
     search that already holds an incumbent, that incumbent is returned
-    as an {e anytime} [Solution] — consistent, but possibly not optimal;
+    as an {e anytime} [Solution] — consistent, but possibly not optimal,
+    and flagged by [stats.cut];
     [Aborted] means the budget died before any solution was found.
     [stats.bounded] counts cost-pruned subtrees and [stats.incumbents]
     the strict incumbent improvements.
 
-    Proof-logging hooks: [on_learn] receives each learned nogood (a
-    fresh literal array plus the wiped variable), [on_leaf] each strict
-    incumbent improvement (a fresh copy of the assignment), in
-    chronological order. *)
+    [on_event] receives each learned nogood ([Learned]) and each strict
+    incumbent improvement ([Incumbent], a fresh copy), in chronological
+    order, and never [Finished]. *)
 
 val solve :
   ?config:config -> cost:(string -> int -> float) -> 'a Network.t ->

@@ -23,14 +23,7 @@ let mode config =
   Conflict_search.Satisfy
     { restarts = config.restarts; restart_base = config.restart_base }
 
-let solve_compiled ?(config = default_config) ?cancel ?on_learn comp =
-  let on_event =
-    Option.map
-      (fun f -> function
-        | Solver.Learned { dead; lits } -> f ~dead lits
-        | Solver.Incumbent _ | Solver.Finished _ -> ())
-      on_learn
-  in
+let solve_compiled ?(config = default_config) ?cancel ?on_event comp =
   Conflict_search.run (mode config) ~preprocess:config.preprocess
     ~learn_limit:config.learn_limit ~max_checks:config.max_checks ?cancel
     ?on_event comp

@@ -47,16 +47,16 @@ val default_config : config
 val solve_compiled :
   ?config:config ->
   ?cancel:(unit -> bool) ->
-  ?on_learn:(dead:int -> (int * int) array -> unit) ->
+  ?on_event:(Solver.event -> unit) ->
   Compiled.t ->
   Solver.result
 (** Run the conflict-driven search on a compiled view.  [cancel] is the
     same cooperative hook as {!Solver.solve_compiled} (polled on the
-    check counter).  [on_learn] receives every learned nogood as its
-    [(variable, value)] literal array (a fresh copy) together with the
-    variable whose domain wiped at the dead end — the soundness
-    property tests pin each one against the brute-forced solution set,
-    and proof logging records both.
+    check counter).  [on_event] receives every learned nogood as a
+    [Learned] event (a fresh literal array plus the variable whose
+    domain wiped at the dead end), in chronological order, and never
+    [Finished] — the soundness property tests pin each nogood against
+    the brute-forced solution set.
     [stats.learned]/[forgotten]/[restarts] report the learning
     activity. *)
 

@@ -602,7 +602,8 @@ let run mode ~preprocess ~learn_limit ~max_checks ?cancel ?on_event comp =
     in
 
     (* An interrupted Minimize search still returns its best consistent
-       assignment when it has one (anytime). *)
+       assignment when it has one (anytime), flagged as cut so nothing
+       downstream takes it for a proven optimum. *)
     let best_or otherwise =
       match !incumbent with Some a -> Solution (Array.copy a) | None -> otherwise
     in
@@ -614,7 +615,9 @@ let run mode ~preprocess ~learn_limit ~max_checks ?cancel ?on_event comp =
           (fun () ->
             if run 0 = found then Solution (Array.copy assignment)
             else best_or Unsatisfiable)
-      with Abort -> best_or Aborted
+      with Abort ->
+        stats.Stats.cut <- true;
+        best_or Aborted
     in
     (match outcome with
     | Solution a -> assert (Compiled.verify comp a)

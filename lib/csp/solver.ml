@@ -578,6 +578,7 @@ let merge_component_stats stats ~n ~vars (s : Stats.t) =
   stats.Stats.restarts <- stats.Stats.restarts + s.Stats.restarts;
   stats.Stats.bounded <- stats.Stats.bounded + s.Stats.bounded;
   stats.Stats.incumbents <- stats.Stats.incumbents + s.Stats.incumbents;
+  stats.Stats.cut <- stats.Stats.cut || s.Stats.cut;
   if s.Stats.max_depth > stats.Stats.max_depth then
     stats.Stats.max_depth <- s.Stats.max_depth;
   Array.iteri

@@ -14,6 +14,7 @@ type t = {
   mutable cpu_s : float;
   mutable nodes_by_depth : int array;
   mutable nodes_by_var : int array;
+  mutable cut : bool;
 }
 
 let create () =
@@ -33,6 +34,7 @@ let create () =
     cpu_s = 0.;
     nodes_by_depth = [||];
     nodes_by_var = [||];
+    cut = false;
   }
 
 let reset t =
@@ -50,7 +52,8 @@ let reset t =
   t.elapsed_s <- 0.;
   t.cpu_s <- 0.;
   t.nodes_by_depth <- [||];
-  t.nodes_by_var <- [||]
+  t.nodes_by_var <- [||];
+  t.cut <- false
 
 let ensure_hists t n =
   let grow a =
@@ -86,6 +89,7 @@ let add a b =
     cpu_s = a.cpu_s +. b.cpu_s;
     nodes_by_depth = merge_hist a.nodes_by_depth b.nodes_by_depth;
     nodes_by_var = merge_hist a.nodes_by_var b.nodes_by_var;
+    cut = a.cut || b.cut;
   }
 
 let to_json t =
@@ -103,6 +107,7 @@ let to_json t =
       ("restarts", Num (float_of_int t.restarts));
       ("bounded", Num (float_of_int t.bounded));
       ("incumbents", Num (float_of_int t.incumbents));
+      ("cut", Bool t.cut);
       ("max_depth", Num (float_of_int t.max_depth));
       ("elapsed_s", Num t.elapsed_s);
       ("cpu_s", Num t.cpu_s);
@@ -112,7 +117,7 @@ let to_json t =
 
 let pp ppf t =
   Format.fprintf ppf
-    "nodes=%d checks=%d backtracks=%d backjumps=%d prunings=%d%s%s depth=%d \
+    "nodes=%d checks=%d backtracks=%d backjumps=%d prunings=%d%s%s%s depth=%d \
      time=%.4fs cpu=%.4fs"
     t.nodes t.checks t.backtracks t.backjumps t.prunings
     (if t.learned + t.forgotten + t.restarts = 0 then ""
@@ -121,4 +126,5 @@ let pp ppf t =
          t.forgotten t.restarts)
     (if t.bounded + t.incumbents = 0 then ""
      else Printf.sprintf " bounded=%d incumbents=%d" t.bounded t.incumbents)
+    (if t.cut then " cut" else "")
     t.max_depth t.elapsed_s t.cpu_s

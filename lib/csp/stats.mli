@@ -40,6 +40,9 @@ type t = {
           as the unmodified oracle) *)
   mutable nodes_by_var : int array;
       (** instantiation attempts per variable index (same caveats) *)
+  mutable cut : bool;
+      (** the check budget or a cancel stopped a {!Cdl} / {!Bnb} search:
+          a solution it returns is the best found, not a proven optimum *)
 }
 
 val create : unit -> t
@@ -51,7 +54,8 @@ val ensure_hists : t -> int -> unit
 
 val add : t -> t -> t
 (** Componentwise sum (elapsed times add too, histograms merge
-    slot-wise at the longer length); inputs unchanged. *)
+    slot-wise at the longer length, [cut] is either's); inputs
+    unchanged. *)
 
 val to_json : t -> Mlo_obs.Json.t
 (** All counters plus both histograms as a flat JSON object (stable

@@ -206,103 +206,3 @@ let components t =
   Array.map
     (Array.map (fun v -> t.constrained_arrays.(v)))
     (Network.components t.network)
-
-(* Sharded build: partition the arrays by the "co-referenced in some
-   nest" relation (union-find over the program's nests), materialize one
-   sub-program per part, and build each part's network independently.
-   A nest's pairs only ever connect co-referenced arrays, and an array's
-   domain (and its layout order within it) depends only on the nests
-   touching it plus [candidates], so the shard networks are exactly the
-   whole network's constraint-graph components with identical domains
-   and constraints — but only one shard's network and transient pair
-   tables are live at a time, so peak memory follows the largest
-   component instead of the whole program. *)
-let shards ?relax ?candidates prog =
-  Mlo_obs.Trace.with_span ~cat:"netgen" "build-shards"
-    ~args:[ ("program", Mlo_obs.Trace.Str (Program.name prog)) ]
-  @@ fun () ->
-  let arrays = Program.arrays prog in
-  let n = Array.length arrays in
-  let index = index_of (Array.map Array_info.name arrays) in
-  (* union-find, smaller index wins: each class root ends up being the
-     class's first-declared array, so shards come out in declaration
-     order of their leading array *)
-  let parent = Array.init n Fun.id in
-  let rec find i =
-    if parent.(i) = i then i
-    else begin
-      let r = find parent.(i) in
-      parent.(i) <- r;
-      r
-    end
-  in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then
-      if ri < rj then parent.(rj) <- ri else parent.(ri) <- rj
-  in
-  Array.iter
-    (fun nest ->
-      match Loop_nest.arrays_touched nest with
-      | [] -> ()
-      | a0 :: rest ->
-        let i0 = Hashtbl.find index a0 in
-        List.iter (fun a -> union i0 (Hashtbl.find index a)) rest)
-    (Program.nests prog);
-  let members = Hashtbl.create 16 in
-  let roots = ref [] in
-  for i = n - 1 downto 0 do
-    let r = find i in
-    if not (Hashtbl.mem members r) then roots := r :: !roots;
-    Hashtbl.replace members r
-      (arrays.(i) :: Option.value ~default:[] (Hashtbl.find_opt members r))
-  done;
-  let nests_of part =
-    let in_part a = List.exists (fun info -> Array_info.name info = a) part in
-    Array.to_list (Program.nests prog)
-    |> List.filter (fun nest ->
-           match Loop_nest.arrays_touched nest with
-           | [] -> false
-           | a :: _ -> in_part a)
-  in
-  (* An array referenced by no nest is a singleton part with no nests to
-     induce a sub-program from; its variable is free in the whole
-     network, so build its one-variable constraint-free shard directly,
-     with the same domain rule [collect_domains] applies to an array no
-     restructuring demands anything of. *)
-  let free_shard info =
-    let rank = Array_info.rank info in
-    let name = Array_info.name info in
-    let default = if rank = 1 then Layout.trivial else Layout.row_major rank in
-    let extra =
-      match candidates with
-      | None -> []
-      | Some c -> List.filter (fun l -> Layout.rank l = rank) (c name)
-    in
-    let domain = List.fold_left (fun acc l -> add_unique l acc) [ default ] extra in
-    {
-      network =
-        Network.create ~names:[| name |]
-          ~domains:[| Array.of_list domain |];
-      program = prog;
-      constrained_arrays = [| name |];
-      var_index = index_of [| name |];
-    }
-  in
-  Array.of_list
-    (List.mapi
-       (fun k r ->
-         let part = Hashtbl.find members r in
-         match nests_of part with
-         | [] ->
-           (* union-find only merges co-referenced arrays, so a nest-less
-              part is exactly one unreferenced array *)
-           free_shard (List.hd part)
-         | nests ->
-           let sub =
-             Program.make
-               ~name:(Printf.sprintf "%s#%d" (Program.name prog) k)
-               part nests
-           in
-           build ?relax ?candidates sub)
-       !roots)

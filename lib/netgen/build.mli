@@ -71,23 +71,3 @@ val components : t -> string array array
     variable map).  Arrays in different components never co-occur in a
     constraining nest, so their layouts are chosen independently;
     singleton components are arrays whose assignment is free. *)
-
-val shards :
-  ?relax:bool ->
-  ?candidates:(string -> Mlo_layout.Layout.t list) ->
-  Mlo_ir.Program.t ->
-  t array
-(** Sharded extraction for large programs: partitions the arrays into
-    the connected components of the "co-referenced in some nest"
-    relation (computed from the program alone, before any network
-    exists) and builds one independent network per part, each from only
-    the nests of that part.  The shard networks are exactly the
-    components {!build} would produce — identical domains, layout
-    orders, and constraints, property-tested in test/test_netgen.ml —
-    but peak memory follows the largest component rather than the whole
-    program, because only one shard's network and transient pair tables
-    are live at a time.  Shards are ordered by the declaration position
-    of their first array; nests touching no array belong to no shard.
-    An array referenced by no nest — a free variable in the whole
-    network — becomes a singleton constraint-free shard whose [program]
-    field is the parent program (no nest-less sub-program exists). *)

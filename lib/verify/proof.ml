@@ -1,5 +1,6 @@
 module Json = Mlo_obs.Json
 module Network = Mlo_csp.Network
+module Solver = Mlo_csp.Solver
 
 let schema = "memlayout-proof/1"
 
@@ -78,6 +79,75 @@ let digest net =
       if !fill > 0 then byte (!acc lsl (8 - !fill)))
     (Network.constraint_pairs net);
   Printf.sprintf "%016Lx" !h
+
+(* ---- writing ------------------------------------------------------ *)
+
+let header ~workload ~scheme ~objective ~pruned ~slack net =
+  let n = Network.num_vars net in
+  let names = Array.init n (Network.name net) in
+  let domain_sizes = Array.init n (Network.domain_size net) in
+  { workload; scheme; objective; pruned; slack; names; domain_sizes;
+    digest = digest net }
+
+(* Per component: its variable map, its events newest first, and how its
+   search ended.  The engines replay events serially, one thread. *)
+type recorder =
+  (int, int array * Solver.event list ref * Solver.outcome option ref) Hashtbl.t
+
+let recorder () : recorder = Hashtbl.create 8
+
+let record (r : recorder) ~comp ~vars ev =
+  let _, events, finished =
+    match Hashtbl.find_opt r comp with
+    | Some slot -> slot
+    | None ->
+      let slot = (vars, ref [], ref None) in
+      Hashtbl.add r comp slot;
+      slot
+  in
+  match ev with
+  | Solver.Finished o -> finished := Some o
+  | Solver.Learned _ | Solver.Incumbent _ -> events := ev :: !events
+
+let certificate header ~dels ~survivors ~costs (r : recorder)
+    (result : Solver.result) =
+  let orig i v = match survivors with Some s -> s.(i).(v) | None -> v in
+  let cost c lits = Array.fold_left (fun acc (x, v) -> acc +. c.(x).(v)) 0.0 lits in
+  let pairs a = Array.mapi (fun i v -> (i, v)) a in
+  match result.Solver.outcome with
+  | Solver.Solution a when result.Solver.stats.Mlo_csp.Stats.cut ->
+    (* an interrupted search proves nothing beyond its assignment *)
+    { header; steps = dels; verdict = Some (Sat (Array.mapi orig a)) }
+  | outcome ->
+    let unsat = outcome = Solver.Unsatisfiable in
+    let comp_steps k =
+      let vars, events, finished = Hashtbl.find r k in
+      let global = Array.map (fun (x, v) -> (vars.(x), orig vars.(x) v)) in
+      let step = function
+        | Solver.Learned { dead; lits } ->
+          Some (Ng { comp = k; dead = vars.(dead); lits = global lits })
+        | Solver.Incumbent { assignment } when not unsat ->
+          Option.map
+            (fun c ->
+              let lits = global (pairs assignment) in
+              Inc { comp = k; lits; cost = cost c lits })
+            costs
+        | Solver.Incumbent _ | Solver.Finished _ -> None
+      in
+      if unsat && !finished <> Some Solver.Unsatisfiable then []
+      else Comp { id = k; vars = Array.copy vars } :: List.filter_map step (List.rev !events)
+    in
+    let verdict =
+      match (outcome, costs) with
+      | Solver.Unsatisfiable, _ -> Unsat
+      | Solver.Aborted, _ -> Aborted
+      | Solver.Solution a, None -> Sat (Array.mapi orig a)
+      | Solver.Solution a, Some c ->
+        let ga = Array.mapi orig a in
+        Optimal { cost = cost c (pairs ga); assignment = ga }
+    in
+    let ids = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) r []) in
+    { header; steps = dels @ List.concat_map comp_steps ids; verdict = Some verdict }
 
 (* ---- serialization ------------------------------------------------ *)
 

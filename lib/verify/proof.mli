@@ -1,7 +1,7 @@
 (** Solver certificates: the [memlayout-proof/1] format.
 
-    A proof is a newline-delimited JSON artifact emitted by
-    [Optimizer.optimize ~proof] and checked — against the original,
+    A proof is a newline-delimited JSON artifact assembled by
+    {!certificate} and checked — against the original,
     pre-preprocessing network — by {!Checker.check}. All variable and
     value indices in a proof refer to the {e original} network (before
     dominance pruning and before arc-consistency preprocessing);
@@ -65,6 +65,41 @@ val digest : 'a Mlo_csp.Network.t -> string
     description: variable names, domain sizes, and every constraint's
     allowed-pair bitmap. Two networks with the same digest have the
     same constraint structure for the checker's purposes. *)
+
+(** {1 Writing}
+
+    The one place that turns the engines' {!Mlo_csp.Solver.event}s into
+    steps.  {!Checker} never calls it. *)
+
+val header :
+  workload:string -> scheme:string -> objective:string option ->
+  pruned:bool -> slack:float -> 'a Mlo_csp.Network.t -> header
+(** A header naming [net], the {e original} network. *)
+
+type recorder
+
+val recorder : unit -> recorder
+
+val record :
+  recorder -> comp:int -> vars:int array -> Mlo_csp.Solver.event -> unit
+(** The [on_event] callback of {!Mlo_csp.Cdl.solve_components} and
+    {!Mlo_csp.Bnb.branch_and_bound}. *)
+
+val certificate :
+  header -> dels:step list -> survivors:int array array option ->
+  costs:float array array option -> recorder -> Mlo_csp.Solver.result -> t
+(** The certificate of the recorded run that ended in the result.
+    [dels] are preprocessing deletions in original indices;
+    [survivors.(i).(v)] is the original index of value [v] of [i] in the
+    solved network ([None]: it is the original); [costs] is the
+    separable cost table over the original domains, given exactly for
+    optimality certificates.  Steps are [dels], then each component in
+    ascending id order: its [Comp], then its [Ng]/[Inc] steps in event
+    order, literals mapped back through [vars] and [survivors].  [Inc]
+    and [Optimal] costs are summed from [costs] in index order.  An
+    [Unsat] certificate keeps only the components that finished
+    unsatisfiable, and no [Inc].  A solution of a search the budget cut
+    ([stats.cut]) gets a [Sat] verdict and [dels] as its only steps. *)
 
 val to_lines : t -> string list
 (** One JSON object per line: header first, then steps in order, then

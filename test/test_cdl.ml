@@ -105,7 +105,9 @@ let prop_nogoods_sound =
         Cdl.solve_compiled
           ~config:
             { Cdl.default_config with Cdl.restarts = 10; restart_base = 2 }
-          ~on_learn:(fun ~dead:_ lits -> learned := lits :: !learned)
+          ~on_event:(function
+            | Solver.Learned { lits; _ } -> learned := lits :: !learned
+            | Solver.Incumbent _ | Solver.Finished _ -> ())
           comp
       in
       (match r.Solver.outcome with
@@ -149,8 +151,10 @@ let prop_unit_bans_sound =
       in
       let r =
         Cdl.solve_compiled ~config
-          ~on_learn:(fun ~dead:_ lits ->
-            if Array.length lits = 1 then units := lits.(0) :: !units)
+          ~on_event:(function
+            | Solver.Learned { lits; _ } when Array.length lits = 1 ->
+              units := lits.(0) :: !units
+            | Solver.Learned _ | Solver.Incumbent _ | Solver.Finished _ -> ())
           comp
       in
       (match r.Solver.outcome with
@@ -176,7 +180,7 @@ let prop_unit_bans_sound =
       List.for_all (fun (v, w) -> Nogood.banned store v w) !units)
 
 (* Restart and forgetting bookkeeping: restarts never exceed the
-   configured cap, learned counts what on_learn saw, and the learned /
+   configured cap, learned counts the nogoods reported, and the learned /
    forgotten counters are consistent. *)
 let prop_restart_stats =
   QCheck.Test.make ~name:"restart/learn/forget counters are consistent"
@@ -189,7 +193,9 @@ let prop_restart_stats =
       let seen = ref 0 in
       let r =
         Cdl.solve_compiled ~config
-          ~on_learn:(fun ~dead:_ _ -> incr seen)
+          ~on_event:(function
+            | Solver.Learned _ -> incr seen
+            | Solver.Incumbent _ | Solver.Finished _ -> ())
           (Network.compile net)
       in
       let s = r.Solver.stats in

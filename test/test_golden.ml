@@ -22,6 +22,7 @@ module Tables = Mlo_experiments.Tables
 module Cdl = Mlo_csp.Cdl
 module Bnb = Mlo_csp.Bnb
 module Optimizer = Mlo_core.Optimizer
+module Proof = Mlo_verify.Proof
 
 let workloads = [ "med-im04"; "mxm"; "radar"; "shape"; "track" ]
 
@@ -168,14 +169,11 @@ let run_cdl _prog build =
   Cdl.solve_components ~config:Cdl.default_config build.Build.network
 
 let run_bnb prog build =
-  let cost_of_layout =
-    Optimizer.layout_cost ~objective:Optimizer.Estimated_misses prog
-  in
   let net = build.Build.network in
-  let cost name v =
-    cost_of_layout ~array_name:name
-      ~layout:(Mlo_csp.Network.value net (Build.var_of_array build name) v)
+  let costs =
+    Optimizer.cost_table ~objective:Optimizer.Estimated_misses prog net
   in
+  let cost name v = costs.(Build.var_of_array build name).(v) in
   Bnb.branch_and_bound ~config:Bnb.default_config ~cost net
 
 let test_effort_counters () =
@@ -240,13 +238,13 @@ let certificate_row spec label ?(prune = false) scheme =
   match !proof with
   | None -> Alcotest.failf "%s %s: no certificate" spec.Spec.name label
   | Some p ->
-    let lines = Mlo_verify.Proof.to_lines p in
+    let lines = Proof.to_lines p in
     let verdict =
-      match p.Mlo_verify.Proof.verdict with
-      | Some (Mlo_verify.Proof.Sat _) -> "sat"
-      | Some Mlo_verify.Proof.Unsat -> "unsat"
-      | Some (Mlo_verify.Proof.Optimal _) -> "optimal"
-      | Some Mlo_verify.Proof.Aborted -> "aborted"
+      match p.Proof.verdict with
+      | Some (Proof.Sat _) -> "sat"
+      | Some Proof.Unsat -> "unsat"
+      | Some (Proof.Optimal _) -> "optimal"
+      | Some Proof.Aborted -> "aborted"
       | None -> "none"
     in
     Printf.sprintf "%s %s%s %s lines=%d md5=%s" spec.Spec.name label

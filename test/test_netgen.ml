@@ -306,117 +306,12 @@ let prop_solver_solves_generated =
         Network.verify b.Build.network a
       | _ -> false)
 
-(* Build.shards must produce exactly the components of the whole-program
-   build: same array partition, same per-array domains (same layout
-   order), same constraints.  Generated with pooled references
-   (group_size) so the programs regularly split into several
-   components. *)
-let sharded_params seed =
-  {
-    Mlo_workloads.Random_program.default with
-    Mlo_workloads.Random_program.seed;
-    num_arrays = 9;
-    num_nests = 12;
-    extent = 12;
-    sim_extent = 8;
-    group_size = 3;
-  }
-
-let prop_shards_equal_components =
-  QCheck.Test.make ~name:"shards are exactly the whole build's components"
-    ~count:40 QCheck.small_nat (fun seed ->
-      let prog = Mlo_workloads.Random_program.generate (sharded_params seed) in
-      let whole = Build.build prog in
-      let shards = Build.shards prog in
-      let sorted_partition names =
-        List.sort compare (List.map (List.sort compare) names)
-      in
-      (* the array partition matches the constraint-graph components
-         (plus nest-less arrays, which form singleton shards) *)
-      let shard_names =
-        Array.to_list
-          (Array.map (fun s -> Array.to_list s.Build.constrained_arrays) shards)
-      in
-      let comp_names =
-        Array.to_list (Array.map Array.to_list (Build.components whole))
-      in
-      sorted_partition shard_names = sorted_partition comp_names
-      || QCheck.Test.fail_reportf "partition mismatch (seed %d)" seed)
-
-let prop_shards_domains_and_constraints =
-  QCheck.Test.make
-    ~name:"shard domains and constraints equal the whole network's" ~count:40
-    QCheck.small_nat (fun seed ->
-      let prog = Mlo_workloads.Random_program.generate (sharded_params seed) in
-      let whole = Build.build prog in
-      let wnet = whole.Build.network in
-      let shards = Build.shards prog in
-      let constraints =
-        Array.fold_left
-          (fun acc s -> acc + Network.num_constraints s.Build.network)
-          0 shards
-      in
-      constraints = Network.num_constraints wnet
-      && Array.for_all
-           (fun s ->
-             let snet = s.Build.network in
-             let wvar name = Build.var_of_array whole name in
-             Array.for_all
-               (fun name ->
-                 let si = Build.var_of_array s name in
-                 let wi = wvar name in
-                 let sdom = Network.domain snet si
-                 and wdom = Network.domain wnet wi in
-                 Array.length sdom = Array.length wdom
-                 && Array.for_all2 Layout.equal sdom wdom
-                 && List.for_all
-                      (fun sj ->
-                        let wj = wvar (Network.name snet sj) in
-                        let ok = ref true in
-                        for vi = 0 to Array.length sdom - 1 do
-                          for vj = 0 to Network.domain_size snet sj - 1 do
-                            if
-                              Network.allowed snet si vi sj vj
-                              <> Network.allowed wnet wi vi wj vj
-                            then ok := false
-                          done
-                        done;
-                        !ok)
-                      (Network.neighbors snet si))
-               s.Build.constrained_arrays)
-           shards)
-
-let prop_shards_solutions_verify =
-  QCheck.Test.make ~name:"per-shard solutions assemble into a whole solution"
-    ~count:30 QCheck.small_nat (fun seed ->
-      let prog = Mlo_workloads.Random_program.generate (sharded_params seed) in
-      let whole = Build.build prog in
-      let wnet = whole.Build.network in
-      let assignment = Array.make (Network.num_vars wnet) 0 in
-      Array.for_all
-        (fun s ->
-          match
-            Solver.solve ~config:(Mlo_csp.Schemes.enhanced ()) s.Build.network
-          with
-          | { Solver.outcome = Solver.Solution a; _ } ->
-            Array.iteri
-              (fun si name ->
-                assignment.(Build.var_of_array whole name) <- a.(si))
-              s.Build.constrained_arrays;
-            true
-          | _ -> false)
-        (Build.shards prog)
-      && Network.verify wnet assignment)
-
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_generator_network_satisfiable;
       prop_generator_deterministic;
       prop_solver_solves_generated;
-      prop_shards_equal_components;
-      prop_shards_domains_and_constraints;
-      prop_shards_solutions_verify;
     ]
 
 let () =

@@ -63,115 +63,28 @@ let random_costs seed net =
           float_of_int (Rng.int rng 10)))
 
 (* ------------------------------------------------------------------ *)
-(* Proof assembly over raw networks (mirrors the Optimizer's)           *)
+(* Certificates over raw networks, through the writer                   *)
 (* ------------------------------------------------------------------ *)
 
-let header_of ~scheme ?objective net =
-  let n = Network.num_vars net in
-  {
-    Proof.workload = "random";
-    scheme;
-    objective;
-    pruned = false;
-    slack = 0.0;
-    names = Array.init n (Network.name net);
-    domain_sizes = Array.init n (Network.domain_size net);
-    digest = Proof.digest net;
-  }
-
-let make_recorder ?costs () =
-  let comp_data = Hashtbl.create 4 in
-  let on_event ~comp ~vars ev =
-    let _, steps_r, outcome_r =
-      match Hashtbl.find_opt comp_data comp with
-      | Some s -> s
-      | None ->
-        let s = (vars, ref [], ref None) in
-        Hashtbl.add comp_data comp s;
-        s
-    in
-    match ev with
-    | Solver.Learned { dead; lits } ->
-      steps_r :=
-        Proof.Ng
-          {
-            comp;
-            dead = vars.(dead);
-            lits = Array.map (fun (x, v) -> (vars.(x), v)) lits;
-          }
-        :: !steps_r
-    | Solver.Incumbent { assignment } ->
-      let costs = Option.get costs in
-      let lits = Array.mapi (fun x v -> (vars.(x), v)) assignment in
-      let cost =
-        Array.fold_left (fun acc (x, v) -> acc +. costs.(x).(v)) 0.0 lits
-      in
-      steps_r := Proof.Inc { comp; lits; cost } :: !steps_r
-    | Solver.Finished o -> outcome_r := Some o
+let certify ~scheme ~objective ~costs net solve =
+  let r = Proof.recorder () in
+  let result = solve (Proof.record r) in
+  let header =
+    Proof.header ~workload:"random" ~scheme ~objective ~pruned:false
+      ~slack:0.0 net
   in
-  (comp_data, on_event)
-
-let steps_of ~unsat_only comp_data =
-  Hashtbl.fold (fun k _ acc -> k :: acc) comp_data []
-  |> List.sort compare
-  |> List.concat_map (fun k ->
-         let vars, steps_r, outcome_r = Hashtbl.find comp_data k in
-         let keep =
-           (not unsat_only)
-           ||
-           match !outcome_r with
-           | Some Solver.Unsatisfiable -> true
-           | _ -> false
-         in
-         if not keep then []
-         else
-           let steps = List.rev !steps_r in
-           let steps =
-             if unsat_only then
-               List.filter (function Proof.Inc _ -> false | _ -> true) steps
-             else steps
-           in
-           Proof.Comp { id = k; vars = Array.copy vars } :: steps)
-
-let is_unsat = function Solver.Unsatisfiable -> true | _ -> false
+  (Proof.certificate header ~dels:[] ~survivors:None ~costs r result, result)
 
 let certify_cdl ?(config = { Cdl.default_config with Cdl.restarts = 4 }) net
     =
-  let comp_data, on_event = make_recorder () in
-  let r = Cdl.solve_components ~config ~on_event net in
-  let verdict =
-    match r.Solver.outcome with
-    | Solver.Solution a -> Proof.Sat a
-    | Solver.Unsatisfiable -> Proof.Unsat
-    | Solver.Aborted -> Proof.Aborted
-  in
-  ( {
-      Proof.header = header_of ~scheme:"cdl" net;
-      steps = steps_of ~unsat_only:(is_unsat r.Solver.outcome) comp_data;
-      verdict = Some verdict;
-    },
-    r.Solver.outcome )
+  certify ~scheme:"cdl" ~objective:None ~costs:None net (fun on_event ->
+      Cdl.solve_components ~config ~on_event net)
 
 let certify_bnb ?(config = Bnb.default_config) ~costs net =
-  let comp_data, on_event = make_recorder ~costs () in
   let idx name = int_of_string (String.sub name 1 (String.length name - 1)) in
   let cost name v = costs.(idx name).(v) in
-  let r = Bnb.branch_and_bound ~config ~on_event ~cost net in
-  let verdict =
-    match r.Solver.outcome with
-    | Solver.Solution a ->
-      let total = ref 0.0 in
-      Array.iteri (fun i v -> total := !total +. costs.(i).(v)) a;
-      Proof.Optimal { cost = !total; assignment = a }
-    | Solver.Unsatisfiable -> Proof.Unsat
-    | Solver.Aborted -> Proof.Aborted
-  in
-  ( {
-      Proof.header = header_of ~scheme:"bnb" ~objective:"synthetic" net;
-      steps = steps_of ~unsat_only:(is_unsat r.Solver.outcome) comp_data;
-      verdict = Some verdict;
-    },
-    r.Solver.outcome )
+  certify ~scheme:"bnb" ~objective:(Some "synthetic") ~costs:(Some costs) net
+    (fun on_event -> Bnb.branch_and_bound ~config ~on_event ~cost net)
 
 let check_ok ?costs what net proof =
   match Checker.check ?costs net proof with
@@ -200,8 +113,8 @@ let prop_cdl_certificates =
         check_ok "cdl round-tripped" net proof';
         true)
 
-(* The forgetful/restartful configurations emit the same nogood stream
-   through on_learn but retain fewer: the log must still replay. *)
+(* The forgetful/restartful configurations report every nogood they
+   learn but retain fewer: the log must still replay. *)
 let prop_cdl_forgetful_certificates =
   QCheck.Test.make ~name:"forgetful/restartful cdl certificates verify"
     ~count:200 QCheck.small_nat (fun seed ->
@@ -225,6 +138,31 @@ let prop_bnb_certificates =
       check_ok ~costs "bnb" net proof;
       true)
 
+(* Under a small check budget a bnb run can be cut before or after it
+   finds an incumbent.  The verdict follows the run — sat for an
+   incumbent the cut left unproven, optimal or unsat for a finished
+   search, aborted when no solution was found — and only the aborted
+   certificate is rejected. *)
+let prop_budgeted_bnb_certificates =
+  QCheck.Test.make ~name:"budgeted bnb certificates verify unless aborted"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let net = random_network seed in
+      let costs = random_costs seed net in
+      let config =
+        { Bnb.default_config with Bnb.max_checks = Some (1 + (seed mod 12)) }
+      in
+      let proof, { Solver.outcome; stats } = certify_bnb ~config ~costs net in
+      (match (outcome, proof.Proof.verdict) with
+      | Solver.Aborted, Some Proof.Aborted ->
+        check_rejected ~costs "aborted bnb" net proof
+      | Solver.Solution _, Some (Proof.Sat _) when stats.Mlo_csp.Stats.cut ->
+        check_ok ~costs "cut bnb" net proof
+      | Solver.Solution _, Some (Proof.Optimal _) when not stats.Mlo_csp.Stats.cut ->
+        check_ok ~costs "finished bnb" net proof
+      | Solver.Unsatisfiable, Some Proof.Unsat -> check_ok ~costs "unsat bnb" net proof
+      | _ -> QCheck.Test.fail_report "verdict does not match the run");
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Soundness: guaranteed-invalid mutations are rejected                 *)
 (* ------------------------------------------------------------------ *)
@@ -235,7 +173,7 @@ let prop_mutations_rejected =
   QCheck.Test.make ~name:"damaged certificates are rejected" ~count:200
     QCheck.small_nat (fun seed ->
       let net = random_network seed in
-      let proof, outcome = certify_cdl net in
+      let proof, { Solver.outcome; _ } = certify_cdl net in
       (* digest tamper: the proof no longer speaks about this network *)
       check_rejected "digest" net
         {
@@ -285,7 +223,7 @@ let prop_bnb_mutations_rejected =
     ~count:200 QCheck.small_nat (fun seed ->
       let net = random_network seed in
       let costs = random_costs seed net in
-      let proof, outcome = certify_bnb ~costs net in
+      let proof, { Solver.outcome; _ } = certify_bnb ~costs net in
       (match outcome with
       | Solver.Solution _ ->
         let claimed =
@@ -361,18 +299,13 @@ let capture_proof ?max_checks ?(prune = false) ?objective scheme name =
 let costs_for spec proof =
   match proof.Proof.verdict with
   | Some (Proof.Optimal _) ->
-    let net = (Spec.extract spec).Build.network in
     let objective =
-      match proof.Proof.header.Proof.objective with
-      | Some "lines" -> Optimizer.Distinct_lines
-      | _ -> Optimizer.Estimated_misses
+      Option.bind proof.Proof.header.Proof.objective Optimizer.objective_of_label
+      |> Option.value ~default:Optimizer.Estimated_misses
     in
-    let cost = Optimizer.layout_cost ~objective spec.Spec.program in
     Some
-      (Array.init (Network.num_vars net) (fun i ->
-           let name = Network.name net i in
-           Array.init (Network.domain_size net i) (fun v ->
-               cost ~array_name:name ~layout:(Network.value net i v))))
+      (Optimizer.cost_table ~objective spec.Spec.program
+         (Spec.extract spec).Build.network)
   | _ -> None
 
 let alcotest_check ~what spec proof =
@@ -514,6 +447,25 @@ let test_budget_abort_rejected () =
     | Ok () -> Alcotest.fail "aborted certificate accepted after reread"));
   Sys.remove file
 
+(* A budget that cuts a branch-and-bound search holding an incumbent:
+   the incumbent comes back as the solution but proves no optimum, so
+   the certificate claims only what it shows — a [Sat] verdict over the
+   assignment, no component steps — and the checker accepts it. *)
+let test_budget_cut_sat () =
+  let spec, proof, result =
+    capture_proof ~max_checks:700 ~objective:Optimizer.Distinct_lines
+      (Optimizer.Bnb Bnb.default_config) "hard-80"
+  in
+  (match result with
+  | Ok { Optimizer.solver_stats = Some st; _ } when st.Mlo_csp.Stats.cut -> ()
+  | Ok _ -> Alcotest.fail "expected the 700-check budget to cut the search"
+  | Error msg -> Alcotest.failf "hard-80 unexpectedly unsolved: %s" msg);
+  (match proof.Proof.verdict with
+  | Some (Proof.Sat _) -> ()
+  | _ -> Alcotest.fail "expected a sat verdict");
+  Alcotest.(check int) "no component steps" 0 (List.length proof.Proof.steps);
+  alcotest_check ~what:"budget-cut hard-80" spec proof
+
 (* Truncating the file mid-write (losing the verdict line) must parse to
    a verdict-less proof that the checker rejects with a clear message. *)
 let test_truncated_rejected () =
@@ -570,6 +522,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_cdl_certificates;
           QCheck_alcotest.to_alcotest prop_cdl_forgetful_certificates;
           QCheck_alcotest.to_alcotest prop_bnb_certificates;
+          QCheck_alcotest.to_alcotest prop_budgeted_bnb_certificates;
         ] );
       ( "soundness",
         [
@@ -590,6 +543,8 @@ let () =
         [
           Alcotest.test_case "budget abort rejected" `Quick
             test_budget_abort_rejected;
+          Alcotest.test_case "budget cut verifies as sat" `Quick
+            test_budget_cut_sat;
           Alcotest.test_case "truncated proof rejected" `Quick
             test_truncated_rejected;
         ] );
