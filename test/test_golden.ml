@@ -192,6 +192,74 @@ let test_effort_counters () =
     golden_effort actual
 
 (* ------------------------------------------------------------------ *)
+(* Static cost tables and dominance pruning                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One row per (workload, objective): the MD5 of [Optimizer.cost_table]
+   over the unpruned network, every entry printed exactly with [%h].
+   The table is what bnb minimizes, what its Optimal certificates carry
+   and what dominance pruning compares, so any drift in the locality
+   profiler — however small — moves a digest here. *)
+let golden_cost_tables =
+  "Med-Im04 misses md5=37f68705fc118cee8a352b7958adba64\n\
+   Med-Im04 lines md5=37f68705fc118cee8a352b7958adba64\n\
+   MxM misses md5=2a0385a711e2f68d3a4e82117a2e1b25\n\
+   MxM lines md5=b1654324956a2368efed6b7f09524e34\n\
+   Radar misses md5=d1defe40e2b62597e2396e1999a24888\n\
+   Radar lines md5=d1defe40e2b62597e2396e1999a24888\n\
+   Shape misses md5=02e436e62e3ffaa1c26096e4547b74e1\n\
+   Shape lines md5=02e436e62e3ffaa1c26096e4547b74e1\n\
+   Track misses md5=9afd645d41c76673dc0fece4c4f74942\n\
+   Track lines md5=9afd645d41c76673dc0fece4c4f74942\n\
+   scale-100 misses md5=bb1574a2c6ae2f9fe9073e21f5b368af\n\
+   scale-100 lines md5=bb1574a2c6ae2f9fe9073e21f5b368af\n\
+   hard-20 misses md5=7ef7f5fbaf8f5dc2a2fdba45f8dbeb1e\n\
+   hard-20 lines md5=51caf7f054e53ab883b08afb6041b8fc"
+
+let cost_table_row spec objective =
+  let net = (Spec.extract spec).Build.network in
+  let table = Optimizer.cost_table ~objective spec.Spec.program net in
+  let text =
+    Array.to_list table
+    |> List.map (fun row ->
+           String.concat " "
+             (Array.to_list (Array.map (Printf.sprintf "%h") row)))
+    |> String.concat "\n"
+  in
+  Printf.sprintf "%s %s md5=%s" spec.Spec.name
+    (Optimizer.objective_label objective)
+    (Digest.to_hex (Digest.string text))
+
+let test_cost_tables () =
+  let specs =
+    List.map Suite.by_name (workloads @ [ "scale-100"; "hard-20" ])
+  in
+  let actual =
+    List.concat_map
+      (fun spec ->
+        [
+          cost_table_row spec Optimizer.Estimated_misses;
+          cost_table_row spec Optimizer.Distinct_lines;
+        ])
+      specs
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "cost-table digests" golden_cost_tables actual
+
+let golden_prune_totals = "Med-Im04 26\nMxM 26\nRadar 10\nShape 48\nTrack 19"
+
+let test_prune_totals () =
+  let actual =
+    workloads
+    |> List.map (fun name ->
+           let spec = Suite.by_name name in
+           let _, info = Mlo_netgen.Prune.apply (Spec.extract spec) in
+           Printf.sprintf "%s %d" spec.Spec.name (Mlo_netgen.Prune.total info))
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "dominance-prune totals" golden_prune_totals actual
+
+(* ------------------------------------------------------------------ *)
 (* Certificates: the exact bytes `solve --proof` writes                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -287,6 +355,8 @@ let () =
           Alcotest.test_case "table3 cycles" `Slow test_table3;
           Alcotest.test_case "cdl/bnb effort counters" `Slow
             test_effort_counters;
+          Alcotest.test_case "cost tables" `Slow test_cost_tables;
+          Alcotest.test_case "prune totals" `Slow test_prune_totals;
           Alcotest.test_case "certificates" `Slow test_certificates;
         ] );
     ]
