@@ -296,16 +296,20 @@ let absorb_gaps levels gaps =
            (fun (d', n') -> if d' = d && n' = n then (d', n' + qlast) else (d', n'))
            levels)
 
-(* Distinct lines of the sub-lattice of [g] restricted to the levels
-   [keep] admits (plus the group's offset set). *)
-let group_count ~line (g : raw_group) ~keep =
+(* The live (stride, trip) levels of [g] that [keep] admits, innermost
+   first. *)
+let kept_levels (g : raw_group) ~keep =
   let levels = ref [] in
   Array.iteri
     (fun l d ->
       if keep l && d <> 0 && g.rg_counts.(l) > 1 then
         levels := (d, g.rg_counts.(l)) :: !levels)
     g.rg_deltas;
-  let levels = !levels in
+  !levels
+
+(* Distinct lines of the sub-lattice of [g] spanned by [levels] (plus the
+   group's offset set). *)
+let group_count ~line (g : raw_group) levels =
   (* offsets in arithmetic progression (any pair is one) are themselves a
      lattice level, so the union is a multi-level lattice counted by
      [count_set] — exact where its closed forms are *)
@@ -403,117 +407,135 @@ let sets_estimate ~line ~num_sets (g : raw_group) ~keep =
 let classify ~line d =
   if d = 0 then Temporal else if abs d < line then Spatial else No_reuse
 
-(* [group_count] memoized per group.  The result depends on [keep] only
-   through the live levels (nonzero delta, trip count > 1) it admits, so
-   the key is the keep-set masked to those levels — the realized-reuse
-   check then shares every suffix count [inner_lines] already paid for,
-   and fully-realized groups share their kept count with the cold one. *)
-let memo_group_count ~line (g : raw_group) =
-  let depth = Array.length g.rg_deltas in
-  let live = ref 0 in
-  Array.iteri
-    (fun l d -> if d <> 0 && g.rg_counts.(l) > 1 then live := !live lor (1 lsl l))
-    g.rg_deltas;
-  let live = !live in
-  let tbl = Hashtbl.create 8 in
-  fun ~keep ->
-    let mask = ref 0 in
-    for l = 0 to depth - 1 do
-      if keep l then mask := !mask lor (1 lsl l)
-    done;
-    let key = !mask land live in
-    match Hashtbl.find_opt tbl key with
-    | Some c -> c
-    | None ->
-      let c = group_count ~line g ~keep in
-      Hashtbl.add tbl key c;
-      c
+(* [group_count] reads the leader's address only through [fdiv] and
+   [fmod] by the line size, so moving a group by whole lines moves its
+   [cs_min] by as much and leaves the rest of the count alone.  The memo
+   keys on exactly what the count reads — the leader's offset within a
+   line, the gap set and the kept levels in order (the order reaches
+   [absorb_gaps]' stable sort) — and stores [cs_min] relative to the
+   leader. *)
+let memo_count ~line memo (g : raw_group) levels =
+  let key = (fmod g.rg_base line, g.rg_gaps, levels) in
+  match Hashtbl.find_opt memo key with
+  | Some c -> { c with cs_min = g.rg_base + c.cs_min }
+  | None ->
+    let c = group_count ~line g levels in
+    Hashtbl.add memo key { c with cs_min = c.cs_min - g.rg_base };
+    c
 
-let analyze_nest ~(geometry : Cache.geometry) (nf : Compiled_trace.nest_form) =
+(* The counts the per-group math reads: the cold one (every level kept)
+   and, per level [l], one execution of the subnest strictly inside
+   [l]. *)
+type counted = { c_group : raw_group; c_cold : count; c_inside : count array }
+
+let cold count (g : raw_group) = count g (kept_levels g ~keep:(fun _ -> true))
+
+let count_group count (g : raw_group) =
+  {
+    c_group = g;
+    c_cold = cold count g;
+    c_inside =
+      Array.init (Array.length g.rg_deltas) (fun l ->
+          count g (kept_levels g ~keep:(fun l' -> l' > l)));
+  }
+
+(* The per-group tail of the estimate.  Reuse carried by a level is
+   realized when the subnest inside it fits the cache — [inner.(l)] is
+   that subnest's footprint, all groups together — and the group's own
+   part fits the sets it reaches.  Each unrealized level multiplies the
+   kept sub-lattice's lines by its trip count; the misses never fall
+   below the cold lines.  Returns the levels, the factor and the
+   misses. *)
+let finish_group ~(geometry : Cache.geometry) ~count ~inner c =
   let line = geometry.Cache.line_bytes in
   let num_sets = geometry.Cache.size_bytes / (geometry.Cache.assoc * line) in
   let cap_lines = geometry.Cache.size_bytes / line in
-  let depth = Array.length nf.Compiled_trace.form_counts in
-  let groups = build_groups nf in
-  let counted = List.map (fun g -> (g, memo_group_count ~line g)) groups in
-  (* cache-resident footprint (lines) of one execution of the subnest
-     strictly inside level [l], all groups together *)
-  let inner_lines l =
-    List.fold_left
-      (fun acc (_, count) -> acc +. (count ~keep:(fun l' -> l' > l)).cs_lines)
-      0.0 counted
+  let g = c.c_group in
+  let levels =
+    Array.init (Array.length g.rg_deltas) (fun l ->
+        let d = g.rg_deltas.(l) and n = g.rg_counts.(l) in
+        let klass = classify ~line d in
+        let realized =
+          match klass with
+          | No_reuse -> true
+          | Temporal | Spatial ->
+            n <= 1
+            || inner.(l) <= float_of_int cap_lines
+               && c.c_inside.(l).cs_lines
+                  <= float_of_int
+                       (geometry.Cache.assoc
+                       * sets_estimate ~line ~num_sets g ~keep:(fun l' -> l' > l))
+        in
+        { lv_delta = d; lv_count = n; lv_class = klass; lv_realized = realized })
   in
-  let inner = Array.init depth inner_lines in
+  let factor =
+    Array.fold_left
+      (fun acc lv ->
+        if lv.lv_class <> No_reuse && not lv.lv_realized && lv.lv_count > 1
+        then acc *. float_of_int lv.lv_count
+        else acc)
+      1.0 levels
+  in
+  let kept =
+    count g
+      (kept_levels g ~keep:(fun l ->
+           let lv = levels.(l) in
+           lv.lv_class = No_reuse || lv.lv_realized))
+  in
+  (levels, factor, Float.max c.c_cold.cs_lines (factor *. kept.cs_lines))
+
+(* [base.(l)] plus the footprint inside level [l] of the groups in
+   [counted]. *)
+let inner_lines base counted =
+  Array.mapi
+    (fun l b -> List.fold_left (fun acc c -> acc +. c.c_inside.(l).cs_lines) b counted)
+    base
+
+let analyze_nest ~geometry ~count (nf : Compiled_trace.nest_form) =
+  let line = geometry.Cache.line_bytes in
+  let depth = Array.length nf.Compiled_trace.form_counts in
+  let counted = List.map (count_group count) (build_groups nf) in
+  let inner = inner_lines (Array.make depth 0.0) counted in
   (* Two groups of the same array whose byte ranges land on overlapping
      line intervals share lines the per-group counts each claim, so the
      summed distinct-line count is only an upper bound there. *)
-  let colds =
-    List.map (fun (g, count) -> (g, count, count ~keep:(fun _ -> true))) counted
-  in
-  let overlaps_sibling g c =
+  let overlaps_sibling c =
+    let a = c.c_cold in
     List.exists
-      (fun (g', _, c') ->
-        g' != g
-        && g'.rg_array = g.rg_array
-        && fdiv c.cs_min line <= fdiv (c'.cs_min + c'.cs_span - 1) line
-        && fdiv c'.cs_min line <= fdiv (c.cs_min + c.cs_span - 1) line)
-      colds
+      (fun c' ->
+        let b = c'.c_cold in
+        c' != c
+        && c'.c_group.rg_array = c.c_group.rg_array
+        && fdiv a.cs_min line <= fdiv (b.cs_min + b.cs_span - 1) line
+        && fdiv b.cs_min line <= fdiv (a.cs_min + a.cs_span - 1) line)
+      counted
   in
   let finished =
     List.map
-      (fun (g, count, cold) ->
-        let levels =
-          Array.init depth (fun l ->
-              let d = g.rg_deltas.(l) and n = g.rg_counts.(l) in
-              let klass = classify ~line d in
-              let realized =
-                match klass with
-                | No_reuse -> true
-                | Temporal | Spatial ->
-                  n <= 1
-                  || inner.(l) <= float_of_int cap_lines
-                     && (count ~keep:(fun l' -> l' > l)).cs_lines
-                        <= float_of_int
-                             (geometry.Cache.assoc
-                             * sets_estimate ~line ~num_sets g ~keep:(fun l' ->
-                                   l' > l))
-              in
-              { lv_delta = d; lv_count = n; lv_class = klass; lv_realized = realized })
-        in
-        let factor =
-          Array.fold_left
-            (fun acc lv ->
-              if lv.lv_class <> No_reuse && not lv.lv_realized && lv.lv_count > 1
-              then acc *. float_of_int lv.lv_count
-              else acc)
-            1.0 levels
-        in
-        let kept =
-          count ~keep:(fun l ->
-              let lv = levels.(l) in
-              lv.lv_class = No_reuse || lv.lv_realized)
-        in
-        let misses = Float.max cold.cs_lines (factor *. kept.cs_lines) in
+      (fun c ->
+        let levels, factor, misses = finish_group ~geometry ~count ~inner c in
         {
-          g_array = g.rg_array;
-          g_accesses = g.rg_members;
+          g_array = c.c_group.rg_array;
+          g_accesses = c.c_group.rg_members;
           g_levels = levels;
-          g_gaps = g.rg_gaps;
-          g_lines = cold.cs_lines;
+          g_gaps = c.c_group.rg_gaps;
+          g_lines = c.c_cold.cs_lines;
           g_misses = misses;
-          g_exact = cold.cs_exact && factor = 1.0 && not (overlaps_sibling g cold);
+          g_exact =
+            c.c_cold.cs_exact && factor = 1.0 && not (overlaps_sibling c);
         })
-      colds
+      counted
   in
   let trips = Array.fold_left ( * ) 1 nf.Compiled_trace.form_counts in
-  {
-    n_name = nf.Compiled_trace.form_nest;
-    n_trips = trips;
-    n_groups = finished;
-    n_lines = List.fold_left (fun a g -> a +. g.g_lines) 0.0 finished;
-    n_misses = List.fold_left (fun a g -> a +. g.g_misses) 0.0 finished;
-    n_exact = List.for_all (fun g -> g.g_exact) finished;
-  }
+  ( {
+      n_name = nf.Compiled_trace.form_nest;
+      n_trips = trips;
+      n_groups = finished;
+      n_lines = List.fold_left (fun a g -> a +. g.g_lines) 0.0 finished;
+      n_misses = List.fold_left (fun a g -> a +. g.g_misses) 0.0 finished;
+      n_exact = List.for_all (fun g -> g.g_exact) finished;
+    },
+    counted )
 
 (* ------------------------------------------------------------------ *)
 (* Cross-nest warm reuse                                               *)
@@ -533,11 +555,11 @@ type touch = {
   t_realized : bool;
 }
 
-let array_touches ~line nest_groups =
+let array_touches nest_groups =
   let tbl = Hashtbl.create 7 in
   List.iter
-    (fun (rg, g) ->
-      let c = group_count ~line rg ~keep:(fun _ -> true) in
+    (fun (counted, g) ->
+      let rg = counted.c_group and c = counted.c_cold in
       let prev =
         match Hashtbl.find_opt tbl rg.rg_array with
         | Some t -> t
@@ -576,7 +598,7 @@ let warm_credit ~line ~cap_lines nests_groups =
   let clock = ref 0.0 in
   List.map
     (fun (n, groups) ->
-      let touches = array_touches ~line groups in
+      let touches = array_touches groups in
       let clock0 = !clock in
       let credit = ref 0.0 and inexact = ref false in
       Hashtbl.iter
@@ -627,12 +649,12 @@ let default_geometry = Hierarchy.paper_config.Hierarchy.l1
 let analyze_forms ~geometry ~program nfs =
   let line = geometry.Cache.line_bytes in
   let cap_lines = geometry.Cache.size_bytes / line in
+  let count = group_count ~line in
   let nests =
     Array.to_list nfs
     |> List.map (fun nf ->
-           let raw = build_groups nf in
-           let n = analyze_nest ~geometry nf in
-           (n, List.combine raw n.n_groups))
+           let n, counted = analyze_nest ~geometry ~count nf in
+           (n, List.combine counted n.n_groups))
   in
   let nests = warm_credit ~line ~cap_lines nests in
   {
@@ -651,27 +673,25 @@ let analyze ?(geometry = default_geometry) ?(layouts = fun _ -> None) prog =
   let tr = Compiled_trace.compile prog ~layouts in
   analyze_forms ~geometry ~program:(Program.name prog) (Compiled_trace.forms tr)
 
-let permute_form perm (nf : Compiled_trace.nest_form) =
-  let open Compiled_trace in
+(* A group of a nest, in the nest with its loops reordered by [perm]
+   (level [l] of the result is level [perm.(l)] of [g]'s nest): the
+   grouping, leader and offsets do not depend on the loop order. *)
+let permute_group perm (g : raw_group) =
   {
-    nf with
-    form_counts = Array.map (fun p -> nf.form_counts.(p)) perm;
-    form_accesses =
-      Array.map
-        (fun a ->
-          { a with form_deltas = Array.map (fun p -> a.form_deltas.(p)) perm })
-        nf.form_accesses;
+    g with
+    rg_deltas = Array.map (fun p -> g.rg_deltas.(p)) perm;
+    rg_counts = Array.map (fun p -> g.rg_counts.(p)) perm;
   }
 
-(* The profiler's staged state plus its query memo.  A profile is a pure
-   function of (program, geometry, array, layout); programs are
-   immutable and dominance pruning asks the same (array, layout)
-   questions every time it sees the same program — a long-running
-   optimizer service, or the bench harness re-extracting the same spec,
-   re-profiles nothing after the first pass.  Entries are keyed by
-   physical program identity and held through a [Weak] slot, so a cache
-   entry dies with its program.  One mutex per entry: queries may come
-   from worker Domains solving components in parallel. *)
+(* The profiler's per-program entry: the program staged once, plus the
+   query memo.  A profile is a pure function of (program, metric, array,
+   layout); programs are immutable and dominance pruning asks the same
+   (array, layout) questions every time it sees the same program — a
+   long-running optimizer service, or the bench harness re-extracting
+   the same spec, re-profiles nothing after the first pass.  Entries are
+   keyed by physical program identity and held through a [Weak] slot, so
+   a cache entry dies with its program.  One mutex per entry: queries
+   may come from worker Domains solving components in parallel. *)
 type metric = Misses | Lines
 
 module Profile_key = struct
@@ -687,13 +707,17 @@ module Profile_tbl = Hashtbl.Make (Profile_key)
 
 type profile_entry = {
   pe_prog : Program.t Weak.t;
-  pe_geometry : Cache.geometry;
-  pe_skel : Compiled_trace.skeleton;
-  pe_num_nests : int;
+  pe_trace : Compiled_trace.t;
+      (** every array at its default layout: the staged address map and
+          forms a query relayouts one array of *)
   pe_perms : int array list array;  (** per nest: dependence-legal orders *)
   pe_touched : (string, int array) Hashtbl.t;
       (** array name -> indices of the nests referencing it, ascending *)
-  pe_tcache : Mlo_cachesim.Address_map.transform_cache;
+  pe_others : (int * string, float array list) Hashtbl.t;
+      (** (nest, array) -> per legal order, the footprint inside each
+          level of every other array's groups *)
+  pe_count : raw_group -> (int * int) list -> count;
+      (** [group_count], memoized over the entry *)
   pe_profiles : float array Profile_tbl.t;
   pe_lock : Mutex.t;
 }
@@ -701,7 +725,13 @@ type profile_entry = {
 let profile_entries : profile_entry list ref = ref []
 let profile_entries_lock = Mutex.create ()
 
-let make_profile_entry ~geometry prog =
+let make_profile_entry prog =
+  let line = default_geometry.Cache.line_bytes in
+  (* A relayout moves later arrays by multiples of the base alignment.
+     Moving a group by whole lines leaves every count but [cs_min] alone,
+     and the profile never reads [cs_min], so the other arrays' counts
+     are the same under every candidate layout. *)
+  assert (Mlo_cachesim.Address_map.default_align mod line = 0);
   let nests = Program.nests prog in
   let touched = Hashtbl.create 16 in
   Array.iteri
@@ -724,18 +754,17 @@ let make_profile_entry ~geometry prog =
   Weak.set wp 0 (Some prog);
   {
     pe_prog = wp;
-    pe_geometry = geometry;
-    pe_skel = Compiled_trace.skeleton prog;
-    pe_num_nests = Array.length nests;
+    pe_trace = Compiled_trace.compile prog ~layouts:(fun _ -> None);
     pe_perms =
       Array.map (fun n -> List.map fst (Dependence.legal_permutations n)) nests;
     pe_touched = touched_arr;
-    pe_tcache = Mlo_cachesim.Address_map.transform_cache ();
+    pe_others = Hashtbl.create 64;
+    pe_count = memo_count ~line (Hashtbl.create 256);
     pe_profiles = Profile_tbl.create 64;
     pe_lock = Mutex.create ();
   }
 
-let profile_entry ~geometry prog =
+let profile_entry prog =
   Mutex.protect profile_entries_lock @@ fun () ->
   let alive, found =
     List.fold_left
@@ -743,10 +772,7 @@ let profile_entry ~geometry prog =
         match Weak.get e.pe_prog 0 with
         | None -> (alive, found) (* program collected: drop the entry *)
         | Some p ->
-          let found =
-            if found = None && p == prog && e.pe_geometry = geometry then Some e
-            else found
-          in
+          let found = if found = None && p == prog then Some e else found in
           (e :: alive, found))
       ([], None) !profile_entries
   in
@@ -755,12 +781,70 @@ let profile_entry ~geometry prog =
     profile_entries := List.rev alive;
     e
   | None ->
-    let e = make_profile_entry ~geometry prog in
+    let e = make_profile_entry prog in
     profile_entries := e :: List.rev alive;
     e
 
-let profiler ?(geometry = default_geometry) ?(metric = Misses) prog =
-  let entry = profile_entry ~geometry prog in
+(* Nest [i]'s charge for [array_name], minimized over the nest's legal
+   orders, from the nest's form under the queried layout.  Only the
+   array's own groups are analyzed: under [Misses] the rest of the nest
+   enters only through the footprint inside each level, which is staged
+   per (nest, legal order, array) on first use — every [cs_lines] is an
+   integer far below 2^53, so splitting that sum is exact. *)
+let nest_profile entry ~metric ~array_name i (nf : Compiled_trace.nest_form) =
+  let count = entry.pe_count in
+  (* the groups of [array_name]'s accesses ([true]) or of the others' *)
+  let groups mine =
+    build_groups
+      {
+        nf with
+        form_accesses =
+          Array.of_list
+            (List.filter
+               (fun a ->
+                 String.equal a.Compiled_trace.form_array array_name = mine)
+               (Array.to_list nf.form_accesses));
+      }
+  in
+  let counted perm gs =
+    List.map (fun g -> count_group count (permute_group perm g)) gs
+  in
+  let mine = groups true and perms = entry.pe_perms.(i) in
+  match metric with
+  | Lines ->
+    List.fold_left
+      (fun best perm ->
+        Float.min best
+          (List.fold_left
+             (fun acc g -> acc +. (cold count (permute_group perm g)).cs_lines)
+             0.0 mine))
+      infinity perms
+  | Misses ->
+    let inners =
+      match Hashtbl.find_opt entry.pe_others (i, array_name) with
+      | Some inners -> inners
+      | None ->
+        let others = groups false and none = Array.map (fun _ -> 0.0) nf.form_counts in
+        let inners = List.map (fun perm -> inner_lines none (counted perm others)) perms in
+        Hashtbl.add entry.pe_others (i, array_name) inners;
+        inners
+    in
+    List.fold_left2
+      (fun best perm others ->
+        let cs = counted perm mine in
+        let inner = inner_lines others cs in
+        Float.min best
+          (List.fold_left
+             (fun acc c ->
+               let _, _, misses =
+                 finish_group ~geometry:default_geometry ~count ~inner c
+               in
+               acc +. misses)
+             0.0 cs))
+      infinity perms inners
+
+let profiler ?(metric = Misses) prog =
+  let entry = profile_entry prog in
   fun ~array_name ~layout ->
     Mutex.protect entry.pe_lock @@ fun () ->
     let key = (array_name, layout, metric) in
@@ -768,37 +852,15 @@ let profiler ?(geometry = default_geometry) ?(metric = Misses) prog =
       match Profile_tbl.find_opt entry.pe_profiles key with
       | Some p -> p
       | None ->
-        let profile = Array.make entry.pe_num_nests 0.0 in
+        let profile = Array.make (Array.length entry.pe_perms) 0.0 in
         (match Hashtbl.find_opt entry.pe_touched array_name with
         | None -> ()
-        | Some idxs ->
-          let nfs =
-            Compiled_trace.forms_of_nests ~cache:entry.pe_tcache entry.pe_skel
-              ~layouts:(fun n ->
-                if String.equal n array_name then Some layout else None)
-              ~nests:idxs
-          in
+        | Some nests ->
           Array.iteri
             (fun j nf ->
-              profile.(idxs.(j)) <-
-                List.fold_left
-                  (fun best perm ->
-                    let n = analyze_nest ~geometry (permute_form perm nf) in
-                    let m =
-                      List.fold_left
-                        (fun a g ->
-                          if String.equal g.g_array array_name then
-                            a
-                            +.
-                            match metric with
-                            | Misses -> g.g_misses
-                            | Lines -> g.g_lines
-                          else a)
-                        0.0 n.n_groups
-                    in
-                    Float.min best m)
-                  infinity entry.pe_perms.(idxs.(j)))
-            nfs);
+              profile.(nests.(j)) <-
+                nest_profile entry ~metric ~array_name nests.(j) nf)
+            (Compiled_trace.relayout entry.pe_trace ~array_name ~layout ~nests));
         Profile_tbl.replace entry.pe_profiles key profile;
         profile
     in

@@ -94,31 +94,47 @@ type metric = Misses | Lines
     objective for comparing layouts by footprint alone). *)
 
 val profiler :
-  ?geometry:Mlo_cachesim.Cache.geometry ->
   ?metric:metric ->
   Mlo_ir.Program.t ->
   array_name:string ->
   layout:Mlo_layout.Layout.t ->
   float array
-(** [profiler prog] stages the program skeleton and per-nest legal loop
-    permutations once, and returns the per-nest miss profile of one
-    array under one candidate layout: entry [i] is the estimated misses
-    of [array_name]'s references in nest [i] (0 where the nest does not
-    touch it), minimized over the nest's dependence-legal loop orders,
-    with every other array at its default layout.  This is the cost
-    signal dominance pruning ({!Mlo_netgen}) compares candidate layouts
-    with.
+(** [profiler prog] returns the per-nest miss profile of one array under
+    one candidate layout, on the paper's L1
+    ({!Mlo_cachesim.Hierarchy.paper_config}): entry [i] is the estimated
+    misses of [array_name]'s references in nest [i] (0 where the nest
+    does not touch it), minimized over the nest's dependence-legal loop
+    orders, with every other array at its default layout.  This is the
+    cost signal dominance pruning ({!Mlo_netgen}) compares candidate
+    layouts with.
+
+    The program is staged once, on its first query: the default-layout
+    compiled trace (address map and affine forms), each nest's legal
+    orders and the nests each array touches.  A query then relayouts
+    only [array_name] ({!Mlo_cachesim.Compiled_trace.relayout}: its own
+    accesses folded again, later arrays moved by their exact base shift)
+    in only the nests touching it, and analyzes only its groups there.
+    The other arrays' footprint inside each loop level, which decides
+    whether a level's reuse is realized, is staged per (nest, legal
+    order, array) on first use: a base shift is a multiple of the
+    64-byte alignment, hence of the line, so it cannot change their
+    counts.  Group counts are memoized over the program on exactly what
+    they read (offset within a line, gap set, kept levels in order).
+    The result equals the minimum, over legal orders, of the array's
+    [g_misses] (or [g_lines]) in {!analyze} of the program with that
+    nest permuted — bit for bit.
 
     Queries are memoized: a profile is a pure function of
-    (program, geometry, metric, array, layout), so results are cached under the
+    (program, metric, array, layout), so results are cached under the
     {e physical} identity of [prog] and shared by every profiler over
     the same program object — re-profiling a program the process has
     already costed (a solver service, repeated pruning passes) only pays
-    hashtable lookups.  A query derives only the nests touching
-    [array_name] (the other nests' forms cannot change).  The cache is
-    mutex-protected (queries may run on worker Domains) and entries are
-    dropped once their program is collected.  Returned arrays are
-    fresh — safe to mutate. *)
+    hashtable lookups.  Staged data does not depend on the metric.  The
+    cache is mutex-protected (queries may run on worker Domains) and
+    entries are dropped once their program is collected.  Returned
+    arrays are fresh — safe to mutate.  Raises [Invalid_argument] like
+    {!Mlo_cachesim.Address_map.build} if [layout]'s rank differs from a
+    touched array's. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable per-nest/per-group table. *)

@@ -3,52 +3,84 @@ module Array_info = Mlo_ir.Array_info
 module Layout = Mlo_layout.Layout
 module Transform = Mlo_layout.Transform
 
-type entry = { base : int; transform : Transform.t; elem_size : int }
+type entry = {
+  info : Array_info.t;
+  index : int;  (** declaration order *)
+  base : int;
+  bytes : int;  (** this array's own footprint *)
+  transform : Transform.t;
+  elem_size : int;
+}
 
-type t = { entries : (string, entry) Hashtbl.t; footprint : int }
+type t = {
+  entries : (string, entry) Hashtbl.t;
+  order : entry array;
+  align : int;
+  footprint : int;
+}
 
+let default_align = 64
 let round_up x align = (x + align - 1) / align * align
 
-type transform_cache = (string, Layout.t * Transform.t) Hashtbl.t
+(* The placement walk: from [cursor], array [i] of [from], [from + 1],
+   ... [upto - 1] starts at the cursor rounded up to [align] and moves
+   it [bytes i] past its base.  [place i base] returns [false] to stop
+   the walk early.  Returns the final cursor. *)
+let walk ~align ~cursor ~from ~upto ~bytes place =
+  let rec go i cursor =
+    if i >= upto then cursor
+    else
+      let base = round_up cursor align in
+      if place i base then go (i + 1) (base + bytes i) else cursor
+  in
+  go from cursor
 
-let transform_cache () : transform_cache = Hashtbl.create 32
+let transform_of info layout =
+  let name = Array_info.name info and rank = Array_info.rank info in
+  let layout =
+    match layout with
+    | Some l ->
+      if Layout.rank l <> rank then
+        invalid_arg (Printf.sprintf "Address_map.build: layout rank for %s" name);
+      l
+    | None -> if rank = 1 then Layout.trivial else Layout.row_major rank
+  in
+  Transform.make layout ~extents:(Array_info.extents info)
 
-let build ?(align = 64) ?cache prog ~layouts =
+let footprint_of info transform =
+  Transform.footprint_cells transform * Array_info.elem_size info
+
+let build ?(align = default_align) prog ~layouts =
   if align <= 0 || align land (align - 1) <> 0 then
     invalid_arg "Address_map.build: align must be a positive power of two";
-  let entries = Hashtbl.create 16 in
-  let cursor = ref 0 in
-  Array.iter
-    (fun info ->
-      let name = Array_info.name info in
-      let rank = Array_info.rank info in
-      let layout =
-        match layouts name with
-        | Some l ->
-          if Layout.rank l <> rank then
-            invalid_arg
-              (Printf.sprintf "Address_map.build: layout rank for %s" name);
-          l
-        | None -> if rank = 1 then Layout.trivial else Layout.row_major rank
-      in
-      let transform =
-        let fresh () = Transform.make layout ~extents:(Array_info.extents info) in
-        match cache with
-        | None -> fresh ()
-        | Some tbl -> (
-          match Hashtbl.find_opt tbl name with
-          | Some (l, t) when Layout.equal l layout -> t
-          | Some _ | None ->
-            let t = fresh () in
-            Hashtbl.replace tbl name (layout, t);
-            t)
-      in
-      let elem_size = Array_info.elem_size info in
-      let base = round_up !cursor align in
-      cursor := base + (Transform.footprint_cells transform * elem_size);
-      Hashtbl.replace entries name { base; transform; elem_size })
-    (Program.arrays prog);
-  { entries; footprint = !cursor }
+  let infos = Program.arrays prog in
+  let transforms =
+    Array.map (fun info -> transform_of info (layouts (Array_info.name info))) infos
+  in
+  let bytes i = footprint_of infos.(i) transforms.(i) in
+  let bases = Array.make (Array.length infos) 0 in
+  let footprint =
+    walk ~align ~cursor:0 ~from:0 ~upto:(Array.length infos) ~bytes
+      (fun i base ->
+        bases.(i) <- base;
+        true)
+  in
+  let order =
+    Array.mapi
+      (fun i info ->
+        {
+          info;
+          index = i;
+          base = bases.(i);
+          bytes = bytes i;
+          transform = transforms.(i);
+          elem_size = Array_info.elem_size info;
+        })
+      infos
+  in
+  let entries = Hashtbl.create (Array.length order) in
+  Array.iter (fun e -> Hashtbl.replace entries (Array_info.name e.info) e) order;
+  { entries; order; align; footprint }
 
 let entry t name =
   match Hashtbl.find_opt t.entries name with
@@ -58,11 +90,28 @@ let entry t name =
       (Printf.sprintf "Address_map: unknown array %S (not in the program \
                        this map was built from)" name)
 
+let relayout t name layout =
+  let e = entry t name in
+  let transform = transform_of e.info (Some layout) in
+  let shifts = ref [] in
+  ignore
+    (walk ~align:t.align
+       ~cursor:(e.base + footprint_of e.info transform)
+       ~from:(e.index + 1) ~upto:(Array.length t.order)
+       ~bytes:(fun i -> t.order.(i).bytes)
+       (fun i base ->
+         let d = base - t.order.(i).base in
+         if d <> 0 then shifts := d :: !shifts;
+         (* an array that stays put leaves every later one in place too *)
+         d <> 0));
+  (transform, Array.of_list (List.rev !shifts))
+
 let address t name idx =
   let e = entry t name in
   e.base + (Transform.cell_index e.transform idx * e.elem_size)
 
 let footprint_bytes t = t.footprint
 let base t name = (entry t name).base
+let index t name = (entry t name).index
 let transform t name = (entry t name).transform
 let elem_size t name = (entry t name).elem_size

@@ -9,29 +9,32 @@
 
 type t
 
-type transform_cache
-(** A reusable per-array-name memo of linearized transforms, for callers
-    that build many maps over the same program varying only a few
-    layouts (the locality profiler probes one array at a time).  Not
-    thread-safe; share one per thread of queries. *)
-
-val transform_cache : unit -> transform_cache
+val default_align : int
+(** The base alignment {!build} uses unless told otherwise: 64 bytes. *)
 
 val build :
   ?align:int ->
-  ?cache:transform_cache ->
   Mlo_ir.Program.t ->
   layouts:(string -> Mlo_layout.Layout.t option) ->
   t
 (** [build prog ~layouts] assigns addresses in declaration order.  Arrays
     for which [layouts] returns [None] keep the row-major default.
-    [align] (default 64) must be a positive power of two; array bases are
-    rounded up to it.  With [cache], an array whose resolved layout
-    equals the one cached under its name reuses the cached transform
-    instead of re-linearizing it ({!Mlo_layout.Transform.make} is pure in
-    (layout, extents), and a name's extents are fixed within a program).
-    Raises [Invalid_argument] if a provided layout's rank differs from
-    the array's. *)
+    [align] (default {!default_align}) must be a positive power of two;
+    array bases are rounded up to it.  Raises [Invalid_argument] if a
+    provided layout's rank differs from the array's. *)
+
+val relayout :
+  t -> string -> Mlo_layout.Layout.t -> Mlo_layout.Transform.t * int array
+(** [relayout t name layout] is what moving [name] alone to [layout]
+    changes in [t], without rebuilding the map: [name]'s new transform
+    (its own base does not move), and the base shifts of the arrays
+    declared after it.  Entry [k] of the shift array is the move of the
+    array at declaration index [index t name + 1 + k], a multiple of the
+    alignment; every array past its end keeps its base (the walk stops
+    at the first array that does not move, which pins all later ones).
+    The result agrees exactly with a fresh {!build} under the changed
+    assignment.  Raises [Invalid_argument] like {!build} on a rank
+    mismatch, and like {!address} on an unknown name. *)
 
 val address : t -> string -> Mlo_linalg.Intvec.t -> int
 (** Byte address of an array element (by original index vector).
@@ -42,5 +45,10 @@ val footprint_bytes : t -> int
 (** Total bytes spanned, including transform holes and alignment. *)
 
 val base : t -> string -> int
+
+val index : t -> string -> int
+(** Declaration index of an array: its position in
+    {!Mlo_ir.Program.arrays}. *)
+
 val transform : t -> string -> Mlo_layout.Transform.t
 val elem_size : t -> string -> int

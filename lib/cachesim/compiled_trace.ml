@@ -10,11 +10,13 @@ module Trace = Mlo_obs.Trace
 
 type skel_access = {
   sa_name : string;
+  sa_array : int; (* declaration index of the array *)
   sa_matrix : int array array; (* rank rows x depth cols *)
   sa_offset : int array; (* rank *)
 }
 
 type skel_nest = {
+  sn_name : string;
   sn_counts : int array; (* per-level trip count, outermost first *)
   sn_lows : int array; (* per-level lower bound *)
   sn_accesses : skel_access array;
@@ -27,18 +29,25 @@ type skeleton = {
 }
 
 let skeleton prog =
+  let index = Hashtbl.create 16 in
+  Array.iteri
+    (fun i info -> Hashtbl.replace index (Mlo_ir.Array_info.name info) i)
+    (Program.arrays prog);
   let nests =
     Array.map
       (fun nest ->
         let loops = Loop_nest.loops nest in
         {
+          sn_name = Loop_nest.name nest;
           sn_counts = Array.map (fun l -> l.Loop_nest.hi - l.Loop_nest.lo) loops;
           sn_lows = Array.map (fun l -> l.Loop_nest.lo) loops;
           sn_accesses =
             Array.map
               (fun a ->
+                let name = Access.array_name a in
                 {
-                  sa_name = Access.array_name a;
+                  sa_name = name;
+                  sa_array = Hashtbl.find index name;
                   sa_matrix = Access.matrix a;
                   sa_offset = Access.offset a;
                 })
@@ -65,7 +74,7 @@ type compiled_nest = {
 
 type t = {
   nests : compiled_nest array;
-  footprint : int;
+  amap : Address_map.t;
   trips : int;
   skel : skeleton; (* kept so the affine forms stay inspectable *)
 }
@@ -82,6 +91,33 @@ type nest_form = {
   form_accesses : access_form array;
 }
 
+(* The affine fold of one access under its array's placement:
+     address(iter) = base + elem * (c0 + sum_j lin_j * (A_j . iter + off_j))
+   collapses to addr0 + sum_level delta_level * (iter_level - low_level).
+   Returns [addr0] and the per-level deltas. *)
+let fold ~base ~elem ~transform sn sa =
+  let lin, c0 = Transform.linear_map transform in
+  let depth = Array.length sn.sn_counts in
+  let rank = Array.length sa.sa_offset in
+  let cell0 = ref c0 in
+  for j = 0 to rank - 1 do
+    let row = sa.sa_matrix.(j) in
+    let v = ref sa.sa_offset.(j) in
+    for l = 0 to depth - 1 do
+      v := !v + (row.(l) * sn.sn_lows.(l))
+    done;
+    cell0 := !cell0 + (lin.(j) * !v)
+  done;
+  let deltas =
+    Array.init depth (fun l ->
+        let d = ref 0 in
+        for j = 0 to rank - 1 do
+          d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
+        done;
+        elem * !d)
+  in
+  (base + (elem * !cell0), deltas)
+
 let instantiate skel ~layouts =
   Trace.with_span ~cat:"cachesim" "compile-trace" @@ fun () ->
   let amap = Address_map.build skel.sk_prog ~layouts in
@@ -94,119 +130,69 @@ let instantiate skel ~layouts =
         let deltas = Array.make_matrix depth na 0 in
         Array.iteri
           (fun k sa ->
-            let base = Address_map.base amap sa.sa_name in
-            let elem = Address_map.elem_size amap sa.sa_name in
-            let lin, c0 = Transform.linear_map (Address_map.transform amap sa.sa_name) in
-            let rank = Array.length sa.sa_offset in
-            (* address(iter) = base + elem * (c0 + sum_j lin_j * (A_j . iter + off_j))
-               collapses to addr0 + sum_level delta_level * (iter_level - low_level) *)
-            let cell0 = ref c0 in
-            for j = 0 to rank - 1 do
-              let row = sa.sa_matrix.(j) in
-              let v = ref sa.sa_offset.(j) in
-              for l = 0 to depth - 1 do
-                v := !v + (row.(l) * sn.sn_lows.(l))
-              done;
-              cell0 := !cell0 + (lin.(j) * !v)
-            done;
-            addr0.(k) <- base + (elem * !cell0);
-            for l = 0 to depth - 1 do
-              let d = ref 0 in
-              for j = 0 to rank - 1 do
-                d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
-              done;
-              deltas.(l).(k) <- elem * !d
-            done)
+            let a0, d =
+              fold
+                ~base:(Address_map.base amap sa.sa_name)
+                ~elem:(Address_map.elem_size amap sa.sa_name)
+                ~transform:(Address_map.transform amap sa.sa_name)
+                sn sa
+            in
+            addr0.(k) <- a0;
+            Array.iteri (fun l dl -> deltas.(l).(k) <- dl) d)
           sn.sn_accesses;
         { counts = sn.sn_counts; addr0; deltas })
       skel.sk_nests
   in
-  {
-    nests;
-    footprint = Address_map.footprint_bytes amap;
-    trips = skel.sk_trips;
-    skel;
-  }
+  { nests; amap; trips = skel.sk_trips; skel }
 
 let compile prog ~layouts = instantiate (skeleton prog) ~layouts
 
-let footprint_bytes t = t.footprint
+let footprint_bytes t = Address_map.footprint_bytes t.amap
 let trip_count t = t.trips
 
-let forms t =
-  let prog_nests = Program.nests t.skel.sk_prog in
-  Array.mapi
-    (fun i cn ->
-      let sn = t.skel.sk_nests.(i) in
-      {
-        form_nest = Loop_nest.name prog_nests.(i);
-        form_counts = Array.copy cn.counts;
-        form_accesses =
-          Array.init
-            (Array.length sn.sn_accesses)
-            (fun k ->
-              {
-                form_array = sn.sn_accesses.(k).sa_name;
-                form_addr0 = cn.addr0.(k);
-                form_deltas =
-                  Array.init (Array.length cn.counts) (fun l ->
-                      cn.deltas.(l).(k));
-              });
-      })
-    t.nests
+(* Nest [i]'s form, with access [k]'s [addr0] and deltas read from
+   [access k] *)
+let nest_form t i access =
+  let sn = t.skel.sk_nests.(i) in
+  {
+    form_nest = sn.sn_name;
+    form_counts = Array.copy sn.sn_counts;
+    form_accesses =
+      Array.mapi
+        (fun k sa ->
+          let addr0, deltas = access k sa in
+          { form_array = sa.sa_name; form_addr0 = addr0; form_deltas = deltas })
+        sn.sn_accesses;
+  }
 
-(* Compiled forms of a subset of the nests, without materializing the
-   whole trace: the same address map (bases shift with every footprint
-   before them, so it must cover the full program) and the same affine
-   folds as [instantiate], but run only for the requested nest indices.
-   This is the locality profiler's query shape — one array's layout
-   varies, only the nests touching it need re-deriving — and with a
-   transform cache the per-query cost is one Transform.make plus the
-   touched nests' folds instead of the whole program's. *)
-let forms_of_nests ?cache skel ~layouts ~nests:nest_idx =
-  let amap = Address_map.build ?cache skel.sk_prog ~layouts in
-  let prog_nests = Program.nests skel.sk_prog in
+let compiled t i k =
+  let cn = t.nests.(i) in
+  (cn.addr0.(k), Array.init (Array.length cn.counts) (fun l -> cn.deltas.(l).(k)))
+
+let forms t = Array.mapi (fun i _ -> nest_form t i (fun k _ -> compiled t i k)) t.nests
+
+(* One array's layout changed, everything else as compiled: only that
+   array's accesses are folded again; the arrays after it move by their
+   exact base shifts (Address_map.relayout), everything else is read
+   back from the compiled nests. *)
+let relayout t ~array_name ~layout ~nests =
+  let transform, shifts = Address_map.relayout t.amap array_name layout in
+  let a = Address_map.index t.amap array_name in
+  let base = Address_map.base t.amap array_name in
+  let elem = Address_map.elem_size t.amap array_name in
+  let shift j =
+    let k = j - a - 1 in
+    if k >= 0 && k < Array.length shifts then shifts.(k) else 0
+  in
   Array.map
     (fun i ->
-      let sn = skel.sk_nests.(i) in
-      let depth = Array.length sn.sn_counts in
-      {
-        form_nest = Loop_nest.name prog_nests.(i);
-        form_counts = Array.copy sn.sn_counts;
-        form_accesses =
-          Array.map
-            (fun sa ->
-              let base = Address_map.base amap sa.sa_name in
-              let elem = Address_map.elem_size amap sa.sa_name in
-              let lin, c0 =
-                Transform.linear_map (Address_map.transform amap sa.sa_name)
-              in
-              let rank = Array.length sa.sa_offset in
-              let cell0 = ref c0 in
-              for j = 0 to rank - 1 do
-                let row = sa.sa_matrix.(j) in
-                let v = ref sa.sa_offset.(j) in
-                for l = 0 to depth - 1 do
-                  v := !v + (row.(l) * sn.sn_lows.(l))
-                done;
-                cell0 := !cell0 + (lin.(j) * !v)
-              done;
-              let deltas =
-                Array.init depth (fun l ->
-                    let d = ref 0 in
-                    for j = 0 to rank - 1 do
-                      d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
-                    done;
-                    elem * !d)
-              in
-              {
-                form_array = sa.sa_name;
-                form_addr0 = base + (elem * !cell0);
-                form_deltas = deltas;
-              })
-            sn.sn_accesses;
-      })
-    nest_idx
+      let sn = t.skel.sk_nests.(i) in
+      nest_form t i (fun k sa ->
+          if sa.sa_array = a then fold ~base ~elem ~transform sn sa
+          else
+            let addr0, deltas = compiled t i k in
+            (addr0 + shift sa.sa_array, deltas)))
+    nests
 
 (* ------------------------------------------------------------------ *)
 (* Flattened two-level hierarchy                                        *)

@@ -60,20 +60,6 @@ type nest_form = {
   form_accesses : access_form array;
 }
 
-val forms_of_nests :
-  ?cache:Address_map.transform_cache ->
-  skeleton ->
-  layouts:(string -> Mlo_layout.Layout.t option) ->
-  nests:int array ->
-  nest_form array
-(** The compiled affine forms of just the listed nests (by program nest
-    index, result in argument order), bit-identical to the corresponding
-    entries of [forms (instantiate skel ~layouts)] — the address map
-    still covers the whole program (bases depend on every preceding
-    footprint), but only the listed nests' forms are derived.  [cache]
-    (see {!Address_map.transform_cache}) amortizes the per-array
-    transforms across many calls that vary few layouts. *)
-
 val forms : t -> nest_form array
 (** The compiled affine address forms, one per nest in program order.
     This is the static view the locality analyzer
@@ -81,6 +67,24 @@ val forms : t -> nest_form array
     described exactly by these lattices, so reuse distances and line
     counts can be derived without walking the stream.  Fresh arrays —
     safe to mutate. *)
+
+val relayout :
+  t ->
+  array_name:string ->
+  layout:Mlo_layout.Layout.t ->
+  nests:int array ->
+  nest_form array
+(** [relayout t ~array_name ~layout ~nests] is the forms of the listed
+    nests (by program nest index, result in argument order) under [t]'s
+    layout assignment with [array_name] alone moved to [layout]:
+    bit-identical to the corresponding entries of [forms] of the trace
+    instantiated under that changed assignment.  Only [array_name]'s
+    accesses are folded again; every array declared after it moves by
+    its exact base shift ({!Address_map.relayout}), and every other form
+    is read back from [t].  The cost is linear in the listed nests'
+    accesses plus the arrays whose base moves — independent of the rest
+    of the program.  Raises [Invalid_argument] like
+    {!Address_map.relayout}. *)
 
 val simulate : ?config:Hierarchy.config -> t -> Hierarchy.counters
 (** Run the compiled trace on a cold hierarchy and return its counters.

@@ -62,16 +62,15 @@ let metric_of_objective = function
    one array under one candidate layout, every other array at its
    default, summed over the nests (Locality.profiler memoizes, so
    repeated queries from component solves pay hashtable lookups). *)
-let layout_cost ?geometry ~objective prog =
+let layout_cost ~objective prog =
   let prof =
-    Mlo_analysis.Locality.profiler ?geometry
-      ~metric:(metric_of_objective objective) prog
+    Mlo_analysis.Locality.profiler ~metric:(metric_of_objective objective) prog
   in
   fun ~array_name ~layout ->
     Array.fold_left ( +. ) 0.0 (prof ~array_name ~layout)
 
-let objective_cost ?geometry ?(objective = Estimated_misses) prog layouts =
-  let cost = layout_cost ?geometry ~objective prog in
+let objective_cost ?(objective = Estimated_misses) prog layouts =
+  let cost = layout_cost ~objective prog in
   List.fold_left
     (fun acc (name, layout) -> acc +. cost ~array_name:name ~layout)
     0.0 layouts

@@ -63,7 +63,6 @@ val objective_of_label : string -> objective option
 (** The inverse of {!objective_label}; [None] for any other string. *)
 
 val objective_cost :
-  ?geometry:Mlo_cachesim.Cache.geometry ->
   ?objective:objective ->
   Mlo_ir.Program.t ->
   (string * Mlo_layout.Layout.t) list ->
@@ -76,7 +75,6 @@ val objective_cost :
     directly through it. *)
 
 val layout_cost :
-  ?geometry:Mlo_cachesim.Cache.geometry ->
   objective:objective ->
   Mlo_ir.Program.t ->
   array_name:string ->

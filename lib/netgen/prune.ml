@@ -23,11 +23,11 @@ let rec subset xs ys =
     else if x > y then subset xs ys'
     else false
 
-let apply ?geometry (b : Build.t) =
+let apply (b : Build.t) =
   Trace.with_span ~cat:"netgen" "prune-dominated" @@ fun () ->
   let net = b.Build.network in
   let n = Network.num_vars net in
-  let profile = Locality.profiler ?geometry b.Build.program in
+  let profile = Locality.profiler b.Build.program in
   let keep = Array.init n (fun i -> Array.make (Network.domain_size net i) true) in
   let per_array = ref [] in
   let removals = ref [] in

@@ -8,11 +8,14 @@ module Simulate = Mlo_cachesim.Simulate
 module Hierarchy = Mlo_cachesim.Hierarchy
 module Cache = Mlo_cachesim.Cache
 module Address_map = Mlo_cachesim.Address_map
+module Compiled_trace = Mlo_cachesim.Compiled_trace
 module Suite = Mlo_workloads.Suite
 module Spec = Mlo_workloads.Spec
 module Random_program = Mlo_workloads.Random_program
 module Program = Mlo_ir.Program
 module Array_info = Mlo_ir.Array_info
+module Loop_nest = Mlo_ir.Loop_nest
+module Dependence = Mlo_ir.Dependence
 module B = Mlo_ir.Builder
 module Layout = Mlo_layout.Layout
 module Network = Mlo_csp.Network
@@ -356,6 +359,240 @@ let test_profiler_distinct_layouts_distinct_entries () =
   and col = p ~array_name:"A" ~layout:(Layout.col_major 2) in
   Alcotest.(check bool) "row and col profiles differ" true (row <> col)
 
+(* ------------------------------------------------------------------ *)
+(* The staged profiler against oracles built from the public API        *)
+(* ------------------------------------------------------------------ *)
+
+(* Programs with their candidate-layout networks: the suite, scale-10,
+   and small generated programs. *)
+let fixed_programs =
+  lazy
+    (List.map
+       (fun spec -> (spec.Spec.program, (Spec.extract spec).Build.network))
+       (Suite.all () @ [ Suite.scale 10 ]))
+
+let generated_program seed =
+  let prog =
+    Random_program.generate
+      {
+        Random_program.default with
+        Random_program.seed;
+        num_arrays = 4;
+        num_nests = 4;
+        extent = 12;
+        sim_extent = 8;
+      }
+  in
+  (prog, (Build.build prog).Build.network)
+
+(* Multi-nest programs at sizes where the capacity and per-set checks
+   bite: trip counts up to 40, strides up to 3 and offsets up to 5 per
+   dimension, so a level's reuse often hinges on the other arrays'
+   footprint inside it.  Nests share their trip counts and arrays their
+   extents, so equal lattices recur at different offsets within a
+   line. *)
+let stress_program st =
+  let depth = 2 + Random.State.int st 2 in
+  let var_names = List.init depth (fun l -> Printf.sprintf "i%d" l) in
+  let x = B.ctx var_names in
+  let num_arrays = 2 + Random.State.int st 3 in
+  let extents = [| 1; 1 |] in
+  let trips = Array.init depth (fun _ -> 4 + Random.State.int st 37) in
+  let nests =
+    List.init
+      (1 + Random.State.int st 3)
+      (fun k ->
+        let accesses =
+          List.init
+            (2 + Random.State.int st 4)
+            (fun _ ->
+              let a = Random.State.int st num_arrays in
+              let dims =
+                List.init 2 (fun d ->
+                    let v = Random.State.int st depth in
+                    let c = Random.State.int st 4 and off = Random.State.int st 6 in
+                    extents.(d) <-
+                      max extents.(d) (off + (c * (trips.(v) - 1)) + 1);
+                    B.(
+                      (c *: var x (List.nth var_names v)) +: const x off))
+              in
+              (if Random.State.bool st then B.read else B.write)
+                (Printf.sprintf "A%d" a) dims)
+        in
+        B.nest (Printf.sprintf "n%d" k) x (Array.to_list trips) accesses)
+  in
+  let arrays =
+    List.init num_arrays (fun a ->
+        Array_info.make ~elem_size:8 (Printf.sprintf "A%d" a)
+          (Array.to_list extents))
+  in
+  let prog = Program.make ~name:"stress" arrays nests in
+  let name = Printf.sprintf "A%d" (Random.State.int st num_arrays) in
+  let layout =
+    [| Layout.row_major 2; Layout.col_major 2; Layout.diagonal2;
+       Layout.anti_diagonal2 |].(Random.State.int st 4)
+  in
+  (prog, name, layout)
+
+(* One (program, array, candidate layout) per seed, in turn from the
+   fixed programs, the generator's and the stress family. *)
+let pick_case seed =
+  let st = Random.State.make [| 0x57a6ed; seed |] in
+  let from (prog, net) =
+    let var = Random.State.int st (Network.num_vars net) in
+    let dom = Network.domain net var in
+    (prog, Network.name net var, dom.(Random.State.int st (Array.length dom)))
+  in
+  match seed mod 3 with
+  | 0 ->
+    let ps = Lazy.force fixed_programs in
+    from (List.nth ps (Random.State.int st (List.length ps)))
+  | 1 -> from (generated_program seed)
+  | _ -> stress_program st
+
+let only name layout n = if String.equal n name then Some layout else None
+
+let relayout_matches prog name layout =
+  let all = Array.init (Array.length (Program.nests prog)) Fun.id in
+  Compiled_trace.relayout
+    (Compiled_trace.compile prog ~layouts:none)
+    ~array_name:name ~layout ~nests:all
+  = Compiled_trace.forms
+      (Compiled_trace.instantiate (Compiled_trace.skeleton prog)
+         ~layouts:(only name layout))
+
+let prop_relayout_matches_instantiate =
+  QCheck.Test.make
+    ~name:"relayout forms equal a fresh instantiation" ~count:150
+    QCheck.small_nat (fun seed ->
+      let prog, name, layout = pick_case seed in
+      relayout_matches prog name layout)
+
+(* The base-shift path of [relayout]: a skewed layout widens the first
+   array's bounding box, so every later array moves — by whole
+   alignment units — and the forms must still match. *)
+let test_relayout_moves_later_arrays () =
+  let x = B.ctx [ "i"; "j" ] in
+  let nest =
+    B.nest "walk" x [ 8; 8 ]
+      [
+        B.read "A" [ B.var x "i"; B.var x "j" ];
+        B.read "B" [ B.var x "j"; B.var x "i" ];
+        B.write "C" [ B.var x "i"; B.var x "j" ];
+      ]
+  in
+  let prog =
+    Program.make ~name:"shifted"
+      [
+        Array_info.make "A" [ 8; 8 ];
+        Array_info.make "B" [ 8; 8 ];
+        Array_info.make "C" [ 8; 8 ];
+      ]
+      [ nest ]
+  in
+  let amap = Address_map.build prog ~layouts:none in
+  let _, shifts = Address_map.relayout amap "A" Layout.diagonal2 in
+  Alcotest.(check bool) "later arrays move" true (Array.length shifts > 0);
+  Array.iter
+    (fun d ->
+      Alcotest.(check int) "shift is whole alignment units" 0
+        (d mod Address_map.default_align))
+    shifts;
+  Alcotest.(check bool) "forms equal a fresh instantiation" true
+    (relayout_matches prog "A" Layout.diagonal2)
+
+(* The profiler's definition, from the public API alone: per nest, the
+   minimum over its legal orders of the array's [g_misses] (or
+   [g_lines]) in [Locality.analyze] of the program with that nest
+   permuted. *)
+let oracle_profile ~metric prog ~array_name ~layout =
+  let arrays = Array.to_list (Program.arrays prog) in
+  let nests = Program.nests prog in
+  Array.mapi
+    (fun i nest ->
+      if not (List.mem array_name (Loop_nest.arrays_touched nest)) then 0.0
+      else
+        List.fold_left
+          (fun best (perm, _) ->
+            let nests' =
+              Array.to_list
+                (Array.mapi
+                   (fun j n -> if j = i then Loop_nest.permute n perm else n)
+                   nests)
+            in
+            let prog' = Program.make ~name:(Program.name prog) arrays nests' in
+            let r = Locality.analyze prog' ~layouts:(only array_name layout) in
+            let n = List.nth r.Locality.r_nests i in
+            let charge =
+              List.fold_left
+                (fun acc g ->
+                  if String.equal g.Locality.g_array array_name then
+                    acc
+                    +.
+                    match metric with
+                    | Locality.Misses -> g.Locality.g_misses
+                    | Locality.Lines -> g.Locality.g_lines
+                  else acc)
+                0.0 n.Locality.n_groups
+            in
+            Float.min best charge)
+          infinity
+          (Dependence.legal_permutations nest))
+    nests
+
+let prop_profiler_matches_oracle =
+  QCheck.Test.make ~name:"profiler equals the analyze oracle bit for bit"
+    ~count:40 QCheck.small_nat (fun seed ->
+      let prog, array_name, layout = pick_case seed in
+      List.for_all
+        (fun metric ->
+          Locality.profiler ~metric prog ~array_name ~layout
+          = oracle_profile ~metric prog ~array_name ~layout)
+        [ Locality.Misses; Locality.Lines ])
+
+(* Two arrays of one shape walked alike, the second one element off its
+   base: their groups share gaps and levels but not the leader's offset
+   within a line, so they touch different line counts.  One profiler
+   entry answers both; each answer must still match the oracle. *)
+let test_profiler_memo_keys_on_offset () =
+  let x = B.ctx [ "i"; "j" ] in
+  let nest =
+    B.nest "rows" x [ 8; 8 ]
+      [
+        B.read "A" [ B.var x "i"; B.var x "j" ];
+        B.read "B" [ B.var x "i"; B.(var x "j" +: const x 1) ];
+      ]
+  in
+  let prog =
+    Program.make ~name:"offsets"
+      [ Array_info.make "A" [ 8; 32 ]; Array_info.make "B" [ 8; 32 ] ]
+      [ nest ]
+  in
+  let row = Layout.row_major 2 in
+  let p = Locality.profiler ~metric:Locality.Lines prog in
+  let a = p ~array_name:"A" ~layout:row and b = p ~array_name:"B" ~layout:row in
+  Alcotest.(check bool) "the offset changes the line count" true (a <> b);
+  List.iter
+    (fun (name, got) ->
+      Alcotest.(check bool) (name ^ " matches the oracle") true
+        (got
+        = oracle_profile ~metric:Locality.Lines prog ~array_name:name
+            ~layout:row))
+    [ ("A", a); ("B", b) ]
+
+let test_profiler_rank_mismatch () =
+  let prog = (Suite.by_name "mxm").Spec.program in
+  let p = Locality.profiler prog in
+  Alcotest.check_raises "rank-3 layout on the rank-2 array A"
+    (Invalid_argument "Address_map.build: layout rank for A") (fun () ->
+      ignore (p ~array_name:"A" ~layout:(Layout.row_major 3)));
+  (* the failed query leaves the entry usable *)
+  let col = Layout.col_major 2 in
+  Alcotest.(check bool) "later queries unaffected" true
+    (p ~array_name:"A" ~layout:col
+    = Locality.profiler (Suite.by_name "mxm").Spec.program ~array_name:"A"
+        ~layout:col)
+
 let () =
   Alcotest.run "locality"
     [
@@ -388,5 +625,16 @@ let () =
             test_profiler_memo_invisible;
           Alcotest.test_case "distinct layouts get distinct entries" `Quick
             test_profiler_distinct_layouts_distinct_entries;
+          Alcotest.test_case "rank mismatch raises" `Quick
+            test_profiler_rank_mismatch;
+          Alcotest.test_case "count memo keys on the line offset" `Quick
+            test_profiler_memo_keys_on_offset;
+        ] );
+      ( "staged",
+        [
+          QCheck_alcotest.to_alcotest prop_relayout_matches_instantiate;
+          Alcotest.test_case "relayout moves later arrays" `Quick
+            test_relayout_moves_later_arrays;
+          QCheck_alcotest.to_alcotest prop_profiler_matches_oracle;
         ] );
     ]
