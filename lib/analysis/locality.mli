@@ -108,21 +108,22 @@ val profiler :
     cost signal dominance pruning ({!Mlo_netgen}) compares candidate
     layouts with.
 
-    The program is staged once, on its first query: the default-layout
-    compiled trace (address map and affine forms), each nest's legal
-    orders and the nests each array touches.  A query then relayouts
-    only [array_name] ({!Mlo_cachesim.Compiled_trace.relayout}: its own
-    accesses folded again, later arrays moved by their exact base shift)
-    in only the nests touching it, and analyzes only its groups there.
-    The other arrays' footprint inside each loop level, which decides
-    whether a level's reuse is realized, is staged per (nest, legal
-    order, array) on first use: a base shift is a multiple of the
-    64-byte alignment, hence of the line, so it cannot change their
-    counts.  Group counts are memoized over the program on exactly what
-    they read (offset within a line, gap set, kept levels in order).
-    The result equals the minimum, over legal orders, of the array's
-    [g_misses] (or [g_lines]) in {!analyze} of the program with that
-    nest permuted — bit for bit.
+    The program is staged once, by the first profiler over it: the
+    default-layout compiled trace (address map and affine forms), each
+    nest's legal orders and the nests each array touches.  A query then
+    relayouts only [array_name]
+    ({!Mlo_cachesim.Compiled_trace.relayout}: its own accesses folded
+    again, later arrays moved by their exact base shift) in only the
+    nests touching it, and analyzes only its groups there.  The other
+    arrays' footprint inside each loop level, which decides whether a
+    level's reuse is realized, is staged per (nest, legal order, array)
+    on first use: a base shift is a multiple of the 64-byte alignment,
+    hence of the line, so it cannot change their counts.  Group counts
+    are memoized over the program on exactly what they read (offset
+    within a line, gap set, kept levels in order).  The result equals
+    the minimum, over legal orders, of the array's [g_misses] (or
+    [g_lines]) in {!analyze} of the program with that nest permuted —
+    bit for bit.
 
     Queries are memoized: a profile is a pure function of
     (program, metric, array, layout), so results are cached under the

@@ -5,16 +5,14 @@ module Transform = Mlo_layout.Transform
 
 type entry = {
   info : Array_info.t;
-  index : int;  (** declaration order *)
   base : int;
   bytes : int;  (** this array's own footprint *)
   transform : Transform.t;
-  elem_size : int;
 }
 
 type t = {
-  entries : (string, entry) Hashtbl.t;
-  order : entry array;
+  index : (string, int) Hashtbl.t;  (** name -> position in [order] *)
+  order : entry array;  (** declaration order *)
   align : int;
   footprint : int;
 }
@@ -22,16 +20,16 @@ type t = {
 let default_align = 64
 let round_up x align = (x + align - 1) / align * align
 
-(* The placement walk: from [cursor], array [i] of [from], [from + 1],
-   ... [upto - 1] starts at the cursor rounded up to [align] and moves
-   it [bytes i] past its base.  [place i base] returns [false] to stop
-   the walk early.  Returns the final cursor. *)
-let walk ~align ~cursor ~from ~upto ~bytes place =
+(* The placement walk: from [cursor], each array of [order] from index
+   [from] on starts at the cursor rounded up to [align] and moves it its
+   footprint past that base.  [place i base] returns [false] to stop the
+   walk.  Returns the final cursor. *)
+let walk ~align ~cursor ~from order place =
   let rec go i cursor =
-    if i >= upto then cursor
+    if i >= Array.length order then cursor
     else
       let base = round_up cursor align in
-      if place i base then go (i + 1) (base + bytes i) else cursor
+      if place i base then go (i + 1) (base + order.(i).bytes) else cursor
   in
   go from cursor
 
@@ -53,54 +51,43 @@ let footprint_of info transform =
 let build ?(align = default_align) prog ~layouts =
   if align <= 0 || align land (align - 1) <> 0 then
     invalid_arg "Address_map.build: align must be a positive power of two";
-  let infos = Program.arrays prog in
-  let transforms =
-    Array.map (fun info -> transform_of info (layouts (Array_info.name info))) infos
+  let order =
+    Array.map
+      (fun info ->
+        let transform = transform_of info (layouts (Array_info.name info)) in
+        { info; base = 0; bytes = footprint_of info transform; transform })
+      (Program.arrays prog)
   in
-  let bytes i = footprint_of infos.(i) transforms.(i) in
-  let bases = Array.make (Array.length infos) 0 in
   let footprint =
-    walk ~align ~cursor:0 ~from:0 ~upto:(Array.length infos) ~bytes
-      (fun i base ->
-        bases.(i) <- base;
+    walk ~align ~cursor:0 ~from:0 order (fun i base ->
+        order.(i) <- { (order.(i)) with base };
         true)
   in
-  let order =
-    Array.mapi
-      (fun i info ->
-        {
-          info;
-          index = i;
-          base = bases.(i);
-          bytes = bytes i;
-          transform = transforms.(i);
-          elem_size = Array_info.elem_size info;
-        })
-      infos
-  in
-  let entries = Hashtbl.create (Array.length order) in
-  Array.iter (fun e -> Hashtbl.replace entries (Array_info.name e.info) e) order;
-  { entries; order; align; footprint }
+  let index = Hashtbl.create (Array.length order) in
+  Array.iteri (fun i e -> Hashtbl.replace index (Array_info.name e.info) i) order;
+  { index; order; align; footprint }
 
-let entry t name =
-  match Hashtbl.find_opt t.entries name with
-  | Some e -> e
+let index t name =
+  match Hashtbl.find_opt t.index name with
+  | Some i -> i
   | None ->
     invalid_arg
       (Printf.sprintf "Address_map: unknown array %S (not in the program \
                        this map was built from)" name)
 
+let entry t name = t.order.(index t name)
+
 let relayout t name layout =
-  let e = entry t name in
+  let i = index t name in
+  let e = t.order.(i) in
   let transform = transform_of e.info (Some layout) in
   let shifts = ref [] in
   ignore
     (walk ~align:t.align
        ~cursor:(e.base + footprint_of e.info transform)
-       ~from:(e.index + 1) ~upto:(Array.length t.order)
-       ~bytes:(fun i -> t.order.(i).bytes)
-       (fun i base ->
-         let d = base - t.order.(i).base in
+       ~from:(i + 1) t.order
+       (fun k base ->
+         let d = base - t.order.(k).base in
          if d <> 0 then shifts := d :: !shifts;
          (* an array that stays put leaves every later one in place too *)
          d <> 0));
@@ -108,10 +95,9 @@ let relayout t name layout =
 
 let address t name idx =
   let e = entry t name in
-  e.base + (Transform.cell_index e.transform idx * e.elem_size)
+  e.base + (Transform.cell_index e.transform idx * Array_info.elem_size e.info)
 
 let footprint_bytes t = t.footprint
 let base t name = (entry t name).base
-let index t name = (entry t name).index
 let transform t name = (entry t name).transform
-let elem_size t name = (entry t name).elem_size
+let elem_size t name = Array_info.elem_size (entry t name).info
