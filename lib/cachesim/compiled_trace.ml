@@ -94,8 +94,8 @@ type nest_form = {
 (* The affine fold of one access under its array's placement:
      address(iter) = base + elem * (c0 + sum_j lin_j * (A_j . iter + off_j))
    collapses to addr0 + sum_level delta_level * (iter_level - low_level).
-   Returns [addr0] and the per-level deltas. *)
-let fold ~base ~elem ~transform sn sa =
+   Writes the per-level deltas into [deltas] and returns [addr0]. *)
+let fold ~base ~elem ~transform sn sa deltas =
   let lin, c0 = Transform.linear_map transform in
   let depth = Array.length sn.sn_counts in
   let rank = Array.length sa.sa_offset in
@@ -108,19 +108,24 @@ let fold ~base ~elem ~transform sn sa =
     done;
     cell0 := !cell0 + (lin.(j) * !v)
   done;
-  let deltas =
-    Array.init depth (fun l ->
-        let d = ref 0 in
-        for j = 0 to rank - 1 do
-          d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
-        done;
-        elem * !d)
-  in
-  (base + (elem * !cell0), deltas)
+  for l = 0 to depth - 1 do
+    let d = ref 0 in
+    for j = 0 to rank - 1 do
+      d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
+    done;
+    deltas.(l) <- elem * !d
+  done;
+  base + (elem * !cell0)
 
 let instantiate skel ~layouts =
   Trace.with_span ~cat:"cachesim" "compile-trace" @@ fun () ->
   let amap = Address_map.build skel.sk_prog ~layouts in
+  (* one scratch row of deltas, as deep as the deepest nest *)
+  let d =
+    Array.make
+      (Array.fold_left (fun m sn -> max m (Array.length sn.sn_counts)) 0 skel.sk_nests)
+      0
+  in
   let nests =
     Array.map
       (fun sn ->
@@ -130,15 +135,15 @@ let instantiate skel ~layouts =
         let deltas = Array.make_matrix depth na 0 in
         Array.iteri
           (fun k sa ->
-            let a0, d =
+            addr0.(k) <-
               fold
                 ~base:(Address_map.base amap sa.sa_name)
                 ~elem:(Address_map.elem_size amap sa.sa_name)
                 ~transform:(Address_map.transform amap sa.sa_name)
-                sn sa
-            in
-            addr0.(k) <- a0;
-            Array.iteri (fun l dl -> deltas.(l).(k) <- dl) d)
+                sn sa d;
+            for l = 0 to depth - 1 do
+              deltas.(l).(k) <- d.(l)
+            done)
           sn.sn_accesses;
         { counts = sn.sn_counts; addr0; deltas })
       skel.sk_nests
@@ -188,7 +193,9 @@ let relayout t ~array_name ~layout ~nests =
     (fun i ->
       let sn = t.skel.sk_nests.(i) in
       nest_form t i (fun k sa ->
-          if sa.sa_array = a then fold ~base ~elem ~transform sn sa
+          if sa.sa_array = a then
+            let deltas = Array.make (Array.length sn.sn_counts) 0 in
+            (fold ~base ~elem ~transform sn sa deltas, deltas)
           else
             let addr0, deltas = compiled t i k in
             (addr0 + shift sa.sa_array, deltas)))
