@@ -389,8 +389,8 @@ let generated_program seed =
    bite: trip counts up to 40, strides up to 3 and offsets up to 5 per
    dimension, so a level's reuse often hinges on the other arrays'
    footprint inside it.  Nests share their trip counts and arrays their
-   extents, so equal lattices recur at different offsets within a
-   line. *)
+   extents, so lattices repeat across arrays and nests and the count
+   memo answers many of the queries. *)
 let stress_program st =
   let depth = 2 + Random.State.int st 2 in
   let var_names = List.init depth (fun l -> Printf.sprintf "i%d" l) in
