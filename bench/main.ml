@@ -269,7 +269,8 @@ let locality_tests =
      profiler query per (array, candidate layout) — over a program parsed
      afresh from its rendered source each sample, as the e2e benchmark's
      requests do, so the profiler's per-program memo never carries over.
-     The parse is part of the sample (a small share of it). *)
+     The parse is part of the sample (about a tenth of it on Med-Im04
+     and scale-100). *)
   @ List.map
       (fun spec ->
         let source = Mlo_lang.Parser.to_source spec.Spec.program in
