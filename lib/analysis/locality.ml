@@ -649,7 +649,7 @@ let default_geometry = Hierarchy.paper_config.Hierarchy.l1
 let analyze_forms ~geometry ~program nfs =
   let line = geometry.Cache.line_bytes in
   let cap_lines = geometry.Cache.size_bytes / line in
-  let count = group_count ~line in
+  let count = memo_count ~line (Hashtbl.create 64) in
   let nests =
     Array.to_list nfs
     |> List.map (fun nf ->
@@ -689,9 +689,11 @@ let permute_group perm (g : raw_group) =
    (array, layout) questions every time it sees the same program — a
    long-running optimizer service, or the bench harness re-extracting
    the same spec, re-profiles nothing after the first pass.  Entries are
-   keyed by physical program identity and held through a [Weak] slot, so
-   a cache entry dies with its program.  One mutex per entry: queries
-   may come from worker Domains solving components in parallel. *)
+   keyed by physical program identity in an ephemeron table: the staged
+   trace refers back to its program, and an ephemeron's data does not
+   keep its key alive, so an entry dies with its program.  One mutex per
+   entry: queries may come from worker Domains solving components in
+   parallel. *)
 type metric = Misses | Lines
 
 module Profile_key = struct
@@ -706,7 +708,6 @@ end
 module Profile_tbl = Hashtbl.Make (Profile_key)
 
 type profile_entry = {
-  pe_prog : Program.t Weak.t;
   pe_trace : Compiled_trace.t;
       (** every array at its default layout: the staged address map and
           forms a query relayouts one array of *)
@@ -722,15 +723,23 @@ type profile_entry = {
   pe_lock : Mutex.t;
 }
 
-let profile_entries : profile_entry list ref = ref []
+module Profile_entries = Ephemeron.K1.Make (struct
+  type t = Program.t
+
+  let equal = ( == )
+  let hash p = Hashtbl.hash (Program.name p)
+end)
+
+let profile_entries : profile_entry Profile_entries.t = Profile_entries.create 16
 let profile_entries_lock = Mutex.create ()
 
 let make_profile_entry prog =
   let line = default_geometry.Cache.line_bytes in
-  (* A relayout moves later arrays by multiples of the base alignment.
-     Moving a group by whole lines leaves every count but [cs_min] alone,
-     and the profile never reads [cs_min], so the other arrays' counts
-     are the same under every candidate layout. *)
+  (* A query moves only one array's accesses and reads every other at
+     its staged address.  Under the queried layout a later array's base
+     moves by a multiple of the base alignment; moving a group by whole
+     lines leaves every count but [cs_min] alone, and the profile never
+     reads [cs_min]. *)
   assert (Mlo_cachesim.Address_map.default_align mod line = 0);
   let nests = Program.nests prog in
   let touched = Hashtbl.create 16 in
@@ -750,10 +759,7 @@ let make_profile_entry prog =
     (fun name idxs ->
       Hashtbl.replace touched_arr name (Array.of_list (List.rev idxs)))
     touched;
-  let wp = Weak.create 1 in
-  Weak.set wp 0 (Some prog);
   {
-    pe_prog = wp;
     pe_trace = Compiled_trace.compile prog ~layouts:(fun _ -> None);
     pe_perms =
       Array.map (fun n -> List.map fst (Dependence.legal_permutations n)) nests;
@@ -766,31 +772,20 @@ let make_profile_entry prog =
 
 let profile_entry prog =
   Mutex.protect profile_entries_lock @@ fun () ->
-  let alive, found =
-    List.fold_left
-      (fun (alive, found) e ->
-        match Weak.get e.pe_prog 0 with
-        | None -> (alive, found) (* program collected: drop the entry *)
-        | Some p ->
-          let found = if found = None && p == prog then Some e else found in
-          (e :: alive, found))
-      ([], None) !profile_entries
-  in
-  match found with
-  | Some e ->
-    profile_entries := List.rev alive;
-    e
+  match Profile_entries.find_opt profile_entries prog with
+  | Some e -> e
   | None ->
     let e = make_profile_entry prog in
-    profile_entries := e :: List.rev alive;
+    Profile_entries.replace profile_entries prog e;
     e
 
 (* Nest [i]'s charge for [array_name], minimized over the nest's legal
-   orders, from the nest's form under the queried layout.  Only the
+   orders, from the nest's form with [array_name] relayouted.  Only the
    array's own groups are analyzed: under [Misses] the rest of the nest
-   enters only through the footprint inside each level, which is staged
-   per (nest, legal order, array) on first use — every [cs_lines] is an
-   integer far below 2^53, so splitting that sum is exact. *)
+   enters only through the footprint inside each level, which does not
+   depend on the queried layout and is staged per (nest, legal order,
+   array) on first use — every [cs_lines] is an integer far below 2^53,
+   so splitting that sum is exact. *)
 let nest_profile entry ~metric ~array_name i (nf : Compiled_trace.nest_form) =
   let count = entry.pe_count in
   (* the groups of [array_name]'s accesses ([true]) or of the others' *)

@@ -113,12 +113,13 @@ val profiler :
     nest's legal orders and the nests each array touches.  A query then
     relayouts only [array_name]
     ({!Mlo_cachesim.Compiled_trace.relayout}: its own accesses folded
-    again, later arrays moved by their exact base shift) in only the
+    again, every other access read at its staged address) in only the
     nests touching it, and analyzes only its groups there.  The other
     arrays' footprint inside each loop level, which decides whether a
     level's reuse is realized, is staged per (nest, legal order, array)
-    on first use: a base shift is a multiple of the 64-byte alignment,
-    hence of the line, so it cannot change their counts.  Group counts
+    on first use.  Under the queried layout a later array's base moves,
+    but by a multiple of the 64-byte alignment, hence of the line, so it
+    cannot change their counts.  Group counts
     are memoized over the program on exactly what they read (offset
     within a line, gap set, kept levels in order).  The result equals
     the minimum, over legal orders, of the array's [g_misses] (or
@@ -132,7 +133,8 @@ val profiler :
     already costed (a solver service, repeated pruning passes) only pays
     hashtable lookups.  Staged data does not depend on the metric.  The
     cache is mutex-protected (queries may run on worker Domains) and
-    entries are dropped once their program is collected.  Returned
+    holds its programs through ephemerons: an entry does not keep its
+    program alive and is dropped once the program is collected.  Returned
     arrays are fresh — safe to mutate.  Raises [Invalid_argument] like
     {!Mlo_cachesim.Address_map.build} if [layout]'s rank differs from a
     touched array's. *)

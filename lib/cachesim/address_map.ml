@@ -3,35 +3,12 @@ module Array_info = Mlo_ir.Array_info
 module Layout = Mlo_layout.Layout
 module Transform = Mlo_layout.Transform
 
-type entry = {
-  info : Array_info.t;
-  base : int;
-  bytes : int;  (** this array's own footprint *)
-  transform : Transform.t;
-}
+type entry = { base : int; transform : Transform.t; elem_size : int }
 
-type t = {
-  index : (string, int) Hashtbl.t;  (** name -> position in [order] *)
-  order : entry array;  (** declaration order *)
-  align : int;
-  footprint : int;
-}
+type t = { entries : (string, entry) Hashtbl.t; footprint : int }
 
 let default_align = 64
 let round_up x align = (x + align - 1) / align * align
-
-(* The placement walk: from [cursor], each array of [order] from index
-   [from] on starts at the cursor rounded up to [align] and moves it its
-   footprint past that base.  [place i base] returns [false] to stop the
-   walk.  Returns the final cursor. *)
-let walk ~align ~cursor ~from order place =
-  let rec go i cursor =
-    if i >= Array.length order then cursor
-    else
-      let base = round_up cursor align in
-      if place i base then go (i + 1) (base + order.(i).bytes) else cursor
-  in
-  go from cursor
 
 let transform_of info layout =
   let name = Array_info.name info and rank = Array_info.rank info in
@@ -45,59 +22,35 @@ let transform_of info layout =
   in
   Transform.make layout ~extents:(Array_info.extents info)
 
-let footprint_of info transform =
-  Transform.footprint_cells transform * Array_info.elem_size info
-
 let build ?(align = default_align) prog ~layouts =
   if align <= 0 || align land (align - 1) <> 0 then
     invalid_arg "Address_map.build: align must be a positive power of two";
-  let order =
-    Array.map
-      (fun info ->
-        let transform = transform_of info (layouts (Array_info.name info)) in
-        { info; base = 0; bytes = footprint_of info transform; transform })
-      (Program.arrays prog)
-  in
-  let footprint =
-    walk ~align ~cursor:0 ~from:0 order (fun i base ->
-        order.(i) <- { (order.(i)) with base };
-        true)
-  in
-  let index = Hashtbl.create (Array.length order) in
-  Array.iteri (fun i e -> Hashtbl.replace index (Array_info.name e.info) i) order;
-  { index; order; align; footprint }
+  let entries = Hashtbl.create 16 in
+  let cursor = ref 0 in
+  Array.iter
+    (fun info ->
+      let name = Array_info.name info in
+      let transform = transform_of info (layouts name) in
+      let elem_size = Array_info.elem_size info in
+      let base = round_up !cursor align in
+      cursor := base + (Transform.footprint_cells transform * elem_size);
+      Hashtbl.replace entries name { base; transform; elem_size })
+    (Program.arrays prog);
+  { entries; footprint = !cursor }
 
-let index t name =
-  match Hashtbl.find_opt t.index name with
-  | Some i -> i
+let entry t name =
+  match Hashtbl.find_opt t.entries name with
+  | Some e -> e
   | None ->
     invalid_arg
       (Printf.sprintf "Address_map: unknown array %S (not in the program \
                        this map was built from)" name)
 
-let entry t name = t.order.(index t name)
-
-let relayout t name layout =
-  let i = index t name in
-  let e = t.order.(i) in
-  let transform = transform_of e.info (Some layout) in
-  let shifts = ref [] in
-  ignore
-    (walk ~align:t.align
-       ~cursor:(e.base + footprint_of e.info transform)
-       ~from:(i + 1) t.order
-       (fun k base ->
-         let d = base - t.order.(k).base in
-         if d <> 0 then shifts := d :: !shifts;
-         (* an array that stays put leaves every later one in place too *)
-         d <> 0));
-  (transform, Array.of_list (List.rev !shifts))
-
 let address t name idx =
   let e = entry t name in
-  e.base + (Transform.cell_index e.transform idx * Array_info.elem_size e.info)
+  e.base + (Transform.cell_index e.transform idx * e.elem_size)
 
 let footprint_bytes t = t.footprint
 let base t name = (entry t name).base
 let transform t name = (entry t name).transform
-let elem_size t name = Array_info.elem_size (entry t name).info
+let elem_size t name = (entry t name).elem_size

@@ -23,18 +23,11 @@ val build :
     array bases are rounded up to it.  Raises [Invalid_argument] if a
     provided layout's rank differs from the array's. *)
 
-val relayout :
-  t -> string -> Mlo_layout.Layout.t -> Mlo_layout.Transform.t * int array
-(** [relayout t name layout] is what moving [name] alone to [layout]
-    changes in [t], without rebuilding the map: [name]'s new transform
-    (its own base does not move), and the base shifts of the arrays
-    declared after it.  Entry [k] of the shift array is the move of the
-    array at declaration index [index t name + 1 + k], a multiple of the
-    alignment; every array past its end keeps its base (the walk stops
-    at the first array that does not move, which pins all later ones).
-    The result agrees exactly with a fresh {!build} under the changed
-    assignment.  Raises [Invalid_argument] like {!build} on a rank
-    mismatch, and like {!address} on an unknown name. *)
+val transform_of :
+  Mlo_ir.Array_info.t -> Mlo_layout.Layout.t option -> Mlo_layout.Transform.t
+(** [transform_of info layout] is the transform {!build} gives the array
+    [info] under [layout] ([None]: the row-major default).  Raises
+    [Invalid_argument] like {!build} on a rank mismatch. *)
 
 val address : t -> string -> Mlo_linalg.Intvec.t -> int
 (** Byte address of an array element (by original index vector).
@@ -45,10 +38,5 @@ val footprint_bytes : t -> int
 (** Total bytes spanned, including transform holes and alignment. *)
 
 val base : t -> string -> int
-
-val index : t -> string -> int
-(** Declaration index of an array: its position in
-    {!Mlo_ir.Program.arrays}. *)
-
 val transform : t -> string -> Mlo_layout.Transform.t
 val elem_size : t -> string -> int

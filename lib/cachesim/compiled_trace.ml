@@ -10,7 +10,6 @@ module Trace = Mlo_obs.Trace
 
 type skel_access = {
   sa_name : string;
-  sa_array : int; (* declaration index of the array *)
   sa_matrix : int array array; (* rank rows x depth cols *)
   sa_offset : int array; (* rank *)
 }
@@ -29,10 +28,6 @@ type skeleton = {
 }
 
 let skeleton prog =
-  let index = Hashtbl.create 16 in
-  Array.iteri
-    (fun i info -> Hashtbl.replace index (Mlo_ir.Array_info.name info) i)
-    (Program.arrays prog);
   let nests =
     Array.map
       (fun nest ->
@@ -44,10 +39,8 @@ let skeleton prog =
           sn_accesses =
             Array.map
               (fun a ->
-                let name = Access.array_name a in
                 {
-                  sa_name = name;
-                  sa_array = Hashtbl.find index name;
+                  sa_name = Access.array_name a;
                   sa_matrix = Access.matrix a;
                   sa_offset = Access.offset a;
                 })
@@ -177,28 +170,25 @@ let compiled t i k =
 let forms t = Array.mapi (fun i _ -> nest_form t i (fun k _ -> compiled t i k)) t.nests
 
 (* One array's layout changed, everything else as compiled: only that
-   array's accesses are folded again; the arrays after it move by their
-   exact base shifts (Address_map.relayout), everything else is read
-   back from the compiled nests. *)
+   array's accesses are folded again, at its compiled base (a base
+   depends only on the arrays declared before it); every other access
+   keeps its compiled form. *)
 let relayout t ~array_name ~layout ~nests =
-  let transform, shifts = Address_map.relayout t.amap array_name layout in
-  let a = Address_map.index t.amap array_name in
   let base = Address_map.base t.amap array_name in
   let elem = Address_map.elem_size t.amap array_name in
-  let shift j =
-    let k = j - a - 1 in
-    if k >= 0 && k < Array.length shifts then shifts.(k) else 0
+  let transform =
+    Address_map.transform_of
+      (Program.find_array t.skel.sk_prog array_name)
+      (Some layout)
   in
   Array.map
     (fun i ->
       let sn = t.skel.sk_nests.(i) in
       nest_form t i (fun k sa ->
-          if sa.sa_array = a then
+          if String.equal sa.sa_name array_name then
             let deltas = Array.make (Array.length sn.sn_counts) 0 in
             (fold ~base ~elem ~transform sn sa deltas, deltas)
-          else
-            let addr0, deltas = compiled t i k in
-            (addr0 + shift sa.sa_array, deltas)))
+          else compiled t i k))
     nests
 
 (* ------------------------------------------------------------------ *)

@@ -75,16 +75,18 @@ val relayout :
   nests:int array ->
   nest_form array
 (** [relayout t ~array_name ~layout ~nests] is the forms of the listed
-    nests (by program nest index, result in argument order) under [t]'s
-    layout assignment with [array_name] alone moved to [layout]:
-    bit-identical to the corresponding entries of [forms] of the trace
-    instantiated under that changed assignment.  Only [array_name]'s
-    accesses are folded again; every array declared after it moves by
-    its exact base shift ({!Address_map.relayout}), and every other form
-    is read back from [t].  The cost is linear in the listed nests'
-    accesses plus the arrays whose base moves — independent of the rest
-    of the program.  Raises [Invalid_argument] like
-    {!Address_map.relayout}. *)
+    nests (by program nest index, result in argument order) with
+    [array_name] alone moved to [layout]: only its accesses are folded
+    again, every other access keeps its form in [t].  Against {!forms}
+    of the trace instantiated under that changed assignment, the forms
+    of [array_name] and of every array declared before it are
+    bit-identical (a base depends only on the arrays before it); an
+    array declared after it keeps its old [form_addr0], which differs by
+    that array's base shift, a multiple of the map's alignment.  Every
+    [form_deltas] is exact.  The cost is linear in the listed nests'
+    accesses, independent of the rest of the program.  Raises
+    [Invalid_argument] like {!Address_map.build} on a rank mismatch, and
+    like {!Address_map.base} on an unknown name. *)
 
 val simulate : ?config:Hierarchy.config -> t -> Hierarchy.counters
 (** Run the compiled trace on a cold hierarchy and return its counters.

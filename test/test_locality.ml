@@ -359,6 +359,33 @@ let test_profiler_distinct_layouts_distinct_entries () =
   and col = p ~array_name:"A" ~layout:(Layout.col_major 2) in
   Alcotest.(check bool) "row and col profiles differ" true (row <> col)
 
+(* The cache must not keep a program alive: the staged trace refers back
+   to its program, so an entry held strongly would pin every program the
+   process ever profiled, with its staged trace and memos.  Profile a
+   fresh program, drop it, and it must be collected. *)
+let[@inline never] profile_and_drop w =
+  let x = B.ctx [ "i"; "j" ] in
+  let nest =
+    B.nest "copy" x [ 16; 16 ]
+      [
+        B.read "A" [ B.var x "i"; B.var x "j" ];
+        B.write "B" [ B.var x "j"; B.var x "i" ];
+      ]
+  in
+  let prog =
+    Program.make ~name:"dropped"
+      [ Array_info.make "A" [ 16; 16 ]; Array_info.make "B" [ 16; 16 ] ]
+      [ nest ]
+  in
+  ignore (Locality.profiler prog ~array_name:"A" ~layout:(Layout.col_major 2));
+  Weak.set w 0 (Some prog)
+
+let test_profiler_entry_dies_with_program () =
+  let w = Weak.create 1 in
+  profile_and_drop w;
+  Gc.full_major ();
+  Alcotest.(check bool) "profiled program collected" false (Weak.check w 0)
+
 (* ------------------------------------------------------------------ *)
 (* The staged profiler against oracles built from the public API        *)
 (* ------------------------------------------------------------------ *)
@@ -452,54 +479,49 @@ let pick_case seed =
 
 let only name layout n = if String.equal n name then Some layout else None
 
+(* [relayout] against a fresh instantiation under the changed
+   assignment, whose bases come from a second [Address_map.build]: every
+   form is bit-identical once each access is moved by its array's base
+   shift, and that shift is zero for the queried array (its accesses are
+   the only ones folded again) and whole alignment units for the
+   others, which [relayout] reads at their staged addresses. *)
 let relayout_matches prog name layout =
   let all = Array.init (Array.length (Program.nests prog)) Fun.id in
-  Compiled_trace.relayout
-    (Compiled_trace.compile prog ~layouts:none)
-    ~array_name:name ~layout ~nests:all
-  = Compiled_trace.forms
+  let staged = Address_map.build prog ~layouts:none
+  and moved = Address_map.build prog ~layouts:(only name layout) in
+  let shift a = Address_map.base moved a - Address_map.base staged a in
+  let relaid =
+    Compiled_trace.relayout
+      (Compiled_trace.compile prog ~layouts:none)
+      ~array_name:name ~layout ~nests:all
+  and fresh =
+    Compiled_trace.forms
       (Compiled_trace.instantiate (Compiled_trace.skeleton prog)
          ~layouts:(only name layout))
+  in
+  shift name = 0
+  && Array.for_all
+       (fun info -> shift (Array_info.name info) mod Address_map.default_align = 0)
+       (Program.arrays prog)
+  && relaid
+     = Array.map
+         (fun (nf : Compiled_trace.nest_form) ->
+           {
+             nf with
+             form_accesses =
+               Array.map
+                 (fun (a : Compiled_trace.access_form) ->
+                   { a with form_addr0 = a.form_addr0 - shift a.form_array })
+                 nf.form_accesses;
+           })
+         fresh
 
 let prop_relayout_matches_instantiate =
   QCheck.Test.make
-    ~name:"relayout forms equal a fresh instantiation" ~count:150
-    QCheck.small_nat (fun seed ->
+    ~name:"relayout forms equal a fresh instantiation up to base shifts"
+    ~count:150 QCheck.small_nat (fun seed ->
       let prog, name, layout = pick_case seed in
       relayout_matches prog name layout)
-
-(* The base-shift path of [relayout]: a skewed layout widens the first
-   array's bounding box, so every later array moves — by whole
-   alignment units — and the forms must still match. *)
-let test_relayout_moves_later_arrays () =
-  let x = B.ctx [ "i"; "j" ] in
-  let nest =
-    B.nest "walk" x [ 8; 8 ]
-      [
-        B.read "A" [ B.var x "i"; B.var x "j" ];
-        B.read "B" [ B.var x "j"; B.var x "i" ];
-        B.write "C" [ B.var x "i"; B.var x "j" ];
-      ]
-  in
-  let prog =
-    Program.make ~name:"shifted"
-      [
-        Array_info.make "A" [ 8; 8 ];
-        Array_info.make "B" [ 8; 8 ];
-        Array_info.make "C" [ 8; 8 ];
-      ]
-      [ nest ]
-  in
-  let amap = Address_map.build prog ~layouts:none in
-  let _, shifts = Address_map.relayout amap "A" Layout.diagonal2 in
-  Alcotest.(check bool) "later arrays move" true (Array.length shifts > 0);
-  Array.iter
-    (fun d ->
-      Alcotest.(check int) "shift is whole alignment units" 0
-        (d mod Address_map.default_align))
-    shifts;
-  Alcotest.(check bool) "forms equal a fresh instantiation" true
-    (relayout_matches prog "A" Layout.diagonal2)
 
 (* The profiler's definition, from the public API alone: per nest, the
    minimum over its legal orders of the array's [g_misses] (or
@@ -549,6 +571,45 @@ let prop_profiler_matches_oracle =
           Locality.profiler ~metric prog ~array_name ~layout
           = oracle_profile ~metric prog ~array_name ~layout)
         [ Locality.Misses; Locality.Lines ])
+
+(* A skewed layout widens the first array's bounding box, so under it
+   every later array moves; [relayout] must still agree with a fresh
+   instantiation up to those shifts, and the profile with the oracle. *)
+let test_relayout_later_arrays_move () =
+  let x = B.ctx [ "i"; "j" ] in
+  let nest =
+    B.nest "walk" x [ 8; 8 ]
+      [
+        B.read "A" [ B.var x "i"; B.var x "j" ];
+        B.read "B" [ B.var x "j"; B.var x "i" ];
+        B.write "C" [ B.var x "i"; B.var x "j" ];
+      ]
+  in
+  let prog =
+    Program.make ~name:"shifted"
+      [
+        Array_info.make "A" [ 8; 8 ];
+        Array_info.make "B" [ 8; 8 ];
+        Array_info.make "C" [ 8; 8 ];
+      ]
+      [ nest ]
+  in
+  let staged = Address_map.build prog ~layouts:none
+  and moved = Address_map.build prog ~layouts:(only "A" Layout.diagonal2) in
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (a ^ " moves") true
+        (Address_map.base moved a > Address_map.base staged a))
+    [ "B"; "C" ];
+  Alcotest.(check bool) "forms equal a fresh instantiation up to the shifts"
+    true
+    (relayout_matches prog "A" Layout.diagonal2);
+  List.iter
+    (fun metric ->
+      Alcotest.(check bool) "profile equals the oracle" true
+        (Locality.profiler ~metric prog ~array_name:"A" ~layout:Layout.diagonal2
+        = oracle_profile ~metric prog ~array_name:"A" ~layout:Layout.diagonal2))
+    [ Locality.Misses; Locality.Lines ]
 
 (* Two arrays of one shape walked alike, the second one element off its
    base: their groups share gaps and levels but not the leader's offset
@@ -627,14 +688,16 @@ let () =
             test_profiler_distinct_layouts_distinct_entries;
           Alcotest.test_case "rank mismatch raises" `Quick
             test_profiler_rank_mismatch;
+          Alcotest.test_case "an entry dies with its program" `Quick
+            test_profiler_entry_dies_with_program;
           Alcotest.test_case "count memo keys on the line offset" `Quick
             test_profiler_memo_keys_on_offset;
         ] );
       ( "staged",
         [
           QCheck_alcotest.to_alcotest prop_relayout_matches_instantiate;
-          Alcotest.test_case "relayout moves later arrays" `Quick
-            test_relayout_moves_later_arrays;
+          Alcotest.test_case "later arrays move by whole alignment units"
+            `Quick test_relayout_later_arrays_move;
           QCheck_alcotest.to_alcotest prop_profiler_matches_oracle;
         ] );
     ]
