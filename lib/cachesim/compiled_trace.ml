@@ -1,3 +1,12 @@
+(* The trace-driven simulator's hot core: every access of a nest is an
+   affine address stream, and the walk runs those streams through a
+   flattened two-level hierarchy.  Its counters agree exactly with
+   Cache/Hierarchy (and Simulate.run_reference), but the way that holds
+   a line may differ: sets keep recency order, not LRU stamps.  Inside
+   an innermost loop whose deltas all stay below the line size, each run
+   of iterations on fixed lines is simulated up to its steady iteration
+   and extrapolated from there (DESIGN.md Section 9). *)
+
 module Program = Mlo_ir.Program
 module Loop_nest = Mlo_ir.Loop_nest
 module Access = Mlo_ir.Access
@@ -197,17 +206,19 @@ let relayout t ~array_name ~layout ~nests =
 
 (* The probe/fill path of Cache+Hierarchy specialized into one record of
    flat arrays and ints, so a simulated access is shifts, masks and array
-   reads with no cross-module calls and no allocation.  The replacement
-   and accounting logic mirrors Cache.access / Hierarchy.access exactly
-   (enforced by the equivalence properties in test/test_cachesim.ml). *)
+   reads with no cross-module calls and no allocation.  Each set keeps
+   its ways in recency order, most recently used first, with invalid
+   ways (-1) at the tail.  That is exact LRU with invalid ways filled
+   first, the policy Cache.access implements with stamps, so every hit,
+   miss and cycle agrees (enforced by the equivalence properties in
+   test/test_cachesim.ml); only the way that holds a line can differ,
+   and no counter reads it. *)
 type level = {
-  tags : int array;
-  stamps : int array;
+  tags : int array; (* per set, [assoc] tags most recent first *)
   line_shift : int;
   set_shift : int;
   set_mask : int;
   assoc : int;
-  mutable clock : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -218,7 +229,9 @@ type hier = {
   cost_l1 : int; (* L1 hit, compute included *)
   cost_l2 : int; (* L1 miss, L2 hit *)
   cost_mem : int; (* miss in both *)
+  line_mask : int; (* the smaller of the two line sizes, minus one *)
   mutable cycles : int;
+  mutable countdown : int; (* accesses left before the next trace sample *)
 }
 
 let log2 x =
@@ -229,12 +242,10 @@ let make_level (g : Cache.geometry) =
   let num_sets = g.Cache.size_bytes / (g.Cache.assoc * g.Cache.line_bytes) in
   {
     tags = Array.make (num_sets * g.Cache.assoc) (-1);
-    stamps = Array.make (num_sets * g.Cache.assoc) 0;
     line_shift = log2 g.Cache.line_bytes;
     set_shift = log2 num_sets;
     set_mask = num_sets - 1;
     assoc = g.Cache.assoc;
-    clock = 0;
     hits = 0;
     misses = 0;
   }
@@ -252,40 +263,40 @@ let make_hier (config : Hierarchy.config) =
       config.Hierarchy.l1_latency + config.Hierarchy.l2_latency
       + config.Hierarchy.memory_latency
       + config.Hierarchy.compute_cycles_per_access;
+    line_mask =
+      min config.Hierarchy.l1.Cache.line_bytes
+        config.Hierarchy.l2.Cache.line_bytes
+      - 1;
     cycles = 0;
+    countdown = max_int;
   }
 
-(* Same victim policy as Cache.access: first way with the strictly
-   smallest stamp (invalid ways keep stamp 0 and lose every comparison
-   against it, so they fill in way order). *)
+(* A hit at way 0 writes nothing.  A hit at way w moves ways 0..w-1 down
+   by one and puts the line at way 0; a miss does the same from the last
+   way, which it drops. *)
 let[@inline] level_access lv addr =
   let line = addr lsr lv.line_shift in
   let base = (line land lv.set_mask) * lv.assoc in
   let tag = line lsr lv.set_shift in
-  lv.clock <- lv.clock + 1;
   let tags = lv.tags in
-  let slot = ref (-1) in
-  let w = ref 0 in
-  while !slot < 0 && !w < lv.assoc do
-    if Array.unsafe_get tags (base + !w) = tag then slot := base + !w;
-    incr w
-  done;
-  if !slot >= 0 then begin
-    Array.unsafe_set lv.stamps !slot lv.clock;
+  if Array.unsafe_get tags base = tag then begin
     lv.hits <- lv.hits + 1;
     true
   end
   else begin
-    lv.misses <- lv.misses + 1;
-    let stamps = lv.stamps in
-    let victim = ref base in
-    for w = 1 to lv.assoc - 1 do
-      if Array.unsafe_get stamps (base + w) < Array.unsafe_get stamps !victim
-      then victim := base + w
+    let last = base + lv.assoc - 1 in
+    (* way 0 has missed; a direct-mapped set has no other *)
+    let w = ref (if base < last then base + 1 else base) in
+    while !w < last && Array.unsafe_get tags !w <> tag do
+      incr w
     done;
-    Array.unsafe_set tags !victim tag;
-    Array.unsafe_set stamps !victim lv.clock;
-    false
+    let hit = Array.unsafe_get tags !w = tag in
+    for i = !w downto base + 1 do
+      Array.unsafe_set tags i (Array.unsafe_get tags (i - 1))
+    done;
+    Array.unsafe_set tags base tag;
+    if hit then lv.hits <- lv.hits + 1 else lv.misses <- lv.misses + 1;
+    hit
   end
 
 let[@inline] hier_access h addr =
@@ -310,23 +321,105 @@ let hier_counters h =
 (* The nest walk                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let simulate_nest h nest =
+(* One iteration of the innermost loop: every access once, in body
+   order, then every address advances by its delta. *)
+let[@inline] iteration h cur dl na =
+  for k = 0 to na - 1 do
+    hier_access h (Array.unsafe_get cur k)
+  done;
+  for k = 0 to na - 1 do
+    Array.unsafe_set cur k (Array.unsafe_get cur k + Array.unsafe_get dl k)
+  done
+
+let advance cur dl na times =
+  for k = 0 to na - 1 do
+    Array.unsafe_set cur k
+      (Array.unsafe_get cur k + (times * Array.unsafe_get dl k))
+  done
+
+(* The iterations from the current one, at most [left], during which no
+   access leaves its line; every delta is below the line size. *)
+let run_length cur dl na line_mask left =
+  let len = ref left in
+  for k = 0 to na - 1 do
+    let d = Array.unsafe_get dl k in
+    if d <> 0 then begin
+      let off = Array.unsafe_get cur k land line_mask in
+      let n = if d > 0 then ((line_mask - off) / d) + 1 else (off / -d) + 1 in
+      if n < !len then len := n
+    end
+  done;
+  !len
+
+(* Simulate one iteration, then account [extra] more that repeat it. *)
+let replay h cur dl na extra =
+  let l1_hits = h.l1.hits and l1_misses = h.l1.misses in
+  let l2_hits = h.l2.hits and l2_misses = h.l2.misses in
+  let cycles = h.cycles in
+  iteration h cur dl na;
+  h.l1.hits <- h.l1.hits + (extra * (h.l1.hits - l1_hits));
+  h.l1.misses <- h.l1.misses + (extra * (h.l1.misses - l1_misses));
+  h.l2.hits <- h.l2.hits + (extra * (h.l2.hits - l2_hits));
+  h.l2.misses <- h.l2.misses + (extra * (h.l2.misses - l2_misses));
+  h.cycles <- h.cycles + (extra * (h.cycles - cycles));
+  advance cur dl na extra
+
+(* A run of [len] iterations that all touch the same lines in the same
+   order.  LRU applied again to the sequence it just saw leaves the state
+   it left, so after the first iteration L1 no longer changes, and every
+   later iteration misses L1 at the same accesses.  If the second misses
+   nowhere in L1, L2 is never touched again: it repeats to the end.
+   Otherwise L2 has seen that miss sequence once, and after the third
+   iteration twice, so it is at its fixed point too and the third repeats
+   to the end.  Cache state is unchanged by the skipped iterations. *)
+let steady_run h cur dl na len =
+  iteration h cur dl na;
+  if len >= 2 then begin
+    let l1_misses = h.l1.misses in
+    iteration h cur dl na;
+    if h.l1.misses = l1_misses then begin
+      let rest = len - 2 in
+      h.l1.hits <- h.l1.hits + (rest * na);
+      h.cycles <- h.cycles + (rest * na * h.cost_l1);
+      advance cur dl na rest
+    end
+    else if len >= 3 then replay h cur dl na (len - 3)
+  end
+
+(* Whether every delta from [k] on is below the line (a plain recursion:
+   [Array.for_all] would allocate two closures per nest). *)
+let rec below_line dl line_mask k =
+  k = Array.length dl
+  || (abs dl.(k) <= line_mask && below_line dl line_mask (k + 1))
+
+(* The walk.  When every innermost delta is below the smaller line size
+   (a fixed L1 line is then a fixed L2 line too), each pass of the
+   innermost loop splits into steady runs; otherwise it is walked access
+   by access.  [sample] fires when the countdown of accesses runs out,
+   checked once per pass. *)
+let simulate_nest h ~sample nest =
   let depth = Array.length nest.counts in
   let na = Array.length nest.addr0 in
   let cur = Array.copy nest.addr0 in
+  let steady = below_line nest.deltas.(depth - 1) h.line_mask 0 in
   let rec go level =
     let c = nest.counts.(level) in
     let dl = nest.deltas.(level) in
     if level = depth - 1 then begin
-      for _ = 1 to c do
-        for k = 0 to na - 1 do
-          hier_access h (Array.unsafe_get cur k)
-        done;
-        for k = 0 to na - 1 do
-          Array.unsafe_set cur k
-            (Array.unsafe_get cur k + Array.unsafe_get dl k)
+      if steady then begin
+        let left = ref c in
+        while !left > 0 do
+          let len = run_length cur dl na h.line_mask !left in
+          steady_run h cur dl na len;
+          left := !left - len
         done
-      done
+      end
+      else
+        for _ = 1 to c do
+          iteration h cur dl na
+        done;
+      h.countdown <- h.countdown - (c * na);
+      if h.countdown <= 0 then sample h
     end
     else
       for _ = 1 to c do
@@ -342,58 +435,15 @@ let simulate_nest h nest =
   in
   go 0
 
-(* Traced variant of [simulate_nest]: the identical walk, plus a
-   per-access countdown that fires [emit] every [sample_every] accesses.
-   Kept as a separate copy so the untraced inner loop carries no hook
-   branch; counter parity with [simulate_nest] is qcheck-enforced in
-   test/test_trace.ml. *)
-let simulate_nest_traced h nest ~countdown ~sample_every ~emit =
-  let depth = Array.length nest.counts in
-  let na = Array.length nest.addr0 in
-  let cur = Array.copy nest.addr0 in
-  let tick () =
-    decr countdown;
-    if !countdown <= 0 then begin
-      countdown := sample_every;
-      emit ()
-    end
-  in
-  let rec go level =
-    let c = nest.counts.(level) in
-    let dl = nest.deltas.(level) in
-    if level = depth - 1 then begin
-      for _ = 1 to c do
-        for k = 0 to na - 1 do
-          hier_access h (Array.unsafe_get cur k);
-          tick ()
-        done;
-        for k = 0 to na - 1 do
-          Array.unsafe_set cur k
-            (Array.unsafe_get cur k + Array.unsafe_get dl k)
-        done
-      done
-    end
-    else
-      for _ = 1 to c do
-        go (level + 1);
-        for k = 0 to na - 1 do
-          cur.(k) <- cur.(k) + dl.(k)
-        done
-      done;
-    for k = 0 to na - 1 do
-      cur.(k) <- cur.(k) - (c * dl.(k))
-    done
-  in
-  go 0
-
 (* Counter sampling period when tracing is enabled (accesses between
    "cache" counter events); the final totals are always emitted. *)
 let trace_sample_every = 8192
 
 let simulate ?(config = Hierarchy.paper_config) t =
   let h = make_hier config in
+  let walk sample = Array.iter (simulate_nest h ~sample) t.nests in
   if not (Trace.enabled ()) then begin
-    Array.iter (fun nest -> simulate_nest h nest) t.nests;
+    walk (fun h -> h.countdown <- max_int);
     hier_counters h
   end
   else
@@ -410,11 +460,9 @@ let simulate ?(config = Hierarchy.paper_config) t =
               ("cycles", float_of_int h.cycles);
             ]
         in
-        let countdown = ref trace_sample_every in
-        Array.iter
-          (fun nest ->
-            simulate_nest_traced h nest ~countdown
-              ~sample_every:trace_sample_every ~emit)
-          t.nests;
+        h.countdown <- trace_sample_every;
+        walk (fun h ->
+            h.countdown <- trace_sample_every;
+            emit ());
         emit ();
         hier_counters h)

@@ -17,8 +17,18 @@
     flat arrays so a simulated access is a handful of shifts, masks and
     array reads.
 
-    The engine is bit-identical in all counters to the interpretive path
-    kept as {!Simulate.run_reference} (qcheck-enforced). *)
+    Each set keeps its ways in recency order, most recently used first,
+    which is exact LRU with invalid ways filled first.  Inside an
+    innermost loop whose byte deltas are all below the smaller line size,
+    a run of iterations in which no access leaves its line is simulated
+    up to its steady iteration (the second, or the third when the second
+    misses in L1) and the rest of the run is extrapolated from it: LRU
+    applied again to the sequence it just saw leaves its state unchanged.
+
+    The engine's counters are bit-identical to {!Cache} and {!Hierarchy}
+    and to the interpretive path kept as {!Simulate.run_reference}
+    (qcheck-enforced); only the way that holds a line may differ, and no
+    counter reads it. *)
 
 type skeleton
 (** The layout-independent part: per-nest trip counts, loop lower bounds

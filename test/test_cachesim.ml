@@ -13,6 +13,8 @@ module Layout = Mlo_layout.Layout
 module Hyperplane = Mlo_layout.Hyperplane
 module Random_program = Mlo_workloads.Random_program
 module Rng = Mlo_csp.Rng
+module Spec = Mlo_workloads.Spec
+module Optimizer = Mlo_core.Optimizer
 
 (* ------------------------------------------------------------------ *)
 (* Cache geometry                                                       *)
@@ -283,13 +285,28 @@ let test_pinned_table3_cycles () =
   Alcotest.(check int) "matmul32 colB cycles" pinned_matmul32_colB_cycles
     (Simulate.cycles col)
 
+(* Each suite program as written, and restructured under its enhanced
+   solution: the restructured loop orders put small deltas innermost
+   (MxM's B walks its rows), so the compiled engine's steady runs carry
+   most of those accesses. *)
 let test_engines_agree_suite () =
   List.iter
     (fun spec ->
-      let prog = spec.Mlo_workloads.Spec.sim_program in
-      check_reports_equal spec.Mlo_workloads.Spec.name
-        (Simulate.run_reference prog ~layouts:(fun _ -> None))
-        (Simulate.run prog ~layouts:(fun _ -> None)))
+      let prog = spec.Spec.sim_program in
+      let sol =
+        Optimizer.optimize ~candidates:spec.Spec.candidates
+          (Optimizer.Enhanced 1) prog
+      in
+      List.iter
+        (fun (what, prog, layouts) ->
+          check_reports_equal
+            (Printf.sprintf "%s %s" spec.Spec.name what)
+            (Simulate.run_reference prog ~layouts)
+            (Simulate.run prog ~layouts))
+        [
+          ("original", prog, fun _ -> None);
+          ("enhanced", sol.Optimizer.restructured, Optimizer.lookup sol);
+        ])
     (Mlo_workloads.Suite.all ())
 
 (* Random-program equivalence: random affine programs (skewed accesses,
@@ -336,6 +353,101 @@ let prop_compiled_equals_reference =
       counters_tuple r.Simulate.counters = counters_tuple c.Simulate.counters
       && r.Simulate.footprint_bytes = c.Simulate.footprint_bytes
       && r.Simulate.trip_count = c.Simulate.trip_count)
+
+(* Programs aimed at the compiled engine's steady runs: every innermost
+   byte delta is below 32, the smallest line of the three configs below
+   (zero included), element sizes and constant offsets mix the
+   alignments, and most arrays span whole multiples of 16 KB, so their
+   bases share L1 and L2 sets.  Several accesses then crowd one L1 set,
+   and the steady iteration keeps missing in L1: both the
+   second-iteration and the third-iteration exits run. *)
+let steady_program seed =
+  let rng = Rng.create seed in
+  let pick lo hi = lo + Rng.int rng (hi - lo + 1) in
+  let depth = pick 1 3 in
+  let vars = List.init depth (Printf.sprintf "i%d") in
+  let x = B.ctx vars in
+  let counts =
+    List.init depth (fun l -> if l = depth - 1 then pick 1 40 else pick 1 4)
+  in
+  let num_arrays = pick 1 4 in
+  let elems =
+    Array.init num_arrays (fun _ -> [| 1; 2; 4; 8; 12 |].(pick 0 4))
+  in
+  let extents = Array.make num_arrays 1 in
+  let access () =
+    let a = pick 0 (num_arrays - 1) in
+    let coefs =
+      List.mapi
+        (fun l _ ->
+          if l = depth - 1 then
+            let m = min 3 (31 / elems.(a)) in
+            pick (-m) m
+          else [| 0; 1; 3; 16; 100; 1024 |].(pick 0 5))
+        vars
+    in
+    (* the offset that keeps the lowest index at zero, plus a few
+       elements, perhaps 32 bytes (the next L1 set, the same L2 set) and
+       up to three 16-KB strides (the same sets) *)
+    let low, high =
+      List.fold_left2
+        (fun (lo, hi) c n ->
+          (lo + min 0 (c * (n - 1)), hi + max 0 (c * (n - 1))))
+        (0, 0) coefs counts
+    in
+    let e = elems.(a) in
+    let off = pick 0 7 + (pick 0 1 * 32 / e) + (pick 0 3 * 16384 / e) - low in
+    extents.(a) <- max extents.(a) (high + off + 1);
+    let index =
+      List.fold_left2
+        (fun acc c v -> B.(acc +: (c *: var x v)))
+        (B.const x off) coefs vars
+    in
+    let name = Printf.sprintf "A%d" a in
+    if Rng.int rng 2 = 0 then B.read name [ index ] else B.write name [ index ]
+  in
+  let nests =
+    List.init (pick 1 2) (fun n ->
+        let na = max (pick 1 6) (pick 1 6) in
+        B.nest (Printf.sprintf "n%d" n) x counts
+          (List.init na (fun _ -> access ())))
+  in
+  let arrays =
+    List.init num_arrays (fun a ->
+        let e = elems.(a) in
+        let bytes = extents.(a) * e in
+        let bytes =
+          if pick 0 7 > 0 then (bytes + 16383) / 16384 * 16384 else bytes
+        in
+        Array_info.make ~elem_size:e (Printf.sprintf "A%d" a)
+          [ (bytes + e - 1) / e ])
+  in
+  Program.make ~name:(Printf.sprintf "steady%d" seed) arrays nests
+
+let direct_mapped_l1 =
+  {
+    Hierarchy.paper_config with
+    l1 = Cache.geometry ~size_bytes:8192 ~assoc:1 ~line_bytes:32;
+  }
+
+let l2_line_below_l1 =
+  {
+    Hierarchy.paper_config with
+    l1 = Cache.geometry ~size_bytes:8192 ~assoc:2 ~line_bytes:64;
+    l2 = Cache.geometry ~size_bytes:65536 ~assoc:4 ~line_bytes:32;
+  }
+
+let prop_steady_runs_equal_reference =
+  QCheck.Test.make ~name:"steady runs = reference engine" ~count:300
+    (QCheck.int_range 0 100_000) (fun seed ->
+      let prog = steady_program seed in
+      let layouts _ = None in
+      List.for_all
+        (fun config ->
+          let r = Simulate.run_reference ~config prog ~layouts in
+          let c = Simulate.run ~config prog ~layouts in
+          report_ints r = report_ints c)
+        [ Hierarchy.paper_config; direct_mapped_l1; l2_line_below_l1 ])
 
 let prop_run_many_matches_run =
   QCheck.Test.make ~name:"run_many = map run (4 domains)" ~count:10
@@ -430,7 +542,11 @@ let props =
 
 let equivalence_props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_compiled_equals_reference; prop_run_many_matches_run ]
+    [
+      prop_compiled_equals_reference;
+      prop_steady_runs_equal_reference;
+      prop_run_many_matches_run;
+    ]
 
 let () =
   Alcotest.run "cachesim"
@@ -464,7 +580,7 @@ let () =
             test_engines_agree_matmul;
           Alcotest.test_case "pinned Table-3 cycles" `Quick
             test_pinned_table3_cycles;
-          Alcotest.test_case "engines agree on the suite" `Quick
+          Alcotest.test_case "engines agree on the suite" `Slow
             test_engines_agree_suite;
           Alcotest.test_case "run_batch mixed programs" `Quick
             test_run_batch_mixed_programs;
