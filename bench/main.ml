@@ -115,9 +115,6 @@ let table3_tests =
            ignore (Simulate.run prog ~layouts:(fun _ -> None))));
     Test.make ~name:"table3/simulate:matmul32-colB"
       (Staged.stage (fun () -> ignore (Simulate.run prog ~layouts:colB)));
-    Test.make ~name:"table3/reference:matmul32-row"
-      (Staged.stage (fun () ->
-           ignore (Simulate.run_reference prog ~layouts:(fun _ -> None))));
     Test.make ~name:"table3/compile:matmul32"
       (Staged.stage (fun () ->
            ignore (Mlo_cachesim.Compiled_trace.compile prog ~layouts:colB)));
@@ -483,18 +480,6 @@ let print_benchmark rows =
     rows;
   Format.printf "@."
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Schema "memlayout-bench/2": per-kernel percentile objects.  /1 was a
    flat name->median map; any consumer keying on "kernels".<name> being a
    number must switch on the "schema" field. *)
@@ -511,7 +496,7 @@ let write_json file rows =
       Printf.fprintf oc
         "    \"%s\": { \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"mad\": \
          %.1f, \"samples\": %d }%s\n"
-        (json_escape name) st.p50 st.p90 st.p99 st.mad st.samples
+        (Mlo_obs.Json.escape name) st.p50 st.p90 st.p99 st.mad st.samples
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  }\n}\n";

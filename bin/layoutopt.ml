@@ -453,7 +453,7 @@ let ablation_cmd =
   in
   Cmd.v
     (Cmd.info "ablation"
-       ~doc:"Compare solver design choices (backjumping flavours, forward              checking, AC-3 preprocessing)")
+       ~doc:"Compare solver design choices (backjumping flavours, forward              checking, AC-2001 preprocessing)")
     Term.(const run $ seed_arg $ max_checks_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -58,44 +58,23 @@ let () =
   let prog = program ~n in
   let build, weighted = Build.weighted prog in
   let net = build.Build.network in
+  (* simulate each solution, restructured, to show the weights are real *)
+  let show sol =
+    let layouts name = Build.lookup build sol name in
+    let restructured = Mlo_netgen.Select.restructure prog layouts in
+    pp_layouts build sol;
+    Format.printf "  runs in %d cycles@."
+      (Simulate.cycles (Simulate.run restructured ~layouts))
+  in
 
   print_endline "Unweighted enhanced-scheme solution (arbitrary among solutions):";
   (match Solver.solve ~config:(Schemes.enhanced ()) net with
-  | { Solver.outcome = Solver.Solution a; _ } -> pp_layouts build a
+  | { Solver.outcome = Solver.Solution a; _ } -> show a
   | _ -> print_endline "  no solution");
 
   print_endline "Weighted branch-and-bound optimum (favors the costly nest):";
   match (Weighted.solve weighted).Weighted.best with
   | Some (a, w) ->
-    pp_layouts build a;
-    Format.printf "  total weight: %.0f@." w;
-    (* simulate every consistent solution to show the weights are real *)
-    let sim sol =
-      let layouts name = Build.lookup build sol name in
-      let restructured = Mlo_netgen.Select.restructure prog layouts in
-      Simulate.cycles (Simulate.run restructured ~layouts)
-    in
-    Format.printf "  optimum runs in %d cycles@." (sim a);
-    let worst =
-      List.fold_left
-        (fun acc sol ->
-          match acc with
-          | None -> Some sol
-          | Some best ->
-            if Weighted.assignment_weight weighted sol
-               < Weighted.assignment_weight weighted best
-            then Some sol
-            else acc)
-        None
-        (Mlo_csp.Brute.all_solutions net)
-    in
-    (match worst with
-    | Some wsol ->
-      Format.printf "  lightest consistent solution (%s) runs in %d cycles@."
-        (String.concat ", "
-           (List.map
-              (fun (n, l) -> n ^ "=" ^ Layout.describe l)
-              (Build.assignment_layouts build wsol)))
-        (sim wsol)
-    | None -> ())
+    show a;
+    Format.printf "  total weight: %.0f@." w
   | None -> print_endline "  no solution"

@@ -1,6 +1,6 @@
 module Network = Mlo_csp.Network
+module Ac2001 = Mlo_csp.Ac2001
 module Schemes = Mlo_csp.Schemes
-module Propagate = Mlo_csp.Propagate
 module Bitset = Mlo_csp.Bitset
 module Trace = Mlo_obs.Trace
 module Json = Mlo_obs.Json
@@ -82,9 +82,9 @@ let induced_width_along net order =
 (* -- arc consistency probes ------------------------------------------ *)
 
 let wipes net =
-  match Propagate.ac2001 net with
-  | Propagate.Wiped i -> Some i
-  | Propagate.Reduced _ -> None
+  match Ac2001.run (Network.compile net) with
+  | Error i -> Some i
+  | Ok _ -> None
 
 (* Rebuild the network keeping only the given constrained pairs. *)
 let with_constraints net pairs =
@@ -151,11 +151,13 @@ let analyze net =
     pass "width" (fun () ->
         (width_along net order, induced_width_along net order))
   in
-  let ac = pass "arc-consistency" (fun () -> Propagate.ac2001 net) in
+  let ac =
+    pass "arc-consistency" (fun () -> Ac2001.run (Network.compile net))
+  in
   let arc_inconsistent, wiped =
     match ac with
-    | Propagate.Wiped i -> ([], Some i)
-    | Propagate.Reduced doms ->
+    | Error i -> ([], Some i)
+    | Ok doms ->
       let removed = ref [] in
       for i = n - 1 downto 0 do
         for v = Network.domain_size net i - 1 downto 0 do

@@ -21,7 +21,8 @@
     - {b unsat core} — when AC-2001 wipes a domain the network is
       unsatisfiable; a deletion-minimal subset of constraints whose
       propagation still wipes pins the blame ({!unsat_core}), surfaced
-      to users through {!Mlo_core.Explain.explain_unsat}. *)
+      to users through {!analyze}'s report and
+      {!Mlo_core.Optimizer.optimize}'s [No_solution] message. *)
 
 type report = {
   vars : int;

@@ -1,11 +1,11 @@
 (* The trace-driven simulator's hot core: every access of a nest is an
    affine address stream, and the walk runs those streams through a
    flattened two-level hierarchy.  Its counters agree exactly with
-   Cache/Hierarchy (and Simulate.run_reference), but the way that holds
-   a line may differ: sets keep recency order, not LRU stamps.  Inside
-   an innermost loop whose deltas all stay below the line size, each run
-   of iterations on fixed lines is simulated up to its steady iteration
-   and extrapolated from there (DESIGN.md Section 9). *)
+   Cache/Hierarchy (and the test oracle Simulate_reference), but the way
+   that holds a line may differ: sets keep recency order, not LRU stamps.
+   Inside an innermost loop whose deltas all stay below the line size,
+   each run of iterations on fixed lines is simulated up to its steady
+   iteration and extrapolated from there (DESIGN.md Section 9). *)
 
 module Program = Mlo_ir.Program
 module Loop_nest = Mlo_ir.Loop_nest

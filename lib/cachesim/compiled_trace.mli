@@ -26,9 +26,9 @@
     applied again to the sequence it just saw leaves its state unchanged.
 
     The engine's counters are bit-identical to {!Cache} and {!Hierarchy}
-    and to the interpretive path kept as {!Simulate.run_reference}
-    (qcheck-enforced); only the way that holds a line may differ, and no
-    counter reads it. *)
+    and to the interpretive engine kept as the test oracle
+    [Mlo_oracle.Simulate_reference] (qcheck-enforced); only the way that
+    holds a line may differ, and no counter reads it. *)
 
 type skeleton
 (** The layout-independent part: per-nest trip counts, loop lower bounds

@@ -1,6 +1,3 @@
-module Program = Mlo_ir.Program
-module Loop_nest = Mlo_ir.Loop_nest
-module Access = Mlo_ir.Access
 module Trace = Mlo_obs.Trace
 
 type report = {
@@ -8,35 +5,6 @@ type report = {
   footprint_bytes : int;
   trip_count : int;
 }
-
-(* The interpretive engine, kept verbatim as the oracle the compiled
-   engine is tested against: per access it evaluates the affine index
-   expressions, looks the array up by name and applies the layout
-   transform's matrix arithmetic. *)
-let run_reference ?(config = Hierarchy.paper_config) prog ~layouts =
-  Trace.with_span ~cat:"cachesim" "simulate-reference" @@ fun () ->
-  let amap = Address_map.build prog ~layouts in
-  let hier = Hierarchy.create config in
-  let trips = ref 0 in
-  Array.iter
-    (fun nest ->
-      let accesses = Loop_nest.accesses nest in
-      (* precompute per-access array names to avoid re-allocating *)
-      let names = Array.map Access.array_name accesses in
-      Loop_nest.iter nest (fun iter ->
-          incr trips;
-          Array.iteri
-            (fun k a ->
-              let element = Access.element_at a iter in
-              let addr = Address_map.address amap names.(k) element in
-              ignore (Hierarchy.access hier addr))
-            accesses))
-    (Program.nests prog);
-  {
-    counters = Hierarchy.counters hier;
-    footprint_bytes = Address_map.footprint_bytes amap;
-    trip_count = !trips;
-  }
 
 let report_of_compiled ?config ct =
   {

@@ -6,11 +6,12 @@
     paper's SimpleScalar runs: it reproduces the memory behaviour that
     Table 3's execution times measure.
 
-    Two engines produce identical counters: {!run} drives the compiled
-    address streams of {!Compiled_trace} (allocation-free inner loop),
-    {!run_reference} keeps the interpretive per-access evaluation as the
-    oracle.  {!run_many} amortizes trace compilation across layout
-    assignments and fans the simulations out over OCaml 5 domains. *)
+    {!run} drives the compiled address streams of {!Compiled_trace}
+    (allocation-free inner loop); the interpretive per-access engine it
+    must match counter for counter is kept as a test oracle in the
+    test-only library [mlo_oracle] ([Simulate_reference]).  {!run_many}
+    amortizes trace compilation across layout assignments and fans the
+    simulations out over OCaml 5 domains. *)
 
 type report = {
   counters : Hierarchy.counters;
@@ -26,15 +27,6 @@ val run :
 (** Simulates the program as written (no loop restructuring is applied
     here; restructure first with {!Mlo_netgen.Select} if desired) on a
     cold hierarchy.  [config] defaults to {!Hierarchy.paper_config}. *)
-
-val run_reference :
-  ?config:Hierarchy.config ->
-  Mlo_ir.Program.t ->
-  layouts:(string -> Mlo_layout.Layout.t option) ->
-  report
-(** The pre-compilation engine: same semantics and counters as {!run},
-    evaluated interpretively (affine eval + name lookup + transform
-    arithmetic per access).  Kept as the equivalence oracle. *)
 
 val run_many :
   ?config:Hierarchy.config ->

@@ -116,32 +116,3 @@ let pp ppf t =
     t.nests;
   Format.fprintf ppf "@,%.1f%% of reference executions served@]"
     (100. *. t.served_fraction)
-
-type unsat = {
-  wiped : string;
-  core : (string * string) list;
-  core_verified : bool;
-}
-
-let explain_unsat net =
-  match Mlo_analysis.Netcheck.unsat_core net with
-  | None -> None
-  | Some (core, wiped) ->
-    let name = Mlo_csp.Network.name net in
-    Some
-      {
-        wiped = name wiped;
-        core = List.map (fun (i, j) -> (name i, name j)) core;
-        core_verified = Mlo_verify.Checker.refutes ~only:core net;
-      }
-
-let pp_unsat ppf u =
-  Format.fprintf ppf
-    "@[<v>no arc-consistent value for %s; minimal unsat core (%d \
-     constraints, %s):@,"
-    u.wiped (List.length u.core)
-    (if u.core_verified then "independently verified"
-     else "VERIFICATION FAILED")
-  ;
-  List.iter (fun (a, b) -> Format.fprintf ppf "  %s-%s@," a b) u.core;
-  Format.fprintf ppf "@]"

@@ -39,27 +39,3 @@ val explain : Mlo_ir.Program.t -> Optimizer.solution -> t
     solution's restructured one. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** {1 Unsatisfiable networks}
-
-    When the constraint network has no solution, the useful report is
-    {e why}: the smallest set of constraints that already admits no
-    choice.  {!explain_unsat} surfaces the analyzer's minimal unsat
-    core ({!Mlo_analysis.Netcheck.unsat_core}) with variables decoded
-    to array names. *)
-
-type unsat = {
-  wiped : string;  (** variable whose domain arc consistency empties *)
-  core : (string * string) list;
-      (** deletion-minimal constraints that still force the wipe-out *)
-  core_verified : bool;
-      (** the core re-checked by the independent certificate checker
-          ({!Mlo_verify.Checker.refutes}): its own propagation over
-          exactly these constraints reproduces the wipe-out *)
-}
-
-val explain_unsat : 'a Mlo_csp.Network.t -> unsat option
-(** [None] when arc consistency cannot prove the network unsatisfiable
-    (the domains survive AC-2001). *)
-
-val pp_unsat : Format.formatter -> unsat -> unit

@@ -18,7 +18,6 @@ type scheme =
   | Base of int
   | Enhanced of int
   | Enhanced_ac of int
-  | Custom of Solver.config
   | Cdl of Mlo_csp.Cdl.config
   | Bnb of Mlo_csp.Bnb.config
 
@@ -41,7 +40,6 @@ let scheme_label = function
   | Base _ -> "base"
   | Enhanced _ -> "enhanced"
   | Enhanced_ac _ -> "enhanced-ac"
-  | Custom _ -> "custom"
   | Cdl _ -> "cdl"
   | Bnb _ -> "bnb"
 
@@ -105,7 +103,6 @@ let search ?max_checks ~domains ~objective ?on_event scheme prog ~net0 ~orig
   | Base seed -> solver (Schemes.base ~seed ?max_checks ())
   | Enhanced seed -> solver (Schemes.enhanced ~seed ?max_checks ())
   | Enhanced_ac seed -> solver (Schemes.enhanced_with_ac ~seed ?max_checks ())
-  | Custom config -> solver config
   | Cdl cfg ->
     let cfg =
       match max_checks with
@@ -138,9 +135,9 @@ let search ?max_checks ~domains ~objective ?on_event scheme prog ~net0 ~orig
    in original value indices.  A wipe needs no step: the checker's own
    fixpoint derives it from the network. *)
 let ac_deletions ~orig net =
-  match Mlo_csp.Propagate.ac2001 net with
-  | Mlo_csp.Propagate.Wiped _ -> []
-  | Mlo_csp.Propagate.Reduced doms ->
+  match Mlo_csp.Ac2001.run (Network.compile net) with
+  | Error _ -> []
+  | Ok doms ->
     let dels = ref [] in
     for i = Array.length doms - 1 downto 0 do
       for v = Network.domain_size net i - 1 downto 0 do
@@ -182,7 +179,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
       objective_value = None;
       elapsed_s = Mlo_csp.Clock.wall_s () -. t0;
     }
-  | Base _ | Enhanced _ | Enhanced_ac _ | Custom _ | Cdl _ | Bnb _ ->
+  | Base _ | Enhanced _ | Enhanced_ac _ | Cdl _ | Bnb _ ->
     let build0 =
       Trace.with_span ~cat:"optimizer" "build-network" (fun () ->
           Build.build ?candidates prog)
@@ -273,10 +270,6 @@ let simulate ?config sol =
 
 let simulate_original ?config prog =
   Simulate.run ?config prog ~layouts:(fun _ -> None)
-
-let simulate_many ?config ?domains sols =
-  Simulate.run_batch ?config ?domains
-    (List.map (fun sol -> (sol.restructured, lookup sol)) sols)
 
 let simulate_versions ?config ?domains prog sols =
   match

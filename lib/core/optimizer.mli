@@ -13,7 +13,6 @@ type scheme =
   | Enhanced of int  (** the paper's enhanced scheme with the given seed *)
   | Enhanced_ac of int
       (** enhanced scheme with AC-2001 arc-consistency preprocessing *)
-  | Custom of Mlo_csp.Solver.config
   | Cdl of Mlo_csp.Cdl.config
       (** conflict-driven search with nogood learning, VSIDS ordering and
           Luby restarts ({!Mlo_csp.Cdl}) *)
@@ -53,8 +52,7 @@ exception No_solution of string
 
 val scheme_label : scheme -> string
 (** Short stable name ("heuristic", "base", "enhanced", "enhanced-ac",
-    "custom", "cdl", "bnb") — used for trace span arguments
-    and CLI messages. *)
+    "cdl", "bnb") — used for trace span arguments and CLI messages. *)
 
 val objective_label : objective -> string
 (** "misses" or "lines" — the CLI's [--objective] vocabulary. *)
@@ -141,15 +139,6 @@ val simulate_original :
   Mlo_ir.Program.t ->
   Mlo_cachesim.Simulate.report
 (** The unoptimized baseline: original loop orders, row-major layouts. *)
-
-val simulate_many :
-  ?config:Mlo_cachesim.Hierarchy.config ->
-  ?domains:int ->
-  solution list ->
-  Mlo_cachesim.Simulate.report list
-(** Simulate several solutions (possibly of different programs) on the
-    domain pool of {!Mlo_cachesim.Simulate.run_batch}; reports in input
-    order. *)
 
 val simulate_versions :
   ?config:Mlo_cachesim.Hierarchy.config ->

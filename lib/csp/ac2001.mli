@@ -1,11 +1,12 @@
 (** Arc consistency with last-support memoization (AC-2001/3.1), running
     on the compiled network view.
 
-    Used by {!Solver} for optional preprocessing and wrapped by
-    {!Propagate.ac2001}.  Computes the same (unique) arc-consistency
-    closure as {!Propagate.ac3}, but each revision re-checks one
-    remembered support bit instead of re-scanning the neighbour domain,
-    and replacement supports are found by word-parallel row scans. *)
+    Used by {!Solver} for optional preprocessing and by the analyzer and
+    the certificate writer.  Computes the same (unique) arc-consistency
+    closure as AC-3 (the test oracle [Mlo_oracle.Ac3]), but each revision
+    re-checks one remembered support bit instead of re-scanning the
+    neighbour domain, and replacement supports are found by word-parallel
+    row scans. *)
 
 val run : Compiled.t -> (Bitset.t array, int) result
 (** [run comp] is [Ok domains] (arc-consistent, all non-empty) or

@@ -21,9 +21,6 @@ let create ~left ~right =
     memo_transpose = None;
   }
 
-let left_size t = t.left
-let right_size t = t.right
-
 let bit_index t l r = (l * t.right) + r
 
 let mem t l r =
@@ -52,9 +49,6 @@ let right_support t r = t.rsup.(r)
 
 let supports_of_left t l =
   List.filter (fun r -> mem t l r) (List.init t.right Fun.id)
-
-let supports_of_right t r =
-  List.filter (fun l -> mem t l r) (List.init t.left Fun.id)
 
 let fold f t init =
   let acc = ref init in

@@ -10,9 +10,6 @@ type t
 val create : left:int -> right:int -> t
 (** Empty relation (no pair allowed) over the given domain sizes. *)
 
-val left_size : t -> int
-val right_size : t -> int
-
 val add : t -> int -> int -> unit
 (** [add t l r] permits the pair; idempotent.  Raises [Invalid_argument]
     out of range. *)
@@ -28,8 +25,6 @@ val right_support : t -> int -> int
 
 val supports_of_left : t -> int -> int list
 (** Right values compatible with the given left value, ascending. *)
-
-val supports_of_right : t -> int -> int list
 
 val transpose : t -> t
 (** The same relation viewed from the other side.  The result is a cached

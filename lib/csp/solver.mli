@@ -25,12 +25,12 @@
 
     {!solve} runs on the {e compiled} network view ({!Network.compile}):
     consistency checks are O(1) dense-table probes and forward checking
-    prunes whole neighbour domains word-parallel.  {!solve_reference} is
-    the original hashtable-probing engine, kept as the executable
-    specification: both produce identical outcomes and identical
-    node/backtrack/backjump counts for every configuration (property
-    tested); under forward checking they count [checks] differently (see
-    {!Stats}). *)
+    prunes whole neighbour domains word-parallel.  The original
+    hashtable-probing engine is kept as the executable specification in
+    the test-only library [mlo_oracle] ([Solver_reference]): both produce
+    identical outcomes and identical node/backtrack/backjump counts for
+    every configuration (property tested); under forward checking they
+    count [checks] differently (see {!Stats}). *)
 
 type var_policy =
   | Lexicographic_var  (** lowest-numbered uninstantiated variable *)
@@ -171,9 +171,3 @@ val solve_values : ?config:config -> 'a Network.t -> ('a array * result) option
 (** Convenience: like {!solve} but materializes the domain values of the
     solution; [None] when unsatisfiable or aborted. *)
 
-val solve_reference : ?config:config -> 'a Network.t -> result
-(** The original (pre-compilation) engine, kept as the executable
-    specification for equivalence testing: same outcomes and same
-    node/backtrack/backjump counts as {!solve} for every configuration.
-    Slower; counts one check per value probe under forward checking;
-    ignores [config.preprocess]. *)

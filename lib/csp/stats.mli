@@ -9,8 +9,8 @@
     before; under forward checking one row lookup prunes a whole
     neighbour domain word-parallel, so [checks] counts row fetches rather
     than the per-value probes the byte-at-a-time implementation
-    performed ({!Solver.solve_reference} retains the historical
-    accounting). *)
+    performed (the test oracle [Mlo_oracle.Solver_reference] retains the
+    historical accounting). *)
 
 type t = {
   mutable nodes : int;  (** variable instantiations attempted *)
@@ -35,9 +35,9 @@ type t = {
   mutable cpu_s : float;  (** process CPU seconds ({!Clock.cpu_s}) *)
   mutable nodes_by_depth : int array;
       (** instantiation attempts per search level ([[||]] until
-          {!ensure_hists}; filled by the compiled engine only —
-          {!Solver.solve_reference} predates the histograms and is kept
-          as the unmodified oracle) *)
+          {!ensure_hists}; filled by the compiled engine only — the
+          reference engine [Mlo_oracle.Solver_reference] predates the
+          histograms and is kept as the unmodified oracle) *)
   mutable nodes_by_var : int array;
       (** instantiation attempts per variable index (same caveats) *)
   mutable cut : bool;

@@ -121,13 +121,3 @@ let solve ?max_nodes t =
   in
   go 0;
   { best = !best; nodes = !nodes }
-
-let brute_optimum t =
-  let sols = Brute.all_solutions t.net in
-  List.fold_left
-    (fun acc a ->
-      let w = assignment_weight t a in
-      match acc with
-      | Some (_, bw) when bw >= w -> acc
-      | Some _ | None -> Some (a, w))
-    None sols

@@ -43,6 +43,3 @@ val solve : ?max_nodes:int -> 'a t -> result
 (** Exact branch-and-bound maximization.  [max_nodes] bounds the search
     (the incumbent found so far is still returned, flagged by [nodes]
     reaching the limit). *)
-
-val brute_optimum : 'a t -> (int array * float) option
-(** Exhaustive reference optimum (exponential; tests only). *)

@@ -88,7 +88,7 @@ type ablation_row = {
   ab_name : string;  (** benchmark *)
   per_scheme : (string * effort) list;
       (** work/time for: base, the three single improvements, enhanced,
-          enhanced+CBJ, enhanced+FC, AC-3-preprocessed enhanced, and
+          enhanced+CBJ, enhanced+FC, AC-2001-preprocessed enhanced, and
           min-conflicts local search (work = reassignment steps; capped
           means it got stuck) *)
 }

@@ -76,7 +76,6 @@ let make layout ~extents =
   }
 
 let matrix t = Intmat.copy t.matrix
-let map_point t d = Intmat.mul_vec t.matrix d
 let linear_map t = (Array.copy t.lin, t.lin_const)
 
 let cell_index t d =

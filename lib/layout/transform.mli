@@ -22,9 +22,6 @@ val make : Layout.t -> extents:int array -> t
 val matrix : t -> Mlo_linalg.Intmat.t
 (** The completed nonsingular transform (top rows = layout hyperplanes). *)
 
-val map_point : t -> Mlo_linalg.Intvec.t -> Mlo_linalg.Intvec.t
-(** Transformed coordinates [T d] of an element. *)
-
 val linear_map : t -> int array * int
 (** [linear_map t] is [(lin, c)] such that [cell_index t d = c + sum_j
     lin.(j) * d.(j)] for every index vector [d]: the transform's whole

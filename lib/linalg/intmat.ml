@@ -24,7 +24,6 @@ let of_rows vs =
 let of_lists ls = of_rows (List.map Intvec.of_list ls)
 let row m i = Array.copy m.(i)
 let col m j = Array.init (rows m) (fun i -> m.(i).(j))
-let to_rows m = Array.to_list (Array.map Array.copy m)
 let copy m = Array.map Array.copy m
 
 let equal a b =

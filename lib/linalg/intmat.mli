@@ -31,7 +31,6 @@ val row : t -> int -> Intvec.t
 val col : t -> int -> Intvec.t
 (** [col m j] is a copy of column [j]. *)
 
-val to_rows : t -> Intvec.t list
 val copy : t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int

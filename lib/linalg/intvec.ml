@@ -81,8 +81,6 @@ let canonical v =
   | None -> p
   | Some i -> if p.(i) < 0 then neg p else p
 
-let infinity_norm v = Array.fold_left (fun m x -> max m (abs x)) 0 v
-
 let pp ppf v =
   Format.fprintf ppf "(";
   Array.iteri

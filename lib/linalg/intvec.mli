@@ -77,9 +77,6 @@ val canonical : t -> t
 val first_nonzero : t -> int option
 (** Index of the first nonzero component, if any. *)
 
-val infinity_norm : t -> int
-(** Maximum absolute component value (0 for the empty vector). *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as ["(a b c)"], matching the paper's notation. *)
 

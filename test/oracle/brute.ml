@@ -1,3 +1,6 @@
+module Network = Mlo_csp.Network
+module Weighted = Mlo_csp.Weighted
+
 exception Done
 
 let enumerate ?limit net f =
@@ -39,3 +42,13 @@ let first_solution net =
   match all_solutions ~limit:1 net with [] -> None | a :: _ -> Some a
 
 let is_satisfiable net = count_solutions ~limit:1 net > 0
+
+let weighted_optimum w =
+  List.fold_left
+    (fun acc a ->
+      let x = Weighted.assignment_weight w a in
+      match acc with
+      | Some (_, bx) when bx >= x -> acc
+      | Some _ | None -> Some (a, x))
+    None
+    (all_solutions (Weighted.network w))

@@ -14,7 +14,7 @@ module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
 module Bnb = Mlo_csp.Bnb
 module Cdl = Mlo_csp.Cdl
-module Brute = Mlo_csp.Brute
+module Brute = Mlo_oracle.Brute
 module Rng = Mlo_csp.Rng
 module Stats = Mlo_csp.Stats
 module Schemes = Mlo_csp.Schemes

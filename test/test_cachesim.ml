@@ -6,6 +6,7 @@ module Hierarchy = Mlo_cachesim.Hierarchy
 module Address_map = Mlo_cachesim.Address_map
 module Compiled_trace = Mlo_cachesim.Compiled_trace
 module Simulate = Mlo_cachesim.Simulate
+module Simulate_reference = Mlo_oracle.Simulate_reference
 module B = Mlo_ir.Builder
 module Program = Mlo_ir.Program
 module Array_info = Mlo_ir.Array_info
@@ -266,7 +267,7 @@ let test_engines_agree_matmul () =
   List.iter
     (fun (what, layouts) ->
       check_reports_equal what
-        (Simulate.run_reference prog ~layouts)
+        (Simulate_reference.run prog ~layouts)
         (Simulate.run prog ~layouts))
     [ ("row", fun _ -> None); ("colB", colB_layouts) ]
 
@@ -301,7 +302,7 @@ let test_engines_agree_suite () =
         (fun (what, prog, layouts) ->
           check_reports_equal
             (Printf.sprintf "%s %s" spec.Spec.name what)
-            (Simulate.run_reference prog ~layouts)
+            (Simulate_reference.run prog ~layouts)
             (Simulate.run prog ~layouts))
         [
           ("original", prog, fun _ -> None);
@@ -348,7 +349,7 @@ let prop_compiled_equals_reference =
       let layouts =
         random_layout_assignment (seed + 1) (Program.array_names prog)
       in
-      let r = Simulate.run_reference prog ~layouts in
+      let r = Simulate_reference.run prog ~layouts in
       let c = Simulate.run prog ~layouts in
       counters_tuple r.Simulate.counters = counters_tuple c.Simulate.counters
       && r.Simulate.footprint_bytes = c.Simulate.footprint_bytes
@@ -444,7 +445,7 @@ let prop_steady_runs_equal_reference =
       let layouts _ = None in
       List.for_all
         (fun config ->
-          let r = Simulate.run_reference ~config prog ~layouts in
+          let r = Simulate_reference.run ~config prog ~layouts in
           let c = Simulate.run ~config prog ~layouts in
           report_ints r = report_ints c)
         [ Hierarchy.paper_config; direct_mapped_l1; l2_line_below_l1 ])

@@ -12,7 +12,7 @@ module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
 module Cdl = Mlo_csp.Cdl
 module Nogood = Mlo_csp.Nogood
-module Brute = Mlo_csp.Brute
+module Brute = Mlo_oracle.Brute
 module Rng = Mlo_csp.Rng
 module Stats = Mlo_csp.Stats
 

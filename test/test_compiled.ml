@@ -2,7 +2,7 @@
 
    The compiled engine (Solver.solve on Network.compile) must be
    decision-for-decision identical to the reference engine
-   (Solver.solve_reference): same outcomes, same assignments, same
+   (Solver_reference.solve): same outcomes, same assignments, same
    node/backtrack/backjump counts for every configuration.  AC-2001 must
    reach the same (unique) fixpoint as AC-3. *)
 
@@ -10,8 +10,10 @@ module Network = Mlo_csp.Network
 module Compiled = Mlo_csp.Compiled
 module Solver = Mlo_csp.Solver
 module Schemes = Mlo_csp.Schemes
-module Brute = Mlo_csp.Brute
-module Propagate = Mlo_csp.Propagate
+module Brute = Mlo_oracle.Brute
+module Solver_reference = Mlo_oracle.Solver_reference
+module Ac3 = Mlo_oracle.Ac3
+module Ac2001 = Mlo_csp.Ac2001
 module Bitset = Mlo_csp.Bitset
 module Rng = Mlo_csp.Rng
 module Stats = Mlo_csp.Stats
@@ -42,7 +44,7 @@ let random_network seed =
   net
 
 (* Every search configuration exercised for equivalence.  Preprocessing
-   configs are excluded here (solve_reference ignores them) and covered
+   configs are excluded here (the reference ignores them) and covered
    by their own soundness property below. *)
 let equivalence_configs ~seed =
   [
@@ -137,7 +139,7 @@ let prop_engines_agree config_name config =
     ~count:150 QCheck.small_nat (fun seed ->
       let net = random_network seed in
       let c = Solver.solve ~config net in
-      let r = Solver.solve_reference ~config net in
+      let r = Solver_reference.solve ~config net in
       let same_outcome =
         match (c.Solver.outcome, r.Solver.outcome) with
         | Solver.Solution a, Solver.Solution b -> a = b
@@ -198,14 +200,12 @@ let prop_ac2001_matches_ac3 =
   QCheck.Test.make ~name:"AC-2001 reaches the AC-3 fixpoint" ~count:200
     QCheck.small_nat (fun seed ->
       let net = random_network seed in
-      match (Propagate.ac3 net, Propagate.ac2001 net) with
-      | Propagate.Wiped _, Propagate.Wiped _ -> true
-      | Propagate.Reduced d3, Propagate.Reduced d1 ->
+      match (Ac3.run net, Ac2001.run (Network.compile net)) with
+      | Error _, Error _ -> true
+      | Ok d3, Ok d1 ->
         Array.length d3 = Array.length d1
         && Array.for_all2 Bitset.equal d3 d1
-      | Propagate.Wiped _, Propagate.Reduced _
-      | Propagate.Reduced _, Propagate.Wiped _ ->
-        false)
+      | Error _, Ok _ | Ok _, Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset row operations                                               *)

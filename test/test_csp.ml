@@ -5,8 +5,8 @@
 module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
 module Schemes = Mlo_csp.Schemes
-module Brute = Mlo_csp.Brute
-module Propagate = Mlo_csp.Propagate
+module Brute = Mlo_oracle.Brute
+module Ac3 = Mlo_oracle.Ac3
 module Weighted = Mlo_csp.Weighted
 module Bitset = Mlo_csp.Bitset
 module Relation = Mlo_csp.Relation
@@ -390,9 +390,9 @@ let solver_props =
 
 let test_ac3_paper_network () =
   let net = paper_network () in
-  match Propagate.ac3 net with
-  | Propagate.Wiped _ -> Alcotest.fail "paper network is satisfiable"
-  | Propagate.Reduced domains ->
+  match Ac3.run net with
+  | Error _ -> Alcotest.fail "paper network is satisfiable"
+  | Ok domains ->
     (* the unique solution means AC-3 prunes every domain to a singleton *)
     Array.iteri
       (fun i d ->
@@ -404,27 +404,32 @@ let test_ac3_paper_network () =
     Alcotest.(check (list int)) "Q2 keeps (1 1)" [ 1 ] (Bitset.to_list domains.(1))
 
 let test_ac3_detects_wipeout () =
-  match Propagate.ac3 (unsat_network ()) with
-  | Propagate.Wiped _ -> ()
-  | Propagate.Reduced _ -> Alcotest.fail "expected wipeout"
+  match Ac3.run (unsat_network ()) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "expected wipeout"
 
 let prop_ac3_preserves_solutions =
   QCheck.Test.make ~name:"AC-3 preserves satisfiability" ~count:150
     QCheck.small_nat (fun seed ->
       let net = random_network seed in
       let before = Brute.is_satisfiable net in
-      match Propagate.ac3 net with
-      | Propagate.Wiped _ -> not before
-      | Propagate.Reduced domains ->
-        let reduced = Propagate.restrict net domains in
+      match Ac3.run net with
+      | Error _ -> not before
+      | Ok domains ->
+        let reduced =
+          Network.restrict_domains net
+            (Array.map
+               (fun d -> Array.init (Bitset.capacity d) (Bitset.mem d))
+               domains)
+        in
         Brute.is_satisfiable reduced = before)
 
 let prop_ac3_never_empty =
   QCheck.Test.make ~name:"AC-3 Reduced domains are non-empty" ~count:150
     QCheck.small_nat (fun seed ->
-      match Propagate.ac3 (random_network seed) with
-      | Propagate.Wiped _ -> true
-      | Propagate.Reduced domains ->
+      match Ac3.run (random_network seed) with
+      | Error _ -> true
+      | Ok domains ->
         Array.for_all (fun d -> not (Bitset.is_empty d)) domains)
 
 (* ------------------------------------------------------------------ *)
@@ -488,7 +493,7 @@ let prop_weighted_matches_brute =
             done
           done)
         (Network.constraint_pairs net);
-      match (Weighted.solve w).Weighted.best, Weighted.brute_optimum w with
+      match (Weighted.solve w).Weighted.best, Brute.weighted_optimum w with
       | None, None -> true
       | Some (a, wa), Some (_, wb) ->
         abs_float (wa -. wb) < 1e-9

@@ -5,7 +5,7 @@
 module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
 module Weighted = Mlo_csp.Weighted
-module Propagate = Mlo_csp.Propagate
+module Ac3 = Mlo_oracle.Ac3
 module Bitset = Mlo_csp.Bitset
 module Stats = Mlo_csp.Stats
 module Rng = Mlo_csp.Rng
@@ -145,14 +145,14 @@ let test_revise_direct () =
   Network.add_allowed net 0 1 [ (0, 0); (1, 1) ];
   let domains = [| Bitset.create_full 3; Bitset.create_full 2 |] in
   Alcotest.(check bool) "revise removes value 2 of a" true
-    (Propagate.revise net domains 0 1);
+    (Ac3.revise net domains 0 1);
   Alcotest.(check (list int)) "a reduced" [ 0; 1 ] (Bitset.to_list domains.(0));
   Alcotest.(check bool) "second revise is a no-op" false
-    (Propagate.revise net domains 0 1);
+    (Ac3.revise net domains 0 1);
   (* unconstrained pair: no-op *)
   let net2 = Network.create ~names:[| "a"; "b" |] ~domains:[| [| 0 |]; [| 0 |] |] in
   let d2 = [| Bitset.create_full 1; Bitset.create_full 1 |] in
-  Alcotest.(check bool) "unconstrained no-op" false (Propagate.revise net2 d2 0 1)
+  Alcotest.(check bool) "unconstrained no-op" false (Ac3.revise net2 d2 0 1)
 
 (* ------------------------------------------------------------------ *)
 (* Misc invariants                                                      *)

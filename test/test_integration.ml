@@ -13,6 +13,10 @@ module Hierarchy = Mlo_cachesim.Hierarchy
 module Suite = Mlo_workloads.Suite
 module Spec = Mlo_workloads.Spec
 module Kernels = Mlo_workloads.Kernels
+module Build = Mlo_netgen.Build
+module Select = Mlo_netgen.Select
+module Weighted = Mlo_csp.Weighted
+module Brute = Mlo_oracle.Brute
 
 
 (* ------------------------------------------------------------------ *)
@@ -46,17 +50,62 @@ let test_optimizer_schemes_agree_on_satisfiability () =
       Alcotest.(check int) "assigned" 5 (List.length sol.Optimizer.layouts))
     [ Optimizer.Heuristic; Optimizer.Base 1; Optimizer.Enhanced 1 ]
 
-let test_optimizer_custom_config () =
-  let prog = matmul_chain ~n:16 in
-  let config =
-    {
-      Mlo_csp.Solver.default_config with
-      Mlo_csp.Solver.lookahead = Mlo_csp.Solver.Forward_checking;
-      backward = Mlo_csp.Solver.Conflict_directed;
-    }
+(* examples/weighted_layout.ml's program: a (1 -1) dependence pins both
+   nests' loop orders, the cheap nest wants row-major and the 16x
+   costlier one column-major.  The static cost table nearly ties the two
+   agreements (X costs the same under either), so bnb and enhanced pick
+   row-major; Weighted, which counts each nest's cost, is the engine
+   that picks the faster solution. *)
+let weighted_demo ~n =
+  let pinned name ~bound ~transposed =
+    let x = B.ctx [ "i"; "j" ] in
+    let i = B.var x "i" and j = B.var x "j" in
+    let one = B.const x 1 in
+    let flip a b = if transposed then [ b; a ] else [ a; b ] in
+    B.nest name x [ bound; bound ]
+      B.[
+        read "X" (flip i j);
+        read "Y" (flip (i +: one) j);
+        write "Y" (flip i (j +: one));
+      ]
   in
-  let sol = Optimizer.optimize (Optimizer.Custom config) prog in
-  Alcotest.(check int) "assigned" 5 (List.length sol.Optimizer.layouts)
+  Program.make ~name:"weighted-demo"
+    [
+      Array_info.make "X" [ n + 1; n + 1 ];
+      Array_info.make "Y" [ n + 1; n + 1 ];
+    ]
+    [
+      pinned "cheap_rowwise" ~bound:(n / 4) ~transposed:false;
+      pinned "costly_colwise" ~bound:n ~transposed:true;
+    ]
+
+let test_weighted_picks_fastest () =
+  let prog = weighted_demo ~n:96 in
+  let build, weighted = Build.weighted prog in
+  let cycles sol =
+    let layouts = Build.lookup build sol in
+    Simulate.cycles (Simulate.run (Select.restructure prog layouts) ~layouts)
+  in
+  match (Weighted.solve weighted).Weighted.best with
+  | None -> Alcotest.fail "the demo network is satisfiable"
+  | Some (best, _) ->
+    Alcotest.(check (list (pair string string)))
+      "X = Y = column-major"
+      [ ("X", "column-major"); ("Y", "column-major") ]
+      (List.map
+         (fun (name, l) -> (name, Layout.describe l))
+         (Build.assignment_layouts build best));
+    let sols = Brute.all_solutions build.Build.network in
+    Alcotest.(check bool) "several consistent solutions" true
+      (List.length sols > 1);
+    let c = cycles best in
+    List.iter
+      (fun sol ->
+        let other = cycles sol in
+        Alcotest.(check bool)
+          (Printf.sprintf "optimum's %d cycles <= %d" c other)
+          true (c <= other))
+      sols
 
 let test_optimizer_raises_on_budget () =
   let spec = Suite.by_name "med-im04" in
@@ -250,7 +299,8 @@ let () =
             test_optimizer_enhanced_improves_matmul;
           Alcotest.test_case "all schemes solve" `Quick
             test_optimizer_schemes_agree_on_satisfiability;
-          Alcotest.test_case "custom config" `Quick test_optimizer_custom_config;
+          Alcotest.test_case "weighted picks the fastest solution" `Quick
+            test_weighted_picks_fastest;
           Alcotest.test_case "budget exhaustion raises" `Quick
             test_optimizer_raises_on_budget;
         ] );

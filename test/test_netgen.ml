@@ -8,7 +8,7 @@ module Loop_nest = Mlo_ir.Loop_nest
 module Layout = Mlo_layout.Layout
 module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
-module Brute = Mlo_csp.Brute
+module Brute = Mlo_oracle.Brute
 module Weighted = Mlo_csp.Weighted
 module Variants = Mlo_netgen.Variants
 module Build = Mlo_netgen.Build

@@ -10,7 +10,7 @@
 module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
 module Schemes = Mlo_csp.Schemes
-module Brute = Mlo_csp.Brute
+module Brute = Mlo_oracle.Brute
 module Rng = Mlo_csp.Rng
 
 (* Same generator family as test_compiled: small random networks of 2-6

@@ -4,7 +4,8 @@
 module Stats = Mlo_csp.Stats
 module Clock = Mlo_csp.Clock
 module Network = Mlo_csp.Network
-module Propagate = Mlo_csp.Propagate
+module Ac2001 = Mlo_csp.Ac2001
+module Ac3 = Mlo_oracle.Ac3
 module Bitset = Mlo_csp.Bitset
 module Rng = Mlo_csp.Rng
 module Json = Mlo_obs.Json
@@ -169,15 +170,20 @@ let prop_ac_idempotent name ac =
     ~count:300 QCheck.small_nat (fun seed ->
       let net = random_network seed in
       match ac net with
-      | Propagate.Wiped _ -> true
-      | Propagate.Reduced doms ->
-        let net' = Propagate.restrict net doms in
+      | Error _ -> true
+      | Ok doms ->
+        let net' =
+          Network.restrict_domains net
+            (Array.map
+               (fun d -> Array.init (Bitset.capacity d) (Bitset.mem d))
+               doms)
+        in
         (match ac net' with
-        | Propagate.Wiped v ->
+        | Error v ->
           QCheck.Test.fail_reportf
             "second pass wiped variable %d of an already-consistent network"
             v
-        | Propagate.Reduced doms' ->
+        | Ok doms' ->
           List.for_all
             (fun i ->
               Bitset.count doms'.(i) = Network.domain_size net' i)
@@ -198,8 +204,9 @@ let () =
       ( "arc-consistency",
         [
           QCheck_alcotest.to_alcotest
-            (prop_ac_idempotent "AC-3" Propagate.ac3);
+            (prop_ac_idempotent "AC-3" Ac3.run);
           QCheck_alcotest.to_alcotest
-            (prop_ac_idempotent "AC-2001" Propagate.ac2001);
+            (prop_ac_idempotent "AC-2001" (fun net ->
+                 Ac2001.run (Network.compile net)));
         ] );
     ]

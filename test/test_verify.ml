@@ -16,7 +16,7 @@ module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
 module Cdl = Mlo_csp.Cdl
 module Bnb = Mlo_csp.Bnb
-module Brute = Mlo_csp.Brute
+module Brute = Mlo_oracle.Brute
 module Rng = Mlo_csp.Rng
 module Proof = Mlo_verify.Proof
 module Checker = Mlo_verify.Checker
@@ -25,7 +25,6 @@ module Suite = Mlo_workloads.Suite
 module Build = Mlo_netgen.Build
 module Select = Mlo_netgen.Select
 module Optimizer = Mlo_core.Optimizer
-module Explain = Mlo_core.Explain
 module Netcheck = Mlo_analysis.Netcheck
 module Simulate = Mlo_cachesim.Simulate
 module Hierarchy = Mlo_cachesim.Hierarchy
@@ -484,7 +483,7 @@ let test_truncated_rejected () =
     | Ok () -> Alcotest.fail "verdict-less certificate accepted")
 
 (* ------------------------------------------------------------------ *)
-(* Unsat-core verification (Netcheck / Explain routing)                 *)
+(* Unsat-core verification                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_core_verified () =
@@ -493,15 +492,7 @@ let test_core_verified () =
     let net = random_network seed in
     let report = Netcheck.analyze net in
     match (report.Netcheck.unsat_core, report.Netcheck.core_verified) with
-    | Some _, Some true ->
-      incr hits;
-      (match Explain.explain_unsat net with
-      | Some u ->
-        Alcotest.(check bool)
-          (Printf.sprintf "explain core verified (seed %d)" seed)
-          true u.Explain.core_verified
-      | None -> Alcotest.failf "seed %d: analyze wiped but explain did not"
-                  seed)
+    | Some _, Some true -> incr hits
     | Some _, Some false ->
       Alcotest.failf "seed %d: minimal unsat core failed verification" seed
     | Some _, None ->
