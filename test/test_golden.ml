@@ -345,6 +345,84 @@ let test_certificates () =
   Alcotest.(check string) "certificate line counts and digests"
     golden_certificates actual
 
+(* ------------------------------------------------------------------ *)
+(* Networks and restructured programs                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One row per program: the certificate digest of its network (and of
+   the relaxed network), the MD5 of its domains' layouts, the MD5 of
+   every allowed pair's [Build.weighted] weight printed exactly with
+   [%h], and the MD5 of the restructured source under two lookups — the
+   enhanced solution, where one exists, and each array at the last value
+   of its domain, which forces interchanges.  Any change to domain
+   order, pair enumeration, weights or loop-order choice moves a
+   field. *)
+let golden_networks =
+  "Med-Im04 net=c4d3223ba7ad6478 relax=39c0bb5382d908f8 dom=afd038f1e47ef0362526de36fda35cd2 w=b8f5efcd80327bf9d82bc75e886d530a enh=5a7c2fda4c748e094d2159e801b3b755 last=7cf736b172c931b631ebd0c93f26b2d0\n\
+   MxM net=43afe228e352d668 relax=43afe228e352d668 dom=bf7de6b7c5d0037d24d52ed8e987fa0e w=0c48a1e8c253ce7eb7106b30609c4da7 enh=bcc7974d580824dedf7d9ca53a97883e last=02b38a7855c3a53b9262124a410381c5\n\
+   Radar net=9e170a0b0756d7c1 relax=b75e0833bac7dec1 dom=42109c5a1e75cb3c620ad01a699c9333 w=c471da2678838c0aec93b0ec88d63979 enh=3a355e2f58709bde7d9085c8a0613de7 last=2ecbdef04ace4eb7dee44bdad8ef465a\n\
+   Shape net=71f47795b9133ca9 relax=06fdf4ad36991929 dom=86127135f120f652edb4fbbbf105be68 w=1b4ef7035989cc6d505104eea8c3cc4c enh=7f0a091666ba2221245e1c032691d221 last=da8b1c57e0ea50b74e507b520a0603de\n\
+   Track net=1e23303685b01e4d relax=0b43b3aad519c9cd dom=47e4fca7693254ccf71bce7dd473217d w=cd3694e36a6d5cc3cda405b227a76283 enh=008235f4e7d9fceee069b279ae3bae04 last=1fd1c8892a849abe6767976a4b25757d\n\
+   hard-20 net=a259cdc697bc9c1f relax=2c54b8ba9221661f dom=88bf6158b52dd7f272d648922860578f w=472d5edc9f3f9c3450c1f88a86a1ca34 enh=2890b23d4defb9e06dcd578b01a293ec last=f3217dca453a0fd15601ce0342cc3505\n\
+   hard-80 net=79b2a0661295292b relax=5d686f16d74099ab dom=4d2c7eb528bdd19d5ca5af5850fa70e9 w=8a4cae5a56704e50ff357e75cc517d19 enh=052a6252fe423355638b330e283d1874 last=12da1fc41195b99bfa65027f5e01feb3\n\
+   hard-150 net=6a9620953c9b12e4 relax=7cb52f186d4d9ae4 dom=1d04686604cbbd5142bd9a13b55d97d8 w=94aa0007cc811d44664ba830f87db16f enh=- last=a9d6c063d62316e3012fe1643846da34\n\
+   scale-100 net=d336112c24cacf10 relax=42e59f672548b190 dom=8f727c71f6f603d7173ee530da8d5380 w=2ec06c625189b3defe76e6c7600355b8 enh=4fc04a69b6f2e0e70a1108a689b20360 last=edb6b64f493e8dc422787c44253b4104"
+
+let network_row spec =
+  let prog = spec.Spec.program and candidates = spec.Spec.candidates in
+  let build = Build.build ~candidates prog in
+  let net = build.Build.network in
+  let relaxed = (Build.build ~relax:true ~candidates prog).Build.network in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let domains =
+    List.init (Mlo_csp.Network.num_vars net) (fun i ->
+        String.concat " "
+          (Array.to_list
+             (Array.map Mlo_layout.Layout.describe
+                (Mlo_csp.Network.domain net i))))
+    |> String.concat "\n"
+  in
+  let wbuild, w = Build.weighted ~candidates prog in
+  let wnet = wbuild.Build.network in
+  let weights = Buffer.create 4096 in
+  List.iter
+    (fun (i, j) ->
+      for vi = 0 to Mlo_csp.Network.domain_size wnet i - 1 do
+        for vj = 0 to Mlo_csp.Network.domain_size wnet j - 1 do
+          if Mlo_csp.Network.allowed wnet i vi j vj then
+            Printf.bprintf weights "%d %d %d %d %h\n" i vi j vj
+              (Mlo_csp.Weighted.weight w i vi j vj)
+        done
+      done)
+    (Mlo_csp.Network.constraint_pairs wnet);
+  let restructured lookup =
+    md5 (Mlo_lang.Parser.to_source (Mlo_netgen.Select.restructure prog lookup))
+  in
+  let enhanced =
+    match Optimizer.optimize ~candidates (Optimizer.Enhanced 1) prog with
+    | sol -> restructured (Optimizer.lookup sol)
+    | exception Optimizer.No_solution _ -> "-"
+  in
+  let last name =
+    let i = Build.var_of_array build name in
+    let dom = Mlo_csp.Network.domain net i in
+    Some dom.(Array.length dom - 1)
+  in
+  Printf.sprintf "%s net=%s relax=%s dom=%s w=%s enh=%s last=%s"
+    spec.Spec.name (Proof.digest net) (Proof.digest relaxed) (md5 domains)
+    (md5 (Buffer.contents weights))
+    enhanced (restructured last)
+
+let test_networks () =
+  let actual =
+    List.map
+      (fun name -> network_row (Suite.by_name name))
+      (workloads @ [ "hard-20"; "hard-80"; "hard-150"; "scale-100" ])
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "networks and restructured programs"
+    golden_networks actual
+
 let () =
   Alcotest.run "golden"
     [
@@ -358,5 +436,6 @@ let () =
           Alcotest.test_case "cost tables" `Slow test_cost_tables;
           Alcotest.test_case "prune totals" `Slow test_prune_totals;
           Alcotest.test_case "certificates" `Slow test_certificates;
+          Alcotest.test_case "networks and restructure" `Slow test_networks;
         ] );
     ]
