@@ -2,6 +2,7 @@ module Dependence = Mlo_ir.Dependence
 module Loop_nest = Mlo_ir.Loop_nest
 module Access = Mlo_ir.Access
 module Program = Mlo_ir.Program
+module Nest_summary = Mlo_layout.Nest_summary
 module Presburger = Mlo_ir.Presburger
 module Trace = Mlo_obs.Trace
 module Json = Mlo_obs.Json
@@ -38,7 +39,7 @@ type t = {
 let access_str nest a =
   Format.asprintf "%a" (Access.pp (Loop_nest.var_names nest)) a
 
-let nest_report nest =
+let nest_report nest legal =
   let accs = Loop_nest.accesses nest in
   let pairs =
     List.map
@@ -56,21 +57,26 @@ let nest_report nest =
         })
       (Dependence.pair_deps nest)
   in
-  let legal = List.length (Dependence.legal_permutations nest) in
-  let total = List.length (Loop_nest.permutations nest) in
   {
     nest = Loop_nest.name nest;
     depth = Loop_nest.depth nest;
     pairs;
-    legal_orders = legal;
-    total_orders = total;
+    legal_orders = List.length legal;
+    total_orders = List.length (Loop_nest.orders nest);
   }
 
 let run prog =
   Trace.with_span ~cat:"analysis" "deps:analyze" @@ fun () ->
+  (* the legal orders come from the program's nest summary, derived
+     before the effort window so each pair's dependences count once *)
+  let summary = Nest_summary.of_program prog in
   let before = Presburger.stats () in
   let nests =
-    Array.to_list (Array.map nest_report (Program.nests prog))
+    Array.to_list
+      (Array.mapi
+         (fun i nest ->
+           nest_report nest (Nest_summary.nest summary i).Nest_summary.orders)
+         (Program.nests prog))
   in
   let after = Presburger.stats () in
   let checks = after.Presburger.checks - before.Presburger.checks

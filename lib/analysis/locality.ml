@@ -1,5 +1,5 @@
 module Program = Mlo_ir.Program
-module Dependence = Mlo_ir.Dependence
+module Nest_summary = Mlo_layout.Nest_summary
 module Cache = Mlo_cachesim.Cache
 module Hierarchy = Mlo_cachesim.Hierarchy
 module Compiled_trace = Mlo_cachesim.Compiled_trace
@@ -689,11 +689,11 @@ let permute_group perm (g : raw_group) =
    (array, layout) questions every time it sees the same program — a
    long-running optimizer service, or the bench harness re-extracting
    the same spec, re-profiles nothing after the first pass.  Entries are
-   keyed by physical program identity in an ephemeron table: the staged
-   trace refers back to its program, and an ephemeron's data does not
-   keep its key alive, so an entry dies with its program.  One mutex per
-   entry: queries may come from worker Domains solving components in
-   parallel. *)
+   kept by [Program.memo], keyed by physical program identity in an
+   ephemeron table: the staged trace refers back to its program, and an
+   ephemeron's data does not keep its key alive, so an entry dies with
+   its program.  One mutex per entry: queries may come from worker
+   Domains solving components in parallel. *)
 type metric = Misses | Lines
 
 module Profile_key = struct
@@ -722,16 +722,6 @@ type profile_entry = {
   pe_profiles : float array Profile_tbl.t;
   pe_lock : Mutex.t;
 }
-
-module Profile_entries = Ephemeron.K1.Make (struct
-  type t = Program.t
-
-  let equal = ( == )
-  let hash p = Hashtbl.hash (Program.name p)
-end)
-
-let profile_entries : profile_entry Profile_entries.t = Profile_entries.create 16
-let profile_entries_lock = Mutex.create ()
 
 let make_profile_entry prog =
   let line = default_geometry.Cache.line_bytes in
@@ -762,7 +752,8 @@ let make_profile_entry prog =
   {
     pe_trace = Compiled_trace.compile prog ~layouts:(fun _ -> None);
     pe_perms =
-      Array.map (fun n -> List.map fst (Dependence.legal_permutations n)) nests;
+      (let summary = Nest_summary.of_program prog in
+       Array.mapi (fun i _ -> (Nest_summary.nest summary i).Nest_summary.orders) nests);
     pe_touched = touched_arr;
     pe_others = Hashtbl.create 64;
     pe_count = memo_count ~line (Hashtbl.create 256);
@@ -770,14 +761,7 @@ let make_profile_entry prog =
     pe_lock = Mutex.create ();
   }
 
-let profile_entry prog =
-  Mutex.protect profile_entries_lock @@ fun () ->
-  match Profile_entries.find_opt profile_entries prog with
-  | Some e -> e
-  | None ->
-    let e = make_profile_entry prog in
-    Profile_entries.replace profile_entries prog e;
-    e
+let profile_entry = Program.memo make_profile_entry
 
 (* Nest [i]'s charge for [array_name], minimized over the nest's legal
    orders, from the nest's form with [array_name] relayouted.  Only the

@@ -109,12 +109,14 @@ let plan ?candidates ?max_checks ~seed prog ~segments =
 (* ------------------------------------------------------------------ *)
 
 module Locality = Mlo_layout.Locality
+module Nest_summary = Mlo_layout.Nest_summary
 
 let optimal_segments ?candidates ?max_checks ?(change_cost = 10.0) ~seed prog =
   let nests = Program.nests prog in
   let n = Array.length nests in
   if n > 32 then
     invalid_arg "Dynamic.optimal_segments: too many nests for exact DP";
+  let summary = Nest_summary.of_program prog in
   (* layouts of the enhanced solution for the segment [i..j], memoized *)
   let seg_layouts = Hashtbl.create 64 in
   (* [None] marks a candidate segment whose network could not be solved
@@ -147,21 +149,21 @@ let optimal_segments ?candidates ?max_checks ?(change_cost = 10.0) ~seed prog =
     let lookup name = List.assoc_opt name layouts in
     let total = ref 0.0 in
     for k = i to j do
-      let v = Mlo_netgen.Select.best_variant nests.(k) lookup in
-      let nest = v.Mlo_netgen.Variants.nest in
+      let nk = Nest_summary.nest summary k in
+      let inner = Nest_summary.innermost (Nest_summary.best_order nk lookup) in
       let per_iter =
         Array.fold_left
-          (fun acc a ->
+          (fun acc (a : Nest_summary.access) ->
             let s =
-              match lookup (Access.array_name a) with
-              | Some l -> Locality.score l a
+              match lookup a.array with
+              | Some l -> Locality.delta_score l a.columns.(inner)
               | None -> max_ref_score
             in
             acc + (max_ref_score - s))
-          0 (Loop_nest.accesses nest)
+          0 nk.Nest_summary.accesses
       in
       total :=
-        !total +. float_of_int (per_iter * Loop_nest.trip_count nest)
+        !total +. float_of_int (per_iter * Loop_nest.trip_count nests.(k))
     done;
     !total
   in

@@ -3,8 +3,7 @@ module Array_info = Mlo_ir.Array_info
 module Loop_nest = Mlo_ir.Loop_nest
 module Cost = Mlo_ir.Cost
 module Layout = Mlo_layout.Layout
-module Locality = Mlo_layout.Locality
-module Variants = Mlo_netgen.Variants
+module Nest_summary = Mlo_layout.Nest_summary
 
 type result = {
   layouts : (string * Layout.t) list;
@@ -17,12 +16,13 @@ let default_layout info =
   let rank = Array_info.rank info in
   if rank = 1 then Layout.trivial else Layout.row_major rank
 
-(* Score a variant given fixed layouts; arrays not yet fixed are scored
-   with the layout the variant itself demands for them (the combination
-   being evaluated), and arrays the variant leaves free with their
-   eventual default — a free array's references are temporal, so any
-   stand-in layout scores them exactly. *)
-let variant_score prog fixed demanded nest =
+(* Score a legal order, whose innermost loop is [k], given fixed
+   layouts; arrays not yet fixed are scored with the layout the order
+   itself demands for them (the combination being evaluated), and arrays
+   the order leaves free with their eventual default — a free array's
+   references are temporal, so any stand-in layout scores them
+   exactly. *)
+let variant_score prog fixed demanded n k =
   let lookup name =
     match Hashtbl.find_opt fixed name with
     | Some l -> Some l
@@ -34,37 +34,34 @@ let variant_score prog fixed demanded nest =
         | info -> Some (default_layout info)
         | exception Not_found -> None))
   in
-  Locality.nest_score lookup nest
+  Nest_summary.score n lookup k
 
 let optimize prog =
   let t0 = Mlo_csp.Clock.wall_s () in
+  let summary = Nest_summary.of_program prog in
   let fixed : (string, Layout.t) Hashtbl.t = Hashtbl.create 16 in
   let evaluations = ref 0 in
   let ranked = Cost.ranked_nests prog in
   List.iter
-    (fun (_idx, nest) ->
-      let variants = Variants.of_nest nest in
-      let scored =
-        List.map
-          (fun v ->
-            let demanded = Variants.layouts_for v in
-            incr evaluations;
-            (v, demanded, variant_score prog fixed demanded v.Variants.nest))
-          variants
-      in
+    (fun (idx, _nest) ->
+      let n = Nest_summary.nest summary idx in
+      (* the first legal order of highest score *)
       let best =
-        match scored with
-        | [] -> None
-        | first :: rest ->
-          Some
-            (List.fold_left
-               (fun ((_, _, bs) as b) ((_, _, s) as c) ->
-                 if s > bs then c else b)
-               first rest)
+        List.fold_left
+          (fun best order ->
+            let demanded = Nest_summary.demands_for n order in
+            incr evaluations;
+            let s =
+              variant_score prog fixed demanded n (Nest_summary.innermost order)
+            in
+            match best with
+            | Some (_, bs) when s <= bs -> best
+            | Some _ | None -> Some (demanded, s))
+          None n.Nest_summary.orders
       in
       match best with
       | None -> ()
-      | Some (_v, demanded, _score) ->
+      | Some (demanded, _) ->
         (* propagate: fix layouts only for arrays not yet determined *)
         List.iter
           (fun (name, layout) ->

@@ -338,10 +338,13 @@ let legal_permutation nest perm =
   is_identity perm
   || List.for_all (fun (_, _, dep) -> dep_legal perm dep) (deps nest)
 
-let legal_permutations nest =
+let legal_orders nest =
   let ds = deps nest in
   List.filter
-    (fun (perm, _) ->
+    (fun perm ->
       is_identity perm
       || List.for_all (fun (_, _, dep) -> dep_legal perm dep) ds)
-    (Loop_nest.permutations nest)
+    (Loop_nest.orders nest)
+
+let legal_permutations nest =
+  List.map (fun p -> (p, Loop_nest.permute nest p)) (legal_orders nest)

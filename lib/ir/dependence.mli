@@ -68,10 +68,14 @@ val legal_permutation : Loop_nest.t -> int array -> bool
     permuted direction vector's first non-[Eq] component is [Lt].  The
     identity permutation is always legal. *)
 
+val legal_orders : Loop_nest.t -> int array list
+(** The subset of {!Loop_nest.orders} that is dependence-legal (always
+    includes the identity, listed first).  The dependence set is
+    computed once and reused across candidate orders; no nest is
+    permuted. *)
+
 val legal_permutations : Loop_nest.t -> (int array * Loop_nest.t) list
-(** The subset of {!Loop_nest.permutations} that is dependence-legal
-    (always includes the identity, listed first).  The dependence set is
-    computed once and reused across candidate orders. *)
+(** {!legal_orders}, each paired with the permuted nest. *)
 
 type method_ =
   | Closed_form  (** uniform pair, decided without the Presburger engine *)

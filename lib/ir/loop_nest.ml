@@ -103,9 +103,9 @@ let all_perms d =
   let id, rest = List.partition is_id arr in
   id @ rest
 
-let permutations t =
-  let d = depth t in
-  List.map (fun p -> (p, permute t p)) (all_perms d)
+let orders t = all_perms (depth t)
+
+let permutations t = List.map (fun p -> (p, permute t p)) (orders t)
 
 let equal a b =
   String.equal a.name b.name

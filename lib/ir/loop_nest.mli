@@ -52,10 +52,13 @@ val interchange : t -> t
 (** Swaps the loops of a depth-2 nest.  Raises [Invalid_argument] if the
     nest depth is not 2. *)
 
+val orders : t -> int array list
+(** All [depth!] loop orders of the nest as permutations (new depth ->
+    old depth), identity first: at most [6! = 720], since {!make} caps
+    the depth at 6. *)
+
 val permutations : t -> (int array * t) list
-(** All [depth!] loop orders of the nest, paired with the permutation that
-    produced each (identity first): at most [6! = 720], since {!make}
-    caps the depth at 6. *)
+(** {!orders}, each paired with the nest it produces. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -69,3 +69,21 @@ let pp ppf t =
         Loop_nest.pp nest)
     t.nests;
   Format.fprintf ppf "@]"
+
+module Live = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash p = Hashtbl.hash p.name
+end)
+
+let memo f =
+  let table = Live.create 16 and lock = Mutex.create () in
+  fun p ->
+    Mutex.protect lock @@ fun () ->
+    match Live.find_opt table p with
+    | Some v -> v
+    | None ->
+      let v = f p in
+      Live.replace table p v;
+      v

@@ -39,3 +39,9 @@ val total_trip_count : t -> int
 (** Sum of nest trip counts; used as the denominator for nest weights. *)
 
 val pp : Format.formatter -> t -> unit
+
+val memo : (t -> 'a) -> t -> 'a
+(** [memo f] computes [f p] once per program value [p] (physical
+    identity), under a mutex, and keeps the result only while [p] is
+    alive: the table is an ephemeron one, so a result that refers back
+    to its program does not keep it alive. *)

@@ -2,7 +2,6 @@ module Intvec = Mlo_linalg.Intvec
 module Intmat = Mlo_linalg.Intmat
 module Nullspace = Mlo_linalg.Nullspace
 module Access = Mlo_ir.Access
-module Loop_nest = Mlo_ir.Loop_nest
 
 let delta_at a j =
   let m = Access.matrix a in
@@ -24,19 +23,12 @@ let layout_from_delta delta =
 
 let preferred_layout a = layout_from_delta (access_delta a)
 
-let score layout a =
-  let delta = access_delta a in
+let delta_score layout delta =
   if Intvec.is_zero delta then 5
   else if Layout.serves layout delta then 4
   else 0
 
-let nest_score lookup nest =
-  Array.fold_left
-    (fun acc a ->
-      match lookup (Access.array_name a) with
-      | None -> acc
-      | Some layout -> acc + score layout a)
-    0 (Loop_nest.accesses nest)
+let score layout a = delta_score layout (access_delta a)
 
 let candidate_layouts ~rank accesses =
   let prefs = List.filter_map preferred_layout accesses in

@@ -33,9 +33,9 @@ val score : Layout.t -> Mlo_ir.Access.t -> int
     worse than the temporal/spatial difference, so orders that serve
     every reference dominate orders that leave one unserved. *)
 
-val nest_score : (string -> Layout.t option) -> Mlo_ir.Loop_nest.t -> int
-(** Sum of {!score} over the nest's references, given a partial layout
-    assignment by array name (unassigned arrays contribute 0). *)
+val delta_score : Layout.t -> Mlo_linalg.Intvec.t -> int
+(** {!score} of a reference whose innermost step is the given
+    difference vector. *)
 
 val candidate_layouts : rank:int -> Mlo_ir.Access.t list -> Layout.t list
 (** Deduplicated preferred layouts of the given references to one array

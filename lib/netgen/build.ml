@@ -1,8 +1,8 @@
 module Program = Mlo_ir.Program
 module Array_info = Mlo_ir.Array_info
-module Loop_nest = Mlo_ir.Loop_nest
 module Cost = Mlo_ir.Cost
 module Layout = Mlo_layout.Layout
+module Nest_summary = Mlo_layout.Nest_summary
 module Network = Mlo_csp.Network
 module Weighted = Mlo_csp.Weighted
 
@@ -18,152 +18,128 @@ let index_of names =
   Array.iteri (fun i name -> Hashtbl.replace tbl name i) names;
   tbl
 
-let add_unique layout layouts =
-  if List.exists (Layout.equal layout) layouts then layouts
-  else layouts @ [ layout ]
+module Layout_tbl = Hashtbl.Make (Layout)
 
-(* For every nest: its legal variants, each with the touched-array list
-   and the per-array layout demands. *)
-let nest_demands prog =
-  Array.to_list (Program.nests prog)
-  |> List.map (fun nest ->
-         let variants = Variants.of_nest nest in
-         let touched = Loop_nest.arrays_touched nest in
-         (nest, touched, List.map Variants.layouts_for variants))
+(* One variable's domain as it grows: each layout's value index, in
+   first-insertion order. *)
+let value_of dom l =
+  match Layout_tbl.find_opt dom l with
+  | Some v -> v
+  | None ->
+    let v = Layout_tbl.length dom in
+    Layout_tbl.add dom l v;
+    v
 
-let collect_domains prog demands candidates =
-  let arrays = Program.arrays prog in
-  let table = Hashtbl.create 16 in
-  Array.iter
-    (fun info ->
-      let rank = Array_info.rank info in
-      let name = Array_info.name info in
-      let default = if rank = 1 then Layout.trivial else Layout.row_major rank in
-      let extra =
-        List.filter (fun l -> Layout.rank l = rank) (candidates name)
-      in
-      Hashtbl.replace table name
-        (List.fold_left (fun acc l -> add_unique l acc) [ default ] extra))
-    arrays;
-  List.iter
-    (fun (_nest, _touched, per_variant) ->
-      List.iter
-        (fun layouts ->
-          List.iter
-            (fun (name, layout) ->
-              let cur = Hashtbl.find table name in
-              Hashtbl.replace table name (add_unique layout cur))
-            layouts)
-        per_variant)
-    demands;
-  table
+let values dom =
+  let a = Array.make (Layout_tbl.length dom) Layout.trivial in
+  Layout_tbl.iter (fun l v -> a.(v) <- l) dom;
+  a
+
+let default_layout rank =
+  if rank = 1 then Layout.trivial else Layout.row_major rank
 
 let build_internal ?(relax = false) ?(candidates = fun _ -> []) ~make_sink prog =
-  let demands = nest_demands prog in
-  let domains_tbl = collect_domains prog demands candidates in
+  let summary = Nest_summary.of_program prog in
+  let nests = Program.nests prog in
   let arrays = Program.arrays prog in
   let names = Array.map Array_info.name arrays in
-  let domains =
-    Array.map (fun n -> Array.of_list (Hashtbl.find domains_tbl n)) names
-  in
-  let network = Network.create ~names ~domains in
   let var_index = index_of names in
   let var_of = Hashtbl.find var_index in
-  let layout_index name layout =
-    let dom = Hashtbl.find domains_tbl name in
-    let rec go i = function
-      | [] -> raise Not_found
-      | l :: rest -> if Layout.equal l layout then i else go (i + 1) rest
-    in
-    go 0 dom
+  (* Domain order: the default (value 0), the rank-matching candidates,
+     then every demand in nest, legal-order and first-touch order.  Two
+     orders with the same innermost loop demand the same layouts, so
+     each nest contributes once per innermost loop. *)
+  let domains =
+    Array.map
+      (fun info ->
+        let rank = Array_info.rank info in
+        let dom = Layout_tbl.create 8 in
+        ignore (value_of dom (default_layout rank));
+        List.iter
+          (fun l -> if Layout.rank l = rank then ignore (value_of dom l))
+          (candidates (Array_info.name info));
+        dom)
+      arrays
   in
   (* The layouts an array could meaningfully take: everything some
-     restructuring demands for it, plus its default (domain index 0).
+     restructuring demands for it, plus its default (value 0).
      Wildcards range over this set, not the full (possibly padded)
      domain: a restructuring that leaves an array free is indifferent
      among the layouts the rest of the program might ask of it. *)
-  let meaningful = Hashtbl.create 16 in
-  List.iter
-    (fun (_nest, _touched, per_variant) ->
-      List.iter
-        (fun layouts ->
-          List.iter
-            (fun (name, layout) ->
-              let cur =
-                Option.value ~default:[] (Hashtbl.find_opt meaningful name)
-              in
-              let idx = layout_index name layout in
-              if not (List.mem idx cur) then
-                Hashtbl.replace meaningful name (idx :: cur))
-            layouts)
-        per_variant)
-    demands;
-  let meaningful_indices name =
-    let demanded = Option.value ~default:[] (Hashtbl.find_opt meaningful name) in
-    if List.mem 0 demanded then demanded else 0 :: demanded
+  let meaningful = Array.make (Array.length arrays) [] in
+  (* per nest: the network variable of each touched array, and per
+     innermost loop the value each one demands (-1: none) *)
+  let demands =
+    Array.mapi
+      (fun i _ ->
+        let n = Nest_summary.nest summary i in
+        let vars = Array.map var_of n.Nest_summary.touched in
+        let per_inner =
+          List.map
+            (fun k ->
+              Array.mapi
+                (fun t demand ->
+                  match demand with
+                  | None -> -1
+                  | Some l ->
+                    let x = vars.(t) in
+                    let v = value_of domains.(x) l in
+                    if not (List.mem v meaningful.(x)) then
+                      meaningful.(x) <- v :: meaningful.(x);
+                    v)
+                n.Nest_summary.demands.(k))
+            n.Nest_summary.inners
+        in
+        (vars, per_inner))
+      nests
   in
+  let meaningful =
+    Array.map (fun vs -> if List.mem 0 vs then vs else 0 :: vs) meaningful
+  in
+  let network = Network.create ~names ~domains:(Array.map values domains) in
   (* Streaming pair insertion: one nest's proposed pairs (concrete and
      wildcarded) at a time, keyed for idempotence, added to the network
      and handed to [sink] (the weighting hook) before the next nest's
      set is built — peak transient memory is the largest single nest's
      pair set, not the whole program's. *)
   let sink = make_sink network in
-  List.iter
-    (fun (nest, touched, per_variant) ->
+  Array.iteri
+    (fun i (vars, per_inner) ->
       let pairs = Hashtbl.create 64 in
       let record ia va ib vb =
         let k = if ia < ib then (ia, va, ib, vb) else (ib, vb, ia, va) in
         Hashtbl.replace pairs k ()
       in
+      let m = Array.length vars in
       List.iter
-        (fun layouts ->
-          let demand name = List.assoc_opt name layouts in
-          let rec each_pair = function
-            | [] -> ()
-            | na :: rest ->
-              List.iter
-                (fun nb ->
-                  let ia = var_of na and ib = var_of nb in
-                  match (demand na, demand nb) with
-                  | None, None ->
-                    (* this restructuring is satisfied by any meaningful
-                       layout combination of the pair *)
-                    List.iter
-                      (fun va ->
-                        List.iter
-                          (fun vb -> record ia va ib vb)
-                          (meaningful_indices nb))
-                      (meaningful_indices na)
-                  | Some la, Some lb ->
-                    record ia (layout_index na la) ib (layout_index nb lb)
-                  | Some la, None ->
-                    let va = layout_index na la in
-                    List.iter (fun vb -> record ia va ib vb)
-                      (meaningful_indices nb)
-                  | None, Some lb ->
-                    let vb = layout_index nb lb in
-                    List.iter (fun va -> record ia va ib vb)
-                      (meaningful_indices na))
-                rest;
-              each_pair rest
-          in
-          each_pair touched)
-        per_variant;
+        (fun demanded ->
+          for a = 0 to m - 1 do
+            for b = a + 1 to m - 1 do
+              let ia = vars.(a) and ib = vars.(b) in
+              match (demanded.(a), demanded.(b)) with
+              | -1, -1 ->
+                (* this restructuring is satisfied by any meaningful
+                   layout combination of the pair *)
+                List.iter
+                  (fun va ->
+                    List.iter (fun vb -> record ia va ib vb) meaningful.(ib))
+                  meaningful.(ia)
+              | va, -1 ->
+                List.iter (fun vb -> record ia va ib vb) meaningful.(ib)
+              | -1, vb ->
+                List.iter (fun va -> record ia va ib vb) meaningful.(ia)
+              | va, vb -> record ia va ib vb
+            done
+          done)
+        per_inner;
       Hashtbl.iter
         (fun (i, vi, j, vj) () -> Network.add_allowed network i j [ (vi, vj) ])
         pairs;
-      sink nest pairs)
+      sink nests.(i) pairs)
     demands;
   if relax then
     List.iter
-      (fun (i, j) ->
-        let def name =
-          let info = Program.find_array prog name in
-          let rank = Array_info.rank info in
-          let l = if rank = 1 then Layout.trivial else Layout.row_major rank in
-          layout_index name l
-        in
-        Network.add_allowed network i j [ (def names.(i), def names.(j)) ])
+      (fun (i, j) -> Network.add_allowed network i j [ (0, 0) ])
       (Network.constraint_pairs network);
   { network; program = prog; constrained_arrays = names; var_index }
 

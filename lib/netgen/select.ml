@@ -1,27 +1,20 @@
-module Loop_nest = Mlo_ir.Loop_nest
 module Program = Mlo_ir.Program
+module Nest_summary = Mlo_layout.Nest_summary
 
-module Locality = Mlo_layout.Locality
-
-let best_variant nest lookup =
-  match Variants.of_nest nest with
-  | [] -> invalid_arg "Select.best_variant: nest has no legal variant"
-  | first :: rest ->
-    let score (v : Variants.t) = Locality.nest_score lookup v.Variants.nest in
-    let best, _ =
-      List.fold_left
-        (fun (bv, bs) v ->
-          let s = score v in
-          if s > bs then (v, s) else (bv, bs))
-        (first, score first)
-        rest
-    in
-    best
+let is_identity order =
+  let id = ref true in
+  Array.iteri (fun i x -> if i <> x then id := false) order;
+  !id
 
 let restructure prog lookup =
+  let summary = Nest_summary.of_program prog in
   let nests =
-    Array.to_list (Program.nests prog)
-    |> List.map (fun nest -> (best_variant nest lookup).Variants.nest)
+    Array.to_list
+      (Array.mapi
+         (fun i nest ->
+           let order = Nest_summary.best_order (Nest_summary.nest summary i) lookup in
+           if is_identity order then nest else Mlo_ir.Loop_nest.permute nest order)
+         (Program.nests prog))
   in
   let arrays = Array.to_list (Program.arrays prog) in
   Program.make ~name:(Program.name prog) arrays nests

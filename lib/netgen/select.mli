@@ -3,19 +3,14 @@
     Code generation (and our cache simulation) needs a concrete loop
     order for every nest.  Given the final per-array layouts, each nest
     independently picks the dependence-legal permutation with the best
-    total locality score — the loop-transformation half of the paper's
-    combined loop+data optimization. *)
-
-val best_variant :
-  Mlo_ir.Loop_nest.t ->
-  (string -> Mlo_layout.Layout.t option) ->
-  Variants.t
-(** [best_variant nest lookup] is the legal restructuring of [nest] whose
-    accesses score best under the layouts given by [lookup]; ties favour
-    the original loop order. *)
+    total locality score ({!Mlo_layout.Nest_summary.best_order}) — the
+    loop-transformation half of the paper's combined loop+data
+    optimization. *)
 
 val restructure :
   Mlo_ir.Program.t ->
   (string -> Mlo_layout.Layout.t option) ->
   Mlo_ir.Program.t
-(** Applies {!best_variant} to every nest of the program. *)
+(** Puts every nest of the program in its best legal loop order under
+    the layouts given by the lookup (ties favour the original order; a
+    nest that keeps its order is returned as is). *)

@@ -50,3 +50,26 @@ let layouts_for v =
       | Some l -> Some (name, l)
       | None -> None)
     (Loop_nest.arrays_touched v.nest)
+
+let nest_score lookup nest =
+  Array.fold_left
+    (fun acc a ->
+      match lookup (Access.array_name a) with
+      | None -> acc
+      | Some layout -> acc + Locality.score layout a)
+    0 (Loop_nest.accesses nest)
+
+let best_variant nest lookup =
+  match of_nest nest with
+  | [] -> invalid_arg "Variants_reference.best_variant: no legal variant"
+  | first :: rest ->
+    let score v = nest_score lookup v.nest in
+    let best, _ =
+      List.fold_left
+        (fun (bv, bs) v ->
+          let s = score v in
+          if s > bs then (v, s) else (bv, bs))
+        (first, score first)
+        rest
+    in
+    best

@@ -1,10 +1,11 @@
-(** Loop-restructuring variants of a nest and the layouts they demand.
+(** Loop-restructuring variants derived the direct way, the oracle for
+    {!Mlo_layout.Nest_summary}.
 
-    Each constraint pair in the paper's network "represents the best
-    layout choice under a given loop restructuring".  The restructurings
-    considered are the dependence-legal loop permutations of the nest;
-    for each one, every referenced array gets the layout that best serves
-    the nest's accesses to it under the permuted iteration order. *)
+    Each dependence-legal loop order of a nest is applied with
+    {!Mlo_ir.Loop_nest.permute}, and every referenced array gets the
+    layout that best serves the permuted nest's accesses to it.  The
+    summary derives the same facts from one innermost column per
+    access, without permuting. *)
 
 type t = {
   perm : int array;  (** permutation applied (new depth -> old depth) *)
@@ -26,3 +27,14 @@ val demanded_layout :
 val layouts_for : t -> (string * Mlo_layout.Layout.t) list
 (** Demanded layouts for every array the variant's nest references (arrays
     with no layout demand omitted), in first-touch order. *)
+
+val nest_score :
+  (string -> Mlo_layout.Layout.t option) -> Mlo_ir.Loop_nest.t -> int
+(** Sum of {!Mlo_layout.Locality.score} over the nest's references,
+    given a partial layout assignment by array name (unassigned arrays
+    contribute 0). *)
+
+val best_variant :
+  Mlo_ir.Loop_nest.t -> (string -> Mlo_layout.Layout.t option) -> t
+(** The legal restructuring whose accesses score best under the layouts
+    given by the lookup; ties favour the original loop order. *)

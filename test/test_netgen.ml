@@ -1,4 +1,4 @@
-(* Tests for constraint-network extraction: variants, demands, domains,
+(* Tests for constraint-network extraction: nest summaries, demands, domains,
    pair construction, wildcards, and loop-order selection. *)
 
 module B = Mlo_ir.Builder
@@ -10,10 +10,12 @@ module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
 module Brute = Mlo_oracle.Brute
 module Weighted = Mlo_csp.Weighted
-module Variants = Mlo_netgen.Variants
+module Nest_summary = Mlo_layout.Nest_summary
 module Build = Mlo_netgen.Build
 module Select = Mlo_netgen.Select
 module Kernels = Mlo_workloads.Kernels
+module Variants_reference = Mlo_oracle.Variants_reference
+module Dependence = Mlo_ir.Dependence
 
 let layout = Alcotest.testable Layout.pp Layout.equal
 
@@ -36,37 +38,40 @@ let fig2_program ~n =
 (* Variants                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_variants_of_fig2 () =
+let fig2_summary () =
   let prog = fig2_program ~n:8 in
-  let nest = (Program.nests prog).(0) in
-  let variants = Variants.of_nest nest in
-  Alcotest.(check int) "two legal orders" 2 (List.length variants);
+  Nest_summary.nest (Nest_summary.of_program prog) 0
+
+let test_variants_of_fig2 () =
+  let s = fig2_summary () in
+  let demand order name =
+    List.assoc_opt name (Nest_summary.demands_for s order)
+  in
+  Alcotest.(check int) "two legal orders" 2 (List.length s.Nest_summary.orders);
   (* identity: Q1 -> diagonal, Q2 -> column-major (paper Section 2) *)
-  (match variants with
-  | v0 :: v1 :: [] ->
+  match s.Nest_summary.orders with
+  | [ o0; o1 ] ->
     Alcotest.(check (option layout)) "Q1 identity" (Some Layout.diagonal2)
-      (Variants.demanded_layout v0.Variants.nest "Q1");
+      (demand o0 "Q1");
     Alcotest.(check (option layout)) "Q2 identity" (Some (Layout.col_major 2))
-      (Variants.demanded_layout v0.Variants.nest "Q2");
+      (demand o0 "Q2");
     (* interchanged: Q1 -> column-major, Q2 -> diagonal (paper) *)
     Alcotest.(check (option layout)) "Q1 interchanged" (Some (Layout.col_major 2))
-      (Variants.demanded_layout v1.Variants.nest "Q1");
+      (demand o1 "Q1");
     Alcotest.(check (option layout)) "Q2 interchanged" (Some Layout.diagonal2)
-      (Variants.demanded_layout v1.Variants.nest "Q2")
-  | _ -> Alcotest.fail "expected 2 variants");
-  Alcotest.(check (option layout)) "unknown array" None
-    (Variants.demanded_layout nest "Q9")
+      (demand o1 "Q2");
+    Alcotest.(check (option layout)) "unknown array" None (demand o0 "Q9")
+  | _ -> Alcotest.fail "expected 2 legal orders"
 
 let test_layouts_for () =
-  let prog = fig2_program ~n:8 in
-  let nest = (Program.nests prog).(0) in
-  match Variants.of_nest nest with
-  | v :: _ ->
-    let demands = Variants.layouts_for v in
+  let s = fig2_summary () in
+  match s.Nest_summary.orders with
+  | o :: _ ->
+    let demands = Nest_summary.demands_for s o in
     Alcotest.(check int) "both arrays demanded" 2 (List.length demands);
     Alcotest.(check (option layout)) "Q1" (Some Layout.diagonal2)
       (List.assoc_opt "Q1" demands)
-  | [] -> Alcotest.fail "no variants"
+  | [] -> Alcotest.fail "no legal orders"
 
 (* ------------------------------------------------------------------ *)
 (* Build                                                                *)
@@ -199,24 +204,23 @@ let test_relax_adds_row_row () =
 (* ------------------------------------------------------------------ *)
 
 let test_select_best_variant () =
-  let prog = fig2_program ~n:8 in
-  let nest = (Program.nests prog).(0) in
+  let s = fig2_summary () in
   (* if Q1 is diagonal and Q2 column-major, the original order is best *)
   let lookup1 = function
     | "Q1" -> Some Layout.diagonal2
     | "Q2" -> Some (Layout.col_major 2)
     | _ -> None
   in
-  let v = Select.best_variant nest lookup1 in
-  Alcotest.(check bool) "identity kept" true (v.Variants.perm = [| 0; 1 |]);
+  Alcotest.(check bool) "identity kept" true
+    (Nest_summary.best_order s lookup1 = [| 0; 1 |]);
   (* with the swapped layouts, interchange wins *)
   let lookup2 = function
     | "Q1" -> Some (Layout.col_major 2)
     | "Q2" -> Some Layout.diagonal2
     | _ -> None
   in
-  let v2 = Select.best_variant nest lookup2 in
-  Alcotest.(check bool) "interchanged" true (v2.Variants.perm = [| 1; 0 |])
+  Alcotest.(check bool) "interchanged" true
+    (Nest_summary.best_order s lookup2 = [| 1; 0 |])
 
 let test_select_restructure_preserves_semantics () =
   let prog = fig2_program ~n:8 in
@@ -306,6 +310,209 @@ let prop_solver_solves_generated =
         Network.verify b.Build.network a
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* The nest summary against the direct derivation                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A random lookup over a program: each array unassigned, at its
+   default, column-major, or at a layout some legal order demands of it
+   (so that several orders tie or compete). *)
+let random_lookup prog seed =
+  let rng = Random.State.make [| seed |] in
+  let summary = Nest_summary.of_program prog in
+  let demanded = Hashtbl.create 16 in
+  Array.iteri
+    (fun i _ ->
+      let n = Nest_summary.nest summary i in
+      List.iter
+        (fun o ->
+          List.iter
+            (fun (name, l) -> Hashtbl.add demanded name l)
+            (Nest_summary.demands_for n o))
+        n.Nest_summary.orders)
+    (Program.nests prog);
+  let table = Hashtbl.create 16 in
+  Array.iter
+    (fun info ->
+      let name = Array_info.name info and rank = Array_info.rank info in
+      let choice =
+        match Random.State.int rng 4 with
+        | 0 -> None
+        | 1 -> Some (if rank = 1 then Layout.trivial else Layout.row_major rank)
+        | 2 -> Some (if rank = 1 then Layout.trivial else Layout.col_major rank)
+        | _ -> (
+          match Hashtbl.find_all demanded name with
+          | [] -> None
+          | ls -> Some (List.nth ls (Random.State.int rng (List.length ls))))
+      in
+      Hashtbl.replace table name choice)
+    (Program.arrays prog);
+  fun name -> Option.join (Hashtbl.find_opt table name)
+
+let same_demands a b =
+  List.equal
+    (fun (n1, l1) (n2, l2) -> String.equal n1 n2 && Layout.equal l1 l2)
+    a b
+
+(* The three facts every consumer reads: the legal orders, each order's
+   demands, and the restructuring chosen under [lookup]. *)
+let summary_agrees prog lookup =
+  let summary = Nest_summary.of_program prog in
+  let restructured = Program.nests (Select.restructure prog lookup) in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun i nest ->
+         let s = Nest_summary.nest summary i in
+         let variants = Variants_reference.of_nest nest in
+         s.Nest_summary.orders
+         = List.map fst (Dependence.legal_permutations nest)
+         && List.for_all2
+              (fun o v ->
+                same_demands (Nest_summary.demands_for s o)
+                  (Variants_reference.layouts_for v))
+              s.Nest_summary.orders variants
+         && Loop_nest.equal restructured.(i)
+              (Variants_reference.best_variant nest lookup)
+                .Variants_reference.nest)
+       (Program.nests prog))
+
+let fixed_programs =
+  lazy
+    (List.map
+       (fun name -> (Mlo_workloads.Suite.by_name name).Mlo_workloads.Spec.program)
+       [ "med-im04"; "mxm"; "radar"; "shape"; "track"; "scale-10"; "hard-20" ])
+
+let prop_summary_fixed =
+  QCheck.Test.make ~name:"suite: summary = direct derivation"
+    ~count:14
+    QCheck.(pair (int_bound 6) small_nat)
+    (fun (k, seed) ->
+      let prog = List.nth (Lazy.force fixed_programs) k in
+      summary_agrees prog (random_lookup prog seed))
+
+(* Generated nests of depth 1-4 over arrays of rank 1-3.  Within a nest
+   every reference to an array shares one access matrix (coefficients in
+   -1..2; a loop the array does not mention gives a zero delta) and
+   differs only in its constant offsets, kept non-negative; the first reference is a write,
+   so some orders are illegal.  At depth 3 and 4 several orders share an
+   innermost loop. *)
+let gen_program =
+  let open QCheck.Gen in
+  let* ranks = list_size (int_range 1 3) (int_range 1 3) in
+  let arrays = List.mapi (fun i r -> (Printf.sprintf "A%d" i, r)) ranks in
+  let* nests =
+    list_size (int_range 1 3)
+      (let* depth = int_range 1 4 in
+       let* extents = list_repeat depth (int_range 2 5) in
+       let vars = List.init depth (Printf.sprintf "i%d") in
+       let x = B.ctx vars in
+       (* a row mentions at most two loops, so most pairs keep the
+          closed form and the Omega path stays rare *)
+       let row =
+         let* lead = int_bound depth in
+         let* c = oneofl [ -1; 1; 2 ] in
+         let* second = int_bound (4 * depth) in
+         return
+           (List.init depth (fun j ->
+                if j = lead then c else if j = second then 1 else 0))
+       in
+       let* matrices =
+         flatten_l
+           (List.map (fun (_, rank) -> list_repeat rank row) arrays)
+       in
+       let index coeffs =
+         let* offset = int_range 0 2 in
+         let shift =
+           List.fold_left2
+             (fun acc c e -> if c < 0 then acc + ((e - 1) * -c) else acc)
+             0 coeffs extents
+         in
+         return
+           (List.fold_left2
+              (fun acc c v -> B.(acc +: (c *: var x v)))
+              (B.const x (offset + shift))
+              coeffs vars)
+       in
+       let access write =
+         let* a = int_bound (List.length arrays - 1) in
+         let name, _ = List.nth arrays a in
+         let* idx = flatten_l (List.map index (List.nth matrices a)) in
+         let* w = write in
+         return (if w then B.write name idx else B.read name idx)
+       in
+       let* first = access (return true) in
+       let* rest = list_size (int_range 1 4) (access bool) in
+       return (fun i -> B.nest (Printf.sprintf "n%d" i) x extents (first :: rest)))
+  in
+  let used =
+    List.filter
+      (fun (name, _) ->
+        List.exists
+          (fun mk ->
+            Array.exists
+              (fun a -> String.equal (Mlo_ir.Access.array_name a) name)
+              (Loop_nest.accesses (mk 0)))
+          nests)
+      arrays
+  in
+  return
+    (Program.make ~name:"generated"
+       (List.map (fun (name, rank) -> Array_info.make name (List.init rank (fun _ -> 64))) used)
+       (List.mapi (fun i mk -> mk i) nests))
+
+let prop_summary_generated =
+  QCheck.Test.make ~name:"generated: summary = direct derivation"
+    ~count:200
+    QCheck.(
+      pair
+        (make ~print:Mlo_lang.Parser.to_source gen_program)
+        small_nat)
+    (fun (prog, seed) -> summary_agrees prog (random_lookup prog seed))
+
+(* Build, profile and restructure of one request share one summary. *)
+let test_one_summary_per_program () =
+  let spec = Mlo_workloads.Suite.by_name "mxm" in
+  let prog =
+    Mlo_lang.Parser.parse ~name:"mxm"
+      (Mlo_lang.Parser.to_source spec.Mlo_workloads.Spec.program)
+  in
+  Mlo_obs.Trace.start ();
+  Fun.protect ~finally:Mlo_obs.Trace.stop @@ fun () ->
+  let sol =
+    Mlo_core.Optimizer.optimize ~candidates:spec.Mlo_workloads.Spec.candidates
+      ~prune_dominated:true
+      (Mlo_core.Optimizer.Bnb Mlo_csp.Bnb.default_config)
+      prog
+  in
+  ignore (Select.restructure prog (Mlo_core.Optimizer.lookup sol));
+  let spans =
+    match Mlo_obs.Json.parse (Mlo_obs.Trace.dump ()) with
+    | Error e -> Alcotest.failf "trace did not parse: %s" e
+    | Ok j -> (
+      match Mlo_obs.Trace_summary.of_json j with
+      | Error e -> Alcotest.failf "trace did not summarize: %s" e
+      | Ok s -> s.Mlo_obs.Trace_summary.spans)
+  in
+  let count =
+    match List.assoc_opt ("layout", "nest-summary") spans with
+    | Some st -> st.Mlo_obs.Trace_summary.span_count
+    | None -> 0
+  in
+  Alcotest.(check int) "one nest-summary span" 1 count
+
+(* The cache must not keep a program alive: summarize a fresh program,
+   drop it, and it must be collected. *)
+let[@inline never] summarize_and_drop w =
+  let prog = fig2_program ~n:8 in
+  ignore (Nest_summary.of_program prog);
+  Weak.set w 0 (Some prog)
+
+let test_summary_dies_with_program () =
+  let w = Weak.create 1 in
+  summarize_and_drop w;
+  Gc.full_major ();
+  Alcotest.(check bool) "summarized program collected" false (Weak.check w 0)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -333,6 +540,15 @@ let () =
           Alcotest.test_case "weighted pairs carry nest cost" `Quick
             test_build_weighted;
           Alcotest.test_case "relax adds row/row" `Quick test_relax_adds_row_row;
+        ] );
+      ( "summary",
+        [
+          QCheck_alcotest.to_alcotest prop_summary_fixed;
+          QCheck_alcotest.to_alcotest prop_summary_generated;
+          Alcotest.test_case "one summary per program" `Quick
+            test_one_summary_per_program;
+          Alcotest.test_case "summary dies with its program" `Quick
+            test_summary_dies_with_program;
         ] );
       ( "select",
         [
