@@ -409,6 +409,95 @@ let prop_single_component_identical =
       && a.Solver.stats.Stats.checks = b.Solver.stats.Stats.checks
       && a.Solver.stats.Stats.backtracks = b.Solver.stats.Stats.backtracks)
 
+(* The per-component event contract certificate assembly
+   (Mlo_verify.Proof.certificate) relies on, for both engines, with and
+   without a check budget: events arrive grouped by component, in
+   ascending component order from 0 with none skipped; every event of a
+   group carries the driver's component as [vars] (the identity for a
+   one-component network); each group ends in exactly one [Finished];
+   every group but the last finished with a solution, so nothing
+   arrives after the first component without one; and the last verdict
+   is the run's. *)
+let event_contract net (r : Solver.result) events =
+  let comps = Network.components net in
+  let ncomps = max 1 (Array.length comps) in
+  let expected_vars k =
+    if Array.length comps <= 1 then Array.init (Network.num_vars net) Fun.id
+    else comps.(k)
+  in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  (* [open_] is the component whose group is still open; [finished]
+     the verdicts of the closed groups, latest first. *)
+  let open_, finished =
+    List.fold_left
+      (fun (open_, finished) (comp, vars, ev) ->
+        (match open_ with
+        | Some k when comp <> k -> fail "component %d interleaved into %d" comp k
+        | Some _ -> ()
+        | None ->
+          if comp <> List.length finished then
+            fail "group %d opened after %d groups" comp (List.length finished);
+          (match finished with
+          | (Solver.Unsatisfiable | Solver.Aborted) :: _ ->
+            fail "component %d ran after a component without a solution" comp
+          | _ -> ()));
+        if vars <> expected_vars comp then
+          fail "component %d: vars differ from the driver's component" comp;
+        match ev with
+        | Solver.Finished o -> (None, o :: finished)
+        | Solver.Learned _ | Solver.Incumbent _ -> (Some comp, finished))
+      (None, []) events
+  in
+  if open_ <> None then fail "the last group has no Finished";
+  let kind = function
+    | Solver.Solution _ -> "solution"
+    | Solver.Unsatisfiable -> "unsatisfiable"
+    | Solver.Aborted -> "aborted"
+  in
+  match (r.Solver.outcome, finished) with
+  | Solver.Solution _, _ ->
+    List.length finished = ncomps
+    && List.for_all (function Solver.Solution _ -> true | _ -> false) finished
+    || fail "solved, but %d of %d groups, not all solutions"
+         (List.length finished) ncomps
+  | o, last :: _ ->
+    kind o = kind last
+    || fail "run ended %s, last group %s" (kind o) (kind last)
+  | o, [] -> fail "run ended %s with no group" (kind o)
+
+let prop_component_event_contract =
+  QCheck.Test.make
+    ~name:"component event streams: ascending, one Finished each" ~count:150
+    QCheck.small_nat (fun seed ->
+      let cost name v = float_of_int ((Hashtbl.hash name + (3 * v)) mod 5) in
+      List.for_all
+        (fun net ->
+          List.for_all
+            (fun max_checks ->
+              let engines =
+                [
+                  (fun on_event ->
+                    Mlo_csp.Cdl.solve_components ~on_event
+                      ~config:{ Mlo_csp.Cdl.default_config with max_checks }
+                      net);
+                  (fun on_event ->
+                    Mlo_csp.Bnb.branch_and_bound ~on_event
+                      ~config:{ Mlo_csp.Bnb.default_config with max_checks }
+                      ~cost net);
+                ]
+              in
+              List.for_all
+                (fun solve ->
+                  let events = ref [] in
+                  let r =
+                    solve (fun ~comp ~vars ev ->
+                        events := (comp, vars, ev) :: !events)
+                  in
+                  event_contract net r (List.rev !events))
+                engines)
+            [ None; Some (1 + (seed mod 7)); Some (5 + (seed mod 23)) ])
+        [ sparse_network seed; random_network seed ])
+
 (* ------------------------------------------------------------------ *)
 (* Benchmark goldens: components, width, induced width                 *)
 (* ------------------------------------------------------------------ *)
@@ -506,6 +595,7 @@ let props =
       prop_solve_components_equivalent "dense" random_network;
       prop_solve_components_equivalent "sparse" sparse_network;
       prop_single_component_identical;
+      prop_component_event_contract;
       prop_parallel_components_identical "dense" random_network;
       prop_parallel_components_identical "sparse" sparse_network;
       prop_parallel_single_component_identical;
