@@ -109,13 +109,12 @@ let colB = function
   | _ -> None
 
 (* The Table-3 sweep shape: one program, several layout assignments
-   (here 8 = 4 code versions x 2, big enough to keep 4 domains busy). *)
+   (here 8 = 4 code versions x 2). *)
 let matmul32_sweep =
   List.concat (List.init 4 (fun _ -> [ (fun _ -> None); colB ]))
 
 let table3_tests =
   let prog = Lazy.force matmul32 in
-  let sweep = matmul32_sweep in
   [
     Test.make ~name:"table3/simulate:matmul32-row"
       (Staged.stage (fun () ->
@@ -125,9 +124,6 @@ let table3_tests =
     Test.make ~name:"table3/compile:matmul32"
       (Staged.stage (fun () ->
            ignore (Mlo_cachesim.Compiled_trace.compile prog ~layouts:colB)));
-    Test.make ~name:"table3/run_many:matmul32-x8-1dom"
-      (Staged.stage (fun () ->
-           ignore (Simulate.run_many ~domains:1 prog ~layouts_list:sweep)));
   ]
   (* The programs that dominate the simulation stage of a certified
      request: the simulation-size program restructured under its
@@ -144,17 +140,6 @@ let table3_tests =
           ~name:(Printf.sprintf "table3/simulate:%s" spec.Spec.name)
           (Staged.stage (fun () -> ignore (Simulate.run prog ~layouts))))
       [ Lazy.force mxm; Suite.by_name "shape" ]
-  (* Multi-domain scaling is only meaningful with real cores behind the
-     domains; on a single-core box Domain.spawn is pure overhead, so the
-     kernel would record noise.  recommended_domain_count is the same
-     signal run_many's default uses. *)
-  @ (if Domain.recommended_domain_count () >= 4 then
-       [
-         Test.make ~name:"table3/run_many:matmul32-x8-4dom"
-           (Staged.stage (fun () ->
-                ignore (Simulate.run_many ~domains:4 prog ~layouts_list:sweep)));
-       ]
-     else [])
 
 (* Domain build with and without dominance pruning.  Every sample
    prunes the same physical [spec.program], and the locality profiler
@@ -179,19 +164,12 @@ let prune_tests =
 
 (* The workload-scaling axis: the synthetic scale family at 10/100/1000
    arrays (Suite.scale — component-rich networks, hundreds of nests).
-   Per size: network extraction, the component solve alone (serial and,
-   where the machine has real cores behind the domains, on 4 of them),
-   and the end-to-end extract+solve pipeline.  The serial/parallel pair
-   on the same pre-built network is the speedup column of
-   BENCH_scale.json (--scale-json).  extract and e2e reuse one program
+   Per size: network extraction, the component solve alone on a
+   pre-built network, and the end-to-end extract+solve pipeline
+   (BENCH_scale.json, --scale-json).  extract and e2e reuse one program
    value, so after the first sample their extraction reads a warm nest
    summary. *)
 let scale_sizes = [ 10; 100; 1000 ]
-
-(* Same gate as table3/run_many above: multi-domain kernels record pure
-   spawn overhead on a box without cores to back the domains. *)
-let scale_par_domains =
-  if Domain.recommended_domain_count () >= 4 then Some 4 else None
 
 let scale_builds =
   lazy
@@ -221,19 +199,7 @@ let scale_tests =
                   ignore
                     (Solver.solve_components ~config:(Schemes.enhanced ())
                        (Spec.extract spec).Build.network)));
-         ]
-         @
-         match scale_par_domains with
-         | None -> []
-         | Some domains ->
-           [
-             Test.make
-               ~name:(Printf.sprintf "scale/solve-par%d:scale-%d" domains n)
-               (Staged.stage (fun () ->
-                    ignore
-                      (Solver.solve_components ~config:(Schemes.enhanced ())
-                         ~domains net)));
-           ])
+         ])
        (Lazy.force scale_builds))
 
 (* The conflict-driven axis: the hard family (three-deep nests on the
@@ -272,10 +238,10 @@ let hard_tests =
          ])
        (Lazy.force hard_builds))
 
-(* Static miss estimate vs trace-driven simulation on the same
-   matmul32 sweep: locality/estimate-sweep is the closed-form analyzer
-   over the 8 layout assignments table3/run_many walks address by
-   address.  The ratio of the two is the speedup the cost model buys. *)
+(* Static miss estimate on the matmul32 sweep: locality/estimate-sweep
+   is the closed-form analyzer over the 8 layout assignments, against
+   the table3/simulate:matmul32-* kernels that walk two of them address
+   by address. *)
 let locality_tests =
   let prog = Lazy.force matmul32 in
   [
@@ -550,13 +516,10 @@ let write_json file rows =
   close_out oc;
   Format.printf "wrote %d kernel stats to %s@." (List.length rows) file
 
-(* Schema "memlayout-scale-bench/1": one object per scale-family size
-   with network shape (arrays/nests/components), the end-to-end and
-   per-stage percentile stats, and the serial-vs-parallel solve speedup
-   (p50 ratio on the same pre-built network).  On machines without
-   enough cores to back 4 domains the parallel kernel does not run and
-   both "solve_par" and "speedup_par" are null — recorded honestly
-   rather than timing domain-spawn overhead. *)
+(* Schema "memlayout-scale-bench/2": one object per scale-family size
+   with network shape (arrays/nests/components) and the end-to-end and
+   per-stage percentile stats.  /1 also carried a parallel solve and
+   its speedup, always null on the machines it ran on. *)
 let write_scale_json file rows =
   let find kind n =
     List.find_opt
@@ -573,49 +536,32 @@ let write_scale_json file rows =
         st.p50 st.p90 st.p99 st.mad st.samples
     | None -> "null"
   in
-  let par_kind =
-    Option.map (fun d -> Printf.sprintf "solve-par%d" d) scale_par_domains
-  in
   let oc = open_out file in
   output_string oc
     "{\n\
-    \  \"schema\": \"memlayout-scale-bench/1\",\n\
+    \  \"schema\": \"memlayout-scale-bench/2\",\n\
     \  \"clock\": \"monotonic\",\n\
-    \  \"unit\": \"ns/run\",\n";
-  Printf.fprintf oc "  \"parallel_domains\": %s,\n"
-    (match scale_par_domains with Some d -> string_of_int d | None -> "null");
-  output_string oc "  \"sizes\": {\n";
+    \  \"unit\": \"ns/run\",\n\
+    \  \"sizes\": {\n";
   let sizes = Lazy.force scale_builds in
   List.iteri
     (fun i (n, spec, build) ->
       let net = build.Build.network in
-      let ser = find "solve-ser" n in
-      let par = Option.map (fun k -> find k n) par_kind |> Option.join in
-      let speedup =
-        match (ser, par) with
-        | Some s, Some p when p.p50 > 0. ->
-          Printf.sprintf "%.2f" (s.p50 /. p.p50)
-        | _ -> "null"
-      in
       Printf.fprintf oc
         "    \"scale-%d\": {\n\
         \      \"arrays\": %d, \"nests\": %d, \"components\": %d,\n\
         \      \"extract\": %s,\n\
         \      \"solve_ser\": %s,\n\
-        \      \"solve_par\": %s,\n\
-        \      \"e2e\": %s,\n\
-        \      \"speedup_par\": %s\n\
+        \      \"e2e\": %s\n\
         \    }%s\n"
         n
         (Array.length (Mlo_ir.Program.arrays spec.Spec.program))
         (Array.length (Mlo_ir.Program.nests spec.Spec.program))
         (Array.length (Mlo_csp.Network.components net))
         (stat_json (find "extract" n))
-        (stat_json ser) (stat_json par)
+        (stat_json (find "solve-ser" n))
         (stat_json (find "e2e" n))
-        speedup
-        (if i = List.length sizes - 1 then "" else ",")
-    )
+        (if i = List.length sizes - 1 then "" else ","))
     sizes;
   output_string oc "  }\n}\n";
   close_out oc;
@@ -689,7 +635,7 @@ let usage () =
      \  --json [FILE]    run the micro-benchmarks and dump per-kernel medians\n\
      \                   as JSON (default FILE: BENCH_solver.json)\n\
      \  --scale-json [FILE]  run only the scale/ group and dump per-size\n\
-     \                   percentiles and the serial-vs-parallel solve speedup\n\
+     \                   network shape and percentiles\n\
      \                   (default FILE: BENCH_scale.json)\n\
      \  --hard-json [FILE]  run only the hard/ group and dump per-size\n\
      \                   percentiles and the enhanced-vs-cdl solve speedup\n\

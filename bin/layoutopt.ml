@@ -82,23 +82,6 @@ let explain_flag =
   let doc = "Print the per-nest, per-reference locality report." in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Number of OCaml domains for parallel work: independent network \
-     components in 'solve', the simulation sweep in 'table3' (default \
-     there: up to 8, bounded by the machine); 1 forces serial execution."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-(* [--domains 0] (or a negative count) must die with a single-line
-   error before it reaches the pool, like every other CLI validation. *)
-let validated_domains = function
-  | Some d when d <= 0 ->
-    Printf.eprintf
-      "layoutopt: --domains must be a positive integer (got %d)\n" d;
-    exit 2
-  | d -> d
-
 let restarts_arg =
   let doc =
     "For -s cdl: number of Luby-bounded restart runs before \
@@ -253,12 +236,11 @@ let proof_arg =
 
 let solve_cmd =
   let run workload scheme seed max_checks restarts learn_limit bound_slack
-      objective explain prune domains proof_file trace =
+      objective explain prune proof_file trace =
     let spec = spec_of_workload workload in
     let bound_slack = validated_bound_slack bound_slack in
     let objective = objective_of objective in
     let scheme = scheme_of ~seed ~restarts ~learn_limit ~bound_slack scheme in
-    let domains = validated_domains domains in
     (match (proof_file, scheme) with
     | Some _, Optimizer.Heuristic ->
       Printf.eprintf
@@ -277,7 +259,7 @@ let solve_cmd =
     match
       with_trace trace @@ fun () ->
       Optimizer.optimize ~candidates:spec.Spec.candidates ~max_checks
-        ~prune_dominated:prune ?domains ~objective ?proof scheme
+        ~prune_dominated:prune ~objective ?proof scheme
         spec.Spec.program
     with
     | exception Optimizer.No_solution msg ->
@@ -319,7 +301,7 @@ let solve_cmd =
     Term.(
       const run $ workload_arg $ scheme_arg $ seed_arg $ max_checks_arg
       $ restarts_arg $ learn_limit_arg $ bound_slack_arg $ objective_arg
-      $ explain_flag $ prune_flag $ domains_arg $ proof_arg $ trace_arg)
+      $ explain_flag $ prune_flag $ proof_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                             *)
@@ -437,14 +419,12 @@ let fig4_cmd =
     Term.(const run $ seed_arg $ max_checks_arg)
 
 let table3_cmd =
-  let run seed max_checks domains trace =
-    let domains = validated_domains domains in
+  let run seed max_checks trace =
     Format.printf "%a@." Tables.print_table3
-      (with_trace trace @@ fun () ->
-       Tables.run_table3 ~seed ~max_checks ?domains ())
+      (with_trace trace @@ fun () -> Tables.run_table3 ~seed ~max_checks ())
   in
   Cmd.v (Cmd.info "table3" ~doc:"Regenerate Table 3 (execution times)")
-    Term.(const run $ seed_arg $ max_checks_arg $ domains_arg $ trace_arg)
+    Term.(const run $ seed_arg $ max_checks_arg $ trace_arg)
 
 let ablation_cmd =
   let run seed max_checks =

@@ -692,8 +692,8 @@ let permute_group perm (g : raw_group) =
    kept by [Program.memo], keyed by physical program identity in an
    ephemeron table: the staged trace refers back to its program, and an
    ephemeron's data does not keep its key alive, so an entry dies with
-   its program.  One mutex per entry: queries may come from worker
-   Domains solving components in parallel. *)
+   its program.  One mutex per entry: a caller may query from several
+   Domains. *)
 type metric = Misses | Lines
 
 module Profile_key = struct

@@ -132,7 +132,7 @@ val profiler :
     the same program object — re-profiling a program the process has
     already costed (a solver service, repeated pruning passes) only pays
     hashtable lookups.  Staged data does not depend on the metric.  The
-    cache is mutex-protected (queries may run on worker Domains) and
+    cache is mutex-protected (a caller may query from several Domains) and
     holds its programs through ephemerons: an entry does not keep its
     program alive and is dropped once the program is collected.  Returned
     arrays are fresh — safe to mutate.  Raises [Invalid_argument] like

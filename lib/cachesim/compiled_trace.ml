@@ -119,9 +119,10 @@ let fold ~base ~elem ~transform sn sa deltas =
   done;
   base + (elem * !cell0)
 
-let instantiate skel ~layouts =
+let compile prog ~layouts =
+  let skel = skeleton prog in
   Trace.with_span ~cat:"cachesim" "compile-trace" @@ fun () ->
-  let amap = Address_map.build skel.sk_prog ~layouts in
+  let amap = Address_map.build prog ~layouts in
   (* one scratch row of deltas, as deep as the deepest nest *)
   let d =
     Array.make
@@ -151,8 +152,6 @@ let instantiate skel ~layouts =
       skel.sk_nests
   in
   { nests; amap; trips = skel.sk_trips; skel }
-
-let compile prog ~layouts = instantiate (skeleton prog) ~layouts
 
 let footprint_bytes t = Address_map.footprint_bytes t.amap
 let trip_count t = t.trips

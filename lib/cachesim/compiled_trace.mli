@@ -30,26 +30,15 @@
     [Mlo_oracle.Simulate_reference] (qcheck-enforced); only the way that
     holds a line may differ, and no counter reads it. *)
 
-type skeleton
-(** The layout-independent part: per-nest trip counts, loop lower bounds
-    and access matrices.  Built once per program and shared across layout
-    assignments (and across domains — it is immutable). *)
-
 type t
-(** A fully compiled trace: [skeleton] specialized to one layout
-    assignment's address map. *)
-
-val skeleton : Mlo_ir.Program.t -> skeleton
-
-val instantiate :
-  skeleton -> layouts:(string -> Mlo_layout.Layout.t option) -> t
-(** Specialize a skeleton to one layout assignment.  Cost is linear in
-    the number of accesses (not iterations).  Raises like
-    {!Address_map.build} on rank mismatches. *)
+(** A fully compiled trace: every access's affine address stream under
+    one layout assignment's address map. *)
 
 val compile :
   Mlo_ir.Program.t -> layouts:(string -> Mlo_layout.Layout.t option) -> t
-(** [skeleton] followed by [instantiate]. *)
+(** Compile a program under one layout assignment.  Cost is linear in
+    the number of accesses (not iterations).  Raises like
+    {!Address_map.build} on rank mismatches. *)
 
 val footprint_bytes : t -> int
 val trip_count : t -> int

@@ -9,9 +9,7 @@
     {!run} drives the compiled address streams of {!Compiled_trace}
     (allocation-free inner loop); the interpretive per-access engine it
     must match counter for counter is kept as a test oracle in the
-    test-only library [mlo_oracle] ([Simulate_reference]).  {!run_many}
-    amortizes trace compilation across layout assignments and fans the
-    simulations out over OCaml 5 domains. *)
+    test-only library [mlo_oracle] ([Simulate_reference]). *)
 
 type report = {
   counters : Hierarchy.counters;
@@ -27,29 +25,6 @@ val run :
 (** Simulates the program as written (no loop restructuring is applied
     here; restructure first with {!Mlo_netgen.Select} if desired) on a
     cold hierarchy.  [config] defaults to {!Hierarchy.paper_config}. *)
-
-val run_many :
-  ?config:Hierarchy.config ->
-  ?domains:int ->
-  Mlo_ir.Program.t ->
-  layouts_list:(string -> Mlo_layout.Layout.t option) list ->
-  report list
-(** Evaluate one program under each of N layout assignments, reusing the
-    compiled iteration skeleton across assignments and running the
-    independent simulations on [domains] OCaml domains (default:
-    [min 8 (Domain.recommended_domain_count ())], capped at N; pass
-    [~domains:1] to force a serial sweep).  The layout functions must be
-    pure — they are called from worker domains.  Reports come back in
-    input order. *)
-
-val run_batch :
-  ?config:Hierarchy.config ->
-  ?domains:int ->
-  (Mlo_ir.Program.t * (string -> Mlo_layout.Layout.t option)) list ->
-  report list
-(** Like {!run_many} for jobs that differ in program as well as layouts
-    (e.g. Table 3's per-version restructured programs): each job is
-    compiled and simulated on the domain pool, reports in input order. *)
 
 val cycles : report -> int
 

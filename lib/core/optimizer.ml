@@ -88,15 +88,14 @@ let lookup_in layouts =
   List.iter (fun (name, layout) -> Hashtbl.replace tbl name layout) layouts;
   Hashtbl.find_opt tbl
 
-(* Component-wise search of a network scheme, across [domains] worker
-   domains.  Returns the preprocessing the engine ran, bnb's cost table
-   over the original network [net0] (read through [orig], which maps a
-   value of the solved [build] back to [net0]) and the result. *)
-let search ?max_checks ~domains ~objective ?on_event scheme prog ~net0 ~orig
-    build =
+(* Component-wise search of a network scheme.  Returns the
+   preprocessing the engine ran, bnb's cost table over the original
+   network [net0] (read through [orig], which maps a value of the solved
+   [build] back to [net0]) and the result. *)
+let search ?max_checks ~objective ?on_event scheme prog ~net0 ~orig build =
   let net = build.Build.network in
   let solver config =
-    (config.Solver.preprocess, None, Solver.solve_components ~config ~domains net)
+    (config.Solver.preprocess, None, Solver.solve_components ~config net)
   in
   match scheme with
   | Heuristic -> assert false
@@ -111,7 +110,7 @@ let search ?max_checks ~domains ~objective ?on_event scheme prog ~net0 ~orig
     in
     ( cfg.Mlo_csp.Cdl.preprocess,
       None,
-      Mlo_csp.Cdl.solve_components ~config:cfg ~domains ?on_event net )
+      Mlo_csp.Cdl.solve_components ~config:cfg ?on_event net )
   | Bnb cfg ->
     let cfg =
       match max_checks with
@@ -128,7 +127,7 @@ let search ?max_checks ~domains ~objective ?on_event scheme prog ~net0 ~orig
       Trace.with_span ~cat:"optimizer" "bnb"
         ~args:[ ("objective", Trace.Str (objective_label objective)) ]
         (fun () ->
-          Mlo_csp.Bnb.branch_and_bound ~config:cfg ~domains ?on_event ~cost net)
+          Mlo_csp.Bnb.branch_and_bound ~config:cfg ?on_event ~cost net)
     )
 
 (* Arc-consistency preprocessing's deletions on the solved network,
@@ -149,7 +148,7 @@ let ac_deletions ~orig net =
     done;
     !dels
 
-let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
+let optimize ?candidates ?max_checks ?(prune_dominated = false)
     ?(objective = Estimated_misses) ?proof scheme prog =
   Trace.with_span ~cat:"optimizer" "optimize"
     ~args:
@@ -197,7 +196,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false) ?(domains = 1)
     let orig i v = match survivors with Some s -> s.(i).(v) | None -> v in
     let recorder = Proof.recorder () in
     let preprocess, costs, result =
-      search ?max_checks ~domains ~objective
+      search ?max_checks ~objective
         ?on_event:(Option.map (fun _ -> Proof.record recorder) proof)
         scheme prog ~net0 ~orig build
     in
@@ -271,11 +270,6 @@ let simulate ?config sol =
 let simulate_original ?config prog =
   Simulate.run ?config prog ~layouts:(fun _ -> None)
 
-let simulate_versions ?config ?domains prog sols =
-  match
-    Simulate.run_batch ?config ?domains
-      ((prog, fun _ -> None)
-      :: List.map (fun sol -> (sol.restructured, lookup sol)) sols)
-  with
-  | original :: optimized -> (original, optimized)
-  | [] -> assert false
+let simulate_versions ?config prog sols =
+  let original = simulate_original ?config prog in
+  (original, List.map (simulate ?config) sols)

@@ -95,7 +95,6 @@ val optimize :
   ?candidates:(string -> Mlo_layout.Layout.t list) ->
   ?max_checks:int ->
   ?prune_dominated:bool ->
-  ?domains:int ->
   ?objective:objective ->
   ?proof:(Mlo_verify.Proof.t -> unit) ->
   scheme ->
@@ -105,10 +104,7 @@ val optimize :
     {!Mlo_netgen.Build.build}); [max_checks] bounds solver effort;
     [prune_dominated] (default [false]) drops dominated layout values
     from every domain before solving ({!Mlo_netgen.Prune.apply} —
-    satisfiability-preserving, ignored by [Heuristic]); [domains]
-    (default 1: serial) solves independent network components on that
-    many OCaml domains ({!Mlo_csp.Solver.solve_components} — outcome and
-    merged stats are identical to the serial solve).  [objective]
+    satisfiability-preserving, ignored by [Heuristic]).  [objective]
     (default [Estimated_misses]) selects the cost the [Bnb] scheme
     minimizes; the other schemes ignore it.
 
@@ -142,10 +138,8 @@ val simulate_original :
 
 val simulate_versions :
   ?config:Mlo_cachesim.Hierarchy.config ->
-  ?domains:int ->
   Mlo_ir.Program.t ->
   solution list ->
   Mlo_cachesim.Simulate.report * Mlo_cachesim.Simulate.report list
-(** [simulate_versions prog sols] runs the original program and every
-    optimized version as one parallel batch — the Table-3 sweep.  Returns
-    the original's report and the per-solution reports in input order. *)
+(** [simulate_versions prog sols] is {!simulate_original} of [prog] and
+    {!simulate} of each solution, in input order — the Table-3 sweep. *)

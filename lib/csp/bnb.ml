@@ -32,7 +32,7 @@ let lower_bound ~costs ~assignment ~live =
     costs;
   !total
 
-let run config ~max_checks ?cancel ?on_event ~costs comp =
+let run config ~max_checks ?on_event ~costs comp =
   if Float.is_nan config.bound_slack || config.bound_slack < 0.0 then
     invalid_arg "Bnb: bound_slack must be >= 0";
   if Array.length costs <> Compiled.num_vars comp then
@@ -45,10 +45,10 @@ let run config ~max_checks ?cancel ?on_event ~costs comp =
   Conflict_search.run
     (Conflict_search.Minimize { costs; slack = config.bound_slack })
     ~preprocess:config.preprocess ~learn_limit:config.learn_limit ~max_checks
-    ?cancel ?on_event comp
+    ?on_event comp
 
-let solve_compiled ?(config = default_config) ?cancel ?on_event ~costs comp =
-  run config ~max_checks:config.max_checks ?cancel ?on_event ~costs comp
+let solve_compiled ?(config = default_config) ?on_event ~costs comp =
+  run config ~max_checks:config.max_checks ?on_event ~costs comp
 
 let costs_of_network ~cost net =
   Array.init (Network.num_vars net) (fun i ->
@@ -60,11 +60,10 @@ let solve ?config ~cost net =
     ~costs:(costs_of_network ~cost net)
     (Network.compile net)
 
-let branch_and_bound ?(config = default_config) ?domains ?on_event ~cost net =
-  Conflict_search.solve_components ?domains ?on_event
-    ~max_checks:config.max_checks
-    (fun ~max_checks ~cancel ~on_event sub ->
-      run config ~max_checks ?cancel ?on_event
+let branch_and_bound ?(config = default_config) ?on_event ~cost net =
+  Conflict_search.solve_components ?on_event ~max_checks:config.max_checks
+    (fun ~max_checks ~on_event sub ->
+      run config ~max_checks ?on_event
         ~costs:(costs_of_network ~cost sub)
         (Network.compile sub))
     net

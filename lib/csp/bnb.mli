@@ -75,7 +75,6 @@ val lower_bound :
 
 val solve_compiled :
   ?config:config ->
-  ?cancel:(unit -> bool) ->
   ?on_event:(Solver.event -> unit) ->
   costs:float array array ->
   Compiled.t ->
@@ -84,13 +83,12 @@ val solve_compiled :
     variable and one entry per domain value ([Invalid_argument]
     otherwise).  [Solution a] is a verified consistent assignment; with
     the default slack it has minimum {!cost_of} over all consistent
-    assignments.  When the check budget (or [cancel]) interrupts a
-    search that already holds an incumbent, that incumbent is returned
-    as an {e anytime} [Solution] — consistent, but possibly not optimal,
-    and flagged by [stats.cut];
-    [Aborted] means the budget died before any solution was found.
-    [stats.bounded] counts cost-pruned subtrees and [stats.incumbents]
-    the strict incumbent improvements.
+    assignments.  When the check budget interrupts a search that already
+    holds an incumbent, that incumbent is returned as an {e anytime}
+    [Solution] — consistent, but possibly not optimal, and flagged by
+    [stats.cut]; [Aborted] means the budget died before any solution was
+    found.  [stats.bounded] counts cost-pruned subtrees and
+    [stats.incumbents] the strict incumbent improvements.
 
     [on_event] receives each learned nogood ([Learned]) and each strict
     incumbent improvement ([Incumbent], a fresh copy), in chronological
@@ -104,7 +102,6 @@ val solve :
 
 val branch_and_bound :
   ?config:config ->
-  ?domains:int ->
   ?on_event:(comp:int -> vars:int array -> Solver.event -> unit) ->
   cost:(string -> int -> float) ->
   'a Network.t ->
@@ -114,8 +111,6 @@ val branch_and_bound :
     variable {e name}, which {!Network.induced} preserves) and the
     per-component optima concatenate into the global optimum, because a
     separable cost never couples variables that share no constraint.
-    [domains] spreads components over a Domain pool as usual.
     [on_event] receives each component's {!Solver.event} stream
-    (nogoods and incumbents in chronological order, [Finished] last),
-    buffered per component and replayed serially in component order —
-    safe under [domains > 1]. *)
+    (nogoods and incumbents in chronological order, [Finished] last) as
+    the search runs, in component order. *)

@@ -23,19 +23,18 @@ let mode config =
   Conflict_search.Satisfy
     { restarts = config.restarts; restart_base = config.restart_base }
 
-let solve_compiled ?(config = default_config) ?cancel ?on_event comp =
+let solve_compiled ?(config = default_config) ?on_event comp =
   Conflict_search.run (mode config) ~preprocess:config.preprocess
-    ~learn_limit:config.learn_limit ~max_checks:config.max_checks ?cancel
-    ?on_event comp
+    ~learn_limit:config.learn_limit ~max_checks:config.max_checks ?on_event
+    comp
 
 let solve ?config net = solve_compiled ?config (Network.compile net)
 
-let solve_components ?(config = default_config) ?domains ?on_event net =
+let solve_components ?(config = default_config) ?on_event net =
   let mode = mode config in
-  Conflict_search.solve_components ?domains ?on_event
-    ~max_checks:config.max_checks
-    (fun ~max_checks ~cancel ~on_event sub ->
+  Conflict_search.solve_components ?on_event ~max_checks:config.max_checks
+    (fun ~max_checks ~on_event sub ->
       Conflict_search.run mode ~preprocess:config.preprocess
-        ~learn_limit:config.learn_limit ~max_checks ?cancel ?on_event
+        ~learn_limit:config.learn_limit ~max_checks ?on_event
         (Network.compile sub))
     net

@@ -46,13 +46,11 @@ val default_config : config
 
 val solve_compiled :
   ?config:config ->
-  ?cancel:(unit -> bool) ->
   ?on_event:(Solver.event -> unit) ->
   Compiled.t ->
   Solver.result
-(** Run the conflict-driven search on a compiled view.  [cancel] is the
-    same cooperative hook as {!Solver.solve_compiled} (polled on the
-    check counter).  [on_event] receives every learned nogood as a
+(** Run the conflict-driven search on a compiled view.  [on_event]
+    receives every learned nogood as a
     [Learned] event (a fresh literal array plus the variable whose
     domain wiped at the dead end), in chronological order, and never
     [Finished] — the soundness property tests pin each nogood against
@@ -65,14 +63,12 @@ val solve : ?config:config -> 'a Network.t -> Solver.result
 
 val solve_components :
   ?config:config ->
-  ?domains:int ->
   ?on_event:(comp:int -> vars:int array -> Solver.event -> unit) ->
   'a Network.t ->
   Solver.result
 (** Component-wise conflict-driven search via {!Solver.component_driver}
     (independent learned stores per component).  [on_event] receives
-    each component's {!Solver.event} stream — buffered during the solve
-    and replayed serially in component order after the driver returns,
-    so it is safe under [domains > 1]; [Finished] is always a
-    component's last event, and components that never ran (cancelled
-    siblings) deliver nothing. *)
+    each component's {!Solver.event} stream as the search runs, in
+    component order; [Finished] is always a component's last event, and
+    nothing arrives for the components after the first one without a
+    solution. *)

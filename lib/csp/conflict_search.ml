@@ -72,10 +72,9 @@ exception Abort
    return is a backjump target level (-1: the whole tree is refuted). *)
 let found = max_int
 
-let run mode ~preprocess ~learn_limit ~max_checks ?cancel ?on_event comp =
+let run mode ~preprocess ~learn_limit ~max_checks ?on_event comp =
   let n = Compiled.num_vars comp in
   let stats = Stats.create () in
-  Stats.ensure_hists stats n;
   let tr = Trace.enabled () in
   let t_wall = Clock.wall_s () and t_cpu = Clock.cpu_s () in
   let finish outcome =
@@ -162,17 +161,9 @@ let run mode ~preprocess ~learn_limit ~max_checks ?cancel ?on_event comp =
     let bound = ref infinity in
 
     let check_limit = match max_checks with Some m -> m | None -> max_int in
-    let bump_check =
-      match cancel with
-      | None ->
-        fun () ->
-          stats.Stats.checks <- stats.Stats.checks + 1;
-          if stats.Stats.checks > check_limit then raise Abort
-      | Some cancelled ->
-        fun () ->
-          stats.Stats.checks <- stats.Stats.checks + 1;
-          if stats.Stats.checks > check_limit then raise Abort;
-          if stats.Stats.checks land 255 = 0 && cancelled () then raise Abort
+    let bump_check () =
+      stats.Stats.checks <- stats.Stats.checks + 1;
+      if stats.Stats.checks > check_limit then raise Abort
     in
 
     let select_var =
@@ -524,9 +515,6 @@ let run mode ~preprocess ~learn_limit ~max_checks ?cancel ?on_event comp =
       else begin
         let v = cand.((level * md) + k) in
         stats.Stats.nodes <- stats.Stats.nodes + 1;
-        stats.Stats.nodes_by_depth.(level) <-
-          stats.Stats.nodes_by_depth.(level) + 1;
-        stats.Stats.nodes_by_var.(var) <- stats.Stats.nodes_by_var.(var) + 1;
         if tr then
           Trace.instant ~cat:"solver" "decision"
             ~args:
@@ -624,36 +612,13 @@ let run mode ~preprocess ~learn_limit ~max_checks ?cancel ?on_event comp =
     | Unsatisfiable | Aborted -> ());
     finish outcome
 
-let solve_components ?domains ?on_event ~max_checks solve net =
-  let buffers =
-    match on_event with
-    | None -> [||]
-    | Some _ -> Array.make (max 1 (Array.length (Network.components net))) None
-  in
-  let r =
-    Solver.component_driver ?domains ~max_checks
-      ~run:(fun ~comp ~vars ~max_checks ~cancel sub ->
-        match on_event with
-        | None -> solve ~max_checks ~cancel ~on_event:None sub
-        | Some _ ->
-            let evs = ref [] in
-            let r =
-              solve ~max_checks ~cancel
-                ~on_event:(Some (fun ev -> evs := ev :: !evs))
-                sub
-            in
-            evs := Solver.Finished r.Solver.outcome :: !evs;
-            buffers.(comp) <- Some (vars, List.rev !evs);
-            r)
-      net
-  in
-  (match on_event with
-  | None -> ()
-  | Some f ->
-      Array.iteri
-        (fun k slot ->
-          match slot with
-          | None -> ()
-          | Some (vars, evs) -> List.iter (fun ev -> f ~comp:k ~vars ev) evs)
-        buffers);
-  r
+let solve_components ?on_event ~max_checks solve net =
+  Solver.component_driver ~max_checks
+    ~run:(fun ~comp ~vars ~max_checks sub ->
+      match on_event with
+      | None -> solve ~max_checks ~on_event:None sub
+      | Some f ->
+        let r = solve ~max_checks ~on_event:(Some (f ~comp ~vars)) sub in
+        f ~comp ~vars (Solver.Finished r.Solver.outcome);
+        r)
+    net

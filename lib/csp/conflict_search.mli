@@ -4,8 +4,8 @@
     One engine: a trail of forward-checking prunings, conflict-directed
     backjumping with per-variable blame ([pruned_by]), dead-end learning
     into a watched {!Nogood} store that is propagated on every
-    assignment, a shared check budget with cooperative [cancel], and the
-    buffered per-component event replay.  The [mode] picks the rest:
+    assignment, a check budget, and the per-component event stream.
+    The [mode] picks the rest:
 
     - [Satisfy] — VSIDS variable and value order, activity bumps and
       nogood decay at every dead end, Luby restarts; stops at the first
@@ -29,7 +29,6 @@ val run :
   preprocess:Solver.preprocess ->
   learn_limit:int ->
   max_checks:int option ->
-  ?cancel:(unit -> bool) ->
   ?on_event:(Solver.event -> unit) ->
   Compiled.t ->
   Solver.result
@@ -39,20 +38,16 @@ val run :
     chronological order; it never receives [Finished]. *)
 
 val solve_components :
-  ?domains:int ->
   ?on_event:(comp:int -> vars:int array -> Solver.event -> unit) ->
   max_checks:int option ->
   (max_checks:int option ->
-  cancel:(unit -> bool) option ->
   on_event:(Solver.event -> unit) option ->
   'a Network.t ->
   Solver.result) ->
   'a Network.t ->
   Solver.result
 (** [solve_components ~max_checks solve net] runs [solve] on every
-    component through {!Solver.component_driver}.  Each component's
-    events are buffered in a slot of its own (so parallel workers never
-    share one) and replayed to [on_event] serially, in component order,
-    after the driver returns, each stream closed by [Finished].
-    Components the driver never ran (cancelled siblings) deliver
-    nothing. *)
+    component through {!Solver.component_driver}, in component order.
+    Each component's events go to [on_event] as they happen, followed
+    by one [Finished] with its outcome; nothing arrives for the
+    components after the first one without a solution. *)

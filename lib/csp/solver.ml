@@ -68,10 +68,9 @@ type cstep = CFound | CFail of int
    only the cost of each primitive changes.  [checks] counts support-row
    lookups: identical to the reference under no lookahead, one per
    neighbour domain (instead of one per value) under forward checking. *)
-let solve_compiled ?(config = default_config) ?cancel comp =
+let solve_compiled ?(config = default_config) comp =
   let n = Compiled.num_vars comp in
   let stats = Stats.create () in
-  Stats.ensure_hists stats n;
   (* Tracing gate read once per solve: per-node events cost one local
      branch when disabled. *)
   let tr = Trace.enabled () in
@@ -144,20 +143,9 @@ let solve_compiled ?(config = default_config) ?cancel comp =
     let check_limit =
       match config.max_checks with Some m -> m | None -> max_int
     in
-    (* Cooperative cancellation piggybacks on the check counter (every
-       256th check), so solves without a [cancel] pay nothing and solves
-       with one pay a closure call amortized over 256 table probes. *)
-    let bump_check =
-      match cancel with
-      | None ->
-        fun () ->
-          stats.Stats.checks <- stats.Stats.checks + 1;
-          if stats.Stats.checks > check_limit then raise Abort
-      | Some cancelled ->
-        fun () ->
-          stats.Stats.checks <- stats.Stats.checks + 1;
-          if stats.Stats.checks > check_limit then raise Abort;
-          if stats.Stats.checks land 255 = 0 && cancelled () then raise Abort
+    let bump_check () =
+      stats.Stats.checks <- stats.Stats.checks + 1;
+      if stats.Stats.checks > check_limit then raise Abort
     in
 
     (* [conf row level := levels of var's instantiated neighbours] *)
@@ -507,9 +495,6 @@ let solve_compiled ?(config = default_config) ?cancel comp =
       else begin
         let v = cand.((level * md) + k) in
         stats.Stats.nodes <- stats.Stats.nodes + 1;
-        stats.Stats.nodes_by_depth.(level) <-
-          stats.Stats.nodes_by_depth.(level) + 1;
-        stats.Stats.nodes_by_var.(var) <- stats.Stats.nodes_by_var.(var) + 1;
         if tr then
           Trace.instant ~cat:"solver" "decision"
             ~args:
@@ -559,11 +544,10 @@ let solve_compiled ?(config = default_config) ?cancel comp =
 
 let solve ?config net = solve_compiled ?config (Network.compile net)
 
-(* Merge one component's stats into the whole-network accumulator.
-   [vars] maps component-local variable indices back to network indices;
-   depth histograms add up because a component search never exceeds the
-   whole-network depth. *)
-let merge_component_stats stats ~n ~vars (s : Stats.t) =
+(* Add one component's counters into the whole-network accumulator:
+   the depth is the deepest any component reached, and a cut component
+   cuts the run. *)
+let merge_component_stats stats (s : Stats.t) =
   stats.Stats.nodes <- stats.Stats.nodes + s.Stats.nodes;
   stats.Stats.checks <- stats.Stats.checks + s.Stats.checks;
   stats.Stats.backtracks <- stats.Stats.backtracks + s.Stats.backtracks;
@@ -576,18 +560,7 @@ let merge_component_stats stats ~n ~vars (s : Stats.t) =
   stats.Stats.incumbents <- stats.Stats.incumbents + s.Stats.incumbents;
   stats.Stats.cut <- stats.Stats.cut || s.Stats.cut;
   if s.Stats.max_depth > stats.Stats.max_depth then
-    stats.Stats.max_depth <- s.Stats.max_depth;
-  Array.iteri
-    (fun d c ->
-      if d < n then
-        stats.Stats.nodes_by_depth.(d) <- stats.Stats.nodes_by_depth.(d) + c)
-    s.Stats.nodes_by_depth;
-  Array.iteri
-    (fun lv c ->
-      if lv < Array.length vars then
-        stats.Stats.nodes_by_var.(vars.(lv)) <-
-          stats.Stats.nodes_by_var.(vars.(lv)) + c)
-    s.Stats.nodes_by_var
+    stats.Stats.max_depth <- s.Stats.max_depth
 
 (* Component-wise search.  Variables in different connected components
    of the constraint graph share no constraint, so the network's
@@ -599,121 +572,53 @@ let merge_component_stats stats ~n ~vars (s : Stats.t) =
    single-component network takes the exact whole-network path, so the
    decomposition is free when there is nothing to split.
 
-   With [domains > 1] the components are solved on a Domain pool.
-   [Network.induced] only reads the immutable constraint store of the
-   parent network, so the whole induce/compile/solve chain runs inside
-   the workers.  The merge walks components in index order and stops at
-   the first non-solution exactly like the serial loop, so outcomes and
-   merged stats are identical to [domains = 1] whenever the budget does
-   not bite (without [max_checks] they always are; later components'
-   results are simply discarded past the first failure).  The check
-   budget is shared through an atomic spent-counter: each component
-   starts with what its predecessors have left, and the first budget
-   exhaustion flips an abort flag that the sibling solves poll (the
-   [cancel] hook above), so one exhausted Domain cancels the rest
-   instead of letting every worker burn a full budget.
+   Components are solved in index order.  The check budget is global:
+   each component gets what the earlier ones left, mirroring the
+   whole-network abort, and the first component without a solution
+   stops the run.
 
    The driver is generic in the per-component engine ([run]) so the
    conflict-directed schemes ({!Cdl}, {!Bnb}) reuse the exact
-   decomposition, budget-sharing and merge logic. *)
-let component_driver ?(domains = 1) ~max_checks ~run net =
+   decomposition, budget hand-down and merge. *)
+let component_driver ~max_checks ~run net =
   let comp = Network.compile net in
   let comps = Compiled.components comp in
   if Array.length comps <= 1 then
-    run ~comp:0
-      ~vars:(Array.init (Network.num_vars net) Fun.id)
-      ~max_checks ~cancel:None net
+    run ~comp:0 ~vars:(Array.init (Network.num_vars net) Fun.id) ~max_checks net
   else begin
     let ncomps = Array.length comps in
-    let domains = max 1 (min domains ncomps) in
     Trace.with_span ~cat:"solver" "solve-components"
-      ~args:
-        [ ("components", Trace.Int ncomps); ("domains", Trace.Int domains) ]
+      ~args:[ ("components", Trace.Int ncomps) ]
     @@ fun () ->
-    let n = Compiled.num_vars comp in
     let t_wall = Clock.wall_s () and t_cpu = Clock.cpu_s () in
     let stats = Stats.create () in
-    Stats.ensure_hists stats n;
-    let assignment = Array.make n (-1) in
-    (* [None] = never ran (siblings were cancelled before it started). *)
-    let results = Array.make ncomps None in
-    if domains = 1 then begin
-      (* The check budget is global: each component consumes what the
-         previous ones left over, mirroring the whole-network abort. *)
-      let remaining = ref max_checks in
-      let stop = ref false in
-      for k = 0 to ncomps - 1 do
-        if not !stop then begin
-          let sub = Network.induced net comps.(k) in
-          let r =
-            run ~comp:k ~vars:comps.(k) ~max_checks:!remaining ~cancel:None sub
-          in
-          results.(k) <- Some r;
-          (match !remaining with
-          | Some m -> remaining := Some (max 0 (m - r.stats.Stats.checks))
-          | None -> ());
-          match r.outcome with
-          | Solution _ -> ()
-          | Unsatisfiable | Aborted -> stop := true
-        end
-      done
-    end
-    else begin
-      let spent = Atomic.make 0 in
-      let exhausted = Atomic.make false in
-      let cancel () = Atomic.get exhausted in
-      Mlo_support.Pool.parallel_iter ~domains ncomps (fun k ->
-          if not (Atomic.get exhausted) then begin
-            let budget =
-              Option.map (fun m -> max 0 (m - Atomic.get spent)) max_checks
-            in
-            let sub = Network.induced net comps.(k) in
-            let r =
-              run ~comp:k ~vars:comps.(k) ~max_checks:budget
-                ~cancel:(Some cancel) sub
-            in
-            results.(k) <- Some r;
-            if max_checks <> None then
-              ignore (Atomic.fetch_and_add spent r.stats.Stats.checks);
-            match r.outcome with
-            | Aborted -> Atomic.set exhausted true
-            | Solution _ | Unsatisfiable -> ()
-          end)
-    end;
-    (* Merge in component order up to (and including) the first
-       non-solution — the serial stopping rule, applied after the fact. *)
-    let failed = ref None in
-    (try
-       for k = 0 to ncomps - 1 do
-         match results.(k) with
-         | None ->
-           failed := Some Aborted;
-           raise Exit
-         | Some r -> (
-           merge_component_stats stats ~n ~vars:comps.(k) r.stats;
-           match r.outcome with
-           | Solution a ->
-             Array.iteri (fun lv v -> assignment.(comps.(k).(lv)) <- v) a
-           | (Unsatisfiable | Aborted) as o ->
-             failed := Some o;
-             raise Exit)
-       done
-     with Exit -> ());
+    let assignment = Array.make (Compiled.num_vars comp) (-1) in
+    let rec go k remaining =
+      if k = ncomps then Solution assignment
+      else begin
+        let vars = comps.(k) in
+        let r =
+          run ~comp:k ~vars ~max_checks:remaining (Network.induced net vars)
+        in
+        merge_component_stats stats r.stats;
+        match r.outcome with
+        | Solution a ->
+          Array.iteri (fun lv v -> assignment.(vars.(lv)) <- v) a;
+          go (k + 1)
+            (Option.map (fun m -> max 0 (m - r.stats.Stats.checks)) remaining)
+        | (Unsatisfiable | Aborted) as o -> o
+      end
+    in
+    let outcome = go 0 max_checks in
     stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
     stats.Stats.cpu_s <- Clock.cpu_s () -. t_cpu;
-    let outcome =
-      match !failed with
-      | Some o -> o
-      | None -> Solution (Array.copy assignment)
-    in
     { outcome; stats }
   end
 
-let solve_components ?(config = default_config) ?domains net =
-  component_driver ?domains ~max_checks:config.max_checks
-    ~run:(fun ~comp:_ ~vars:_ ~max_checks ~cancel sub ->
-      let config = { config with max_checks } in
-      solve_compiled ~config ?cancel (Network.compile sub))
+let solve_components ?(config = default_config) net =
+  component_driver ~max_checks:config.max_checks
+    ~run:(fun ~comp:_ ~vars:_ ~max_checks sub ->
+      solve_compiled ~config:{ config with max_checks } (Network.compile sub))
     net
 
 let solve_values ?config net =

@@ -95,15 +95,10 @@ val solve : ?config:config -> 'a Network.t -> result
     of the same network compile once).  The returned assignment (if any)
     satisfies {!Network.verify}. *)
 
-val solve_compiled :
-  ?config:config -> ?cancel:(unit -> bool) -> Compiled.t -> result
-(** Runs the search directly on an already-compiled view.  [cancel] is a
-    cooperative cancellation hook polled every 256 consistency checks;
-    when it returns [true] the solve finishes with [Aborted] (partial
-    stats intact).  Used by the parallel component solver to cancel
-    sibling Domains once the shared check budget is exhausted. *)
+val solve_compiled : ?config:config -> Compiled.t -> result
+(** Runs the search directly on an already-compiled view. *)
 
-val solve_components : ?config:config -> ?domains:int -> 'a Network.t -> result
+val solve_components : ?config:config -> 'a Network.t -> result
 (** Component-wise search: solves each connected component of the
     constraint graph ({!Network.components}) as an independent
     subnetwork and merges the per-component solutions.  Variables in
@@ -112,43 +107,32 @@ val solve_components : ?config:config -> ?domains:int -> 'a Network.t -> result
     returned assignment satisfies {!Network.verify} — while dead-ends
     never thrash across unrelated components (the stats can only
     improve).  A single-component network takes exactly the {!solve}
-    path: outcome and counters are identical.  [config.max_checks] is a
-    global budget consumed across components; stats are summed
-    (histograms are merged onto whole-network variable indices and
-    per-component depths).
-
-    [domains] (default 1) spreads the per-component solves over a Domain
-    pool ({!Mlo_support.Pool}); components are independent, so workers
-    share nothing but the atomic budget counter.  Results are merged in
-    component order with the serial stopping rule, so outcome and merged
-    stats are identical to the serial path whenever the check budget
-    does not bite — and always identical when [max_checks] is [None].
-    Under a budget, the first Domain to exhaust it cancels the siblings
-    (each component starts from what the completed ones have left, so
-    the total overrun is bounded by the number of in-flight solves). *)
+    path: outcome and counters are identical.  Components are solved
+    in index order; [config.max_checks] is a global budget, each
+    component getting what the earlier ones left, and the first
+    component without a solution stops the run.  Counters are summed;
+    [max_depth] is the deepest component's. *)
 
 val component_driver :
-  ?domains:int ->
   max_checks:int option ->
   run:
     (comp:int ->
     vars:int array ->
     max_checks:int option ->
-    cancel:(unit -> bool) option ->
     'a Network.t ->
     result) ->
   'a Network.t ->
   result
 (** The machinery behind {!solve_components}, generic in the
-    per-component engine: decomposes the network, shares the [max_checks]
-    budget across components (atomically under [domains > 1], with
-    sibling cancellation through [cancel]), and merges results in
-    component order with the serial stopping rule.  [comp] is the
-    component's index and [vars] maps its local variable indices back to
-    the whole network (proof emission relies on both).  A
-    single-component network is passed to [run] whole, as component 0
-    with the identity mapping.  {!Cdl.solve_components} and
-    {!Bnb.branch_and_bound} build on this. *)
+    per-component engine: decomposes the network, hands the rest of the
+    [max_checks] budget from each component to the next, and merges
+    results in component order up to and including the first
+    non-solution.  [comp] is the component's index and [vars] maps its
+    local variable indices back to the whole network (proof emission
+    relies on both).  A single-component network is passed to [run]
+    whole, as component 0 with the identity mapping.
+    {!Cdl.solve_components} and {!Bnb.branch_and_bound} build on
+    this. *)
 
 type event =
   | Learned of { dead : int; lits : (int * int) array }

@@ -33,32 +33,11 @@ type t = {
   mutable elapsed_s : float;
       (** monotonic wall-clock seconds ({!Clock.wall_s}), if timed *)
   mutable cpu_s : float;  (** process CPU seconds ({!Clock.cpu_s}) *)
-  mutable nodes_by_depth : int array;
-      (** instantiation attempts per search level ([[||]] until
-          {!ensure_hists}; filled by the compiled engine only — the
-          reference engine [Mlo_oracle.Solver_reference] predates the
-          histograms and is kept as the unmodified oracle) *)
-  mutable nodes_by_var : int array;
-      (** instantiation attempts per variable index (same caveats) *)
   mutable cut : bool;
-      (** the check budget or a cancel stopped a {!Cdl} / {!Bnb} search:
-          a solution it returns is the best found, not a proven optimum *)
+      (** the check budget stopped a {!Cdl} / {!Bnb} search: a solution
+          it returns is the best found, not a proven optimum *)
 }
 
 val create : unit -> t
-val reset : t -> unit
-
-val ensure_hists : t -> int -> unit
-(** Size both histograms to at least [n] slots, preserving contents, so
-    the recorder can bump unguarded. *)
-
-val add : t -> t -> t
-(** Componentwise sum (elapsed times add too, histograms merge
-    slot-wise at the longer length, [cut] is either's); inputs
-    unchanged. *)
-
-val to_json : t -> Mlo_obs.Json.t
-(** All counters plus both histograms as a flat JSON object (stable
-    keys: the scalar field names, [nodes_by_depth], [nodes_by_var]). *)
 
 val pp : Format.formatter -> t -> unit

@@ -203,7 +203,7 @@ let optimize_with_retries scheme_of_seed ~candidates ~max_checks ~seed prog =
   in
   go 0
 
-let run_table3 ?(seed = 1) ?(max_checks = default_max_checks) ?domains () =
+let run_table3 ?(seed = 1) ?(max_checks = default_max_checks) () =
   List.map
     (fun spec ->
       row_span "table3" spec.Spec.name @@ fun () ->
@@ -220,10 +220,8 @@ let run_table3 ?(seed = 1) ?(max_checks = default_max_checks) ?domains () =
           (fun s -> Optimizer.Enhanced s)
           ~candidates ~max_checks ~seed prog
       in
-      (* the 4-version sweep simulates as one parallel batch *)
       let original, optimized =
-        Optimizer.simulate_versions ?domains prog
-          [ heuristic_sol; base_sol; enhanced_sol ]
+        Optimizer.simulate_versions prog [ heuristic_sol; base_sol; enhanced_sol ]
       in
       match optimized with
       | [ heuristic; base; enhanced ] ->

@@ -72,13 +72,10 @@ type table3_row = {
   paper : Mlo_workloads.Spec.exec_times;
 }
 
-val run_table3 :
-  ?seed:int -> ?max_checks:int -> ?domains:int -> unit -> table3_row list
+val run_table3 : ?seed:int -> ?max_checks:int -> unit -> table3_row list
 (** Simulates each benchmark's [sim_program] in four versions: original
     (row-major, original loop order), heuristic, base-scheme and
-    enhanced-scheme optimized.  The four simulations of each benchmark
-    run as one parallel batch over [domains] OCaml domains (default: see
-    {!Mlo_cachesim.Simulate.run_batch}). *)
+    enhanced-scheme optimized. *)
 
 val print_table3 : Format.formatter -> table3_row list -> unit
 

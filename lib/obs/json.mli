@@ -1,6 +1,6 @@
 (** Minimal JSON values: just enough to emit and re-read the artifacts
-    this repository produces (trace_event files, [Stats.to_json], the
-    bench schema) without an external dependency.
+    this repository produces (trace_event files, certificates, the
+    command-line reports) without an external dependency.
 
     The parser accepts standard JSON (RFC 8259): numbers are read as
     floats, [\uXXXX] escapes are decoded to UTF-8.  It is not streaming —

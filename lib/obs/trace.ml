@@ -1,13 +1,14 @@
 type arg = Str of string | Int of int | Float of float | Bool of bool
 
-(* Same clock_gettime(CLOCK_MONOTONIC) source as Mlo_csp.Clock, under a
-   distinct C symbol so this library stays dependency-free. *)
+(* clock_gettime(CLOCK_MONOTONIC) in nanoseconds; Mlo_csp.Clock binds
+   the same stub. *)
 external now_ns : unit -> int = "mlo_obs_monotonic_ns" [@@noalloc]
 
 (* [on] is the one-branch disabled-path gate.  The buffer and the
    first-event flag are shared across domains and only touched with
-   [lock] held; [on] itself is a plain ref — transitions happen on the
-   main domain before workers are spawned and after they are joined. *)
+   [lock] held; [on] itself is a plain ref, so a caller that emits from
+   several domains must start and stop the trace while no other domain
+   is emitting. *)
 let on = ref false
 let lock = Mutex.create ()
 let buf = Buffer.create 4096

@@ -4,9 +4,9 @@
     (the default) every emission function returns after a single branch
     — no allocation, no clock read, no lock — so instrumented hot paths
     stay instrumented in production builds.  When enabled, events are
-    rendered straight into a shared buffer under a mutex, so worker
-    {!Domain}s (the cache-simulation sweeps) can emit concurrently; each
-    event records its domain id as [tid].
+    rendered straight into a shared buffer under a mutex, so a caller
+    that runs the library on several {!Domain}s can emit concurrently;
+    each event records its domain id as [tid].
 
     The output loads in [chrome://tracing] and Perfetto: a JSON array of
     event objects, spans as ["ph":"B"]/["ph":"E"] pairs, instant events

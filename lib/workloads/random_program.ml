@@ -56,7 +56,7 @@ let default =
    extracted network decompose into at least [num_arrays / group_size]
    connected components (arrays of different groups never share a nest),
    which is the shape whole-program inputs actually have — and the shape
-   the parallel component solver feeds on.  Nest count grows at 2/5 the
+   the component solver feeds on.  Nest count grows at 2/5 the
    array count so per-group constraint density stays near the paper's
    benchmarks; [sim_extent] is halved to keep trace-driven validation of
    the big instances affordable. *)

@@ -536,58 +536,6 @@ let test_network_goldens () =
         (r.Netcheck.wiped = None))
     network_goldens
 
-(* The domain-parallel component solve must be indistinguishable from
-   the serial one: same outcome (bit-equal assignment) and identical
-   merged stats, for every scheme.  Holds by construction when no check
-   budget is set — each component's sub-solve is deterministic and the
-   merge applies the serial stopping rule in component index order —
-   and this property pins it against regressions in the worker-pool
-   plumbing. *)
-let stats_equal (a : Stats.t) (b : Stats.t) =
-  a.Stats.nodes = b.Stats.nodes
-  && a.Stats.checks = b.Stats.checks
-  && a.Stats.backtracks = b.Stats.backtracks
-  && a.Stats.backjumps = b.Stats.backjumps
-  && a.Stats.prunings = b.Stats.prunings
-  && a.Stats.max_depth = b.Stats.max_depth
-  && a.Stats.nodes_by_depth = b.Stats.nodes_by_depth
-  && a.Stats.nodes_by_var = b.Stats.nodes_by_var
-
-let prop_parallel_components_identical gen_name gen =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf
-         "parallel solve_components identical to serial (%s)" gen_name)
-    ~count:40 QCheck.small_nat (fun seed ->
-      let net = gen seed in
-      List.for_all
-        (fun (label, config) ->
-          let ser = Solver.solve_components ~config ~domains:1 net in
-          let par = Solver.solve_components ~config ~domains:4 net in
-          let outcome_ok =
-            match (ser.Solver.outcome, par.Solver.outcome) with
-            | Solver.Solution a, Solver.Solution b -> a = b
-            | Solver.Unsatisfiable, Solver.Unsatisfiable -> true
-            | Solver.Aborted, Solver.Aborted -> true
-            | _ -> false
-          in
-          (outcome_ok && stats_equal ser.Solver.stats par.Solver.stats)
-          || QCheck.Test.fail_reportf "%s: serial/parallel diverge (seed %d)"
-               label seed)
-        (components_configs ~seed:(seed + 1)))
-
-let prop_parallel_single_component_identical =
-  QCheck.Test.make
-    ~name:"parallel solve_components on one component takes the fast path"
-    ~count:40 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
-      QCheck.assume (Array.length (Network.components net) = 1);
-      let config = Schemes.enhanced ~seed:(seed + 1) () in
-      let ser = Solver.solve_components ~config ~domains:1 net in
-      let par = Solver.solve_components ~config ~domains:4 net in
-      ser.Solver.outcome = par.Solver.outcome
-      && stats_equal ser.Solver.stats par.Solver.stats)
-
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -596,9 +544,6 @@ let props =
       prop_solve_components_equivalent "sparse" sparse_network;
       prop_single_component_identical;
       prop_component_event_contract;
-      prop_parallel_components_identical "dense" random_network;
-      prop_parallel_components_identical "sparse" sparse_network;
-      prop_parallel_single_component_identical;
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -125,7 +125,7 @@ let prop_bnb_optimal =
 
 (* The component driver must preserve optimality: separable costs are
    additive across components, so the merged assignment's cost equals
-   the whole-network optimum (serial and on a 2-domain pool). *)
+   the whole-network optimum. *)
 let prop_bnb_components_optimal =
   QCheck.Test.make ~name:"component-wise bnb equals the whole-net optimum"
     ~count:200 QCheck.small_nat (fun seed ->
@@ -135,25 +135,18 @@ let prop_bnb_components_optimal =
         costs.(int_of_string (String.sub name 1 (String.length name - 1))).(v)
       in
       let best = oracle_min ~costs net in
-      List.for_all
-        (fun (label, domains) ->
-          match
-            (Bnb.branch_and_bound ?domains ~cost net).Solver.outcome
-          with
-          | Solver.Solution a ->
-            if best = infinity || not (dumb_verify net a) then
-              QCheck.Test.fail_reportf "%s: bad solution" label;
-            if Bnb.cost_of ~costs a <> best then
-              QCheck.Test.fail_reportf "%s: cost %g, optimum %g" label
-                (Bnb.cost_of ~costs a) best;
-            true
-          | Solver.Unsatisfiable ->
-            if best < infinity then
-              QCheck.Test.fail_reportf "%s: unsat on satisfiable" label;
-            true
-          | Solver.Aborted ->
-            QCheck.Test.fail_reportf "%s aborted without a budget" label)
-        [ ("serial", None); ("2-domain", Some 2) ])
+      match (Bnb.branch_and_bound ~cost net).Solver.outcome with
+      | Solver.Solution a ->
+        if best = infinity || not (dumb_verify net a) then
+          QCheck.Test.fail_report "bad solution";
+        if Bnb.cost_of ~costs a <> best then
+          QCheck.Test.fail_reportf "cost %g, optimum %g" (Bnb.cost_of ~costs a)
+            best;
+        true
+      | Solver.Unsatisfiable ->
+        if best < infinity then QCheck.Test.fail_report "unsat on satisfiable";
+        true
+      | Solver.Aborted -> QCheck.Test.fail_report "aborted without a budget")
 
 (* Satisfiability agreement with the first-solution schemes: bnb's
    verdict must match enhanced and cdl on every instance. *)
@@ -421,20 +414,13 @@ let test_scale_component_oracles () =
       Alcotest.(check bool)
         (Printf.sprintf "scale-%d: checked %d components" n checked)
         true (checked >= 1);
-      (* whole-network bnb (serial and parallel) never beats the sum the
-         per-component solves establish, and never loses to the default
-         first-solution scheme *)
-      let solve_total domains =
-        match (Bnb.branch_and_bound ?domains ~cost net).Solver.outcome with
+      (* whole-network bnb never loses to the default first-solution
+         scheme *)
+      let ser =
+        match (Bnb.branch_and_bound ~cost net).Solver.outcome with
         | Solver.Solution a -> assignment_cost cost net a
         | _ -> Alcotest.fail (Printf.sprintf "scale-%d: bnb found nothing" n)
       in
-      let ser = solve_total None and par = solve_total (Some 2) in
-      Alcotest.(check bool)
-        (Printf.sprintf "scale-%d: serial = parallel (%.17g vs %.17g)" n ser
-           par)
-        true
-        (Float.abs (ser -. par) <= 1e-9 *. Float.max 1.0 ser);
       match
         (Solver.solve_components ~config:(Schemes.enhanced ~seed:1 ()) net)
           .Solver.outcome

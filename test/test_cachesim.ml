@@ -450,43 +450,6 @@ let prop_steady_runs_equal_reference =
           report_ints r = report_ints c)
         [ Hierarchy.paper_config; direct_mapped_l1; l2_line_below_l1 ])
 
-let prop_run_many_matches_run =
-  QCheck.Test.make ~name:"run_many = map run (4 domains)" ~count:10
-    (QCheck.int_range 0 1_000) (fun seed ->
-      let prog =
-        Random_program.generate
-          {
-            Random_program.default with
-            name = Printf.sprintf "many%d" seed;
-            seed;
-            num_arrays = 4;
-            num_nests = 4;
-            extent = 16;
-          }
-      in
-      let names = Program.array_names prog in
-      let layouts_list =
-        List.init 6 (fun i -> random_layout_assignment (seed + i) names)
-      in
-      let batch = Simulate.run_many ~domains:4 prog ~layouts_list in
-      let solo = List.map (fun layouts -> Simulate.run prog ~layouts) layouts_list in
-      List.for_all2
-        (fun (a : Simulate.report) (b : Simulate.report) ->
-          counters_tuple a.Simulate.counters = counters_tuple b.Simulate.counters
-          && a.Simulate.footprint_bytes = b.Simulate.footprint_bytes
-          && a.Simulate.trip_count = b.Simulate.trip_count)
-        batch solo)
-
-let test_run_batch_mixed_programs () =
-  let p1 = matmul32_program () in
-  let p2 = column_walk_program ~n:32 in
-  let jobs =
-    [ (p1, (fun _ -> None)); (p2, (fun _ -> None)); (p1, colB_layouts) ]
-  in
-  let batch = Simulate.run_batch ~domains:2 jobs in
-  let solo = List.map (fun (p, layouts) -> Simulate.run p ~layouts) jobs in
-  List.iter2 (check_reports_equal "run_batch") solo batch
-
 let test_address_map_unknown_array () =
   let prog = two_array_program ~n:4 in
   let amap = Address_map.build prog ~layouts:(fun _ -> None) in
@@ -546,7 +509,6 @@ let equivalence_props =
     [
       prop_compiled_equals_reference;
       prop_steady_runs_equal_reference;
-      prop_run_many_matches_run;
     ]
 
 let () =
@@ -583,8 +545,6 @@ let () =
             test_pinned_table3_cycles;
           Alcotest.test_case "engines agree on the suite" `Slow
             test_engines_agree_suite;
-          Alcotest.test_case "run_batch mixed programs" `Quick
-            test_run_batch_mixed_programs;
         ]
         @ equivalence_props );
       ( "simulate",

@@ -107,21 +107,6 @@ let test_solver_max_depth () =
   Alcotest.(check int) "max depth reaches the last level" 5
     r.Solver.stats.Stats.max_depth
 
-let test_stats_add () =
-  let a = Stats.create () and b = Stats.create () in
-  a.Stats.checks <- 5;
-  a.Stats.max_depth <- 3;
-  a.Stats.elapsed_s <- 0.5;
-  b.Stats.checks <- 7;
-  b.Stats.max_depth <- 2;
-  b.Stats.elapsed_s <- 0.25;
-  let c = Stats.add a b in
-  Alcotest.(check int) "checks sum" 12 c.Stats.checks;
-  Alcotest.(check int) "depth max" 3 c.Stats.max_depth;
-  Alcotest.(check (float 1e-9)) "time sums" 0.75 c.Stats.elapsed_s;
-  Stats.reset a;
-  Alcotest.(check int) "reset" 0 a.Stats.checks
-
 (* ------------------------------------------------------------------ *)
 (* Weighted bounding                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -216,7 +201,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "max depth" `Quick test_solver_max_depth;
-          Alcotest.test_case "add/reset" `Quick test_stats_add;
         ] );
       ( "weighted",
         [ Alcotest.test_case "node cap" `Quick test_weighted_max_nodes ] );

@@ -496,8 +496,7 @@ let relayout_matches prog name layout =
       ~array_name:name ~layout ~nests:all
   and fresh =
     Compiled_trace.forms
-      (Compiled_trace.instantiate (Compiled_trace.skeleton prog)
-         ~layouts:(only name layout))
+      (Compiled_trace.compile prog ~layouts:(only name layout))
   in
   shift name = 0
   && Array.for_all
