@@ -77,7 +77,7 @@ val relayout :
     nests (by program nest index, result in argument order) with
     [array_name] alone moved to [layout]: only its accesses are folded
     again, every other access keeps its form in [t].  Against {!forms}
-    of the trace instantiated under that changed assignment, the forms
+    of the trace compiled under that changed assignment, the forms
     of [array_name] and of every array declared before it are
     bit-identical (a base depends only on the arrays before it); an
     array declared after it keeps its old [form_addr0], which differs by

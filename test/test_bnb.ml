@@ -416,7 +416,7 @@ let test_scale_component_oracles () =
         true (checked >= 1);
       (* whole-network bnb never loses to the default first-solution
          scheme *)
-      let ser =
+      let b =
         match (Bnb.branch_and_bound ~cost net).Solver.outcome with
         | Solver.Solution a -> assignment_cost cost net a
         | _ -> Alcotest.fail (Printf.sprintf "scale-%d: bnb found nothing" n)
@@ -428,9 +428,9 @@ let test_scale_component_oracles () =
       | Solver.Solution a ->
         let e = assignment_cost cost net a in
         Alcotest.(check bool)
-          (Printf.sprintf "scale-%d: bnb (%.17g) <= enhanced (%.17g)" n ser e)
+          (Printf.sprintf "scale-%d: bnb (%.17g) <= enhanced (%.17g)" n b e)
           true
-          (ser <= e +. (1e-9 *. Float.max 1.0 e))
+          (b <= e +. (1e-9 *. Float.max 1.0 e))
       | _ -> Alcotest.fail (Printf.sprintf "scale-%d: enhanced found nothing" n))
     [ 10; 100 ]
 
