@@ -221,7 +221,8 @@ let run_table3 ?(seed = 1) ?(max_checks = default_max_checks) () =
           ~candidates ~max_checks ~seed prog
       in
       let original, optimized =
-        Optimizer.simulate_versions prog [ heuristic_sol; base_sol; enhanced_sol ]
+        Optimizer.simulate_versions prog
+          [ heuristic_sol; base_sol; enhanced_sol ]
       in
       match optimized with
       | [ heuristic; base; enhanced ] ->

@@ -432,7 +432,8 @@ let event_contract net (r : Solver.result) events =
     List.fold_left
       (fun (open_, finished) (comp, vars, ev) ->
         (match open_ with
-        | Some k when comp <> k -> fail "component %d interleaved into %d" comp k
+        | Some k when comp <> k ->
+          fail "component %d interleaved into %d" comp k
         | Some _ -> ()
         | None ->
           if comp <> List.length finished then
