@@ -589,7 +589,15 @@ let test_cli_errors () =
     "solve -s bnb -w mxm --objective cycles"
     "layoutopt: unknown objective 'cycles'";
   check_one_line_error "unknown scheme still dies" "solve -s bogus -w mxm"
-    "layoutopt: unknown scheme 'bogus'"
+    "layoutopt: unknown scheme 'bogus'";
+  List.iter
+    (fun cmd ->
+      check_one_line_error (cmd ^ " with no target") cmd
+        (Printf.sprintf
+           "layoutopt: %s needs something to analyze (FILE arguments, \
+            --suite, or -w NAME)"
+           cmd))
+    [ "lint"; "locality"; "deps" ]
 
 let () =
   Alcotest.run "bnb"

@@ -269,6 +269,53 @@ let test_dynamic_single_segment_equals_static_shape () =
   Alcotest.(check int) "no remaps" 0 dyn.Dynamic.remaps;
   Alcotest.(check int) "no copy traffic" 0 dyn.Dynamic.copy_accesses
 
+(* Every counter of simulate_plan, pinned: accesses, L1 hits/misses, L2
+   hits/misses, cycles, copy accesses and remaps, per program and
+   segmentation.  Any change to how a plan's segments or remap copies
+   reach the hierarchy moves these numbers. *)
+let dynamic_golden =
+  [
+    ("n=16 uniform 1", [ 3072; 3004; 68; 34; 34; 8932; 0; 0 ]);
+    ("n=16 uniform 2", [ 4162; 4093; 69; 34; 35; 11188; 1090; 2 ]);
+    ("n=16 uniform 3", [ 4162; 4093; 69; 34; 35; 11188; 1090; 2 ]);
+    ("n=16 optimal", [ 4162; 4093; 69; 34; 35; 11188; 1090; 2 ]);
+    ("n=64 uniform 1", [ 98304; 73628; 24676; 24156; 520; 381064; 0; 0 ]);
+    ("n=64 uniform 2", [ 114946; 101433; 13513; 12992; 521; 347440; 16642; 2 ]);
+    ("n=64 uniform 3", [ 114946; 97318; 17628; 17107; 521; 372130; 16642; 2 ]);
+    ("n=64 optimal", [ 114946; 101433; 13513; 12992; 521; 347440; 16642; 2 ]);
+  ]
+
+let test_dynamic_counters_golden () =
+  let actual =
+    List.concat_map
+      (fun (n, repeats) ->
+        let prog = two_phase_program ~n ~repeats in
+        List.map
+          (fun (what, segments) ->
+            let plan = Dynamic.plan ~seed:1 prog ~segments in
+            let r = Dynamic.simulate_plan prog plan in
+            let c = r.Dynamic.compute in
+            ( Printf.sprintf "n=%d %s" n what,
+              [
+                c.Hierarchy.accesses;
+                c.Hierarchy.l1_hits;
+                c.Hierarchy.l1_misses;
+                c.Hierarchy.l2_hits;
+                c.Hierarchy.l2_misses;
+                c.Hierarchy.cycles;
+                r.Dynamic.copy_accesses;
+                r.Dynamic.remaps;
+              ] ))
+          (List.map
+             (fun k ->
+               (Printf.sprintf "uniform %d" k, Dynamic.uniform_segments prog k))
+             [ 1; 2; 3 ]
+          @ [ ("optimal", Dynamic.optimal_segments ~seed:1 prog) ]))
+      [ (16, 2); (64, 4) ]
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "simulate_plan counters" dynamic_golden actual
+
 (* ------------------------------------------------------------------ *)
 (* Experiments harness (scaled down)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -319,6 +366,8 @@ let () =
             test_dynamic_beats_static_on_phased_program;
           Alcotest.test_case "single segment degenerates" `Quick
             test_dynamic_single_segment_equals_static_shape;
+          Alcotest.test_case "simulate_plan counters golden" `Quick
+            test_dynamic_counters_golden;
           Alcotest.test_case "DP finds the phase boundary" `Quick
             test_optimal_segments_find_phase_boundary;
           Alcotest.test_case "DP nest-count guard" `Quick
