@@ -24,8 +24,7 @@ type report = {
 
 let default_threshold = 0.15
 
-let run ?(config = Hierarchy.paper_config) ?(threshold = default_threshold)
-    targets =
+let run ?(threshold = default_threshold) targets =
   Trace.with_span ~cat:"analysis" "costcheck"
     ~args:[ ("targets", Trace.Int (List.length targets)) ]
   @@ fun () ->
@@ -36,12 +35,10 @@ let run ?(config = Hierarchy.paper_config) ?(threshold = default_threshold)
           ~args:[ ("target", Trace.Str t.ct_name) ]
         @@ fun () ->
         let est =
-          (Locality.analyze ~geometry:config.Hierarchy.l1 ~layouts:t.ct_layouts
-             t.ct_program)
-            .Locality.r_misses
+          (Locality.analyze ~layouts:t.ct_layouts t.ct_program).Locality.r_misses
         in
         let sim =
-          (Simulate.run ~config t.ct_program ~layouts:t.ct_layouts)
+          (Simulate.run t.ct_program ~layouts:t.ct_layouts)
             .Simulate.counters.Hierarchy.l1_misses
         in
         {

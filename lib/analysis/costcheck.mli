@@ -3,7 +3,8 @@
 
     For each target program the closed-form L1 miss estimate
     ({!Locality.analyze}) is compared against the ground truth of
-    {!Mlo_cachesim.Simulate.run} on the same hierarchy; a relative error
+    {!Mlo_cachesim.Simulate.run}, both on the paper's hierarchy
+    ({!Mlo_cachesim.Hierarchy.paper_config}); a relative error
     beyond the threshold is an [Error]-severity {!Diagnostic} (so the
     shared exit-code contract turns it into a failing CI step), and the
     per-target numbers are kept for display either way.  Run it at small
@@ -31,12 +32,8 @@ type report = {
 val default_threshold : float
 (** 0.15 — the repo's acceptance bound for the five suite benchmarks. *)
 
-val run :
-  ?config:Mlo_cachesim.Hierarchy.config ->
-  ?threshold:float ->
-  target list ->
-  report
-(** Estimate and simulate every target.  [config] defaults to
+val run : ?threshold:float -> target list -> report
+(** Estimate and simulate every target on
     {!Mlo_cachesim.Hierarchy.paper_config}; the estimate uses its L1
     geometry. *)
 

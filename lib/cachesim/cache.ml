@@ -8,95 +8,3 @@ let geometry ~size_bytes ~assoc ~line_bytes =
   if size_bytes < assoc * line_bytes then
     invalid_arg "Cache.geometry: capacity below one set";
   { size_bytes; assoc; line_bytes }
-
-type t = {
-  geom : geometry;
-  num_sets : int;
-  line_shift : int;
-  set_shift : int; (* log2 num_sets, hoisted out of the per-access path *)
-  set_mask : int; (* num_sets - 1 *)
-  assoc : int;
-  tags : int array; (* num_sets * assoc; -1 = invalid *)
-  stamps : int array; (* LRU timestamps, parallel to tags *)
-  mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-let log2 x =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
-  go 0 x
-
-let create geom =
-  let num_sets = geom.size_bytes / (geom.assoc * geom.line_bytes) in
-  {
-    geom;
-    num_sets;
-    line_shift = log2 geom.line_bytes;
-    set_shift = log2 num_sets;
-    set_mask = num_sets - 1;
-    assoc = geom.assoc;
-    tags = Array.make (num_sets * geom.assoc) (-1);
-    stamps = Array.make (num_sets * geom.assoc) 0;
-    clock = 0;
-    hits = 0;
-    misses = 0;
-  }
-
-let locate t addr =
-  let line = addr lsr t.line_shift in
-  let set = line land t.set_mask in
-  let tag = line lsr t.set_shift in
-  (set * t.assoc, tag)
-
-(* Probe the set; the hit slot, or -1 on miss (sentinel, not [option],
-   so the hot path never allocates). *)
-let probe t base tag =
-  let rec go w =
-    if w >= t.assoc then -1
-    else if t.tags.(base + w) = tag then base + w
-    else go (w + 1)
-  in
-  go 0
-
-let contains t addr =
-  let base, tag = locate t addr in
-  probe t base tag >= 0
-
-let access t addr =
-  let base, tag = locate t addr in
-  t.clock <- t.clock + 1;
-  let slot = probe t base tag in
-  if slot >= 0 then begin
-    t.stamps.(slot) <- t.clock;
-    t.hits <- t.hits + 1;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    (* victim = LRU way (or an invalid way if one exists) *)
-    let victim = ref base in
-    for w = 1 to t.assoc - 1 do
-      if t.stamps.(base + w) < t.stamps.(!victim) then victim := base + w
-    done;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.clock;
-    false
-  end
-
-let invalidate_all t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0
-
-let sets t = t.num_sets
-let hits t = t.hits
-let misses t = t.misses
-let accesses t = t.hits + t.misses
-
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0
-
-let pp ppf t =
-  Format.fprintf ppf "%dB %d-way %dB-line: %d hits / %d misses"
-    t.geom.size_bytes t.geom.assoc t.geom.line_bytes t.hits t.misses

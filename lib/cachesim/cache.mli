@@ -1,9 +1,9 @@
-(** One level of set-associative cache with LRU replacement.
+(** The geometry of one level of set-associative cache.
 
-    Addresses are byte addresses (plain [int]s); a cache maps them to
-    lines of [line_bytes] and tracks only tags — no data is stored, as the
-    simulator is trace-driven.  Writes allocate like reads (the paper's
-    embedded data caches). *)
+    Addresses are byte addresses (plain [int]s); a level maps them to
+    lines of [line_bytes] and [size_bytes / (assoc * line_bytes)] sets of
+    [assoc] ways.  The simulated hierarchy built from two geometries is
+    {!Compiled_trace.machine}. *)
 
 type geometry = {
   size_bytes : int;  (** total capacity *)
@@ -14,24 +14,3 @@ type geometry = {
 val geometry : size_bytes:int -> assoc:int -> line_bytes:int -> geometry
 (** Validates a geometry.  Raises [Invalid_argument] unless all three are
     positive powers of two and [size_bytes >= assoc * line_bytes]. *)
-
-type t
-
-val create : geometry -> t
-
-val access : t -> int -> bool
-(** [access t addr] touches the line containing byte [addr]; true on hit.
-    On miss the line is filled, evicting the set's LRU way. *)
-
-val contains : t -> int -> bool
-(** Lookup without side effects. *)
-
-val invalidate_all : t -> unit
-
-val sets : t -> int
-val hits : t -> int
-val misses : t -> int
-val accesses : t -> int
-val reset_counters : t -> unit
-
-val pp : Format.formatter -> t -> unit

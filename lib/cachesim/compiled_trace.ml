@@ -1,8 +1,9 @@
 (* The trace-driven simulator's hot core: every access of a nest is an
    affine address stream, and the walk runs those streams through a
-   flattened two-level hierarchy.  Its counters agree exactly with
-   Cache/Hierarchy (and the test oracle Simulate_reference), but the way
-   that holds a line may differ: sets keep recency order, not LRU stamps.
+   flattened two-level hierarchy, the library's one cache model.  Its
+   counters agree exactly with the timestamp LRU of the test oracle
+   (test/oracle, driven by Simulate_reference), but the way that holds a
+   line may differ: sets keep recency order, not a clock per way.
    Inside an innermost loop whose deltas all stay below the line size,
    each run of iterations on fixed lines is simulated up to its steady
    iteration and extrapolated from there (DESIGN.md Section 9). *)
@@ -203,15 +204,16 @@ let relayout t ~array_name ~layout ~nests =
 (* Flattened two-level hierarchy                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The probe/fill path of Cache+Hierarchy specialized into one record of
-   flat arrays and ints, so a simulated access is shifts, masks and array
-   reads with no cross-module calls and no allocation.  Each set keeps
-   its ways in recency order, most recently used first, with invalid
-   ways (-1) at the tail.  That is exact LRU with invalid ways filled
-   first, the policy Cache.access implements with stamps, so every hit,
-   miss and cycle agrees (enforced by the equivalence properties in
+(* A Hierarchy.config as one record of flat arrays and ints, so a
+   simulated access is shifts, masks and array reads with no
+   cross-module calls and no allocation.  Each set keeps its ways in
+   recency order, most recently used first, with invalid ways (-1) at
+   the tail.  That is exact LRU with invalid ways filled first, the
+   policy the test oracle implements with timestamps, so every hit, miss
+   and cycle agrees (enforced by the equivalence properties in
    test/test_cachesim.ml); only the way that holds a line can differ,
-   and no counter reads it. *)
+   and no counter reads it.  The probe stays in this module so that it
+   inlines into the walk's per-access loop. *)
 type level = {
   tags : int array; (* per set, [assoc] tags most recent first *)
   line_shift : int;
@@ -222,7 +224,7 @@ type level = {
   mutable misses : int;
 }
 
-type hier = {
+type machine = {
   l1 : level;
   l2 : level;
   cost_l1 : int; (* L1 hit, compute included *)
@@ -249,7 +251,7 @@ let make_level (g : Cache.geometry) =
     misses = 0;
   }
 
-let make_hier (config : Hierarchy.config) =
+let machine ?(config = Hierarchy.paper_config) () =
   {
     l1 = make_level config.Hierarchy.l1;
     l2 = make_level config.Hierarchy.l2;
@@ -298,7 +300,7 @@ let[@inline] level_access lv addr =
     hit
   end
 
-let[@inline] hier_access h addr =
+let[@inline] access h addr =
   let cost =
     if level_access h.l1 addr then h.cost_l1
     else if level_access h.l2 addr then h.cost_l2
@@ -306,7 +308,7 @@ let[@inline] hier_access h addr =
   in
   h.cycles <- h.cycles + cost
 
-let hier_counters h =
+let counters h =
   {
     Hierarchy.accesses = h.l1.hits + h.l1.misses;
     l1_hits = h.l1.hits;
@@ -324,7 +326,7 @@ let hier_counters h =
    order, then every address advances by its delta. *)
 let[@inline] iteration h cur dl na =
   for k = 0 to na - 1 do
-    hier_access h (Array.unsafe_get cur k)
+    access h (Array.unsafe_get cur k)
   done;
   for k = 0 to na - 1 do
     Array.unsafe_set cur k (Array.unsafe_get cur k + Array.unsafe_get dl k)
@@ -438,13 +440,9 @@ let simulate_nest h ~sample nest =
    "cache" counter events); the final totals are always emitted. *)
 let trace_sample_every = 8192
 
-let simulate ?(config = Hierarchy.paper_config) t =
-  let h = make_hier config in
+let run h t =
   let walk sample = Array.iter (simulate_nest h ~sample) t.nests in
-  if not (Trace.enabled ()) then begin
-    walk (fun h -> h.countdown <- max_int);
-    hier_counters h
-  end
+  if not (Trace.enabled ()) then walk (fun h -> h.countdown <- max_int)
   else
     Trace.with_span ~cat:"cachesim" "simulate"
       ~args:[ ("trips", Trace.Int t.trips) ]
@@ -463,5 +461,9 @@ let simulate ?(config = Hierarchy.paper_config) t =
         walk (fun h ->
             h.countdown <- trace_sample_every;
             emit ());
-        emit ();
-        hier_counters h)
+        emit ())
+
+let simulate ?config t =
+  let h = machine ?config () in
+  run h t;
+  counters h

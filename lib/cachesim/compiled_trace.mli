@@ -13,9 +13,9 @@
     per access; the nest walk then maintains one current address per
     access and adds a precomputed per-level delta at each loop advance —
     no allocation, no string lookups and no matrix arithmetic per
-    simulated access.  The cache hierarchy is likewise specialized into
-    flat arrays so a simulated access is a handful of shifts, masks and
-    array reads.
+    simulated access.  The cache hierarchy, the library's one cache
+    model ({!machine}), is likewise specialized into flat arrays so a
+    simulated access is a handful of shifts, masks and array reads.
 
     Each set keeps its ways in recency order, most recently used first,
     which is exact LRU with invalid ways filled first.  Inside an
@@ -25,10 +25,11 @@
     misses in L1) and the rest of the run is extrapolated from it: LRU
     applied again to the sequence it just saw leaves its state unchanged.
 
-    The engine's counters are bit-identical to {!Cache} and {!Hierarchy}
-    and to the interpretive engine kept as the test oracle
-    [Mlo_oracle.Simulate_reference] (qcheck-enforced); only the way that
-    holds a line may differ, and no counter reads it. *)
+    The engine's counters are bit-identical to the test oracle's
+    timestamp LRU, run by the interpretive engine
+    [Mlo_oracle.Simulate_reference] in the test-only library [mlo_oracle]
+    (qcheck-enforced); only the way that holds a line may differ, and no
+    counter reads it. *)
 
 type t
 (** A fully compiled trace: every access's affine address stream under
@@ -87,6 +88,28 @@ val relayout :
     [Invalid_argument] like {!Address_map.build} on a rank mismatch, and
     like {!Address_map.base} on an unknown name. *)
 
+type machine
+(** A two-level LRU hierarchy and its counters, mutated by every
+    {!access} and {!run}.  A fresh machine is the cold restart. *)
+
+val machine : ?config:Hierarchy.config -> unit -> machine
+(** A cold machine: every way invalid, every counter zero.  [config]
+    defaults to {!Hierarchy.paper_config}. *)
+
+val access : machine -> int -> unit
+(** [access m addr] performs one data access to byte [addr]: L1 is
+    probed, then L2 on an L1 miss; each level that misses fills the line
+    over its set's least recently used way, and the access costs the
+    latency of the level that served it plus the compute cycles. *)
+
+val run : machine -> t -> unit
+(** [run m t] issues the whole trace on [m], nest after nest in program
+    order, from the state [m] is in: the same counters as calling
+    {!access} on every address in turn. *)
+
+val counters : machine -> Hierarchy.counters
+(** The totals since [m] was made. *)
+
 val simulate : ?config:Hierarchy.config -> t -> Hierarchy.counters
-(** Run the compiled trace on a cold hierarchy and return its counters.
+(** Run the compiled trace on a cold machine and return its counters.
     [config] defaults to {!Hierarchy.paper_config}. *)

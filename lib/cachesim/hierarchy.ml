@@ -17,32 +17,6 @@ let paper_config =
     compute_cycles_per_access = 1;
   }
 
-type t = {
-  config : config;
-  l1 : Cache.t;
-  l2 : Cache.t;
-  (* per-level total access cost, compute cycles included, hoisted out
-     of the per-access path *)
-  cost_l1 : int;
-  cost_l2 : int;
-  cost_mem : int;
-  mutable cycles : int;
-}
-
-let create config =
-  {
-    config;
-    l1 = Cache.create config.l1;
-    l2 = Cache.create config.l2;
-    cost_l1 = config.l1_latency + config.compute_cycles_per_access;
-    cost_l2 =
-      config.l1_latency + config.l2_latency + config.compute_cycles_per_access;
-    cost_mem =
-      config.l1_latency + config.l2_latency + config.memory_latency
-      + config.compute_cycles_per_access;
-    cycles = 0;
-  }
-
 type counters = {
   accesses : int;
   l1_hits : int;
@@ -51,32 +25,6 @@ type counters = {
   l2_misses : int;
   cycles : int;
 }
-
-let access t addr =
-  let cost =
-    if Cache.access t.l1 addr then t.cost_l1
-    else if Cache.access t.l2 addr then t.cost_l2
-    else t.cost_mem
-  in
-  t.cycles <- t.cycles + cost;
-  cost
-
-let counters t =
-  {
-    accesses = Cache.accesses t.l1;
-    l1_hits = Cache.hits t.l1;
-    l1_misses = Cache.misses t.l1;
-    l2_hits = Cache.hits t.l2;
-    l2_misses = Cache.misses t.l2;
-    cycles = t.cycles;
-  }
-
-let reset t =
-  Cache.invalidate_all t.l1;
-  Cache.invalidate_all t.l2;
-  Cache.reset_counters t.l1;
-  Cache.reset_counters t.l2;
-  t.cycles <- 0
 
 let l1_miss_rate c =
   if c.accesses = 0 then 0. else float_of_int c.l1_misses /. float_of_int c.accesses

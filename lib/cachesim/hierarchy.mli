@@ -1,10 +1,12 @@
-(** Two-level data-cache hierarchy with fixed latencies.
+(** Two-level data-cache hierarchy with fixed latencies: its
+    configuration and the counters a simulation reports.
 
     Models the paper's evaluation platform: an embedded processor with an
     8KB 2-way L1 data cache (32-byte lines), a unified 64KB 4-way L2
     (64-byte lines), and latencies of 1, 6 and 70 cycles for L1, L2 and
     main memory.  Each data access costs the latency of the level that
-    services it (L1 always probed, then L2, then memory). *)
+    services it (L1 always probed, then L2, then memory).  The simulated
+    hierarchy is {!Compiled_trace.machine}. *)
 
 type config = {
   l1 : Cache.geometry;
@@ -21,10 +23,6 @@ type config = {
 val paper_config : config
 (** The machine of the paper's Section 5. *)
 
-type t
-
-val create : config -> t
-
 type counters = {
   accesses : int;
   l1_hits : int;
@@ -33,14 +31,6 @@ type counters = {
   l2_misses : int;
   cycles : int;
 }
-
-val access : t -> int -> int
-(** [access t addr] performs one data access and returns its cost in
-    cycles (compute cost included). *)
-
-val counters : t -> counters
-val reset : t -> unit
-(** Clears both cache contents and counters (a cold restart). *)
 
 val l1_miss_rate : counters -> float
 val l2_miss_rate : counters -> float

@@ -14,8 +14,6 @@ let run ?config prog ~layouts =
 
 let cycles r = r.counters.Hierarchy.cycles
 
-let speedup ~baseline r = float_of_int (cycles baseline) /. float_of_int (cycles r)
-
 let improvement_percent ~baseline r =
   100. *. (1. -. (float_of_int (cycles r) /. float_of_int (cycles baseline)))
 

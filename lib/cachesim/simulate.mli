@@ -7,9 +7,11 @@
     Table 3's execution times measure.
 
     {!run} drives the compiled address streams of {!Compiled_trace}
-    (allocation-free inner loop); the interpretive per-access engine it
-    must match counter for counter is kept as a test oracle in the
-    test-only library [mlo_oracle] ([Simulate_reference]). *)
+    (allocation-free inner loop) on a fresh {!Compiled_trace.machine},
+    the library's one cache model; the interpretive per-access engine it
+    must match counter for counter, with its timestamp LRU hierarchy, is
+    kept as a test oracle in the test-only library [mlo_oracle]
+    ([Simulate_reference]). *)
 
 type report = {
   counters : Hierarchy.counters;
@@ -27,9 +29,6 @@ val run :
     cold hierarchy.  [config] defaults to {!Hierarchy.paper_config}. *)
 
 val cycles : report -> int
-
-val speedup : baseline:report -> report -> float
-(** [speedup ~baseline r] is [cycles baseline / cycles r]. *)
 
 val improvement_percent : baseline:report -> report -> float
 (** Percentage reduction in cycles relative to [baseline] (the paper's

@@ -1,10 +1,10 @@
 module Program = Mlo_ir.Program
 module Array_info = Mlo_ir.Array_info
 module Loop_nest = Mlo_ir.Loop_nest
-module Access = Mlo_ir.Access
 module Layout = Mlo_layout.Layout
 module Hierarchy = Mlo_cachesim.Hierarchy
 module Address_map = Mlo_cachesim.Address_map
+module Compiled_trace = Mlo_cachesim.Compiled_trace
 
 type segment = { first_nest : int; last_nest : int }
 
@@ -60,8 +60,7 @@ let plan ?candidates ?max_checks ~seed prog ~segments =
   let per_segment =
     match solved with
     | [] -> []
-    | (first_seg, first) :: rest ->
-      ignore first_seg;
+    | (_, first) :: rest ->
       let _, acc =
         List.fold_left
           (fun (prev, acc) (seg, cur) ->
@@ -220,21 +219,9 @@ type report = {
   remaps : int;
 }
 
-(* Walk a nest, issuing every reference through the hierarchy at the
-   addresses of the given map. *)
-let run_nest hier amap nest =
-  let accesses = Loop_nest.accesses nest in
-  let names = Array.map Access.array_name accesses in
-  Loop_nest.iter nest (fun iter ->
-      Array.iteri
-        (fun k a ->
-          let element = Access.element_at a iter in
-          ignore (Hierarchy.access hier (Address_map.address amap names.(k) element)))
-        accesses)
-
 (* Remap one array: read each element at its old address, write it at the
    new one. *)
-let remap hier ~old_map ~new_map info =
+let remap machine ~old_map ~new_map info =
   let name = Array_info.name info in
   let extents = Array_info.extents info in
   let rank = Array.length extents in
@@ -242,8 +229,8 @@ let remap hier ~old_map ~new_map info =
   let count = ref 0 in
   let rec go d =
     if d = rank then begin
-      ignore (Hierarchy.access hier (Address_map.address old_map name idx));
-      ignore (Hierarchy.access hier (Address_map.address new_map name idx));
+      Compiled_trace.access machine (Address_map.address old_map name idx);
+      Compiled_trace.access machine (Address_map.address new_map name idx);
       count := !count + 2
     end
     else
@@ -255,13 +242,13 @@ let remap hier ~old_map ~new_map info =
   go 0;
   !count
 
-let simulate_plan ?(config = Hierarchy.paper_config) prog plan =
-  let hier = Hierarchy.create config in
+let simulate_plan prog plan =
+  let machine = Compiled_trace.machine () in
   let copy_accesses = ref 0 in
   let remaps = ref 0 in
   let prev_map = ref None in
-  List.iteri
-    (fun i (seg, layouts) ->
+  List.iter2
+    (fun seg layouts ->
       let lookup name = List.assoc_opt name layouts in
       let sub = segment_program prog seg in
       let restructured = Mlo_netgen.Select.restructure sub lookup in
@@ -280,15 +267,18 @@ let simulate_plan ?(config = Hierarchy.paper_config) prog plan =
             if changed then begin
               incr remaps;
               copy_accesses :=
-                !copy_accesses + remap hier ~old_map:prev_amap ~new_map:amap info
+                !copy_accesses
+                + remap machine ~old_map:prev_amap ~new_map:amap info
             end)
           (Program.arrays prog));
-      ignore i;
-      Array.iter (run_nest hier amap) (Program.nests restructured);
+      (* the segment's arrays are the whole program's, so its trace has
+         the addresses of [amap] *)
+      Compiled_trace.run machine
+        (Compiled_trace.compile restructured ~layouts:lookup);
       prev_map := Some (amap, layouts))
-    (List.combine plan.segments plan.per_segment);
+    plan.segments plan.per_segment;
   {
-    compute = Hierarchy.counters hier;
+    compute = Compiled_trace.counters machine;
     copy_accesses = !copy_accesses;
     remaps = !remaps;
   }

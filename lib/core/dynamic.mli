@@ -9,9 +9,9 @@
     sub-program gets its own constraint network and layout assignment;
     between consecutive segments every array whose layout changes is
     physically remapped (each element read from the old placement and
-    written to the new one, through the simulated cache hierarchy), so
-    the profit of a better per-segment layout is weighed against real
-    copy traffic. *)
+    written to the new one, through the same simulated cache hierarchy
+    the segments run on), so the profit of a better per-segment layout
+    is weighed against real copy traffic. *)
 
 type segment = { first_nest : int; last_nest : int }
 (** Inclusive range of nest indices (program order). *)
@@ -69,11 +69,9 @@ type report = {
   remaps : int;  (** number of array remaps performed *)
 }
 
-val simulate_plan :
-  ?config:Mlo_cachesim.Hierarchy.config ->
-  Mlo_ir.Program.t ->
-  plan ->
-  report
-(** Runs the segments through one persistent cache hierarchy, performing
-    the remap copies between segments.  Each segment's nests run in their
-    best legal loop order for that segment's layouts. *)
+val simulate_plan : Mlo_ir.Program.t -> plan -> report
+(** Runs the segments through one persistent
+    {!Mlo_cachesim.Compiled_trace.machine} of
+    {!Mlo_cachesim.Hierarchy.paper_config}, performing the remap copies
+    between segments.  Each segment's nests run in their best legal loop
+    order for that segment's layouts, as one compiled trace. *)

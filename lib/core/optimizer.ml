@@ -264,12 +264,5 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false)
 
 let lookup sol = lookup_in sol.layouts
 
-let simulate ?config sol =
-  Simulate.run ?config sol.restructured ~layouts:(lookup sol)
-
-let simulate_original ?config prog =
-  Simulate.run ?config prog ~layouts:(fun _ -> None)
-
-let simulate_versions ?config prog sols =
-  let original = simulate_original ?config prog in
-  (original, List.map (simulate ?config) sols)
+let simulate sol = Simulate.run sol.restructured ~layouts:(lookup sol)
+let simulate_original prog = Simulate.run prog ~layouts:(fun _ -> None)

@@ -3,9 +3,10 @@
     Ties the pipeline together: extract the constraint network from a
     program, solve it with a chosen scheme (or run the propagation
     heuristic), pick the matching loop restructurings, and optionally
-    simulate the optimized program on the embedded cache hierarchy.  This
-    is the facade a compiler pass (or the examples and benches of this
-    repository) calls. *)
+    simulate the optimized program on the paper's embedded cache
+    hierarchy ({!Mlo_cachesim.Hierarchy.paper_config}, the only machine
+    it simulates).  This is the facade a compiler pass (or the examples
+    and benches of this repository) calls. *)
 
 type scheme =
   | Heuristic  (** the paper's comparison baseline (Leung-Zahorjan style) *)
@@ -123,23 +124,10 @@ val lookup : solution -> string -> Mlo_layout.Layout.t option
 (** [lookup sol] hashes the solution's layouts once; apply it to one
     solution and reuse the resulting function for many names. *)
 
-val simulate :
-  ?config:Mlo_cachesim.Hierarchy.config ->
-  solution ->
-  Mlo_cachesim.Simulate.report
+val simulate : solution -> Mlo_cachesim.Simulate.report
 (** Trace-driven simulation of the restructured program under the chosen
-    layouts. *)
+    layouts, on {!Mlo_cachesim.Hierarchy.paper_config}. *)
 
-val simulate_original :
-  ?config:Mlo_cachesim.Hierarchy.config ->
-  Mlo_ir.Program.t ->
-  Mlo_cachesim.Simulate.report
-(** The unoptimized baseline: original loop orders, row-major layouts. *)
-
-val simulate_versions :
-  ?config:Mlo_cachesim.Hierarchy.config ->
-  Mlo_ir.Program.t ->
-  solution list ->
-  Mlo_cachesim.Simulate.report * Mlo_cachesim.Simulate.report list
-(** [simulate_versions prog sols] is {!simulate_original} of [prog] and
-    {!simulate} of each solution, in input order — the Table-3 sweep. *)
+val simulate_original : Mlo_ir.Program.t -> Mlo_cachesim.Simulate.report
+(** The unoptimized baseline: original loop orders, row-major layouts,
+    on {!Mlo_cachesim.Hierarchy.paper_config}. *)

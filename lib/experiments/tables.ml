@@ -220,21 +220,18 @@ let run_table3 ?(seed = 1) ?(max_checks = default_max_checks) () =
           (fun s -> Optimizer.Enhanced s)
           ~candidates ~max_checks ~seed prog
       in
-      let original, optimized =
-        Optimizer.simulate_versions prog
-          [ heuristic_sol; base_sol; enhanced_sol ]
-      in
-      match optimized with
-      | [ heuristic; base; enhanced ] ->
-        {
-          t3_name = spec.Spec.name;
-          original_cycles = Simulate.cycles original;
-          heuristic_cycles = Simulate.cycles heuristic;
-          base_cycles = Simulate.cycles base;
-          enhanced_cycles = Simulate.cycles enhanced;
-          paper = spec.Spec.paper_exec;
-        }
-      | _ -> assert false)
+      let original = Optimizer.simulate_original prog in
+      let heuristic = Optimizer.simulate heuristic_sol in
+      let base = Optimizer.simulate base_sol in
+      let enhanced = Optimizer.simulate enhanced_sol in
+      {
+        t3_name = spec.Spec.name;
+        original_cycles = Simulate.cycles original;
+        heuristic_cycles = Simulate.cycles heuristic;
+        base_cycles = Simulate.cycles base;
+        enhanced_cycles = Simulate.cycles enhanced;
+        paper = spec.Spec.paper_exec;
+      })
     (Suite.all ())
 
 (* ------------------------------------------------------------------ *)

@@ -6,7 +6,7 @@ module Hierarchy = Mlo_cachesim.Hierarchy
 
 let run ?(config = Hierarchy.paper_config) prog ~layouts =
   let amap = Address_map.build prog ~layouts in
-  let hier = Hierarchy.create config in
+  let hier = Lru_reference.create config in
   let trips = ref 0 in
   Array.iter
     (fun nest ->
@@ -19,11 +19,11 @@ let run ?(config = Hierarchy.paper_config) prog ~layouts =
             (fun k a ->
               let element = Access.element_at a iter in
               let addr = Address_map.address amap names.(k) element in
-              ignore (Hierarchy.access hier addr))
+              Lru_reference.access hier addr)
             accesses))
     (Program.nests prog);
   {
-    Mlo_cachesim.Simulate.counters = Hierarchy.counters hier;
+    Mlo_cachesim.Simulate.counters = Lru_reference.counters hier;
     footprint_bytes = Address_map.footprint_bytes amap;
     trip_count = !trips;
   }

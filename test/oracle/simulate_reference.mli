@@ -2,8 +2,9 @@
     {!Mlo_cachesim.Simulate.run}.
 
     Per access it evaluates the affine index expressions, looks the array
-    up by name and applies the layout transform's matrix arithmetic.  It
-    must report the same counters, footprint and trip count as the
+    up by name, applies the layout transform's matrix arithmetic and
+    issues the address to the timestamp LRU hierarchy {!Lru_reference}.
+    It must report the same counters, footprint and trip count as the
     compiled engine. *)
 
 val run :
