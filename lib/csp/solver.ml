@@ -4,7 +4,6 @@ type var_policy =
   | Lexicographic_var
   | Random_var
   | Most_constraining
-  | Min_domain
 
 type val_policy = Lexicographic_val | Random_val | Least_constraining
 
@@ -224,11 +223,6 @@ let solve_compiled ?(config = default_config) comp =
         let s0 v = un_deg.(v) in
         let s1 v = as_deg.(v) in
         let s2 v = -current_domain_size v in
-        fun () -> best_by s0 s1 s2
-      | Min_domain ->
-        let s0 v = -current_domain_size v in
-        let s1 v = un_deg.(v) + as_deg.(v) in
-        let s2 _ = 0 in
         fun () -> best_by s0 s1 s2
     in
 

@@ -38,9 +38,6 @@ type var_policy =
   | Most_constraining
       (** most constraints to the rest of the network; ties broken by
           constraints to instantiated variables, then smaller domain *)
-  | Min_domain
-      (** smallest current domain (differs from [Most_constraining] only
-          under forward checking); ties broken by degree *)
 
 type val_policy =
   | Lexicographic_val

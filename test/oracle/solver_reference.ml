@@ -84,12 +84,6 @@ let solve ?(config = default_config) net =
         (to_unassigned, to_assigned, -current_domain_size v)
       in
       best_by score vars
-    | Min_domain ->
-      let score v =
-        let to_unassigned, to_assigned = degree_split v in
-        (-current_domain_size v, to_unassigned + to_assigned)
-      in
-      best_by score vars
   in
 
   (* Number of options [var = v] leaves open in uninstantiated neighbours'

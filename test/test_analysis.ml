@@ -363,8 +363,6 @@ let components_configs ~seed =
         lookahead = Solver.Forward_checking;
         backward = Solver.Conflict_directed;
       } );
-    ( "min-domain",
-      { Solver.default_config with var_policy = Solver.Min_domain } );
   ]
 
 let prop_solve_components_equivalent gen_name gen =

@@ -63,12 +63,6 @@ let equivalence_configs ~seed =
         var_policy = Solver.Most_constraining;
         val_policy = Solver.Least_constraining;
       } );
-    ( "min-domain+fc",
-      {
-        Solver.default_config with
-        lookahead = Solver.Forward_checking;
-        var_policy = Solver.Min_domain;
-      } );
   ]
   @ List.map
       (fun a -> (a.Schemes.label, a.Schemes.config))

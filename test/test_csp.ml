@@ -68,12 +68,6 @@ let all_configs ~seed =
         var_policy = Solver.Most_constraining;
         val_policy = Solver.Least_constraining;
       } );
-    ( "min-domain+fc",
-      {
-        Solver.default_config with
-        lookahead = Solver.Forward_checking;
-        var_policy = Solver.Min_domain;
-      } );
   ]
 
 (* ------------------------------------------------------------------ *)
