@@ -467,6 +467,10 @@ let json_flag =
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
+(* (name, program, program to simulate, network extraction) per target.
+   Suite workloads are analyzed at paper sizes but simulated at their
+   small simulation sizes, where ground truth is affordable; a file
+   simulates its own program. *)
 let gather_targets cmd files suite workload =
   let suite_names =
     if suite then workload_names
@@ -474,14 +478,14 @@ let gather_targets cmd files suite workload =
   in
   let of_suite name =
     let spec = spec_of_workload name in
-    (name, spec.Spec.program, fun () -> Spec.extract spec)
+    (name, spec.Spec.program, spec.Spec.sim_program, fun () -> Spec.extract spec)
   in
   let of_file file =
     match Parser.parse_file file with
     | exception Parser.Error (msg, line, col) ->
       Format.eprintf "%s:%d:%d: %s@." file line col msg;
       exit 2
-    | prog -> (file, prog, fun () -> Build.build prog)
+    | prog -> (file, prog, prog, fun () -> Build.build prog)
   in
   let targets = List.map of_file files @ List.map of_suite suite_names in
   if targets = [] then begin
@@ -506,7 +510,7 @@ let lint_cmd =
     let code =
       with_trace trace @@ fun () ->
       let reports =
-        List.map (fun (_, prog, _) -> Lint.run prog) targets
+        List.map (fun (_, prog, _, _) -> Lint.run prog) targets
       in
       if json then
         print_endline
@@ -540,7 +544,7 @@ let analyze_cmd =
       with_trace trace @@ fun () ->
       let results =
         List.map
-          (fun (_, prog, extract) ->
+          (fun (_, prog, _, extract) ->
             let lint = Lint.run prog in
             let build = extract () in
             let name = Network.name build.Build.network in
@@ -599,7 +603,7 @@ let deps_cmd =
     let targets = gather_targets "deps" files suite workload in
     with_trace trace @@ fun () ->
     let reports =
-      List.map (fun (_, prog, _) -> Depreport.run prog) targets
+      List.map (fun (_, prog, _, _) -> Depreport.run prog) targets
     in
     if json then
       print_endline
@@ -655,42 +659,18 @@ let threshold_arg =
 
 let locality_cmd =
   let run files suite workload json check threshold trace =
-    (* (name, displayed program, program --check simulates) — suite
-       workloads are displayed at paper sizes but checked at their small
-       simulation sizes, where ground truth is affordable. *)
-    let suite_names =
-      if suite then workload_names
-      else match workload with Some w -> [ w ] | None -> []
-    in
-    let of_suite name =
-      let spec = spec_of_workload name in
-      (name, spec.Spec.program, spec.Spec.sim_program)
-    in
-    let of_file file =
-      match Parser.parse_file file with
-      | exception Parser.Error (msg, line, col) ->
-        Format.eprintf "%s:%d:%d: %s@." file line col msg;
-        exit 2
-      | prog -> (file, prog, prog)
-    in
-    let targets = List.map of_file files @ List.map of_suite suite_names in
-    if targets = [] then begin
-      Printf.eprintf
-        "layoutopt: locality needs something to analyze (FILE arguments, \
-         --suite, or -w NAME)\n";
-      exit 2
-    end;
+    let targets = gather_targets "locality" files suite workload in
     let code =
       with_trace trace @@ fun () ->
       let reports =
-        List.map (fun (_, prog, _) -> Locality.analyze prog) targets
+        List.map (fun (_, prog, _, _) -> Locality.analyze prog) targets
       in
       let checked =
         if check then
           Some
             (Costcheck.run ~threshold
                (List.map
-                  (fun (name, _, sim) ->
+                  (fun (name, _, sim, _) ->
                     {
                       Costcheck.ct_name = name;
                       ct_program = sim;
