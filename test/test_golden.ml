@@ -83,6 +83,93 @@ let test_solver_nodes () =
     actual
 
 (* ------------------------------------------------------------------ *)
+(* Solver policy matrix: the eight [ablation] configurations (seed 1)   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every systematic configuration the CLI's [ablation] table runs, on
+   every Table-1 network: the verdict and every effort counter.  The
+   reference-engine qchecks cover these policies only on small random
+   networks, and count forward-checking checks differently and ignore
+   AC; this pins the shipped engine on the real ones. *)
+let golden_policy_matrix =
+  "Med-Im04 base sat n=549147 c=623552 bt=111480 bj=0 p=0 d=51\n\
+   Med-Im04 Variable Selection sat n=325465 c=510800 bt=57815 bj=0 p=0 d=51\n\
+   Med-Im04 Value Selection sat n=177697 c=226531 bt=35859 bj=0 p=0 d=51\n\
+   Med-Im04 Backjumping sat n=1724 c=2331 bt=50 bj=105 p=0 d=51\n\
+   Med-Im04 enhanced sat n=594 c=1057 bt=37 bj=42 p=0 d=51\n\
+   Med-Im04 Enhanced+CBJ sat n=99 c=243 bt=0 bj=1 p=0 d=51\n\
+   Med-Im04 Enhanced+FC sat n=53 c=178 bt=0 bj=0 p=171 d=51\n\
+   Med-Im04 Enhanced+AC sat n=52 c=176 bt=0 bj=0 p=0 d=51\n\
+   MxM base sat n=11 c=12 bt=0 bj=0 p=0 d=4\n\
+   MxM Variable Selection sat n=24 c=23 bt=2 bj=0 p=0 d=4\n\
+   MxM Value Selection sat n=5 c=6 bt=0 bj=0 p=0 d=4\n\
+   MxM Backjumping sat n=11 c=12 bt=0 bj=0 p=0 d=4\n\
+   MxM enhanced sat n=5 c=6 bt=0 bj=0 p=0 d=4\n\
+   MxM Enhanced+CBJ sat n=5 c=6 bt=0 bj=0 p=0 d=4\n\
+   MxM Enhanced+FC sat n=5 c=6 bt=0 bj=0 p=20 d=4\n\
+   MxM Enhanced+AC sat n=5 c=6 bt=0 bj=0 p=0 d=4\n\
+   Radar base sat n=16836 c=18019 bt=2233 bj=0 p=0 d=56\n\
+   Radar Variable Selection sat n=531 c=1048 bt=34 bj=0 p=0 d=56\n\
+   Radar Value Selection sat n=77 c=528 bt=0 bj=0 p=0 d=56\n\
+   Radar Backjumping sat n=672 c=1151 bt=24 bj=23 p=0 d=56\n\
+   Radar enhanced sat n=82 c=534 bt=0 bj=0 p=0 d=56\n\
+   Radar Enhanced+CBJ sat n=82 c=534 bt=0 bj=0 p=0 d=56\n\
+   Radar Enhanced+FC sat n=57 c=504 bt=0 bj=0 p=332 d=56\n\
+   Radar Enhanced+AC sat n=57 c=504 bt=0 bj=0 p=0 d=56\n\
+   Shape base sat n=492577 c=479076 bt=60099 bj=0 p=0 d=79\n\
+   Shape Variable Selection sat n=540 c=1269 bt=22 bj=0 p=0 d=79\n\
+   Shape Value Selection sat n=101 c=757 bt=0 bj=0 p=0 d=79\n\
+   Shape Backjumping sat n=1486 c=2439 bt=43 bj=46 p=0 d=79\n\
+   Shape enhanced sat n=134 c=801 bt=0 bj=1 p=0 d=79\n\
+   Shape Enhanced+CBJ sat n=134 c=801 bt=0 bj=1 p=0 d=79\n\
+   Shape Enhanced+FC sat n=80 c=735 bt=0 bj=0 p=560 d=79\n\
+   Shape Enhanced+AC sat n=80 c=735 bt=0 bj=0 p=0 d=79\n\
+   Track base sat n=1037 c=1584 bt=100 bj=0 p=0 d=46\n\
+   Track Variable Selection sat n=827 c=1386 bt=74 bj=0 p=0 d=46\n\
+   Track Value Selection sat n=57 c=522 bt=0 bj=0 p=0 d=46\n\
+   Track Backjumping sat n=598 c=1113 bt=33 bj=5 p=0 d=46\n\
+   Track enhanced sat n=68 c=532 bt=0 bj=0 p=0 d=46\n\
+   Track Enhanced+CBJ sat n=68 c=532 bt=0 bj=0 p=0 d=46\n\
+   Track Enhanced+FC sat n=47 c=507 bt=0 bj=0 p=327 d=46\n\
+   Track Enhanced+AC sat n=47 c=507 bt=0 bj=0 p=0 d=46"
+
+let policy_configs =
+  [ ("base", Schemes.base ~seed:1 ()) ]
+  @ List.map
+      (fun a -> (a.Schemes.label, a.Schemes.config))
+      (Schemes.figure4_schemes ~seed:1 ())
+  @ [ ("enhanced", Schemes.enhanced ~seed:1 ()) ]
+  @ List.map
+      (fun a -> (a.Schemes.label, a.Schemes.config))
+      (Schemes.extension_schemes ~seed:1 ())
+
+let test_policy_matrix () =
+  let actual =
+    workloads
+    |> List.concat_map (fun name ->
+           let spec = Suite.by_name name in
+           let net = (Spec.extract spec).Build.network in
+           List.map
+             (fun (label, config) ->
+               let r = Solver.solve ~config net in
+               let verdict =
+                 match r.Solver.outcome with
+                 | Solver.Solution _ -> "sat"
+                 | Solver.Unsatisfiable -> "unsat"
+                 | Solver.Aborted -> "aborted"
+               in
+               let s = r.Solver.stats in
+               Printf.sprintf "%s %s %s n=%d c=%d bt=%d bj=%d p=%d d=%d"
+                 spec.Spec.name label verdict s.Stats.nodes s.Stats.checks
+                 s.Stats.backtracks s.Stats.backjumps s.Stats.prunings
+                 s.Stats.max_depth)
+             policy_configs)
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "solver policy matrix (seed 1)" golden_policy_matrix
+    actual
+
+(* ------------------------------------------------------------------ *)
 (* Table 3: simulated cycle counts (seed 1)                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -430,6 +517,7 @@ let () =
         [
           Alcotest.test_case "table2 work" `Slow test_table2;
           Alcotest.test_case "solver nodes" `Slow test_solver_nodes;
+          Alcotest.test_case "solver policy matrix" `Slow test_policy_matrix;
           Alcotest.test_case "table3 cycles" `Slow test_table3;
           Alcotest.test_case "cdl/bnb effort counters" `Slow
             test_effort_counters;
