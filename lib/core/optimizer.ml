@@ -88,15 +88,12 @@ let lookup_in layouts =
   List.iter (fun (name, layout) -> Hashtbl.replace tbl name layout) layouts;
   Hashtbl.find_opt tbl
 
-(* Component-wise search of a network scheme.  Returns the
-   preprocessing the engine ran, bnb's cost table over the original
-   network [net0] (read through [orig], which maps a value of the solved
-   [build] back to [net0]) and the result. *)
+(* Component-wise search of a network scheme.  Returns bnb's cost table
+   over the original network [net0] (read through [orig], which maps a
+   value of the solved [build] back to [net0]) and the result. *)
 let search ?max_checks ~objective ?on_event scheme prog ~net0 ~orig build =
   let net = build.Build.network in
-  let solver config =
-    (config.Solver.preprocess, None, Solver.solve_components ~config net)
-  in
+  let solver config = (None, Solver.solve_components ~config net) in
   match scheme with
   | Heuristic -> assert false
   | Base seed -> solver (Schemes.base ~seed ?max_checks ())
@@ -108,9 +105,7 @@ let search ?max_checks ~objective ?on_event scheme prog ~net0 ~orig build =
       | None -> cfg
       | Some m -> { cfg with Mlo_csp.Cdl.max_checks = Some m }
     in
-    ( cfg.Mlo_csp.Cdl.preprocess,
-      None,
-      Mlo_csp.Cdl.solve_components ~config:cfg ?on_event net )
+    (None, Mlo_csp.Cdl.solve_components ~config:cfg ?on_event net)
   | Bnb cfg ->
     let cfg =
       match max_checks with
@@ -122,8 +117,7 @@ let search ?max_checks ~objective ?on_event scheme prog ~net0 ~orig build =
       let i = Build.var_of_array build name in
       costs.(i).(orig i v)
     in
-    ( cfg.Mlo_csp.Bnb.preprocess,
-      Some costs,
+    ( Some costs,
       Trace.with_span ~cat:"optimizer" "bnb"
         ~args:[ ("objective", Trace.Str (objective_label objective)) ]
         (fun () ->
@@ -195,7 +189,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false)
     let survivors = Option.map (fun info -> info.Prune.survivors) prune_info in
     let orig i v = match survivors with Some s -> s.(i).(v) | None -> v in
     let recorder = Proof.recorder () in
-    let preprocess, costs, result =
+    let costs, result =
       search ?max_checks ~objective
         ?on_event:(Option.map (fun _ -> Proof.record recorder) proof)
         scheme prog ~net0 ~orig build
@@ -219,9 +213,9 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false)
           | None -> []
         in
         let dels =
-          match preprocess with
-          | Solver.Arc_consistency -> dominated @ ac_deletions ~orig net
-          | Solver.No_preprocess -> dominated
+          match scheme with
+          | Enhanced_ac _ -> dominated @ ac_deletions ~orig net
+          | Heuristic | Base _ | Enhanced _ | Cdl _ | Bnb _ -> dominated
         in
         sink (Proof.certificate header ~dels ~survivors ~costs recorder result))
       proof;

@@ -8,9 +8,9 @@
     from the static locality model ({!Mlo_analysis.Locality.profiler}),
     so the optimum is the layout assignment the cost model likes best.
 
-    The search is the Minimize mode of the conflict-directed
-    forward-checking kernel that also runs {!Cdl} (same trail, conflict
-    sets and learned-nogood store), with:
+    The search is the [Minimize] mode of the search kernel
+    ({!Solver.run}), which also runs {!Cdl} (same trail, conflict sets
+    and learned-nogood store) and the paper's schemes, with:
 
     - {b smallest-domain ordering} in place of {!Cdl}'s VSIDS order, and
       no activity bumps, nogood decay or restarts;
@@ -46,32 +46,19 @@ type config = {
           is exact; [s > 0] trades optimality for speed with a
           [(1 + s)]-approximation guarantee.  Negative slack is an
           [Invalid_argument]. *)
-  preprocess : Solver.preprocess;
   learn_limit : int;  (** bound of the learned-nogood store, as in {!Cdl} *)
   max_checks : int option;
 }
 
 val default_config : config
-(** Exact bound (slack 0), no preprocessing, learn limit 4000, no check
-    budget. *)
+(** Exact bound (slack 0), learn limit 4000, no check budget. *)
 
 val cost_of : costs:float array array -> int array -> float
 (** Canonical total cost of a complete assignment: [costs.(i).(a.(i))]
     summed left to right by variable index.  Every cost the engine
-    compares or returns is computed by this one fold, so equal
-    assignments always get bit-identical costs. *)
-
-val lower_bound :
-  costs:float array array ->
-  assignment:int array ->
-  live:(int -> int -> bool) ->
-  float
-(** The engine's admissible bound as a pure function, exposed for the
-    property tests: entries of [-1] in [assignment] are unassigned and
-    contribute the minimum cost over their live values ([live i v]);
-    assigned entries contribute their exact cost.  For every complete
-    consistent extension [c] of [assignment] within the live domains,
-    [lower_bound ... <= cost_of ~costs c]. *)
+    compares or returns is computed by this one fold ({!Solver.cost_of},
+    re-exported), so equal assignments always get bit-identical
+    costs. *)
 
 val solve_compiled :
   ?config:config ->

@@ -1,9 +1,9 @@
 (** Conflict-driven solving: nogood learning, VSIDS ordering, Luby
     restarts.
 
-    The systematic engines in {!Solver} compute a conflict set at every
-    dead end and throw it away after backjumping.  This engine keeps
-    them: each dead end is recorded as a {!Nogood} over the culprit
+    The paper's schemes ({!Solver.run}'s [Systematic] mode) compute a
+    conflict set at every dead end and throw it away after backjumping.
+    This engine keeps them: each dead end is recorded as a {!Nogood} over the culprit
     assignments, propagated against later subtrees through watched
     values, so the search never revisits a refuted combination.  On top
     of learning it runs:
@@ -23,12 +23,13 @@
       complete conflict-directed search, and learning only removes
       refuted subtrees.
 
-    This is the Satisfy mode of the conflict-directed kernel that also
-    runs {!Bnb}.  Lookahead is always forward checking; conflict sets
-    are the conflict-directed ones.  Solutions are verified against the
-    compiled network before being returned (learning is pruning-only, so
-    this is an internal assertion, not a filter).  Emits [solver] trace
-    instants for [learn], [forget] and [restart] events. *)
+    This is the [Satisfy] mode of the search kernel ({!Solver.run}),
+    which also runs the paper's schemes and {!Bnb}.  Lookahead is always
+    forward checking; conflict sets are the conflict-directed ones.
+    Solutions are verified against the compiled network before being
+    returned (learning is pruning-only, so this is an internal
+    assertion, not a filter).  Emits [solver] trace instants for
+    [learn], [forget] and [restart] events. *)
 
 type config = {
   restarts : int;
@@ -36,13 +37,12 @@ type config = {
           restarting *)
   restart_base : int;  (** conflicts per Luby unit *)
   learn_limit : int;  (** bound on the watched-nogood store *)
-  preprocess : Solver.preprocess;  (** optional AC-2001, as in {!Solver} *)
   max_checks : int option;  (** abort after this many checks *)
 }
 
 val default_config : config
-(** 50 bounded runs, base 100 conflicts, 4000 learned nogoods, no
-    preprocessing, no check limit. *)
+(** 50 bounded runs, base 100 conflicts, 4000 learned nogoods, no check
+    limit. *)
 
 val solve_compiled :
   ?config:config ->

@@ -1,5 +1,5 @@
-(* Word-mask level sets (see lset.mli).  Extracted from the solver so the
-   conflict-driven engine shares the exact representation. *)
+(* Word-mask level sets (see lset.mli): the conflict rows and the carry
+   buffer of the search kernel. *)
 
 let bits = 63
 let words n = ((max 1 n) + bits - 1) / bits

@@ -2,10 +2,12 @@
 
     A nogood is a set of [(variable, value)] literals recording that no
     solution of the network holds all of them simultaneously.  The
-    conflict-driven engine ({!Cdl}) derives one from every dead end — the
-    assignments at the levels of the conflict set the backjumper already
-    computes — and feeds assignments back through {!on_assign} so earlier
-    conflicts prune later subtrees.
+    learning modes of the search kernel ({!Solver.run}'s [Satisfy] and
+    [Minimize], behind {!Cdl} and {!Bnb}) derive one from every dead end
+    — the assignments at the levels of the conflict set the backjumper
+    already computes — and feed assignments back through {!on_assign} so
+    earlier conflicts prune later subtrees.  The kernel builds a store
+    only in those modes.
 
     {2 Watched values}
 

@@ -1,3 +1,50 @@
+(* The one search kernel: see solver.mli for the three modes.  Soundness
+   notes for the learning modes:
+
+   - A learned nogood is the set of assignments at the dead end's
+     conflict-set levels: CBJ semantics say those assignments (alone)
+     admit no extension of the dead-end variable, so no solution holds
+     them all.  Supersets of conflict sets stay valid, so the coarse
+     per-variable blame below only weakens nogoods, never breaks them.
+   - A nogood-forced pruning is blamed on the levels of all its held
+     literals (blaming just the current level would be unsound: the
+     pruning survives backtracking above the other literals' levels).
+     Blame bits for levels whose trail entry lives elsewhere can go
+     stale after backjumps — stale bits only add premises to later
+     conflict sets, which keeps them valid (and the matrix is cleared on
+     restart, bounding the drift).
+   - Unit nogoods are global bans: a singleton conflict set means the
+     assignment alone admits no extension, independent of the rest of
+     the tree.
+
+   Minimize mode adds:
+
+   - The bound is kept as a drift-free per-level prefix: [acc.(l)] is
+     the cost of the assignments at levels < l and [rem.(l)] the sum of
+     the static (full-domain) per-variable minima of the variables
+     unassigned at levels < l; both are extended by one addition per
+     assignment and never subtracted from, so backtracking restores the
+     parent's exact values by construction.  The live-domain refinement
+     (per unassigned variable, min over the forward-checked domain minus
+     the static minimum, always >= 0) is recomputed at each node.
+   - A cost refutation is blamed on the levels of the assigned variables
+     charged above their static minima, plus — for each refined
+     unassigned variable — the levels that pruned its domain
+     ([pruned_by]).  Under any other assignment holding exactly those
+     literals the same charges and at least the same domain prunings
+     recur, so the bound is at least as large and the refutation stands:
+     cost conflict sets obey the same CBJ contract as wipeout ones, and
+     supersets remain valid.
+   - A nogood learned while an incumbent of cost B exists means "no
+     completion holding these literals costs < B".  B only decreases and
+     is always achieved by the stored incumbent, so replaying the nogood
+     can only skip solutions that do not improve on the final answer.
+     With no incumbent (unsatisfiable networks) every nogood is a plain
+     constraint nogood, as in Satisfy mode.
+   - A solution leaf is treated as a refutation blamed on every level:
+     the search resumes with the chronologically previous value, which
+     keeps it exhaustive below the pruning bound. *)
+
 module Trace = Mlo_obs.Trace
 
 type var_policy =
@@ -34,6 +81,11 @@ let default_config =
     max_checks = None;
   }
 
+type mode =
+  | Systematic of config
+  | Satisfy of { restarts : int; restart_base : int; learn_limit : int }
+  | Minimize of { costs : float array array; slack : float; learn_limit : int }
+
 type outcome = Solution of int array | Unsatisfiable | Aborted
 
 type event =
@@ -43,38 +95,43 @@ type event =
 
 type result = { outcome : outcome; stats : Stats.t }
 
+let cost_of ~costs a =
+  let total = ref 0.0 in
+  Array.iteri (fun i v -> total := !total +. costs.(i).(v)) a;
+  !total
+
+(* luby 1, 2, 3, ... = 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
+let rec luby i =
+  let k = ref 1 in
+  while (1 lsl !k) - 1 < i do incr k done;
+  if (1 lsl !k) - 1 = i then 1 lsl (!k - 1)
+  else luby (i - (1 lsl (!k - 1)) + 1)
+
 exception Abort
+exception Restart_now
 
-(* Sets of search levels as word masks, one flat-matrix row per level —
-   see {!Lset}.  Shared with the conflict-driven engine ({!Cdl}), which
-   blames nogood prunings through the same representation. *)
+(* What [search] returns when a solution leaf is reached: above every
+   level, and the assignment is left in place on the way up.  Any other
+   return is the level to resume at (-1: the whole tree is refuted).
+   The conflict levels to merge at that level travel in a single carry
+   buffer (only one failure unwinds at a time). *)
+let found = max_int
 
-(* Outcome of exploring one level: either a full solution was found below,
-   or the search must resume at the target level (-1 = no level left, the
-   network is unsatisfiable).  The conflict levels to merge at the target
-   travel in a single pre-allocated carry buffer (only one failure unwinds
-   at a time). *)
-type cstep = CFound | CFail of int
+(* The learning modes search with forward checking and conflict-directed
+   backjumping; their variable and value orders are their own. *)
+let learning_config =
+  {
+    default_config with
+    backward = Conflict_directed;
+    lookahead = Forward_checking;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Compiled fast path                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The search below replicates the hashtable-probing reference engine
-   (the test oracle [Mlo_oracle.Solver_reference]) decision for decision
-   (same variable/value orders, same RNG draw sequence, same conflict
-   sets), so outcomes and node/backtrack/backjump counts are identical;
-   only the cost of each primitive changes.  [checks] counts support-row
-   lookups: identical to the reference under no lookahead, one per
-   neighbour domain (instead of one per value) under forward checking. *)
-let solve_compiled ?(config = default_config) comp =
+let run ?on_event ~preprocess ~max_checks mode comp =
   let n = Compiled.num_vars comp in
   let stats = Stats.create () in
   (* Tracing gate read once per solve: per-node events cost one local
      branch when disabled. *)
   let tr = Trace.enabled () in
-  let rng = Rng.create config.seed in
-  let fc = config.lookahead = Forward_checking in
   let t_wall = Clock.wall_s () and t_cpu = Clock.cpu_s () in
   let finish outcome =
     stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
@@ -84,127 +141,142 @@ let solve_compiled ?(config = default_config) comp =
   (* Optional AC-2001 preprocessing: shrink the domains the search (and,
      under forward checking, the pruning) starts from.  Propagation work
      is not counted in [stats.checks]. *)
-  let live =
-    match config.preprocess with
-    | No_preprocess -> Some None
-    | Arc_consistency -> (
-      match Ac2001.run comp with
-      | Error _wiped -> None
-      | Ok domains -> Some (Some domains))
+  let reduced =
+    match preprocess with
+    | No_preprocess -> Ok None
+    | Arc_consistency -> Result.map Option.some (Ac2001.run comp)
   in
-  match live with
-  | None -> finish Unsatisfiable
-  | Some live ->
+  match reduced with
+  | Error _wiped -> finish Unsatisfiable
+  | Ok _ when n = 0 -> finish (Solution [||])
+  | Ok reduced ->
+    let config, learn_limit =
+      match mode with
+      | Systematic c -> (c, None)
+      | Satisfy { learn_limit; _ } | Minimize { learn_limit; _ } ->
+        (learning_config, Some learn_limit)
+    in
+    let learning = learn_limit <> None in
+    let vsids = match mode with Satisfy _ -> true | _ -> false in
+    let minimize = match mode with Minimize _ -> true | _ -> false in
+    let fc = config.lookahead = Forward_checking in
+    let cbj = config.backward <> Chronological in
+    let mc = config.var_policy = Most_constraining in
+    (* Per-step instants of the systematic search; the learning modes
+       report their dead ends as learned nogoods instead. *)
+    let trace_steps = tr && not learning in
+    let rng = Rng.create config.seed in
     let assignment = Array.make n (-1) in
     let level_of = Array.make n (-1) in
+    let var_at = Array.make n (-1) in
     (* Conflict sets and the backjump carry buffer exist only for the
-       jumping strategies; chronological backtracking never reads them.
-       [conf] is one level-set row per level; [lw] words each. *)
-    let cbj = config.backward <> Chronological in
+       jumping strategies: [conf] is one level-set row per level, [lw]
+       words each. *)
     let lw = Lset.words n in
     let conf = if cbj then Lset.make_mat n n else [||] in
     let carry = if cbj then Lset.make_mat 1 n else [||] in
-    (* [domains], the undo trail and the pruning blame sets back forward
-       checking only; non-FC configs read sizes straight off the compiled
-       view (or the AC-reduced domains) and need none of the state. *)
-    let domains =
-      if not fc then [||]
-      else
-        match live with
-        | Some reduced -> Array.map Bitset.copy reduced
-        | None ->
-          Array.init n (fun i -> Bitset.create_full (Compiled.domain_size comp i))
+    (* Live domains: a mutable copy under forward checking (with its undo
+       trail and per-variable pruning blame), the read-only AC core
+       otherwise, and none at all when neither shrinks them — the [full]
+       fast path reads sizes and support counts off the compiled view. *)
+    let initial_domains () =
+      match reduced with
+      | Some d -> Array.map Bitset.copy d
+      | None ->
+        Array.init n (fun i -> Bitset.create_full (Compiled.domain_size comp i))
     in
+    let domains =
+      if fc then initial_domains ()
+      else match reduced with Some d -> d | None -> [||]
+    in
+    let full = Array.length domains = 0 in
     let trail = if fc then Array.make n [] else [||] in
     let pruned_by = if fc then Lset.make_mat n n else [||] in
-    (* Per-variable counts of unassigned/assigned neighbours, maintained
-       incrementally at (un)assignment so the variable-selection scan is
-       O(1) per candidate instead of O(degree). *)
-    let un_deg = Array.init n (fun i -> Compiled.degree comp i) in
-    let as_deg = Array.make n 0 in
-    let mark_assigned var =
+    let md = ref 1 in
+    for i = 0 to n - 1 do
+      if Compiled.domain_size comp i > !md then md := Compiled.domain_size comp i
+    done;
+    let md = !md in
+    (* Per-level candidate buffers, flattened to one stride-[md] array:
+       a level's value order must survive the recursive search below it,
+       and every level above is done with its own, so a level-indexed
+       slice removes all per-node allocation. *)
+    let cand = Array.make (n * md) 0 in
+    let keys = Array.make md 0.0 in
+
+    (* Most-constraining: per-variable counts of unassigned/assigned
+       neighbours, maintained incrementally at (un)assignment so the
+       variable-selection scan is O(1) per candidate. *)
+    let un_deg = if mc then Array.init n (Compiled.degree comp) else [||] in
+    let as_deg = if mc then Array.make n 0 else [||] in
+    let shift_degrees var delta =
       let nbrs = Compiled.neighbors comp var in
       for k = 0 to Array.length nbrs - 1 do
         let j = nbrs.(k) in
-        un_deg.(j) <- un_deg.(j) - 1;
-        as_deg.(j) <- as_deg.(j) + 1
-      done
-    in
-    let mark_unassigned var =
-      let nbrs = Compiled.neighbors comp var in
-      for k = 0 to Array.length nbrs - 1 do
-        let j = nbrs.(k) in
-        un_deg.(j) <- un_deg.(j) + 1;
-        as_deg.(j) <- as_deg.(j) - 1
+        un_deg.(j) <- un_deg.(j) - delta;
+        as_deg.(j) <- as_deg.(j) + delta
       done
     in
 
-    let check_limit =
-      match config.max_checks with Some m -> m | None -> max_int
+    let store =
+      Option.map (fun limit -> Nogood.create ~limit comp) learn_limit
     in
+    (* Satisfy: VSIDS activities per variable and per (variable, value).
+       [vact] starts at the static degree so the pre-conflict order
+       matches the most-constraining heuristic; value activities start
+       flat. *)
+    let vact =
+      if vsids then Array.init n (fun v -> float_of_int (Compiled.degree comp v))
+      else [||]
+    in
+    let qact = if vsids then Array.make (n * md) 0.0 else [||] in
+    let inc = ref 1.0 in
+    let decay_rate = 0.95 in
+    let rescale () =
+      if !inc > 1e100 then begin
+        for v = 0 to n - 1 do
+          vact.(v) <- vact.(v) *. 1e-100
+        done;
+        for i = 0 to (n * md) - 1 do
+          qact.(i) <- qact.(i) *. 1e-100
+        done;
+        inc := !inc *. 1e-100
+      end
+    in
+
+    (* Minimize: static full-domain minima (admissible for the live
+       domains too: a minimum over a superset can only be smaller), the
+       per-level bound prefixes, and the incumbent with its canonical
+       cost as the pruning bound. *)
+    let costs = match mode with Minimize m -> m.costs | _ -> [||] in
+    let static_min =
+      Array.map (fun row -> Array.fold_left Float.min infinity row) costs
+    in
+    let acc = if minimize then Array.make (n + 1) 0.0 else [||] in
+    let rem =
+      if minimize then
+        Array.make (n + 1) (Array.fold_left ( +. ) 0.0 static_min)
+      else [||]
+    in
+    let incumbent = ref None in
+    let bound = ref infinity in
+
+    let check_limit = match max_checks with Some m -> m | None -> max_int in
     let bump_check () =
       stats.Stats.checks <- stats.Stats.checks + 1;
       if stats.Stats.checks > check_limit then raise Abort
     in
 
-    (* [conf row level := levels of var's instantiated neighbours] *)
-    let conf_from_neighbors level var =
-      let off = level * lw in
-      Lset.clear conf off lw;
-      let nbrs = Compiled.neighbors comp var in
-      for k = 0 to Array.length nbrs - 1 do
-        let j = Array.unsafe_get nbrs k in
-        if level_of.(j) >= 0 then Lset.add conf off level_of.(j)
-      done
-    in
-
-    let current_domain_size var =
-      if fc then Bitset.count domains.(var)
-      else
-        match live with
-        | Some reduced -> Bitset.count reduced.(var)
-        | None -> Compiled.domain_size comp var
-    in
-
-    (* Pick the maximum-score variable, lowest index on ties; scores are
-       int triples compared lexicographically (strict improvement only,
-       matching the reference's [Stdlib.compare s best > 0] scan). *)
-    let best_by score0 score1 score2 =
-      let best = ref (-1) in
-      let b0 = ref 0 and b1 = ref 0 and b2 = ref 0 in
-      for v = 0 to n - 1 do
-        if level_of.(v) < 0 then begin
-          let s0 = score0 v in
-          if !best < 0 || s0 >= !b0 then begin
-            let s1 = score1 v and s2 = score2 v in
-            if
-              !best < 0 || s0 > !b0
-              || (s0 = !b0 && (s1 > !b1 || (s1 = !b1 && s2 > !b2)))
-            then begin
-              best := v;
-              b0 := s0;
-              b1 := s1;
-              b2 := s2
-            end
-          end
-        end
-      done;
-      if !best < 0 then invalid_arg "Solver: no unassigned variable";
-      !best
-    in
-
-    (* dispatch on the policy once so per-node selection builds no
-       closures (the [best_by] score functions are hoisted) *)
+    (* Dispatch on the policy once, so per-node selection builds no
+       closure. *)
     let select_var =
-      match config.var_policy with
-      | Lexicographic_var ->
-        let rec first i =
-          if i >= n then invalid_arg "Solver: no unassigned variable"
-          else if level_of.(i) < 0 then i
-          else first (i + 1)
-        in
-        fun () -> first 0
-      | Random_var ->
+      match mode with
+      | Systematic { var_policy = Lexicographic_var; _ } ->
+        fun () ->
+          let i = ref 0 in
+          while level_of.(!i) >= 0 do incr i done;
+          !i
+      | Systematic { var_policy = Random_var; _ } ->
         fun () ->
           let cnt = ref 0 in
           for i = 0 to n - 1 do
@@ -219,90 +291,134 @@ let solve_compiled ?(config = default_config) comp =
             incr i
           done;
           !picked
-      | Most_constraining ->
-        let s0 v = un_deg.(v) in
-        let s1 v = as_deg.(v) in
-        let s2 v = -current_domain_size v in
-        fun () -> best_by s0 s1 s2
+      | Systematic { var_policy = Most_constraining; _ } ->
+        (* the maximum (unassigned, assigned, -domain) neighbour-count
+           triple, lowest index on ties *)
+        fun () ->
+          let best = ref (-1) in
+          let b0 = ref 0 and b1 = ref 0 and b2 = ref 0 in
+          for v = 0 to n - 1 do
+            if level_of.(v) < 0 then begin
+              let s0 = un_deg.(v) in
+              if !best < 0 || s0 >= !b0 then begin
+                let s1 = as_deg.(v)
+                and s2 =
+                  if full then -Compiled.domain_size comp v
+                  else -Bitset.count domains.(v)
+                in
+                if
+                  !best < 0 || s0 > !b0
+                  || (s0 = !b0 && (s1 > !b1 || (s1 = !b1 && s2 > !b2)))
+                then begin
+                  best := v;
+                  b0 := s0;
+                  b1 := s1;
+                  b2 := s2
+                end
+              end
+            end
+          done;
+          !best
+      | Satisfy _ ->
+        (* highest activity, ties by smaller current domain, then lower
+           index *)
+        fun () ->
+          let best = ref (-1) in
+          let ba = ref 0.0 and bd = ref 0 in
+          for v = 0 to n - 1 do
+            if level_of.(v) < 0 then begin
+              let a = vact.(v) in
+              if !best < 0 || a >= !ba then begin
+                let d = Bitset.count domains.(v) in
+                if !best < 0 || a > !ba || d < !bd then begin
+                  best := v;
+                  ba := a;
+                  bd := d
+                end
+              end
+            end
+          done;
+          !best
+      | Minimize _ ->
+        (* smallest live domain, ties by higher degree then lower index:
+           the optimality proof visits the whole bounded space, so the
+           fail-first order pays twice *)
+        fun () ->
+          let best = ref (-1) and bd = ref max_int and bdeg = ref (-1) in
+          for v = 0 to n - 1 do
+            if level_of.(v) < 0 then begin
+              let d = Bitset.count domains.(v) in
+              let deg = Compiled.degree comp v in
+              if d < !bd || (d = !bd && deg > !bdeg) then begin
+                best := v;
+                bd := d;
+                bdeg := deg
+              end
+            end
+          done;
+          !best
     in
 
     (* Number of options [var = v] leaves open in uninstantiated
        neighbours' domains; heuristic table lookups are not counted as
        checks.  With full domains this is the precomputed support count;
        otherwise a word-parallel intersection popcount. *)
-    let promise =
-      (* dispatch on the domain source once, outside the hot loops *)
-      match (fc, live) with
-      | true, _ ->
-        fun var v ->
-          let nbrs = Compiled.neighbors comp var in
-          let acc = ref 0 in
-          for k = 0 to Array.length nbrs - 1 do
-            let j = Array.unsafe_get nbrs k in
-            if level_of.(j) < 0 then
-              acc :=
-                !acc
-                + Bitset.inter_count domains.(j)
-                    (Compiled.row comp (Compiled.handle comp var j) v)
-          done;
-          !acc
-      | false, Some reduced ->
-        fun var v ->
-          let nbrs = Compiled.neighbors comp var in
-          let acc = ref 0 in
-          for k = 0 to Array.length nbrs - 1 do
-            let j = Array.unsafe_get nbrs k in
-            if level_of.(j) < 0 then
-              acc :=
-                !acc
-                + Bitset.inter_count reduced.(j)
-                    (Compiled.row comp (Compiled.handle comp var j) v)
-          done;
-          !acc
-      | false, None ->
-        fun var v ->
-          let nbrs = Compiled.neighbors comp var in
-          let acc = ref 0 in
-          for k = 0 to Array.length nbrs - 1 do
-            let j = Array.unsafe_get nbrs k in
-            if level_of.(j) < 0 then
-              acc := !acc + Compiled.support_count comp var v j
-          done;
-          !acc
+    let promise var v =
+      let nbrs = Compiled.neighbors comp var in
+      let acc = ref 0 in
+      if full then
+        for k = 0 to Array.length nbrs - 1 do
+          let j = Array.unsafe_get nbrs k in
+          if level_of.(j) < 0 then
+            acc := !acc + Compiled.support_count comp var v j
+        done
+      else
+        for k = 0 to Array.length nbrs - 1 do
+          let j = Array.unsafe_get nbrs k in
+          if level_of.(j) < 0 then
+            acc :=
+              !acc
+              + Bitset.inter_count domains.(j)
+                  (Compiled.row comp (Compiled.handle comp var j) v)
+        done;
+      !acc
     in
 
-    let max_dom = ref 0 in
-    for i = 0 to n - 1 do
-      if Compiled.domain_size comp i > !max_dom then
-        max_dom := Compiled.domain_size comp i
-    done;
-    let md = max 1 !max_dom in
-    let score_scratch = Array.make md 0 in
-    (* Per-level candidate buffers, flattened to one stride-[md] array:
-       a level's value order must survive the recursive search below it,
-       and every level above is done with its own, so a level-indexed
-       slice removes all per-node allocation. *)
-    let cand = Array.make (n * md) 0 in
-
-    (* Fill [cand] slice [level] with [var]'s live values in the
-       configured order and return how many there are. *)
+    (* Fill [cand] slice [level] with [var]'s live, unbanned values in
+       the mode's order and return how many there are.  Keyed orders sort
+       by ascending key, ties by lower value: minus the promise
+       (least-constraining), minus the value activity (Satisfy) or the
+       value's cost, so Minimize's greedy first descent doubles as its
+       first incumbent. *)
     let fill_candidates var level =
       let off = level * md in
       let m =
-        if fc then Bitset.fill_array domains.(var) cand off
-        else
-          match live with
-          | Some reduced -> Bitset.fill_array reduced.(var) cand off
-          | None ->
-            let d = Compiled.domain_size comp var in
-            for v = 0 to d - 1 do
-              cand.(off + v) <- v
-            done;
-            d
+        if full then begin
+          let d = Compiled.domain_size comp var in
+          for v = 0 to d - 1 do
+            cand.(off + v) <- v
+          done;
+          d
+        end
+        else Bitset.fill_array domains.(var) cand off
       in
-      (match config.val_policy with
-      | Lexicographic_val -> ()
-      | Random_val ->
+      let m =
+        match store with
+        | None -> m
+        | Some s ->
+          let kept = ref 0 in
+          for k = 0 to m - 1 do
+            let v = cand.(off + k) in
+            if not (Nogood.banned s var v) then begin
+              cand.(off + !kept) <- v;
+              incr kept
+            end
+          done;
+          !kept
+      in
+      (match mode with
+      | Systematic { val_policy = Lexicographic_val; _ } -> ()
+      | Systematic { val_policy = Random_val; _ } ->
         (* prefix Fisher–Yates: draw for draw what [Rng.shuffle] does on
            an array of length exactly [m] *)
         for i = m - 1 downto 1 do
@@ -311,38 +427,47 @@ let solve_compiled ?(config = default_config) comp =
           cand.(off + i) <- cand.(off + j);
           cand.(off + j) <- t
         done
-      | Least_constraining ->
-        (* in-place insertion sort by (score desc, value asc) — a total
-           order, so the result is the reference comparator's, without
-           tuple or closure allocation *)
-        let scores = score_scratch in
-        for k = 0 to m - 1 do
-          scores.(k) <- promise var cand.(off + k)
-        done;
+      | Systematic { val_policy = Least_constraining; _ }
+      | Satisfy _ | Minimize _ ->
+        (match mode with
+        | Systematic _ ->
+          for k = 0 to m - 1 do
+            keys.(k) <- float_of_int (-promise var cand.(off + k))
+          done
+        | Satisfy _ ->
+          for k = 0 to m - 1 do
+            keys.(k) <- -.qact.((var * md) + cand.(off + k))
+          done
+        | Minimize _ ->
+          for k = 0 to m - 1 do
+            keys.(k) <- costs.(var).(cand.(off + k))
+          done);
+        (* in-place insertion sort: a total order, without tuple or
+           closure allocation *)
         for k = 1 to m - 1 do
-          let s = scores.(k) and v = cand.(off + k) in
+          let s = keys.(k) and v = cand.(off + k) in
           let p = ref k in
           while
             !p > 0
-            && (scores.(!p - 1) < s
-                || (scores.(!p - 1) = s && cand.(off + !p - 1) > v))
+            && (keys.(!p - 1) > s
+                || (keys.(!p - 1) = s && cand.(off + !p - 1) > v))
           do
-            scores.(!p) <- scores.(!p - 1);
+            keys.(!p) <- keys.(!p - 1);
             cand.(off + !p) <- cand.(off + !p - 1);
             decr p
           done;
-          scores.(!p) <- s;
+          keys.(!p) <- s;
           cand.(off + !p) <- v
         done);
       m
     in
 
-    (* Check [var = v] against instantiated neighbours in instantiation
-       order; on conflict record the culprit level for conflict-directed
-       jumping.  Under forward checking surviving domain values are
-       already consistent with all instantiated variables, so this is
-       skipped. *)
-    let nbr_scratch = Array.make n 0 in
+    (* No lookahead: check [var = v] against instantiated neighbours in
+       instantiation order; on conflict record the culprit level for
+       conflict-directed jumping.  Under forward checking surviving
+       domain values are already consistent with all instantiated
+       variables, so this is skipped. *)
+    let nbr_scratch = if fc then [||] else Array.make n 0 in
     let consistent_with_assigned var v level =
       let nbrs = Compiled.neighbors comp var in
       let cnt = ref 0 in
@@ -359,28 +484,31 @@ let solve_compiled ?(config = default_config) comp =
           incr cnt
         end
       done;
-      let rec go k =
-        if k >= !cnt then true
+      let ok = ref true and k = ref 0 in
+      while !ok && !k < !cnt do
+        let j = nbr_scratch.(!k) in
+        bump_check ();
+        if Compiled.allowed comp var v j assignment.(j) then incr k
         else begin
-          let j = nbr_scratch.(k) in
-          bump_check ();
-          if Compiled.allowed comp var v j assignment.(j) then go (k + 1)
-          else begin
-            if config.backward = Conflict_directed then
-              Lset.add conf (level * lw) level_of.(j);
-            false
-          end
+          if config.backward = Conflict_directed then
+            Lset.add conf (level * lw) level_of.(j);
+          ok := false
         end
-      in
-      go 0
+      done;
+      !ok
     in
 
-    let prune level j w =
+    (* The level and the variable [prune] removes values from, set by
+       its callers, so forward checking and nogood propagation share one
+       callback instead of allocating a closure per check. *)
+    let at_level = ref 0 and at_var = ref 0 in
+    let prune w =
+      let level = !at_level and j = !at_var in
       Bitset.remove domains.(j) w;
       trail.(level) <- (j, w) :: trail.(level);
       Lset.add pruned_by (j * lw) level;
       stats.Stats.prunings <- stats.Stats.prunings + 1;
-      if tr then
+      if trace_steps then
         Trace.instant ~cat:"solver" "prune"
           ~args:
             [
@@ -391,9 +519,10 @@ let solve_compiled ?(config = default_config) comp =
     in
 
     let undo_level level =
-      List.iter (fun (j, w) -> Bitset.add domains.(j) w) trail.(level);
       List.iter
-        (fun (j, _) -> Lset.remove pruned_by (j * lw) level)
+        (fun (j, w) ->
+          Bitset.add domains.(j) w;
+          Lset.remove pruned_by (j * lw) level)
         trail.(level);
       trail.(level) <- []
     in
@@ -406,16 +535,18 @@ let solve_compiled ?(config = default_config) comp =
       let nbrs = Compiled.neighbors comp var in
       let wiped = ref false in
       let k = ref 0 in
+      at_level := level;
       while (not !wiped) && !k < Array.length nbrs do
         let j = nbrs.(!k) in
         incr k;
         if level_of.(j) < 0 then begin
           bump_check ();
           let row = Compiled.row comp (Compiled.handle comp var j) v in
-          Bitset.iter_diff (fun w -> prune level j w) domains.(j) row;
+          at_var := j;
+          Bitset.iter_diff prune domains.(j) row;
           if Bitset.is_empty domains.(j) then begin
             wiped := true;
-            if config.backward <> Chronological then
+            if cbj then
               Lset.union_below pruned_by (j * lw) conf (level * lw) level lw
           end
         end
@@ -423,69 +554,274 @@ let solve_compiled ?(config = default_config) comp =
       not !wiped
     in
 
-    let dead_end level =
-      match config.backward with
-      | Chronological ->
-        stats.Stats.backtracks <- stats.Stats.backtracks + 1;
-        if tr then
-          Trace.instant ~cat:"solver" "backtrack"
-            ~args:[ ("level", Trace.Int level) ];
-        CFail (level - 1)
-      | Graph_based | Conflict_directed ->
-        (* this level's conf row is dead after this node, filter it in
-           place *)
-        let off = level * lw in
-        Lset.keep_below conf off level lw;
-        let target = Lset.max_elt conf off lw in
-        if target < 0 then CFail (-1)
-        else begin
-          if target = level - 1 then begin
-            stats.Stats.backtracks <- stats.Stats.backtracks + 1;
-            if tr then
-              Trace.instant ~cat:"solver" "backtrack"
-                ~args:[ ("level", Trace.Int level) ]
-          end
+    (* Propagate the new assignment through the learned store; [false]
+       means this value dies here (culprits merged into this level's
+       conflict set, prunings undone by the caller). *)
+    let ng_assign =
+      match store with
+      | None -> fun _ _ _ -> true
+      | Some store ->
+        let held y w = assignment.(y) = w in
+        (* Nogood-forced pruning: remove the last non-held literal's
+           value, blaming every held literal's level (see the soundness
+           note at the top).  The store cannot see domains, so
+           applicability is checked here. *)
+        let prune id ~var:x ~value:w =
+          if level_of.(x) >= 0 || not (Bitset.mem domains.(x) w) then false
           else begin
-            stats.Stats.backjumps <- stats.Stats.backjumps + 1;
+            at_var := x;
+            prune w;
+            Nogood.iter_lits store id (fun y u ->
+                if assignment.(y) = u then
+                  Lset.add pruned_by (x * lw) level_of.(y));
+            Bitset.is_empty domains.(x)
+          end
+        in
+        fun var v level ->
+          bump_check ();
+          at_level := level;
+          (match Nogood.on_assign store ~var ~value:v ~held ~prune with
+          | Nogood.Quiet -> true
+          | Nogood.Wiped x ->
+            Lset.union_below pruned_by (x * lw) conf (level * lw) level lw;
+            false
+          | Nogood.Violated id ->
+            Nogood.iter_lits store id (fun y u ->
+                if assignment.(y) = u && level_of.(y) < level then
+                  Lset.add conf (level * lw) level_of.(y));
+            false)
+    in
+
+    (* The bound test for the node at [level], whose assignment is in
+       place and whose lookahead succeeded: extend the prefixes, then —
+       once an incumbent exists — refute the node when its bound cannot
+       strictly beat it, merging the cost conflict set into this level's
+       row so the caller treats the value like a wipeout. *)
+    let bound_prune =
+      match mode with
+      | Systematic _ | Satisfy _ -> fun _ -> false
+      | Minimize { slack; _ } ->
+        let live_min j =
+          let c = costs.(j) in
+          let m = ref infinity in
+          Bitset.iter (fun v -> if c.(v) < !m then m := c.(v)) domains.(j);
+          !m
+        in
+        fun level ->
+          let var = var_at.(level) in
+          acc.(level + 1) <- acc.(level) +. costs.(var).(assignment.(var));
+          rem.(level + 1) <- rem.(level) -. static_min.(var);
+          !bound < infinity
+          && begin
+               let lb = ref (acc.(level + 1) +. rem.(level + 1)) in
+               for j = 0 to n - 1 do
+                 if level_of.(j) < 0 then begin
+                   let m = live_min j in
+                   if m > static_min.(j) then
+                     lb := !lb +. (m -. static_min.(j))
+                 end
+               done;
+               let lb = !lb in
+               if lb *. (1.0 +. slack) < !bound then false
+               else begin
+                 for y = 0 to n - 1 do
+                   let l = level_of.(y) in
+                   if
+                     l >= 0 && l < level
+                     && costs.(y).(assignment.(y)) > static_min.(y)
+                   then Lset.add conf (level * lw) l
+                 done;
+                 for j = 0 to n - 1 do
+                   if level_of.(j) < 0 && live_min j > static_min.(j) then
+                     Lset.union_below pruned_by (j * lw) conf (level * lw)
+                       level lw
+                 done;
+                 stats.Stats.bounded <- stats.Stats.bounded + 1;
+                 if tr then
+                   Trace.instant ~cat:"solver" "bound-prune"
+                     ~args:
+                       [
+                         ("lb", Trace.Float lb);
+                         ("incumbent", Trace.Float !bound);
+                         ("level", Trace.Int level);
+                       ];
+                 true
+               end
+             end
+    in
+
+    (* A complete consistent assignment.  Systematic and Satisfy stop
+       here; Minimize records a strict improvement as the incumbent and
+       fails back chronologically, blamed on every level, so the search
+       keeps exhausting the space below the bound. *)
+    let leaf =
+      match mode with
+      | Systematic _ | Satisfy _ -> fun () -> found
+      | Minimize _ ->
+        fun () ->
+          let cost = cost_of ~costs assignment in
+          if cost < !bound then begin
+            bound := cost;
+            incumbent := Some (Array.copy assignment);
+            stats.Stats.incumbents <- stats.Stats.incumbents + 1;
+            (match on_event with
+            | None -> ()
+            | Some f -> f (Incumbent { assignment = Array.copy assignment }));
             if tr then
-              Trace.instant ~cat:"solver" "backjump"
-                ~args:
-                  [
-                    ("level", Trace.Int level);
-                    ("target", Trace.Int target);
-                    ("distance", Trace.Int (level - target));
-                  ]
+              Trace.instant ~cat:"solver" "incumbent"
+                ~args:[ ("cost", Trace.Float cost) ]
           end;
-          Lset.copy conf off carry 0 lw;
-          Lset.remove carry 0 target;
-          CFail target
+          Lset.clear carry 0 lw;
+          for l = 0 to n - 2 do
+            Lset.add carry 0 l
+          done;
+          n - 1
+    in
+
+    (* Per-run conflict budget (Satisfy restarts); Restart_now unwinds
+       to the run loop. *)
+    let budget = ref max_int in
+    let conflicts = ref 0 in
+
+    let lvars = if learning then Array.make n 0 else [||] in
+    let lvals = if learning then Array.make n 0 else [||] in
+    let llvls = if learning then Array.make n 0 else [||] in
+    (* count and trace what the store dropped since [forgotten0] *)
+    let note_forgotten store forgotten0 =
+      let dropped = Nogood.forgotten store - forgotten0 in
+      if dropped > 0 then begin
+        stats.Stats.forgotten <- stats.Stats.forgotten + dropped;
+        if tr then
+          Trace.instant ~cat:"solver" "forget"
+            ~args:[ ("dropped", Trace.Int dropped) ]
+      end
+    in
+
+    (* Learn the dead end at [level] (its conflict row already cut below
+       the level) and return its backjump target: the culprit assignments
+       become a nogood, and Satisfy bumps every participant —
+       conflict-side VSIDS. *)
+    let learn store var level =
+      let cnt = ref 0 in
+      Lset.iter
+        (fun l ->
+          let y = var_at.(l) in
+          lvars.(!cnt) <- y;
+          lvals.(!cnt) <- assignment.(y);
+          llvls.(!cnt) <- l;
+          incr cnt;
+          if vsids then begin
+            vact.(y) <- vact.(y) +. !inc;
+            qact.((y * md) + assignment.(y)) <-
+              qact.((y * md) + assignment.(y)) +. !inc
+          end)
+        conf (level * lw) lw;
+      if vsids then begin
+        vact.(var) <- vact.(var) +. !inc;
+        inc := !inc /. decay_rate;
+        rescale ()
+      end;
+      if !cnt = 0 then -1
+      else begin
+        let forgotten0 = Nogood.forgotten store in
+        Nogood.learn store ~n:!cnt ~vars:lvars ~vals:lvals ~levels:llvls;
+        (match on_event with
+        | None -> ()
+        | Some f ->
+          f
+            (Learned
+               {
+                 dead = var;
+                 lits = Array.init !cnt (fun i -> (lvars.(i), lvals.(i)));
+               }));
+        if vsids then Nogood.decay store;
+        stats.Stats.learned <- stats.Stats.learned + 1;
+        note_forgotten store forgotten0;
+        if tr then
+          Trace.instant ~cat:"solver" "learn"
+            ~args:[ ("size", Trace.Int !cnt); ("level", Trace.Int level) ];
+        incr conflicts;
+        if !conflicts > !budget then raise Restart_now;
+        llvls.(!cnt - 1)
+      end
+    in
+
+    (* Every value of [var] failed at [level]: count the backward step,
+       leave the conflict levels to merge at the target in [carry], and
+       return the target. *)
+    let dead_end var level =
+      let off = level * lw in
+      let target =
+        if not cbj then level - 1
+        else begin
+          (* this level's conf row is dead after this node, filter it in
+             place *)
+          Lset.keep_below conf off level lw;
+          match store with
+          | Some store -> learn store var level
+          | None -> Lset.max_elt conf off lw
         end
+      in
+      (* a jump with no target refutes the tree; chronological
+         backtracking counts its last step too *)
+      if target >= 0 || not cbj then begin
+        if target = level - 1 then begin
+          stats.Stats.backtracks <- stats.Stats.backtracks + 1;
+          if trace_steps then
+            Trace.instant ~cat:"solver" "backtrack"
+              ~args:[ ("level", Trace.Int level) ]
+        end
+        else begin
+          stats.Stats.backjumps <- stats.Stats.backjumps + 1;
+          if trace_steps then
+            Trace.instant ~cat:"solver" "backjump"
+              ~args:
+                [
+                  ("level", Trace.Int level);
+                  ("target", Trace.Int target);
+                  ("distance", Trace.Int (level - target));
+                ]
+        end;
+        if cbj then begin
+          Lset.copy conf off carry 0 lw;
+          Lset.remove carry 0 target
+        end
+      end;
+      target
     in
 
     let rec search level =
-      if level = n then CFound
+      if level = n then leaf ()
       else begin
         if level > stats.Stats.max_depth then stats.Stats.max_depth <- level;
         let var = select_var () in
+        var_at.(level) <- var;
         level_of.(var) <- level;
-        mark_assigned var;
+        if mc then shift_degrees var 1;
         (* Under forward checking, values already pruned from [var]'s own
            domain were removed by earlier assignments; those levels share
            responsibility for any dead-end here. *)
         (match config.backward with
-        | Graph_based -> conf_from_neighbors level var
+        | Graph_based ->
+          (* the levels of var's instantiated neighbours *)
+          let nbrs = Compiled.neighbors comp var in
+          Lset.clear conf (level * lw) lw;
+          for k = 0 to Array.length nbrs - 1 do
+            let j = Array.unsafe_get nbrs k in
+            if level_of.(j) >= 0 then Lset.add conf (level * lw) level_of.(j)
+          done
         | Conflict_directed ->
           if fc then Lset.copy pruned_by (var * lw) conf (level * lw) lw
           else Lset.clear conf (level * lw) lw
         | Chronological -> ());
         let res = try_values var level (fill_candidates var level) 0 in
-        mark_unassigned var;
+        if mc then shift_degrees var (-1);
         level_of.(var) <- -1;
         res
       end
 
     and try_values var level m k =
-      if k >= m then dead_end level
+      if k >= m then dead_end var level
       else begin
         let v = cand.((level * md) + k) in
         stats.Stats.nodes <- stats.Stats.nodes + 1;
@@ -497,44 +833,104 @@ let solve_compiled ?(config = default_config) comp =
                 ("value", Trace.Int v);
                 ("level", Trace.Int level);
               ];
-        let pre_ok = fc || consistent_with_assigned var v level in
-        if not pre_ok then try_values var level m (k + 1)
+        if not (fc || consistent_with_assigned var v level) then
+          try_values var level m (k + 1)
         else begin
           assignment.(var) <- v;
-          let fc_ok = if fc then fc_assign var v level else true in
-          if not fc_ok then begin
+          if
+            fc
+            && not
+                 (fc_assign var v level && ng_assign var v level
+                 && not (bound_prune level))
+          then begin
             assignment.(var) <- -1;
             undo_level level;
             try_values var level m (k + 1)
           end
           else
-            match search (level + 1) with
-            | CFound -> CFound
-            | CFail target ->
+            let target = search (level + 1) in
+            if target = found then found
+            else begin
               assignment.(var) <- -1;
               if fc then undo_level level;
-              if target < level then CFail target
+              if target < level then target
               else begin
                 if cbj then
                   Lset.union_below carry 0 conf (level * lw) level lw;
                 try_values var level m (k + 1)
               end
+            end
         end
       end
     in
 
+    (* Satisfy's Luby runs: run [i] is cut after its conflict budget and
+       restarts from the root, keeping the learned store and the
+       activities; the last run (and every other mode's only one) is
+       unbounded. *)
+    let rec runs i =
+      budget :=
+        (match mode with
+        | Satisfy { restarts; restart_base; _ } when i < restarts ->
+          restart_base * luby (i + 1)
+        | Systematic _ | Satisfy _ | Minimize _ -> max_int);
+      conflicts := 0;
+      match search 0 with
+      | target -> target
+      | exception Restart_now ->
+        let store = Option.get store in
+        stats.Stats.restarts <- stats.Stats.restarts + 1;
+        if tr then
+          Trace.instant ~cat:"solver" "restart"
+            ~args:
+              [
+                ("run", Trace.Int (i + 1));
+                ("learned", Trace.Int (Nogood.size store));
+              ];
+        let forgotten0 = Nogood.forgotten store in
+        Nogood.reduce store ~limit:(Option.get learn_limit);
+        note_forgotten store forgotten0;
+        Array.fill assignment 0 n (-1);
+        Array.fill level_of 0 n (-1);
+        Array.fill trail 0 n [];
+        Lset.clear pruned_by 0 (n * lw);
+        Array.blit (initial_domains ()) 0 domains 0 n;
+        runs (i + 1)
+    in
+
+    (* An interrupted Minimize search still returns its best consistent
+       assignment when it has one (anytime), flagged as cut so nothing
+       downstream takes it for a proven optimum. *)
+    let best_or otherwise =
+      match !incumbent with Some a -> Solution a | None -> otherwise
+    in
+    let span =
+      match mode with
+      | Systematic _ -> "search"
+      | Satisfy _ -> "cdl-search"
+      | Minimize _ -> "bnb-search"
+    in
     let outcome =
       try
-        match
-          Trace.with_span ~cat:"solver" "search"
-            ~args:[ ("vars", Trace.Int n) ]
-            (fun () -> search 0)
-        with
-        | CFound -> Solution (Array.copy assignment)
-        | CFail _ -> Unsatisfiable
-      with Abort -> Aborted
+        Trace.with_span ~cat:"solver" span
+          ~args:[ ("vars", Trace.Int n) ]
+          (fun () ->
+            if runs 0 = found then Solution (Array.copy assignment)
+            else best_or Unsatisfiable)
+      with Abort ->
+        if learning then stats.Stats.cut <- true;
+        best_or Aborted
     in
+    (* learning is pruning-only: a learning mode's solution is asserted,
+       not filtered *)
+    (match outcome with
+    | Solution a when learning -> assert (Compiled.verify comp a)
+    | Solution _ | Unsatisfiable | Aborted -> ());
     finish outcome
+
+let solve_compiled ?(config = default_config) comp =
+  run ~preprocess:config.preprocess ~max_checks:config.max_checks
+    (Systematic config) comp
 
 let solve ?config net = solve_compiled ?config (Network.compile net)
 
@@ -569,16 +965,23 @@ let merge_component_stats stats (s : Stats.t) =
    Components are solved in index order.  The check budget is global:
    each component gets what the earlier ones left, mirroring the
    whole-network abort, and the first component without a solution
-   stops the run.
-
-   The driver is generic in the per-component engine ([run]) so the
-   conflict-directed schemes ({!Cdl}, {!Bnb}) reuse the exact
-   decomposition, budget hand-down and merge. *)
-let component_driver ~max_checks ~run net =
+   stops the run.  Each component's events go to [on_event] as they
+   happen, then its [Finished]. *)
+let component_driver ?on_event ~max_checks ~run net =
+  let run_one ~comp ~vars ~max_checks sub =
+    match on_event with
+    | None -> run ~on_event:None ~max_checks sub
+    | Some f ->
+      let r = run ~on_event:(Some (f ~comp ~vars)) ~max_checks sub in
+      f ~comp ~vars (Finished r.outcome);
+      r
+  in
   let comp = Network.compile net in
   let comps = Compiled.components comp in
   if Array.length comps <= 1 then
-    run ~comp:0 ~vars:(Array.init (Network.num_vars net) Fun.id) ~max_checks net
+    run_one ~comp:0
+      ~vars:(Array.init (Network.num_vars net) Fun.id)
+      ~max_checks net
   else begin
     let ncomps = Array.length comps in
     Trace.with_span ~cat:"solver" "solve-components"
@@ -592,7 +995,7 @@ let component_driver ~max_checks ~run net =
       else begin
         let vars = comps.(k) in
         let r =
-          run ~comp:k ~vars ~max_checks:remaining (Network.induced net vars)
+          run_one ~comp:k ~vars ~max_checks:remaining (Network.induced net vars)
         in
         merge_component_stats stats r.stats;
         match r.outcome with
@@ -611,7 +1014,7 @@ let component_driver ~max_checks ~run net =
 
 let solve_components ?(config = default_config) net =
   component_driver ~max_checks:config.max_checks
-    ~run:(fun ~comp:_ ~vars:_ ~max_checks sub ->
+    ~run:(fun ~on_event:_ ~max_checks sub ->
       solve_compiled ~config:{ config with max_checks } (Network.compile sub))
     net
 

@@ -1,7 +1,10 @@
-(** Systematic search over constraint networks (paper Section 4).
+(** The search kernel (paper Section 4) and the schemes built on it.
 
-    The engine is a depth-first backtracking search with pluggable
-    policies covering the paper's two schemes and several extensions:
+    One depth-first backtracking search ({!run}) runs in three modes:
+    [Systematic], the paper's schemes and their extensions as a
+    {!config} of pluggable policies; [Satisfy], conflict-driven learning
+    ({!Cdl}); and [Minimize], branch and bound ({!Bnb}).  A config
+    picks:
 
     - {b variable ordering} — which uninstantiated variable to assign
       next (the paper's first random decision, and its "maximally
@@ -23,14 +26,15 @@
     configuration finds one (possibly a different one, as the paper notes
     for its Table 3).
 
-    {!solve} runs on the {e compiled} network view ({!Network.compile}):
+    The kernel runs on the {e compiled} network view ({!Network.compile}):
     consistency checks are O(1) dense-table probes and forward checking
     prunes whole neighbour domains word-parallel.  The original
-    hashtable-probing engine is kept as the executable specification in
-    the test-only library [mlo_oracle] ([Solver_reference]): both produce
-    identical outcomes and identical node/backtrack/backjump counts for
-    every configuration (property tested); under forward checking they
-    count [checks] differently (see {!Stats}). *)
+    hashtable-probing engine is kept as the executable specification of
+    [Systematic] in the test-only library [mlo_oracle]
+    ([Solver_reference]): both produce identical outcomes and identical
+    node/backtrack/backjump counts for every configuration (property
+    tested); under forward checking they count [checks] differently (see
+    {!Stats}). *)
 
 type var_policy =
   | Lexicographic_var  (** lowest-numbered uninstantiated variable *)
@@ -87,13 +91,63 @@ type outcome =
 
 type result = { outcome : outcome; stats : Stats.t }
 
+type event =
+  | Learned of { dead : int; lits : (int * int) array }
+      (** A nogood was learned at a dead end: the (component-local)
+          assignments [lits] cannot jointly extend to a solution (for
+          {!Bnb}, to one improving the incumbent); [dead] is the
+          variable whose domain wiped. *)
+  | Incumbent of { assignment : int array }
+      (** Branch and bound found an improving incumbent (a fresh copy,
+          component-local indices). *)
+  | Finished of outcome
+      (** The component's search ended; always the component's last
+          event. *)
+(** Solver events for proof logging, reported per component by
+    {!component_driver} (and so by {!Cdl.solve_components} and
+    {!Bnb.branch_and_bound}) via their [on_event] callbacks.  Variable
+    indices are local to the component; the [vars] array of the
+    enclosing component maps them back. *)
+
+type mode =
+  | Systematic of config
+      (** The config's policies (its [preprocess] and [max_checks] give
+          way to {!run}'s arguments). *)
+  | Satisfy of { restarts : int; restart_base : int; learn_limit : int }
+      (** {!Cdl}'s conflict-driven search, with the fields of
+          {!Cdl.config}; stops at the first solution. *)
+  | Minimize of { costs : float array array; slack : float; learn_limit : int }
+      (** {!Bnb}'s branch and bound over the separable cost
+          [costs.(i).(v)] (checked by the caller: one row per variable,
+          one entry per domain value; [slack >= 0]); runs until the
+          space below the incumbent is exhausted. *)
+
+val run :
+  ?on_event:(event -> unit) ->
+  preprocess:preprocess ->
+  max_checks:int option ->
+  mode ->
+  Compiled.t ->
+  result
+(** Search a compiled view in [mode], after the optional AC-2001
+    [preprocess], for at most [max_checks] checks.  [on_event] receives
+    every learned nogood ([Learned], a fresh literal array) and, in
+    [Minimize] mode, every strict incumbent improvement ([Incumbent], a
+    fresh copy), in chronological order; it never receives [Finished].
+    A learning mode asserts its [Solution] against {!Compiled.verify};
+    cut by the budget, it sets [stats.cut], and [Minimize] then returns
+    its incumbent, if it has one. *)
+
+val cost_of : costs:float array array -> int array -> float
+(** Canonical total cost of a complete assignment (see {!Bnb.cost_of}). *)
+
 val solve : ?config:config -> 'a Network.t -> result
 (** Runs the search on [Network.compile net] (memoized — repeated solves
     of the same network compile once).  The returned assignment (if any)
     satisfies {!Network.verify}. *)
 
 val solve_compiled : ?config:config -> Compiled.t -> result
-(** Runs the search directly on an already-compiled view. *)
+(** [run (Systematic config)] on an already-compiled view. *)
 
 val solve_components : ?config:config -> 'a Network.t -> result
 (** Component-wise search: solves each connected component of the
@@ -111,10 +165,10 @@ val solve_components : ?config:config -> 'a Network.t -> result
     [max_depth] is the deepest component's. *)
 
 val component_driver :
+  ?on_event:(comp:int -> vars:int array -> event -> unit) ->
   max_checks:int option ->
   run:
-    (comp:int ->
-    vars:int array ->
+    (on_event:(event -> unit) option ->
     max_checks:int option ->
     'a Network.t ->
     result) ->
@@ -124,29 +178,15 @@ val component_driver :
     per-component engine: decomposes the network, hands the rest of the
     [max_checks] budget from each component to the next, and merges
     results in component order up to and including the first
-    non-solution.  [comp] is the component's index and [vars] maps its
-    local variable indices back to the whole network (proof emission
-    relies on both).  A single-component network is passed to [run]
-    whole, as component 0 with the identity mapping.
+    non-solution.  A single-component network is passed to [run] whole,
+    as component 0 with the identity mapping.  Each component's events
+    go to [on_event] with the component's index [comp] and the [vars]
+    array that maps its local variable indices back to the whole
+    network (proof emission relies on both), as the search runs,
+    followed by one [Finished] with its outcome; nothing arrives for the
+    components after the first one without a solution.
     {!Cdl.solve_components} and {!Bnb.branch_and_bound} build on
     this. *)
-
-type event =
-  | Learned of { dead : int; lits : (int * int) array }
-      (** A nogood was learned at a dead end: the (component-local)
-          assignments [lits] cannot jointly extend to a solution (for
-          {!Bnb}, to one improving the incumbent); [dead] is the
-          variable whose domain wiped. *)
-  | Incumbent of { assignment : int array }
-      (** Branch and bound found an improving incumbent (a fresh copy,
-          component-local indices). *)
-  | Finished of outcome
-      (** The component's search ended; always the component's last
-          event. *)
-(** Solver events for proof logging, reported per component by
-    {!Cdl.solve_components} and {!Bnb.branch_and_bound} via their
-    [on_event] callbacks.  Variable indices are local to the component;
-    the [vars] array of the enclosing component maps them back. *)
 
 val solve_values : ?config:config -> 'a Network.t -> ('a array * result) option
 (** Convenience: like {!solve} but materializes the domain values of the

@@ -1,8 +1,11 @@
-(** Search-effort counters.
+(** Search-effort counters, one record per {!Solver.run} (summed over
+    components by {!Solver.component_driver}).
 
     Consistency checks are the machine-independent proxy for the paper's
     Table 2 solution times; both monotonic wall-clock and CPU seconds are
-    also recorded when the search is timed.
+    also recorded when the search is timed.  Every mode of the kernel
+    counts the same way, and the learning modes add one check per
+    assignment propagated through the nogood store.
 
     On the compiled solver core a "check" is one support-row lookup:
     under no lookahead that is exactly one binary consistency check, as
@@ -19,10 +22,10 @@ type t = {
   mutable backjumps : int;  (** non-chronological backward steps *)
   mutable prunings : int;  (** domain values removed by lookahead *)
   mutable learned : int;
-      (** nogoods recorded by the conflict-driven scheme ({!Cdl}); 0 for
-          the non-learning schemes *)
+      (** nogoods recorded by the learning modes ({!Cdl}, {!Bnb}); 0 for
+          the paper's schemes *)
   mutable forgotten : int;  (** learned nogoods dropped by store reduction *)
-  mutable restarts : int;  (** Luby restarts taken by the search *)
+  mutable restarts : int;  (** Luby restarts taken by {!Cdl} *)
   mutable bounded : int;
       (** subtrees cut by the branch-and-bound lower bound ({!Bnb}); 0
           for the satisfiability-only schemes *)

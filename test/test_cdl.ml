@@ -62,8 +62,6 @@ let cdl_configs =
     ( "cdl-restartful",
       { Cdl.default_config with Cdl.restarts = 20; restart_base = 1 } );
     ("cdl-forgetful", { Cdl.default_config with Cdl.learn_limit = 2 });
-    ( "cdl-ac",
-      { Cdl.default_config with Cdl.preprocess = Solver.Arc_consistency } );
   ]
 
 let prop_cdl_agrees =
