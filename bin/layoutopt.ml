@@ -74,9 +74,23 @@ let seed_arg =
   let doc = "Seed for the schemes' random decisions." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
 
+(* Budgets and limits count something: a negative one is a usage error
+   (one line, exit 2 through main's handler), not a search outcome. *)
+let non_negative_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 0 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "must be non-negative (got %d)" n))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let max_checks_arg =
   let doc = "Abort the search after this many consistency checks." in
-  Arg.(value & opt int 2_000_000_000 & info [ "max-checks" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt non_negative_int 2_000_000_000
+    & info [ "max-checks" ] ~docv:"N" ~doc)
 
 let explain_flag =
   let doc = "Print the per-nest, per-reference locality report." in
@@ -89,7 +103,7 @@ let restarts_arg =
   in
   Arg.(
     value
-    & opt int Mlo_csp.Cdl.default_config.Mlo_csp.Cdl.restarts
+    & opt non_negative_int Mlo_csp.Cdl.default_config.Mlo_csp.Cdl.restarts
     & info [ "restarts" ] ~docv:"N" ~doc)
 
 let learn_limit_arg =
@@ -99,7 +113,7 @@ let learn_limit_arg =
   in
   Arg.(
     value
-    & opt int Mlo_csp.Cdl.default_config.Mlo_csp.Cdl.learn_limit
+    & opt non_negative_int Mlo_csp.Cdl.default_config.Mlo_csp.Cdl.learn_limit
     & info [ "learn-limit" ] ~docv:"N" ~doc)
 
 let bound_slack_arg =

@@ -596,6 +596,31 @@ let test_cli_errors () =
            cmd))
     [ "lint"; "locality"; "deps" ]
 
+(* A negative budget or limit is a usage error on every subcommand that
+   takes one, not a search outcome ("check budget exhausted", exit 1)
+   or a silent clamp. *)
+let test_negative_counts () =
+  List.iter
+    (fun (flag, args) ->
+      check_one_line_error
+        (Printf.sprintf "%s %s" args flag)
+        (Printf.sprintf "%s %s=-3" args flag)
+        (Printf.sprintf "layoutopt: option '%s': must be non-negative (got -3)"
+           flag))
+    [
+      ("--max-checks", "solve -w mxm");
+      ("--max-checks", "table2");
+      ( "--max-checks",
+        "optimize-file "
+        ^ Filename.concat
+            (Filename.dirname Sys.executable_name)
+            "../examples/programs/fig2.mlo" );
+      ("--restarts", "solve -w hard-20 -s cdl");
+      ("--restarts", "simulate -w mxm -s cdl");
+      ("--learn-limit", "solve -w hard-20 -s cdl");
+      ("--learn-limit", "solve -w mxm -s bnb");
+    ]
+
 let () =
   Alcotest.run "bnb"
     [
@@ -628,6 +653,9 @@ let () =
           Alcotest.test_case "Med-Im04 golden" `Slow test_med_im04_golden;
         ] );
       ( "cli",
-        [ Alcotest.test_case "one-line errors, exit 2" `Quick test_cli_errors ]
-      );
+        [
+          Alcotest.test_case "one-line errors, exit 2" `Quick test_cli_errors;
+          Alcotest.test_case "negative budgets and limits, exit 2" `Quick
+            test_negative_counts;
+        ] );
     ]
