@@ -594,12 +594,10 @@ let test_cli_errors () =
            "layoutopt: %s needs something to analyze (FILE arguments, \
             --suite, or -w NAME)"
            cmd))
-    [ "lint"; "locality"; "deps" ]
-
-(* A negative budget or limit is a usage error on every subcommand that
-   takes one, not a search outcome ("check budget exhausted", exit 1)
-   or a silent clamp. *)
-let test_negative_counts () =
+    [ "lint"; "locality"; "deps" ];
+  (* a negative budget or limit is a usage error on every subcommand
+     that takes one, not a search outcome ("check budget exhausted",
+     exit 1) or a silent clamp *)
   List.iter
     (fun (flag, args) ->
       check_one_line_error
@@ -653,9 +651,6 @@ let () =
           Alcotest.test_case "Med-Im04 golden" `Slow test_med_im04_golden;
         ] );
       ( "cli",
-        [
-          Alcotest.test_case "one-line errors, exit 2" `Quick test_cli_errors;
-          Alcotest.test_case "negative budgets and limits, exit 2" `Quick
-            test_negative_counts;
-        ] );
+        [ Alcotest.test_case "one-line errors, exit 2" `Quick test_cli_errors ]
+      );
     ]
