@@ -21,7 +21,7 @@ let run config ~max_checks ?on_event ~costs comp =
       if Array.length row <> Compiled.domain_size comp i then
         invalid_arg "Bnb: costs domain mismatch")
     costs;
-  Solver.run ?on_event ~preprocess:Solver.No_preprocess ~max_checks
+  Solver.run ?on_event ~max_checks
     (Solver.Minimize
        { costs; slack = config.bound_slack; learn_limit = config.learn_limit })
     comp

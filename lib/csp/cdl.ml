@@ -15,8 +15,7 @@ let mode { restarts; restart_base; learn_limit; _ } =
   Solver.Satisfy { restarts; restart_base; learn_limit }
 
 let solve_compiled ?(config = default_config) ?on_event comp =
-  Solver.run ?on_event ~preprocess:Solver.No_preprocess
-    ~max_checks:config.max_checks (mode config) comp
+  Solver.run ?on_event ~max_checks:config.max_checks (mode config) comp
 
 let solve ?config net = solve_compiled ?config (Network.compile net)
 
@@ -24,6 +23,5 @@ let solve_components ?(config = default_config) ?on_event net =
   let mode = mode config in
   Solver.component_driver ?on_event ~max_checks:config.max_checks
     ~run:(fun ~on_event ~max_checks sub ->
-      Solver.run ?on_event ~preprocess:Solver.No_preprocess ~max_checks mode
-        (Network.compile sub))
+      Solver.run ?on_event ~max_checks mode (Network.compile sub))
     net

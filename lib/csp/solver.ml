@@ -126,7 +126,74 @@ let learning_config =
     lookahead = Forward_checking;
   }
 
-let run ?on_event ~preprocess ~max_checks mode comp =
+(* [run]'s helpers live at top level, so a run builds no closure for
+   them: a tiny component's search allocates only what its mode uses. *)
+
+(* The live domains a search starts from: the AC core when preprocessed,
+   full domains otherwise (a fresh copy either way). *)
+let fresh_domains comp reduced =
+  match reduced with
+  | Some d -> Array.map Bitset.copy d
+  | None ->
+    Array.init (Compiled.num_vars comp) (fun i ->
+        Bitset.create_full (Compiled.domain_size comp i))
+
+(* Most-constraining bookkeeping: (un)assigning [var] moves its
+   neighbours' counts between unassigned and assigned. *)
+let shift_degrees comp un_deg as_deg var delta =
+  let nbrs = Compiled.neighbors comp var in
+  for k = 0 to Array.length nbrs - 1 do
+    let j = nbrs.(k) in
+    un_deg.(j) <- un_deg.(j) - delta;
+    as_deg.(j) <- as_deg.(j) + delta
+  done
+
+(* Number of options [var = v] leaves open in uninstantiated neighbours'
+   domains; heuristic table lookups are not counted as checks.  With
+   full domains this is the precomputed support count; otherwise a
+   word-parallel intersection popcount. *)
+let promise comp ~full level_of domains var v =
+  let nbrs = Compiled.neighbors comp var in
+  let acc = ref 0 in
+  if full then
+    for k = 0 to Array.length nbrs - 1 do
+      let j = Array.unsafe_get nbrs k in
+      if level_of.(j) < 0 then acc := !acc + Compiled.support_count comp var v j
+    done
+  else
+    for k = 0 to Array.length nbrs - 1 do
+      let j = Array.unsafe_get nbrs k in
+      if level_of.(j) < 0 then
+        acc :=
+          !acc
+          + Bitset.inter_count domains.(j)
+              (Compiled.row comp (Compiled.handle comp var j) v)
+    done;
+  !acc
+
+(* VSIDS: keep the activities and their increment finite. *)
+let rescale_activities vact qact inc =
+  if !inc > 1e100 then begin
+    Array.map_inplace (fun a -> a *. 1e-100) vact;
+    Array.map_inplace (fun a -> a *. 1e-100) qact;
+    inc := !inc *. 1e-100
+  end
+
+(* Count and trace what a nogood store dropped since [forgotten0]. *)
+let note_forgotten (stats : Stats.t) ~tr store forgotten0 =
+  let dropped = Nogood.forgotten store - forgotten0 in
+  if dropped > 0 then begin
+    stats.forgotten <- stats.forgotten + dropped;
+    if tr then
+      Trace.instant ~cat:"solver" "forget"
+        ~args:[ ("dropped", Trace.Int dropped) ]
+  end
+
+(* The random policies draw from one stream per run; every other run
+   holds this one and never draws from it. *)
+let unused_rng = Rng.create 0
+
+let run ?on_event ~max_checks mode comp =
   let n = Compiled.num_vars comp in
   let stats = Stats.create () in
   (* Tracing gate read once per solve: per-node events cost one local
@@ -138,23 +205,30 @@ let run ?on_event ~preprocess ~max_checks mode comp =
     stats.Stats.cpu_s <- Clock.cpu_s () -. t_cpu;
     { outcome; stats }
   in
-  (* Optional AC-2001 preprocessing: shrink the domains the search (and,
-     under forward checking, the pruning) starts from.  Propagation work
-     is not counted in [stats.checks]. *)
+  (* A systematic config's optional AC-2001 preprocessing: shrink the
+     domains the search (and, under forward checking, the pruning)
+     starts from.  Propagation work is not counted in [stats.checks]. *)
   let reduced =
-    match preprocess with
-    | No_preprocess -> Ok None
-    | Arc_consistency -> Result.map Option.some (Ac2001.run comp)
+    match mode with
+    | Systematic { preprocess = Arc_consistency; _ } ->
+      Result.map Option.some (Ac2001.run comp)
+    | Systematic { preprocess = No_preprocess; _ } | Satisfy _ | Minimize _ ->
+      Ok None
   in
   match reduced with
   | Error _wiped -> finish Unsatisfiable
   | Ok _ when n = 0 -> finish (Solution [||])
   | Ok reduced ->
-    let config, learn_limit =
+    let config =
       match mode with
-      | Systematic c -> (c, None)
+      | Systematic c -> c
+      | Satisfy _ | Minimize _ -> learning_config
+    in
+    let learn_limit =
+      match mode with
+      | Systematic _ -> None
       | Satisfy { learn_limit; _ } | Minimize { learn_limit; _ } ->
-        (learning_config, Some learn_limit)
+        Some learn_limit
     in
     let learning = learn_limit <> None in
     let vsids = match mode with Satisfy _ -> true | _ -> false in
@@ -165,7 +239,11 @@ let run ?on_event ~preprocess ~max_checks mode comp =
     (* Per-step instants of the systematic search; the learning modes
        report their dead ends as learned nogoods instead. *)
     let trace_steps = tr && not learning in
-    let rng = Rng.create config.seed in
+    let rng =
+      if config.var_policy = Random_var || config.val_policy = Random_val then
+        Rng.create config.seed
+      else unused_rng
+    in
     let assignment = Array.make n (-1) in
     let level_of = Array.make n (-1) in
     let var_at = Array.make n (-1) in
@@ -179,14 +257,8 @@ let run ?on_event ~preprocess ~max_checks mode comp =
        trail and per-variable pruning blame), the read-only AC core
        otherwise, and none at all when neither shrinks them — the [full]
        fast path reads sizes and support counts off the compiled view. *)
-    let initial_domains () =
-      match reduced with
-      | Some d -> Array.map Bitset.copy d
-      | None ->
-        Array.init n (fun i -> Bitset.create_full (Compiled.domain_size comp i))
-    in
     let domains =
-      if fc then initial_domains ()
+      if fc then fresh_domains comp reduced
       else match reduced with Some d -> d | None -> [||]
     in
     let full = Array.length domains = 0 in
@@ -209,17 +281,11 @@ let run ?on_event ~preprocess ~max_checks mode comp =
        variable-selection scan is O(1) per candidate. *)
     let un_deg = if mc then Array.init n (Compiled.degree comp) else [||] in
     let as_deg = if mc then Array.make n 0 else [||] in
-    let shift_degrees var delta =
-      let nbrs = Compiled.neighbors comp var in
-      for k = 0 to Array.length nbrs - 1 do
-        let j = nbrs.(k) in
-        un_deg.(j) <- un_deg.(j) - delta;
-        as_deg.(j) <- as_deg.(j) + delta
-      done
-    in
 
     let store =
-      Option.map (fun limit -> Nogood.create ~limit comp) learn_limit
+      match learn_limit with
+      | Some limit -> Some (Nogood.create ~limit comp)
+      | None -> None
     in
     (* Satisfy: VSIDS activities per variable and per (variable, value).
        [vact] starts at the static degree so the pre-conflict order
@@ -232,17 +298,6 @@ let run ?on_event ~preprocess ~max_checks mode comp =
     let qact = if vsids then Array.make (n * md) 0.0 else [||] in
     let inc = ref 1.0 in
     let decay_rate = 0.95 in
-    let rescale () =
-      if !inc > 1e100 then begin
-        for v = 0 to n - 1 do
-          vact.(v) <- vact.(v) *. 1e-100
-        done;
-        for i = 0 to (n * md) - 1 do
-          qact.(i) <- qact.(i) *. 1e-100
-        done;
-        inc := !inc *. 1e-100
-      end
-    in
 
     (* Minimize: static full-domain minima (admissible for the live
        domains too: a minimum over a superset can only be smaller), the
@@ -268,21 +323,18 @@ let run ?on_event ~preprocess ~max_checks mode comp =
     in
 
     (* Dispatch on the policy once, so per-node selection builds no
-       closure. *)
+       closure.  At [level], exactly [n - level] variables are
+       unassigned. *)
     let select_var =
       match mode with
       | Systematic { var_policy = Lexicographic_var; _ } ->
-        fun () ->
+        fun _ ->
           let i = ref 0 in
           while level_of.(!i) >= 0 do incr i done;
           !i
       | Systematic { var_policy = Random_var; _ } ->
-        fun () ->
-          let cnt = ref 0 in
-          for i = 0 to n - 1 do
-            if level_of.(i) < 0 then incr cnt
-          done;
-          let k = ref (Rng.int rng !cnt) in
+        fun level ->
+          let k = ref (Rng.int rng (n - level)) in
           let picked = ref (-1) in
           let i = ref 0 in
           while !picked < 0 do
@@ -294,7 +346,7 @@ let run ?on_event ~preprocess ~max_checks mode comp =
       | Systematic { var_policy = Most_constraining; _ } ->
         (* the maximum (unassigned, assigned, -domain) neighbour-count
            triple, lowest index on ties *)
-        fun () ->
+        fun _ ->
           let best = ref (-1) in
           let b0 = ref 0 and b1 = ref 0 and b2 = ref 0 in
           for v = 0 to n - 1 do
@@ -322,7 +374,7 @@ let run ?on_event ~preprocess ~max_checks mode comp =
       | Satisfy _ ->
         (* highest activity, ties by smaller current domain, then lower
            index *)
-        fun () ->
+        fun _ ->
           let best = ref (-1) in
           let ba = ref 0.0 and bd = ref 0 in
           for v = 0 to n - 1 do
@@ -343,7 +395,7 @@ let run ?on_event ~preprocess ~max_checks mode comp =
         (* smallest live domain, ties by higher degree then lower index:
            the optimality proof visits the whole bounded space, so the
            fail-first order pays twice *)
-        fun () ->
+        fun _ ->
           let best = ref (-1) and bd = ref max_int and bdeg = ref (-1) in
           for v = 0 to n - 1 do
             if level_of.(v) < 0 then begin
@@ -357,31 +409,6 @@ let run ?on_event ~preprocess ~max_checks mode comp =
             end
           done;
           !best
-    in
-
-    (* Number of options [var = v] leaves open in uninstantiated
-       neighbours' domains; heuristic table lookups are not counted as
-       checks.  With full domains this is the precomputed support count;
-       otherwise a word-parallel intersection popcount. *)
-    let promise var v =
-      let nbrs = Compiled.neighbors comp var in
-      let acc = ref 0 in
-      if full then
-        for k = 0 to Array.length nbrs - 1 do
-          let j = Array.unsafe_get nbrs k in
-          if level_of.(j) < 0 then
-            acc := !acc + Compiled.support_count comp var v j
-        done
-      else
-        for k = 0 to Array.length nbrs - 1 do
-          let j = Array.unsafe_get nbrs k in
-          if level_of.(j) < 0 then
-            acc :=
-              !acc
-              + Bitset.inter_count domains.(j)
-                  (Compiled.row comp (Compiled.handle comp var j) v)
-        done;
-      !acc
     in
 
     (* Fill [cand] slice [level] with [var]'s live, unbanned values in
@@ -432,7 +459,9 @@ let run ?on_event ~preprocess ~max_checks mode comp =
         (match mode with
         | Systematic _ ->
           for k = 0 to m - 1 do
-            keys.(k) <- float_of_int (-promise var cand.(off + k))
+            keys.(k) <-
+              float_of_int
+                (-promise comp ~full level_of domains var cand.(off + k))
           done
         | Satisfy _ ->
           for k = 0 to m - 1 do
@@ -466,36 +495,39 @@ let run ?on_event ~preprocess ~max_checks mode comp =
        instantiation order; on conflict record the culprit level for
        conflict-directed jumping.  Under forward checking surviving
        domain values are already consistent with all instantiated
-       variables, so this is skipped. *)
-    let nbr_scratch = if fc then [||] else Array.make n 0 in
-    let consistent_with_assigned var v level =
-      let nbrs = Compiled.neighbors comp var in
-      let cnt = ref 0 in
-      for k = 0 to Array.length nbrs - 1 do
-        let j = nbrs.(k) in
-        if level_of.(j) >= 0 then begin
-          (* insertion sort by level, ascending *)
-          let p = ref !cnt in
-          while !p > 0 && level_of.(nbr_scratch.(!p - 1)) > level_of.(j) do
-            nbr_scratch.(!p) <- nbr_scratch.(!p - 1);
-            decr p
+       variables, so this is skipped (and nothing is built for it). *)
+    let consistent_with_assigned =
+      if fc then fun _ _ _ -> true
+      else
+        let nbr_scratch = Array.make n 0 in
+        fun var v level ->
+          let nbrs = Compiled.neighbors comp var in
+          let cnt = ref 0 in
+          for k = 0 to Array.length nbrs - 1 do
+            let j = nbrs.(k) in
+            if level_of.(j) >= 0 then begin
+              (* insertion sort by level, ascending *)
+              let p = ref !cnt in
+              while !p > 0 && level_of.(nbr_scratch.(!p - 1)) > level_of.(j) do
+                nbr_scratch.(!p) <- nbr_scratch.(!p - 1);
+                decr p
+              done;
+              nbr_scratch.(!p) <- j;
+              incr cnt
+            end
           done;
-          nbr_scratch.(!p) <- j;
-          incr cnt
-        end
-      done;
-      let ok = ref true and k = ref 0 in
-      while !ok && !k < !cnt do
-        let j = nbr_scratch.(!k) in
-        bump_check ();
-        if Compiled.allowed comp var v j assignment.(j) then incr k
-        else begin
-          if config.backward = Conflict_directed then
-            Lset.add conf (level * lw) level_of.(j);
-          ok := false
-        end
-      done;
-      !ok
+          let ok = ref true and k = ref 0 in
+          while !ok && !k < !cnt do
+            let j = nbr_scratch.(!k) in
+            bump_check ();
+            if Compiled.allowed comp var v j assignment.(j) then incr k
+            else begin
+              if config.backward = Conflict_directed then
+                Lset.add conf (level * lw) level_of.(j);
+              ok := false
+            end
+          done;
+          !ok
     in
 
     (* The level and the variable [prune] removes values from, set by
@@ -686,64 +718,58 @@ let run ?on_event ~preprocess ~max_checks mode comp =
     let lvars = if learning then Array.make n 0 else [||] in
     let lvals = if learning then Array.make n 0 else [||] in
     let llvls = if learning then Array.make n 0 else [||] in
-    (* count and trace what the store dropped since [forgotten0] *)
-    let note_forgotten store forgotten0 =
-      let dropped = Nogood.forgotten store - forgotten0 in
-      if dropped > 0 then begin
-        stats.Stats.forgotten <- stats.Stats.forgotten + dropped;
-        if tr then
-          Trace.instant ~cat:"solver" "forget"
-            ~args:[ ("dropped", Trace.Int dropped) ]
-      end
-    in
-
-    (* Learn the dead end at [level] (its conflict row already cut below
-       the level) and return its backjump target: the culprit assignments
-       become a nogood, and Satisfy bumps every participant —
-       conflict-side VSIDS. *)
-    let learn store var level =
-      let cnt = ref 0 in
-      Lset.iter
-        (fun l ->
-          let y = var_at.(l) in
-          lvars.(!cnt) <- y;
-          lvals.(!cnt) <- assignment.(y);
-          llvls.(!cnt) <- l;
-          incr cnt;
+    (* Where a conflict-directed dead end at [level] resumes, its
+       conflict row already cut below the level: the deepest culprit, or
+       in a learning mode the last level of the nogood the culprit
+       assignments become (Satisfy also bumps every participant —
+       conflict-side VSIDS). *)
+    let jump_target =
+      match store with
+      | None -> fun _ level -> Lset.max_elt conf (level * lw) lw
+      | Some store ->
+        fun var level ->
+          let cnt = ref 0 in
+          Lset.iter
+            (fun l ->
+              let y = var_at.(l) in
+              lvars.(!cnt) <- y;
+              lvals.(!cnt) <- assignment.(y);
+              llvls.(!cnt) <- l;
+              incr cnt;
+              if vsids then begin
+                vact.(y) <- vact.(y) +. !inc;
+                qact.((y * md) + assignment.(y)) <-
+                  qact.((y * md) + assignment.(y)) +. !inc
+              end)
+            conf (level * lw) lw;
           if vsids then begin
-            vact.(y) <- vact.(y) +. !inc;
-            qact.((y * md) + assignment.(y)) <-
-              qact.((y * md) + assignment.(y)) +. !inc
-          end)
-        conf (level * lw) lw;
-      if vsids then begin
-        vact.(var) <- vact.(var) +. !inc;
-        inc := !inc /. decay_rate;
-        rescale ()
-      end;
-      if !cnt = 0 then -1
-      else begin
-        let forgotten0 = Nogood.forgotten store in
-        Nogood.learn store ~n:!cnt ~vars:lvars ~vals:lvals ~levels:llvls;
-        (match on_event with
-        | None -> ()
-        | Some f ->
-          f
-            (Learned
-               {
-                 dead = var;
-                 lits = Array.init !cnt (fun i -> (lvars.(i), lvals.(i)));
-               }));
-        if vsids then Nogood.decay store;
-        stats.Stats.learned <- stats.Stats.learned + 1;
-        note_forgotten store forgotten0;
-        if tr then
-          Trace.instant ~cat:"solver" "learn"
-            ~args:[ ("size", Trace.Int !cnt); ("level", Trace.Int level) ];
-        incr conflicts;
-        if !conflicts > !budget then raise Restart_now;
-        llvls.(!cnt - 1)
-      end
+            vact.(var) <- vact.(var) +. !inc;
+            inc := !inc /. decay_rate;
+            rescale_activities vact qact inc
+          end;
+          if !cnt = 0 then -1
+          else begin
+            let forgotten0 = Nogood.forgotten store in
+            Nogood.learn store ~n:!cnt ~vars:lvars ~vals:lvals ~levels:llvls;
+            (match on_event with
+            | None -> ()
+            | Some f ->
+              f
+                (Learned
+                   {
+                     dead = var;
+                     lits = Array.init !cnt (fun i -> (lvars.(i), lvals.(i)));
+                   }));
+            if vsids then Nogood.decay store;
+            stats.Stats.learned <- stats.Stats.learned + 1;
+            note_forgotten stats ~tr store forgotten0;
+            if tr then
+              Trace.instant ~cat:"solver" "learn"
+                ~args:[ ("size", Trace.Int !cnt); ("level", Trace.Int level) ];
+            incr conflicts;
+            if !conflicts > !budget then raise Restart_now;
+            llvls.(!cnt - 1)
+          end
     in
 
     (* Every value of [var] failed at [level]: count the backward step,
@@ -757,9 +783,7 @@ let run ?on_event ~preprocess ~max_checks mode comp =
           (* this level's conf row is dead after this node, filter it in
              place *)
           Lset.keep_below conf off level lw;
-          match store with
-          | Some store -> learn store var level
-          | None -> Lset.max_elt conf off lw
+          jump_target var level
         end
       in
       (* a jump with no target refutes the tree; chronological
@@ -794,10 +818,10 @@ let run ?on_event ~preprocess ~max_checks mode comp =
       if level = n then leaf ()
       else begin
         if level > stats.Stats.max_depth then stats.Stats.max_depth <- level;
-        let var = select_var () in
+        let var = select_var level in
         var_at.(level) <- var;
         level_of.(var) <- level;
-        if mc then shift_degrees var 1;
+        if mc then shift_degrees comp un_deg as_deg var 1;
         (* Under forward checking, values already pruned from [var]'s own
            domain were removed by earlier assignments; those levels share
            responsibility for any dead-end here. *)
@@ -815,7 +839,7 @@ let run ?on_event ~preprocess ~max_checks mode comp =
           else Lset.clear conf (level * lw) lw
         | Chronological -> ());
         let res = try_values var level (fill_candidates var level) 0 in
-        if mc then shift_degrees var (-1);
+        if mc then shift_degrees comp un_deg as_deg var (-1);
         level_of.(var) <- -1;
         res
       end
@@ -889,12 +913,12 @@ let run ?on_event ~preprocess ~max_checks mode comp =
               ];
         let forgotten0 = Nogood.forgotten store in
         Nogood.reduce store ~limit:(Option.get learn_limit);
-        note_forgotten store forgotten0;
+        note_forgotten stats ~tr store forgotten0;
         Array.fill assignment 0 n (-1);
         Array.fill level_of 0 n (-1);
         Array.fill trail 0 n [];
         Lset.clear pruned_by 0 (n * lw);
-        Array.blit (initial_domains ()) 0 domains 0 n;
+        Array.blit (fresh_domains comp reduced) 0 domains 0 n;
         runs (i + 1)
     in
 
@@ -929,8 +953,7 @@ let run ?on_event ~preprocess ~max_checks mode comp =
     finish outcome
 
 let solve_compiled ?(config = default_config) comp =
-  run ~preprocess:config.preprocess ~max_checks:config.max_checks
-    (Systematic config) comp
+  run ~max_checks:config.max_checks (Systematic config) comp
 
 let solve ?config net = solve_compiled ?config (Network.compile net)
 

@@ -111,8 +111,8 @@ type event =
 
 type mode =
   | Systematic of config
-      (** The config's policies (its [preprocess] and [max_checks] give
-          way to {!run}'s arguments). *)
+      (** The config's policies and [preprocess]; its [max_checks] is
+          not read here ({!solve_compiled} passes it as {!run}'s). *)
   | Satisfy of { restarts : int; restart_base : int; learn_limit : int }
       (** {!Cdl}'s conflict-driven search, with the fields of
           {!Cdl.config}; stops at the first solution. *)
@@ -124,16 +124,17 @@ type mode =
 
 val run :
   ?on_event:(event -> unit) ->
-  preprocess:preprocess ->
   max_checks:int option ->
   mode ->
   Compiled.t ->
   result
-(** Search a compiled view in [mode], after the optional AC-2001
-    [preprocess], for at most [max_checks] checks.  [on_event] receives
-    every learned nogood ([Learned], a fresh literal array) and, in
-    [Minimize] mode, every strict incumbent improvement ([Incumbent], a
-    fresh copy), in chronological order; it never receives [Finished].
+(** Search a compiled view in [mode] for at most [max_checks] checks.
+    Only a [Systematic] config preprocesses (its optional AC-2001
+    [preprocess]); the learning modes start from the full domains.
+    [on_event] receives every learned nogood ([Learned], a fresh literal
+    array) and, in [Minimize] mode, every strict incumbent improvement
+    ([Incumbent], a fresh copy), in chronological order; it never
+    receives [Finished].
     A learning mode asserts its [Solution] against {!Compiled.verify};
     cut by the budget, it sets [stats.cut], and [Minimize] then returns
     its incumbent, if it has one. *)
