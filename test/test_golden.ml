@@ -49,49 +49,16 @@ let test_table2 () =
   Alcotest.(check string) "table2 work counts (seed 1)" golden_table2 actual
 
 (* ------------------------------------------------------------------ *)
-(* Solver node/check counts on the workload networks (seed 1)           *)
+(* Solver effort: the eight [ablation] configurations (seed 1)          *)
 (* ------------------------------------------------------------------ *)
 
-let golden_nodes =
-  "med-im04 base n=549147 c=623552 enhanced n=594 c=1057\n\
-   mxm base n=11 c=12 enhanced n=5 c=6\n\
-   radar base n=16836 c=18019 enhanced n=82 c=534\n\
-   shape base n=492577 c=479076 enhanced n=134 c=801\n\
-   track base n=1037 c=1584 enhanced n=68 c=532"
-
-let test_solver_nodes () =
-  let actual =
-    workloads
-    |> List.map (fun name ->
-           let build = Spec.extract (Suite.by_name name) in
-           let net = build.Build.network in
-           let run config =
-             let r = Solver.solve ~config net in
-             (match r.Solver.outcome with
-             | Solver.Solution _ -> ()
-             | Solver.Unsatisfiable | Solver.Aborted ->
-               Alcotest.failf "%s: no solution" name);
-             r.Solver.stats
-           in
-           let b = run (Schemes.base ~seed:1 ()) in
-           let e = run (Schemes.enhanced ~seed:1 ()) in
-           Printf.sprintf "%s base n=%d c=%d enhanced n=%d c=%d" name
-             b.Stats.nodes b.Stats.checks e.Stats.nodes e.Stats.checks)
-    |> String.concat "\n"
-  in
-  Alcotest.(check string) "solver node/check counts (seed 1)" golden_nodes
-    actual
-
-(* ------------------------------------------------------------------ *)
-(* Solver policy matrix: the eight [ablation] configurations (seed 1)   *)
-(* ------------------------------------------------------------------ *)
-
-(* Every systematic configuration the CLI's [ablation] table runs, on
-   every Table-1 network: the verdict and every effort counter.  The
+(* Every systematic configuration the CLI's [ablation] table runs — base,
+   the three Figure-4 singles, enhanced and its CBJ/FC/AC extensions —
+   on every Table-1 network: the verdict and every effort counter.  The
    reference-engine qchecks cover these policies only on small random
    networks, and count forward-checking checks differently and ignore
    AC; this pins the shipped engine on the real ones. *)
-let golden_policy_matrix =
+let golden_nodes =
   "Med-Im04 base sat n=549147 c=623552 bt=111480 bj=0 p=0 d=51\n\
    Med-Im04 Variable Selection sat n=325465 c=510800 bt=57815 bj=0 p=0 d=51\n\
    Med-Im04 Value Selection sat n=177697 c=226531 bt=35859 bj=0 p=0 d=51\n\
@@ -143,7 +110,7 @@ let policy_configs =
       (fun a -> (a.Schemes.label, a.Schemes.config))
       (Schemes.extension_schemes ~seed:1 ())
 
-let test_policy_matrix () =
+let test_solver_nodes () =
   let actual =
     workloads
     |> List.concat_map (fun name ->
@@ -166,7 +133,7 @@ let test_policy_matrix () =
              policy_configs)
     |> String.concat "\n"
   in
-  Alcotest.(check string) "solver policy matrix (seed 1)" golden_policy_matrix
+  Alcotest.(check string) "solver node/check counts (seed 1)" golden_nodes
     actual
 
 (* ------------------------------------------------------------------ *)
@@ -517,7 +484,6 @@ let () =
         [
           Alcotest.test_case "table2 work" `Slow test_table2;
           Alcotest.test_case "solver nodes" `Slow test_solver_nodes;
-          Alcotest.test_case "solver policy matrix" `Slow test_policy_matrix;
           Alcotest.test_case "table3 cycles" `Slow test_table3;
           Alcotest.test_case "cdl/bnb effort counters" `Slow
             test_effort_counters;
