@@ -74,16 +74,24 @@ let seed_arg =
   let doc = "Seed for the schemes' random decisions." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
 
-(* Budgets and limits count something: a negative one is a usage error
-   (one line, exit 2 through main's handler), not a search outcome. *)
-let non_negative_int =
+(* Budgets, limits and the bnb slack measure something: a negative one
+   is a usage error (one line, exit 2 through main's handler), not a
+   search outcome — a negative slack would make the bound inadmissible. *)
+let non_negative ~zero ~show conv =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 0 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "must be non-negative (got %d)" n))
+    match Arg.conv_parser conv s with
+    | Ok x when x >= zero -> Ok x
+    | Ok x ->
+      Error (`Msg (Printf.sprintf "must be non-negative (got %s)" (show x)))
     | Error _ as e -> e
   in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let non_negative_int = non_negative ~zero:0 ~show:string_of_int Arg.int
+
+(* NaN compares false with zero, so it is rejected too *)
+let non_negative_float =
+  non_negative ~zero:0.0 ~show:(Printf.sprintf "%g") Arg.float
 
 let max_checks_arg =
   let doc = "Abort the search after this many consistency checks." in
@@ -123,17 +131,8 @@ let bound_slack_arg =
      optimum; a positive value trades optimality for speed with a \
      (1 + $(docv))-approximation guarantee."
   in
-  Arg.(value & opt float 0.0 & info [ "bound-slack" ] ~docv:"S" ~doc)
-
-(* A negative slack would make the bound inadmissible — reject it at the
-   CLI boundary with the usual one-line error. *)
-let validated_bound_slack s =
-  if Float.is_nan s || s < 0.0 then begin
-    Printf.eprintf
-      "layoutopt: --bound-slack must be non-negative (got %g)\n" s;
-    exit 2
-  end;
-  s
+  Arg.(
+    value & opt non_negative_float 0.0 & info [ "bound-slack" ] ~docv:"S" ~doc)
 
 let objective_names = [ "misses"; "lines" ]
 
@@ -252,7 +251,6 @@ let solve_cmd =
   let run workload scheme seed max_checks restarts learn_limit bound_slack
       objective explain prune proof_file trace =
     let spec = spec_of_workload workload in
-    let bound_slack = validated_bound_slack bound_slack in
     let objective = objective_of objective in
     let scheme = scheme_of ~seed ~restarts ~learn_limit ~bound_slack scheme in
     (match (proof_file, scheme) with

@@ -579,9 +579,6 @@ let check_one_line_error name args expect_prefix =
          (List.length lines))
 
 let test_cli_errors () =
-  check_one_line_error "negative slack"
-    "solve -s bnb -w mxm --bound-slack=-1"
-    "layoutopt: --bound-slack must be non-negative";
   check_one_line_error "unknown objective"
     "solve -s bnb -w mxm --objective cycles"
     "layoutopt: unknown objective 'cycles'";
@@ -595,9 +592,9 @@ let test_cli_errors () =
             --suite, or -w NAME)"
            cmd))
     [ "lint"; "locality"; "deps" ];
-  (* a negative budget or limit is a usage error on every subcommand
-     that takes one, not a search outcome ("check budget exhausted",
-     exit 1) or a silent clamp *)
+  (* a negative budget, limit or slack is a usage error on every
+     subcommand that takes one, not a search outcome ("check budget
+     exhausted", exit 1), a silent clamp or an inadmissible bound *)
   List.iter
     (fun (flag, args) ->
       check_one_line_error
@@ -617,6 +614,7 @@ let test_cli_errors () =
       ("--restarts", "simulate -w mxm -s cdl");
       ("--learn-limit", "solve -w hard-20 -s cdl");
       ("--learn-limit", "solve -w mxm -s bnb");
+      ("--bound-slack", "solve -s bnb -w mxm");
     ]
 
 let () =
