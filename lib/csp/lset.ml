@@ -14,8 +14,6 @@ let remove s off l =
   let k = off + (l / bits) in
   s.(k) <- s.(k) land lnot (1 lsl (l mod bits))
 
-let mem s off l = s.(off + (l / bits)) land (1 lsl (l mod bits)) <> 0
-
 let copy src soff dst doff lw = Array.blit src soff dst doff lw
 
 (* [dst := dst U (src /\ [0, limit))] *)
@@ -63,14 +61,3 @@ let iter f s off lw =
       w := !w land lnot b
     done
   done
-
-let count s off lw =
-  let acc = ref 0 in
-  for k = 0 to lw - 1 do
-    let w = ref s.(off + k) in
-    while !w <> 0 do
-      w := !w land (!w - 1);
-      incr acc
-    done
-  done;
-  !acc

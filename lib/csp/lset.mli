@@ -26,8 +26,6 @@ val add : int array -> int -> int -> unit
 
 val remove : int array -> int -> int -> unit
 
-val mem : int array -> int -> int -> bool
-
 val copy : int array -> int -> int array -> int -> int -> unit
 (** [copy src soff dst doff lw] overwrites the destination row. *)
 
@@ -43,6 +41,3 @@ val max_elt : int array -> int -> int -> int
 
 val iter : (int -> unit) -> int array -> int -> int -> unit
 (** [iter f s off lw] applies [f] to every member, ascending. *)
-
-val count : int array -> int -> int -> int
-(** Cardinality of the row. *)

@@ -71,11 +71,6 @@ let rescale_if_needed t =
     t.inc <- t.inc *. 1e-100
   end
 
-let bump t id =
-  let g = t.ngs.(id) in
-  g.act <- g.act +. t.inc;
-  rescale_if_needed t
-
 let decay t = t.inc <- t.inc /. 0.999
 
 let unwatch_all t =

@@ -93,9 +93,6 @@ val banned : t -> int -> int -> bool
 val ban : t -> var:int -> value:int -> unit
 (** Record a unit nogood directly (counted as learned). *)
 
-val bump : t -> int -> unit
-(** Raise nogood [id]'s activity (conflict participation). *)
-
 val decay : t -> unit
 (** Geometrically decay all nogood activities (by scaling the bump
     increment, VSIDS-style; rescales on overflow). *)
