@@ -615,7 +615,10 @@ let test_cli_errors () =
       ("--learn-limit", "solve -w hard-20 -s cdl");
       ("--learn-limit", "solve -w mxm -s bnb");
       ("--bound-slack", "solve -s bnb -w mxm");
-    ]
+    ];
+  (* NaN would slip past a [< 0] test *)
+  check_one_line_error "NaN slack" "solve -s bnb -w mxm --bound-slack=nan"
+    "layoutopt: option '--bound-slack': must be non-negative (got nan)"
 
 let () =
   Alcotest.run "bnb"
