@@ -235,25 +235,28 @@ type raw_group = {
 }
 
 let build_groups (nf : Compiled_trace.nest_form) =
-  let tbl = Hashtbl.create 7 in
-  let order = ref [] in
+  let counts = nf.Compiled_trace.form_counts in
+  (* (array, deltas, members newest first), newest group first *)
+  let groups = ref [] in
   Array.iteri
     (fun k (a : Compiled_trace.access_form) ->
       let deltas =
         Array.mapi
-          (fun l d -> if nf.Compiled_trace.form_counts.(l) <= 1 then 0 else d)
+          (fun l d -> if counts.(l) <= 1 then 0 else d)
           a.Compiled_trace.form_deltas
       in
-      let key = (a.Compiled_trace.form_array, Array.to_list deltas) in
-      match Hashtbl.find_opt tbl key with
-      | Some cell -> cell := (k, a.Compiled_trace.form_addr0) :: !cell
-      | None ->
-        let cell = ref [ (k, a.Compiled_trace.form_addr0) ] in
-        Hashtbl.add tbl key cell;
-        order := (key, deltas, cell) :: !order)
+      let member = (k, a.Compiled_trace.form_addr0) in
+      match
+        List.find_opt
+          (fun (name, d, _) ->
+            String.equal name a.Compiled_trace.form_array && d = deltas)
+          !groups
+      with
+      | Some (_, _, cell) -> cell := member :: !cell
+      | None -> groups := (a.Compiled_trace.form_array, deltas, ref [ member ]) :: !groups)
     nf.Compiled_trace.form_accesses;
   List.rev_map
-    (fun ((name, _), deltas, cell) ->
+    (fun (name, deltas, cell) ->
       let members = List.rev !cell in
       let base = List.fold_left (fun m (_, a) -> min m a) max_int members in
       let gaps =
@@ -263,11 +266,11 @@ let build_groups (nf : Compiled_trace.nest_form) =
         rg_array = name;
         rg_members = List.map fst members;
         rg_deltas = deltas;
-        rg_counts = nf.Compiled_trace.form_counts;
+        rg_counts = counts;
         rg_base = base;
         rg_gaps = Array.of_list gaps;
       })
-    !order
+    !groups
 
 (* Fold the group's constant offsets into one lattice level when they
    are all multiples [q*d] of a stride with consecutive quotients within
@@ -407,13 +410,55 @@ let sets_estimate ~line ~num_sets (g : raw_group) ~keep =
 let classify ~line d =
   if d = 0 then Temporal else if abs d < line then Spatial else No_reuse
 
-(* [group_count] reads the leader's address only through [fdiv] and
-   [fmod] by the line size, so moving a group by whole lines moves its
-   [cs_min] by as much and leaves the rest of the count alone.  The memo
-   keys on exactly what the count reads — the leader's offset within a
-   line, the gap set and the kept levels in order (the order reaches
-   [absorb_gaps]' stable sort) — and stores [cs_min] relative to the
-   leader. *)
+(* What the estimate reads of one group under one loop order: the cold
+   count (every level kept) and, per level [l], the lines of one
+   execution of the subnest strictly inside [l], whether that part fits
+   the sets it reaches, and whether [l] carries reuse at all (temporal
+   or spatial, more than one trip).  The lines the realized levels span
+   are counted per realized-level mask, on first use. *)
+type view = {
+  v_cold : count;  (** [cs_min] relative to the group's leader *)
+  v_inside : float array;
+  v_fits : bool array;
+  v_carries : bool array;
+  mutable v_kept : (int * float) list;
+}
+
+let make_view ~(geometry : Cache.geometry) ~count (g : raw_group) =
+  let line = geometry.Cache.line_bytes in
+  let num_sets = geometry.Cache.size_bytes / (geometry.Cache.assoc * line) in
+  let depth = Array.length g.rg_deltas in
+  let cold = count g (kept_levels g ~keep:(fun _ -> true)) in
+  let inside =
+    Array.init depth (fun l ->
+        (count g (kept_levels g ~keep:(fun l' -> l' > l))).cs_lines)
+  in
+  {
+    v_cold = { cold with cs_min = cold.cs_min - g.rg_base };
+    v_inside = inside;
+    v_fits =
+      Array.init depth (fun l ->
+          inside.(l)
+          <= float_of_int
+               (geometry.Cache.assoc
+               * sets_estimate ~line ~num_sets g ~keep:(fun l' -> l' > l)));
+    v_carries =
+      Array.init depth (fun l ->
+          g.rg_counts.(l) > 1 && classify ~line g.rg_deltas.(l) <> No_reuse);
+    v_kept = [];
+  }
+
+(* Two memos, each keyed on exactly what it reads.  [group_count] reads
+   the leader's address only through [fdiv] and [fmod] by the line size,
+   so moving a group by whole lines moves its [cs_min] by as much and
+   leaves the rest of the count alone: both keys hold the leader's
+   offset within a line in place of its address, and both store
+   [cs_min] relative to the leader.  The count memo keys on the gap set
+   and the kept levels in order (the order reaches [absorb_gaps]' stable
+   sort).  The view memo keys on the gap set and the per-level strides
+   and trip counts.  A profile query reads one view per (loop order,
+   group); it counts only on a view's first use and on a realized-level
+   mask's first use, through the count memo. *)
 let memo_count ~line memo (g : raw_group) levels =
   let key = (fmod g.rg_base line, g.rg_gaps, levels) in
   match Hashtbl.find_opt memo key with
@@ -423,108 +468,134 @@ let memo_count ~line memo (g : raw_group) levels =
     Hashtbl.add memo key { c with cs_min = c.cs_min - g.rg_base };
     c
 
-(* The counts the per-group math reads: the cold one (every level kept)
-   and, per level [l], one execution of the subnest strictly inside
-   [l]. *)
-type counted = { c_group : raw_group; c_cold : count; c_inside : count array }
+module View_key = struct
+  type t = { offset : int; gaps : int array; deltas : int array; counts : int array }
 
-let cold count (g : raw_group) = count g (kept_levels g ~keep:(fun _ -> true))
+  let rec ints_from a b i =
+    i = Array.length a || (a.(i) = b.(i) && ints_from a b (i + 1))
 
-let count_group count (g : raw_group) =
-  {
-    c_group = g;
-    c_cold = cold count g;
-    c_inside =
-      Array.init (Array.length g.rg_deltas) (fun l ->
-          count g (kept_levels g ~keep:(fun l' -> l' > l)));
-  }
+  let ints_equal a b = Array.length a = Array.length b && ints_from a b 0
 
-(* The per-group tail of the estimate.  Reuse carried by a level is
-   realized when the subnest inside it fits the cache — [inner.(l)] is
-   that subnest's footprint, all groups together — and the group's own
-   part fits the sets it reaches.  Each unrealized level multiplies the
-   kept sub-lattice's lines by its trip count; the misses never fall
-   below the cold lines.  Returns the levels, the factor and the
-   misses. *)
-let finish_group ~(geometry : Cache.geometry) ~count ~inner c =
-  let line = geometry.Cache.line_bytes in
-  let num_sets = geometry.Cache.size_bytes / (geometry.Cache.assoc * line) in
-  let cap_lines = geometry.Cache.size_bytes / line in
-  let g = c.c_group in
-  let levels =
-    Array.init (Array.length g.rg_deltas) (fun l ->
-        let d = g.rg_deltas.(l) and n = g.rg_counts.(l) in
-        let klass = classify ~line d in
-        let realized =
-          match klass with
-          | No_reuse -> true
-          | Temporal | Spatial ->
-            n <= 1
-            || inner.(l) <= float_of_int cap_lines
-               && c.c_inside.(l).cs_lines
-                  <= float_of_int
-                       (geometry.Cache.assoc
-                       * sets_estimate ~line ~num_sets g ~keep:(fun l' -> l' > l))
-        in
-        { lv_delta = d; lv_count = n; lv_class = klass; lv_realized = realized })
+  let equal a b =
+    a.offset = b.offset && ints_equal a.gaps b.gaps
+    && ints_equal a.deltas b.deltas && ints_equal a.counts b.counts
+
+  let rec mix h a i =
+    if i = Array.length a then h else mix ((h * 65599) + a.(i)) a (i + 1)
+
+  let hash k =
+    Hashtbl.hash (mix (mix (mix k.offset k.gaps 0) k.deltas 0) k.counts 0)
+end
+
+module View_tbl = Hashtbl.Make (View_key)
+
+let memo_view ~(geometry : Cache.geometry) ~count tbl (g : raw_group) =
+  let key =
+    {
+      View_key.offset = fmod g.rg_base geometry.Cache.line_bytes;
+      gaps = g.rg_gaps;
+      deltas = g.rg_deltas;
+      counts = g.rg_counts;
+    }
   in
-  let factor =
-    Array.fold_left
-      (fun acc lv ->
-        if lv.lv_class <> No_reuse && not lv.lv_realized && lv.lv_count > 1
-        then acc *. float_of_int lv.lv_count
-        else acc)
-      1.0 levels
-  in
+  match View_tbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = make_view ~geometry ~count g in
+    View_tbl.add tbl key v;
+    v
+
+(* The realized-level rule, stated once for the report and the
+   profiler: reuse carried by level [l] is realized when the subnest
+   inside it fits the cache ([inner.(l)] is that subnest's footprint, all
+   groups together) and the group's own part fits the sets it reaches.
+   A level that carries no reuse counts as realized. *)
+let realized ~cap_lines ~inner v l =
+  (not v.v_carries.(l)) || (inner.(l) <= cap_lines && v.v_fits.(l))
+
+(* The group's miss estimate: each unrealized level multiplies the lines
+   the realized levels span by its trip count, and the misses never fall
+   below the cold lines. *)
+let group_misses ~count ~cap_lines ~inner v (g : raw_group) =
+  let factor = ref 1.0 and mask = ref 0 in
+  for l = 0 to Array.length g.rg_counts - 1 do
+    if realized ~cap_lines ~inner v l then mask := !mask lor (1 lsl l)
+    else factor := !factor *. float_of_int g.rg_counts.(l)
+  done;
+  let mask = !mask in
   let kept =
-    count g
-      (kept_levels g ~keep:(fun l ->
-           let lv = levels.(l) in
-           lv.lv_class = No_reuse || lv.lv_realized))
+    match List.assoc_opt mask v.v_kept with
+    | Some k -> k
+    | None ->
+      let k =
+        (count g (kept_levels g ~keep:(fun l -> mask land (1 lsl l) <> 0)))
+          .cs_lines
+      in
+      v.v_kept <- (mask, k) :: v.v_kept;
+      k
   in
-  (levels, factor, Float.max c.c_cold.cs_lines (factor *. kept.cs_lines))
+  Float.max v.v_cold.cs_lines (!factor *. kept)
 
-(* [base.(l)] plus the footprint inside level [l] of the groups in
-   [counted]. *)
-let inner_lines base counted =
-  Array.mapi
-    (fun l b -> List.fold_left (fun acc c -> acc +. c.c_inside.(l).cs_lines) b counted)
-    base
+(* [base.(l)] plus the footprint inside level [l] of the viewed groups. *)
+let inner_lines base viewed =
+  let inner = Array.copy base in
+  List.iter
+    (fun (_, v) ->
+      for l = 0 to Array.length inner - 1 do
+        inner.(l) <- inner.(l) +. v.v_inside.(l)
+      done)
+    viewed;
+  inner
 
-let analyze_nest ~geometry ~count (nf : Compiled_trace.nest_form) =
+let analyze_nest ~geometry ~count ~view (nf : Compiled_trace.nest_form) =
   let line = geometry.Cache.line_bytes in
+  let cap_lines = float_of_int (geometry.Cache.size_bytes / line) in
   let depth = Array.length nf.Compiled_trace.form_counts in
-  let counted = List.map (count_group count) (build_groups nf) in
-  let inner = inner_lines (Array.make depth 0.0) counted in
+  let viewed = List.map (fun g -> (g, view g)) (build_groups nf) in
+  let inner = inner_lines (Array.make depth 0.0) viewed in
+  let colds =
+    List.map
+      (fun (g, v) -> (g, { v.v_cold with cs_min = g.rg_base + v.v_cold.cs_min }))
+      viewed
+  in
   (* Two groups of the same array whose byte ranges land on overlapping
      line intervals share lines the per-group counts each claim, so the
      summed distinct-line count is only an upper bound there. *)
-  let overlaps_sibling c =
-    let a = c.c_cold in
+  let overlaps_sibling (g, a) =
     List.exists
-      (fun c' ->
-        let b = c'.c_cold in
-        c' != c
-        && c'.c_group.rg_array = c.c_group.rg_array
+      (fun (g', b) ->
+        g' != g
+        && g'.rg_array = g.rg_array
         && fdiv a.cs_min line <= fdiv (b.cs_min + b.cs_span - 1) line
         && fdiv b.cs_min line <= fdiv (a.cs_min + a.cs_span - 1) line)
-      counted
+      colds
   in
   let finished =
-    List.map
-      (fun c ->
-        let levels, factor, misses = finish_group ~geometry ~count ~inner c in
+    List.map2
+      (fun (g, v) gc ->
+        let levels =
+          Array.init depth (fun l ->
+              let d = g.rg_deltas.(l) in
+              {
+                lv_delta = d;
+                lv_count = g.rg_counts.(l);
+                lv_class = classify ~line d;
+                lv_realized = realized ~cap_lines ~inner v l;
+              })
+        in
         {
-          g_array = c.c_group.rg_array;
-          g_accesses = c.c_group.rg_members;
+          g_array = g.rg_array;
+          g_accesses = g.rg_members;
           g_levels = levels;
-          g_gaps = c.c_group.rg_gaps;
-          g_lines = c.c_cold.cs_lines;
-          g_misses = misses;
+          g_gaps = g.rg_gaps;
+          g_lines = v.v_cold.cs_lines;
+          g_misses = group_misses ~count ~cap_lines ~inner v g;
           g_exact =
-            c.c_cold.cs_exact && factor = 1.0 && not (overlaps_sibling c);
+            v.v_cold.cs_exact
+            && Array.for_all (fun lv -> lv.lv_realized) levels
+            && not (overlaps_sibling gc);
         })
-      counted
+      viewed colds
   in
   let trips = Array.fold_left ( * ) 1 nf.Compiled_trace.form_counts in
   ( {
@@ -535,7 +606,7 @@ let analyze_nest ~geometry ~count (nf : Compiled_trace.nest_form) =
       n_misses = List.fold_left (fun a g -> a +. g.g_misses) 0.0 finished;
       n_exact = List.for_all (fun g -> g.g_exact) finished;
     },
-    counted )
+    colds )
 
 (* ------------------------------------------------------------------ *)
 (* Cross-nest warm reuse                                               *)
@@ -558,8 +629,7 @@ type touch = {
 let array_touches nest_groups =
   let tbl = Hashtbl.create 7 in
   List.iter
-    (fun (counted, g) ->
-      let rg = counted.c_group and c = counted.c_cold in
+    (fun ((rg, c), g) ->
       let prev =
         match Hashtbl.find_opt tbl rg.rg_array with
         | Some t -> t
@@ -650,11 +720,12 @@ let analyze_forms ~geometry ~program nfs =
   let line = geometry.Cache.line_bytes in
   let cap_lines = geometry.Cache.size_bytes / line in
   let count = memo_count ~line (Hashtbl.create 64) in
+  let view = memo_view ~geometry ~count (View_tbl.create 64) in
   let nests =
     Array.to_list nfs
     |> List.map (fun nf ->
-           let n, counted = analyze_nest ~geometry ~count nf in
-           (n, List.combine counted n.n_groups))
+           let n, colds = analyze_nest ~geometry ~count ~view nf in
+           (n, List.combine colds n.n_groups))
   in
   let nests = warm_credit ~line ~cap_lines nests in
   {
@@ -709,54 +780,71 @@ module Profile_tbl = Hashtbl.Make (Profile_key)
 
 type profile_entry = {
   pe_trace : Compiled_trace.t;
-      (** every array at its default layout: the staged address map and
-          forms a query relayouts one array of *)
+      (** every array at its default layout: the staged address map a
+          query relayouts one array of *)
+  pe_forms : Compiled_trace.nest_form array;  (** [pe_trace]'s forms *)
   pe_perms : int array list array;  (** per nest: dependence-legal orders *)
-  pe_touched : (string, int array) Hashtbl.t;
-      (** array name -> indices of the nests referencing it, ascending *)
+  pe_touched : (string, int array * int array array) Hashtbl.t;
+      (** array name -> the nests referencing it, ascending, and per
+          such nest the indices of the array's accesses, ascending *)
   pe_others : (int * string, float array list) Hashtbl.t;
       (** (nest, array) -> per legal order, the footprint inside each
           level of every other array's groups *)
   pe_count : raw_group -> (int * int) list -> count;
       (** [group_count], memoized over the entry *)
+  pe_view : raw_group -> view;  (** [make_view], memoized over the entry *)
   pe_profiles : float array Profile_tbl.t;
   pe_lock : Mutex.t;
 }
 
 let make_profile_entry prog =
-  let line = default_geometry.Cache.line_bytes in
   (* A query moves only one array's accesses and reads every other at
      its staged address.  Under the queried layout a later array's base
      moves by a multiple of the base alignment; moving a group by whole
      lines leaves every count but [cs_min] alone, and the profile never
      reads [cs_min]. *)
-  assert (Mlo_cachesim.Address_map.default_align mod line = 0);
+  assert (
+    Mlo_cachesim.Address_map.default_align mod default_geometry.Cache.line_bytes
+    = 0);
   let nests = Program.nests prog in
+  (* name -> (nest, that nest's access indices in reverse), nests in
+     reverse *)
   let touched = Hashtbl.create 16 in
   Array.iteri
     (fun i n ->
-      Array.iter
-        (fun a ->
+      Array.iteri
+        (fun k a ->
           let name = Mlo_ir.Access.array_name a in
           match Hashtbl.find_opt touched name with
-          | Some (j :: _) when j = i -> () (* nest already recorded *)
-          | Some idxs -> Hashtbl.replace touched name (i :: idxs)
-          | None -> Hashtbl.replace touched name [ i ])
+          | Some ((j, ks) :: rest) when j = i ->
+            Hashtbl.replace touched name ((i, k :: ks) :: rest)
+          | prev ->
+            Hashtbl.replace touched name
+              ((i, [ k ]) :: Option.value prev ~default:[]))
         (Mlo_ir.Loop_nest.accesses n))
     nests;
   let touched_arr = Hashtbl.create (Hashtbl.length touched) in
   Hashtbl.iter
-    (fun name idxs ->
-      Hashtbl.replace touched_arr name (Array.of_list (List.rev idxs)))
+    (fun name per_nest ->
+      let per_nest = Array.of_list (List.rev per_nest) in
+      Hashtbl.replace touched_arr name
+        ( Array.map fst per_nest,
+          Array.map (fun (_, ks) -> Array.of_list (List.rev ks)) per_nest ))
     touched;
+  let trace = Compiled_trace.compile prog ~layouts:(fun _ -> None) in
+  let count =
+    memo_count ~line:default_geometry.Cache.line_bytes (Hashtbl.create 256)
+  in
   {
-    pe_trace = Compiled_trace.compile prog ~layouts:(fun _ -> None);
+    pe_trace = trace;
+    pe_forms = Compiled_trace.forms trace;
     pe_perms =
       (let summary = Nest_summary.of_program prog in
        Array.mapi (fun i _ -> (Nest_summary.nest summary i).Nest_summary.orders) nests);
     pe_touched = touched_arr;
     pe_others = Hashtbl.create 64;
-    pe_count = memo_count ~line (Hashtbl.create 256);
+    pe_count = count;
+    pe_view = memo_view ~geometry:default_geometry ~count (View_tbl.create 256);
     pe_profiles = Profile_tbl.create 64;
     pe_lock = Mutex.create ();
   }
@@ -764,62 +852,60 @@ let make_profile_entry prog =
 let profile_entry = Program.memo make_profile_entry
 
 (* Nest [i]'s charge for [array_name], minimized over the nest's legal
-   orders, from the nest's form with [array_name] relayouted.  Only the
-   array's own groups are analyzed: under [Misses] the rest of the nest
-   enters only through the footprint inside each level, which does not
-   depend on the queried layout and is staged per (nest, legal order,
-   array) on first use — every [cs_lines] is an integer far below 2^53,
-   so splitting that sum is exact. *)
-let nest_profile entry ~metric ~array_name i (nf : Compiled_trace.nest_form) =
-  let count = entry.pe_count in
-  (* the groups of [array_name]'s accesses ([true]) or of the others' *)
-  let groups mine =
-    build_groups
-      {
-        nf with
-        form_accesses =
-          Array.of_list
-            (List.filter
-               (fun a ->
-                 String.equal a.Compiled_trace.form_array array_name = mine)
-               (Array.to_list nf.form_accesses));
-      }
+   orders, from [mine], the array's accesses in the nest under the
+   queried layout.  Only the array's own groups are analyzed: under
+   [Misses] the rest of the nest enters only through the footprint
+   inside each level, which does not depend on the queried layout and is
+   staged per (nest, legal order, array) on first use, from the staged
+   forms — every [cs_lines] is an integer far below 2^53, so splitting
+   that sum is exact. *)
+let nest_profile entry ~metric ~array_name i mine =
+  let nf = entry.pe_forms.(i) in
+  let line = default_geometry.Cache.line_bytes in
+  let viewed perm gs =
+    List.map
+      (fun g ->
+        let g = permute_group perm g in
+        (g, entry.pe_view g))
+      gs
   in
-  let counted perm gs =
-    List.map (fun g -> count_group count (permute_group perm g)) gs
-  in
-  let mine = groups true and perms = entry.pe_perms.(i) in
+  let mine = build_groups { nf with form_accesses = mine }
+  and perms = entry.pe_perms.(i) in
   match metric with
   | Lines ->
     List.fold_left
       (fun best perm ->
         Float.min best
           (List.fold_left
-             (fun acc g -> acc +. (cold count (permute_group perm g)).cs_lines)
-             0.0 mine))
+             (fun acc (_, v) -> acc +. v.v_cold.cs_lines)
+             0.0 (viewed perm mine)))
       infinity perms
   | Misses ->
     let inners =
       match Hashtbl.find_opt entry.pe_others (i, array_name) with
       | Some inners -> inners
       | None ->
-        let others = groups false and none = Array.map (fun _ -> 0.0) nf.form_counts in
-        let inners = List.map (fun perm -> inner_lines none (counted perm others)) perms in
+        let others =
+          List.filter
+            (fun g -> not (String.equal g.rg_array array_name))
+            (build_groups nf)
+        and none = Array.map (fun _ -> 0.0) nf.form_counts in
+        let inners =
+          List.map (fun perm -> inner_lines none (viewed perm others)) perms
+        in
         Hashtbl.add entry.pe_others (i, array_name) inners;
         inners
     in
+    let cap_lines = float_of_int (default_geometry.Cache.size_bytes / line) in
     List.fold_left2
       (fun best perm others ->
-        let cs = counted perm mine in
-        let inner = inner_lines others cs in
+        let vs = viewed perm mine in
+        let inner = inner_lines others vs in
         Float.min best
           (List.fold_left
-             (fun acc c ->
-               let _, _, misses =
-                 finish_group ~geometry:default_geometry ~count ~inner c
-               in
-               acc +. misses)
-             0.0 cs))
+             (fun acc (g, v) ->
+               acc +. group_misses ~count:entry.pe_count ~cap_lines ~inner v g)
+             0.0 vs))
       infinity perms inners
 
 let profiler ?(metric = Misses) prog =
@@ -831,15 +917,15 @@ let profiler ?(metric = Misses) prog =
       match Profile_tbl.find_opt entry.pe_profiles key with
       | Some p -> p
       | None ->
-        let profile = Array.make (Array.length entry.pe_perms) 0.0 in
-        (match Hashtbl.find_opt entry.pe_touched array_name with
-        | None -> ()
-        | Some nests ->
-          Array.iteri
-            (fun j nf ->
-              profile.(nests.(j)) <-
-                nest_profile entry ~metric ~array_name nests.(j) nf)
-            (Compiled_trace.relayout entry.pe_trace ~array_name ~layout ~nests));
+        let profile =
+          match Hashtbl.find_opt entry.pe_touched array_name with
+          | None -> [||]
+          | Some (nests, accesses) ->
+            Array.mapi
+              (fun j mine -> nest_profile entry ~metric ~array_name nests.(j) mine)
+              (Compiled_trace.relayout entry.pe_trace ~array_name ~layout ~nests
+                 ~accesses)
+        in
         Profile_tbl.replace entry.pe_profiles key profile;
         profile
     in

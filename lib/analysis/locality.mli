@@ -99,32 +99,39 @@ val profiler :
   array_name:string ->
   layout:Mlo_layout.Layout.t ->
   float array
-(** [profiler prog] returns the per-nest miss profile of one array under
-    one candidate layout, on the paper's L1
-    ({!Mlo_cachesim.Hierarchy.paper_config}): entry [i] is the estimated
-    misses of [array_name]'s references in nest [i] (0 where the nest
-    does not touch it), minimized over the nest's dependence-legal loop
-    orders, with every other array at its default layout.  This is the
-    cost signal dominance pruning ({!Mlo_netgen}) compares candidate
-    layouts with.
+(** [profiler prog] returns the miss profile of one array under one
+    candidate layout, on the paper's L1
+    ({!Mlo_cachesim.Hierarchy.paper_config}): one entry per nest that
+    references [array_name], in program order — entry [j] is for the
+    [j]-th such nest — holding the estimated misses of the array's
+    references there, minimized over the nest's dependence-legal loop
+    orders, with every other array at its default layout.  Which nests
+    reference an array does not depend on its layout, so every profile
+    of one array has the same length and its entries line up.  An array
+    that no nest references, or an unknown name, has the empty profile
+    [[||]].  This is the cost signal dominance pruning ({!Mlo_netgen})
+    compares candidate layouts with; its sum is the charge branch and
+    bound minimizes.
 
     The program is staged once, by the first profiler over it: the
     default-layout compiled trace (address map and affine forms), each
-    nest's legal orders and the nests each array touches.  A query then
-    relayouts only [array_name]
-    ({!Mlo_cachesim.Compiled_trace.relayout}: its own accesses folded
-    again, every other access read at its staged address) in only the
-    nests touching it, and analyzes only its groups there.  The other
-    arrays' footprint inside each loop level, which decides whether a
-    level's reuse is realized, is staged per (nest, legal order, array)
-    on first use.  Under the queried layout a later array's base moves,
-    but by a multiple of the 64-byte alignment, hence of the line, so it
-    cannot change their counts.  Group counts
-    are memoized over the program on exactly what they read (offset
-    within a line, gap set, kept levels in order).  The result equals
-    the minimum, over legal orders, of the array's [g_misses] (or
-    [g_lines]) in {!analyze} of the program with that nest permuted —
-    bit for bit.
+    nest's legal orders, and per array the nests referencing it and its
+    accesses in each.  A query then folds only those accesses again
+    under [layout] ({!Mlo_cachesim.Compiled_trace.relayout}) and
+    analyzes only the array's groups.  The other arrays' footprint
+    inside each loop level, which decides whether a level's reuse is
+    realized, is staged per (nest, legal order, array) on first use,
+    from the staged forms.  Under the queried layout a later array's
+    base moves, but by a multiple of the 64-byte alignment, hence of the
+    line, so it cannot change their counts.  What the estimate reads of
+    a group under one loop order (its cold lines, the lines inside each
+    level, whether those fit the sets they reach, which levels carry
+    reuse) is memoized over the program on exactly what it depends on:
+    the leader's offset within a line, the gap set and the per-level
+    strides and trip counts.  So are the lines each realized-level mask
+    keeps.  Each entry equals the minimum, over the nest's legal orders,
+    of the array's [g_misses] (or [g_lines]) in {!analyze} of the
+    program with that nest permuted — bit for bit.
 
     Queries are memoized: a profile is a pure function of
     (program, metric, array, layout), so results are cached under the

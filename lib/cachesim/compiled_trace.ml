@@ -157,32 +157,30 @@ let compile prog ~layouts =
 let footprint_bytes t = Address_map.footprint_bytes t.amap
 let trip_count t = t.trips
 
-(* Nest [i]'s form, with access [k]'s [addr0] and deltas read from
-   [access k] *)
-let nest_form t i access =
-  let sn = t.skel.sk_nests.(i) in
-  {
-    form_nest = sn.sn_name;
-    form_counts = Array.copy sn.sn_counts;
-    form_accesses =
-      Array.mapi
-        (fun k sa ->
-          let addr0, deltas = access k sa in
-          { form_array = sa.sa_name; form_addr0 = addr0; form_deltas = deltas })
-        sn.sn_accesses;
-  }
+let forms t =
+  Array.mapi
+    (fun i cn ->
+      let sn = t.skel.sk_nests.(i) in
+      {
+        form_nest = sn.sn_name;
+        form_counts = Array.copy sn.sn_counts;
+        form_accesses =
+          Array.mapi
+            (fun k sa ->
+              {
+                form_array = sa.sa_name;
+                form_addr0 = cn.addr0.(k);
+                form_deltas =
+                  Array.init (Array.length cn.counts) (fun l -> cn.deltas.(l).(k));
+              })
+            sn.sn_accesses;
+      })
+    t.nests
 
-let compiled t i k =
-  let cn = t.nests.(i) in
-  (cn.addr0.(k), Array.init (Array.length cn.counts) (fun l -> cn.deltas.(l).(k)))
-
-let forms t = Array.mapi (fun i _ -> nest_form t i (fun k _ -> compiled t i k)) t.nests
-
-(* One array's layout changed, everything else as compiled: only that
-   array's accesses are folded again, at its compiled base (a base
-   depends only on the arrays declared before it); every other access
-   keeps its compiled form. *)
-let relayout t ~array_name ~layout ~nests =
+(* One array's layout changed, everything else as compiled: only the
+   listed accesses of that array are folded again, at its compiled base
+   (a base depends only on the arrays declared before it). *)
+let relayout t ~array_name ~layout ~nests ~accesses =
   let base = Address_map.base t.amap array_name in
   let elem = Address_map.elem_size t.amap array_name in
   let transform =
@@ -190,14 +188,18 @@ let relayout t ~array_name ~layout ~nests =
       (Program.find_array t.skel.sk_prog array_name)
       (Some layout)
   in
-  Array.map
-    (fun i ->
+  Array.mapi
+    (fun j i ->
       let sn = t.skel.sk_nests.(i) in
-      nest_form t i (fun k sa ->
-          if String.equal sa.sa_name array_name then
-            let deltas = Array.make (Array.length sn.sn_counts) 0 in
-            (fold ~base ~elem ~transform sn sa deltas, deltas)
-          else compiled t i k))
+      Array.map
+        (fun k ->
+          let sa = sn.sn_accesses.(k) in
+          if not (String.equal sa.sa_name array_name) then
+            invalid_arg "Compiled_trace.relayout: access of another array";
+          let deltas = Array.make (Array.length sn.sn_counts) 0 in
+          let addr0 = fold ~base ~elem ~transform sn sa deltas in
+          { form_array = array_name; form_addr0 = addr0; form_deltas = deltas })
+        accesses.(j))
     nests
 
 (* ------------------------------------------------------------------ *)

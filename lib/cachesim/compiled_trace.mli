@@ -73,20 +73,23 @@ val relayout :
   array_name:string ->
   layout:Mlo_layout.Layout.t ->
   nests:int array ->
-  nest_form array
-(** [relayout t ~array_name ~layout ~nests] is the forms of the listed
-    nests (by program nest index, result in argument order) with
-    [array_name] alone moved to [layout]: only its accesses are folded
-    again, every other access keeps its form in [t].  Against {!forms}
-    of the trace compiled under that changed assignment, the forms
-    of [array_name] and of every array declared before it are
-    bit-identical (a base depends only on the arrays before it); an
-    array declared after it keeps its old [form_addr0], which differs by
-    that array's base shift, a multiple of the map's alignment.  Every
-    [form_deltas] is exact.  The cost is linear in the listed nests'
-    accesses, independent of the rest of the program.  Raises
-    [Invalid_argument] like {!Address_map.build} on a rank mismatch, and
-    like {!Address_map.base} on an unknown name. *)
+  accesses:int array array ->
+  access_form array array
+(** [relayout t ~array_name ~layout ~nests ~accesses] folds again, with
+    [array_name] alone moved to [layout], the accesses [accesses.(j)]
+    (indices into the nest's accesses) of nest [nests.(j)] (a program
+    nest index): entry [j] holds their forms, in the order listed.  Each
+    listed access must read or write [array_name]; nothing else is
+    derived.  A base depends only on the arrays declared before it, so
+    the array's base does not move, and each form is bit-identical to
+    the same access's form in {!forms} of the trace compiled under the
+    changed assignment.  The other arrays' forms are not recomputed:
+    they are {!forms} of [t], except that an array declared after
+    [array_name] moves under the changed assignment by its base shift, a
+    multiple of the map's alignment.  The cost is linear in the listed
+    accesses.  Raises [Invalid_argument] like {!Address_map.build} on a
+    rank mismatch, like {!Address_map.base} on an unknown name, and when
+    a listed access belongs to another array. *)
 
 type machine
 (** A two-level LRU hierarchy and its counters, mutated by every

@@ -74,6 +74,7 @@ let objective_cost ?(objective = Estimated_misses) prog layouts =
     0.0 layouts
 
 let cost_table ~objective prog net =
+  Trace.with_span ~cat:"analysis" "profile" @@ fun () ->
   let cost = layout_cost ~objective prog in
   Array.init (Network.num_vars net) (fun i ->
       let name = Network.name net i in

@@ -90,7 +90,8 @@ val cost_table :
   float array array
 (** {!layout_cost} of every value [v] of every variable [i] of [net],
     at [.(i).(v)]: the one table behind the [Bnb] scheme's search, its
-    objective value and its [Optimal] certificates. *)
+    objective value and its [Optimal] certificates.  Traced as an
+    [analysis]/[profile] span. *)
 
 val optimize :
   ?candidates:(string -> Mlo_layout.Layout.t list) ->

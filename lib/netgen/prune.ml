@@ -23,39 +23,61 @@ let rec subset xs ys =
     else if x > y then subset xs ys'
     else false
 
+(* [p1] is component-wise [<=] [p2] and somewhere [<] *)
+let below (p1 : float array) (p2 : float array) =
+  let le = ref true and lt = ref false and k = ref 0 in
+  while !le && !k < Array.length p1 do
+    let x = p1.(!k) and y = p2.(!k) in
+    if x > y then le := false else if x < y then lt := true;
+    incr k
+  done;
+  !le && !lt
+
+let sum (p : float array) =
+  let s = ref 0.0 in
+  for k = 0 to Array.length p - 1 do
+    s := !s +. p.(k)
+  done;
+  !s
+
 let apply (b : Build.t) =
-  Trace.with_span ~cat:"netgen" "prune-dominated" @@ fun () ->
   let net = b.Build.network in
   let n = Network.num_vars net in
-  let profile = Locality.profiler b.Build.program in
+  let profiles =
+    Trace.with_span ~cat:"analysis" "profile" @@ fun () ->
+    let profile = Locality.profiler b.Build.program in
+    Array.init n (fun i ->
+        let name = Network.name net i in
+        Array.map
+          (fun layout -> profile ~array_name:name ~layout)
+          (Network.domain net i))
+  in
+  Trace.with_span ~cat:"netgen" "prune-dominated" @@ fun () ->
   let keep = Array.init n (fun i -> Array.make (Network.domain_size net i) true) in
   let per_array = ref [] in
   let removals = ref [] in
   for i = 0 to n - 1 do
     let name = Network.name net i in
-    let dom = Network.domain net i in
-    let d = Array.length dom in
-    let profiles =
-      Array.map (fun layout -> profile ~array_name:name ~layout) dom
-    in
+    let profiles = profiles.(i) in
+    let d = Array.length profiles in
+    (* A dominator's total is never larger: rounded addition is
+       monotone, and every profile of one variable lists the same nests
+       in the same order. *)
+    let totals = Array.map sum profiles in
     (* per-constraint support lists, i viewed as the left side *)
     let supports =
-      List.map
-        (fun j ->
-          match Network.relation net i j with
-          | Some rel -> Array.init d (Relation.supports_of_left rel)
-          | None -> Array.make d [])
-        (Network.neighbors net i)
+      lazy
+        (List.map
+           (fun j ->
+             match Network.relation net i j with
+             | Some rel -> Array.init d (Relation.supports_of_left rel)
+             | None -> Array.make d [])
+           (Network.neighbors net i))
     in
     let dominates v1 v2 =
-      let p1 = profiles.(v1) and p2 = profiles.(v2) in
-      let le = ref true and lt = ref false in
-      Array.iteri
-        (fun k x ->
-          if x > p2.(k) then le := false else if x < p2.(k) then lt := true)
-        p1;
-      !le && !lt
-      && List.for_all (fun sup -> subset sup.(v2) sup.(v1)) supports
+      totals.(v1) <= totals.(v2)
+      && below profiles.(v1) profiles.(v2)
+      && List.for_all (fun sup -> subset sup.(v2) sup.(v1)) (Lazy.force supports)
     in
     let removed = ref 0 in
     for v2 = 0 to d - 1 do

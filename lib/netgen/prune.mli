@@ -42,7 +42,20 @@ val total : info -> int
 val apply : Build.t -> Build.t * info
 (** Prune every variable's domain of dominated values and re-index the
     network ({!Mlo_csp.Network.restrict_domains}).  The miss profiles
-    are the paper's L1 ({!Mlo_analysis.Locality.profiler}).  The
-    returned build shares the program and variable order with
-    the input; only domains (and relations, re-indexed) shrink.  Emits a
-    [dominance-pruned] trace counter with the removed-value total. *)
+    are the paper's L1 ({!Mlo_analysis.Locality.profiler}), one entry
+    per nest that references the array, so every value of a variable
+    has a profile over the same nests.  The returned build shares the
+    program and variable order with the input; only domains (and
+    relations, re-indexed) shrink.
+
+    A pair is compared by total first: rounded addition is monotone, so
+    a profile that is component-wise [<=] another also sums, in the same
+    order, to a total that is no larger, and a larger total rules
+    dominance out without reading the profiles.  The profiles are then
+    compared entry by entry, and a variable's support lists are built
+    only once some pair passes both checks.
+
+    Every profile is fetched first, inside an [analysis]/[profile] trace
+    span; the comparisons run inside a [netgen]/[prune-dominated] span,
+    which emits a [dominance-pruned] counter with the removed-value
+    total. *)

@@ -335,10 +335,9 @@ let test_profiler_memo_invisible () =
   let prog' = (Suite.by_name "mxm").Spec.program in
   Alcotest.(check bool) "physically distinct equal program: same answer" true
     (Locality.profiler prog' ~array_name:"A" ~layout:col = a_copy);
-  (* untouched/unknown arrays profile to all zeros *)
-  let z = p1 ~array_name:"no-such-array" ~layout:col in
-  Alcotest.(check bool) "unknown array is all zeros" true
-    (Array.for_all (fun x -> x = 0.0) z)
+  (* an unknown array references no nest: its profile is empty *)
+  Alcotest.(check bool) "unknown array is empty" true
+    (p1 ~array_name:"no-such-array" ~layout:col = [||])
 
 let test_profiler_distinct_layouts_distinct_entries () =
   (* A single loop walking one column of a 64x64 array.  Depth 1 means
@@ -480,40 +479,52 @@ let pick_case seed =
 let only name layout n = if String.equal n name then Some layout else None
 
 (* [relayout] against a fresh instantiation under the changed
-   assignment, whose bases come from a second [Address_map.build]: every
-   form is bit-identical once each access is moved by its array's base
-   shift, and that shift is zero for the queried array (its accesses are
-   the only ones folded again) and whole alignment units for the
-   others, which [relayout] reads at their staged addresses. *)
+   assignment, whose bases come from a second [Address_map.build]: the
+   queried array's forms are bit-identical (its base does not move and
+   its accesses are the only ones folded again), and every other access
+   of the staged trace's forms is the fresh one moved back by its
+   array's base shift, whole alignment units. *)
 let relayout_matches prog name layout =
-  let all = Array.init (Array.length (Program.nests prog)) Fun.id in
   let staged = Address_map.build prog ~layouts:none
   and moved = Address_map.build prog ~layouts:(only name layout) in
   let shift a = Address_map.base moved a - Address_map.base staged a in
-  let relaid =
-    Compiled_trace.relayout
-      (Compiled_trace.compile prog ~layouts:none)
-      ~array_name:name ~layout ~nests:all
-  and fresh =
+  let trace = Compiled_trace.compile prog ~layouts:none in
+  let fresh =
     Compiled_trace.forms
       (Compiled_trace.compile prog ~layouts:(only name layout))
   in
+  (* the nests referencing [name], and in each its access indices *)
+  let touched =
+    List.filter_map
+      (fun i ->
+        let ks =
+          List.filter
+            (fun k ->
+              String.equal fresh.(i).form_accesses.(k).form_array name)
+            (List.init (Array.length fresh.(i).form_accesses) Fun.id)
+        in
+        if ks = [] then None else Some (i, Array.of_list ks))
+      (List.init (Array.length fresh) Fun.id)
+  in
+  let nests = Array.of_list (List.map fst touched)
+  and accesses = Array.of_list (List.map snd touched) in
   shift name = 0
   && Array.for_all
        (fun info -> shift (Array_info.name info) mod Address_map.default_align = 0)
        (Program.arrays prog)
-  && relaid
-     = Array.map
-         (fun (nf : Compiled_trace.nest_form) ->
-           {
-             nf with
-             form_accesses =
-               Array.map
-                 (fun (a : Compiled_trace.access_form) ->
-                   { a with form_addr0 = a.form_addr0 - shift a.form_array })
-                 nf.form_accesses;
-           })
-         fresh
+  && Compiled_trace.relayout trace ~array_name:name ~layout ~nests ~accesses
+     = Array.mapi
+         (fun j i -> Array.map (fun k -> fresh.(i).form_accesses.(k)) accesses.(j))
+         nests
+  && Array.for_all2
+       (fun (s : Compiled_trace.nest_form) (f : Compiled_trace.nest_form) ->
+         s.form_counts = f.form_counts
+         && Array.for_all2
+              (fun (a : Compiled_trace.access_form) b ->
+                String.equal a.form_array name
+                || { a with form_addr0 = a.form_addr0 + shift a.form_array } = b)
+              s.form_accesses f.form_accesses)
+       (Compiled_trace.forms trace) fresh
 
 let prop_relayout_matches_instantiate =
   QCheck.Test.make
@@ -522,44 +533,44 @@ let prop_relayout_matches_instantiate =
       let prog, name, layout = pick_case seed in
       relayout_matches prog name layout)
 
-(* The profiler's definition, from the public API alone: per nest, the
-   minimum over its legal orders of the array's [g_misses] (or
-   [g_lines]) in [Locality.analyze] of the program with that nest
-   permuted. *)
+(* The profiler's definition, from the public API alone: per nest that
+   references the array, in program order, the minimum over its legal
+   orders of the array's [g_misses] (or [g_lines]) in [Locality.analyze]
+   of the program with that nest permuted. *)
 let oracle_profile ~metric prog ~array_name ~layout =
   let arrays = Array.to_list (Program.arrays prog) in
   let nests = Program.nests prog in
-  Array.mapi
-    (fun i nest ->
-      if not (List.mem array_name (Loop_nest.arrays_touched nest)) then 0.0
-      else
-        List.fold_left
-          (fun best (perm, _) ->
-            let nests' =
-              Array.to_list
-                (Array.mapi
-                   (fun j n -> if j = i then Loop_nest.permute n perm else n)
-                   nests)
-            in
-            let prog' = Program.make ~name:(Program.name prog) arrays nests' in
-            let r = Locality.analyze prog' ~layouts:(only array_name layout) in
-            let n = List.nth r.Locality.r_nests i in
-            let charge =
-              List.fold_left
-                (fun acc g ->
-                  if String.equal g.Locality.g_array array_name then
-                    acc
-                    +.
-                    match metric with
-                    | Locality.Misses -> g.Locality.g_misses
-                    | Locality.Lines -> g.Locality.g_lines
-                  else acc)
-                0.0 n.Locality.n_groups
-            in
-            Float.min best charge)
-          infinity
-          (Dependence.legal_permutations nest))
-    nests
+  List.init (Array.length nests) Fun.id
+  |> List.filter (fun i ->
+         List.mem array_name (Loop_nest.arrays_touched nests.(i)))
+  |> List.map (fun i ->
+         List.fold_left
+           (fun best (perm, _) ->
+             let nests' =
+               Array.to_list
+                 (Array.mapi
+                    (fun j n -> if j = i then Loop_nest.permute n perm else n)
+                    nests)
+             in
+             let prog' = Program.make ~name:(Program.name prog) arrays nests' in
+             let r = Locality.analyze prog' ~layouts:(only array_name layout) in
+             let n = List.nth r.Locality.r_nests i in
+             let charge =
+               List.fold_left
+                 (fun acc g ->
+                   if String.equal g.Locality.g_array array_name then
+                     acc
+                     +.
+                     match metric with
+                     | Locality.Misses -> g.Locality.g_misses
+                     | Locality.Lines -> g.Locality.g_lines
+                   else acc)
+                 0.0 n.Locality.n_groups
+             in
+             Float.min best charge)
+           infinity
+           (Dependence.legal_permutations nests.(i)))
+  |> Array.of_list
 
 let prop_profiler_matches_oracle =
   QCheck.Test.make ~name:"profiler equals the analyze oracle bit for bit"
@@ -610,10 +621,19 @@ let test_relayout_later_arrays_move () =
         = oracle_profile ~metric prog ~array_name:"A" ~layout:Layout.diagonal2))
     [ Locality.Misses; Locality.Lines ]
 
-(* Two arrays of one shape walked alike, the second one element off its
-   base: their groups share gaps and levels but not the leader's offset
-   within a line, so they touch different line counts.  One profiler
-   entry answers both; each answer must still match the oracle. *)
+(* The profiler's memos answer many groups from one entry, so each input
+   below would go wrong if a memo key left out what it reads; every
+   answer must still match the oracle.
+   - Two arrays of one shape walked alike, the second one element off
+     its base: their groups share gaps and levels but not the leader's
+     offset within a line, so they touch different line counts.
+   - One array walked alike in two nests whose inner trip counts differ:
+     same offset, gaps and strides, different line counts.
+   - One array whose group has the same shape in two nests, alone in the
+     first and next to a column walk of C in the second.  The column
+     walk fills the cache inside the outer loop, so A's reuse across
+     that loop is realized in the first nest and not in the second (the
+     dependence on C pins the second nest's loop order). *)
 let test_profiler_memo_keys_on_offset () =
   let x = B.ctx [ "i"; "j" ] in
   let nest =
@@ -638,7 +658,31 @@ let test_profiler_memo_keys_on_offset () =
         (got
         = oracle_profile ~metric:Locality.Lines prog ~array_name:name
             ~layout:row))
-    [ ("A", a); ("B", b) ]
+    [ ("A", a); ("B", b) ];
+  let two_nests what ~metric arrays nests =
+    let prog = Program.make ~name:what arrays nests in
+    let got = Locality.profiler ~metric prog ~array_name:"A" ~layout:row in
+    Alcotest.(check bool) (what ^ ": A matches the oracle") true
+      (got = oracle_profile ~metric prog ~array_name:"A" ~layout:row);
+    Alcotest.(check bool) (what ^ ": the two nests' entries differ") true
+      (Array.length got = 2 && got.(0) <> got.(1))
+  in
+  let a_ij = B.read "A" [ B.var x "i"; B.var x "j" ] in
+  two_nests "trips" ~metric:Locality.Lines
+    [ Array_info.make "A" [ 8; 32 ] ]
+    [ B.nest "short" x [ 8; 8 ] [ a_ij ]; B.nest "long" x [ 8; 32 ] [ a_ij ] ];
+  let a_0j = B.read "A" [ B.const x 0; B.var x "j" ] in
+  two_nests "footprint" ~metric:Locality.Misses
+    [ Array_info.make "A" [ 4; 256 ]; Array_info.make "C" [ 257; 8 ] ]
+    [
+      B.nest "alone" x [ 4; 256 ] [ a_0j ];
+      B.nest "crowded" x [ 4; 256 ]
+        [
+          a_0j;
+          B.write "C" [ B.var x "j"; B.(var x "i" +: const x 1) ];
+          B.read "C" [ B.(var x "j" +: const x 1); B.var x "i" ];
+        ];
+    ]
 
 let test_profiler_rank_mismatch () =
   let prog = (Suite.by_name "mxm").Spec.program in

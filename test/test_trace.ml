@@ -13,6 +13,9 @@ module Rng = Mlo_csp.Rng
 module Simulate = Mlo_cachesim.Simulate
 module Kernels = Mlo_workloads.Kernels
 module Program = Mlo_ir.Program
+module Suite = Mlo_workloads.Suite
+module Spec = Mlo_workloads.Spec
+module Optimizer = Mlo_core.Optimizer
 
 (* Every test leaves the global trace sink disabled, whatever happens. *)
 let with_tracing f =
@@ -94,6 +97,38 @@ let test_solver_trace_shape () =
   Alcotest.(check bool) "balanced" true s.Trace_summary.balanced;
   Alcotest.(check bool) "has events" true (s.Trace_summary.events > 0);
   Alcotest.(check int) "one search span" 1 (span_count s "solver" "search")
+
+(* A pruned branch and bound traces its own profile: the prune fetches
+   every profile before it compares any, and the cost table is profiled
+   on its own, so no [analysis]/[profile] span opens inside
+   [netgen]/[prune-dominated]. *)
+let test_profile_spans_outside_prune () =
+  let spec = Suite.by_name "mxm" in
+  with_tracing @@ fun () ->
+  ignore
+    (Optimizer.optimize ~candidates:spec.Spec.candidates ~prune_dominated:true
+       (Optimizer.Bnb Mlo_csp.Bnb.default_config) spec.Spec.program);
+  let events =
+    match Json.parse (Trace.dump ()) with
+    | Ok (Json.Arr events) -> events
+    | _ -> Alcotest.fail "trace is not an event array"
+  in
+  let field k e = Option.bind (Json.member k e) Json.to_str in
+  (* walk the begin/end pairs with the stack of open span names *)
+  let profiles, nested, _ =
+    List.fold_left
+      (fun (profiles, nested, stack) e ->
+        match (field "ph" e, field "cat" e, field "name" e) with
+        | Some "B", Some cat, Some name ->
+          if cat = "analysis" && name = "profile" then
+            (profiles + 1, nested || List.mem "prune-dominated" stack, name :: stack)
+          else (profiles, nested, name :: stack)
+        | Some "E", _, _ -> (profiles, nested, List.tl stack)
+        | _ -> (profiles, nested, stack))
+      (0, false, []) events
+  in
+  Alcotest.(check bool) "emits profile spans" true (profiles > 0);
+  Alcotest.(check bool) "no profile span inside prune-dominated" false nested
 
 (* ------------------------------------------------------------------ *)
 (* Cache-simulation counters                                            *)
@@ -231,6 +266,8 @@ let () =
             test_spans_balanced_on_raise;
           Alcotest.test_case "solver trace shape" `Quick
             test_solver_trace_shape;
+          Alcotest.test_case "profile spans outside the prune" `Quick
+            test_profile_spans_outside_prune;
         ] );
       ( "counters",
         [
