@@ -271,7 +271,7 @@ let locality_tests =
                ignore
                  (Mlo_core.Optimizer.cost_table
                     ~objective:Mlo_core.Optimizer.Estimated_misses prog net))))
-      [ Lazy.force mxm; Lazy.force med; Suite.scale 100 ]
+      [ Lazy.force mxm; Lazy.force med; Suite.by_name "shape"; Suite.scale 100 ]
 
 (* The exact dependence axis: the per-pair dependence analysis
    (closed form or Omega-test direction-vector enumeration) over a paper

@@ -234,6 +234,12 @@ type raw_group = {
   rg_gaps : int array;  (** sorted distinct offsets, first 0 *)
 }
 
+let rec ints_from a b i =
+  i = Array.length a || (a.(i) = b.(i) && ints_from a b (i + 1))
+
+let ints_equal (a : int array) b =
+  Array.length a = Array.length b && ints_from a b 0
+
 let build_groups (nf : Compiled_trace.nest_form) =
   let counts = nf.Compiled_trace.form_counts in
   (* (array, deltas, members newest first), newest group first *)
@@ -249,7 +255,7 @@ let build_groups (nf : Compiled_trace.nest_form) =
       match
         List.find_opt
           (fun (name, d, _) ->
-            String.equal name a.Compiled_trace.form_array && d = deltas)
+            String.equal name a.Compiled_trace.form_array && ints_equal d deltas)
           !groups
       with
       | Some (_, _, cell) -> cell := member :: !cell
@@ -470,11 +476,6 @@ let memo_count ~line memo (g : raw_group) levels =
 
 module View_key = struct
   type t = { offset : int; gaps : int array; deltas : int array; counts : int array }
-
-  let rec ints_from a b i =
-    i = Array.length a || (a.(i) = b.(i) && ints_from a b (i + 1))
-
-  let ints_equal a b = Array.length a = Array.length b && ints_from a b 0
 
   let equal a b =
     a.offset = b.offset && ints_equal a.gaps b.gaps
@@ -806,42 +807,38 @@ let make_profile_entry prog =
   assert (
     Mlo_cachesim.Address_map.default_align mod default_geometry.Cache.line_bytes
     = 0);
-  let nests = Program.nests prog in
-  (* name -> (nest, that nest's access indices in reverse), nests in
-     reverse *)
-  let touched = Hashtbl.create 16 in
-  Array.iteri
-    (fun i n ->
-      Array.iteri
-        (fun k a ->
-          let name = Mlo_ir.Access.array_name a in
-          match Hashtbl.find_opt touched name with
-          | Some ((j, ks) :: rest) when j = i ->
-            Hashtbl.replace touched name ((i, k :: ks) :: rest)
-          | prev ->
-            Hashtbl.replace touched name
-              ((i, [ k ]) :: Option.value prev ~default:[]))
-        (Mlo_ir.Loop_nest.accesses n))
-    nests;
-  let touched_arr = Hashtbl.create (Hashtbl.length touched) in
-  Hashtbl.iter
-    (fun name per_nest ->
-      let per_nest = Array.of_list (List.rev per_nest) in
-      Hashtbl.replace touched_arr name
-        ( Array.map fst per_nest,
-          Array.map (fun (_, ks) -> Array.of_list (List.rev ks)) per_nest ))
-    touched;
   let trace = Compiled_trace.compile prog ~layouts:(fun _ -> None) in
+  let forms = Compiled_trace.forms trace in
+  (* name -> (nest, access indices) list, both ascending *)
+  let touched = Hashtbl.create 16 in
+  for i = Array.length forms - 1 downto 0 do
+    let accesses = forms.(i).form_accesses in
+    for k = Array.length accesses - 1 downto 0 do
+      let name = accesses.(k).form_array in
+      let later = Option.value (Hashtbl.find_opt touched name) ~default:[] in
+      Hashtbl.replace touched name
+        (match later with
+        | (j, ks) :: rest when j = i -> (i, k :: ks) :: rest
+        | _ -> (i, [ k ]) :: later)
+    done
+  done;
   let count =
     memo_count ~line:default_geometry.Cache.line_bytes (Hashtbl.create 256)
   in
   {
     pe_trace = trace;
-    pe_forms = Compiled_trace.forms trace;
+    pe_forms = forms;
     pe_perms =
       (let summary = Nest_summary.of_program prog in
-       Array.mapi (fun i _ -> (Nest_summary.nest summary i).Nest_summary.orders) nests);
-    pe_touched = touched_arr;
+       Array.mapi (fun i _ -> (Nest_summary.nest summary i).Nest_summary.orders) forms);
+    pe_touched =
+      Hashtbl.of_seq
+        (Seq.map
+           (fun (name, per_nest) ->
+             ( name,
+               ( Array.of_list (List.map fst per_nest),
+                 Array.of_list (List.map (fun (_, ks) -> Array.of_list ks) per_nest) ) ))
+           (Hashtbl.to_seq touched));
     pe_others = Hashtbl.create 64;
     pe_count = count;
     pe_view = memo_view ~geometry:default_geometry ~count (View_tbl.create 256);
