@@ -258,8 +258,9 @@ let locality_tests =
      profiler query per (array, candidate layout) — over a program parsed
      afresh from its rendered source each sample, as the e2e benchmark's
      requests do, so the profiler's per-program memo never carries over.
-     The parse is part of the sample (about a tenth of it on Med-Im04
-     and scale-100). *)
+     The parse is part of the sample (about a tenth of it on Med-Im04,
+     Shape and scale-100), and so is the nest summary (legal loop
+     orders) the profile entry derives: a twelfth of it on Shape. *)
   @ List.map
       (fun spec ->
         let source = Mlo_lang.Parser.to_source spec.Spec.program in

@@ -799,14 +799,13 @@ type profile_entry = {
 }
 
 let make_profile_entry prog =
+  let line = default_geometry.Cache.line_bytes in
   (* A query moves only one array's accesses and reads every other at
      its staged address.  Under the queried layout a later array's base
      moves by a multiple of the base alignment; moving a group by whole
      lines leaves every count but [cs_min] alone, and the profile never
      reads [cs_min]. *)
-  assert (
-    Mlo_cachesim.Address_map.default_align mod default_geometry.Cache.line_bytes
-    = 0);
+  assert (Mlo_cachesim.Address_map.default_align mod line = 0);
   let trace = Compiled_trace.compile prog ~layouts:(fun _ -> None) in
   let forms = Compiled_trace.forms trace in
   (* name -> (nest, access indices) list, both ascending *)
@@ -822,9 +821,7 @@ let make_profile_entry prog =
         | _ -> (i, [ k ]) :: later)
     done
   done;
-  let count =
-    memo_count ~line:default_geometry.Cache.line_bytes (Hashtbl.create 256)
-  in
+  let count = memo_count ~line (Hashtbl.create 256) in
   {
     pe_trace = trace;
     pe_forms = forms;
@@ -858,7 +855,6 @@ let profile_entry = Program.memo make_profile_entry
    that sum is exact. *)
 let nest_profile entry ~metric ~array_name i mine =
   let nf = entry.pe_forms.(i) in
-  let line = default_geometry.Cache.line_bytes in
   let viewed perm gs =
     List.map
       (fun g ->
@@ -893,7 +889,10 @@ let nest_profile entry ~metric ~array_name i mine =
         Hashtbl.add entry.pe_others (i, array_name) inners;
         inners
     in
-    let cap_lines = float_of_int (default_geometry.Cache.size_bytes / line) in
+    let cap_lines =
+      float_of_int
+        (default_geometry.Cache.size_bytes / default_geometry.Cache.line_bytes)
+    in
     List.fold_left2
       (fun best perm others ->
         let vs = viewed perm mine in
