@@ -139,7 +139,21 @@ let test_parse_errors () =
   check_error "nest n:\n for i = 0 .. 3\n  load A[i]" 0 "undeclared";
   check_error "array A[4]\nnest n:\n for i = 0 .. 3" 3 "expected";
   check_error "array A[]\nnest n:\n for i = 0 .. 3\n  load A[i]" 1 "expected integer";
-  check_error "array A[4][4]\nnest n:\n for i = 0 .. 3\n  load A[i]" 0 "rank"
+  check_error "array A[4][4]\nnest n:\n for i = 0 .. 3\n  load A[i]" 0 "rank";
+  (* the largest int is a legal extent; one more is a lexical error *)
+  ignore
+    (Parser.parse ~name:"t"
+       "array A[4611686018427387903]\nnest n:\n for i = 0 .. 3\n  load A[i]");
+  match
+    Parser.parse ~name:"t"
+      "array A[4611686018427387904]\nnest n:\n for i = 0 .. 3\n  load A[i]"
+  with
+  | _ -> Alcotest.fail "expected number too large"
+  | exception Lexer.Error (msg, line, col) ->
+    Alcotest.(check (triple string int int))
+      "number too large"
+      ("number too large: 4611686018427387904", 1, 9)
+      (msg, line, col)
 
 let test_parse_duplicate_loop_var () =
   check_error
@@ -178,17 +192,36 @@ let test_roundtrip_fig2 () =
   let reparsed = Parser.parse ~name:"fig2" printed in
   Alcotest.(check bool) "round trip" true (program_equal prog reparsed)
 
+(* dune runtest runs from test/, dune exec from the workspace root *)
+let example file =
+  let candidates = [ "../examples/programs/" ^ file; "examples/programs/" ^ file ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some path -> path
+  | None -> Alcotest.failf "example %s not found" file
+
+let example_files = [ "fig2.mlo"; "matmul.mlo"; "nonuniform.mlo" ]
+
+(* Parsing a printed program gives back the same program, and printing
+   that gives back the same bytes. *)
+let check_roundtrip label prog =
+  let printed = Parser.to_source prog in
+  let reparsed = Parser.parse ~name:(Program.name prog) printed in
+  Alcotest.(check bool) (label ^ " round trips") true (program_equal prog reparsed);
+  Alcotest.(check string) (label ^ " reprints") printed (Parser.to_source reparsed)
+
 let test_roundtrip_workloads () =
-  (* every benchmark program survives print-then-parse *)
+  (* every benchmark program and its simulation-size version, the
+     scale and hard families, and the shipped examples *)
   List.iter
     (fun spec ->
-      let prog = spec.Mlo_workloads.Spec.program in
-      let printed = Parser.to_source prog in
-      let reparsed = Parser.parse ~name:(Program.name prog) printed in
-      Alcotest.(check bool)
-        (spec.Mlo_workloads.Spec.name ^ " round trips")
-        true (program_equal prog reparsed))
-    (Mlo_workloads.Suite.all ())
+      let name = spec.Mlo_workloads.Spec.name in
+      check_roundtrip name spec.Mlo_workloads.Spec.program;
+      check_roundtrip (name ^ " (sim)") spec.Mlo_workloads.Spec.sim_program)
+    (Mlo_workloads.Suite.all ()
+    @ [ Mlo_workloads.Suite.scale 100; Mlo_workloads.Suite.hard 80 ]);
+  List.iter
+    (fun file -> check_roundtrip file (Parser.parse_file (example file)))
+    example_files
 
 let prop_roundtrip_generated =
   QCheck.Test.make ~name:"generated programs survive print-then-parse"
