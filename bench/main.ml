@@ -274,6 +274,20 @@ let locality_tests =
                     ~objective:Mlo_core.Optimizer.Estimated_misses prog net))))
       [ Lazy.force mxm; Lazy.force med; Suite.by_name "shape"; Suite.scale 100 ]
 
+(* The front end alone: parsing the rendered source of the largest
+   Table-1 program and of scale-1000, the program of the e2e scale-cdl
+   requests.  Every request pays this before any analysis. *)
+let lang_tests =
+  lazy
+    (List.map
+       (fun spec ->
+         let source = Mlo_lang.Parser.to_source spec.Spec.program in
+         Test.make
+           ~name:(Printf.sprintf "lang/parse:%s" spec.Spec.name)
+           (Staged.stage (fun () ->
+                ignore (Mlo_lang.Parser.parse ~name:spec.Spec.name source))))
+       [ Suite.by_name "shape"; Suite.scale 1000 ])
+
 (* The exact dependence axis: the per-pair dependence analysis
    (closed form or Omega-test direction-vector enumeration) over a paper
    benchmark and a conflict-heavy one.  This is the static analysis
@@ -439,7 +453,8 @@ let stats_of samples =
 let benchmark ?(filter = "") ~quota () =
   let tests =
     table1_tests @ table2_tests @ fig4_tests @ table3_tests @ prune_tests
-    @ locality_tests @ deps_tests @ Lazy.force netgen_tests @ bnb_tests
+    @ locality_tests @ Lazy.force lang_tests @ deps_tests
+    @ Lazy.force netgen_tests @ bnb_tests
     @ Lazy.force scale_tests
     @ Lazy.force hard_tests @ Lazy.force proof_tests
   in

@@ -1,6 +1,6 @@
 type token =
-  | Ident of string
-  | Int of int
+  | Ident
+  | Int
   | Kw_array
   | Kw_elem
   | Kw_nest
@@ -17,94 +17,108 @@ type token =
   | Colon
   | Eof
 
-type located = { token : token; line : int; col : int }
+type t = {
+  src : string;
+  mutable pos : int;
+  mutable line : int;
+  mutable line_start : int;
+  mutable token : token;
+  mutable start : int;
+  mutable value : int;
+}
 
 exception Error of string * int * int
 
-let keyword = function
-  | "array" -> Some Kw_array
-  | "elem" -> Some Kw_elem
-  | "nest" -> Some Kw_nest
-  | "for" -> Some Kw_for
-  | "load" -> Some Kw_load
-  | "store" -> Some Kw_store
-  | _ -> None
+let col c = c.start - c.line_start + 1
+let fail c msg = raise (Error (msg, c.line, col c))
+let text c = String.sub c.src c.start (c.pos - c.start)
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let rec same src i kw k =
+  k = String.length kw
+  || (String.unsafe_get src (i + k) = String.unsafe_get kw k && same src i kw (k + 1))
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+let matches c kw = c.pos - c.start = String.length kw && same c.src c.start kw 0
 
-let is_digit c = c >= '0' && c <= '9'
+let keyword c =
+  if matches c "for" then Kw_for
+  else if matches c "load" then Kw_load
+  else if matches c "store" then Kw_store
+  else if matches c "array" then Kw_array
+  else if matches c "nest" then Kw_nest
+  else if matches c "elem" then Kw_elem
+  else Ident
 
-let tokenize src =
-  let n = String.length src in
-  let line = ref 1 and col = ref 1 in
-  let out = ref [] in
-  let emit token l c = out := { token; line = l; col = c } :: !out in
-  let i = ref 0 in
-  let advance () =
-    if !i < n then begin
-      if src.[!i] = '\n' then begin
-        incr line;
-        col := 1
-      end
-      else incr col;
-      incr i
-    end
-  in
-  while !i < n do
-    let c = src.[!i] in
-    let l0 = !line and c0 = !col in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance ()
-    else if c = '#' then
-      while !i < n && src.[!i] <> '\n' do
-        advance ()
-      done
-    else if is_digit c then begin
-      let start = !i in
-      while !i < n && is_digit src.[!i] do
-        advance ()
-      done;
-      let text = String.sub src start (!i - start) in
-      match int_of_string_opt text with
-      | Some v -> emit (Int v) l0 c0
-      | None -> raise (Error (Printf.sprintf "number too large: %s" text, l0, c0))
-    end
-    else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        advance ()
-      done;
-      let text = String.sub src start (!i - start) in
-      match keyword text with
-      | Some kw -> emit kw l0 c0
-      | None -> emit (Ident text) l0 c0
-    end
-    else begin
-      match c with
-      | '[' -> emit Lbracket l0 c0; advance ()
-      | ']' -> emit Rbracket l0 c0; advance ()
-      | '=' -> emit Equals l0 c0; advance ()
-      | '+' -> emit Plus l0 c0; advance ()
-      | '-' -> emit Minus l0 c0; advance ()
-      | '*' -> emit Star l0 c0; advance ()
-      | ':' -> emit Colon l0 c0; advance ()
-      | '.' ->
-        advance ();
-        if !i < n && src.[!i] = '.' then begin
-          advance ();
-          emit Dotdot l0 c0
-        end
-        else raise (Error ("expected '..'", l0, c0))
-      | _ -> raise (Error (Printf.sprintf "illegal character %C" c, l0, c0))
-    end
-  done;
-  emit Eof !line !col;
-  List.rev !out
+let rec digits_end src i =
+  if i < String.length src then
+    match String.unsafe_get src i with '0' .. '9' -> digits_end src (i + 1) | _ -> i
+  else i
 
-let describe = function
-  | Ident s -> Printf.sprintf "identifier %S" s
-  | Int v -> Printf.sprintf "integer %d" v
+let rec ident_end src i =
+  if i < String.length src then
+    match String.unsafe_get src i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> ident_end src (i + 1)
+    | _ -> i
+  else i
+
+let rec line_end src i =
+  if i < String.length src && String.unsafe_get src i <> '\n' then line_end src (i + 1) else i
+
+(* Reads the digits of the current token, rejecting what does not fit an
+   int as [int_of_string] would. *)
+let rec read_int c v k =
+  if k = c.pos then v
+  else
+    let d = Char.code c.src.[k] - Char.code '0' in
+    if v > (max_int - d) / 10 then fail c ("number too large: " ^ text c)
+    else read_int c ((10 * v) + d) (k + 1)
+
+let set c token len =
+  c.token <- token;
+  c.pos <- c.start + len
+
+let rec advance c =
+  let src = c.src and i = c.pos in
+  c.start <- i;
+  if i >= String.length src then c.token <- Eof
+  else
+    match String.unsafe_get src i with
+    | ' ' | '\t' | '\r' ->
+      c.pos <- i + 1;
+      advance c
+    | '\n' ->
+      c.pos <- i + 1;
+      c.line <- c.line + 1;
+      c.line_start <- i + 1;
+      advance c
+    | '#' ->
+      c.pos <- line_end src i;
+      advance c
+    | '0' .. '9' ->
+      c.pos <- digits_end src i;
+      c.value <- read_int c 0 i;
+      c.token <- Int
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+      c.pos <- ident_end src i;
+      c.token <- keyword c
+    | '[' -> set c Lbracket 1
+    | ']' -> set c Rbracket 1
+    | '=' -> set c Equals 1
+    | '+' -> set c Plus 1
+    | '-' -> set c Minus 1
+    | '*' -> set c Star 1
+    | ':' -> set c Colon 1
+    | '.' when i + 1 < String.length src && src.[i + 1] = '.' -> set c Dotdot 2
+    | '.' -> fail c "expected '..'"
+    | ch -> fail c (Printf.sprintf "illegal character %C" ch)
+
+let create src =
+  let c = { src; pos = 0; line = 1; line_start = 0; token = Eof; start = 0; value = 0 } in
+  advance c;
+  c
+
+let describe_token = function
+  | Ident -> "identifier"
+  | Int -> "integer"
   | Kw_array -> "'array'"
   | Kw_elem -> "'elem'"
   | Kw_nest -> "'nest'"
@@ -120,3 +134,9 @@ let describe = function
   | Star -> "'*'"
   | Colon -> "':'"
   | Eof -> "end of input"
+
+let describe c =
+  match c.token with
+  | Ident -> Printf.sprintf "identifier %S" (text c)
+  | Int -> Printf.sprintf "integer %d" c.value
+  | token -> describe_token token

@@ -4,230 +4,170 @@ module Loop_nest = Mlo_ir.Loop_nest
 module Array_info = Mlo_ir.Array_info
 module Program = Mlo_ir.Program
 
-exception Error of string * int * int
+exception Error = Lexer.Error
+
+(* Every check reads the current token before [Lexer.advance] scans the
+   next one, so the first error in source order is the one reported. *)
+let fail = Lexer.fail
+
+let expect c want =
+  if c.Lexer.token <> want then
+    fail c
+      (Printf.sprintf "expected %s, found %s" (Lexer.describe_token want)
+         (Lexer.describe c));
+  Lexer.advance c
+
+let expect_int c =
+  let sign = if c.Lexer.token = Lexer.Minus then (Lexer.advance c; -1) else 1 in
+  if c.Lexer.token <> Lexer.Int then fail c ("expected integer, found " ^ Lexer.describe c);
+  let v = sign * c.Lexer.value in
+  Lexer.advance c;
+  v
+
+let need_ident c =
+  if c.Lexer.token <> Lexer.Ident then
+    fail c ("expected identifier, found " ^ Lexer.describe c)
+
+let expect_ident c =
+  need_ident c;
+  let s = Lexer.text c in
+  Lexer.advance c;
+  s
+
+(* ('[' item ']')* *)
+let rec bracketed c item acc =
+  if c.Lexer.token <> Lexer.Lbracket then List.rev acc
+  else begin
+    Lexer.advance c;
+    let e = item c in
+    expect c Lexer.Rbracket;
+    bracketed c item (e :: acc)
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Token stream                                                         *)
+(* Index expressions, written into one coefficient array per index      *)
 (* ------------------------------------------------------------------ *)
 
-type state = { toks : Lexer.located array; mutable pos : int }
+let rec var_depth c vars d =
+  if d = Array.length vars then -1
+  else if Lexer.matches c vars.(d) then d
+  else var_depth c vars (d + 1)
 
-let peek st = st.toks.(st.pos)
+(* Adds [coeff] times the loop variable at the cursor; an unknown one is
+   reported at the start of its term, [line]:[col]. *)
+let add_var c vars coeffs coeff line col =
+  need_ident c;
+  let d = var_depth c vars 0 in
+  if d < 0 then
+    raise (Error (Printf.sprintf "unknown loop variable %s" (Lexer.text c), line, col));
+  coeffs.(d) <- coeffs.(d) + coeff;
+  Lexer.advance c
 
-let next st =
-  let t = st.toks.(st.pos) in
-  if t.Lexer.token <> Lexer.Eof then st.pos <- st.pos + 1;
-  t
-
-let fail_at (t : Lexer.located) msg = raise (Error (msg, t.Lexer.line, t.Lexer.col))
-
-let expect st want =
-  let t = next st in
-  if t.Lexer.token <> want then
-    fail_at t
-      (Printf.sprintf "expected %s, found %s" (Lexer.describe want)
-         (Lexer.describe t.Lexer.token))
-
-let expect_int st =
-  let t = next st in
-  match t.Lexer.token with
-  | Lexer.Int v -> v
-  | Lexer.Minus -> (
-    let t2 = next st in
-    match t2.Lexer.token with
-    | Lexer.Int v -> -v
-    | other -> fail_at t2 ("expected integer, found " ^ Lexer.describe other))
-  | other -> fail_at t ("expected integer, found " ^ Lexer.describe other)
-
-let expect_ident st =
-  let t = next st in
-  match t.Lexer.token with
-  | Lexer.Ident s -> s
-  | other -> fail_at t ("expected identifier, found " ^ Lexer.describe other)
-
-(* ------------------------------------------------------------------ *)
-(* Index-expression AST (depth-independent)                             *)
-(* ------------------------------------------------------------------ *)
-
-type term = { coeff : int; var : string option; tline : int; tcol : int }
-
-type access_ast = {
-  kind : Access.kind;
-  array_name : string;
-  indices : term list list;
-}
-
-(* term := INT | IDENT | INT '*' IDENT, with an optional leading sign
-   handled by the caller *)
-let parse_term st ~sign =
-  let t = peek st in
-  match t.Lexer.token with
-  | Lexer.Int v ->
-    ignore (next st);
-    if peek st |> fun p -> p.Lexer.token = Lexer.Star then begin
-      ignore (next st);
-      let name = expect_ident st in
-      { coeff = sign * v; var = Some name; tline = t.Lexer.line; tcol = t.Lexer.col }
+(* term := INT | IDENT | INT '*' IDENT; adds the term's variable part
+   into [coeffs] and returns its constant. *)
+let term c vars coeffs sign =
+  let line = c.Lexer.line and col = Lexer.col c in
+  match c.Lexer.token with
+  | Lexer.Int ->
+    let v = sign * c.Lexer.value in
+    Lexer.advance c;
+    if c.Lexer.token <> Lexer.Star then v
+    else begin
+      Lexer.advance c;
+      add_var c vars coeffs v line col;
+      0
     end
-    else { coeff = sign * v; var = None; tline = t.Lexer.line; tcol = t.Lexer.col }
-  | Lexer.Ident name ->
-    ignore (next st);
-    { coeff = sign; var = Some name; tline = t.Lexer.line; tcol = t.Lexer.col }
-  | other -> fail_at t ("expected index term, found " ^ Lexer.describe other)
+  | Lexer.Ident ->
+    add_var c vars coeffs sign line col;
+    0
+  | _ -> fail c ("expected index term, found " ^ Lexer.describe c)
 
-let parse_expr st =
-  let leading_sign =
-    match (peek st).Lexer.token with
-    | Lexer.Minus ->
-      ignore (next st);
-      -1
-    | Lexer.Plus ->
-      ignore (next st);
-      1
-    | Lexer.Int _ | Lexer.Ident _ | Lexer.Kw_array | Lexer.Kw_elem
-    | Lexer.Kw_nest | Lexer.Kw_for | Lexer.Kw_load | Lexer.Kw_store
-    | Lexer.Lbracket | Lexer.Rbracket | Lexer.Equals | Lexer.Dotdot
-    | Lexer.Star | Lexer.Colon | Lexer.Eof -> 1
+let rec terms c vars coeffs const =
+  match c.Lexer.token with
+  | Lexer.Plus ->
+    Lexer.advance c;
+    terms c vars coeffs (const + term c vars coeffs 1)
+  | Lexer.Minus ->
+    Lexer.advance c;
+    terms c vars coeffs (const + term c vars coeffs (-1))
+  | _ -> { Affine.coeffs; const }
+
+let expr vars c =
+  let coeffs = Array.make (Array.length vars) 0 in
+  let sign =
+    match c.Lexer.token with
+    | Lexer.Minus -> Lexer.advance c; -1
+    | Lexer.Plus -> Lexer.advance c; 1
+    | _ -> 1
   in
-  let first = parse_term st ~sign:leading_sign in
-  let rec more acc =
-    match (peek st).Lexer.token with
-    | Lexer.Plus ->
-      ignore (next st);
-      more (parse_term st ~sign:1 :: acc)
-    | Lexer.Minus ->
-      ignore (next st);
-      more (parse_term st ~sign:(-1) :: acc)
-    | Lexer.Int _ | Lexer.Ident _ | Lexer.Kw_array | Lexer.Kw_elem
-    | Lexer.Kw_nest | Lexer.Kw_for | Lexer.Kw_load | Lexer.Kw_store
-    | Lexer.Lbracket | Lexer.Rbracket | Lexer.Equals | Lexer.Dotdot
-    | Lexer.Star | Lexer.Colon | Lexer.Eof -> List.rev acc
-  in
-  more [ first ]
+  terms c vars coeffs (term c vars coeffs sign)
 
 (* ------------------------------------------------------------------ *)
-(* Declarations, accesses, loops                                        *)
+(* Declarations, loops, accesses                                        *)
 (* ------------------------------------------------------------------ *)
 
-let parse_decl st =
-  (* 'array' already consumed *)
-  let name = expect_ident st in
-  let rec dims acc =
-    match (peek st).Lexer.token with
-    | Lexer.Lbracket ->
-      ignore (next st);
-      let e = expect_int st in
-      expect st Lexer.Rbracket;
-      dims (e :: acc)
-    | _ -> List.rev acc
-  in
-  let extents = dims [] in
-  if extents = [] then fail_at (peek st) "array needs at least one dimension";
+let decl c =
+  Lexer.advance c;
+  let name = expect_ident c in
+  let extents = bracketed c expect_int [] in
+  if extents = [] then fail c "array needs at least one dimension";
   let elem_size =
-    match (peek st).Lexer.token with
-    | Lexer.Kw_elem ->
-      ignore (next st);
-      expect_int st
-    | _ -> 4
+    if c.Lexer.token = Lexer.Kw_elem then (Lexer.advance c; expect_int c) else 4
   in
-  let t = peek st in
   match Array_info.make ~elem_size name extents with
   | info -> info
-  | exception Invalid_argument msg -> fail_at t msg
+  | exception Invalid_argument msg -> fail c msg
 
-let parse_access st =
-  let kw = next st in
-  let kind =
-    match kw.Lexer.token with
-    | Lexer.Kw_load -> Access.Read
-    | Lexer.Kw_store -> Access.Write
-    | other -> fail_at kw ("expected 'load' or 'store', found " ^ Lexer.describe other)
-  in
-  let array_name = expect_ident st in
-  let rec indices acc =
-    match (peek st).Lexer.token with
-    | Lexer.Lbracket ->
-      ignore (next st);
-      let e = parse_expr st in
-      expect st Lexer.Rbracket;
-      indices (e :: acc)
+(* Loops come before accesses, so a nest's depth is known before its
+   first index expression. *)
+let rec loops c acc =
+  expect c Lexer.Kw_for;
+  let var = expect_ident c in
+  expect c Lexer.Equals;
+  let lo = expect_int c in
+  expect c Lexer.Dotdot;
+  let acc = { Loop_nest.var; lo; hi = expect_int c + 1 } :: acc in
+  match c.Lexer.token with
+  | Lexer.Kw_for -> loops c acc
+  | Lexer.Kw_load | Lexer.Kw_store -> List.rev acc
+  | _ -> fail c ("expected a nested 'for' or an access, found " ^ Lexer.describe c)
+
+let access c vars =
+  let kind = if c.Lexer.token = Lexer.Kw_load then Access.Read else Access.Write in
+  let line = c.Lexer.line and col = Lexer.col c in
+  Lexer.advance c;
+  let array_name = expect_ident c in
+  match bracketed c (expr vars) [] with
+  | [] -> raise (Error ("access needs at least one index", line, col))
+  | indices -> Access.make kind array_name indices
+
+let nest c =
+  Lexer.advance c;
+  let line = c.Lexer.line and col = Lexer.col c in
+  let name = expect_ident c in
+  expect c Lexer.Colon;
+  let loops = loops c [] in
+  let vars = Array.of_list (List.map (fun l -> l.Loop_nest.var) loops) in
+  let rec accesses acc =
+    match c.Lexer.token with
+    | Lexer.Kw_load | Lexer.Kw_store -> accesses (access c vars :: acc)
     | _ -> List.rev acc
   in
-  let idx = indices [] in
-  if idx = [] then fail_at kw "access needs at least one index";
-  { kind; array_name; indices = idx }
-
-(* loop := 'for' IDENT '=' INT '..' INT body *)
-let rec parse_loop st =
-  expect st Lexer.Kw_for;
-  let var = expect_ident st in
-  expect st Lexer.Equals;
-  let lo = expect_int st in
-  expect st Lexer.Dotdot;
-  let hi_inclusive = expect_int st in
-  let loop = { Loop_nest.var; lo; hi = hi_inclusive + 1 } in
-  match (peek st).Lexer.token with
-  | Lexer.Kw_for ->
-    let loops, accesses = parse_loop st in
-    (loop :: loops, accesses)
-  | Lexer.Kw_load | Lexer.Kw_store ->
-    let rec accs acc =
-      match (peek st).Lexer.token with
-      | Lexer.Kw_load | Lexer.Kw_store -> accs (parse_access st :: acc)
-      | _ -> List.rev acc
-    in
-    ([ loop ], accs [])
-  | other ->
-    fail_at (peek st)
-      ("expected a nested 'for' or an access, found " ^ Lexer.describe other)
-
-let materialize_access ~vars ast =
-  let depth = List.length vars in
-  let expr_of terms =
-    List.fold_left
-      (fun acc { coeff; var; tline; tcol } ->
-        match var with
-        | None -> Affine.add acc (Affine.const depth coeff)
-        | Some name -> (
-          match List.assoc_opt name vars with
-          | Some d -> Affine.add acc (Affine.scale coeff (Affine.var depth d))
-          | None ->
-            raise (Error (Printf.sprintf "unknown loop variable %s" name, tline, tcol))))
-      (Affine.const depth 0) terms
-  in
-  Access.make ast.kind ast.array_name (List.map expr_of ast.indices)
-
-let parse_nest st =
-  (* 'nest' already consumed *)
-  let t0 = peek st in
-  let name = expect_ident st in
-  expect st Lexer.Colon;
-  let loops, access_asts = parse_loop st in
-  let vars = List.mapi (fun d l -> (l.Loop_nest.var, d)) loops in
-  let accesses = List.map (materialize_access ~vars) access_asts in
-  match Loop_nest.make ~name loops accesses with
+  match Loop_nest.make ~name loops (accesses []) with
   | nest -> nest
-  | exception Invalid_argument msg -> fail_at t0 msg
+  | exception Invalid_argument msg -> raise (Error (msg, line, col))
 
 let parse ~name source =
-  let toks = Array.of_list (Lexer.tokenize source) in
-  let st = { toks; pos = 0 } in
+  let c = Lexer.create source in
   let rec decls acc =
-    match (peek st).Lexer.token with
-    | Lexer.Kw_array ->
-      ignore (next st);
-      decls (parse_decl st :: acc)
-    | _ -> List.rev acc
+    if c.Lexer.token = Lexer.Kw_array then decls (decl c :: acc) else List.rev acc
   in
   let arrays = decls [] in
   let rec nests acc =
-    match (peek st).Lexer.token with
-    | Lexer.Kw_nest ->
-      ignore (next st);
-      nests (parse_nest st :: acc)
+    match c.Lexer.token with
+    | Lexer.Kw_nest -> nests (nest c :: acc)
     | Lexer.Eof -> List.rev acc
-    | other ->
-      fail_at (peek st) ("expected 'nest' or end of input, found " ^ Lexer.describe other)
+    | _ -> fail c ("expected 'nest' or end of input, found " ^ Lexer.describe c)
   in
   let nests = nests [] in
   match Program.make ~name arrays nests with
@@ -239,8 +179,7 @@ let parse_file path =
   let n = in_channel_length ic in
   let source = really_input_string ic n in
   close_in ic;
-  try parse ~name:(Filename.basename path) source
-  with Lexer.Error (msg, l, c) -> raise (Error (msg, l, c))
+  parse ~name:(Filename.basename path) source
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                             *)

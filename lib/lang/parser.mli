@@ -31,15 +31,17 @@
     v} *)
 
 exception Error of string * int * int
-(** [Error (message, line, col)] — syntax or semantic error with source
-    position. *)
+(** [Error (message, line, col)] — lexical, syntax or semantic error with
+    source position; the same exception as {!Lexer.Error}. *)
 
 val parse : name:string -> string -> Mlo_ir.Program.t
 (** [parse ~name source] parses a whole program.  [name] is the program
-    name (typically the file name).  Raises {!Error} on syntax errors,
-    references to undeclared loop variables, duplicate declarations, or
-    any {!Mlo_ir.Program.make} validation failure (re-raised with a
-    position of the offending nest). *)
+    name (typically the file name).  Raises {!Error} on the first error
+    in source order: a lexical or syntax error, a reference to an
+    undeclared loop variable, or an {!Mlo_ir.Array_info.make} or
+    {!Mlo_ir.Loop_nest.make} failure (positioned after the declaration,
+    or at the nest's name).  A {!Mlo_ir.Program.make} failure, such as
+    an undeclared array, is checked last and carries line and column 0. *)
 
 val parse_file : string -> Mlo_ir.Program.t
 (** Reads and parses a file; the program is named after the path.

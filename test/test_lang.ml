@@ -26,38 +26,48 @@ nest fig2:
 (* Lexer                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let token_list src =
-  List.map (fun t -> t.Lexer.token) (Lexer.tokenize src)
+(* Drives a cursor to the end of input, describing each token. *)
+let tokens src =
+  let c = Lexer.create src in
+  let rec go acc =
+    let acc = Lexer.describe c :: acc in
+    if c.Lexer.token = Lexer.Eof then List.rev acc
+    else begin
+      Lexer.advance c;
+      go acc
+    end
+  in
+  go []
 
 let test_lexer_basics () =
-  Alcotest.(check int) "token count" 8
-    (List.length (token_list "array A[4] elem 8"));
-  (match token_list "for i = 0 .. 63" with
-  | [ Lexer.Kw_for; Lexer.Ident "i"; Lexer.Equals; Lexer.Int 0; Lexer.Dotdot;
-      Lexer.Int 63; Lexer.Eof ] -> ()
-  | _ -> Alcotest.fail "unexpected tokens");
-  match token_list "2*i - j" with
-  | [ Lexer.Int 2; Lexer.Star; Lexer.Ident "i"; Lexer.Minus; Lexer.Ident "j";
-      Lexer.Eof ] -> ()
-  | _ -> Alcotest.fail "unexpected arithmetic tokens"
+  Alcotest.(check int) "token count" 8 (List.length (tokens "array A[4] elem 8"));
+  Alcotest.(check (list string))
+    "loop header"
+    [ "'for'"; "identifier \"i\""; "'='"; "integer 0"; "'..'"; "integer 63"; "end of input" ]
+    (tokens "for i = 0 .. 63");
+  Alcotest.(check (list string))
+    "arithmetic"
+    [ "integer 2"; "'*'"; "identifier \"i\""; "'-'"; "identifier \"j\""; "end of input" ]
+    (tokens "2*i - j")
 
 let test_lexer_comments_and_positions () =
-  let toks = Lexer.tokenize "# all comment\n  nest" in
-  (match toks with
-  | [ { Lexer.token = Lexer.Kw_nest; line = 2; col = 3 }; { Lexer.token = Lexer.Eof; _ } ] -> ()
-  | _ -> Alcotest.fail "comment not skipped or position wrong");
-  Alcotest.(check int) "only eof in pure comment" 1
-    (List.length (Lexer.tokenize "# nothing here"))
+  let c = Lexer.create "# all comment\n  nest" in
+  Alcotest.(check (triple string int int))
+    "comment skipped" ("'nest'", 2, 3)
+    (Lexer.describe c, c.Lexer.line, Lexer.col c);
+  Lexer.advance c;
+  Alcotest.(check bool) "then eof" true (c.Lexer.token = Lexer.Eof);
+  Alcotest.(check (list string)) "only eof in pure comment" [ "end of input" ]
+    (tokens "# nothing here")
 
 let test_lexer_errors () =
   (try
-     ignore (Lexer.tokenize "a ? b");
+     ignore (tokens "a ? b");
      Alcotest.fail "expected lexer error"
    with Lexer.Error (msg, 1, 3) ->
-     Alcotest.(check bool) "mentions char" true
-       (String.length msg > 0));
+     Alcotest.(check string) "names the char" "illegal character '?'" msg);
   try
-    ignore (Lexer.tokenize "a . b");
+    ignore (tokens "a . b");
     Alcotest.fail "expected dotdot error"
   with Lexer.Error (_, 1, 3) -> ()
 
@@ -121,11 +131,12 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let check_error src expected_line expected_fragment =
+let check_error ?col src expected_line expected_fragment =
   match Parser.parse ~name:"t" src with
   | _ -> Alcotest.failf "expected parse error for %S" src
-  | exception Parser.Error (msg, line, _col) ->
+  | exception Parser.Error (msg, line, c) ->
     Alcotest.(check int) ("line of error in " ^ src) expected_line line;
+    Option.iter (fun col -> Alcotest.(check int) ("column of error in " ^ src) col c) col;
     Alcotest.(check bool)
       (Printf.sprintf "message %S mentions %S" msg expected_fragment)
       true
@@ -140,20 +151,22 @@ let test_parse_errors () =
   check_error "array A[4]\nnest n:\n for i = 0 .. 3" 3 "expected";
   check_error "array A[]\nnest n:\n for i = 0 .. 3\n  load A[i]" 1 "expected integer";
   check_error "array A[4][4]\nnest n:\n for i = 0 .. 3\n  load A[i]" 0 "rank";
+  (* lexical errors are parse errors too, and the first error in
+     source order is the one reported *)
+  check_error ~col:1 "a ? b" 1 "expected 'nest' or end of input, found identifier \"a\"";
+  check_error ~col:12 "array A[4] ?" 1 "illegal character '?'";
+  check_error ~col:10 "array A[4]\nnest n:\n for i = 0 .. 3\n  load A[k] ?" 4
+    "unknown loop variable k";
+  (* an unknown variable is reported at the start of its term *)
+  check_error ~col:12 "array A[4]\nnest n:\n for i = 0 .. 3\n  load A[i+2*k]" 4
+    "unknown loop variable k";
   (* the largest int is a legal extent; one more is a lexical error *)
   ignore
     (Parser.parse ~name:"t"
        "array A[4611686018427387903]\nnest n:\n for i = 0 .. 3\n  load A[i]");
-  match
-    Parser.parse ~name:"t"
-      "array A[4611686018427387904]\nnest n:\n for i = 0 .. 3\n  load A[i]"
-  with
-  | _ -> Alcotest.fail "expected number too large"
-  | exception Lexer.Error (msg, line, col) ->
-    Alcotest.(check (triple string int int))
-      "number too large"
-      ("number too large: 4611686018427387904", 1, 9)
-      (msg, line, col)
+  check_error ~col:9
+    "array A[4611686018427387904]\nnest n:\n for i = 0 .. 3\n  load A[i]" 1
+    "number too large: 4611686018427387904"
 
 let test_parse_duplicate_loop_var () =
   check_error
@@ -223,24 +236,91 @@ let test_roundtrip_workloads () =
     (fun file -> check_roundtrip file (Parser.parse_file (example file)))
     example_files
 
+(* The small programs the generated-program properties draw *)
+let generated seed =
+  Mlo_workloads.Random_program.generate
+    {
+      Mlo_workloads.Random_program.default with
+      Mlo_workloads.Random_program.seed;
+      num_arrays = 6;
+      num_nests = 8;
+      extent = 16;
+      sim_extent = 16;
+    }
+
 let prop_roundtrip_generated =
   QCheck.Test.make ~name:"generated programs survive print-then-parse"
     ~count:40 QCheck.small_nat (fun seed ->
-      let params =
-        {
-          Mlo_workloads.Random_program.default with
-          Mlo_workloads.Random_program.seed;
-          num_arrays = 6;
-          num_nests = 8;
-          extent = 16;
-          sim_extent = 16;
-        }
-      in
-      let prog = Mlo_workloads.Random_program.generate params in
+      let prog = generated seed in
       let reparsed =
         Parser.parse ~name:(Program.name prog) (Parser.to_source prog)
       in
       program_equal prog reparsed)
+
+(* ------------------------------------------------------------------ *)
+(* Differential: the reference parser                                   *)
+(* ------------------------------------------------------------------ *)
+
+let example_sources =
+  lazy
+    (List.map
+       (fun file -> In_channel.with_open_bin (example file) In_channel.input_all)
+       example_files)
+
+(* One character deleted, inserted or replaced in an example program or
+   a generated one; the inserted characters cover every token class and
+   some that start none. *)
+let edited_source =
+  let open QCheck.Gen in
+  let* base = int_bound 3 in
+  let* seed = small_nat in
+  let* kind = int_bound 2 in
+  let* pos = nat in
+  let+ ch = oneofl (List.of_seq (String.to_seq "aijkAQ0179_[]=.+-*:# \n?")) in
+  let src =
+    if base < 3 then List.nth (Lazy.force example_sources) base
+    else Parser.to_source (generated seed)
+  in
+  let n = String.length src in
+  let i = pos mod (if kind = 1 then n + 1 else n) in
+  match kind with
+  | 0 -> String.sub src 0 i ^ String.sub src (i + 1) (n - i - 1)
+  | 1 -> String.sub src 0 i ^ String.make 1 ch ^ String.sub src i (n - i)
+  | _ -> String.mapi (fun j c -> if j = i then ch else c) src
+
+(* Both parsers accept, to the same program and the same printed bytes,
+   or both reject; the shipped parser reports the reference's error or
+   one strictly earlier in the source. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"one-character edits parse as the reference parses"
+    ~count:1000
+    (QCheck.make ~print:Fun.id edited_source)
+    (fun src ->
+      let module Ref = Mlo_oracle.Parser_reference in
+      let shipped =
+        match Parser.parse ~name:"t" src with
+        | prog -> Ok prog
+        | exception Parser.Error (msg, line, col) -> Error (msg, line, col)
+      in
+      let reference =
+        match Ref.parse ~name:"t" src with
+        | prog -> Ok prog
+        | exception Ref.Error (msg, line, col) -> Error (msg, line, col)
+      in
+      let show = function
+        | Ok _ -> "accepted"
+        | Error (msg, line, col) -> Printf.sprintf "%d:%d: %s" line col msg
+      in
+      let agree =
+        match (shipped, reference) with
+        | Ok p, Ok q -> program_equal p q && Parser.to_source p = Parser.to_source q
+        | Error ((_, line, col) as e), Error ((_, rline, rcol) as r) ->
+          e = r || (line >= 1 && compare (line, col) (rline, rcol) < 0)
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      agree
+      || QCheck.Test.fail_reportf "shipped: %s@.reference: %s" (show shipped)
+           (show reference))
 
 let () =
   Alcotest.run "lang"
@@ -270,4 +350,5 @@ let () =
           Alcotest.test_case "benchmark suite" `Quick test_roundtrip_workloads;
           QCheck_alcotest.to_alcotest prop_roundtrip_generated;
         ] );
+      ("differential", [ QCheck_alcotest.to_alcotest prop_matches_reference ]);
     ]
