@@ -258,9 +258,10 @@ let locality_tests =
      profiler query per (array, candidate layout) — over a program parsed
      afresh from its rendered source each sample, as the e2e benchmark's
      requests do, so the profiler's per-program memo never carries over.
-     The parse is part of the sample (about a tenth of it on Med-Im04,
-     Shape and scale-100), and so is the nest summary (legal loop
-     orders) the profile entry derives: a twelfth of it on Shape. *)
+     The parse is part of the sample (about a twentieth of it on Shape,
+     a thirtieth on Med-Im04 and scale-100; lang/parse:Shape times it
+     alone), and so is the nest summary (legal loop orders) the profile
+     entry derives: a twelfth of it on Shape. *)
   @ List.map
       (fun spec ->
         let source = Mlo_lang.Parser.to_source spec.Spec.program in
@@ -308,7 +309,8 @@ let deps_tests =
    parses the program afresh from its rendered source, as
    locality/profile-cold does, so its nest summary (legal orders and
    layout demands, memoized per program value) is derived inside the
-   sample.  The parse is part of the sample.  restructure-cold applies
+   sample.  The parse is part of the sample: about a quarter of it on
+   Shape and hard-80, a fifth on Med-Im04.  restructure-cold applies
    the enhanced solution's layouts. *)
 let netgen_tests =
   lazy

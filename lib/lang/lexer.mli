@@ -41,7 +41,7 @@ exception Error of string * int * int
     for lexical, syntax and semantic errors alike. *)
 
 val create : string -> t
-(** A cursor on the first token of the source. *)
+(** A cursor on the first token of the source; raises as {!advance}. *)
 
 val advance : t -> unit
 (** Scans the next token; at the end of input the token stays [Eof].
