@@ -1,9 +1,9 @@
-(* The parser the front end had before it scanned on demand: a lexer
-   that tokenizes the whole source into a list of located tokens, and a
+(* Reference parser for the loop-nest language: a lexer that tokenizes
+   the whole source into a list of located tokens, and a
    recursive-descent parser over that list that builds an index-term
    AST per access and folds it into affine expressions once the nest's
-   loops are known.  Kept as the reference the shipped parser is
-   compared against (test_lang's differential property). *)
+   loops are known.  test_lang's differential property compares
+   Mlo_lang.Parser against it. *)
 
 module Affine = Mlo_ir.Affine
 module Access = Mlo_ir.Access
