@@ -179,6 +179,7 @@ let golden_effort =
    hard-80 cdl sat obj=207304 n=120 c=441 bj=3 l=11 f=0 r=0 b=0 i=0\n\
    hard-150 cdl unsat obj=- n=508 c=2329 bj=34 l=105 f=0 r=1 b=0 i=0\n\
    scale-100 cdl sat obj=17055 n=117 c=229 bj=0 l=3 f=0 r=0 b=0 i=0\n\
+   scale-1000 cdl sat obj=157973 n=1166 c=2481 bj=0 l=20 f=0 r=0 b=0 i=0\n\
    Med-Im04 bnb sat obj=26132 n=57 c=236 bj=0 l=52 f=0 r=0 b=3 i=1\n\
    MxM bnb sat obj=67536 n=14 c=26 bj=0 l=4 f=0 r=0 b=5 i=1\n\
    Radar bnb sat obj=97672 n=61 c=568 bj=0 l=56 f=0 r=0 b=0 i=1\n\
@@ -188,6 +189,7 @@ let golden_effort =
    hard-80 bnb sat obj=207276 n=172 c=667 bj=13 l=95 f=0 r=0 b=27 i=1\n\
    hard-150 bnb unsat obj=- n=161 c=612 bj=11 l=33 f=0 r=0 b=0 i=0\n\
    scale-100 bnb sat obj=14057 n=158 c=317 bj=0 l=55 f=0 r=0 b=40 i=50\n\
+   scale-1000 bnb sat obj=150941 n=1498 c=3305 bj=4 l=671 f=0 r=0 b=266 i=456\n\
    Med-Im04 bnb+prune sat obj=26132 n=70 c=375 bj=2 l=64 f=0 r=0 b=1 i=1\n\
    MxM bnb+prune sat obj=67536 n=8 c=15 bj=0 l=4 f=0 r=0 b=3 i=1\n\
    Radar bnb+prune sat obj=97672 n=61 c=568 bj=0 l=56 f=0 r=0 b=0 i=1\n\
@@ -233,7 +235,8 @@ let run_bnb prog build =
 let test_effort_counters () =
   let specs =
     List.map Suite.by_name
-      (workloads @ [ "hard-20"; "hard-80"; "hard-150"; "scale-100" ])
+      (workloads
+       @ [ "hard-20"; "hard-80"; "hard-150"; "scale-100"; "scale-1000" ])
   in
   let paper = List.map Suite.by_name workloads in
   let actual =
@@ -346,7 +349,9 @@ let golden_certificates =
    hard-20 bnb optimal lines=64 md5=7f4527f649b8c45e88c5e995e7faabd9\n\
    hard-150 cdl unsat lines=108 md5=88b92756cb84a4835b0ca12f62f319d4\n\
    scale-100 cdl sat lines=55 md5=f67276ed459f948ec5a23477f62ae3fd\n\
-   scale-100 bnb optimal lines=157 md5=0b885e66133ad6056c8c75cfc8be30db"
+   scale-100 bnb optimal lines=157 md5=0b885e66133ad6056c8c75cfc8be30db\n\
+   scale-1000 cdl sat lines=464 md5=f10dacc070edc95871817f2b754ccfc1\n\
+   scale-1000 bnb optimal lines=1571 md5=8722fb03f0e488a6cfe7a3d5041dc189"
 
 let certificate_row spec label ?(prune = false) scheme =
   let proof = ref None in
@@ -393,6 +398,8 @@ let test_certificates () =
         certificate_row (Suite.by_name "hard-150") "cdl" cdl;
         certificate_row (Suite.by_name "scale-100") "cdl" cdl;
         certificate_row (Suite.by_name "scale-100") "bnb" bnb;
+        certificate_row (Suite.by_name "scale-1000") "cdl" cdl;
+        certificate_row (Suite.by_name "scale-1000") "bnb" bnb;
       ]
     |> String.concat "\n"
   in
