@@ -126,6 +126,9 @@ let rec loops c acc =
   expect c Lexer.Equals;
   let lo = expect_int c in
   expect c Lexer.Dotdot;
+  (* an inclusive bound of max_int has no exclusive form *)
+  if c.Lexer.token = Lexer.Int && c.Lexer.value = max_int then
+    fail c ("loop bound too large: " ^ Lexer.text c);
   let acc = { Loop_nest.var; lo; hi = expect_int c + 1 } :: acc in
   match c.Lexer.token with
   | Lexer.Kw_for -> loops c acc

@@ -166,7 +166,15 @@ let test_parse_errors () =
        "array A[4611686018427387903]\nnest n:\n for i = 0 .. 3\n  load A[i]");
   check_error ~col:9
     "array A[4611686018427387904]\nnest n:\n for i = 0 .. 3\n  load A[i]" 1
-    "number too large: 4611686018427387904"
+    "number too large: 4611686018427387904";
+  (* an inclusive loop bound has an exclusive successor, so the largest
+     int is rejected where it is written *)
+  check_error ~col:15
+    "array A[4]\nnest n:\n for i = 0 .. 4611686018427387903\n  load A[i]" 3
+    "loop bound too large: 4611686018427387903";
+  ignore
+    (Parser.parse ~name:"t"
+       "array A[4]\nnest n:\n for i = 0 .. 4611686018427387902\n  load A[i]")
 
 let test_parse_duplicate_loop_var () =
   check_error
