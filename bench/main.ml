@@ -166,9 +166,12 @@ let prune_tests =
    arrays (Suite.scale — component-rich networks, hundreds of nests).
    Per size: network extraction, the component solve alone on a
    pre-built network, and the end-to-end extract+solve pipeline
-   (BENCH_scale.json, --scale-json).  extract and e2e reuse one program
-   value, so after the first sample their extraction reads a warm nest
-   summary. *)
+   (BENCH_scale.json, --scale-json).  solve-ser times the whole
+   component-wise solve: finding the components, compiling each one's
+   view from its own constraints and searching it.  None of that is
+   memoized on a many-component network, so every sample pays it all.
+   extract and e2e reuse one program value, so after the first sample
+   their extraction reads a warm nest summary. *)
 let scale_sizes = [ 10; 100; 1000 ]
 
 let scale_builds =

@@ -29,20 +29,21 @@ let run config ~max_checks ?on_event ~costs comp =
 let solve_compiled ?(config = default_config) ?on_event ~costs comp =
   run config ~max_checks:config.max_checks ?on_event ~costs comp
 
-let costs_of_network ~cost net =
-  Array.init (Network.num_vars net) (fun i ->
-      let name = Network.name net i in
-      Array.init (Network.domain_size net i) (fun v -> cost name v))
+(* The cost table of the variables [vars], priced by their names in the
+   whole network. *)
+let costs_of_vars ~cost net vars =
+  Array.map
+    (fun i -> Array.init (Network.domain_size net i) (cost (Network.name net i)))
+    vars
 
 let solve ?config ~cost net =
   solve_compiled ?config
-    ~costs:(costs_of_network ~cost net)
+    ~costs:(costs_of_vars ~cost net (Array.init (Network.num_vars net) Fun.id))
     (Network.compile net)
 
 let branch_and_bound ?(config = default_config) ?on_event ~cost net =
   Solver.component_driver ?on_event ~max_checks:config.max_checks
-    ~run:(fun ~on_event ~max_checks sub ->
-      run config ~max_checks ?on_event
-        ~costs:(costs_of_network ~cost sub)
-        (Network.compile sub))
+    ~run:(fun ~on_event ~max_checks ~vars view ->
+      run config ~max_checks ?on_event ~costs:(costs_of_vars ~cost net vars)
+        view)
     net

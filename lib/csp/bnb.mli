@@ -95,7 +95,7 @@ val branch_and_bound :
   Solver.result
 (** Component-wise branch and bound via {!Solver.component_driver}: each
     connected component is minimized independently ([cost] is queried by
-    variable {e name}, which {!Network.induced} preserves) and the
+    the variable's {e name} in the whole network) and the
     per-component optima concatenate into the global optimum, because a
     separable cost never couples variables that share no constraint.
     [on_event] receives each component's {!Solver.event} stream

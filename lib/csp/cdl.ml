@@ -22,6 +22,6 @@ let solve ?config net = solve_compiled ?config (Network.compile net)
 let solve_components ?(config = default_config) ?on_event net =
   let mode = mode config in
   Solver.component_driver ?on_event ~max_checks:config.max_checks
-    ~run:(fun ~on_event ~max_checks sub ->
-      Solver.run ?on_event ~max_checks mode (Network.compile sub))
+    ~run:(fun ~on_event ~max_checks ~vars:_ view ->
+      Solver.run ?on_event ~max_checks mode view)
     net

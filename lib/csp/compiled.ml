@@ -16,8 +16,9 @@
      least-constraining value ordering;
    - [neighbors]: int arrays instead of sorted lists.
 
-   Construction lives in {!Network.compile} (which memoizes it); this
-   module only defines the representation and its read-only operations. *)
+   Construction lives in {!Network.compile_vars}, which builds the view
+   of a whole network or of one of its components; this module only
+   defines the representation and its read-only operations. *)
 
 type t = {
   n : int;
@@ -49,38 +50,6 @@ let allowed t i vi j vj =
 let support_count t i vi j =
   let h = handle t i j in
   if h < 0 then t.dom_size.(j) else t.supcnt.(h).(vi)
-
-(* Connected components of the constraint graph by breadth-first sweep.
-   Components are emitted in order of their smallest variable, members
-   ascending; unconstrained variables form singleton components. *)
-let components t =
-  let seen = Array.make t.n false in
-  let queue = Array.make t.n 0 in
-  let out = ref [] in
-  for start = 0 to t.n - 1 do
-    if not seen.(start) then begin
-      seen.(start) <- true;
-      queue.(0) <- start;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let v = queue.(!head) in
-        incr head;
-        let nbrs = t.neighbors.(v) in
-        for k = 0 to Array.length nbrs - 1 do
-          let j = nbrs.(k) in
-          if not seen.(j) then begin
-            seen.(j) <- true;
-            queue.(!tail) <- j;
-            incr tail
-          end
-        done
-      done;
-      let members = Array.sub queue 0 !tail in
-      Array.sort Int.compare members;
-      out := members :: !out
-    end
-  done;
-  Array.of_list (List.rev !out)
 
 let verify t a =
   if Array.length a <> t.n then

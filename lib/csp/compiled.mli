@@ -1,11 +1,13 @@
 (** Compiled (dense) view of a binary constraint network.
 
-    Produced by {!Network.compile}; consumed by the solver's hot path and
-    AC-2001.  Value-index based only — domain values stay behind in the
-    network.  Everything here is read-only and allocation-free:
+    Produced by {!Network.compile_vars}, for a whole network or one of
+    its components; consumed by the solver's hot path and AC-2001.
+    Value-index based only — domain values stay behind in the network.
+    Everything here is read-only and allocation-free:
 
-    - an n x n matrix of directed constraint handles with both
-      orientations precomputed (no transposition on the hot path);
+    - an n x n matrix of directed constraint handles over the view's n
+      variables, both orientations precomputed (no transposition on the
+      hot path);
     - per (handle, value) support rows stored as int-word bitsets in the
       {!Bitset} word layout, enabling word-parallel pruning;
     - per (handle, value) precomputed support counts;
@@ -23,8 +25,8 @@ val make :
   rows:Bitset.row array array ->
   supcnt:int array array ->
   t
-(** Assembles a view from its parts; used by {!Network.compile}, which
-    guarantees their consistency.  [handle.((i * n) + j)] is the directed
+(** Assembles a view from its parts; used by {!Network.compile_vars},
+    which guarantees their consistency.  [handle.((i * n) + j)] is the directed
     handle of the pair [(i, j)] or [-1]; [rows.(h).(vi)] the supports of
     [i = vi] over [j]'s domain; [supcnt] its popcounts. *)
 
@@ -55,13 +57,6 @@ val allowed : t -> int -> int -> int -> int -> bool
 
 val support_count : t -> int -> int -> int -> int
 (** Same contract as {!Network.support_count}, in O(1). *)
-
-val components : t -> int array array
-(** Connected components of the constraint graph.  Each component lists
-    its variables ascending; components are ordered by smallest member.
-    Unconstrained variables are singleton components.  Variables in
-    different components share no constraint, so the network's solutions
-    are exactly the products of per-component solutions. *)
 
 val verify : t -> int array -> bool
 (** Complete assignment check, mirroring {!Network.verify}. *)

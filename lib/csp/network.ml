@@ -127,85 +127,102 @@ let map_values f t =
     compiled = None;
   }
 
-(* Lower the hashtable-of-relations representation into the dense
-   Compiled view: both constraint orientations, support rows as int-word
-   bitsets, support popcounts, neighbour arrays.  Memoized until the next
-   [add_allowed]; O(sum of |dom i| * |dom j| over constrained pairs). *)
+(* Lower the constraints among [vars] into the dense Compiled view: both
+   constraint orientations, support rows as int-word bitsets, support
+   popcounts, neighbour arrays.  O(|vars|^2 + sum of |dom i| * |dom j|
+   over the kept constraints), whatever the size of the network. *)
+let compile_vars t vars =
+  let n = Array.length vars in
+  Array.iteri
+    (fun a v ->
+      check_var t v;
+      if a > 0 && vars.(a - 1) >= v then
+        invalid_arg "Network.compile_vars: variables not strictly ascending")
+    vars;
+  (* [vars]'s index of variable [v] within [lo, hi), or -1 *)
+  let rec local v lo hi =
+    let mid = (lo + hi) / 2 in
+    if lo >= hi then -1
+    else if vars.(mid) < v then local v (mid + 1) hi
+    else if vars.(mid) > v then local v lo mid
+    else mid
+  in
+  let dom_size = Array.map (fun v -> Array.length t.domains.(v)) vars in
+  let neighbors =
+    Array.map
+      (fun v ->
+        List.map (fun j -> local j 0 n) t.neighbors.(v)
+        |> List.filter (fun b -> b >= 0)
+        |> Array.of_list)
+      vars
+  in
+  let pairs =
+    List.init n (fun a -> List.map (fun b -> (a, b)) (Array.to_list neighbors.(a)))
+    |> List.concat |> List.filter (fun (a, b) -> a < b)
+  in
+  let handle = Array.make (n * n) (-1) in
+  let rows = Array.make (2 * List.length pairs) [||] in
+  let supcnt = Array.make (2 * List.length pairs) [||] in
+  List.iteri
+    (fun k (a, b) ->
+      let rel = Hashtbl.find t.cons (vars.(a), vars.(b)) in
+      let hab = 2 * k and hba = (2 * k) + 1 in
+      handle.((a * n) + b) <- hab;
+      handle.((b * n) + a) <- hba;
+      let la = dom_size.(a) and lb = dom_size.(b) in
+      let rab = Array.init la (fun _ -> Bitset.row_make lb) in
+      let rba = Array.init lb (fun _ -> Bitset.row_make la) in
+      for va = 0 to la - 1 do
+        for vb = 0 to lb - 1 do
+          if Relation.mem rel va vb then begin
+            Bitset.row_add rab.(va) vb;
+            Bitset.row_add rba.(vb) va
+          end
+        done
+      done;
+      rows.(hab) <- rab;
+      rows.(hba) <- rba;
+      supcnt.(hab) <- Array.init la (Relation.left_support rel);
+      supcnt.(hba) <- Array.init lb (Relation.right_support rel))
+    pairs;
+  Compiled.make ~dom_size ~neighbors ~handle ~rows ~supcnt
+
+(* The all-variables case, memoized until the next [add_allowed]. *)
 let compile t =
   match t.compiled with
   | Some c -> c
   | None ->
-    let n = num_vars t in
-    let dom_size = Array.init n (fun i -> Array.length t.domains.(i)) in
-    let neighbors = Array.map Array.of_list t.neighbors in
-    let handle = Array.make (n * n) (-1) in
-    let pairs = constraint_pairs t in
-    let m = List.length pairs in
-    let rows = Array.make (2 * m) [||] in
-    let supcnt = Array.make (2 * m) [||] in
-    List.iteri
-      (fun k (i, j) ->
-        let rel = Hashtbl.find t.cons (i, j) in
-        let hij = 2 * k and hji = (2 * k) + 1 in
-        handle.((i * n) + j) <- hij;
-        handle.((j * n) + i) <- hji;
-        let li = dom_size.(i) and lj = dom_size.(j) in
-        let rij = Array.init li (fun _ -> Bitset.row_make lj) in
-        let rji = Array.init lj (fun _ -> Bitset.row_make li) in
-        for vi = 0 to li - 1 do
-          for vj = 0 to lj - 1 do
-            if Relation.mem rel vi vj then begin
-              Bitset.row_add rij.(vi) vj;
-              Bitset.row_add rji.(vj) vi
-            end
-          done
-        done;
-        rows.(hij) <- rij;
-        rows.(hji) <- rji;
-        supcnt.(hij) <- Array.init li (Relation.left_support rel);
-        supcnt.(hji) <- Array.init lj (Relation.right_support rel))
-      pairs;
-    let c = Compiled.make ~dom_size ~neighbors ~handle ~rows ~supcnt in
+    let c = compile_vars t (Array.init (num_vars t) Fun.id) in
     t.compiled <- Some c;
     c
 
-let components t = Compiled.components (compile t)
-
-(* Induced subnetwork: keep only the listed variables (order preserved)
-   and the constraints between them.  Empty relations (constraints that
-   allow nothing) are preserved as empty relations. *)
-let induced t vars =
+(* Connected components by breadth-first search over the neighbour
+   lists, in order of their smallest variable, members ascending;
+   unconstrained variables are singletons. *)
+let components t =
   let n = num_vars t in
-  let pos = Array.make n (-1) in
-  Array.iteri
-    (fun k v ->
-      check_var t v;
-      if pos.(v) >= 0 then invalid_arg "Network.induced: duplicate variable";
-      pos.(v) <- k)
-    vars;
-  let sub =
-    create
-      ~names:(Array.map (fun v -> t.names.(v)) vars)
-      ~domains:(Array.map (fun v -> t.domains.(v)) vars)
+  let seen = Array.make n false and queue = Array.make n 0 in
+  let visit tail j =
+    if seen.(j) then tail else (seen.(j) <- true; queue.(tail) <- j; tail + 1)
   in
-  Hashtbl.iter
-    (fun (i, j) rel ->
-      if pos.(i) >= 0 && pos.(j) >= 0 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length t.domains.(i) - 1 do
-          for vj = 0 to Array.length t.domains.(j) - 1 do
-            if Relation.mem rel vi vj then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        add_allowed sub pos.(i) pos.(j) !pairs
-      end)
-    t.cons;
-  sub
+  let rec sweep head tail =
+    if head = tail then tail
+    else sweep (head + 1) (List.fold_left visit tail t.neighbors.(queue.(head)))
+  in
+  let out = ref [] in
+  for v = 0 to n - 1 do
+    if not seen.(v) then begin
+      let members = Array.sub queue 0 (sweep 0 (visit 0 v)) in
+      Array.sort Int.compare members;
+      out := members :: !out
+    end
+  done;
+  Array.of_list (List.rev !out)
 
 (* Value-level restriction: keep only the flagged values of every
    domain (order preserved) and re-index the relations.  A constraint
    whose allowed pairs are all dropped survives as an empty relation
-   (allows nothing), mirroring [induced].  Sound preprocessing —
+   (allows nothing).  Sound preprocessing —
    e.g. dominance pruning in Mlo_netgen — removes only values whose
    remaining supports are covered by a kept value, so satisfiability is
    unchanged. *)

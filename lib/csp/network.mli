@@ -53,10 +53,18 @@ val relation : 'a t -> int -> int -> Relation.t option
     treat it as read-only. *)
 
 val compile : 'a t -> Compiled.t
-(** The dense, value-index-only view of the network the solver and
-    AC-2001 run on: an n x n directed constraint-handle matrix, int-word
-    support rows, support popcounts, neighbour arrays (see {!Compiled}).
-    Memoized; invalidated by {!add_allowed}. *)
+(** The dense, value-index-only view of the whole network the solver and
+    AC-2001 run on: {!compile_vars} on every variable.  Memoized;
+    invalidated by {!add_allowed}. *)
+
+val compile_vars : 'a t -> int array -> Compiled.t
+(** [compile_vars t vars] is the view of the subnetwork on [vars]
+    (strictly ascending; local variable [a] is [vars.(a)]) and the
+    constraints among them, empty ones included, with the handles of
+    local pairs [(a, b)], [a < b], numbered in ascending order.  Its cost
+    is in the size of [vars] and their constraints, not of [t].  Not
+    memoized.  Raises [Invalid_argument] on an out-of-range variable or
+    an order that is not strictly ascending. *)
 
 val neighbors : 'a t -> int -> int list
 (** Variables sharing a constraint with the given one, ascending. *)
@@ -77,16 +85,9 @@ val consistent_partial : 'a t -> int array -> bool
     checked — the paper's "consistent partial instantiation". *)
 
 val components : 'a t -> int array array
-(** Connected components of the constraint graph ({!Compiled.components}
-    on the memoized compiled view): members ascending, components ordered
-    by smallest member, unconstrained variables singleton. *)
-
-val induced : 'a t -> int array -> 'a t
-(** [induced t vars] is the subnetwork on exactly the variables [vars]
-    (order preserved — sub-variable [k] is [vars.(k)]), keeping the
-    constraints whose endpoints both survive.  Constraints that allow
-    nothing are preserved as such.  Raises [Invalid_argument] on a
-    duplicate or out-of-range variable. *)
+(** Connected components of the constraint graph, by breadth-first
+    search over the neighbour lists: members ascending, components
+    ordered by smallest member, unconstrained variables singleton. *)
 
 val restrict_domains : 'a t -> bool array array -> 'a t
 (** [restrict_domains t keep] is a fresh network with the same variables

@@ -981,9 +981,11 @@ let merge_component_stats stats (s : Stats.t) =
    solving components independently is decision-equivalent to the
    whole-network search (same satisfiability; any merged assignment
    verifies), while dead-ends can no longer thrash across unrelated
-   components and backjump distances stay within a component.  A
-   single-component network takes the exact whole-network path, so the
-   decomposition is free when there is nothing to split.
+   components and backjump distances stay within a component.  Each
+   component runs on a view compiled from its own constraints, so it
+   costs in proportion to its size.  A single-component network takes
+   the exact whole-network path, so the decomposition is free when
+   there is nothing to split.
 
    Components are solved in index order.  The check budget is global:
    each component gets what the earlier ones left, mirroring the
@@ -991,20 +993,19 @@ let merge_component_stats stats (s : Stats.t) =
    stops the run.  Each component's events go to [on_event] as they
    happen, then its [Finished]. *)
 let component_driver ?on_event ~max_checks ~run net =
-  let run_one ~comp ~vars ~max_checks sub =
+  let run_one ~comp ~vars ~max_checks view =
     match on_event with
-    | None -> run ~on_event:None ~max_checks sub
+    | None -> run ~on_event:None ~max_checks ~vars view
     | Some f ->
-      let r = run ~on_event:(Some (f ~comp ~vars)) ~max_checks sub in
+      let r = run ~on_event:(Some (f ~comp ~vars)) ~max_checks ~vars view in
       f ~comp ~vars (Finished r.outcome);
       r
   in
-  let comp = Network.compile net in
-  let comps = Compiled.components comp in
+  let comps = Network.components net in
   if Array.length comps <= 1 then
     run_one ~comp:0
       ~vars:(Array.init (Network.num_vars net) Fun.id)
-      ~max_checks net
+      ~max_checks (Network.compile net)
   else begin
     let ncomps = Array.length comps in
     Trace.with_span ~cat:"solver" "solve-components"
@@ -1012,13 +1013,14 @@ let component_driver ?on_event ~max_checks ~run net =
     @@ fun () ->
     let t_wall = Clock.wall_s () and t_cpu = Clock.cpu_s () in
     let stats = Stats.create () in
-    let assignment = Array.make (Compiled.num_vars comp) (-1) in
+    let assignment = Array.make (Network.num_vars net) (-1) in
     let rec go k remaining =
       if k = ncomps then Solution assignment
       else begin
         let vars = comps.(k) in
         let r =
-          run_one ~comp:k ~vars ~max_checks:remaining (Network.induced net vars)
+          run_one ~comp:k ~vars ~max_checks:remaining
+            (Network.compile_vars net vars)
         in
         merge_component_stats stats r.stats;
         match r.outcome with
@@ -1037,8 +1039,8 @@ let component_driver ?on_event ~max_checks ~run net =
 
 let solve_components ?(config = default_config) net =
   component_driver ~max_checks:config.max_checks
-    ~run:(fun ~on_event:_ ~max_checks sub ->
-      solve_compiled ~config:{ config with max_checks } (Network.compile sub))
+    ~run:(fun ~on_event:_ ~max_checks ~vars:_ view ->
+      solve_compiled ~config:{ config with max_checks } view)
     net
 
 let solve_values ?config net =

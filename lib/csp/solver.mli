@@ -152,9 +152,9 @@ val solve_compiled : ?config:config -> Compiled.t -> result
 
 val solve_components : ?config:config -> 'a Network.t -> result
 (** Component-wise search: solves each connected component of the
-    constraint graph ({!Network.components}) as an independent
-    subnetwork and merges the per-component solutions.  Variables in
-    different components share no constraint, so this is
+    constraint graph ({!Network.components}) on its own compiled view
+    ({!Network.compile_vars}) and merges the per-component solutions.
+    Variables in different components share no constraint, so this is
     decision-equivalent to {!solve} — same satisfiability, and any
     returned assignment satisfies {!Network.verify} — while dead-ends
     never thrash across unrelated components (the stats can only
@@ -171,23 +171,25 @@ val component_driver :
   run:
     (on_event:(event -> unit) option ->
     max_checks:int option ->
-    'a Network.t ->
+    vars:int array ->
+    Compiled.t ->
     result) ->
   'a Network.t ->
   result
 (** The machinery behind {!solve_components}, generic in the
-    per-component engine: decomposes the network, hands the rest of the
-    [max_checks] budget from each component to the next, and merges
-    results in component order up to and including the first
-    non-solution.  A single-component network is passed to [run] whole,
-    as component 0 with the identity mapping.  Each component's events
-    go to [on_event] with the component's index [comp] and the [vars]
+    per-component engine: hands [run] each component's view
+    ({!Network.compile_vars}, built when its turn comes) and the [vars]
     array that maps its local variable indices back to the whole
-    network (proof emission relies on both), as the search runs,
-    followed by one [Finished] with its outcome; nothing arrives for the
-    components after the first one without a solution.
-    {!Cdl.solve_components} and {!Bnb.branch_and_bound} build on
-    this. *)
+    network, passes the rest of the [max_checks] budget from each
+    component to the next, and merges results in component order up to
+    and including the first non-solution.  A single-component network
+    runs on the memoized {!Network.compile}, as component 0 with the
+    identity mapping.  Each component's events go to [on_event] with
+    its index [comp] and its [vars] (proof emission relies on both), as
+    the search runs, followed by one [Finished] with its outcome;
+    nothing arrives for the components after the first one without a
+    solution.  {!Cdl.solve_components} and {!Bnb.branch_and_bound}
+    build on this. *)
 
 val solve_values : ?config:config -> 'a Network.t -> ('a array * result) option
 (** Convenience: like {!solve} but materializes the domain values of the

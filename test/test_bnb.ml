@@ -15,6 +15,7 @@ module Solver = Mlo_csp.Solver
 module Bnb = Mlo_csp.Bnb
 module Cdl = Mlo_csp.Cdl
 module Brute = Mlo_oracle.Brute
+module Network_reference = Mlo_oracle.Network_reference
 module Rng = Mlo_csp.Rng
 module Stats = Mlo_csp.Stats
 module Schemes = Mlo_csp.Schemes
@@ -357,7 +358,7 @@ let check_component_oracles ~label ~cost net =
           1.0 vars
       in
       if space <= 20_000.0 then begin
-        let sub = Network.induced net vars in
+        let sub = Network_reference.induced net vars in
         let best =
           List.fold_left
             (fun b s -> Float.min b (assignment_cost cost sub s))

@@ -13,6 +13,7 @@ module Schemes = Mlo_csp.Schemes
 module Brute = Mlo_oracle.Brute
 module Solver_reference = Mlo_oracle.Solver_reference
 module Ac3 = Mlo_oracle.Ac3
+module Network_reference = Mlo_oracle.Network_reference
 module Ac2001 = Mlo_csp.Ac2001
 module Bitset = Mlo_csp.Bitset
 module Rng = Mlo_csp.Rng
@@ -122,6 +123,109 @@ let test_compile_memoized () =
   Alcotest.(check bool) "mutation invalidates" true (not (c3 == c1));
   Alcotest.(check bool) "recompiled view sees the new pair" true
     (Compiled.allowed c3 0 0 1 0)
+
+(* Networks with several components: each variable joins one of up to
+   four groups, or stays unconstrained, and only same-group pairs are
+   constrained, so components interleave in variable order.  Some
+   relations allow nothing, some are added in (j, i) orientation, and
+   some domains cross a 32-bit row word. *)
+let multi_component_network seed =
+  let rng = Rng.create seed in
+  let n = 3 + Rng.int rng 10 in
+  let groups = 2 + Rng.int rng 3 in
+  let group = Array.init n (fun _ -> Rng.int rng (groups + 1) - 1) in
+  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
+  let domains =
+    Array.init n (fun _ ->
+        let size =
+          if Rng.int rng 8 = 0 then 30 + Rng.int rng 10 else 1 + Rng.int rng 3
+        in
+        Array.init size Fun.id)
+  in
+  let net = Network.create ~names ~domains in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if group.(i) >= 0 && group.(i) = group.(j) && Rng.int rng 100 < 60
+      then begin
+        let pairs = ref [] in
+        if Rng.int rng 100 >= 15 then
+          for vi = 0 to Array.length domains.(i) - 1 do
+            for vj = 0 to Array.length domains.(j) - 1 do
+              if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
+            done
+          done;
+        if Rng.int rng 2 = 0 then Network.add_allowed net i j !pairs
+        else
+          Network.add_allowed net j i (List.map (fun (a, b) -> (b, a)) !pairs)
+      end
+    done
+  done;
+  net
+
+(* The first difference between two views, if any: domain sizes,
+   neighbours, every handle, every support row and every support count. *)
+let view_difference a b =
+  let n = Compiled.num_vars a in
+  let diff = ref None in
+  let note fmt =
+    Printf.ksprintf (fun m -> if !diff = None then diff := Some m) fmt
+  in
+  if Compiled.num_vars b <> n then note "num_vars %d <> %d" n (Compiled.num_vars b)
+  else if Compiled.num_handles a <> Compiled.num_handles b then
+    note "num_handles %d <> %d" (Compiled.num_handles a) (Compiled.num_handles b)
+  else
+    for i = 0 to n - 1 do
+      if Compiled.domain_size a i <> Compiled.domain_size b i then
+        note "domain_size %d" i;
+      if Compiled.neighbors a i <> Compiled.neighbors b i then
+        note "neighbors %d" i;
+      for j = 0 to n - 1 do
+        let h = Compiled.handle a i j in
+        if h <> Compiled.handle b i j then note "handle (%d, %d)" i j
+        else
+          for vi = 0 to Compiled.domain_size a i - 1 do
+            if h >= 0 && Compiled.row a h vi <> Compiled.row b h vi then
+              note "row %d of handle (%d, %d)" vi i j;
+            if Compiled.support_count a i vi j <> Compiled.support_count b i vi j
+            then note "support_count (%d, %d, %d)" i vi j
+          done
+      done
+    done;
+  !diff
+
+(* The k-th constrained pair (i, j), i < j, of [sub] in ascending order
+   must own handles 2k (i to j) and 2k + 1 (j to i). *)
+let numbering_difference view sub =
+  List.mapi (fun k p -> (k, p)) (Network.constraint_pairs sub)
+  |> List.find_map (fun (k, (i, j)) ->
+         if Compiled.handle view i j = 2 * k && Compiled.handle view j i = (2 * k) + 1
+         then None
+         else Some (Printf.sprintf "pair (%d, %d) is not numbered %d" i j k))
+
+let prop_component_views =
+  QCheck.Test.make
+    ~name:"each component's view = compile of its induced subnetwork"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let net = multi_component_network seed in
+      let all = Array.init (Network.num_vars net) Fun.id in
+      Array.for_all
+        (fun vars ->
+          let sub = Network_reference.induced net vars in
+          let view =
+            if vars = all then Network.compile net
+            else Network.compile_vars net vars
+          in
+          match
+            match view_difference view (Network.compile sub) with
+            | None -> numbering_difference view sub
+            | d -> d
+          with
+          | None -> true
+          | Some d ->
+            QCheck.Test.fail_reportf "component [%s]: %s"
+              (String.concat " " (Array.to_list (Array.map string_of_int vars)))
+              d)
+        (Array.append (Network.components net) [| all |]))
 
 (* ------------------------------------------------------------------ *)
 (* Compiled solver == reference solver                                 *)
@@ -237,6 +341,7 @@ let () =
       ( "view",
         [
           QCheck_alcotest.to_alcotest prop_compiled_matches_network;
+          QCheck_alcotest.to_alcotest prop_component_views;
           Alcotest.test_case "compile is memoized" `Quick test_compile_memoized;
           Alcotest.test_case "bitset rows" `Quick test_bitset_rows;
         ] );
