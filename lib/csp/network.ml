@@ -156,35 +156,38 @@ let compile_vars t vars =
         |> Array.of_list)
       vars
   in
-  let pairs =
-    List.init n (fun a -> List.map (fun b -> (a, b)) (Array.to_list neighbors.(a)))
-    |> List.concat |> List.filter (fun (a, b) -> a < b)
-  in
+  (* each kept constraint is in both its endpoints' lists *)
+  let handles = Array.fold_left (fun acc nb -> acc + Array.length nb) 0 neighbors in
   let handle = Array.make (n * n) (-1) in
-  let rows = Array.make (2 * List.length pairs) [||] in
-  let supcnt = Array.make (2 * List.length pairs) [||] in
-  List.iteri
-    (fun k (a, b) ->
-      let rel = Hashtbl.find t.cons (vars.(a), vars.(b)) in
-      let hab = 2 * k and hba = (2 * k) + 1 in
-      handle.((a * n) + b) <- hab;
-      handle.((b * n) + a) <- hba;
-      let la = dom_size.(a) and lb = dom_size.(b) in
-      let rab = Array.init la (fun _ -> Bitset.row_make lb) in
-      let rba = Array.init lb (fun _ -> Bitset.row_make la) in
-      for va = 0 to la - 1 do
-        for vb = 0 to lb - 1 do
-          if Relation.mem rel va vb then begin
-            Bitset.row_add rab.(va) vb;
-            Bitset.row_add rba.(vb) va
-          end
-        done
-      done;
-      rows.(hab) <- rab;
-      rows.(hba) <- rba;
-      supcnt.(hab) <- Array.init la (Relation.left_support rel);
-      supcnt.(hba) <- Array.init lb (Relation.right_support rel))
-    pairs;
+  let rows = Array.make handles [||] and supcnt = Array.make handles [||] in
+  let next = ref 0 in
+  for a = 0 to n - 1 do
+    Array.iter
+      (fun b ->
+        if a < b then begin
+          let rel = Hashtbl.find t.cons (vars.(a), vars.(b)) in
+          let hab = !next and hba = !next + 1 in
+          next := !next + 2;
+          handle.((a * n) + b) <- hab;
+          handle.((b * n) + a) <- hba;
+          let la = dom_size.(a) and lb = dom_size.(b) in
+          let rab = Array.init la (fun _ -> Bitset.row_make lb) in
+          let rba = Array.init lb (fun _ -> Bitset.row_make la) in
+          for va = 0 to la - 1 do
+            for vb = 0 to lb - 1 do
+              if Relation.mem rel va vb then begin
+                Bitset.row_add rab.(va) vb;
+                Bitset.row_add rba.(vb) va
+              end
+            done
+          done;
+          rows.(hab) <- rab;
+          rows.(hba) <- rba;
+          supcnt.(hab) <- Array.init la (Relation.left_support rel);
+          supcnt.(hba) <- Array.init lb (Relation.right_support rel)
+        end)
+      neighbors.(a)
+  done;
   Compiled.make ~dom_size ~neighbors ~handle ~rows ~supcnt
 
 (* The all-variables case, memoized until the next [add_allowed]. *)
