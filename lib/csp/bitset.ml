@@ -144,6 +144,15 @@ let row_count row =
   done;
   !c
 
+let row_subset a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Bitset.row_subset: row width mismatch";
+  let rec go k =
+    k = Array.length a
+    || (Array.unsafe_get a k land lnot (Array.unsafe_get b k) = 0 && go (k + 1))
+  in
+  go 0
+
 let check_row t row =
   if Array.length row <> Array.length t.words then
     invalid_arg "Bitset: row width mismatch"

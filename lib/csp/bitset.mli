@@ -47,7 +47,7 @@ val pp : Format.formatter -> t -> unit
 
     A {!row} is a borrowed bit vector in the same word layout as a bitset
     of equal capacity: bit [v] lives in word [v lsr 5] at position
-    [v land 31].  The compiled network ({!Compiled}) stores one row per
+    [v land 31].  A network ({!Network.supports}) stores one row per
     (constraint direction, value); the operations below combine a mutable
     domain with such a row word-parallel.  All of them raise
     [Invalid_argument] if the row has a different word count than the
@@ -66,6 +66,10 @@ val row_add : row -> int -> unit
 val row_mem : row -> int -> bool
 val row_count : row -> int
 (** Popcount of the whole row. *)
+
+val row_subset : row -> row -> bool
+(** [row_subset a b] is whether every bit of [a] is set in [b], word by
+    word.  Raises [Invalid_argument] if the widths differ. *)
 
 val inter_count : t -> row -> int
 (** [inter_count t row] is [|t ∩ row|] (word-wise [land] + popcount). *)

@@ -1,15 +1,9 @@
-(** Time sources for solver statistics and experiment timings. *)
+(** Time source for solver statistics and experiment timings. *)
 
 val wall_ns : unit -> int
 (** Monotonic wall-clock nanoseconds (CLOCK_MONOTONIC, arbitrary origin
     — meaningful only as differences).  Allocation-free. *)
 
-val cpu_ns : unit -> int
-(** Process CPU nanoseconds (CLOCK_PROCESS_CPUTIME_ID).  Allocation-free. *)
-
 val wall_s : unit -> float
 (** [wall_ns] in seconds.  Same source as the bechamel monotonic-clock
     instance, so solver times and bench numbers are comparable. *)
-
-val cpu_s : unit -> float
-(** [cpu_ns] in seconds. *)

@@ -1,24 +1,24 @@
-(* Dense, cache-friendly view of a binary constraint network.
+(* Dense view of a binary constraint network, or of one of its
+   components, for the search kernel and AC-2001.
 
-   The hashtable-of-relations representation (Network) is convenient to
-   build incrementally but costly to query: every consistency check
-   allocates an (i, j) tuple key, hashes it, and probes a byte-packed
-   bitmap.  The compiled view lowers the network into flat arrays:
+   The network stores each constraint once, as the support rows of both
+   its directions and their popcounts; the view adds what a search needs
+   to reach them without a hash lookup:
 
-   - [handle]: an n x n matrix of directed constraint handles, both
-     orientations precomputed, so no transpose is ever taken on the hot
-     path and [allowed] is two array reads and a bit test;
-   - [rows]: per (handle, value) support rows as int-word bitsets in the
-     Bitset word layout, so forward checking prunes a whole neighbour
-     domain with word-wise [land]/popcount and AC-2001 finds supports by
-     scanning words;
-   - [supcnt]: per (handle, value) support popcounts, read in O(1) by the
-     least-constraining value ordering;
+   - [handle]: an n x n matrix of directed constraint handles over the
+     view's own variables, both orientations precomputed, so [allowed]
+     is two array reads and a bit test;
+   - [rows]: per handle the network's support rows, int-word bitsets in
+     the Bitset word layout, so forward checking prunes a whole
+     neighbour domain with word-wise [land]/popcount and AC-2001 finds
+     supports by scanning words;
+   - [supcnt]: per handle the network's support popcounts, read in O(1)
+     by the least-constraining value ordering;
    - [neighbors]: int arrays instead of sorted lists.
 
-   Construction lives in {!Network.compile_vars}, which builds the view
-   of a whole network or of one of its components; this module only
-   defines the representation and its read-only operations. *)
+   Construction lives in {!Network.compile_vars}, which borrows the rows
+   and counts rather than copying them; this module only defines the
+   representation and its read-only operations. *)
 
 type t = {
   n : int;

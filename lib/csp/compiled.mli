@@ -13,8 +13,9 @@
     - per (handle, value) precomputed support counts;
     - neighbour int arrays.
 
-    The view is a snapshot: mutating the source network after compiling
-    does not update it ({!Network.compile} re-compiles as needed). *)
+    The rows and counts are the network's own ({!Network.supports}),
+    borrowed, not copied: the view is valid until the next
+    {!Network.add_allowed} on its source network. *)
 
 type t
 

@@ -1,7 +1,18 @@
+(* One constraint between [a < b], stored once in the form the solver
+   reads: [fwd.(va)] is the support row of [a = va] over [b]'s domain,
+   [bwd.(vb)] that of [b = vb] over [a]'s, and [fcnt]/[bcnt] their
+   popcounts.  A compiled view borrows these arrays as its two handles. *)
+type con = {
+  fwd : Bitset.row array;
+  bwd : Bitset.row array;
+  fcnt : int array;
+  bcnt : int array;
+}
+
 type 'a t = {
   names : string array;
   domains : 'a array array;
-  cons : (int * int, Relation.t) Hashtbl.t; (* keyed (i, j) with i < j *)
+  cons : (int * int, con) Hashtbl.t; (* keyed (a, b) with a < b *)
   neighbors : int list array; (* kept sorted ascending *)
   mutable compiled : Compiled.t option; (* memoized dense view *)
 }
@@ -47,24 +58,35 @@ let add_allowed t i j pairs =
   if i = j then invalid_arg "Network.add_allowed: i = j";
   t.compiled <- None;
   let a, b = key i j in
-  let rel =
+  let la = domain_size t a and lb = domain_size t b in
+  let c =
     match Hashtbl.find_opt t.cons (a, b) with
-    | Some r -> r
+    | Some c -> c
     | None ->
-      let r =
-        Relation.create
-          ~left:(Array.length t.domains.(a))
-          ~right:(Array.length t.domains.(b))
+      let c =
+        {
+          fwd = Array.init la (fun _ -> Bitset.row_make lb);
+          bwd = Array.init lb (fun _ -> Bitset.row_make la);
+          fcnt = Array.make la 0;
+          bcnt = Array.make lb 0;
+        }
       in
-      Hashtbl.replace t.cons (a, b) r;
+      Hashtbl.replace t.cons (a, b) c;
       t.neighbors.(a) <- insert_sorted b t.neighbors.(a);
       t.neighbors.(b) <- insert_sorted a t.neighbors.(b);
-      r
+      c
   in
   List.iter
     (fun (vi, vj) ->
-      let l, r = if i < j then (vi, vj) else (vj, vi) in
-      Relation.add rel l r)
+      let va, vb = if i < j then (vi, vj) else (vj, vi) in
+      if va < 0 || va >= la || vb < 0 || vb >= lb then
+        invalid_arg "Network.add_allowed: value out of range";
+      if not (Bitset.row_mem c.fwd.(va) vb) then begin
+        Bitset.row_add c.fwd.(va) vb;
+        Bitset.row_add c.bwd.(vb) va;
+        c.fcnt.(va) <- c.fcnt.(va) + 1;
+        c.bcnt.(vb) <- c.bcnt.(vb) + 1
+      end)
     pairs
 
 let constrained t i j = i <> j && Hashtbl.mem t.cons (key i j)
@@ -72,18 +94,20 @@ let constrained t i j = i <> j && Hashtbl.mem t.cons (key i j)
 let allowed t i vi j vj =
   match Hashtbl.find_opt t.cons (key i j) with
   | None -> true
-  | Some rel -> if i < j then Relation.mem rel vi vj else Relation.mem rel vj vi
+  | Some c ->
+    let rows = if i < j then c.fwd else c.bwd in
+    vi >= 0 && vi < Array.length rows && vj >= 0 && vj < domain_size t j
+    && Bitset.row_mem rows.(vi) vj
 
 let support_count t i vi j =
   match Hashtbl.find_opt t.cons (key i j) with
   | None -> domain_size t j
-  | Some rel ->
-    if i < j then Relation.left_support rel vi else Relation.right_support rel vi
+  | Some c -> if i < j then c.fcnt.(vi) else c.bcnt.(vi)
 
-let relation t i j =
+let supports t i j =
   match Hashtbl.find_opt t.cons (key i j) with
-  | None -> None
-  | Some rel -> if i < j then Some rel else Some (Relation.transpose rel)
+  | None -> invalid_arg "Network.supports: unconstrained pair"
+  | Some c -> if i < j then c.fwd else c.bwd
 
 let neighbors t i =
   check_var t i;
@@ -108,29 +132,18 @@ let check_assignment_shape t a partial =
 let consistent_with t a partial =
   check_assignment_shape t a partial;
   Hashtbl.fold
-    (fun (i, j) rel ok ->
-      ok
-      && (a.(i) = -1 || a.(j) = -1 || Relation.mem rel a.(i) a.(j)))
+    (fun (i, j) c ok ->
+      ok && (a.(i) = -1 || a.(j) = -1 || Bitset.row_mem c.fwd.(a.(i)) a.(j)))
     t.cons true
 
 let verify t a = consistent_with t a false
 let consistent_partial t a = consistent_with t a true
 
-let map_values f t =
-  let cons = Hashtbl.create (Hashtbl.length t.cons) in
-  Hashtbl.iter (fun k rel -> Hashtbl.replace cons k (Relation.copy rel)) t.cons;
-  {
-    names = Array.copy t.names;
-    domains = Array.map (Array.map f) t.domains;
-    cons;
-    neighbors = Array.copy t.neighbors;
-    compiled = None;
-  }
-
-(* Lower the constraints among [vars] into the dense Compiled view: both
-   constraint orientations, support rows as int-word bitsets, support
-   popcounts, neighbour arrays.  O(|vars|^2 + sum of |dom i| * |dom j|
-   over the kept constraints), whatever the size of the network. *)
+(* Hand the constraints among [vars] to a Compiled view: local
+   neighbour arrays, the handle matrix and, per kept constraint, its
+   two stored row arrays and counts, borrowed rather than copied.
+   O(|vars|^2 + sum of the kept endpoints' degrees), whatever the size
+   of the network. *)
 let compile_vars t vars =
   let n = Array.length vars in
   Array.iteri
@@ -165,26 +178,15 @@ let compile_vars t vars =
     Array.iter
       (fun b ->
         if a < b then begin
-          let rel = Hashtbl.find t.cons (vars.(a), vars.(b)) in
+          let c = Hashtbl.find t.cons (vars.(a), vars.(b)) in
           let hab = !next and hba = !next + 1 in
           next := !next + 2;
           handle.((a * n) + b) <- hab;
           handle.((b * n) + a) <- hba;
-          let la = dom_size.(a) and lb = dom_size.(b) in
-          let rab = Array.init la (fun _ -> Bitset.row_make lb) in
-          let rba = Array.init lb (fun _ -> Bitset.row_make la) in
-          for va = 0 to la - 1 do
-            for vb = 0 to lb - 1 do
-              if Relation.mem rel va vb then begin
-                Bitset.row_add rab.(va) vb;
-                Bitset.row_add rba.(vb) va
-              end
-            done
-          done;
-          rows.(hab) <- rab;
-          rows.(hba) <- rba;
-          supcnt.(hab) <- Array.init la (Relation.left_support rel);
-          supcnt.(hba) <- Array.init lb (Relation.right_support rel)
+          rows.(hab) <- c.fwd;
+          rows.(hba) <- c.bwd;
+          supcnt.(hab) <- c.fcnt;
+          supcnt.(hba) <- c.bcnt
         end)
       neighbors.(a)
   done;
@@ -223,9 +225,9 @@ let components t =
   Array.of_list (List.rev !out)
 
 (* Value-level restriction: keep only the flagged values of every
-   domain (order preserved) and re-index the relations.  A constraint
-   whose allowed pairs are all dropped survives as an empty relation
-   (allows nothing).  Sound preprocessing —
+   domain (order preserved) and re-index the constraints.  A constraint
+   whose allowed pairs are all dropped survives empty (allows
+   nothing).  Sound preprocessing —
    e.g. dominance pruning in Mlo_netgen — removes only values whose
    remaining supports are covered by a kept value, so satisfiability is
    unchanged. *)
@@ -250,23 +252,16 @@ let restrict_domains t keep =
       ~domains:
         (Array.mapi (fun i idx -> Array.map (fun v -> t.domains.(i).(v)) idx) maps)
   in
-  let inv =
-    Array.mapi
-      (fun i idx ->
-        let m = Array.make (Array.length t.domains.(i)) (-1) in
-        Array.iteri (fun nv ov -> m.(ov) <- nv) idx;
-        m)
-      maps
-  in
   Hashtbl.iter
-    (fun (i, j) rel ->
+    (fun (i, j) c ->
       let pairs = ref [] in
-      for vi = 0 to Array.length t.domains.(i) - 1 do
-        for vj = 0 to Array.length t.domains.(j) - 1 do
-          if inv.(i).(vi) >= 0 && inv.(j).(vj) >= 0 && Relation.mem rel vi vj
-          then pairs := (inv.(i).(vi), inv.(j).(vj)) :: !pairs
-        done
-      done;
+      Array.iteri
+        (fun ni vi ->
+          Array.iteri
+            (fun nj vj ->
+              if Bitset.row_mem c.fwd.(vi) vj then pairs := (ni, nj) :: !pairs)
+            maps.(j))
+        maps.(i);
       add_allowed sub i j !pairs)
     t.cons;
   sub
@@ -286,10 +281,7 @@ let pp pp_value ppf t =
     t.names;
   List.iter
     (fun (i, j) ->
-      match Hashtbl.find_opt t.cons (i, j) with
-      | None -> ()
-      | Some rel ->
-        Format.fprintf ppf "  S(%s,%s): %d pairs@," t.names.(i) t.names.(j)
-          (Relation.pair_count rel))
+      Format.fprintf ppf "  S(%s,%s): %d pairs@," t.names.(i) t.names.(j)
+        (Array.fold_left ( + ) 0 (Hashtbl.find t.cons (i, j)).fcnt))
     (constraint_pairs t);
   Format.fprintf ppf "@]"

@@ -32,39 +32,44 @@ val add_allowed : 'a t -> int -> int -> (int * int) list -> unit
 (** [add_allowed t i j pairs] adds the given [(vi, vj)] value-index pairs
     to the constraint between [i] and [j], creating it if absent (an
     absent constraint allows everything; once created, only added pairs
-    are allowed).  Orientation follows the argument order.  Raises
-    [Invalid_argument] if [i = j] or an index is out of range. *)
+    are allowed).  Orientation follows the argument order; adding a
+    pair twice is harmless.  Raises [Invalid_argument] if [i = j] or an
+    index is out of range. *)
 
 val constrained : 'a t -> int -> int -> bool
 (** Whether a constraint exists between the two variables. *)
 
 val allowed : 'a t -> int -> int -> int -> int -> bool
 (** [allowed t i vi j vj] is false only if a constraint exists between [i]
-    and [j] and excludes the pair. *)
+    and [j] and excludes the pair; an out-of-range value is excluded. *)
 
 val support_count : 'a t -> int -> int -> int -> int
 (** [support_count t i vi j] is the number of values of [j] compatible
     with [i = vi]; [domain_size t j] when the pair is unconstrained. *)
 
-val relation : 'a t -> int -> int -> Relation.t option
-(** The relation between [i] and [j], oriented with [i] on the left.
-    When stored the other way the returned transpose is a cached
-    snapshot (rebuilt only after the constraint is next mutated):
-    treat it as read-only. *)
+val supports : 'a t -> int -> int -> Bitset.row array
+(** [supports t i j] holds, for each value [vi] of [i], the row of the
+    values of [j] compatible with [i = vi].  A constraint is stored once,
+    as these rows in both directions and their popcounts, so the result
+    is the network's own storage, not a copy: treat it as read-only.
+    Raises [Invalid_argument] if the pair is unconstrained. *)
 
 val compile : 'a t -> Compiled.t
 (** The dense, value-index-only view of the whole network the solver and
-    AC-2001 run on: {!compile_vars} on every variable.  Memoized;
-    invalidated by {!add_allowed}. *)
+    AC-2001 run on: {!compile_vars} on every variable.  Memoized until
+    the next {!add_allowed}, so the analyses that compile a network
+    again after its solve share one handle matrix. *)
 
 val compile_vars : 'a t -> int array -> Compiled.t
 (** [compile_vars t vars] is the view of the subnetwork on [vars]
     (strictly ascending; local variable [a] is [vars.(a)]) and the
     constraints among them, empty ones included, with the handles of
-    local pairs [(a, b)], [a < b], numbered in ascending order.  Its cost
-    is in the size of [vars] and their constraints, not of [t].  Not
-    memoized.  Raises [Invalid_argument] on an out-of-range variable or
-    an order that is not strictly ascending. *)
+    local pairs [(a, b)], [a < b], numbered in ascending order.  The view
+    borrows the network's support rows and counts ({!supports}) rather
+    than copying them, so it is valid until the next {!add_allowed}.
+    Its cost is in the size of [vars] and their constraints, not of
+    [t].  Not memoized.  Raises [Invalid_argument] on an out-of-range
+    variable or an order that is not strictly ascending. *)
 
 val neighbors : 'a t -> int -> int list
 (** Variables sharing a constraint with the given one, ascending. *)
@@ -92,16 +97,13 @@ val components : 'a t -> int array array
 val restrict_domains : 'a t -> bool array array -> 'a t
 (** [restrict_domains t keep] is a fresh network with the same variables
     but only the values [v] of variable [i] with [keep.(i).(v)], order
-    preserved, and every relation re-indexed onto the surviving values.
-    Constraints whose allowed pairs all vanish are preserved as empty
-    relations (they allow nothing).  This is the substrate of sound
+    preserved, and every constraint re-indexed onto the surviving values.
+    Constraints whose allowed pairs all vanish are preserved empty (they
+    allow nothing).  This is the substrate of sound
     domain preprocessing (dominance pruning in [Mlo_netgen]): removing a
     value whose supports in every constraint are a subset of a kept
     value's cannot change satisfiability.  Raises [Invalid_argument] if
     a mask's shape disagrees with its domain or a mask would empty a
     domain. *)
-
-val map_values : ('a -> 'b) -> 'a t -> 'b t
-(** Same structure with converted domain values. *)
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

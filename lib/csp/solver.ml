@@ -199,10 +199,9 @@ let run ?on_event ~max_checks mode comp =
   (* Tracing gate read once per solve: per-node events cost one local
      branch when disabled. *)
   let tr = Trace.enabled () in
-  let t_wall = Clock.wall_s () and t_cpu = Clock.cpu_s () in
+  let t_wall = Clock.wall_s () in
   let finish outcome =
     stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
-    stats.Stats.cpu_s <- Clock.cpu_s () -. t_cpu;
     { outcome; stats }
   in
   (* A systematic config's optional AC-2001 preprocessing: shrink the
@@ -1011,7 +1010,7 @@ let component_driver ?on_event ~max_checks ~run net =
     Trace.with_span ~cat:"solver" "solve-components"
       ~args:[ ("components", Trace.Int ncomps) ]
     @@ fun () ->
-    let t_wall = Clock.wall_s () and t_cpu = Clock.cpu_s () in
+    let t_wall = Clock.wall_s () in
     let stats = Stats.create () in
     let assignment = Array.make (Network.num_vars net) (-1) in
     let rec go k remaining =
@@ -1033,7 +1032,6 @@ let component_driver ?on_event ~max_checks ~run net =
     in
     let outcome = go 0 max_checks in
     stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
-    stats.Stats.cpu_s <- Clock.cpu_s () -. t_cpu;
     { outcome; stats }
   end
 

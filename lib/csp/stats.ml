@@ -11,7 +11,6 @@ type t = {
   mutable incumbents : int;
   mutable max_depth : int;
   mutable elapsed_s : float;
-  mutable cpu_s : float;
   mutable cut : bool;
 }
 
@@ -29,14 +28,13 @@ let create () =
     incumbents = 0;
     max_depth = 0;
     elapsed_s = 0.;
-    cpu_s = 0.;
     cut = false;
   }
 
 let pp ppf t =
   Format.fprintf ppf
     "nodes=%d checks=%d backtracks=%d backjumps=%d prunings=%d%s%s%s depth=%d \
-     time=%.4fs cpu=%.4fs"
+     time=%.4fs"
     t.nodes t.checks t.backtracks t.backjumps t.prunings
     (if t.learned + t.forgotten + t.restarts = 0 then ""
      else
@@ -45,4 +43,4 @@ let pp ppf t =
     (if t.bounded + t.incumbents = 0 then ""
      else Printf.sprintf " bounded=%d incumbents=%d" t.bounded t.incumbents)
     (if t.cut then " cut" else "")
-    t.max_depth t.elapsed_s t.cpu_s
+    t.max_depth t.elapsed_s

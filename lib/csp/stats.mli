@@ -2,8 +2,8 @@
     components by {!Solver.component_driver}).
 
     Consistency checks are the machine-independent proxy for the paper's
-    Table 2 solution times; both monotonic wall-clock and CPU seconds are
-    also recorded when the search is timed.  Every mode of the kernel
+    Table 2 solution times; monotonic wall-clock seconds are also
+    recorded when the search is timed.  Every mode of the kernel
     counts the same way, and the learning modes add one check per
     assignment propagated through the nogood store.
 
@@ -35,7 +35,6 @@ type t = {
   mutable max_depth : int;  (** deepest consistent partial instantiation *)
   mutable elapsed_s : float;
       (** monotonic wall-clock seconds ({!Clock.wall_s}), if timed *)
-  mutable cpu_s : float;  (** process CPU seconds ({!Clock.cpu_s}) *)
   mutable cut : bool;
       (** the check budget stopped a {!Cdl} / {!Bnb} search: a solution
           it returns is the best found, not a proven optimum *)

@@ -1,5 +1,5 @@
 module Network = Mlo_csp.Network
-module Relation = Mlo_csp.Relation
+module Bitset = Mlo_csp.Bitset
 module Locality = Mlo_analysis.Locality
 module Trace = Mlo_obs.Trace
 
@@ -12,16 +12,6 @@ type info = {
 }
 
 let total i = i.before - i.after
-
-(* sorted ascending int lists *)
-let rec subset xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: xs', y :: ys' ->
-    if x = y then subset xs' ys'
-    else if x > y then subset xs ys'
-    else false
 
 (* [p1] is component-wise [<=] [p2] and somewhere [<] *)
 let below (p1 : float array) (p2 : float array) =
@@ -64,20 +54,12 @@ let apply (b : Build.t) =
        monotone, and every profile of one variable lists the same nests
        in the same order. *)
     let totals = Array.map sum profiles in
-    (* per-constraint support lists, i viewed as the left side *)
-    let supports =
-      lazy
-        (List.map
-           (fun j ->
-             match Network.relation net i j with
-             | Some rel -> Array.init d (Relation.supports_of_left rel)
-             | None -> Array.make d [])
-           (Network.neighbors net i))
-    in
+    (* the network's support rows of each constraint, seen from i *)
+    let supports = List.map (Network.supports net i) (Network.neighbors net i) in
     let dominates v1 v2 =
       totals.(v1) <= totals.(v2)
       && below profiles.(v1) profiles.(v2)
-      && List.for_all (fun sup -> subset sup.(v2) sup.(v1)) (Lazy.force supports)
+      && List.for_all (fun sup -> Bitset.row_subset sup.(v2) sup.(v1)) supports
     in
     let removed = ref 0 in
     for v2 = 0 to d - 1 do

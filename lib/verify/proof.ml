@@ -54,13 +54,9 @@ let digest net =
     (fun (i, j) ->
       int i;
       int j;
-      (* relation bitmap, packed 8 value pairs per hashed byte; the
-         relation is looked up once per pair, not once per value pair *)
-      let mem =
-        match Network.relation net i j with
-        | None -> fun _ _ -> true
-        | Some rel -> Mlo_csp.Relation.mem rel
-      in
+      (* the allowed-pair bitmap, row by row off the stored supports,
+         packed 8 value pairs per hashed byte *)
+      let rows = Network.supports net i j in
       let acc = ref 0 and fill = ref 0 in
       let bit b =
         acc := (!acc lsl 1) lor (if b then 1 else 0);
@@ -73,7 +69,7 @@ let digest net =
       in
       for vi = 0 to Network.domain_size net i - 1 do
         for vj = 0 to Network.domain_size net j - 1 do
-          bit (mem vi vj)
+          bit (Mlo_csp.Bitset.row_mem rows.(vi) vj)
         done
       done;
       if !fill > 0 then byte (!acc lsl (8 - !fill)))

@@ -333,7 +333,17 @@ let test_bitset_rows () =
   Alcotest.(check (option int)) "inter_choose empty" None
     (Bitset.inter_choose empty row);
   Alcotest.(check (list int)) "to_array ascending" [ 31; 34; 64 ]
-    (Array.to_list (Bitset.to_array b))
+    (Array.to_list (Bitset.to_array b));
+  (* subset word by word, the second word decides *)
+  let sub = Bitset.row_make cap in
+  List.iter (Bitset.row_add sub) [ 0; 33; 69 ];
+  Alcotest.(check bool) "row_subset" true (Bitset.row_subset sub row);
+  Bitset.row_add sub 34;
+  Alcotest.(check bool) "row_subset miss" false (Bitset.row_subset sub row);
+  Alcotest.(check bool) "row_subset reflexive" true (Bitset.row_subset row row);
+  Alcotest.check_raises "row_subset width"
+    (Invalid_argument "Bitset.row_subset: row width mismatch") (fun () ->
+      ignore (Bitset.row_subset row (Bitset.row_make 32)))
 
 let () =
   Alcotest.run "compiled"

@@ -9,7 +9,6 @@ module Brute = Mlo_oracle.Brute
 module Ac3 = Mlo_oracle.Ac3
 module Weighted = Mlo_csp.Weighted
 module Bitset = Mlo_csp.Bitset
-module Relation = Mlo_csp.Relation
 module Rng = Mlo_csp.Rng
 module Local_search = Mlo_csp.Local_search
 
@@ -134,35 +133,116 @@ let test_network_validation () =
     (Invalid_argument "Network.add_allowed: i = j") (fun () ->
       Network.add_allowed net 1 1 [ (0, 0) ])
 
-let test_map_values () =
-  let net = paper_network () in
-  let net' = Network.map_values String.length net in
-  Alcotest.(check int) "value mapped" 5 (Network.value net' 0 0);
-  Alcotest.(check bool) "constraints preserved" true
-    (Network.verify net' paper_solution);
-  (* mutating the copy must not affect the original *)
-  Network.add_allowed net' 0 1 [ (0, 0) ];
-  Alcotest.(check bool) "original untouched" false (Network.allowed net 0 0 1 0)
-
 (* ------------------------------------------------------------------ *)
-(* Relation / Bitset / Rng                                             *)
+(* Network storage / Bitset / Rng                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_relation () =
-  let r = Relation.create ~left:3 ~right:2 in
-  Relation.add r 0 1;
-  Relation.add r 2 0;
-  Relation.add r 2 1;
-  Relation.add r 2 1;
-  Alcotest.(check int) "pairs (idempotent add)" 3 (Relation.pair_count r);
-  Alcotest.(check bool) "mem" true (Relation.mem r 0 1);
-  Alcotest.(check bool) "not mem" false (Relation.mem r 1 0);
-  Alcotest.(check int) "left support" 2 (Relation.left_support r 2);
-  Alcotest.(check int) "right support" 2 (Relation.right_support r 1);
-  Alcotest.(check (list int)) "supports of left" [ 0; 1 ] (Relation.supports_of_left r 2);
-  let tr = Relation.transpose r in
-  Alcotest.(check bool) "transpose mem" true (Relation.mem tr 1 0);
-  Alcotest.(check int) "transpose pairs" 3 (Relation.pair_count tr)
+(* A network keeps each constraint only as the support rows and counts
+   of both its directions, which the compiled view borrows; this checks
+   that storage against a plain list of the pairs added.  Domains of up
+   to 40 values put rows across a 32-bit word, every call adds a third
+   of its pairs again in the other orientation, and some calls add
+   nothing. *)
+let prop_network_storage =
+  QCheck.Test.make ~name:"network storage = the pairs added" ~count:300
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 5 in
+      let dom = Array.init n (fun _ -> 1 + Rng.int rng 40) in
+      let net =
+        Network.create
+          ~names:(Array.init n (Printf.sprintf "v%d"))
+          ~domains:(Array.map (fun d -> Array.init d Fun.id) dom)
+      in
+      let added = ref [] and called = ref [] in
+      for _ = 1 to Rng.int rng 12 do
+        let i = Rng.int rng n in
+        let j = (i + 1 + Rng.int rng (n - 1)) mod n in
+        let count = if Rng.int rng 4 = 0 then 0 else Rng.int rng 60 in
+        let pairs =
+          List.init count (fun _ -> (Rng.int rng dom.(i), Rng.int rng dom.(j)))
+        in
+        Network.add_allowed net i j pairs;
+        Network.add_allowed net j i
+          (List.filteri (fun k _ -> k mod 3 = 0) pairs
+          |> List.map (fun (vi, vj) -> (vj, vi)));
+        called := (min i j, max i j) :: !called;
+        added := List.map (fun (vi, vj) -> (i, vi, j, vj)) pairs @ !added
+      done;
+      let pairs = Hashtbl.create 256 in
+      List.iter
+        (fun (i, vi, j, vj) ->
+          Hashtbl.replace pairs (i, vi, j, vj) ();
+          Hashtbl.replace pairs (j, vj, i, vi) ())
+        !added;
+      let mem i vi j vj = Hashtbl.mem pairs (i, vi, j, vj) in
+      let con i j = List.mem (min i j, max i j) !called in
+      let expect ok fmt =
+        if ok then Format.ifprintf Format.std_formatter fmt
+        else QCheck.Test.fail_reportf fmt
+      in
+      for i = 0 to n - 1 do
+        expect
+          (Network.neighbors net i
+          = List.filter (fun j -> j <> i && con i j) (List.init n Fun.id))
+          "neighbors %d" i;
+        for j = 0 to n - 1 do
+          if j <> i then begin
+            expect (Network.constrained net i j = con i j) "constrained %d %d" i j;
+            for vi = -1 to dom.(i) do
+              for vj = -1 to dom.(j) do
+                let inside = vi >= 0 && vi < dom.(i) && vj >= 0 && vj < dom.(j) in
+                if con i j || inside then
+                  expect
+                    (Network.allowed net i vi j vj
+                    = ((not (con i j)) || (inside && mem i vi j vj)))
+                    "allowed %d %d %d %d" i vi j vj
+              done
+            done;
+            for vi = 0 to dom.(i) - 1 do
+              let sup = List.filter (mem i vi j) (List.init dom.(j) Fun.id) in
+              expect
+                (Network.support_count net i vi j
+                = if con i j then List.length sup else dom.(j))
+                "support_count %d %d %d" i vi j;
+              if con i j then begin
+                let row = Bitset.row_make dom.(j) in
+                List.iter (Bitset.row_add row) sup;
+                expect
+                  (Array.length (Network.supports net i j) = dom.(i)
+                  && (Network.supports net i j).(vi) = row)
+                  "supports %d %d, row %d" i j vi
+              end
+            done
+          end
+        done
+      done;
+      expect
+        (Network.constraint_pairs net = List.sort_uniq compare !called)
+        "constraint_pairs";
+      for _ = 1 to 20 do
+        let partial = Array.init n (fun i -> Rng.int rng (dom.(i) + 1) - 1) in
+        let full = Array.map (fun v -> max v 0) partial in
+        let consistent a =
+          List.for_all
+            (fun (i, j) -> a.(i) < 0 || a.(j) < 0 || mem i a.(i) j a.(j))
+            !called
+        in
+        expect (Network.verify net full = consistent full) "verify";
+        expect
+          (Network.consistent_partial net partial = consistent partial)
+          "consistent_partial"
+      done;
+      let i = Rng.int rng n in
+      let j = (i + 1) mod n in
+      let raises f =
+        match f () with exception Invalid_argument _ -> true | () -> false
+      in
+      expect
+        (raises (fun () -> Network.add_allowed net i j [ (dom.(i), 0) ])
+        && raises (fun () -> Network.add_allowed net j i [ (0, -1) ]))
+        "out-of-range value added";
+      true)
 
 let test_bitset () =
   let b = Bitset.create_full 10 in
@@ -571,11 +651,10 @@ let () =
           Alcotest.test_case "support counts" `Quick test_network_support_count;
           Alcotest.test_case "verify" `Quick test_network_verify;
           Alcotest.test_case "validation" `Quick test_network_validation;
-          Alcotest.test_case "map_values" `Quick test_map_values;
         ] );
       ( "containers",
         [
-          Alcotest.test_case "relation" `Quick test_relation;
+          QCheck_alcotest.to_alcotest prop_network_storage;
           Alcotest.test_case "bitset" `Quick test_bitset;
           Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
         ] );

@@ -20,15 +20,13 @@ let test_clock_monotone () =
     prev := now
   done;
   let t0 = Clock.wall_s () in
-  let c0 = Clock.cpu_s () in
-  (* burn a little CPU so both clocks must advance *)
+  (* burn a little CPU so the clock must advance *)
   let acc = ref 0 in
   for i = 1 to 2_000_000 do
     acc := !acc + i
   done;
   ignore (Sys.opaque_identity !acc);
-  Alcotest.(check bool) "wall_s advanced" true (Clock.wall_s () > t0);
-  Alcotest.(check bool) "cpu_s advanced" true (Clock.cpu_s () > c0)
+  Alcotest.(check bool) "wall_s advanced" true (Clock.wall_s () > t0)
 
 (* ------------------------------------------------------------------ *)
 (* AC idempotence                                                       *)
