@@ -56,6 +56,11 @@ let add_allowed t i j pairs =
   check_var t i;
   check_var t j;
   if i = j then invalid_arg "Network.add_allowed: i = j";
+  let di = domain_size t i and dj = domain_size t j in
+  (* checked before anything is written: a rejected call adds no pair
+     and creates no constraint, which would allow nothing *)
+  if not (List.for_all (fun (vi, vj) -> vi >= 0 && vi < di && vj >= 0 && vj < dj) pairs)
+  then invalid_arg "Network.add_allowed: value out of range";
   t.compiled <- None;
   let a, b = key i j in
   let la = domain_size t a and lb = domain_size t b in
@@ -79,8 +84,6 @@ let add_allowed t i j pairs =
   List.iter
     (fun (vi, vj) ->
       let va, vb = if i < j then (vi, vj) else (vj, vi) in
-      if va < 0 || va >= la || vb < 0 || vb >= lb then
-        invalid_arg "Network.add_allowed: value out of range";
       if not (Bitset.row_mem c.fwd.(va) vb) then begin
         Bitset.row_add c.fwd.(va) vb;
         Bitset.row_add c.bwd.(vb) va;

@@ -33,8 +33,8 @@ val add_allowed : 'a t -> int -> int -> (int * int) list -> unit
     to the constraint between [i] and [j], creating it if absent (an
     absent constraint allows everything; once created, only added pairs
     are allowed).  Orientation follows the argument order; adding a
-    pair twice is harmless.  Raises [Invalid_argument] if [i = j] or an
-    index is out of range. *)
+    pair twice is harmless.  Raises [Invalid_argument], and changes
+    nothing, if [i = j] or an index is out of range. *)
 
 val constrained : 'a t -> int -> int -> bool
 (** Whether a constraint exists between the two variables. *)

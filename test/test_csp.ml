@@ -177,6 +177,7 @@ let prop_network_storage =
         !added;
       let mem i vi j vj = Hashtbl.mem pairs (i, vi, j, vj) in
       let con i j = List.mem (min i j, max i j) !called in
+      let sup i vi j = List.filter (mem i vi j) (List.init dom.(j) Fun.id) in
       let expect ok fmt =
         if ok then Format.ifprintf Format.std_formatter fmt
         else QCheck.Test.fail_reportf fmt
@@ -200,14 +201,13 @@ let prop_network_storage =
               done
             done;
             for vi = 0 to dom.(i) - 1 do
-              let sup = List.filter (mem i vi j) (List.init dom.(j) Fun.id) in
               expect
                 (Network.support_count net i vi j
-                = if con i j then List.length sup else dom.(j))
+                = if con i j then List.length (sup i vi j) else dom.(j))
                 "support_count %d %d %d" i vi j;
               if con i j then begin
                 let row = Bitset.row_make dom.(j) in
-                List.iter (Bitset.row_add row) sup;
+                List.iter (Bitset.row_add row) (sup i vi j);
                 expect
                   (Array.length (Network.supports net i j) = dom.(i)
                   && (Network.supports net i j).(vi) = row)
@@ -239,9 +239,15 @@ let prop_network_storage =
         match f () with exception Invalid_argument _ -> true | () -> false
       in
       expect
-        (raises (fun () -> Network.add_allowed net i j [ (dom.(i), 0) ])
+        (raises (fun () -> Network.add_allowed net i j [ (0, 0); (dom.(i), 0) ])
         && raises (fun () -> Network.add_allowed net j i [ (0, -1) ]))
         "out-of-range value added";
+      (* a rejected call changes nothing *)
+      expect
+        (Network.constrained net i j = con i j
+        && Network.support_count net i 0 j
+           = if con i j then List.length (sup i 0 j) else dom.(j))
+        "a rejected call wrote";
       true)
 
 let test_bitset () =
