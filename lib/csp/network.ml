@@ -52,15 +52,34 @@ let insert_sorted x l =
   in
   go l
 
+(* Top-level loops, so a call (one per pair when [Build] streams them)
+   allocates no closure. *)
+let rec in_range di dj = function
+  | [] -> true
+  | (vi, vj) :: rest -> vi >= 0 && vi < di && vj >= 0 && vj < dj && in_range di dj rest
+
+(* Allows each pair, [a]'s value first when [forward], counting a pair
+   already allowed only once. *)
+let rec allow c forward = function
+  | [] -> ()
+  | (vi, vj) :: rest ->
+    let va = if forward then vi else vj and vb = if forward then vj else vi in
+    if not (Bitset.row_mem c.fwd.(va) vb) then begin
+      Bitset.row_add c.fwd.(va) vb;
+      Bitset.row_add c.bwd.(vb) va;
+      c.fcnt.(va) <- c.fcnt.(va) + 1;
+      c.bcnt.(vb) <- c.bcnt.(vb) + 1
+    end;
+    allow c forward rest
+
 let add_allowed t i j pairs =
   check_var t i;
   check_var t j;
   if i = j then invalid_arg "Network.add_allowed: i = j";
-  let di = domain_size t i and dj = domain_size t j in
   (* checked before anything is written: a rejected call adds no pair
      and creates no constraint, which would allow nothing *)
-  if not (List.for_all (fun (vi, vj) -> vi >= 0 && vi < di && vj >= 0 && vj < dj) pairs)
-  then invalid_arg "Network.add_allowed: value out of range";
+  if not (in_range (domain_size t i) (domain_size t j) pairs) then
+    invalid_arg "Network.add_allowed: value out of range";
   t.compiled <- None;
   let a, b = key i j in
   let la = domain_size t a and lb = domain_size t b in
@@ -81,16 +100,7 @@ let add_allowed t i j pairs =
       t.neighbors.(b) <- insert_sorted a t.neighbors.(b);
       c
   in
-  List.iter
-    (fun (vi, vj) ->
-      let va, vb = if i < j then (vi, vj) else (vj, vi) in
-      if not (Bitset.row_mem c.fwd.(va) vb) then begin
-        Bitset.row_add c.fwd.(va) vb;
-        Bitset.row_add c.bwd.(vb) va;
-        c.fcnt.(va) <- c.fcnt.(va) + 1;
-        c.bcnt.(vb) <- c.bcnt.(vb) + 1
-      end)
-    pairs
+  allow c (i < j) pairs
 
 let constrained t i j = i <> j && Hashtbl.mem t.cons (key i j)
 
