@@ -165,28 +165,19 @@ let prune_tests =
 (* The workload-scaling axis: the synthetic scale family at 10/100/1000
    arrays (Suite.scale — component-rich networks, hundreds of nests).
    Per size: network extraction, the component solve alone on a
-   pre-built network, and the end-to-end extract+solve pipeline
-   (BENCH_scale.json, --scale-json).  solve-ser times the whole
-   component-wise solve: finding the components, compiling each one's
-   view from its own constraints and searching it.  None of that is
-   memoized on a many-component network, so every sample pays it all.
-   extract and e2e reuse one program value, so after the first sample
-   their extraction reads a warm nest summary. *)
-let scale_sizes = [ 10; 100; 1000 ]
-
-let scale_builds =
-  lazy
-    (List.map
-       (fun n ->
-         let spec = Suite.scale n in
-         (n, spec, Spec.extract spec))
-       scale_sizes)
-
+   pre-built network, and the end-to-end extract+solve pipeline.
+   solve-ser times the whole component-wise solve: finding the
+   components, compiling each one's view from its own constraints and
+   searching it.  None of that is memoized on a many-component network,
+   so every sample pays it all.  extract and e2e reuse one program
+   value, so after the first sample their extraction reads a warm nest
+   summary. *)
 let scale_tests =
   lazy
     (List.concat_map
-       (fun (n, spec, build) ->
-         let net = build.Build.network in
+       (fun n ->
+         let spec = Suite.scale n in
+         let net = (Spec.extract spec).Build.network in
          [
            Test.make
              ~name:(Printf.sprintf "scale/extract:scale-%d" n)
@@ -203,29 +194,24 @@ let scale_tests =
                     (Solver.solve_components ~config:(Schemes.enhanced ())
                        (Spec.extract spec).Build.network)));
          ])
-       (Lazy.force scale_builds))
+       [ 10; 100; 1000 ])
 
 (* The conflict-driven axis: the hard family (three-deep nests on the
    array ring near the phase transition, Suite.hard) at sizes where the
    paper's enhanced backjumper starts to thrash on rediscovered
    conflicts.  Per size: the enhanced solve and the nogood-learning
-   solve (Cdl) on the same pre-built network.  The enhanced-vs-cdl p50
-   ratio is the speedup column of BENCH_hard.json (--hard-json). *)
-let hard_sizes = [ 20; 80; 150; 200 ]
-
-let hard_builds =
+   solve (Cdl) on the same pre-built network; the ratio of their p50s
+   is the learning speedup of DESIGN.md Section 14. *)
+let hard_networks =
   lazy
     (List.map
-       (fun n ->
-         let spec = Suite.hard n in
-         (n, spec, Spec.extract spec))
-       hard_sizes)
+       (fun n -> (n, (Spec.extract (Suite.hard n)).Build.network))
+       [ 20; 80; 150; 200 ])
 
 let hard_tests =
   lazy
     (List.concat_map
-       (fun (n, _spec, build) ->
-         let net = build.Build.network in
+       (fun (n, net) ->
          [
            Test.make
              ~name:(Printf.sprintf "hard/solve-enh:hard-%d" n)
@@ -239,7 +225,7 @@ let hard_tests =
                     (Mlo_csp.Cdl.solve_components
                        ~config:Mlo_csp.Cdl.default_config net)));
          ])
-       (Lazy.force hard_builds))
+       (Lazy.force hard_networks))
 
 (* Static miss estimate on the matmul32 sweep: locality/estimate-sweep
    is the closed-form analyzer over the 8 layout assignments, against
@@ -394,10 +380,7 @@ let assemble_cdl ~workload net (r, result) =
 
 let proof_tests =
   lazy
-    (let _, _, build =
-       List.find (fun (n, _, _) -> n = 80) (Lazy.force hard_builds)
-     in
-     let net = build.Build.network in
+    (let net = List.assoc 80 (Lazy.force hard_networks) in
      let recorded = record_cdl net in
      let proof = assemble_cdl ~workload:"hard-80" net recorded in
      [
@@ -514,153 +497,75 @@ let print_benchmark rows =
     rows;
   Format.printf "@."
 
-(* Schema "memlayout-bench/2": per-kernel percentile objects.  /1 was a
-   flat name->median map; any consumer keying on "kernels".<name> being a
-   number must switch on the "schema" field. *)
+(* The suite workloads the kernels run on, named after the ':' of
+   their kernel names, in the order the kernels first use them; the
+   harness's own matmul32 program is not one of them. *)
+let workloads rows =
+  List.fold_left
+    (fun seen (name, _, _) ->
+      match String.rindex_opt name ':' with
+      | Some k ->
+        let w = String.sub name (k + 1) (String.length name - k - 1) in
+        if List.mem w seen then seen else w :: seen
+      | None -> seen)
+    [] rows
+  |> List.rev
+  |> List.filter_map (fun w ->
+         match Suite.by_name w with
+         | spec -> Some spec
+         | exception Not_found -> None)
+
+(* Schema "memlayout-bench/3": the dune profile the harness was built
+   under, per-kernel percentile objects, and the shape (arrays, nests,
+   constraint-graph components) of every suite workload a kernel runs
+   on.  /2 had neither the profile nor the shapes; /1 was a flat
+   name->median map. *)
 let write_json file rows =
-  let oc = open_out file in
-  output_string oc
-    "{\n\
-    \  \"schema\": \"memlayout-bench/2\",\n\
-    \  \"clock\": \"monotonic\",\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"kernels\": {\n";
-  List.iteri
-    (fun i (name, st, _) ->
-      Printf.fprintf oc
-        "    \"%s\": { \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"mad\": \
-         %.1f, \"samples\": %d }%s\n"
-        (Mlo_obs.Json.escape name) st.p50 st.p90 st.p99 st.mad st.samples
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "  }\n}\n";
-  close_out oc;
-  Format.printf "wrote %d kernel stats to %s@." (List.length rows) file
-
-(* Schema "memlayout-scale-bench/2": one object per scale-family size
-   with network shape (arrays/nests/components) and the end-to-end and
-   per-stage percentile stats.  /1 also carried a parallel solve and
-   its speedup, always null on the machines it ran on. *)
-let write_scale_json file rows =
-  let find kind n =
-    List.find_opt
-      (fun (name, _, _) ->
-        String.equal name (Printf.sprintf "scale/%s:scale-%d" kind n))
+  let kernels =
+    List.map
+      (fun (name, st, _) ->
+        Printf.sprintf
+          "\"%s\": { \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"mad\": \
+           %.1f, \"samples\": %d }"
+          (Mlo_obs.Json.escape name) st.p50 st.p90 st.p99 st.mad st.samples)
       rows
-    |> Option.map (fun (_, st, _) -> st)
+  and shapes =
+    List.map
+      (fun spec ->
+        let prog = spec.Spec.program in
+        Printf.sprintf
+          "\"%s\": { \"arrays\": %d, \"nests\": %d, \"components\": %d }"
+          (Mlo_obs.Json.escape spec.Spec.name)
+          (Array.length (Mlo_ir.Program.arrays prog))
+          (Array.length (Mlo_ir.Program.nests prog))
+          (Array.length
+             (Mlo_csp.Network.components (Spec.extract spec).Build.network)))
+      (workloads rows)
   in
-  let stat_json = function
-    | Some st ->
-      Printf.sprintf
-        "{ \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"mad\": %.1f, \
-         \"samples\": %d }"
-        st.p50 st.p90 st.p99 st.mad st.samples
-    | None -> "null"
-  in
+  let members l = String.concat ",\n" (List.map (( ^ ) "    ") l) in
   let oc = open_out file in
-  output_string oc
+  Printf.fprintf oc
     "{\n\
-    \  \"schema\": \"memlayout-scale-bench/2\",\n\
+    \  \"schema\": \"memlayout-bench/3\",\n\
     \  \"clock\": \"monotonic\",\n\
     \  \"unit\": \"ns/run\",\n\
-    \  \"sizes\": {\n";
-  let sizes = Lazy.force scale_builds in
-  List.iteri
-    (fun i (n, spec, build) ->
-      let net = build.Build.network in
-      Printf.fprintf oc
-        "    \"scale-%d\": {\n\
-        \      \"arrays\": %d, \"nests\": %d, \"components\": %d,\n\
-        \      \"extract\": %s,\n\
-        \      \"solve_ser\": %s,\n\
-        \      \"e2e\": %s\n\
-        \    }%s\n"
-        n
-        (Array.length (Mlo_ir.Program.arrays spec.Spec.program))
-        (Array.length (Mlo_ir.Program.nests spec.Spec.program))
-        (Array.length (Mlo_csp.Network.components net))
-        (stat_json (find "extract" n))
-        (stat_json (find "solve-ser" n))
-        (stat_json (find "e2e" n))
-        (if i = List.length sizes - 1 then "" else ","))
-    sizes;
-  output_string oc "  }\n}\n";
+    \  \"profile\": \"%s\",\n\
+    \  \"kernels\": {\n%s\n  },\n\
+    \  \"workloads\": {\n%s\n  }\n}\n"
+    (Mlo_obs.Json.escape Build_profile.profile)
+    (members kernels) (members shapes);
   close_out oc;
-  Format.printf "wrote scale stats for %d sizes to %s@." (List.length sizes)
-    file
-
-(* Schema "memlayout-hard-bench/2": one object per hard-family size with
-   network shape, per-scheme percentile stats on the same pre-built
-   network, and the enhanced-vs-learning p50 speedup — the conflict-
-   driven solving claim of DESIGN.md Section 14, recorded as data. *)
-let write_hard_json file rows =
-  let find kind n =
-    List.find_opt
-      (fun (name, _, _) ->
-        String.equal name (Printf.sprintf "hard/%s:hard-%d" kind n))
-      rows
-    |> Option.map (fun (_, st, _) -> st)
-  in
-  let stat_json = function
-    | Some st ->
-      Printf.sprintf
-        "{ \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"mad\": %.1f, \
-         \"samples\": %d }"
-        st.p50 st.p90 st.p99 st.mad st.samples
-    | None -> "null"
-  in
-  let speedup = function
-    | Some (e : stats), Some (s : stats) when s.p50 > 0. ->
-      Printf.sprintf "%.2f" (e.p50 /. s.p50)
-    | _ -> "null"
-  in
-  let oc = open_out file in
-  output_string oc
-    "{\n\
-    \  \"schema\": \"memlayout-hard-bench/2\",\n\
-    \  \"clock\": \"monotonic\",\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"sizes\": {\n";
-  let sizes = Lazy.force hard_builds in
-  List.iteri
-    (fun i (n, spec, build) ->
-      let net = build.Build.network in
-      let enh = find "solve-enh" n in
-      let cdl = find "solve-cdl" n in
-      Printf.fprintf oc
-        "    \"hard-%d\": {\n\
-        \      \"arrays\": %d, \"nests\": %d, \"components\": %d,\n\
-        \      \"solve_enhanced\": %s,\n\
-        \      \"solve_cdl\": %s,\n\
-        \      \"speedup_cdl\": %s\n\
-        \    }%s\n"
-        n
-        (Array.length (Mlo_ir.Program.arrays spec.Spec.program))
-        (Array.length (Mlo_ir.Program.nests spec.Spec.program))
-        (Array.length (Mlo_csp.Network.components net))
-        (stat_json enh) (stat_json cdl)
-        (speedup (enh, cdl))
-        (if i = List.length sizes - 1 then "" else ","))
-    sizes;
-  output_string oc "  }\n}\n";
-  close_out oc;
-  Format.printf "wrote hard stats for %d sizes to %s@." (List.length sizes)
-    file
+  Format.printf "wrote %d kernel stats and %d workload shapes to %s@."
+    (List.length kernels) (List.length shapes) file
 
 let usage () =
   prerr_endline
-    "usage: bench [--tables | --json [FILE] | --scale-json [FILE] | \
-     --hard-json [FILE] | --smoke [FILTER]]\n\
+    "usage: bench [--tables | --json [FILE] | --smoke [FILTER]]\n\
      \  (default)        print the paper's tables then run the micro-benchmarks\n\
      \  --tables         print the paper's tables only\n\
-     \  --json [FILE]    run the micro-benchmarks and dump per-kernel medians\n\
-     \                   as JSON (default FILE: BENCH_solver.json)\n\
-     \  --scale-json [FILE]  run only the scale/ group and dump per-size\n\
-     \                   network shape and percentiles\n\
-     \                   (default FILE: BENCH_scale.json)\n\
-     \  --hard-json [FILE]  run only the hard/ group and dump per-size\n\
-     \                   percentiles and the enhanced-vs-cdl solve speedup\n\
-     \                   (default FILE: BENCH_hard.json)\n\
+     \  --json [FILE]    run the micro-benchmarks and write their percentiles,\n\
+     \                   the build profile and the workloads' shapes as JSON\n\
+     \                   (default FILE: BENCH_solver.json)\n\
      \  --smoke [FILTER] short benchmark run, no tables (CI); FILTER, if\n\
      \                   given, runs only kernels whose name starts with it\n\
      \                   (e.g. table3/ or scale/)";
@@ -682,26 +587,6 @@ let () =
     let rows = benchmark ~quota:0.5 () in
     print_benchmark rows;
     write_json file rows
-  | _ :: "--scale-json" :: rest ->
-    let file =
-      match rest with
-      | [] -> "BENCH_scale.json"
-      | [ f ] -> f
-      | _ -> usage ()
-    in
-    let rows = benchmark ~filter:"scale/" ~quota:0.5 () in
-    print_benchmark rows;
-    write_scale_json file rows
-  | _ :: "--hard-json" :: rest ->
-    let file =
-      match rest with
-      | [] -> "BENCH_hard.json"
-      | [ f ] -> f
-      | _ -> usage ()
-    in
-    let rows = benchmark ~filter:"hard/" ~quota:1.0 () in
-    print_benchmark rows;
-    write_hard_json file rows
   | [ _; "--smoke" ] -> print_benchmark (benchmark ~quota:0.05 ())
   | [ _; "--smoke"; filter ] ->
     print_benchmark (benchmark ~filter ~quota:0.05 ())
