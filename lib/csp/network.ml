@@ -113,6 +113,11 @@ let allowed t i vi j vj =
     && Bitset.row_mem rows.(vi) vj
 
 let support_count t i vi j =
+  if i < 0 || i >= num_vars t || j < 0 || j >= num_vars t then
+    invalid_arg "Network.support_count: variable out of range";
+  if i = j then invalid_arg "Network.support_count: i = j";
+  if vi < 0 || vi >= domain_size t i then
+    invalid_arg "Network.support_count: value out of range";
   match Hashtbl.find_opt t.cons (key i j) with
   | None -> domain_size t j
   | Some c -> if i < j then c.fcnt.(vi) else c.bcnt.(vi)

@@ -45,7 +45,9 @@ val allowed : 'a t -> int -> int -> int -> int -> bool
 
 val support_count : 'a t -> int -> int -> int -> int
 (** [support_count t i vi j] is the number of values of [j] compatible
-    with [i = vi]; [domain_size t j] when the pair is unconstrained. *)
+    with [i = vi]; [domain_size t j] when the pair is unconstrained.
+    Raises [Invalid_argument] if [i = j] or a variable or [vi] is out of
+    range, whether or not the pair is constrained. *)
 
 val supports : 'a t -> int -> int -> Bitset.row array
 (** [supports t i j] holds, for each value [vi] of [i], the row of the

@@ -182,6 +182,11 @@ let prop_network_storage =
         if ok then Format.ifprintf Format.std_formatter fmt
         else QCheck.Test.fail_reportf fmt
       in
+      let rejects msg f =
+        match f () with
+        | exception Invalid_argument m -> m = "Network.support_count: " ^ msg
+        | _ -> false
+      in
       for i = 0 to n - 1 do
         expect
           (Network.neighbors net i
@@ -213,10 +218,26 @@ let prop_network_storage =
                   && (Network.supports net i j).(vi) = row)
                   "supports %d %d, row %d" i j vi
               end
-            done
+            done;
+            List.iter
+              (fun vi ->
+                expect
+                  (rejects "value out of range" (fun () ->
+                       Network.support_count net i vi j))
+                  "support_count %d %d %d: out of range, not rejected" i vi j)
+              [ -1; dom.(i) ]
           end
         done
       done;
+      let i = Rng.int rng n in
+      expect
+        (rejects "i = j" (fun () -> Network.support_count net i 0 i)
+        && List.for_all
+             (fun (i, j) ->
+               rejects "variable out of range" (fun () ->
+                   Network.support_count net i 0 j))
+             [ (-1, i); (n, i); (i, -1); (i, n) ])
+        "support_count: bad variable not rejected";
       expect
         (Network.constraint_pairs net = List.sort_uniq compare !called)
         "constraint_pairs";
