@@ -18,7 +18,7 @@ let transform_of info layout =
       if Layout.rank l <> rank then
         invalid_arg (Printf.sprintf "Address_map.build: layout rank for %s" name);
       l
-    | None -> if rank = 1 then Layout.trivial else Layout.row_major rank
+    | None -> Layout.row_major rank
   in
   Transform.make layout ~extents:(Array_info.extents info)
 

@@ -12,10 +12,6 @@ type result = {
   elapsed_s : float;
 }
 
-let default_layout info =
-  let rank = Array_info.rank info in
-  if rank = 1 then Layout.trivial else Layout.row_major rank
-
 (* Score a legal order, whose innermost loop is [k], given fixed
    layouts; arrays not yet fixed are scored with the layout the order
    itself demands for them (the combination being evaluated), and arrays
@@ -31,7 +27,7 @@ let variant_score prog fixed demanded n k =
       | Some l -> Some l
       | None -> (
         match Program.find_array prog name with
-        | info -> Some (default_layout info)
+        | info -> Some (Layout.row_major (Array_info.rank info))
         | exception Not_found -> None))
   in
   Nest_summary.score n lookup k
@@ -74,7 +70,7 @@ let optimize prog =
            let name = Array_info.name info in
            match Hashtbl.find_opt fixed name with
            | Some l -> (name, l)
-           | None -> (name, default_layout info))
+           | None -> (name, Layout.row_major (Array_info.rank info)))
   in
   {
     layouts;

@@ -35,9 +35,6 @@ let values dom =
   Layout_tbl.iter (fun l v -> a.(v) <- l) dom;
   a
 
-let default_layout rank =
-  if rank = 1 then Layout.trivial else Layout.row_major rank
-
 let build_internal ?(relax = false) ?(candidates = fun _ -> []) ~make_sink prog =
   let summary = Nest_summary.of_program prog in
   let nests = Program.nests prog in
@@ -54,7 +51,7 @@ let build_internal ?(relax = false) ?(candidates = fun _ -> []) ~make_sink prog 
       (fun info ->
         let rank = Array_info.rank info in
         let dom = Layout_tbl.create 8 in
-        ignore (value_of dom (default_layout rank));
+        ignore (value_of dom (Layout.row_major rank));
         List.iter
           (fun l -> if Layout.rank l = rank then ignore (value_of dom l))
           (candidates (Array_info.name info));

@@ -64,7 +64,13 @@ let test_layout_structure () =
     Alcotest.check vec "Y1" [| 0; 0; 1 |] (Hyperplane.to_vec y1);
     Alcotest.check vec "Y2" [| 0; 1; 0 |] (Hyperplane.to_vec y2)
   | _ -> Alcotest.fail "expected two hyperplanes");
-  Alcotest.(check int) "trivial rank" 1 (Layout.rank Layout.trivial)
+  Alcotest.(check int) "trivial rank" 1 (Layout.rank Layout.trivial);
+  (* the default layout of every rank is row_major, rank 1 included *)
+  let one = Layout.row_major 1 in
+  Alcotest.(check bool) "row_major 1 = trivial" true
+    (Layout.equal one Layout.trivial);
+  Alcotest.(check int) "same hash" (Layout.hash Layout.trivial) (Layout.hash one);
+  Alcotest.(check string) "same description" "linear" (Layout.describe one)
 
 let test_layout_validation () =
   Alcotest.check_raises "wrong count"
