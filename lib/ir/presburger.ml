@@ -60,12 +60,6 @@ let stats () =
     max_split_depth = Atomic.get depth_c;
   }
 
-let reset_stats () =
-  Atomic.set checks_c 0;
-  Atomic.set elims_c 0;
-  Atomic.set splits_c 0;
-  Atomic.set depth_c 0
-
 let note_depth d =
   let rec go () =
     let cur = Atomic.get depth_c in

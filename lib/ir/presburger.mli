@@ -82,8 +82,10 @@ val range : system -> coeffs:int array -> lo:int -> hi:int -> (int * int) option
 (** {2 Effort counters}
 
     Cumulative, process-wide counters of the engine's work, for the
-    [deps] report and the bench harness.  Atomic, so Domain-parallel
-    analyses account correctly. *)
+    [deps] report and the bench harness.  Nothing resets them: a reader
+    takes the difference of two {!stats} calls around the work it
+    measures ([max_split_depth] is a high-water mark, which only
+    grows). *)
 
 type stats = {
   checks : int;  (** top-level {!feasible} / {!range} probe calls *)
@@ -93,4 +95,3 @@ type stats = {
 }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
