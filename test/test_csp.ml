@@ -229,14 +229,14 @@ let prop_network_storage =
           end
         done
       done;
-      let i = Rng.int rng n in
+      let k = Rng.int rng n in
       expect
-        (rejects "i = j" (fun () -> Network.support_count net i 0 i)
+        (rejects "i = j" (fun () -> Network.support_count net k 0 k)
         && List.for_all
              (fun (i, j) ->
                rejects "variable out of range" (fun () ->
                    Network.support_count net i 0 j))
-             [ (-1, i); (n, i); (i, -1); (i, n) ])
+             [ (-1, k); (n, k); (k, -1); (k, n) ])
         "support_count: bad variable not rejected";
       expect
         (Network.constraint_pairs net = List.sort_uniq compare !called)
