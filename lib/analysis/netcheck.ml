@@ -1,7 +1,6 @@
 module Network = Mlo_csp.Network
 module Ac2001 = Mlo_csp.Ac2001
 module Schemes = Mlo_csp.Schemes
-module Bitset = Mlo_csp.Bitset
 module Trace = Mlo_obs.Trace
 module Json = Mlo_obs.Json
 
@@ -151,20 +150,12 @@ let analyze net =
     pass "width" (fun () ->
         (width_along net order, induced_width_along net order))
   in
-  let ac =
-    pass "arc-consistency" (fun () -> Ac2001.run (Network.compile net))
-  in
   let arc_inconsistent, wiped =
-    match ac with
+    match
+      pass "arc-consistency" (fun () -> Ac2001.deletions (Network.compile net))
+    with
+    | Ok dels -> (dels, None)
     | Error i -> ([], Some i)
-    | Ok doms ->
-      let removed = ref [] in
-      for i = n - 1 downto 0 do
-        for v = Network.domain_size net i - 1 downto 0 do
-          if not (Bitset.mem doms.(i) v) then removed := (i, v) :: !removed
-        done
-      done;
-      (!removed, None)
   in
   let unsat_core =
     match wiped with

@@ -8,16 +8,20 @@
       network decomposes into independent subproblems
       ({!Mlo_csp.Solver.solve_components} exploits exactly this).
     - {b width} — graph width along the enhanced scheme's
-      most-constraining order ({!Mlo_csp.Schemes.most_constraining_order}):
-      the maximum number of earlier neighbours any variable has.  By
+      most-constraining order ({!Mlo_csp.Schemes.most_constraining_order},
+      which replays the search kernel's own
+      {!Mlo_csp.Solver.most_constraining}): the maximum number of
+      earlier neighbours any variable has.  By
       Freuder's theorem a strongly k-consistent network with width < k
       is backtrack-free; arc consistency (the AC-2001 pre-pass) gives
       2-consistency, so [width <= 1] networks (forests) solve without a
       single backtrack.  The induced width along the same order bounds
       the consistency level adaptive consistency would need.
     - {b arc consistency} — values AC-2001 removes before search
-      (arc-inconsistent: they appear in no solution), and constraints
-      that allow every value pair (redundant: they never prune).
+      (arc-inconsistent: they appear in no solution), listed by
+      {!Mlo_csp.Ac2001.deletions} as for an enhanced-ac certificate's
+      deletion steps, and constraints that allow every value pair
+      (redundant: they never prune).
     - {b unsat core} — when AC-2001 wipes a domain the network is
       unsatisfiable; a deletion-minimal subset of constraints whose
       propagation still wipes pins the blame ({!unsat_core}), surfaced
@@ -49,9 +53,9 @@ type report = {
           wipes a domain *)
   core_verified : bool option;
       (** with [unsat_core]: whether the independent certificate checker
-          ({!Mlo_verify.Checker.refutes}), propagating over exactly the
-          core's constraints with its own fixpoint, reproduces the
-          wipe-out *)
+          ({!Mlo_verify.Checker.refutes}), running the propagation loop
+          its certificate check runs over exactly the core's
+          constraints, reproduces the wipe-out *)
 }
 
 val width_along : 'a Mlo_csp.Network.t -> int array -> int

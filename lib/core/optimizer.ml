@@ -125,24 +125,6 @@ let search ?max_checks ~objective ?on_event scheme prog ~net0 ~orig build =
           Mlo_csp.Bnb.branch_and_bound ~config:cfg ?on_event ~cost net)
     )
 
-(* Arc-consistency preprocessing's deletions on the solved network,
-   in original value indices.  A wipe needs no step: the checker's own
-   fixpoint derives it from the network. *)
-let ac_deletions ~orig net =
-  match Mlo_csp.Ac2001.run (Network.compile net) with
-  | Error _ -> []
-  | Ok doms ->
-    let dels = ref [] in
-    for i = Array.length doms - 1 downto 0 do
-      for v = Network.domain_size net i - 1 downto 0 do
-        if not (Mlo_csp.Bitset.mem doms.(i) v) then
-          dels :=
-            Proof.Del { var = i; value = orig i v; reason = Arc_inconsistent }
-            :: !dels
-      done
-    done;
-    !dels
-
 let optimize ?candidates ?max_checks ?(prune_dominated = false)
     ?(objective = Estimated_misses) ?proof scheme prog =
   Trace.with_span ~cat:"optimizer" "optimize"
@@ -215,7 +197,7 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false)
         in
         let dels =
           match scheme with
-          | Enhanced_ac _ -> dominated @ ac_deletions ~orig net
+          | Enhanced_ac _ -> dominated @ Proof.arc_deletions ~survivors net
           | Heuristic | Base _ | Enhanced _ | Cdl _ | Bnb _ -> dominated
         in
         sink (Proof.certificate header ~dels ~survivors ~costs recorder result))

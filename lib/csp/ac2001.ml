@@ -71,3 +71,15 @@ let run comp =
     end
   done;
   match !wiped with Some i -> Error i | None -> Ok domains
+
+let deletions comp =
+  Result.map
+    (fun doms ->
+      let dels = ref [] in
+      for i = Array.length doms - 1 downto 0 do
+        for v = Compiled.domain_size comp i - 1 downto 0 do
+          if not (Bitset.mem doms.(i) v) then dels := (i, v) :: !dels
+        done
+      done;
+      !dels)
+    (run comp)

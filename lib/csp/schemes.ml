@@ -72,46 +72,19 @@ let extension_schemes ?seed ?max_checks () =
     { label = "Enhanced+AC"; config = enhanced_with_ac ?seed ?max_checks () };
   ]
 
-(* Static replay of the enhanced scheme's variable selection: repeatedly
-   take the unselected variable with (most constraints to unselected,
-   then most to selected, then smallest full domain), lowest index on
-   ties — the order the search visits variables when it never backtracks.
-   The incremental un_deg/as_deg bookkeeping mirrors the solver's. *)
+(* Static replay of the enhanced scheme's variable selection: the
+   kernel's own rule on full domains, each pick assigned in turn — the
+   order the search visits variables when it never backtracks. *)
 let most_constraining_order net =
   let comp = Network.compile net in
   let n = Compiled.num_vars comp in
-  let un_deg = Array.init n (fun i -> Compiled.degree comp i) in
-  let as_deg = Array.make n 0 in
-  let selected = Array.make n false in
-  let order = Array.make n (-1) in
-  for k = 0 to n - 1 do
-    let best = ref (-1) and b0 = ref 0 and b1 = ref 0 and b2 = ref 0 in
-    for v = 0 to n - 1 do
-      if not selected.(v) then begin
-        let s0 = un_deg.(v)
-        and s1 = as_deg.(v)
-        and s2 = -Compiled.domain_size comp v in
-        if
-          !best < 0 || s0 > !b0
-          || (s0 = !b0 && (s1 > !b1 || (s1 = !b1 && s2 > !b2)))
-        then begin
-          best := v;
-          b0 := s0;
-          b1 := s1;
-          b2 := s2
-        end
-      end
-    done;
-    let v = !best in
-    order.(k) <- v;
-    selected.(v) <- true;
-    Array.iter
-      (fun j ->
-        un_deg.(j) <- un_deg.(j) - 1;
-        as_deg.(j) <- as_deg.(j) + 1)
-      (Compiled.neighbors comp v)
-  done;
-  order
+  let level_of = Array.make n (-1) in
+  let un_deg = Array.init n (Compiled.degree comp) in
+  Array.init n (fun k ->
+      let v = Solver.most_constraining comp ~level_of ~un_deg [||] in
+      level_of.(v) <- k;
+      Solver.shift_degrees comp un_deg v 1;
+      v)
 
 let breakdown ~base_checks ~enhanced_checks ~single =
   let total_saving = max 0 (base_checks - enhanced_checks) in

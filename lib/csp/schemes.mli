@@ -43,12 +43,13 @@ val extension_schemes : ?seed:int -> ?max_checks:int -> unit -> ablation list
 
 val most_constraining_order : 'a Network.t -> int array
 (** The static variable order the enhanced scheme's most-constraining
-    rule follows when the search never backtracks: repeatedly the
-    unselected variable with (most constraints to unselected variables,
-    then most to already-selected ones, then smallest domain), lowest
-    index on ties — the same triple the dynamic selection scores.  This
-    is the ordering {!Mlo_analysis.Netcheck} measures width and induced
-    width along (Freuder's backtrack-free condition). *)
+    rule follows when the search never backtracks: the kernel's own
+    {!Solver.most_constraining} over full domains, each pick marked
+    assigned before the next.  On a network whose relations allow every
+    pair, it is the order in which the enhanced search's [decision]
+    trace instants name the variables.  This is the ordering
+    {!Mlo_analysis.Netcheck} measures width and induced width along
+    (Freuder's backtrack-free condition). *)
 
 val breakdown :
   base_checks:int -> enhanced_checks:int -> single:(string * int) list ->

@@ -138,15 +138,47 @@ let fresh_domains comp reduced =
     Array.init (Compiled.num_vars comp) (fun i ->
         Bitset.create_full (Compiled.domain_size comp i))
 
-(* Most-constraining bookkeeping: (un)assigning [var] moves its
-   neighbours' counts between unassigned and assigned. *)
-let shift_degrees comp un_deg as_deg var delta =
+(* Most-constraining bookkeeping: assigning [var] ([delta] = 1) or
+   unassigning it ([delta] = -1) moves each neighbour's count of
+   unassigned neighbours; its assigned neighbours are its degree minus
+   that count. *)
+let shift_degrees comp un_deg var delta =
   let nbrs = Compiled.neighbors comp var in
   for k = 0 to Array.length nbrs - 1 do
     let j = nbrs.(k) in
-    un_deg.(j) <- un_deg.(j) - delta;
-    as_deg.(j) <- as_deg.(j) + delta
+    un_deg.(j) <- un_deg.(j) - delta
   done
+
+(* The most-constraining rule: the unassigned variable with the most
+   unassigned neighbours, then the highest degree (at equal [un_deg],
+   the most assigned neighbours), then the smallest live domain, lowest
+   index on ties. *)
+let most_constraining comp ~level_of ~un_deg domains =
+  let full = Array.length domains = 0 in
+  let best = ref (-1) in
+  let b0 = ref 0 and b1 = ref 0 and b2 = ref 0 in
+  for v = 0 to Compiled.num_vars comp - 1 do
+    if level_of.(v) < 0 then begin
+      let s0 = un_deg.(v) in
+      if !best < 0 || s0 >= !b0 then begin
+        let s1 = Compiled.degree comp v
+        and s2 =
+          if full then -Compiled.domain_size comp v
+          else -Bitset.count domains.(v)
+        in
+        if
+          !best < 0 || s0 > !b0
+          || (s0 = !b0 && (s1 > !b1 || (s1 = !b1 && s2 > !b2)))
+        then begin
+          best := v;
+          b0 := s0;
+          b1 := s1;
+          b2 := s2
+        end
+      end
+    end
+  done;
+  !best
 
 (* Number of options [var = v] leaves open in uninstantiated neighbours'
    domains; heuristic table lookups are not counted as checks.  With
@@ -275,11 +307,10 @@ let run ?on_event ~max_checks mode comp =
     let cand = Array.make (n * md) 0 in
     let keys = Array.make md 0.0 in
 
-    (* Most-constraining: per-variable counts of unassigned/assigned
-       neighbours, maintained incrementally at (un)assignment so the
+    (* Most-constraining: per-variable counts of unassigned neighbours,
+       maintained incrementally at (un)assignment so the
        variable-selection scan is O(1) per candidate. *)
     let un_deg = if mc then Array.init n (Compiled.degree comp) else [||] in
-    let as_deg = if mc then Array.make n 0 else [||] in
 
     let store =
       match learn_limit with
@@ -343,33 +374,7 @@ let run ?on_event ~max_checks mode comp =
           done;
           !picked
       | Systematic { var_policy = Most_constraining; _ } ->
-        (* the maximum (unassigned, assigned, -domain) neighbour-count
-           triple, lowest index on ties *)
-        fun _ ->
-          let best = ref (-1) in
-          let b0 = ref 0 and b1 = ref 0 and b2 = ref 0 in
-          for v = 0 to n - 1 do
-            if level_of.(v) < 0 then begin
-              let s0 = un_deg.(v) in
-              if !best < 0 || s0 >= !b0 then begin
-                let s1 = as_deg.(v)
-                and s2 =
-                  if full then -Compiled.domain_size comp v
-                  else -Bitset.count domains.(v)
-                in
-                if
-                  !best < 0 || s0 > !b0
-                  || (s0 = !b0 && (s1 > !b1 || (s1 = !b1 && s2 > !b2)))
-                then begin
-                  best := v;
-                  b0 := s0;
-                  b1 := s1;
-                  b2 := s2
-                end
-              end
-            end
-          done;
-          !best
+        fun _ -> most_constraining comp ~level_of ~un_deg domains
       | Satisfy _ ->
         (* highest activity, ties by smaller current domain, then lower
            index *)
@@ -820,7 +825,7 @@ let run ?on_event ~max_checks mode comp =
         let var = select_var level in
         var_at.(level) <- var;
         level_of.(var) <- level;
-        if mc then shift_degrees comp un_deg as_deg var 1;
+        if mc then shift_degrees comp un_deg var 1;
         (* Under forward checking, values already pruned from [var]'s own
            domain were removed by earlier assignments; those levels share
            responsibility for any dead-end here. *)
@@ -838,7 +843,7 @@ let run ?on_event ~max_checks mode comp =
           else Lset.clear conf (level * lw) lw
         | Chronological -> ());
         let res = try_values var level (fill_candidates var level) 0 in
-        if mc then shift_degrees comp un_deg as_deg var (-1);
+        if mc then shift_degrees comp un_deg var (-1);
         level_of.(var) <- -1;
         res
       end

@@ -41,7 +41,8 @@ type var_policy =
   | Random_var  (** uniformly random uninstantiated variable *)
   | Most_constraining
       (** most constraints to the rest of the network; ties broken by
-          constraints to instantiated variables, then smaller domain *)
+          constraints to instantiated variables, then smaller domain
+          ({!most_constraining}) *)
 
 type val_policy =
   | Lexicographic_val
@@ -138,6 +139,21 @@ val run :
     A learning mode asserts its [Solution] against {!Compiled.verify};
     cut by the budget, it sets [stats.cut], and [Minimize] then returns
     its incumbent, if it has one. *)
+
+val most_constraining :
+  Compiled.t -> level_of:int array -> un_deg:int array -> Bitset.t array -> int
+(** The [Most_constraining] rule, which {!run} and
+    {!Schemes.most_constraining_order} both call: among the variables
+    with [level_of.(v) < 0], the most unassigned neighbours
+    ([un_deg.(v)]), then the highest degree, then the smallest domain
+    ([domains.(v)], or the full one when [domains] is empty), lowest
+    index on ties; [-1] if none.  At equal [un_deg], a higher degree
+    means more constraints to instantiated variables. *)
+
+val shift_degrees : Compiled.t -> int array -> int -> int -> unit
+(** [shift_degrees comp un_deg var delta] subtracts [delta] from each
+    neighbour's [un_deg]: [1] when [var] is assigned, [-1] when it is
+    unassigned. *)
 
 val cost_of : costs:float array array -> int array -> float
 (** Canonical total cost of a complete assignment (see {!Bnb.cost_of}). *)

@@ -3,16 +3,86 @@ module Network = Mlo_csp.Network
 exception Reject of string
 
 let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
-let tolerance eps x = eps *. Float.max 1.0 (Float.abs x)
 
-(* The checker keeps one mutable "root" state: the live value sets of
-   every variable, maintained at its own propagation fixpoint (arc
-   revision over the raw relations plus accepted-nogood rules).  Step
+(* The relative tolerance of every cost comparison. *)
+let eps = 1e-6
+let tolerance x = eps *. Float.max 1.0 (Float.abs x)
+
+(* ---- the propagation core ------------------------------------------ *)
+
+(* The checker's one fixpoint: every variable's live values, revised
+   against the raw relations ([Network.allowed]) along [nbrs] until no
+   queued variable is left.  [check] runs it over every constraint with
+   its nogood rules on top; [refutes] over the constraints it is
+   given. *)
+type 'a fixpoint = {
+  net : 'a Network.t;
+  dsize : int array;
+  nbrs : int array array;
+  live : bool array array;
+  cnt : int array;
+  queue : int Queue.t;
+  queued : bool array;
+}
+
+let fixpoint net nbrs =
+  let dsize = Array.init (Network.num_vars net) (Network.domain_size net) in
+  {
+    net;
+    dsize;
+    nbrs;
+    live = Array.map (fun d -> Array.make d true) dsize;
+    cnt = Array.copy dsize;
+    queue = Queue.create ();
+    queued = Array.make (Array.length dsize) false;
+  }
+
+let enqueue fx i =
+  if not fx.queued.(i) then begin
+    fx.queued.(i) <- true;
+    Queue.add i fx.queue
+  end
+
+(* Kill the live value [v] of [i] and queue [i]; true when that empties
+   [i]'s domain. *)
+let kill fx i v =
+  fx.live.(i).(v) <- false;
+  fx.cnt.(i) <- fx.cnt.(i) - 1;
+  enqueue fx i;
+  fx.cnt.(i) = 0
+
+(* Pop queued variables until none is left: each popped [j]'s neighbours
+   lose, through [remove], every live value without a live support in
+   [j], then [after j] runs. *)
+let propagate fx ~remove ~after =
+  while not (Queue.is_empty fx.queue) do
+    let j = Queue.pop fx.queue in
+    fx.queued.(j) <- false;
+    let lj = fx.live.(j) and nbrs = fx.nbrs.(j) in
+    for k = 0 to Array.length nbrs - 1 do
+      let i = nbrs.(k) in
+      let li = fx.live.(i) in
+      for v = 0 to fx.dsize.(i) - 1 do
+        if li.(v) then begin
+          let sup = ref false in
+          for w = 0 to fx.dsize.(j) - 1 do
+            if (not !sup) && lj.(w) && Network.allowed fx.net i v j w then
+              sup := true
+          done;
+          if not !sup then remove i v
+        end
+      done
+    done;
+    after j
+  done
+
+(* The checker keeps one mutable "root" state: the fixpoint above, with
+   accepted-nogood rules evaluated as each variable is popped.  Step
    checks that need to reason hypothetically — "assume these literals,
    does propagation conflict?" — run on the same state through an undo
    trail, so nothing is copied on the hot path. *)
 
-let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
+let check ?costs net (proof : Proof.t) =
   let n = Network.num_vars net in
   try
     (* ---- header ---------------------------------------------------- *)
@@ -20,7 +90,11 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
     if Array.length h.Proof.names <> n || Array.length h.Proof.domain_sizes <> n
     then reject "header: variable count mismatch (%d in proof, %d in network)"
         (Array.length h.Proof.names) n;
-    let dsize = Array.init n (Network.domain_size net) in
+    let fx =
+      fixpoint net
+        (Array.init n (fun i -> Array.of_list (Network.neighbors net i)))
+    in
+    let dsize = fx.dsize in
     for i = 0 to n - 1 do
       if h.Proof.names.(i) <> Network.name net i then
         reject "header: variable %d is %S in the proof, %S in the network" i
@@ -60,9 +134,7 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
             Some c
     in
     (* ---- state ----------------------------------------------------- *)
-    let live = Array.init n (fun i -> Array.make dsize.(i) true) in
-    let cnt = Array.copy dsize in
-    let nbrs = Array.init n (fun i -> Array.of_list (Network.neighbors net i)) in
+    let live = fx.live and cnt = fx.cnt in
     let comp_of = Array.make n (-1) in
     let comp_members : (int, int array) Hashtbl.t = Hashtbl.create 8 in
     let comp_order = ref [] in
@@ -96,17 +168,9 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
     end in
     let assuming = ref false in
     let trail = ref [] in
-    let queue = Queue.create () in
-    let queued = Array.make n false in
-    let enqueue i =
-      if not queued.(i) then begin
-        queued.(i) <- true;
-        Queue.add i queue
-      end
-    in
     let clear_queue () =
-      Queue.iter (fun j -> queued.(j) <- false) queue;
-      Queue.clear queue
+      Queue.iter (fun j -> fx.queued.(j) <- false) fx.queue;
+      Queue.clear fx.queue
     in
     let mark_dead c =
       if optimal_ctx && c >= 0 then Hashtbl.replace comp_dead c ()
@@ -114,12 +178,9 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
     in
     let remove i v =
       if live.(i).(v) then begin
-        live.(i).(v) <- false;
-        cnt.(i) <- cnt.(i) - 1;
         if !assuming then trail := (i, v) :: !trail;
-        if cnt.(i) = 0 then
-          if !assuming then raise (Wipe.E i) else mark_dead comp_of.(i);
-        enqueue i
+        if kill fx i v then
+          if !assuming then raise (Wipe.E i) else mark_dead comp_of.(i)
       end
     in
     let rollback m =
@@ -154,27 +215,8 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
           remove x v
       end
     in
-    let revise i j =
-      (* drop values of i with no live support in j *)
-      for v = 0 to dsize.(i) - 1 do
-        if live.(i).(v) then begin
-          let sup = ref false in
-          for w = 0 to dsize.(j) - 1 do
-            if (not !sup) && live.(j).(w) && Network.allowed net i v j w then
-              sup := true
-          done;
-          if not !sup then remove i v
-        end
-      done
-    in
-    let propagate () =
-      while not (Queue.is_empty queue) do
-        let j = Queue.pop queue in
-        queued.(j) <- false;
-        Array.iter (fun i -> revise i j) nbrs.(j);
-        List.iter eval_ng occ.(j)
-      done
-    in
+    let after j = List.iter eval_ng occ.(j) in
+    let propagate () = propagate fx ~remove ~after in
     let assume_lit (x, v) =
       if not live.(x).(v) then raise (Wipe.E x);
       for w = 0 to dsize.(x) - 1 do
@@ -229,7 +271,7 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
       optimal_ctx
       &&
       let b = bound_of c in
-      b < infinity && comp_lb c *. (1.0 +. slack) >= b -. tolerance eps b
+      b < infinity && comp_lb c *. (1.0 +. slack) >= b -. tolerance b
     in
     (* [probe_refutes x]: every live value of [x], assumed on top of the
        current state, propagates to an in-component conflict or trips
@@ -259,7 +301,7 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
     in
     (* ---- initial fixpoint ------------------------------------------ *)
     for i = 0 to n - 1 do
-      enqueue i
+      enqueue fx i
     done;
     propagate ();
     (* ---- replay ---------------------------------------------------- *)
@@ -314,7 +356,7 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
                       (fun acc (x, v) -> acc +. costs.(x).(v))
                       0.0 lits
                   in
-                  if Float.abs (rc -. cost) > tolerance eps cost then
+                  if Float.abs (rc -. cost) > tolerance cost then
                     fail "incumbent cost %.17g does not match recomputed %.17g"
                       cost rc
               | None -> ());
@@ -364,7 +406,7 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
                         if
                           costs.(var).(by)
                           > costs.(var).(value)
-                            +. tolerance eps costs.(var).(value)
+                            +. tolerance costs.(var).(value)
                         then
                           fail
                             "dominance witness %d costs more than the removed \
@@ -486,7 +528,7 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
           reject "optimal assignment violates a constraint";
         let rc = ref 0.0 in
         Array.iteri (fun i v -> rc := !rc +. costs.(i).(v)) assignment;
-        if Float.abs (!rc -. cost) > tolerance eps cost then
+        if Float.abs (!rc -. cost) > tolerance cost then
           reject "claimed optimum %.17g does not match the assignment's \
                   recomputed cost %.17g" cost !rc;
         let comps = List.rev !comp_order in
@@ -495,7 +537,7 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
         in
         if not (Float.is_finite sum) then
           reject "a component has no incumbent bound";
-        if Float.abs (sum -. cost) > tolerance eps cost then
+        if Float.abs (sum -. cost) > tolerance cost then
           reject "component bounds sum to %.17g, not the claimed %.17g" sum
             cost;
         List.iter
@@ -525,57 +567,21 @@ let check ?(eps = 1e-6) ?costs net (proof : Proof.t) =
 
 let refutes ?only net =
   let n = Network.num_vars net in
-  if n = 0 then false
-  else begin
-    let dsize = Array.init n (Network.domain_size net) in
-    let adj = Array.make n [] in
-    let add i j =
-      if i >= 0 && j >= 0 && i < n && j < n && i <> j then
-        adj.(i) <- j :: adj.(i)
-    in
-    let pairs =
-      match only with None -> Network.constraint_pairs net | Some ps -> ps
-    in
-    List.iter
-      (fun (i, j) ->
-        add i j;
-        add j i)
-      pairs;
-    let live = Array.init n (fun i -> Array.make dsize.(i) true) in
-    let cnt = Array.copy dsize in
-    let queue = Queue.create () in
-    let queued = Array.make n false in
-    let enqueue i =
-      if not queued.(i) then begin
-        queued.(i) <- true;
-        Queue.add i queue
-      end
-    in
-    for i = 0 to n - 1 do
-      enqueue i
-    done;
-    let wiped = ref false in
-    while (not !wiped) && not (Queue.is_empty queue) do
-      let j = Queue.pop queue in
-      queued.(j) <- false;
-      List.iter
-        (fun i ->
-          if not !wiped then
-            for v = 0 to dsize.(i) - 1 do
-              if live.(i).(v) then begin
-                let sup = ref false in
-                for w = 0 to dsize.(j) - 1 do
-                  if (not !sup) && live.(j).(w) && Network.allowed net i v j w
-                  then sup := true
-                done;
-                if not !sup then begin
-                  live.(i).(v) <- false;
-                  cnt.(i) <- cnt.(i) - 1;
-                  if cnt.(i) = 0 then wiped := true else enqueue i
-                end
-              end
-            done)
-        adj.(j)
-    done;
-    !wiped
-  end
+  let adj = Array.make n [] in
+  let add i j =
+    if i >= 0 && j >= 0 && i < n && j < n && i <> j then
+      adj.(i) <- j :: adj.(i)
+  in
+  List.iter
+    (fun (i, j) ->
+      add i j;
+      add j i)
+    (match only with None -> Network.constraint_pairs net | Some ps -> ps);
+  let fx = fixpoint net (Array.map Array.of_list adj) in
+  let remove i v = if kill fx i v then raise Exit in
+  for i = 0 to n - 1 do
+    enqueue fx i
+  done;
+  match propagate fx ~remove ~after:ignore with
+  | () -> false
+  | exception Exit -> true

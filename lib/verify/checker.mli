@@ -2,9 +2,10 @@
 
     The checker validates a {!Proof.t} against the {e original}
     network using only the raw relation predicates
-    ([Network.allowed] / [Network.verify]) plus its own small
-    propagation core — it shares no code with the search engines
-    ([Compiled], [Cdl], [Bnb] are never consulted), so a bug in the
+    ([Network.allowed] / [Network.verify]) plus its own propagation
+    core, one arc-revision fixpoint that {!check} and {!refutes} share
+    — it shares no code with the search engines ([Compiled],
+    [Ac2001], [Cdl], [Bnb] are never consulted), so a bug in the
     solvers cannot also hide in the checker.
 
     Justification rules, per step kind:
@@ -31,7 +32,6 @@
     earlier ones — the RUP-style replay. *)
 
 val check :
-  ?eps:float ->
   ?costs:float array array ->
   'a Mlo_csp.Network.t ->
   Proof.t ->
@@ -39,13 +39,13 @@ val check :
 (** [check net proof] replays [proof] against [net] (the original,
     pre-preprocessing network). [costs.(i).(v)] is the separable cost
     of the original value [v] of variable [i]; it is required for
-    [Optimal] verdicts. [eps] (default [1e-6]) is the relative
-    tolerance for all cost comparisons. The [Error] message names the
-    first failing step. *)
+    [Optimal] verdicts. Every cost comparison has a relative tolerance
+    of [1e-6]. The [Error] message names the first failing step. *)
 
 val refutes : ?only:(int * int) list -> 'a Mlo_csp.Network.t -> bool
-(** [refutes ?only net] is [true] when the checker's own
-    arc-consistency fixpoint wipes out some variable's domain — an
-    independent confirmation that [net] is unsatisfiable. With
-    [~only], propagation uses just the listed constraint pairs, so a
-    reported unsat {e core} can be validated in isolation. *)
+(** [refutes ?only net] is [true] when {!check}'s own propagation
+    loop, run from full domains without nogoods, wipes out some
+    variable's domain — an independent confirmation that [net] is
+    unsatisfiable. With [~only], propagation uses just the listed
+    constraint pairs, so a reported unsat {e core} can be validated in
+    isolation. *)

@@ -105,9 +105,22 @@ let record (r : recorder) ~comp ~vars ev =
   | Solver.Finished o -> finished := Some o
   | Solver.Learned _ | Solver.Incumbent _ -> events := ev :: !events
 
+(* The original index of value [v] of [i] in the solved network. *)
+let original survivors i v =
+  match survivors with Some s -> s.(i).(v) | None -> v
+
+let arc_deletions ~survivors net =
+  match Mlo_csp.Ac2001.deletions (Network.compile net) with
+  | Error _ -> []
+  | Ok dels ->
+    List.map
+      (fun (var, v) ->
+        Del { var; value = original survivors var v; reason = Arc_inconsistent })
+      dels
+
 let certificate header ~dels ~survivors ~costs (r : recorder)
     (result : Solver.result) =
-  let orig i v = match survivors with Some s -> s.(i).(v) | None -> v in
+  let orig = original survivors in
   let cost c lits = Array.fold_left (fun acc (x, v) -> acc +. c.(x).(v)) 0.0 lits in
   let pairs a = Array.mapi (fun i v -> (i, v)) a in
   match result.Solver.outcome with

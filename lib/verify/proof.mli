@@ -85,6 +85,14 @@ val record :
 (** The [on_event] callback of {!Mlo_csp.Cdl.solve_components} and
     {!Mlo_csp.Bnb.branch_and_bound}. *)
 
+val arc_deletions :
+  survivors:int array array option -> 'a Mlo_csp.Network.t -> step list
+(** The [Del _ Arc_inconsistent] steps of AC-2001 preprocessing on the
+    solved network [net]: {!Mlo_csp.Ac2001.deletions}, in ascending
+    order, with each value mapped back through [survivors] as in
+    {!certificate}.  None when [net] wipes out: the checker's own
+    fixpoint derives a wipe from the original network. *)
+
 val certificate :
   header -> dels:step list -> survivors:int array array option ->
   costs:float array array option -> recorder -> Mlo_csp.Solver.result -> t

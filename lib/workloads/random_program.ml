@@ -20,10 +20,7 @@ type params = {
   conflict_percent : int;
   skew_percent : int;
   temporal_percent : int;
-  elem_size : int;
   group_size : int;
-  twin_percent : int;
-  palette_size : int;
   ref_conflict_percent : int;
   nest_depth : int;
   shift_nests : int;
@@ -42,25 +39,22 @@ let default =
     conflict_percent = 30;
     skew_percent = 30;
     temporal_percent = 30;
-    elem_size = 4;
     group_size = 0;
-    twin_percent = 100;
-    palette_size = 0;
     ref_conflict_percent = 0;
     nest_depth = 2;
     shift_nests = 0;
   }
 
 (* The scale family: component-rich programs from tens to thousands of
-   arrays.  Grouping arrays into pools of [group_size] makes the
-   extracted network decompose into at least [num_arrays / group_size]
-   connected components (arrays of different groups never share a nest),
-   which is the shape whole-program inputs actually have — and the shape
-   the component solver feeds on.  Nest count grows at 2/5 the
+   arrays.  Grouping arrays into pools of 8 makes the extracted network
+   decompose into at least [num_arrays / 8] connected components (arrays
+   of different groups never share a nest), which is the shape
+   whole-program inputs actually have — and the shape the component
+   solver feeds on.  Nest count grows at 2/5 the
    array count so per-group constraint density stays near the paper's
    benchmarks; [sim_extent] is halved to keep trace-driven validation of
    the big instances affordable. *)
-let scale ?(seed = 11) ?(group_size = 8) num_arrays =
+let scale ?(seed = 11) num_arrays =
   {
     name = Printf.sprintf "scale-%d" num_arrays;
     seed = seed + num_arrays;
@@ -73,10 +67,7 @@ let scale ?(seed = 11) ?(group_size = 8) num_arrays =
     conflict_percent = 30;
     skew_percent = 60;
     temporal_percent = 20;
-    elem_size = 4;
-    group_size;
-    twin_percent = 100;
-    palette_size = 0;
+    group_size = 8;
     ref_conflict_percent = 0;
     nest_depth = 2;
     shift_nests = max 1 (num_arrays / 10);
@@ -108,10 +99,7 @@ let hard ?(seed = 23) num_arrays =
     conflict_percent = 0;
     skew_percent = 0;
     temporal_percent = 10;
-    elem_size = 4;
     group_size = 0;
-    twin_percent = 0;
-    palette_size = 3;
     ref_conflict_percent = 50;
     nest_depth = 3;
     shift_nests = 0;
@@ -134,12 +122,12 @@ let palette =
 
 let array_name q = Printf.sprintf "Q%d" (q + 1)
 
-(* The layouts this configuration draws from: the first [palette_size]
-   entries when positive (tight domains — every nest competes over the
-   same few layouts), the whole palette otherwise. *)
+(* The layouts this configuration draws from: in the deep regime the
+   first [nest_depth] entries (tight domains — every nest competes over
+   the same few layouts, one per loop), the whole palette otherwise. *)
 let palette_for p =
-  if p.palette_size > 0 then
-    Array.sub palette 0 (min p.palette_size (Array.length palette))
+  if p.nest_depth >= 3 then
+    Array.sub palette 0 (min p.nest_depth (Array.length palette))
   else palette
 
 let intended_vector p q =
@@ -237,10 +225,8 @@ let plan p =
     let start = Rng.int rng p.num_arrays in
     List.init k (fun i -> (start + i) mod p.num_arrays)
   in
-  (* [conflict] is consulted once per non-temporal reference: per-nest
-     modes pass a constant, the mixed mode (ref_conflict_percent > 0)
-     passes a fresh draw — per-reference mixing is what keeps demands
-     overlapping across nests instead of scattering wholesale. *)
+  (* [conflict]: every non-temporal reference pulls its array toward an
+     alternative to the intended layout. *)
   let make_refs arrays_chosen ~conflict ~allow_temporal =
     List.mapi
       (fun pos q ->
@@ -258,7 +244,7 @@ let plan p =
         end
         else begin
           let y =
-            if conflict () then begin
+            if conflict then begin
               let alternatives =
                 Array.to_list (palette_for p)
                 |> List.filter (fun v ->
@@ -289,7 +275,7 @@ let plan p =
      slots instead, locally breaking the planted order. *)
   let make_refs_deep arrays_chosen =
     let pal = palette_for p in
-    let depth = max 2 (min p.nest_depth (Array.length pal)) in
+    let depth = Array.length pal in
     List.map
       (fun q ->
         if Rng.int rng 100 < p.temporal_percent then begin
@@ -340,38 +326,21 @@ let plan p =
           cheap = false }
         :: !nests
     else begin
-    let arrays_chosen = pick_arrays () in
-    if p.ref_conflict_percent > 0 then begin
-      (* mixed mode: every nest blends intended and conflicting pulls at
-         reference granularity; no twins, satisfiability is statistical
-         (the hard family's phase-transition regime) *)
-      let refs =
-        make_refs arrays_chosen
-          ~conflict:(fun () -> Rng.int rng 100 < p.ref_conflict_percent)
-          ~allow_temporal:true
-      in
-      nests := { label = Printf.sprintf "mixed%d" n; refs; cheap = false } :: !nests
-    end
-    else begin
-    let conflicting = Rng.int rng 100 < p.conflict_percent in
-    if conflicting then begin
-      (* expensive conflicting nest ... *)
-      let refs =
-        make_refs arrays_chosen ~conflict:(fun () -> true) ~allow_temporal:true
-      in
-      nests :=
-        { label = Printf.sprintf "conflict%d" n; refs; cheap = false } :: !nests;
-      (* ... plus (with probability [twin_percent]) its cheaper aligned
-         twin over the same arrays, keeping the intended combination
-         available in every constraint the conflicting nest creates.
-         The twin never draws temporal references: it must anchor the
-         intended pair for every array pair of the nest.  The
-         short-circuit matters: at the default 100% no random draw is
-         consumed, so classic workloads generate bit-identically. *)
-      if p.twin_percent >= 100 || Rng.int rng 100 < p.twin_percent then begin
+      let arrays_chosen = pick_arrays () in
+      if Rng.int rng 100 < p.conflict_percent then begin
+        (* an expensive conflicting nest, plus its cheaper aligned twin
+           over the same arrays, keeping the intended combination
+           available in every constraint the conflicting nest creates.
+           The twin never draws temporal references: it must anchor the
+           intended pair for every array pair of the nest. *)
+        let refs =
+          make_refs arrays_chosen ~conflict:true ~allow_temporal:true
+        in
+        nests :=
+          { label = Printf.sprintf "conflict%d" n; refs; cheap = false }
+          :: !nests;
         let twin_refs =
-          make_refs arrays_chosen ~conflict:(fun () -> false)
-            ~allow_temporal:false
+          make_refs arrays_chosen ~conflict:false ~allow_temporal:false
         in
         nests :=
           { label = Printf.sprintf "aligned%d_twin" n;
@@ -379,14 +348,14 @@ let plan p =
             cheap = true }
           :: !nests
       end
-    end
-    else begin
-      let refs =
-        make_refs arrays_chosen ~conflict:(fun () -> false) ~allow_temporal:true
-      in
-      nests := { label = Printf.sprintf "aligned%d" n; refs; cheap = false } :: !nests
-    end
-    end
+      else begin
+        let refs =
+          make_refs arrays_chosen ~conflict:false ~allow_temporal:true
+        in
+        nests :=
+          { label = Printf.sprintf "aligned%d" n; refs; cheap = false }
+          :: !nests
+      end
     end
   done;
   List.rev !nests
@@ -446,7 +415,7 @@ let realize p ~extent =
   let planned = plan p in
   let arrays =
     List.init p.num_arrays (fun q ->
-        Array_info.make ~elem_size:p.elem_size (array_name q) [ extent; extent ])
+        Array_info.make (array_name q) [ extent; extent ])
   in
   let nests =
     List.map

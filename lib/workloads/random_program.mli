@@ -46,7 +46,6 @@ type params = {
           references demand no layout, so the network gets wildcard pairs
           (any layout of that array is allowed with the partner's
           demand) — looser, paper-sized constraints *)
-  elem_size : int;
   group_size : int;
       (** when positive, arrays are partitioned into pools of this size
           and every nest draws all its references from one pool — the
@@ -54,42 +53,24 @@ type params = {
           [num_arrays / group_size] independent components.  [0] (the
           default) keeps the classic behaviour: any nest may reference
           any array. *)
-  twin_percent : int;
-      (** chance (in %) that a conflicting nest is paired with the
-          aligned twin that re-anchors the intended layouts.  At the
-          default [100] every conflict is anchored and the planted
-          solution survives (and no random draw is consumed, so classic
-          workloads are unchanged); lower values leave some conflicts
-          unanchored, pushing the network toward the satisfiability
-          phase transition — {!intended_layouts} is then only a hint,
-          not a guaranteed solution. *)
-  palette_size : int;
-      (** when positive, intended and conflicting draws use only the
-          first [palette_size] entries of the layout palette
-          (row-major, column-major, diagonal, ...), so every nest
-          competes over the same few layouts and domains stay tight.
-          [0] (the default) draws from the whole 8-entry palette. *)
   ref_conflict_percent : int;
-      (** when positive, switches generation to the mixed regime: every
-          nest draws each non-temporal reference's pull independently —
-          intended with probability [100 - ref_conflict_percent],
-          a conflicting alternative otherwise — and no twins are
-          generated ([conflict_percent]/[twin_percent] are ignored).
-          Demands then overlap across nests without agreeing wholesale,
-          which is what puts the network near the phase transition
-          instead of making it trivially satisfiable or trivially
-          wiped.  [0] (the default) keeps the classic per-nest
-          regime. *)
+      (** deep regime only: chance (in %) that a non-temporal reference
+          scrambles its planted slot order, breaking the planted loop
+          order locally; it tunes the hard family toward the
+          satisfiability phase transition.  The classic regime ignores
+          it. *)
   nest_depth : int;
       (** loops per nest.  [2] (the default) is the classic shape: one
           outer stride and one inner (delta) stride per reference.  [3]
-          or more switches generation to the deep regime: every
-          non-temporal reference carries one palette delta per loop, so
-          its demanded layout is decided by which loop the legal
+          or more switches generation to the deep regime: intended
+          layouts come from the first [nest_depth] palette entries
+          (row-major, column-major, diagonal, at most all 8), every
+          non-temporal reference carries one of their deltas per loop,
+          so its demanded layout is decided by which loop the legal
           restructurings put innermost, and every palette layout keeps a
           support in every pair constraint — the arc-consistency-blind
-          shape the hard family is built on.  Requires
-          [nest_depth <= palette size] (clamped otherwise). *)
+          shape the hard family is built on.  Deep nests draw no
+          conflicts and no twins. *)
   shift_nests : int;
       (** number of windowed-update nests appended after the classic
           ones: nest [shift{s}] stores [Q[i+b][j]] and loads
@@ -107,10 +88,10 @@ type params = {
 val default : params
 (** A small, balanced configuration (8 arrays, 12 nests, 64x64 arrays). *)
 
-val scale : ?seed:int -> ?group_size:int -> int -> params
+val scale : ?seed:int -> int -> params
 (** [scale n] is the scale-family configuration at [n] arrays
-    ("scale-{n}"): nests at [2n/5] (at least 8), pools of [group_size]
-    (default 8) arrays so the network splits into [~n/8] components,
+    ("scale-{n}"): nests at [2n/5] (at least 8), pools of 8 arrays so
+    the network splits into [~n/8] components,
     paper-like conflict/skew/temporal rates, [max 1 (n/10)] windowed
     shift nests whose legality only the exact dependence engine can
     liberate, and a halved simulation extent.  Designed to stress end-to-end throughput at 10/100/1000

@@ -75,10 +75,7 @@ let med_im04 () =
       conflict_percent = 25;
       skew_percent = 55;
       temporal_percent = 30;
-      elem_size = 4;
       group_size = 0;
-      twin_percent = 100;
-      palette_size = 0;
       ref_conflict_percent = 0;
       nest_depth = 2;
       shift_nests = 0;
@@ -101,10 +98,7 @@ let radar () =
       conflict_percent = 30;
       skew_percent = 75;
       temporal_percent = 20;
-      elem_size = 4;
       group_size = 0;
-      twin_percent = 100;
-      palette_size = 0;
       ref_conflict_percent = 0;
       nest_depth = 2;
       shift_nests = 0;
@@ -127,10 +121,7 @@ let shape () =
       conflict_percent = 35;
       skew_percent = 90;
       temporal_percent = 15;
-      elem_size = 4;
       group_size = 0;
-      twin_percent = 100;
-      palette_size = 0;
       ref_conflict_percent = 0;
       nest_depth = 2;
       shift_nests = 0;
@@ -154,10 +145,7 @@ let track () =
       conflict_percent = 35;
       skew_percent = 90;
       temporal_percent = 15;
-      elem_size = 4;
       group_size = 0;
-      twin_percent = 100;
-      palette_size = 0;
       ref_conflict_percent = 0;
       nest_depth = 2;
       shift_nests = 0;
@@ -175,8 +163,8 @@ let all () = [ med_im04 (); mxm (); radar (); shape (); track () ]
 (* Synthetic throughput workloads, not paper reproductions: the paper
    columns are zeroed and the candidate set is whatever the nests
    demand (no padding to a published domain size). *)
-let scale ?seed ?group_size n =
-  let params = Random_program.scale ?seed ?group_size n in
+let scale ?seed n =
+  let params = Random_program.scale ?seed n in
   let program = Random_program.generate params in
   let sim_program = Random_program.generate_sim params in
   spec ~name:params.Random_program.name

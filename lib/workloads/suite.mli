@@ -30,7 +30,7 @@ val track : unit -> Spec.t
 val all : unit -> Spec.t list
 (** The five, in Table-1 order. *)
 
-val scale : ?seed:int -> ?group_size:int -> int -> Spec.t
+val scale : ?seed:int -> int -> Spec.t
 (** The scale family ({!Random_program.scale}) wrapped as a spec:
     synthetic component-rich programs at 10/100/1000+ arrays for
     throughput work, with zeroed paper columns (they reproduce nothing)

@@ -12,6 +12,9 @@ module Solver = Mlo_csp.Solver
 module Schemes = Mlo_csp.Schemes
 module Brute = Mlo_oracle.Brute
 module Rng = Mlo_csp.Rng
+module Stats = Mlo_csp.Stats
+module Trace = Mlo_obs.Trace
+module Json = Mlo_obs.Json
 
 (* Same generator family as test_compiled: small random networks of 2-6
    variables, domains of 1-3 values, ~60% pair density, ~55% allowed
@@ -106,6 +109,75 @@ let prop_verdict_seed_independent =
       and enh2 = verdict (Schemes.enhanced ~seed:(5 * seed + 13) ()) in
       base1 = base2 && enh1 = enh2 && base1 = enh1)
 
+(* Networks whose relations allow every pair: every value extends every
+   partial assignment, so a search never backtracks.  1-24 variables,
+   domains of 1-4 values (the size tie-break has work to do), ~35% pair
+   density (and so many degree ties). *)
+let permissive_network seed =
+  let rng = Rng.create ((31 * seed) + 5) in
+  let n = 1 + Rng.int rng 24 in
+  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
+  let domains =
+    Array.init n (fun _ -> Array.init (1 + Rng.int rng 4) Fun.id)
+  in
+  let net = Network.create ~names ~domains in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Rng.int rng 100 < 35 then
+        Network.add_allowed net i j
+          (List.concat_map
+             (fun vi -> List.map (fun vj -> (vi, vj)) (Array.to_list domains.(j)))
+             (Array.to_list domains.(i)))
+    done
+  done;
+  net
+
+(* The variables of a trace's [decision] instants, in trace order. *)
+let decision_vars dump =
+  let events =
+    match Result.map Json.to_list (Json.parse dump) with
+    | Ok (Some events) -> events
+    | Ok None | Error _ -> QCheck.Test.fail_report "unreadable trace"
+  in
+  List.filter_map
+    (fun ev ->
+      match
+        ( Json.member "name" ev,
+          Option.bind (Json.member "args" ev) (Json.member "var") )
+      with
+      | Some (Json.Str "decision"), Some (Json.Num v) -> Some (int_of_float v)
+      | _ -> None)
+    events
+
+(* Netcheck measures width along Schemes.most_constraining_order because
+   it is the order the enhanced scheme visits variables when it never
+   backtracks.  Where that holds, the replay must name the variables in
+   the order the kernel's decisions do. *)
+let prop_order_replays_decisions =
+  QCheck.Test.make
+    ~name:"most-constraining order = the enhanced search's decisions"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let net = permissive_network seed in
+      Trace.start ();
+      let r, dump =
+        Fun.protect ~finally:Trace.stop (fun () ->
+            let r = Solver.solve ~config:(Schemes.enhanced ~seed ()) net in
+            (r, Trace.dump ()))
+      in
+      (match r.Solver.outcome with
+      | Solver.Solution _ -> ()
+      | Solver.Unsatisfiable | Solver.Aborted ->
+        QCheck.Test.fail_report "no solution on a permissive network");
+      let st = r.Solver.stats in
+      if st.Stats.backtracks + st.Stats.backjumps > 0 then
+        QCheck.Test.fail_report "the search backtracked";
+      let decided = Array.of_list (decision_vars dump) in
+      let order = Schemes.most_constraining_order net in
+      decided = order
+      || QCheck.Test.fail_reportf "decisions [%s], replay [%s]"
+           (String.concat " " (Array.to_list (Array.map string_of_int decided)))
+           (String.concat " " (Array.to_list (Array.map string_of_int order))))
+
 (* On the real workload networks (not just the random family) the three
    schemes must all find a consistent assignment. *)
 let test_workload_schemes () =
@@ -133,6 +205,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_schemes_agree;
           QCheck_alcotest.to_alcotest prop_verdict_seed_independent;
+          QCheck_alcotest.to_alcotest prop_order_replays_decisions;
           Alcotest.test_case "workload networks" `Quick test_workload_schemes;
         ] );
     ]

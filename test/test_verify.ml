@@ -17,6 +17,7 @@ module Solver = Mlo_csp.Solver
 module Cdl = Mlo_csp.Cdl
 module Bnb = Mlo_csp.Bnb
 module Brute = Mlo_oracle.Brute
+module Ac3 = Mlo_oracle.Ac3
 module Rng = Mlo_csp.Rng
 module Proof = Mlo_verify.Proof
 module Checker = Mlo_verify.Checker
@@ -505,6 +506,46 @@ let test_core_verified () =
     (Printf.sprintf "enough AC-refutable instances (%d)" !hits)
     true (!hits >= 5)
 
+(* The checker's fixpoint over a constraint subset S
+   ([refutes ~only:S]) wipes exactly when the AC-3 oracle wipes on the
+   network that keeps only S, and over every constraint exactly when
+   AC-3 wipes on the whole network.  Random subsets mostly do not wipe,
+   which no unsat core exercises. *)
+let prop_refutes_matches_ac3 =
+  QCheck.Test.make ~name:"refutes ~only:S = AC-3 on the network of S"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let net = random_network seed in
+      let n = Network.num_vars net in
+      let rng = Rng.create (seed + 4242) in
+      let only =
+        List.filter
+          (fun _ -> Rng.int rng 2 = 0)
+          (Network.constraint_pairs net)
+      in
+      let sub =
+        Network.create
+          ~names:(Array.init n (Network.name net))
+          ~domains:(Array.init n (Network.domain net))
+      in
+      List.iter
+        (fun (i, j) ->
+          let pairs = ref [] in
+          for vi = 0 to Network.domain_size net i - 1 do
+            for vj = 0 to Network.domain_size net j - 1 do
+              if Network.allowed net i vi j vj then pairs := (vi, vj) :: !pairs
+            done
+          done;
+          Network.add_allowed sub i j !pairs)
+        only;
+      let wipes net = Result.is_error (Ac3.run net) in
+      let agree label got want =
+        got = want
+        || QCheck.Test.fail_reportf "%s: refutes %b, AC-3 wipes %b" label got
+             want
+      in
+      agree "subset" (Checker.refutes ~only net) (wipes sub)
+      && agree "whole network" (Checker.refutes net) (wipes net))
+
 let () =
   Alcotest.run "verify"
     [
@@ -541,6 +582,7 @@ let () =
         ] );
       ( "unsat-core",
         [ Alcotest.test_case "cores verify independently" `Quick
-            test_core_verified ]
+            test_core_verified;
+          QCheck_alcotest.to_alcotest prop_refutes_matches_ac3 ]
       );
     ]
