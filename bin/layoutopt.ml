@@ -930,7 +930,23 @@ let () =
      capture its stderr and keep only the one-line error, exit 2. *)
   let err_buf = Buffer.create 256 in
   let err_ppf = Format.formatter_of_buffer err_buf in
-  let code = Cmd.eval ~err:err_ppf main_cmd in
+  (* Exact arithmetic that would wrap (an access coefficient near
+     max_int, say) is an input error too, named in one line.  Any other
+     exception is a bug and keeps cmdliner's internal-error exit. *)
+  let code =
+    match Cmd.eval ~catch:false ~err:err_ppf main_cmd with
+    | code -> code
+    | exception Mlo_linalg.Intvec.Overflow ->
+      prerr_endline
+        "layoutopt: integer overflow in exact arithmetic (coefficients too \
+         large)";
+      exit 2
+    | exception e ->
+      Format.fprintf err_ppf
+        "layoutopt: internal error, uncaught exception:@\n  %s@\n"
+        (Printexc.to_string e);
+      Cmd.Exit.internal_error
+  in
   Format.pp_print_flush err_ppf ();
   if code = Cmd.Exit.cli_error then begin
     (match String.split_on_char '\n' (Buffer.contents err_buf) with

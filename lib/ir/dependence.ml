@@ -143,50 +143,8 @@ let omega_pair_deps nest a1 a2 =
    other pair (non-uniform, rank-deficient, or with a coefficient that
    could overflow machine arithmetic) takes [omega_pair_deps]. *)
 
-exception Overflow
-
 let guard = 1 lsl 30
 let small x = x > -guard && x < guard
-
-let ( -! ) a b =
-  let s = a - b in
-  if (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow else s
-
-let ( *! ) a b =
-  if a = 0 then 0
-  else
-    let p = a * b in
-    if p / a <> b || (a = -1 && b = min_int) then raise Overflow else p
-
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-
-(* Fraction-free Gaussian elimination, in place, of augmented rows
-   ([k] unknown columns, then the right-hand side), keeping each reduced
-   row primitive.  Raises [Exit] when some unknown gets no pivot. *)
-let echelon a k =
-  let rows = Array.length a in
-  let primitive row =
-    let g = Array.fold_left gcd 0 row in
-    if g > 1 then Array.map (fun x -> x / g) row else row
-  in
-  for q = 0 to k - 1 do
-    let rec find r =
-      if r >= rows then raise Exit
-      else if a.(r).(q) <> 0 then r
-      else find (r + 1)
-    in
-    let r = find q in
-    let p = a.(r) in
-    a.(r) <- a.(q);
-    a.(q) <- p;
-    for r' = q + 1 to rows - 1 do
-      let e = a.(r').(q) in
-      if e <> 0 then
-        a.(r') <-
-          primitive
-            (Array.mapi (fun c x -> (p.(q) *! x) -! (e *! p.(c))) a.(r'))
-    done
-  done
 
 (* The unique solution of an echelon system with [k] pivots, or [None]
    when it is inconsistent or not integral. *)
@@ -199,7 +157,7 @@ let back_substitute a k =
     let row = a.(q) in
     let rhs = ref row.(k) in
     for q' = q + 1 to k - 1 do
-      rhs := !rhs -! (row.(q') *! x.(q'))
+      rhs := Intvec.(!rhs -! (row.(q') *! x.(q')))
     done;
     !rhs mod row.(q) = 0
     && begin
@@ -244,11 +202,14 @@ let uniform_box nest a1 a2 =
         f
     in
     match
-      echelon a k;
+      if Intmat.echelon ~cols:k a < k then raise Exit;
       ( back_substitute a k,
-        Array.map (fun l -> l.Loop_nest.hi -! 1 -! l.Loop_nest.lo) loops )
+        Array.map
+          (fun l -> Intvec.(l.Loop_nest.hi -! 1 -! l.Loop_nest.lo))
+          loops )
     with
-    | exception (Exit | Overflow) -> None (* rank-deficient or too large *)
+    | exception (Exit | Intvec.Overflow) ->
+        None (* rank-deficient or too large *)
     | None, _ -> Some None
     | Some x, span ->
         let box = Array.map (fun s -> (-s, s)) span in

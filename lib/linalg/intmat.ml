@@ -80,88 +80,44 @@ let add a b =
 let scale k m = Array.map (Intvec.scale k) m
 let is_square m = rows m = cols m
 
-(* Bareiss fraction-free elimination: all intermediate divisions are exact,
-   so the computation stays in the integers. *)
-let determinant m =
-  if not (is_square m) then invalid_arg "Intmat.determinant: not square";
-  let n = rows m in
-  if n = 0 then 1
-  else begin
-    let a = copy m in
-    let sign = ref 1 in
-    let prev = ref 1 in
-    let res = ref None in
-    (try
-       for k = 0 to n - 2 do
-         if a.(k).(k) = 0 then begin
-           (* find a pivot row below k *)
-           let rec find i =
-             if i >= n then None else if a.(i).(k) <> 0 then Some i else find (i + 1)
-           in
-           match find (k + 1) with
-           | None ->
-             res := Some 0;
-             raise Exit
-           | Some i ->
-             let tmp = a.(k) in
-             a.(k) <- a.(i);
-             a.(i) <- tmp;
-             sign := - !sign
-         end;
-         for i = k + 1 to n - 1 do
-           for j = k + 1 to n - 1 do
-             a.(i).(j) <-
-               ((a.(i).(j) * a.(k).(k)) - (a.(i).(k) * a.(k).(j))) / !prev
-           done;
-           a.(i).(k) <- 0
-         done;
-         prev := a.(k).(k)
-       done
-     with Exit -> ());
-    match !res with Some d -> d | None -> !sign * a.(n - 1).(n - 1)
-  end
-
-(* Rank over Q via rational Gaussian elimination. *)
-let rank m =
-  let r = rows m and c = cols m in
-  if r = 0 || c = 0 then 0
-  else begin
-    let a = Array.map (Array.map Rat.of_int) m in
-    let rk = ref 0 in
-    let pivot_row = ref 0 in
-    for j = 0 to c - 1 do
-      if !pivot_row < r then begin
-        (* find nonzero entry in column j at or below pivot_row *)
-        let rec find i =
-          if i >= r then None
-          else if not (Rat.is_zero a.(i).(j)) then Some i
-          else find (i + 1)
-        in
-        match find !pivot_row with
-        | None -> ()
-        | Some i ->
-          let tmp = a.(!pivot_row) in
-          a.(!pivot_row) <- a.(i);
-          a.(i) <- tmp;
-          let p = a.(!pivot_row).(j) in
-          for i' = !pivot_row + 1 to r - 1 do
-            if not (Rat.is_zero a.(i').(j)) then begin
-              let f = Rat.div a.(i').(j) p in
-              for j' = j to c - 1 do
-                a.(i').(j') <- Rat.sub a.(i').(j') (Rat.mul f a.(!pivot_row).(j'))
-              done
-            end
-          done;
-          incr pivot_row;
-          incr rk
-      end
+(* Fraction-free Gaussian elimination: a reduced row is [pivot * row -
+   entry * pivot_row], divided by its content, so every entry stays an
+   integer and rows stay primitive.  Checked arithmetic raises where a
+   product would wrap. *)
+let echelon ~cols a =
+  let n = rows a in
+  let rank = ref 0 in
+  for j = 0 to cols - 1 do
+    let r = ref !rank in
+    while !r < n && a.(!r).(j) = 0 do
+      incr r
     done;
-    !rk
-  end
+    if !r < n then begin
+      let p = a.(!r) in
+      a.(!r) <- a.(!rank);
+      a.(!rank) <- p;
+      for r' = !rank + 1 to n - 1 do
+        let row = a.(r') in
+        let e = row.(j) in
+        if e <> 0 then begin
+          for c = j to Array.length row - 1 do
+            row.(c) <- Intvec.((p.(j) *! row.(c)) -! (e *! p.(c)))
+          done;
+          let g = Intvec.content row in
+          if g > 1 then
+            for c = 0 to Array.length row - 1 do
+              row.(c) <- row.(c) / g
+            done
+        end
+      done;
+      incr rank
+    end
+  done;
+  !rank
+
+let rank m = echelon ~cols:(cols m) (copy m)
 
 let is_identity m = is_square m && equal m (identity (rows m))
-let is_unimodular m = is_square m && abs (determinant m) = 1
-let is_nonsingular m = is_square m && determinant m <> 0
 
 let append_row m v =
   if rows m > 0 && Intvec.dim v <> cols m then

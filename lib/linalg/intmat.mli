@@ -1,7 +1,8 @@
 (** Dense integer matrices.
 
     A matrix is an array of rows; all rows have equal length.  As with
-    {!Intvec}, exported operations are non-mutating.  These matrices carry
+    {!Intvec}, exported operations are non-mutating, except {!echelon},
+    which reduces its argument in place.  These matrices carry
     array access functions (rows indexed by loop variables) and data
     transforms (rows are hyperplane vectors). *)
 
@@ -49,21 +50,23 @@ val vec_mul : Intvec.t -> t -> Intvec.t
 val add : t -> t -> t
 val scale : int -> t -> t
 
-val determinant : t -> int
-(** Exact determinant by fraction-free (Bareiss) elimination.
-    Raises [Invalid_argument] if the matrix is not square. *)
+val echelon : cols:int -> t -> int
+(** [echelon ~cols a] brings [a] to row echelon form in place by
+    fraction-free elimination and returns its rank [r] over the first
+    [cols] columns: rows [0 .. r-1] hold the pivots, each at its row's
+    first nonzero entry, in increasing columns; every row it reduces is
+    left primitive ({!Intvec.primitive}); the rows below [r] are zero in
+    the first [cols] columns.  Columns past [cols] (a right-hand side,
+    say) are reduced along but hold no pivot.  Raises {!Intvec.Overflow}
+    where an entry would not fit in a machine integer. *)
 
 val rank : t -> int
-(** Rank over the rationals. *)
+(** [rank m] is {!echelon} on a copy of [m] over all its columns: the
+    rank over the rationals.  Raises {!Intvec.Overflow} as {!echelon}
+    does. *)
 
 val is_square : t -> bool
 val is_identity : t -> bool
-
-val is_unimodular : t -> bool
-(** True iff the matrix is square with determinant +1 or -1. *)
-
-val is_nonsingular : t -> bool
-(** True iff the matrix is square with nonzero determinant. *)
 
 val append_row : t -> Intvec.t -> t
 (** [append_row m v] is [m] with [v] appended as the last row. *)

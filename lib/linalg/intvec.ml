@@ -59,6 +59,18 @@ let neg a = Array.map (fun x -> -x) a
 let scale k a = Array.map (fun x -> k * x) a
 let is_zero v = Array.for_all (fun x -> x = 0) v
 
+exception Overflow
+
+let ( -! ) a b =
+  let s = a - b in
+  if (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow else s
+
+let ( *! ) a b =
+  if a = 0 then 0
+  else
+    let p = a * b in
+    if p / a <> b || (a = -1 && b = min_int) then raise Overflow else p
+
 let rec gcd a b =
   let a = abs a and b = abs b in
   if b = 0 then a else gcd b (a mod b)

@@ -57,6 +57,16 @@ val scale : int -> t -> t
 val is_zero : t -> bool
 (** [is_zero v] is true iff every component is 0. *)
 
+exception Overflow
+(** Raised by the checked operators when the exact result does not fit
+    in a machine integer. *)
+
+val ( -! ) : int -> int -> int
+(** [a -! b] is [a - b], or raises {!Overflow} where [-] would wrap. *)
+
+val ( *! ) : int -> int -> int
+(** [a *! b] is [a * b], or raises {!Overflow} where [*] would wrap. *)
+
 val gcd : int -> int -> int
 (** Non-negative greatest common divisor; [gcd 0 0 = 0]. *)
 

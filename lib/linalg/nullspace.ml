@@ -1,70 +1,44 @@
-(* Nullspace by rational reduced row echelon form.  For each free column f
-   the corresponding basis vector sets x_f = 1 and x_{p_i} = -rref(i, f)
-   for pivot columns p_i; denominators are then cleared and the result is
-   put in canonical (primitive, sign-fixed) form. *)
-
-let rref a =
-  let r = Intmat.rows a and c = Intmat.cols a in
-  let m = Array.init r (fun i -> Array.map Rat.of_int a.(i)) in
-  let pivots = ref [] in
-  let pr = ref 0 in
-  for j = 0 to c - 1 do
-    if !pr < r then begin
-      let rec find i =
-        if i >= r then None
-        else if not (Rat.is_zero m.(i).(j)) then Some i
-        else find (i + 1)
-      in
-      match find !pr with
-      | None -> ()
-      | Some i ->
-        let tmp = m.(!pr) in
-        m.(!pr) <- m.(i);
-        m.(i) <- tmp;
-        let p = m.(!pr).(j) in
-        for j' = 0 to c - 1 do
-          m.(!pr).(j') <- Rat.div m.(!pr).(j') p
-        done;
-        for i' = 0 to r - 1 do
-          if i' <> !pr && not (Rat.is_zero m.(i').(j)) then begin
-            let f = m.(i').(j) in
-            for j' = 0 to c - 1 do
-              m.(i').(j') <- Rat.sub m.(i').(j') (Rat.mul f m.(!pr).(j'))
-            done
-          end
-        done;
-        pivots := (!pr, j) :: !pivots;
-        incr pr
-    end
-  done;
-  (m, List.rev !pivots)
-
-let lcm a b = if a = 0 || b = 0 then abs (a + b) else abs (a / Intvec.gcd a b * b)
+(* Nullspace by fraction-free elimination.  For each free column f the
+   basis vector sets x_f = 1, every other free entry 0, and solves the
+   echelon rows for the pivot entries from the last row up; where a
+   pivot does not divide its row's sum, the whole vector is scaled so it
+   does.  The result is put in canonical (primitive, sign-fixed) form. *)
 
 let basis a =
   let c = Intmat.cols a in
-  if c = 0 then []
-  else if Intmat.rows a = 0 then
-    List.init c (fun i -> Intvec.unit c i)
-  else begin
-    let m, pivots = rref a in
-    let pivot_cols = List.map snd pivots in
-    let is_pivot j = List.mem j pivot_cols in
-    let free_cols =
-      List.filter (fun j -> not (is_pivot j)) (List.init c Fun.id)
-    in
-    let vector_for f =
-      (* rational solution with x_f = 1 *)
-      let x = Array.make c Rat.zero in
-      x.(f) <- Rat.one;
-      List.iter (fun (i, p) -> x.(p) <- Rat.neg m.(i).(f)) pivots;
-      (* clear denominators *)
-      let l = Array.fold_left (fun acc r -> lcm acc (Rat.den r)) 1 x in
-      let v = Array.map (fun r -> Rat.num r * (l / Rat.den r)) x in
-      Intvec.canonical v
-    in
-    List.map vector_for free_cols
-  end
+  let m = Intmat.copy a in
+  let rank = Intmat.echelon ~cols:c m in
+  let pivot = Array.make rank 0 in
+  let is_pivot = Array.make c false in
+  for i = 0 to rank - 1 do
+    while m.(i).(pivot.(i)) = 0 do
+      pivot.(i) <- pivot.(i) + 1
+    done;
+    is_pivot.(pivot.(i)) <- true
+  done;
+  let vector_for f =
+    let x = Array.make c 0 in
+    x.(f) <- 1;
+    for i = rank - 1 downto 0 do
+      let row = m.(i) and p = pivot.(i) in
+      (* minus the row's sum past its pivot *)
+      let t = ref 0 in
+      for j = p + 1 to c - 1 do
+        t := Intvec.(!t -! (row.(j) *! x.(j)))
+      done;
+      let g = Intvec.gcd !t row.(p) in
+      let k = row.(p) / g in
+      if k <> 1 then
+        for j = 0 to c - 1 do
+          x.(j) <- Intvec.(x.(j) *! k)
+        done;
+      x.(p) <- !t / g
+    done;
+    Intvec.canonical x
+  in
+  List.filter_map
+    (fun f -> if is_pivot.(f) then None else Some (vector_for f))
+    (List.init c Fun.id)
 
 let left_basis a = basis (Intmat.transpose a)
 

@@ -4,13 +4,18 @@
     difference vectors between array elements accessed by successive loop
     iterations, find integer hyperplane vectors [y] with [y . d = 0] for
     every difference [d].  This module computes a basis of primitive
-    integer vectors for that space. *)
+    integer vectors for that space, by {!Intmat.echelon} and an integer
+    back-substitution: no fraction is ever formed. *)
 
 val basis : Intmat.t -> Intvec.t list
 (** [basis a] is a list of linearly independent primitive integer vectors
     spanning the rational nullspace [{ x | a x = 0 }] of [a] (with [x] a
     column vector of dimension [cols a]).  The list has length
-    [cols a - rank a].  Each vector is in {!Intvec.canonical} form. *)
+    [cols a - rank a], one vector per free column in increasing order:
+    the one whose entry there is nonzero and whose other free entries are
+    0.  Each vector is in {!Intvec.canonical} form.  Raises
+    {!Intvec.Overflow} where an entry of the elimination or of a vector
+    would not fit in a machine integer. *)
 
 val left_basis : Intmat.t -> Intvec.t list
 (** [left_basis a] is the left nullspace: primitive row vectors [y] of

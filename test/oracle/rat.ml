@@ -4,7 +4,7 @@ let make num den =
   if den = 0 then raise Division_by_zero;
   let s = if den < 0 then -1 else 1 in
   let num = s * num and den = s * den in
-  let g = Intvec.gcd num den in
+  let g = Mlo_linalg.Intvec.gcd num den in
   if g <= 1 then { num; den } else { num = num / g; den = den / g }
 
 let of_int n = { num = n; den = 1 }

@@ -1,9 +1,10 @@
 (** Exact rational arithmetic on machine integers.
 
     Rationals are kept in canonical form: the denominator is positive and
-    the numerator and denominator are coprime.  Used for exact Gaussian
-    elimination in {!Nullspace} and {!Intmat}; the matrices arising from
-    affine loop nests are tiny, so machine-word numerators are ample. *)
+    the numerator and denominator are coprime.  Used by the rational
+    Gaussian elimination of {!Linalg_reference}.  The arithmetic wraps
+    silently where a machine-word product overflows, so the reference
+    is trusted only on small entries. *)
 
 type t = private { num : int; den : int }
 

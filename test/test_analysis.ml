@@ -25,6 +25,7 @@ module Parser = Mlo_lang.Parser
 module Diagnostic = Mlo_analysis.Diagnostic
 module Lint = Mlo_analysis.Lint
 module Netcheck = Mlo_analysis.Netcheck
+module Fixtures = Mlo_oracle.Fixtures
 
 let errors r =
   List.filter Diagnostic.is_error r.Lint.diagnostics
@@ -285,30 +286,6 @@ let test_build_components () =
     [ [ "A"; "B" ]; [ "C"; "D" ] ]
     (Array.to_list (Array.map Array.to_list (Build.components build)))
 
-(* Same generator as test_csp/test_compiled: small random networks. *)
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
-
 (* A sparser variant that regularly splits into several components. *)
 let sparse_network seed =
   let rng = Rng.create (seed * 7919) in
@@ -397,7 +374,7 @@ let prop_single_component_identical =
   QCheck.Test.make
     ~name:"single-component networks take the identical solve path" ~count:150
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       QCheck.assume (Array.length (Network.components net) = 1);
       let config = Schemes.enhanced ~seed:(seed + 1) () in
       let a = Solver.solve ~config net in
@@ -495,7 +472,7 @@ let prop_component_event_contract =
                   event_contract net r (List.rev !events))
                 engines)
             [ None; Some (1 + (seed mod 7)); Some (5 + (seed mod 23)) ])
-        [ sparse_network seed; random_network seed ])
+        [ sparse_network seed; Fixtures.random_network seed ])
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark goldens: components, width, induced width                 *)
@@ -539,7 +516,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_components_partition;
-      prop_solve_components_equivalent "dense" random_network;
+      prop_solve_components_equivalent "dense" Fixtures.random_network;
       prop_solve_components_equivalent "sparse" sparse_network;
       prop_single_component_identical;
       prop_component_event_contract;

@@ -23,47 +23,10 @@ module Trace = Mlo_obs.Trace
 module Spec = Mlo_workloads.Spec
 module Suite = Mlo_workloads.Suite
 module Build = Mlo_netgen.Build
-module Select = Mlo_netgen.Select
 module Layout = Mlo_layout.Layout
 module Locality = Mlo_analysis.Locality
 module Optimizer = Mlo_core.Optimizer
-module Simulate = Mlo_cachesim.Simulate
-module Hierarchy = Mlo_cachesim.Hierarchy
-
-(* Same generator family as test_cdl/test_schemes: small random networks
-   of 2-6 variables, domains of 1-3 values, ~60% pair density, ~55%
-   allowed pairs — roughly half the instances unsatisfiable. *)
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
-
-let dumb_verify net a =
-  let n = Network.num_vars net in
-  let in_range i v = v >= 0 && v < Network.domain_size net i in
-  Array.length a = n
-  && List.for_all (fun i -> in_range i a.(i)) (List.init n Fun.id)
-  && List.for_all
-       (fun (i, j) -> Network.allowed net i a.(i) j a.(j))
-       (Network.constraint_pairs net)
+module Fixtures = Mlo_oracle.Fixtures
 
 (* Integer-valued synthetic costs: every sum the engine or the oracle
    forms is a sum of small integers, exactly representable, so optimum
@@ -93,7 +56,7 @@ let bnb_configs =
 let prop_bnb_optimal =
   QCheck.Test.make ~name:"bnb cost equals the exhaustive optimum" ~count:300
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let costs = random_costs seed net in
       let comp = Network.compile net in
       let best = oracle_min ~costs net in
@@ -104,7 +67,7 @@ let prop_bnb_optimal =
             if best = infinity then
               QCheck.Test.fail_reportf
                 "%s found a solution on an unsatisfiable network" label;
-            if not (dumb_verify net a) then
+            if not (Fixtures.dumb_verify net a) then
               QCheck.Test.fail_reportf
                 "%s returned an inconsistent assignment" label;
             let c = Bnb.cost_of ~costs a in
@@ -127,7 +90,7 @@ let prop_bnb_optimal =
 let prop_bnb_components_optimal =
   QCheck.Test.make ~name:"component-wise bnb equals the whole-net optimum"
     ~count:200 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let costs = random_costs seed net in
       let cost name v =
         costs.(int_of_string (String.sub name 1 (String.length name - 1))).(v)
@@ -135,7 +98,7 @@ let prop_bnb_components_optimal =
       let best = oracle_min ~costs net in
       match (Bnb.branch_and_bound ~cost net).Solver.outcome with
       | Solver.Solution a ->
-        if best = infinity || not (dumb_verify net a) then
+        if best = infinity || not (Fixtures.dumb_verify net a) then
           QCheck.Test.fail_report "bad solution";
         if Bnb.cost_of ~costs a <> best then
           QCheck.Test.fail_reportf "cost %g, optimum %g" (Bnb.cost_of ~costs a)
@@ -152,7 +115,7 @@ let prop_bnb_agrees =
   QCheck.Test.make
     ~name:"bnb agrees with enhanced/cdl on satisfiability" ~count:300
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let costs = random_costs seed net in
       let sat = function
         | Solver.Solution _ -> true
@@ -178,7 +141,7 @@ let prop_lower_bound_admissible =
   QCheck.Test.make
     ~name:"lower bound never exceeds a satisfying completion" ~count:300
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let costs = random_costs seed net in
       let rng = Rng.create (seed + 31337) in
       let live _ _ = true in
@@ -249,7 +212,7 @@ let rec strictly_decreasing = function
 let test_incumbent_monotone () =
   let checked = ref 0 in
   for seed = 0 to 40 do
-    let net = random_network seed in
+    let net = Fixtures.random_network seed in
     let costs = random_costs seed net in
     let comp = Network.compile net in
     List.iter
@@ -295,7 +258,7 @@ let test_incumbent_monotone () =
 (* ------------------------------------------------------------------ *)
 
 let test_invalid_config () =
-  let net = random_network 3 in
+  let net = Fixtures.random_network 3 in
   let costs = random_costs 3 net in
   let comp = Network.compile net in
   Alcotest.check_raises "negative slack rejected"
@@ -312,7 +275,7 @@ let test_invalid_config () =
 let prop_bound_slack_approximates =
   QCheck.Test.make ~name:"slack solutions stay within (1+s) of optimal"
     ~count:200 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let costs = random_costs seed net in
       let comp = Network.compile net in
       let best = oracle_min ~costs net in
@@ -511,12 +474,6 @@ let test_objective_metrics () =
     (Suite.all ());
   Alcotest.(check bool) "metrics diverge on some layout" true !strict
 
-let simulated_cycles spec layouts =
-  let lookup n = List.assoc_opt n layouts in
-  let restructured = Select.restructure spec.Spec.sim_program lookup in
-  (Simulate.run restructured ~layouts:lookup).Simulate.counters
-    .Hierarchy.cycles
-
 (* Med-Im04 is where the optimizing search visibly pays: the cost model
    prefers a cheaper satisfying assignment than the one the enhanced
    scheme stumbles on first.  The simulated-cycle totals are pinned like
@@ -529,7 +486,7 @@ let test_med_im04_golden () =
   in
   let st = Option.get sol.Optimizer.solver_stats in
   Alcotest.(check bool) "bound pruning fired" true (st.Stats.bounded > 0);
-  let cycles = simulated_cycles spec sol.Optimizer.layouts in
+  let cycles = Fixtures.simulated_cycles spec sol.Optimizer.layouts in
   Alcotest.(check int) "Med-Im04 bnb cycles" 1630436 cycles;
   Alcotest.(check bool)
     (Printf.sprintf "no worse than enhanced's golden (%d vs 1639362)" cycles)
@@ -619,7 +576,18 @@ let test_cli_errors () =
     ];
   (* NaN would slip past a [< 0] test *)
   check_one_line_error "NaN slack" "solve -s bnb -w mxm --bound-slack=nan"
-    "layoutopt: option '--bound-slack': must be non-negative (got nan)"
+    "layoutopt: option '--bound-slack': must be non-negative (got nan)";
+  (* coefficients whose exact elimination would wrap: lint's nullspace
+     and the derived layout's rank check name the overflow *)
+  List.iter
+    (fun (cmd, file) ->
+      check_one_line_error
+        (Printf.sprintf "%s %s" cmd file)
+        (Printf.sprintf "%s %s" cmd
+           (Filename.concat (Filename.dirname Sys.executable_name) file))
+        "layoutopt: integer overflow in exact arithmetic (coefficients too \
+         large)")
+    [ ("lint", "overflow-lint.mlo"); ("optimize-file", "overflow-layout.mlo") ]
 
 let () =
   Alcotest.run "bnb"

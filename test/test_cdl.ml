@@ -15,42 +15,7 @@ module Nogood = Mlo_csp.Nogood
 module Brute = Mlo_oracle.Brute
 module Rng = Mlo_csp.Rng
 module Stats = Mlo_csp.Stats
-
-(* Same generator family as test_schemes: small random networks of 2-6
-   variables, domains of 1-3 values, ~60% pair density, ~55% allowed
-   pairs — dense enough that roughly half the instances are
-   unsatisfiable and dead ends (hence learning) are common. *)
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
-
-let dumb_verify net a =
-  let n = Network.num_vars net in
-  let in_range i v = v >= 0 && v < Network.domain_size net i in
-  Array.length a = n
-  && List.for_all (fun i -> in_range i a.(i)) (List.init n Fun.id)
-  && List.for_all
-       (fun (i, j) -> Network.allowed net i a.(i) j a.(j))
-       (Network.constraint_pairs net)
+module Fixtures = Mlo_oracle.Fixtures
 
 (* Configurations that stress different parts of the machinery: the
    default, a restart-happy one (budget of 1 conflict forces a restart
@@ -67,7 +32,7 @@ let cdl_configs =
 let prop_cdl_agrees =
   QCheck.Test.make ~name:"cdl agrees with Brute on satisfiability"
     ~count:300 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let expected = Brute.is_satisfiable net in
       List.for_all
         (fun (label, config) ->
@@ -76,7 +41,7 @@ let prop_cdl_agrees =
             if not expected then
               QCheck.Test.fail_reportf
                 "%s found a solution on an unsatisfiable network" label;
-            if not (dumb_verify net a) then
+            if not (Fixtures.dumb_verify net a) then
               QCheck.Test.fail_reportf
                 "%s returned an inconsistent assignment" label;
             true
@@ -96,7 +61,7 @@ let prop_cdl_agrees =
 let prop_nogoods_sound =
   QCheck.Test.make ~name:"every learned nogood excludes no solution"
     ~count:300 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let learned = ref [] in
       let comp = Network.compile net in
       let r =
@@ -138,7 +103,7 @@ let prop_unit_bans_sound =
   QCheck.Test.make
     ~name:"unit bans retained across forgetting exclude no solution"
     ~count:300 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let comp = Network.compile net in
       let units = ref [] in
       let config =
@@ -183,7 +148,7 @@ let prop_unit_bans_sound =
 let prop_restart_stats =
   QCheck.Test.make ~name:"restart/learn/forget counters are consistent"
     ~count:300 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let config =
         { Cdl.default_config with Cdl.restarts = 5; restart_base = 1;
           learn_limit = 4 }
@@ -210,7 +175,7 @@ let prop_store_bounded =
   QCheck.Test.make ~name:"nogood store never exceeds its limit" ~count:100
     QCheck.small_nat (fun seed ->
       let rng = Rng.create (seed + 777) in
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let comp = Network.compile net in
       let n = Network.num_vars net in
       let limit = 1 + Rng.int rng 6 in
@@ -238,7 +203,7 @@ let prop_store_accounting =
   QCheck.Test.make ~name:"learned = stored + forgotten + bans" ~count:100
     QCheck.small_nat (fun seed ->
       let rng = Rng.create (seed + 1234) in
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let comp = Network.compile net in
       let n = Network.num_vars net in
       let store = Nogood.create ~limit:3 comp in

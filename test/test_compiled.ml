@@ -18,31 +18,7 @@ module Ac2001 = Mlo_csp.Ac2001
 module Bitset = Mlo_csp.Bitset
 module Rng = Mlo_csp.Rng
 module Stats = Mlo_csp.Stats
-
-(* Same generator as test_csp: small random networks of 2-6 variables,
-   domains of 1-3 values, ~60% pair density, ~55% allowed pairs. *)
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
+module Fixtures = Mlo_oracle.Fixtures
 
 (* Every search configuration exercised for equivalence.  Preprocessing
    configs are excluded here (the reference ignores them) and covered
@@ -81,7 +57,7 @@ let outcome_label = function
 let prop_compiled_matches_network =
   QCheck.Test.make ~name:"compiled allowed/support_count match the network"
     ~count:200 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let comp = Network.compile net in
       let n = Network.num_vars net in
       let ok = ref (Compiled.num_vars comp = n) in
@@ -114,7 +90,7 @@ let prop_compiled_matches_network =
       !ok)
 
 let test_compile_memoized () =
-  let net = random_network 5 in
+  let net = Fixtures.random_network 5 in
   let c1 = Network.compile net in
   let c2 = Network.compile net in
   Alcotest.(check bool) "same physical view" true (c1 == c2);
@@ -235,7 +211,7 @@ let prop_engines_agree config_name config =
   QCheck.Test.make
     ~name:(Printf.sprintf "compiled == reference (%s)" config_name)
     ~count:150 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let c = Solver.solve ~config net in
       let r = Solver_reference.solve ~config net in
       let same_outcome =
@@ -282,7 +258,7 @@ let engine_props =
 let prop_preprocessing_sound =
   QCheck.Test.make ~name:"AC preprocessing preserves satisfiability"
     ~count:150 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let config = Schemes.enhanced_with_ac ~seed:(seed + 3) () in
       let expected = Brute.is_satisfiable net in
       match (Solver.solve ~config net).Solver.outcome with
@@ -297,7 +273,7 @@ let prop_preprocessing_sound =
 let prop_ac2001_matches_ac3 =
   QCheck.Test.make ~name:"AC-2001 reaches the AC-3 fixpoint" ~count:200
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       match (Ac3.run net, Ac2001.run (Network.compile net)) with
       | Error _, Error _ -> true
       | Ok d3, Ok d1 ->

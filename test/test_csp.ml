@@ -11,6 +11,7 @@ module Weighted = Mlo_csp.Weighted
 module Bitset = Mlo_csp.Bitset
 module Rng = Mlo_csp.Rng
 module Local_search = Mlo_csp.Local_search
+module Fixtures = Mlo_oracle.Fixtures
 
 (* ------------------------------------------------------------------ *)
 (* The paper's Section 3 network                                       *)
@@ -445,34 +446,11 @@ let test_backjumping_actually_jumps () =
 (* Random-network properties                                           *)
 (* ------------------------------------------------------------------ *)
 
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
-
 let prop_solver_agrees_with_brute config_name config =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s agrees with brute force" config_name)
     ~count:150 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let expected = Brute.is_satisfiable net in
       match (Solver.solve ~config net).Solver.outcome with
       | Solver.Solution a -> expected && Network.verify net a
@@ -512,7 +490,7 @@ let test_ac3_detects_wipeout () =
 let prop_ac3_preserves_solutions =
   QCheck.Test.make ~name:"AC-3 preserves satisfiability" ~count:150
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let before = Brute.is_satisfiable net in
       match Ac3.run net with
       | Error _ -> not before
@@ -528,7 +506,7 @@ let prop_ac3_preserves_solutions =
 let prop_ac3_never_empty =
   QCheck.Test.make ~name:"AC-3 Reduced domains are non-empty" ~count:150
     QCheck.small_nat (fun seed ->
-      match Ac3.run (random_network seed) with
+      match Ac3.run (Fixtures.random_network seed) with
       | Error _ -> true
       | Ok domains ->
         Array.for_all (fun d -> not (Bitset.is_empty d)) domains)
@@ -582,7 +560,7 @@ let test_weighted_rejects () =
 let prop_weighted_matches_brute =
   QCheck.Test.make ~name:"branch-and-bound matches exhaustive optimum"
     ~count:100 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let w = Weighted.create net in
       let rng = Rng.create (seed + 1000) in
       List.iter
@@ -630,7 +608,7 @@ let test_local_search_stuck_on_unsat () =
 let prop_local_search_sound =
   QCheck.Test.make ~name:"min-conflicts solutions verify" ~count:150
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       match
         (Local_search.solve
            ~config:{ Local_search.default_config with seed = seed + 7 }

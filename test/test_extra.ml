@@ -16,27 +16,14 @@ module Cost = Mlo_ir.Cost
 module Layout = Mlo_layout.Layout
 module Optimizer = Mlo_core.Optimizer
 module Explain = Mlo_core.Explain
+module Fixtures = Mlo_oracle.Fixtures
 
 (* ------------------------------------------------------------------ *)
 (* Explain                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let fig2_program ~n =
-  let x = B.ctx [ "i1"; "i2" ] in
-  let i1 = B.var x "i1" and i2 = B.var x "i2" in
-  let nest =
-    B.nest "fig2" x [ n; n ]
-      B.[ read "Q1" [ i1 +: i2; i2 ]; read "Q2" [ i1 +: i2; i1 ] ]
-  in
-  Program.make ~name:"fig2"
-    [
-      Array_info.make "Q1" [ (2 * n) - 1; n ];
-      Array_info.make "Q2" [ (2 * n) - 1; n ];
-    ]
-    [ nest ]
-
 let test_explain_all_served () =
-  let prog = fig2_program ~n:8 in
+  let prog = Fixtures.fig2_program ~n:8 in
   let sol = Optimizer.optimize (Optimizer.Enhanced 1) prog in
   let report = Explain.explain prog sol in
   Alcotest.(check (float 1e-9)) "fully served" 1.0 report.Explain.served_fraction;
@@ -157,7 +144,7 @@ let test_rng_split_decorrelated () =
   Alcotest.(check bool) "streams differ" true (a <> b)
 
 let test_printer_smoke () =
-  let prog = fig2_program ~n:4 in
+  let prog = Fixtures.fig2_program ~n:4 in
   let s = Format.asprintf "%a" Program.pp prog in
   Alcotest.(check bool) "program pp mentions arrays" true
     (String.length s > 40);

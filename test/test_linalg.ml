@@ -2,9 +2,10 @@
 
 module Intvec = Mlo_linalg.Intvec
 module Intmat = Mlo_linalg.Intmat
-module Rat = Mlo_linalg.Rat
 module Nullspace = Mlo_linalg.Nullspace
 module Unimodular = Mlo_linalg.Unimodular
+module Rat = Mlo_oracle.Rat
+module Linalg_reference = Mlo_oracle.Linalg_reference
 
 let vec = Alcotest.testable (Fmt.of_to_string Intvec.to_string) Intvec.equal
 
@@ -60,8 +61,24 @@ let test_pp () =
   Alcotest.(check string) "pp" "(1 -1)" (Intvec.to_string [| 1; -1 |]);
   Alcotest.(check string) "pp singleton" "(7)" (Intvec.to_string [| 7 |])
 
+let test_checked () =
+  Alcotest.(check int) "sub" (-7) Intvec.(3 -! 10);
+  Alcotest.(check int) "mul" (-30) Intvec.(3 *! -10);
+  Alcotest.(check int) "sub to min_int" min_int Intvec.(-1 -! max_int);
+  Alcotest.(check int) "mul by zero" 0 Intvec.(0 *! min_int);
+  List.iter
+    (fun (name, f) ->
+      Alcotest.check_raises name Intvec.Overflow (fun () -> ignore (f ())))
+    [
+      ("sub below min_int", fun () -> Intvec.(min_int -! 1));
+      ("sub above max_int", fun () -> Intvec.(max_int -! -1));
+      ("mul wraps", fun () -> Intvec.(3_000_000_000 *! 3_000_000_000));
+      ("mul -1 min_int", fun () -> Intvec.(-1 *! min_int));
+      ("mul min_int -1", fun () -> Intvec.(min_int *! -1));
+    ]
+
 (* ------------------------------------------------------------------ *)
-(* Rat units                                                           *)
+(* Rat units (the rational reference's arithmetic)                     *)
 (* ------------------------------------------------------------------ *)
 
 let rat = Alcotest.testable (Fmt.of_to_string Rat.to_string) Rat.equal
@@ -101,18 +118,19 @@ let test_mat_mul () =
   Alcotest.check vec "mul_vec" [| 5; 11 |] (Intmat.mul_vec a [| 1; 2 |]);
   Alcotest.check vec "vec_mul" [| 7; 10 |] (Intmat.vec_mul [| 1; 2 |] a)
 
+(* The reference's Bareiss determinant, which the tests use to check
+   unimodularity. *)
 let test_determinant () =
-  Alcotest.(check int) "2x2" (-2)
-    (Intmat.determinant (Intmat.of_lists [ [ 1; 2 ]; [ 3; 4 ] ]));
-  Alcotest.(check int) "identity" 1 (Intmat.determinant (Intmat.identity 4));
+  let det = Linalg_reference.determinant in
+  Alcotest.(check int) "2x2" (-2) (det (Intmat.of_lists [ [ 1; 2 ]; [ 3; 4 ] ]));
+  Alcotest.(check int) "identity" 1 (det (Intmat.identity 4));
   Alcotest.(check int) "singular" 0
-    (Intmat.determinant (Intmat.of_lists [ [ 1; 2 ]; [ 2; 4 ] ]));
+    (det (Intmat.of_lists [ [ 1; 2 ]; [ 2; 4 ] ]));
   Alcotest.(check int) "3x3" 1
-    (Intmat.determinant
-       (Intmat.of_lists [ [ 6; 10; 15 ]; [ 1; 2; 3 ]; [ 0; -1; -1 ] ]));
+    (det (Intmat.of_lists [ [ 6; 10; 15 ]; [ 1; 2; 3 ]; [ 0; -1; -1 ] ]));
   (* row swap needed: leading zero pivot *)
   Alcotest.(check int) "pivot swap" (-1)
-    (Intmat.determinant (Intmat.of_lists [ [ 0; 1 ]; [ 1; 0 ] ]))
+    (det (Intmat.of_lists [ [ 0; 1 ]; [ 1; 0 ] ]))
 
 let test_rank () =
   Alcotest.(check int) "full" 2 (Intmat.rank (Intmat.of_lists [ [ 1; 2 ]; [ 3; 4 ] ]));
@@ -121,6 +139,36 @@ let test_rank () =
   Alcotest.(check int) "wide" 2
     (Intmat.rank (Intmat.of_lists [ [ 1; 0; 1 ]; [ 0; 1; 1 ] ]));
   Alcotest.(check int) "zero" 0 (Intmat.rank (Intmat.make 2 3 0))
+
+let test_echelon () =
+  (* pivots only in the first two columns: the third is a right-hand
+     side, reduced along; the last row comes out primitive *)
+  let a = Intmat.of_lists [ [ 0; 2; 4 ]; [ 3; 6; 9 ]; [ 2; 4; 8 ] ] in
+  Alcotest.(check int) "rank" 2 (Intmat.echelon ~cols:2 a);
+  Alcotest.(check bool) "in place" true
+    (Intmat.equal a (Intmat.of_lists [ [ 3; 6; 9 ]; [ 0; 2; 4 ]; [ 0; 0; 1 ] ]));
+  let b = Intmat.of_lists [ [ 1; 2; 3 ]; [ 2; 4; 7 ] ] in
+  Alcotest.(check int) "skips a column without a pivot" 2
+    (Intmat.echelon ~cols:3 b);
+  Alcotest.check vec "second pivot in column 2" [| 0; 0; 1 |] b.(1)
+
+(* A system whose elimination needs more than 63 bits.  Every vector of
+   its nullspace is a multiple of the rows' cross product, whose middle
+   entry 7 * 2000000018 - 3000000021 * 11 is not 0.  The checked
+   elimination names the overflow; the rational reference wraps and
+   answers a vector whose middle entry is 0. *)
+let test_overflow () =
+  let m =
+    Intmat.of_lists
+      [ [ 3000000021; 5000000045; 7 ]; [ 2000000018; 7000000049; 11 ] ]
+  in
+  Alcotest.check_raises "rank" Intvec.Overflow (fun () ->
+      ignore (Intmat.rank m));
+  Alcotest.check_raises "nullspace" Intvec.Overflow (fun () ->
+      ignore (Nullspace.basis m));
+  match Linalg_reference.basis m with
+  | [ v ] -> Alcotest.(check int) "the reference's wrapped vector" 0 v.(1)
+  | b -> Alcotest.failf "the reference answered %d vectors" (List.length b)
 
 let test_transpose () =
   let m = Intmat.of_lists [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ] in
@@ -186,7 +234,7 @@ let test_complete_primitive_examples () =
   let check_first_row y =
     let m = Unimodular.complete_primitive y in
     Alcotest.check vec "first row" y (Intmat.row m 0);
-    Alcotest.(check bool) "unimodular" true (Intmat.is_unimodular m)
+    Alcotest.(check bool) "unimodular" true (Linalg_reference.is_unimodular m)
   in
   check_first_row [| 1; 0 |];
   check_first_row [| 0; 1 |];
@@ -208,7 +256,7 @@ let test_complete_rows () =
   Alcotest.(check int) "square" 3 (Intmat.rows m);
   Alcotest.check vec "row0" [| 0; 0; 1 |] (Intmat.row m 0);
   Alcotest.check vec "row1" [| 0; 1; 0 |] (Intmat.row m 1);
-  Alcotest.(check bool) "nonsingular" true (Intmat.is_nonsingular m)
+  Alcotest.(check bool) "nonsingular" true (Linalg_reference.is_nonsingular m)
 
 let test_complete_rows_dependent () =
   Alcotest.check_raises "dependent"
@@ -253,14 +301,31 @@ let gen_mat r c = QCheck.array_of_size (QCheck.Gen.return r) (gen_vec c)
 
 let prop_det_transpose =
   QCheck.Test.make ~name:"det m = det m^T" ~count:200 (gen_mat 3 3) (fun m ->
-      Intmat.determinant m = Intmat.determinant (Intmat.transpose m))
+      let det = Linalg_reference.determinant in
+      det m = det (Intmat.transpose m))
 
 let prop_det_product =
   QCheck.Test.make ~name:"det (a b) = det a * det b" ~count:200
     (QCheck.pair (gen_mat 3 3) (gen_mat 3 3))
     (fun (a, b) ->
-      Intmat.determinant (Intmat.mul a b)
-      = Intmat.determinant a * Intmat.determinant b)
+      let det = Linalg_reference.determinant in
+      det (Intmat.mul a b) = det a * det b)
+
+(* Matrices of up to 4x5 with entries in [-20, 20], a third of them 0
+   so that zero columns and dependent rows are common. *)
+let gen_small_mat =
+  let open QCheck.Gen in
+  let entry = frequency [ (1, return 0); (2, int_range (-20) 20) ] in
+  QCheck.make ~print:Intmat.to_string
+    ( int_range 0 4 >>= fun r ->
+      int_range 1 5 >>= fun c -> array_repeat r (array_repeat c entry) )
+
+let prop_reference_agrees =
+  QCheck.Test.make ~name:"basis and rank = the rational reference"
+    ~count:1000 gen_small_mat (fun m ->
+      Intmat.rank m = Linalg_reference.rank m
+      && List.equal Intvec.equal (Nullspace.basis m)
+           (Linalg_reference.basis m))
 
 let prop_nullspace_orthogonal =
   QCheck.Test.make ~name:"nullspace vectors satisfy a x = 0" ~count:300
@@ -285,7 +350,7 @@ let prop_unimodular_completion =
   QCheck.Test.make ~name:"primitive completion is unimodular with row 0 = y"
     ~count:400 (gen_primitive_vec 4) (fun y ->
       let m = Unimodular.complete_primitive y in
-      Intmat.is_unimodular m && Intvec.equal (Intmat.row m 0) y)
+      Linalg_reference.is_unimodular m && Intvec.equal (Intmat.row m 0) y)
 
 let prop_rank_bounds =
   QCheck.Test.make ~name:"rank bounded by dims" ~count:300 (gen_mat 3 4)
@@ -307,6 +372,7 @@ let props =
       prop_nullspace_dimension;
       prop_unimodular_completion;
       prop_rank_bounds;
+      prop_reference_agrees;
     ]
 
 let () =
@@ -322,6 +388,7 @@ let () =
           Alcotest.test_case "canonical" `Quick test_canonical;
           Alcotest.test_case "compare" `Quick test_compare_order;
           Alcotest.test_case "pretty printing" `Quick test_pp;
+          Alcotest.test_case "checked arithmetic" `Quick test_checked;
         ] );
       ( "rat",
         [
@@ -335,6 +402,8 @@ let () =
           Alcotest.test_case "determinant" `Quick test_determinant;
           Alcotest.test_case "rank" `Quick test_rank;
           Alcotest.test_case "transpose" `Quick test_transpose;
+          Alcotest.test_case "echelon" `Quick test_echelon;
+          Alcotest.test_case "overflow is named" `Quick test_overflow;
         ] );
       ( "nullspace",
         [

@@ -23,7 +23,7 @@ module Solver = Mlo_csp.Solver
 module Schemes = Mlo_csp.Schemes
 module Build = Mlo_netgen.Build
 module Prune = Mlo_netgen.Prune
-module Select = Mlo_netgen.Select
+module Fixtures = Mlo_oracle.Fixtures
 
 let none _ = None
 
@@ -228,12 +228,6 @@ let assignment_of_layouts net layouts =
         dom;
       !idx)
 
-let simulated_cycles spec layouts =
-  let lookup n = List.assoc_opt n layouts in
-  let restructured = Select.restructure spec.Spec.sim_program lookup in
-  (Simulate.run restructured ~layouts:lookup).Simulate.counters
-    .Hierarchy.cycles
-
 (* The acceptance triple on the five benchmarks: pruning removes values,
    never changes satisfiability, the pruned network's solution is a
    solution of the original network, and the solution the solver then
@@ -258,8 +252,8 @@ let test_prune_benchmarks () =
           (Network.verify b.Build.network
              (assignment_of_layouts b.Build.network layouts'));
         let layouts = Build.assignment_layouts b (Option.get (solve_enhanced b.Build.network)) in
-        let c = simulated_cycles spec layouts
-        and c' = simulated_cycles spec layouts' in
+        let c = Fixtures.simulated_cycles spec layouts
+        and c' = Fixtures.simulated_cycles spec layouts' in
         Alcotest.(check bool)
           (Printf.sprintf "%s pruned choice is never costlier (%d vs %d)"
              spec.Spec.name c' c)

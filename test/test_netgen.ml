@@ -16,30 +16,16 @@ module Select = Mlo_netgen.Select
 module Kernels = Mlo_workloads.Kernels
 module Variants_reference = Mlo_oracle.Variants_reference
 module Dependence = Mlo_ir.Dependence
+module Fixtures = Mlo_oracle.Fixtures
 
 let layout = Alcotest.testable Layout.pp Layout.equal
-
-(* The paper's Figure 2 program. *)
-let fig2_program ~n =
-  let x = B.ctx [ "i1"; "i2" ] in
-  let i1 = B.var x "i1" and i2 = B.var x "i2" in
-  let nest =
-    B.nest "fig2" x [ n; n ]
-      B.[ read "Q1" [ i1 +: i2; i2 ]; read "Q2" [ i1 +: i2; i1 ] ]
-  in
-  Program.make ~name:"fig2"
-    [
-      Array_info.make "Q1" [ (2 * n) - 1; n ];
-      Array_info.make "Q2" [ (2 * n) - 1; n ];
-    ]
-    [ nest ]
 
 (* ------------------------------------------------------------------ *)
 (* Variants                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let fig2_summary () =
-  let prog = fig2_program ~n:8 in
+  let prog = Fixtures.fig2_program ~n:8 in
   Nest_summary.nest (Nest_summary.of_program prog) 0
 
 let test_variants_of_fig2 () =
@@ -78,7 +64,7 @@ let test_layouts_for () =
 (* ------------------------------------------------------------------ *)
 
 let test_build_fig2 () =
-  let prog = fig2_program ~n:8 in
+  let prog = Fixtures.fig2_program ~n:8 in
   let b = Build.build prog in
   let net = b.Build.network in
   Alcotest.(check int) "two variables" 2 (Network.num_vars net);
@@ -105,7 +91,7 @@ let test_build_fig2 () =
     (List.mem ("column-major", "diagonal") allowed_combos)
 
 let test_build_solution_valid () =
-  let prog = fig2_program ~n:8 in
+  let prog = Fixtures.fig2_program ~n:8 in
   let b = Build.build prog in
   match Solver.solve b.Build.network with
   | { Solver.outcome = Solver.Solution a; _ } ->
@@ -119,7 +105,7 @@ let test_build_solution_valid () =
   | _ -> Alcotest.fail "figure 2 network must be satisfiable"
 
 let test_build_candidates_extend_domains () =
-  let prog = fig2_program ~n:8 in
+  let prog = Fixtures.fig2_program ~n:8 in
   let plain = Build.build prog in
   let extra = [ Layout.row_major 2; Layout.anti_diagonal2 ] in
   let rich = Build.build ~candidates:(fun _ -> extra) prog in
@@ -151,7 +137,7 @@ let test_build_matmul_satisfiable () =
   Alcotest.(check bool) "classic matmul layouts allowed" true has_classic
 
 let test_build_weighted () =
-  let prog = fig2_program ~n:8 in
+  let prog = Fixtures.fig2_program ~n:8 in
   let b, w = Build.weighted prog in
   let q1 = Build.var_of_array b "Q1" and q2 = Build.var_of_array b "Q2" in
   (* every allowed pair carries the nest cost (8*8 iterations x 2 refs) *)
@@ -223,7 +209,7 @@ let test_select_best_variant () =
     (Nest_summary.best_order s lookup2 = [| 1; 0 |])
 
 let test_select_restructure_preserves_semantics () =
-  let prog = fig2_program ~n:8 in
+  let prog = Fixtures.fig2_program ~n:8 in
   let lookup = function
     | "Q1" -> Some (Layout.col_major 2)
     | "Q2" -> Some Layout.diagonal2
@@ -503,7 +489,7 @@ let test_one_summary_per_program () =
 (* The cache must not keep a program alive: summarize a fresh program,
    drop it, and it must be collected. *)
 let[@inline never] summarize_and_drop w =
-  let prog = fig2_program ~n:8 in
+  let prog = Fixtures.fig2_program ~n:8 in
   ignore (Nest_summary.of_program prog);
   Weak.set w 0 (Some prog)
 

@@ -15,45 +15,7 @@ module Rng = Mlo_csp.Rng
 module Stats = Mlo_csp.Stats
 module Trace = Mlo_obs.Trace
 module Json = Mlo_obs.Json
-
-(* Same generator family as test_compiled: small random networks of 2-6
-   variables, domains of 1-3 values, ~60% pair density, ~55% allowed
-   pairs — dense enough that roughly half the instances are
-   unsatisfiable. *)
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
-
-(* The dumb checker: a complete assignment is consistent iff every
-   constrained pair allows its two values.  Uses only the network's
-   relation queries, nothing from Compiled. *)
-let dumb_verify net a =
-  let n = Network.num_vars net in
-  let in_range i v = v >= 0 && v < Network.domain_size net i in
-  Array.length a = n
-  && List.for_all (fun i -> in_range i a.(i)) (List.init n Fun.id)
-  && List.for_all
-       (fun (i, j) -> Network.allowed net i a.(i) j a.(j))
-       (Network.constraint_pairs net)
+module Fixtures = Mlo_oracle.Fixtures
 
 (* The three paper schemes, each with its own seed so agreement cannot
    be an artifact of shared random decisions. *)
@@ -68,7 +30,7 @@ let prop_schemes_agree =
   QCheck.Test.make
     ~name:"base / enhanced / enhanced-ac agree on satisfiability" ~count:300
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let expected = Brute.is_satisfiable net in
       List.for_all
         (fun (label, config) ->
@@ -77,7 +39,7 @@ let prop_schemes_agree =
             if not expected then
               QCheck.Test.fail_reportf
                 "%s found a solution on an unsatisfiable network" label;
-            if not (dumb_verify net a) then
+            if not (Fixtures.dumb_verify net a) then
               QCheck.Test.fail_reportf
                 "%s returned an inconsistent assignment" label;
             true
@@ -96,7 +58,7 @@ let prop_schemes_agree =
 let prop_verdict_seed_independent =
   QCheck.Test.make ~name:"scheme verdicts do not depend on the seed"
     ~count:150 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let verdict config =
         match (Solver.solve ~config net).Solver.outcome with
         | Solver.Solution _ -> true
@@ -192,7 +154,7 @@ let test_workload_schemes () =
           | Solver.Solution a ->
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s solution verifies" name label)
-              true (dumb_verify net a)
+              true (Fixtures.dumb_verify net a)
           | Solver.Unsatisfiable | Solver.Aborted ->
             Alcotest.failf "%s/%s found no solution" name label)
         (schemes_under_test 42))

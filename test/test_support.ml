@@ -6,7 +6,7 @@ module Network = Mlo_csp.Network
 module Ac2001 = Mlo_csp.Ac2001
 module Ac3 = Mlo_oracle.Ac3
 module Bitset = Mlo_csp.Bitset
-module Rng = Mlo_csp.Rng
+module Fixtures = Mlo_oracle.Fixtures
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                                *)
@@ -32,37 +32,13 @@ let test_clock_monotone () =
 (* AC idempotence                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Same generator family as test_compiled / test_schemes. *)
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
-
 (* ac(ac(n)) = ac(n): restricting a network to its arc-consistent
    domains and re-running arc consistency must remove nothing more. *)
 let prop_ac_idempotent name ac =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s is idempotent" name)
     ~count:300 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       match ac net with
       | Error _ -> true
       | Ok doms ->

@@ -5,17 +5,16 @@
 module Trace = Mlo_obs.Trace
 module Trace_summary = Mlo_obs.Trace_summary
 module Json = Mlo_obs.Json
-module Network = Mlo_csp.Network
 module Solver = Mlo_csp.Solver
 module Schemes = Mlo_csp.Schemes
 module Stats = Mlo_csp.Stats
-module Rng = Mlo_csp.Rng
 module Simulate = Mlo_cachesim.Simulate
 module Kernels = Mlo_workloads.Kernels
 module Program = Mlo_ir.Program
 module Suite = Mlo_workloads.Suite
 module Spec = Mlo_workloads.Spec
 module Optimizer = Mlo_core.Optimizer
+module Fixtures = Mlo_oracle.Fixtures
 
 (* Every test leaves the global trace sink disabled, whatever happens. *)
 let with_tracing f =
@@ -34,30 +33,6 @@ let span_count s cat name =
   match List.assoc_opt (cat, name) s.Trace_summary.spans with
   | Some st -> st.Trace_summary.span_count
   | None -> 0
-
-(* Same generator family as test_compiled / test_schemes. *)
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
 
 (* ------------------------------------------------------------------ *)
 (* Span structure                                                       *)
@@ -90,7 +65,7 @@ let test_spans_balanced_on_raise () =
   Alcotest.(check int) "span closed" 1 (span_count s "t" "boom")
 
 let test_solver_trace_shape () =
-  let net = random_network 23 in
+  let net = Fixtures.random_network 23 in
   with_tracing @@ fun () ->
   ignore (Solver.solve ~config:(Schemes.enhanced ~seed:2 ()) net);
   let s = summarize () in
@@ -192,7 +167,7 @@ let prop_noop_sink =
   QCheck.Test.make
     ~name:"disabled sink emits nothing and changes no solver result"
     ~count:150 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let config = Schemes.enhanced ~seed:(seed + 5) () in
       (* disabled: the dump must stay the empty array *)
       let quiet = Solver.solve ~config net in

@@ -24,37 +24,9 @@ module Checker = Mlo_verify.Checker
 module Spec = Mlo_workloads.Spec
 module Suite = Mlo_workloads.Suite
 module Build = Mlo_netgen.Build
-module Select = Mlo_netgen.Select
 module Optimizer = Mlo_core.Optimizer
 module Netcheck = Mlo_analysis.Netcheck
-module Simulate = Mlo_cachesim.Simulate
-module Hierarchy = Mlo_cachesim.Hierarchy
-
-(* Same generator family as test_cdl/test_bnb: small random networks of
-   2-6 variables, domains of 1-3 values, ~60% pair density, ~55% allowed
-   pairs — roughly half the instances unsatisfiable. *)
-let random_network seed =
-  let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 5 in
-  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-  let domains =
-    Array.init n (fun _ -> Array.init (1 + Rng.int rng 3) Fun.id)
-  in
-  let net = Network.create ~names ~domains in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.int rng 100 < 60 then begin
-        let pairs = ref [] in
-        for vi = 0 to Array.length domains.(i) - 1 do
-          for vj = 0 to Array.length domains.(j) - 1 do
-            if Rng.int rng 100 < 55 then pairs := (vi, vj) :: !pairs
-          done
-        done;
-        Network.add_allowed net i j !pairs
-      end
-    done
-  done;
-  net
+module Fixtures = Mlo_oracle.Fixtures
 
 let random_costs seed net =
   let rng = Rng.create (seed + 9001) in
@@ -103,7 +75,7 @@ let check_rejected ?costs what net proof =
 let prop_cdl_certificates =
   QCheck.Test.make ~name:"cdl certificates verify (sat and unsat)"
     ~count:300 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let proof, _ = certify_cdl net in
       check_ok "cdl" net proof;
       (* and the NDJSON round trip preserves acceptance *)
@@ -118,7 +90,7 @@ let prop_cdl_certificates =
 let prop_cdl_forgetful_certificates =
   QCheck.Test.make ~name:"forgetful/restartful cdl certificates verify"
     ~count:200 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let config =
         { Cdl.default_config with
           Cdl.restarts = 10;
@@ -132,7 +104,7 @@ let prop_cdl_forgetful_certificates =
 let prop_bnb_certificates =
   QCheck.Test.make ~name:"bnb certificates verify (optimal and unsat)"
     ~count:200 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let costs = random_costs seed net in
       let proof, _ = certify_bnb ~costs net in
       check_ok ~costs "bnb" net proof;
@@ -146,7 +118,7 @@ let prop_bnb_certificates =
 let prop_budgeted_bnb_certificates =
   QCheck.Test.make ~name:"budgeted bnb certificates verify unless aborted"
     ~count:200 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let costs = random_costs seed net in
       let config =
         { Bnb.default_config with Bnb.max_checks = Some (1 + (seed mod 12)) }
@@ -172,7 +144,7 @@ let all_vars net = Array.init (Network.num_vars net) Fun.id
 let prop_mutations_rejected =
   QCheck.Test.make ~name:"damaged certificates are rejected" ~count:200
     QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let proof, { Solver.outcome; _ } = certify_cdl net in
       (* digest tamper: the proof no longer speaks about this network *)
       check_rejected "digest" net
@@ -221,7 +193,7 @@ let prop_mutations_rejected =
 let prop_bnb_mutations_rejected =
   QCheck.Test.make ~name:"damaged optimality certificates are rejected"
     ~count:200 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let costs = random_costs seed net in
       let proof, { Solver.outcome; _ } = certify_bnb ~costs net in
       (match outcome with
@@ -344,12 +316,6 @@ let test_hard_unsat_goldens () =
       alcotest_check ~what:name spec proof)
     [ "hard-150"; "hard-200" ]
 
-let simulated_cycles spec layouts =
-  let lookup n = List.assoc_opt n layouts in
-  let restructured = Select.restructure spec.Spec.sim_program lookup in
-  (Simulate.run restructured ~layouts:lookup).Simulate.counters
-    .Hierarchy.cycles
-
 (* The Med-Im04 optimality certificate, end to end: the proof verifies,
    the claimed optimum is the solution's objective value, and the
    certified assignment is the one whose simulation hits the pinned
@@ -372,7 +338,7 @@ let test_bnb_optimal_golden () =
       (Float.abs (cost -. objective) <= 1e-6 *. Float.max 1.0 objective)
   | _ -> Alcotest.fail "expected an optimal verdict with an objective");
   alcotest_check ~what:"bnb med-im04" spec proof;
-  let cycles = simulated_cycles spec sol.Optimizer.layouts in
+  let cycles = Fixtures.simulated_cycles spec sol.Optimizer.layouts in
   Alcotest.(check int) "Med-Im04 certified-optimum cycles" 1630436 cycles
 
 (* Dominance pruning re-indexes domains; the certificate must translate
@@ -469,7 +435,7 @@ let test_budget_cut_sat () =
 (* Truncating the file mid-write (losing the verdict line) must parse to
    a verdict-less proof that the checker rejects with a clear message. *)
 let test_truncated_rejected () =
-  let net = random_network 7 in
+  let net = Fixtures.random_network 7 in
   let proof, _ = certify_cdl net in
   let lines = Proof.to_lines proof in
   let truncated = List.filteri (fun i _ -> i < List.length lines - 1) lines in
@@ -490,7 +456,7 @@ let test_truncated_rejected () =
 let test_core_verified () =
   let hits = ref 0 in
   for seed = 0 to 199 do
-    let net = random_network seed in
+    let net = Fixtures.random_network seed in
     let report = Netcheck.analyze net in
     match (report.Netcheck.unsat_core, report.Netcheck.core_verified) with
     | Some _, Some true -> incr hits
@@ -514,7 +480,7 @@ let test_core_verified () =
 let prop_refutes_matches_ac3 =
   QCheck.Test.make ~name:"refutes ~only:S = AC-3 on the network of S"
     ~count:300 QCheck.small_nat (fun seed ->
-      let net = random_network seed in
+      let net = Fixtures.random_network seed in
       let n = Network.num_vars net in
       let rng = Rng.create (seed + 4242) in
       let only =
