@@ -9,8 +9,8 @@
       ({!Mlo_csp.Solver.solve_components} exploits exactly this).
     - {b width} — graph width along the enhanced scheme's
       most-constraining order ({!Mlo_csp.Schemes.most_constraining_order},
-      which replays the search kernel's own
-      {!Mlo_csp.Solver.most_constraining}): the maximum number of
+      which replays the search kernel's own queue,
+      {!Mlo_csp.Solver.Selection}): the maximum number of
       earlier neighbours any variable has.  By
       Freuder's theorem a strongly k-consistent network with width < k
       is backtrack-free; arc consistency (the AC-2001 pre-pass) gives

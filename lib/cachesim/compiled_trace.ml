@@ -13,6 +13,7 @@ module Loop_nest = Mlo_ir.Loop_nest
 module Access = Mlo_ir.Access
 module Transform = Mlo_layout.Transform
 module Trace = Mlo_obs.Trace
+module Intvec = Mlo_linalg.Intvec
 
 (* ------------------------------------------------------------------ *)
 (* Skeleton: the layout-independent part of a compiled trace            *)
@@ -97,7 +98,12 @@ type nest_form = {
 (* The affine fold of one access under its array's placement:
      address(iter) = base + elem * (c0 + sum_j lin_j * (A_j . iter + off_j))
    collapses to addr0 + sum_level delta_level * (iter_level - low_level).
-   Writes the per-level deltas into [deltas] and returns [addr0]. *)
+   Writes the per-level deltas into [deltas] and returns [addr0].  The
+   fold is checked, and so are the lowest and highest addresses the nest
+   reaches, [addr0] plus each level's negative or positive
+   delta * (count - 1): no address of the nest wraps, or
+   [Intvec.Overflow] names it.  Zero terms are skipped (most loops
+   start at 0), since every profile query folds again. *)
 let fold ~base ~elem ~transform sn sa deltas =
   let lin, c0 = Transform.linear_map transform in
   let depth = Array.length sn.sn_counts in
@@ -107,18 +113,27 @@ let fold ~base ~elem ~transform sn sa deltas =
     let row = sa.sa_matrix.(j) in
     let v = ref sa.sa_offset.(j) in
     for l = 0 to depth - 1 do
-      v := !v + (row.(l) * sn.sn_lows.(l))
+      if row.(l) <> 0 && sn.sn_lows.(l) <> 0 then
+        v := Intvec.(!v +! (row.(l) *! sn.sn_lows.(l)))
     done;
-    cell0 := !cell0 + (lin.(j) * !v)
+    cell0 := Intvec.(!cell0 +! (lin.(j) *! !v))
   done;
+  let addr0 = Intvec.(base +! (elem *! !cell0)) in
+  let lo = ref addr0 and hi = ref addr0 in
   for l = 0 to depth - 1 do
     let d = ref 0 in
     for j = 0 to rank - 1 do
-      d := !d + (lin.(j) * sa.sa_matrix.(j).(l))
+      let a = sa.sa_matrix.(j).(l) in
+      if a <> 0 then d := Intvec.(!d +! (lin.(j) *! a))
     done;
-    deltas.(l) <- elem * !d
+    let delta = Intvec.(elem *! !d) in
+    deltas.(l) <- delta;
+    if delta <> 0 && sn.sn_counts.(l) > 1 then begin
+      let span = Intvec.(delta *! (sn.sn_counts.(l) - 1)) in
+      if span < 0 then lo := Intvec.(!lo +! span) else hi := Intvec.(!hi +! span)
+    end
   done;
-  base + (elem * !cell0)
+  addr0
 
 let compile prog ~layouts =
   let skel = skeleton prog in

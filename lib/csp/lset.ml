@@ -1,5 +1,6 @@
 (* Word-mask level sets (see lset.mli): the conflict rows and the carry
-   buffer of the search kernel. *)
+   buffer of the search kernel, and the rows of its most-constraining
+   queue. *)
 
 let bits = 63
 let words n = ((max 1 n) + bits - 1) / bits
@@ -43,14 +44,24 @@ let top_bit w =
   if !w lsr 1 <> 0 then incr r;
   !r
 
-(* highest member, or -1 when empty *)
+(* highest member, or -1 when empty; a loop, not a local recursion,
+   so that no closure is built per call *)
 let max_elt s off lw =
-  let rec go k =
-    if k < 0 then -1
-    else if s.(off + k) <> 0 then (k * bits) + top_bit s.(off + k)
-    else go (k - 1)
-  in
-  go (lw - 1)
+  let k = ref (lw - 1) in
+  while !k >= 0 && s.(off + !k) = 0 do decr k done;
+  if !k < 0 then -1 else (!k * bits) + top_bit s.(off + !k)
+
+(* lowest member >= l, or -1 when none *)
+let next_elt s off lw l =
+  let k = ref (l / bits) in
+  let w = ref (if !k < lw then s.(off + !k) land (-1 lsl (l mod bits)) else 0) in
+  while !w = 0 && !k < lw - 1 do
+    incr k;
+    w := s.(off + !k)
+  done;
+  if !w = 0 then -1 else (!k * bits) + top_bit (!w land - !w)
+
+let min_elt s off lw = next_elt s off lw 0
 
 let iter f s off lw =
   for k = 0 to lw - 1 do

@@ -4,8 +4,9 @@
     Every operation takes the backing array, the row's word offset, and —
     where the row extent matters — the per-row word count [lw].  The
     search kernel ({!Solver.run}) touches these on every node, in every
-    mode that jumps: same set semantics as an [Int_set], no
-    allocation.  Rows are
+    mode that jumps, and its most-constraining queue keeps one row of
+    variable ranks per count of unassigned neighbours: same set
+    semantics as an [Int_set], no allocation.  Rows are
     [words n] ints for level universe [0 .. n-1]. *)
 
 val bits : int
@@ -38,6 +39,14 @@ val keep_below : int array -> int -> int -> int -> unit
 
 val max_elt : int array -> int -> int -> int
 (** Highest member of the row, or [-1] when empty. *)
+
+val min_elt : int array -> int -> int -> int
+(** Lowest member of the row, or [-1] when empty. *)
+
+val next_elt : int array -> int -> int -> int -> int
+(** [next_elt s off lw l] is the lowest member [>= l], or [-1] when
+    there is none: with {!min_elt}, an ascending walk over the row that
+    builds no closure. *)
 
 val iter : (int -> unit) -> int array -> int -> int -> unit
 (** [iter f s off lw] applies [f] to every member, ascending. *)

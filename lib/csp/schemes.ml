@@ -73,17 +73,14 @@ let extension_schemes ?seed ?max_checks () =
   ]
 
 (* Static replay of the enhanced scheme's variable selection: the
-   kernel's own rule on full domains, each pick assigned in turn — the
+   kernel's own queue on full domains, each pick assigned in turn — the
    order the search visits variables when it never backtracks. *)
 let most_constraining_order net =
   let comp = Network.compile net in
-  let n = Compiled.num_vars comp in
-  let level_of = Array.make n (-1) in
-  let un_deg = Array.init n (Compiled.degree comp) in
-  Array.init n (fun k ->
-      let v = Solver.most_constraining comp ~level_of ~un_deg [||] in
-      level_of.(v) <- k;
-      Solver.shift_degrees comp un_deg v 1;
+  let queue = Solver.Selection.create comp [||] in
+  Array.init (Compiled.num_vars comp) (fun _ ->
+      let v = Solver.Selection.pick queue in
+      Solver.Selection.assign queue v;
       v)
 
 let breakdown ~base_checks ~enhanced_checks ~single =

@@ -44,8 +44,9 @@ val extension_schemes : ?seed:int -> ?max_checks:int -> unit -> ablation list
 val most_constraining_order : 'a Network.t -> int array
 (** The static variable order the enhanced scheme's most-constraining
     rule follows when the search never backtracks: the kernel's own
-    {!Solver.most_constraining} over full domains, each pick marked
-    assigned before the next.  On a network whose relations allow every
+    queue ({!Solver.Selection}) over full domains, each pick assigned
+    before the next, in time linear in the variables, their degrees and
+    the largest domain.  On a network whose relations allow every
     pair, it is the order in which the enhanced search's [decision]
     trace instants name the variables.  This is the ordering
     {!Mlo_analysis.Netcheck} measures width and induced width along

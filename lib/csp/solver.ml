@@ -138,47 +138,169 @@ let fresh_domains comp reduced =
     Array.init (Compiled.num_vars comp) (fun i ->
         Bitset.create_full (Compiled.domain_size comp i))
 
-(* Most-constraining bookkeeping: assigning [var] ([delta] = 1) or
-   unassigning it ([delta] = -1) moves each neighbour's count of
-   unassigned neighbours; its assigned neighbours are its degree minus
-   that count. *)
-let shift_degrees comp un_deg var delta =
-  let nbrs = Compiled.neighbors comp var in
-  for k = 0 to Array.length nbrs - 1 do
-    let j = nbrs.(k) in
-    un_deg.(j) <- un_deg.(j) - delta
-  done
+(* The most-constraining rule as a bucket queue (Matula and Beck's
+   smallest-last structure, turned round).  The key is the most
+   unassigned neighbours ([un_deg]), then the highest degree (at equal
+   [un_deg], the most assigned neighbours), then the smallest domain,
+   lowest index on ties.  Only [un_deg] moves while the domains hold
+   still, so the rest is a rank fixed once per queue: row [d] of [rows]
+   holds, by rank, the unassigned variables with [d] unassigned
+   neighbours, and a pick is the lowest rank of the highest non-empty
+   row.  An assignment moves each unassigned neighbour one row down, so
+   a pick or an update costs O(degree), not O(n).  Under forward
+   checking the live sizes break the ties of the top row instead. *)
+module Selection = struct
+  type t = {
+    comp : Compiled.t;
+    live : Bitset.t array; (* the domains whose sizes break ties; [||]: fixed *)
+    un_deg : int array;
+    var_of : int array; (* rank -> variable *)
+    word : int array; (* per variable, the word of its rank in a row *)
+    mask : int array; (* per variable, the bit of its rank in that word *)
+    bit : int array; (* [mask], or 0 while the variable is assigned *)
+    rows : int array; (* Lset rows, one per [un_deg] from 0 to the max degree *)
+    lw : int;
+    mutable top : int; (* no row above it has a member *)
+  }
 
-(* The most-constraining rule: the unassigned variable with the most
-   unassigned neighbours, then the highest degree (at equal [un_deg],
-   the most assigned neighbours), then the smallest live domain, lowest
-   index on ties. *)
-let most_constraining comp ~level_of ~un_deg domains =
-  let full = Array.length domains = 0 in
-  let best = ref (-1) in
-  let b0 = ref 0 and b1 = ref 0 and b2 = ref 0 in
-  for v = 0 to Compiled.num_vars comp - 1 do
-    if level_of.(v) < 0 then begin
-      let s0 = un_deg.(v) in
-      if !best < 0 || s0 >= !b0 then begin
-        let s1 = Compiled.degree comp v
-        and s2 =
-          if full then -Compiled.domain_size comp v
-          else -Bitset.count domains.(v)
-        in
-        if
-          !best < 0 || s0 > !b0
-          || (s0 = !b0 && (s1 > !b1 || (s1 = !b1 && s2 > !b2)))
-        then begin
-          best := v;
-          b0 := s0;
-          b1 := s1;
-          b2 := s2
-        end
+  (* Toggles [v]'s bit in row [row]. *)
+  let flip q row v =
+    let a = (row * q.lw) + q.word.(v) in
+    q.rows.(a) <- q.rows.(a) lxor q.bit.(v)
+
+  (* [dst] := [src] stably sorted by [key.(v)], which lies in
+     [0, keys); loops, not closures, since a small component's search
+     pays this once per run. *)
+  let sort_into dst src key keys =
+    let at = Array.make (keys + 1) 0 in
+    for i = 0 to Array.length src - 1 do
+      let k = key.(src.(i)) + 1 in
+      at.(k) <- at.(k) + 1
+    done;
+    for k = 1 to keys do
+      at.(k) <- at.(k) + at.(k - 1)
+    done;
+    for i = 0 to Array.length src - 1 do
+      let v = src.(i) in
+      dst.(at.(key.(v))) <- v;
+      at.(key.(v)) <- at.(key.(v)) + 1
+    done
+
+  let create ?(live = false) comp domains =
+    let n = Compiled.num_vars comp in
+    let un_deg = Array.make n 0 and size = Array.make n 0 in
+    let top = ref 0 and big = ref 0 in
+    for v = 0 to n - 1 do
+      un_deg.(v) <- Compiled.degree comp v;
+      size.(v) <-
+        (if Array.length domains = 0 then Compiled.domain_size comp v
+         else Bitset.count domains.(v));
+      top := Int.max !top un_deg.(v);
+      big := Int.max !big size.(v)
+    done;
+    let top = !top in
+    (* the rank order: degree descending, then size ascending, then
+       index, by two stable sorts, the minor key first *)
+    let by_size = Array.init n Fun.id and var_of = Array.make n 0 in
+    sort_into by_size (Array.copy by_size) size (!big + 1);
+    let lack = Array.map (fun d -> top - d) un_deg in
+    sort_into var_of by_size lack (top + 1);
+    (* rank [r] is bit [r mod Lset.bits] of word [r / Lset.bits] *)
+    let word = Array.make n 0 and mask = Array.make n 0 in
+    let w = ref 0 and b = ref 0 in
+    for r = 0 to n - 1 do
+      word.(var_of.(r)) <- !w;
+      mask.(var_of.(r)) <- 1 lsl !b;
+      if !b = Lset.bits - 1 then begin
+        b := 0;
+        incr w
       end
+      else incr b
+    done;
+    let q =
+      {
+        comp;
+        live = (if live then domains else [||]);
+        un_deg;
+        var_of;
+        word;
+        mask;
+        bit = Array.copy mask;
+        rows = Lset.make_mat (top + 1) n;
+        lw = Lset.words n;
+        top;
+      }
+    in
+    for v = 0 to n - 1 do
+      flip q un_deg.(v) v
+    done;
+    q
+
+  (* Under live domains: the rest of the key over the top row's
+     members of the highest degree, the first ones by rank. *)
+  let best_live q row =
+    let off = row * q.lw in
+    let r = ref (Lset.min_elt q.rows off q.lw) in
+    let best = ref q.var_of.(!r) in
+    let deg = Compiled.degree q.comp !best
+    and bsize = ref (Bitset.count q.live.(!best)) in
+    r := Lset.next_elt q.rows off q.lw (!r + 1);
+    while !r >= 0 && Compiled.degree q.comp q.var_of.(!r) = deg do
+      let v = q.var_of.(!r) in
+      let size = Bitset.count q.live.(v) in
+      if size < !bsize || (size = !bsize && v < !best) then begin
+        best := v;
+        bsize := size
+      end;
+      r := Lset.next_elt q.rows off q.lw (!r + 1)
+    done;
+    !best
+
+  let pick q =
+    let t = ref q.top and r = ref (-1) in
+    while !r < 0 && !t >= 0 do
+      r := Lset.min_elt q.rows (!t * q.lw) q.lw;
+      if !r < 0 then decr t
+    done;
+    if !r < 0 then begin
+      q.top <- 0;
+      -1
     end
-  done;
-  !best
+    else begin
+      q.top <- !t;
+      if Array.length q.live = 0 then q.var_of.(!r) else best_live q !t
+    end
+
+  (* Moves each neighbour of [var] from row [un_deg] to row [un_deg +
+     step], in Lset's word layout directly: no call per neighbour.  An
+     assigned neighbour's [bit] is 0, so its flips leave the rows as
+     they are (and the [top] it may raise stays an upper bound). *)
+  let shift q var step =
+    let nbrs = Compiled.neighbors q.comp var in
+    let rows = q.rows and un_deg = q.un_deg and word = q.word and bit = q.bit in
+    let lw = q.lw and top = ref q.top in
+    for k = 0 to Array.length nbrs - 1 do
+      let j = Array.unsafe_get nbrs k in
+      let d = un_deg.(j) in
+      un_deg.(j) <- d + step;
+      let a = (d * lw) + word.(j) and m = bit.(j) in
+      rows.(a) <- rows.(a) lxor m;
+      rows.(a + (step * lw)) <- rows.(a + (step * lw)) lxor m;
+      if d + step > !top then top := d + step
+    done;
+    q.top <- !top
+
+  let assign q var =
+    flip q q.un_deg.(var) var;
+    q.bit.(var) <- 0;
+    shift q var (-1)
+
+  let unassign q var =
+    shift q var 1;
+    q.bit.(var) <- q.mask.(var);
+    flip q q.un_deg.(var) var;
+    if q.un_deg.(var) > q.top then q.top <- q.un_deg.(var)
+end
 
 (* Number of options [var = v] leaves open in uninstantiated neighbours'
    domains; heuristic table lookups are not counted as checks.  With
@@ -266,7 +388,6 @@ let run ?on_event ~max_checks mode comp =
     let minimize = match mode with Minimize _ -> true | _ -> false in
     let fc = config.lookahead = Forward_checking in
     let cbj = config.backward <> Chronological in
-    let mc = config.var_policy = Most_constraining in
     (* Per-step instants of the systematic search; the learning modes
        report their dead ends as learned nogoods instead. *)
     let trace_steps = tr && not learning in
@@ -307,10 +428,14 @@ let run ?on_event ~max_checks mode comp =
     let cand = Array.make (n * md) 0 in
     let keys = Array.make md 0.0 in
 
-    (* Most-constraining: per-variable counts of unassigned neighbours,
-       maintained incrementally at (un)assignment so the
-       variable-selection scan is O(1) per candidate. *)
-    let un_deg = if mc then Array.init n (Compiled.degree comp) else [||] in
+    (* Most-constraining: the bucket queue, kept in step at every
+       (un)assignment; under forward checking the live sizes break its
+       ties. *)
+    let queue =
+      if config.var_policy = Most_constraining then
+        Some (Selection.create ~live:fc comp domains)
+      else None
+    in
 
     let store =
       match learn_limit with
@@ -374,7 +499,8 @@ let run ?on_event ~max_checks mode comp =
           done;
           !picked
       | Systematic { var_policy = Most_constraining; _ } ->
-        fun _ -> most_constraining comp ~level_of ~un_deg domains
+        let queue = Option.get queue in
+        fun _ -> Selection.pick queue
       | Satisfy _ ->
         (* highest activity, ties by smaller current domain, then lower
            index *)
@@ -825,7 +951,7 @@ let run ?on_event ~max_checks mode comp =
         let var = select_var level in
         var_at.(level) <- var;
         level_of.(var) <- level;
-        if mc then shift_degrees comp un_deg var 1;
+        (match queue with Some q -> Selection.assign q var | None -> ());
         (* Under forward checking, values already pruned from [var]'s own
            domain were removed by earlier assignments; those levels share
            responsibility for any dead-end here. *)
@@ -843,7 +969,7 @@ let run ?on_event ~max_checks mode comp =
           else Lset.clear conf (level * lw) lw
         | Chronological -> ());
         let res = try_values var level (fill_candidates var level) 0 in
-        if mc then shift_degrees comp un_deg var (-1);
+        (match queue with Some q -> Selection.unassign q var | None -> ());
         level_of.(var) <- -1;
         res
       end

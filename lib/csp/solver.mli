@@ -42,7 +42,7 @@ type var_policy =
   | Most_constraining
       (** most constraints to the rest of the network; ties broken by
           constraints to instantiated variables, then smaller domain
-          ({!most_constraining}) *)
+          ({!Selection}) *)
 
 type val_policy =
   | Lexicographic_val
@@ -140,20 +140,46 @@ val run :
     cut by the budget, it sets [stats.cut], and [Minimize] then returns
     its incumbent, if it has one. *)
 
-val most_constraining :
-  Compiled.t -> level_of:int array -> un_deg:int array -> Bitset.t array -> int
-(** The [Most_constraining] rule, which {!run} and
-    {!Schemes.most_constraining_order} both call: among the variables
-    with [level_of.(v) < 0], the most unassigned neighbours
-    ([un_deg.(v)]), then the highest degree, then the smallest domain
-    ([domains.(v)], or the full one when [domains] is empty), lowest
-    index on ties; [-1] if none.  At equal [un_deg], a higher degree
-    means more constraints to instantiated variables. *)
+module Selection : sig
+  (** The [Most_constraining] rule, which {!run} and
+      {!Schemes.most_constraining_order} both use: among the unassigned
+      variables, the most unassigned neighbours, then the highest degree
+      (at equal unassigned neighbours, the most constraints to
+      instantiated variables), then the smallest domain, lowest index on
+      ties.
 
-val shift_degrees : Compiled.t -> int array -> int -> int -> unit
-(** [shift_degrees comp un_deg var delta] subtracts [delta] from each
-    neighbour's [un_deg]: [1] when [var] is assigned, [-1] when it is
-    unassigned. *)
+      It is a bucket queue: one {!Lset} row per count of unassigned
+      neighbours, holding the variables by a rank fixed at {!create}
+      (degree descending, starting domain size ascending, index
+      ascending).  A pick takes the lowest rank of the highest non-empty
+      row; an assignment moves each unassigned neighbour one row.  Both
+      cost O(degree) plus the rows' words, not O(n), and allocate
+      nothing. *)
+
+  type t
+
+  val create : ?live:bool -> Compiled.t -> Bitset.t array -> t
+  (** [create comp domains] queues every variable of [comp] as
+      unassigned.  Domain sizes are read from [domains] ([Bitset.count])
+      or, when [domains] is empty, from the view ([Compiled.domain_size]).
+      With [~live:true] (default [false]) the sizes are read again at
+      every pick, so [domains] may shrink and grow between picks (forward
+      checking): the top row's members are then scanned for the rest of
+      the key.  Otherwise [domains] must not change. *)
+
+  val pick : t -> int
+  (** The rule's variable, or [-1] when every variable is assigned.
+      Leaves the queue as it was. *)
+
+  val assign : t -> int -> unit
+  (** Takes a queued variable out and moves its queued neighbours one
+      row down. *)
+
+  val unassign : t -> int -> unit
+  (** Puts an assigned variable back and moves its queued neighbours one
+      row up.  Any order of {!assign} and {!unassign} is allowed; the
+      search undoes its assignments last in, first out. *)
+end
 
 val cost_of : costs:float array array -> int array -> float
 (** Canonical total cost of a complete assignment (see {!Bnb.cost_of}). *)

@@ -61,12 +61,20 @@ let is_zero v = Array.for_all (fun x -> x = 0) v
 
 exception Overflow
 
+let ( +! ) a b =
+  let s = a + b in
+  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow else s
+
 let ( -! ) a b =
   let s = a - b in
   if (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow else s
 
+(* Operands in [-2^30, 2^30) multiply within 2^60, so the common case
+   skips the division: [x + 2^30] is then in [0, 2^31), and any operand
+   outside wraps or reaches bit 31. *)
 let ( *! ) a b =
-  if a = 0 then 0
+  if ((a + 0x4000_0000) lor (b + 0x4000_0000)) lsr 31 = 0 then a * b
+  else if a = 0 then 0
   else
     let p = a * b in
     if p / a <> b || (a = -1 && b = min_int) then raise Overflow else p

@@ -61,6 +61,9 @@ exception Overflow
 (** Raised by the checked operators when the exact result does not fit
     in a machine integer. *)
 
+val ( +! ) : int -> int -> int
+(** [a +! b] is [a + b], or raises {!Overflow} where [+] would wrap. *)
+
 val ( -! ) : int -> int -> int
 (** [a -! b] is [a - b], or raises {!Overflow} where [-] would wrap. *)
 

@@ -578,7 +578,8 @@ let test_cli_errors () =
   check_one_line_error "NaN slack" "solve -s bnb -w mxm --bound-slack=nan"
     "layoutopt: option '--bound-slack': must be non-negative (got nan)";
   (* coefficients whose exact elimination would wrap: lint's nullspace
-     and the derived layout's rank check name the overflow *)
+     and the derived layout's rank check name the overflow, and so does
+     the address fold locality's trace runs on *)
   List.iter
     (fun (cmd, file) ->
       check_one_line_error
@@ -587,7 +588,12 @@ let test_cli_errors () =
            (Filename.concat (Filename.dirname Sys.executable_name) file))
         "layoutopt: integer overflow in exact arithmetic (coefficients too \
          large)")
-    [ ("lint", "overflow-lint.mlo"); ("optimize-file", "overflow-layout.mlo") ]
+    [
+      ("lint", "overflow-lint.mlo");
+      ("optimize-file", "overflow-layout.mlo");
+      ("locality", "overflow-lint.mlo");
+      ("locality", "overflow-layout.mlo");
+    ]
 
 let () =
   Alcotest.run "bnb"

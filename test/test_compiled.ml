@@ -321,6 +321,34 @@ let test_bitset_rows () =
     (Invalid_argument "Bitset.row_subset: row width mismatch") (fun () ->
       ignore (Bitset.row_subset row (Bitset.row_make 32)))
 
+(* The level-set extremes the search kernel and its selection queue read
+   against a list model: a random row of a three-row matrix over up to
+   200 levels, so members sit on every word boundary of the 63-bit
+   words. *)
+let prop_lset_extremes =
+  QCheck.Test.make ~name:"lset min/next/max = a sorted list" ~count:300
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create ((13 * seed) + 7) in
+      let n = 1 + Rng.int rng 200 in
+      let lw = Mlo_csp.Lset.words n in
+      let m = Mlo_csp.Lset.make_mat 3 n in
+      let off = Rng.int rng 3 * lw in
+      let density = Rng.int rng 5 in
+      let members =
+        List.filter (fun _ -> Rng.int rng 8 < density) (List.init n Fun.id)
+      in
+      List.iter (Mlo_csp.Lset.add m off) members;
+      let last = List.fold_left (fun _ l -> l) (-1) members in
+      Mlo_csp.Lset.max_elt m off lw = last
+      && Mlo_csp.Lset.min_elt m off lw
+         = (match members with [] -> -1 | l :: _ -> l)
+      && List.for_all
+           (fun l ->
+             Mlo_csp.Lset.next_elt m off lw l
+             = Option.value ~default:(-1)
+                 (List.find_opt (fun x -> x >= l) members))
+           (List.init (n + 1) Fun.id))
+
 let () =
   Alcotest.run "compiled"
     [
@@ -330,6 +358,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_component_views;
           Alcotest.test_case "compile is memoized" `Quick test_compile_memoized;
           Alcotest.test_case "bitset rows" `Quick test_bitset_rows;
+          QCheck_alcotest.to_alcotest prop_lset_extremes;
         ] );
       ("engines", engine_props);
       ( "preprocessing",

@@ -136,6 +136,43 @@ let test_solver_nodes () =
   Alcotest.(check string) "solver node/check counts (seed 1)" golden_nodes
     actual
 
+(* The enhanced scheme on the end-to-end benchmark's four hard
+   instances (hard-80 and hard-150 at family seeds 23 and 24), two
+   satisfiable and two exhaustive: nearly all of their time is the
+   most-constraining search, so every variable it picks shows here. *)
+let golden_hard_enhanced =
+  "hard-80#0 sat n=79754 c=201335 bt=175 bj=4166\n\
+   hard-80#1 sat n=5472 c=12439 bt=23 bj=304\n\
+   hard-150#0 unsat n=216583 c=390542 bt=458 bj=6710\n\
+   hard-150#1 unsat n=161754 c=338779 bt=923 bj=3758"
+
+let test_hard_enhanced () =
+  let actual =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun k ->
+            let spec = Suite.hard ~seed:(23 + k) n in
+            let net = (Spec.extract spec).Build.network in
+            let r =
+              Solver.solve_components ~config:(Schemes.enhanced ~seed:1 ()) net
+            in
+            let verdict =
+              match r.Solver.outcome with
+              | Solver.Solution _ -> "sat"
+              | Solver.Unsatisfiable -> "unsat"
+              | Solver.Aborted -> "aborted"
+            in
+            let s = r.Solver.stats in
+            Printf.sprintf "hard-%d#%d %s n=%d c=%d bt=%d bj=%d" n k verdict
+              s.Stats.nodes s.Stats.checks s.Stats.backtracks s.Stats.backjumps)
+          [ 0; 1 ])
+      [ 80; 150 ]
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "enhanced counters on the hard instances"
+    golden_hard_enhanced actual
+
 (* ------------------------------------------------------------------ *)
 (* Table 3: simulated cycle counts (seed 1)                             *)
 (* ------------------------------------------------------------------ *)
@@ -491,6 +528,7 @@ let () =
         [
           Alcotest.test_case "table2 work" `Slow test_table2;
           Alcotest.test_case "solver nodes" `Slow test_solver_nodes;
+          Alcotest.test_case "hard enhanced counters" `Slow test_hard_enhanced;
           Alcotest.test_case "table3 cycles" `Slow test_table3;
           Alcotest.test_case "cdl/bnb effort counters" `Slow
             test_effort_counters;

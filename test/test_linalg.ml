@@ -66,6 +66,15 @@ let test_checked () =
   Alcotest.(check int) "mul" (-30) Intvec.(3 *! -10);
   Alcotest.(check int) "sub to min_int" min_int Intvec.(-1 -! max_int);
   Alcotest.(check int) "mul by zero" 0 Intvec.(0 *! min_int);
+  Alcotest.(check int) "add" (-7) Intvec.(3 +! -10);
+  Alcotest.(check int) "add to max_int" max_int Intvec.(max_int +! 0);
+  Alcotest.(check int) "add across signs" (-1) Intvec.(max_int +! min_int);
+  (* either side of the multiply's division-free range [-2^30, 2^30) *)
+  Alcotest.(check int) "mul at -2^30" (1 lsl 60)
+    Intvec.(-(1 lsl 30) *! -(1 lsl 30));
+  Alcotest.(check int) "mul at 2^30" (1 lsl 61) Intvec.((1 lsl 30) *! (1 lsl 31));
+  Alcotest.(check int) "mul to min_int" min_int
+    Intvec.(-(1 lsl 31) *! (1 lsl 31));
   List.iter
     (fun (name, f) ->
       Alcotest.check_raises name Intvec.Overflow (fun () -> ignore (f ())))
@@ -75,6 +84,9 @@ let test_checked () =
       ("mul wraps", fun () -> Intvec.(3_000_000_000 *! 3_000_000_000));
       ("mul -1 min_int", fun () -> Intvec.(-1 *! min_int));
       ("mul min_int -1", fun () -> Intvec.(min_int *! -1));
+      ("mul 2^31 2^31", fun () -> Intvec.((1 lsl 31) *! (1 lsl 31)));
+      ("add above max_int", fun () -> Intvec.(max_int +! 1));
+      ("add below min_int", fun () -> Intvec.(min_int +! -1));
     ]
 
 (* ------------------------------------------------------------------ *)

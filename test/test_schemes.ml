@@ -16,6 +16,9 @@ module Stats = Mlo_csp.Stats
 module Trace = Mlo_obs.Trace
 module Json = Mlo_obs.Json
 module Fixtures = Mlo_oracle.Fixtures
+module Selection_reference = Mlo_oracle.Selection_reference
+module Compiled = Mlo_csp.Compiled
+module Bitset = Mlo_csp.Bitset
 
 (* The three paper schemes, each with its own seed so agreement cannot
    be an artifact of shared random decisions. *)
@@ -140,6 +143,112 @@ let prop_order_replays_decisions =
            (String.concat " " (Array.to_list (Array.map string_of_int decided)))
            (String.concat " " (Array.to_list (Array.map string_of_int order))))
 
+(* A random constraint graph for the selection rule, which reads only
+   the graph and the domain sizes: 1-150 variables, so the queue's rank
+   rows span up to three 63-bit words, degrees up to 8 and domains of
+   1-6 values. *)
+let selection_graph rng =
+  let n = 1 + Rng.int rng 150 in
+  let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
+  let domains = Array.init n (fun _ -> Array.init (1 + Rng.int rng 6) Fun.id) in
+  let net = Network.create ~names ~domains in
+  let deg = Array.make n 0 in
+  for _ = 1 to Rng.int rng ((4 * n) + 1) do
+    let i = Rng.int rng n and j = Rng.int rng n in
+    if i <> j && deg.(i) < 8 && deg.(j) < 8 && not (Network.constrained net i j)
+    then begin
+      Network.add_allowed net i j [ (0, 0) ];
+      deg.(i) <- deg.(i) + 1;
+      deg.(j) <- deg.(j) + 1
+    end
+  done;
+  Network.compile net
+
+(* The domain regimes the search runs the rule under: full domains
+   ([||]), a fixed shrink (the read-only AC core), and sizes that shrink
+   and restore between picks (forward checking, [live]). *)
+type regime = Full | Fixed | Live
+
+(* A random walk of picks, assignments and last-in-first-out
+   unassignments, as the search makes them: every pick of the queue
+   must be the reference scan's.  One assignment in four takes another
+   unassigned variable than the pick, which the queue allows too. *)
+let selection_walk rng comp regime =
+  let n = Compiled.num_vars comp in
+  let domains =
+    match regime with
+    | Full -> [||]
+    | Fixed | Live ->
+      Array.init n (fun v ->
+          let d = Bitset.create_full (Compiled.domain_size comp v) in
+          for w = 1 to Compiled.domain_size comp v - 1 do
+            if Rng.int rng 2 = 0 then Bitset.remove d w
+          done;
+          d)
+  in
+  let queue = Solver.Selection.create ~live:(regime = Live) comp domains in
+  let level_of = Array.make n (-1) in
+  let un_deg = Array.init n (Compiled.degree comp) in
+  let stack = Array.make n 0 in
+  (* per level, the values its assignment pruned *)
+  let trail = Array.make n [] in
+  let depth = ref 0 in
+  let check () =
+    let expected =
+      Selection_reference.most_constraining comp ~level_of ~un_deg domains
+    in
+    let got = Solver.Selection.pick queue in
+    if got <> expected then
+      QCheck.Test.fail_reportf "depth %d: queue picked %d, the scan %d" !depth
+        got expected;
+    got
+  in
+  for _ = 1 to 4 * n do
+    if !depth < n && (!depth = 0 || Rng.int rng 3 > 0) then begin
+      let v = check () in
+      let v =
+        if Rng.int rng 4 > 0 then v
+        else begin
+          let u = ref (Rng.int rng n) in
+          while level_of.(!u) >= 0 do u := (!u + 1) mod n done;
+          !u
+        end
+      in
+      level_of.(v) <- !depth;
+      stack.(!depth) <- v;
+      Selection_reference.shift_degrees comp un_deg v 1;
+      Solver.Selection.assign queue v;
+      if regime = Live then
+        Array.iter
+          (fun j ->
+            let w = Rng.int rng (Bitset.capacity domains.(j)) in
+            if level_of.(j) < 0 && Bitset.mem domains.(j) w then begin
+              Bitset.remove domains.(j) w;
+              trail.(!depth) <- (j, w) :: trail.(!depth)
+            end)
+          (Compiled.neighbors comp v);
+      incr depth
+    end
+    else begin
+      decr depth;
+      let v = stack.(!depth) in
+      List.iter (fun (j, w) -> Bitset.add domains.(j) w) trail.(!depth);
+      trail.(!depth) <- [];
+      level_of.(v) <- -1;
+      Selection_reference.shift_degrees comp un_deg v (-1);
+      Solver.Selection.unassign queue v
+    end
+  done;
+  ignore (check ());
+  true
+
+let prop_queue_pick =
+  QCheck.Test.make ~name:"queue pick = reference scan" ~count:200
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create ((17 * seed) + 3) in
+      let comp = selection_graph rng in
+      List.for_all (selection_walk rng comp) [ Full; Fixed; Live ])
+
 (* On the real workload networks (not just the random family) the three
    schemes must all find a consistent assignment. *)
 let test_workload_schemes () =
@@ -170,4 +279,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_order_replays_decisions;
           Alcotest.test_case "workload networks" `Quick test_workload_schemes;
         ] );
+      ("selection", [ QCheck_alcotest.to_alcotest prop_queue_pick ]);
     ]
