@@ -368,34 +368,46 @@ let optimize_file_cmd =
       Format.eprintf "%s:%d:%d: %s@." file line col msg;
       exit 2
     | prog -> (
-      Format.printf "parsed %s: %d arrays, %d nests@." file
-        (Array.length (Mlo_ir.Program.arrays prog))
-        (Array.length (Mlo_ir.Program.nests prog));
+      let parsed () =
+        Format.printf "parsed %s: %d arrays, %d nests@." file
+          (Array.length (Mlo_ir.Program.arrays prog))
+          (Array.length (Mlo_ir.Program.nests prog))
+      in
+      (* the solve, the explanation and both simulations run before the
+         first line is printed: an input error found by any of them
+         (exit 2) leaves stdout empty *)
       match
         Optimizer.optimize ~max_checks
           (scheme_of ~seed ~restarts ~learn_limit scheme)
           prog
       with
       | exception Optimizer.No_solution msg ->
+        parsed ();
         Format.printf "no solution: %s@." msg;
         exit 1
       | sol ->
+        let explanation =
+          if explain then Some (Mlo_core.Explain.explain prog sol) else None
+        in
+        let simulation =
+          if simulate then
+            Some (Optimizer.simulate_original prog, Optimizer.simulate sol)
+          else None
+        in
+        parsed ();
         Format.printf "Layouts:@.";
         List.iter
           (fun (name, layout) ->
             Format.printf "  %-8s %s@." name (Layout.describe layout))
           sol.Optimizer.layouts;
-        if explain then
-          Format.printf "@.%a@." Mlo_core.Explain.pp
-            (Mlo_core.Explain.explain prog sol);
-        if simulate then begin
-          let original = Optimizer.simulate_original prog in
-          let optimized = Optimizer.simulate sol in
-          Format.printf "original : %a@." Simulate.pp_report original;
-          Format.printf "optimized: %a@." Simulate.pp_report optimized;
-          Format.printf "improvement: %.2f%%@."
-            (Simulate.improvement_percent ~baseline:original optimized)
-        end)
+        Option.iter (Format.printf "@.%a@." Mlo_core.Explain.pp) explanation;
+        Option.iter
+          (fun (original, optimized) ->
+            Format.printf "original : %a@." Simulate.pp_report original;
+            Format.printf "optimized: %a@." Simulate.pp_report optimized;
+            Format.printf "improvement: %.2f%%@."
+              (Simulate.improvement_percent ~baseline:original optimized))
+          simulation)
   in
   Cmd.v
     (Cmd.info "optimize-file"

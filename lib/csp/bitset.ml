@@ -137,13 +137,6 @@ let row_add row i = row.(i lsr 5) <- row.(i lsr 5) lor (1 lsl (i land 31))
 let row_mem row i =
   Array.unsafe_get row (i lsr 5) land (1 lsl (i land 31)) <> 0
 
-let row_count row =
-  let c = ref 0 in
-  for k = 0 to Array.length row - 1 do
-    c := !c + popcount row.(k)
-  done;
-  !c
-
 let row_subset a b =
   if Array.length a <> Array.length b then
     invalid_arg "Bitset.row_subset: row width mismatch";

@@ -64,8 +64,6 @@ val row_make : int -> row
 
 val row_add : row -> int -> unit
 val row_mem : row -> int -> bool
-val row_count : row -> int
-(** Popcount of the whole row. *)
 
 val row_subset : row -> row -> bool
 (** [row_subset a b] is whether every bit of [a] is set in [b], word by

@@ -9,10 +9,12 @@ type con = {
   bcnt : int array;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
 type 'a t = {
   names : string array;
   domains : 'a array array;
-  cons : (int * int, con) Hashtbl.t; (* keyed (a, b) with a < b *)
+  cons : con Itbl.t; (* the constraint [a < b] is keyed [a * n + b] *)
   neighbors : int list array; (* kept sorted ascending *)
   mutable compiled : Compiled.t option; (* memoized dense view *)
 }
@@ -26,7 +28,7 @@ let create ~names ~domains =
   {
     names = Array.copy names;
     domains = Array.map Array.copy domains;
-    cons = Hashtbl.create 64;
+    cons = Itbl.create 64;
     neighbors = Array.make (Array.length names) [];
     compiled = None;
   }
@@ -40,7 +42,11 @@ let value t i v = t.domains.(i).(v)
 let total_domain_size t =
   Array.fold_left (fun acc d -> acc + Array.length d) 0 t.domains
 
-let key i j = if i < j then (i, j) else (j, i)
+(* [n] variables: the key of the constraint between [i] and [j], and
+   back from a key to its variables [a < b] *)
+let key t i j = if i < j then (i * num_vars t) + j else (j * num_vars t) + i
+let first t k = k / num_vars t
+let second t k = k mod num_vars t
 
 let check_var t i =
   if i < 0 || i >= num_vars t then invalid_arg "Network: variable out of range"
@@ -52,60 +58,73 @@ let insert_sorted x l =
   in
   go l
 
-(* Top-level loops, so a call (one per pair when [Build] streams them)
-   allocates no closure. *)
-let rec in_range di dj = function
-  | [] -> true
-  | (vi, vj) :: rest -> vi >= 0 && vi < di && vj >= 0 && vj < dj && in_range di dj rest
+(* Allows [a = va] with [b = vb], counting a pair already allowed only
+   once. *)
+let allow c va vb =
+  if not (Bitset.row_mem c.fwd.(va) vb) then begin
+    Bitset.row_add c.fwd.(va) vb;
+    Bitset.row_add c.bwd.(vb) va;
+    c.fcnt.(va) <- c.fcnt.(va) + 1;
+    c.bcnt.(vb) <- c.bcnt.(vb) + 1
+  end
 
-(* Allows each pair, [a]'s value first when [forward], counting a pair
-   already allowed only once. *)
-let rec allow c forward = function
-  | [] -> ()
-  | (vi, vj) :: rest ->
-    let va = if forward then vi else vj and vb = if forward then vj else vi in
-    if not (Bitset.row_mem c.fwd.(va) vb) then begin
-      Bitset.row_add c.fwd.(va) vb;
-      Bitset.row_add c.bwd.(vb) va;
-      c.fcnt.(va) <- c.fcnt.(va) + 1;
-      c.bcnt.(vb) <- c.bcnt.(vb) + 1
-    end;
-    allow c forward rest
+(* The constraint between [a < b], to be written: created allowing
+   nothing if absent, and the memoized view dropped.  Each writer checks
+   its whole write before it calls this, so a rejected write changes
+   nothing and creates no constraint. *)
+let con t a b =
+  t.compiled <- None;
+  let k = key t a b in
+  match Itbl.find_opt t.cons k with
+  | Some c -> c
+  | None ->
+    let la = domain_size t a and lb = domain_size t b in
+    let c =
+      {
+        fwd = Array.init la (fun _ -> Bitset.row_make lb);
+        bwd = Array.init lb (fun _ -> Bitset.row_make la);
+        fcnt = Array.make la 0;
+        bcnt = Array.make lb 0;
+      }
+    in
+    Itbl.replace t.cons k c;
+    t.neighbors.(a) <- insert_sorted b t.neighbors.(a);
+    t.neighbors.(b) <- insert_sorted a t.neighbors.(b);
+    c
 
-let add_allowed t i j pairs =
+let check_pair fn t i j =
   check_var t i;
   check_var t j;
-  if i = j then invalid_arg "Network.add_allowed: i = j";
-  (* checked before anything is written: a rejected call adds no pair
-     and creates no constraint, which would allow nothing *)
-  if not (in_range (domain_size t i) (domain_size t j) pairs) then
-    invalid_arg "Network.add_allowed: value out of range";
-  t.compiled <- None;
-  let a, b = key i j in
-  let la = domain_size t a and lb = domain_size t b in
-  let c =
-    match Hashtbl.find_opt t.cons (a, b) with
-    | Some c -> c
-    | None ->
-      let c =
-        {
-          fwd = Array.init la (fun _ -> Bitset.row_make lb);
-          bwd = Array.init lb (fun _ -> Bitset.row_make la);
-          fcnt = Array.make la 0;
-          bcnt = Array.make lb 0;
-        }
-      in
-      Hashtbl.replace t.cons (a, b) c;
-      t.neighbors.(a) <- insert_sorted b t.neighbors.(a);
-      t.neighbors.(b) <- insert_sorted a t.neighbors.(b);
-      c
-  in
-  allow c (i < j) pairs
+  if i = j then invalid_arg (fn ^ ": i = j")
 
-let constrained t i j = i <> j && Hashtbl.mem t.cons (key i j)
+let add_allowed t i j pairs =
+  check_pair "Network.add_allowed" t i j;
+  let di = domain_size t i and dj = domain_size t j in
+  let inside (vi, vj) = vi >= 0 && vi < di && vj >= 0 && vj < dj in
+  if not (List.for_all inside pairs) then
+    invalid_arg "Network.add_allowed: value out of range";
+  let c = if i < j then con t i j else con t j i in
+  List.iter (fun (vi, vj) -> if i < j then allow c vi vj else allow c vj vi) pairs
+
+(* Whether [vs.(k ..)] all index a domain of size [d]. *)
+let rec in_range d vs k =
+  k = Array.length vs || (vs.(k) >= 0 && vs.(k) < d && in_range d vs (k + 1))
+
+let allow_product t i vis j vjs =
+  check_pair "Network.allow_product" t i j;
+  if not (in_range (domain_size t i) vis 0 && in_range (domain_size t j) vjs 0)
+  then invalid_arg "Network.allow_product: value out of range";
+  let c = if i < j then con t i j else con t j i in
+  for x = 0 to Array.length vis - 1 do
+    for y = 0 to Array.length vjs - 1 do
+      if i < j then allow c vis.(x) vjs.(y) else allow c vjs.(y) vis.(x)
+    done
+  done
+
+let constrained t i j = i <> j && Itbl.mem t.cons (key t i j)
 
 let allowed t i vi j vj =
-  match Hashtbl.find_opt t.cons (key i j) with
+  match Itbl.find_opt t.cons (key t i j) with
   | None -> true
   | Some c ->
     let rows = if i < j then c.fwd else c.bwd in
@@ -118,12 +137,12 @@ let support_count t i vi j =
   if i = j then invalid_arg "Network.support_count: i = j";
   if vi < 0 || vi >= domain_size t i then
     invalid_arg "Network.support_count: value out of range";
-  match Hashtbl.find_opt t.cons (key i j) with
+  match Itbl.find_opt t.cons (key t i j) with
   | None -> domain_size t j
   | Some c -> if i < j then c.fcnt.(vi) else c.bcnt.(vi)
 
 let supports t i j =
-  match Hashtbl.find_opt t.cons (key i j) with
+  match Itbl.find_opt t.cons (key t i j) with
   | None -> invalid_arg "Network.supports: unconstrained pair"
   | Some c -> if i < j then c.fwd else c.bwd
 
@@ -132,11 +151,11 @@ let neighbors t i =
   t.neighbors.(i)
 
 let degree t i = List.length (neighbors t i)
-let num_constraints t = Hashtbl.length t.cons
+let num_constraints t = Itbl.length t.cons
 
-let constraint_pairs t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.cons []
-  |> List.sort Stdlib.compare
+(* Keys ascending, i.e. constraints in (a, b) order. *)
+let keys t = List.sort Int.compare (Itbl.fold (fun k _ acc -> k :: acc) t.cons [])
+let constraint_pairs t = List.map (fun k -> (first t k, second t k)) (keys t)
 
 let check_assignment_shape t a partial =
   if Array.length a <> num_vars t then
@@ -149,8 +168,9 @@ let check_assignment_shape t a partial =
 
 let consistent_with t a partial =
   check_assignment_shape t a partial;
-  Hashtbl.fold
-    (fun (i, j) c ok ->
+  Itbl.fold
+    (fun k c ok ->
+      let i = first t k and j = second t k in
       ok && (a.(i) = -1 || a.(j) = -1 || Bitset.row_mem c.fwd.(a.(i)) a.(j)))
     t.cons true
 
@@ -196,7 +216,7 @@ let compile_vars t vars =
     Array.iter
       (fun b ->
         if a < b then begin
-          let c = Hashtbl.find t.cons (vars.(a), vars.(b)) in
+          let c = Itbl.find t.cons (key t vars.(a) vars.(b)) in
           let hab = !next and hba = !next + 1 in
           next := !next + 2;
           handle.((a * n) + b) <- hab;
@@ -210,7 +230,7 @@ let compile_vars t vars =
   done;
   Compiled.make ~dom_size ~neighbors ~handle ~rows ~supcnt
 
-(* The all-variables case, memoized until the next [add_allowed]. *)
+(* The all-variables case, memoized until the next write. *)
 let compile t =
   match t.compiled with
   | Some c -> c
@@ -270,8 +290,9 @@ let restrict_domains t keep =
       ~domains:
         (Array.mapi (fun i idx -> Array.map (fun v -> t.domains.(i).(v)) idx) maps)
   in
-  Hashtbl.iter
-    (fun (i, j) c ->
+  Itbl.iter
+    (fun k c ->
+      let i = first t k and j = second t k in
       let pairs = ref [] in
       Array.iteri
         (fun ni vi ->
@@ -298,8 +319,9 @@ let pp pp_value ppf t =
       Format.fprintf ppf "}@,")
     t.names;
   List.iter
-    (fun (i, j) ->
-      Format.fprintf ppf "  S(%s,%s): %d pairs@," t.names.(i) t.names.(j)
-        (Array.fold_left ( + ) 0 (Hashtbl.find t.cons (i, j)).fcnt))
-    (constraint_pairs t);
+    (fun k ->
+      Format.fprintf ppf "  S(%s,%s): %d pairs@," t.names.(first t k)
+        t.names.(second t k)
+        (Array.fold_left ( + ) 0 (Itbl.find t.cons k).fcnt))
+    (keys t);
   Format.fprintf ppf "@]"

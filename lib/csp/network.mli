@@ -36,6 +36,20 @@ val add_allowed : 'a t -> int -> int -> (int * int) list -> unit
     pair twice is harmless.  Raises [Invalid_argument], and changes
     nothing, if [i = j] or an index is out of range. *)
 
+val allow_product : 'a t -> int -> int array -> int -> int array -> unit
+(** [allow_product t i vis j vjs] allows every pair of [vis × vjs] (value
+    indices of [i] and of [j]) under {!add_allowed}'s contract: it creates
+    the constraint if absent, even when a side is empty; a repeated or
+    already allowed pair is counted once, in each direction; and it
+    raises [Invalid_argument], having changed nothing, if [i = j] or a
+    value on either side is out of range.  One call writes a whole
+    product, so a caller that allows all of [j]'s values [vjs] under
+    [i = vi] passes [[| vi |]] and [vjs] rather than one pair at a time.
+
+    Each constraint is found by one integer key, [a * n + b] for the
+    variables [a < b] of an [n]-variable network, in an int-keyed table:
+    no write, lookup or traversal builds or hashes a tuple. *)
+
 val constrained : 'a t -> int -> int -> bool
 (** Whether a constraint exists between the two variables. *)
 
@@ -59,8 +73,8 @@ val supports : 'a t -> int -> int -> Bitset.row array
 val compile : 'a t -> Compiled.t
 (** The dense, value-index-only view of the whole network the solver and
     AC-2001 run on: {!compile_vars} on every variable.  Memoized until
-    the next {!add_allowed}, so the analyses that compile a network
-    again after its solve share one handle matrix. *)
+    the next {!add_allowed} or {!allow_product}, so the analyses that
+    compile a network again after its solve share one handle matrix. *)
 
 val compile_vars : 'a t -> int array -> Compiled.t
 (** [compile_vars t vars] is the view of the subnetwork on [vars]
@@ -68,9 +82,9 @@ val compile_vars : 'a t -> int array -> Compiled.t
     constraints among them, empty ones included, with the handles of
     local pairs [(a, b)], [a < b], numbered in ascending order.  The view
     borrows the network's support rows and counts ({!supports}) rather
-    than copying them, so it is valid until the next {!add_allowed}.
-    Its cost is in the size of [vars] and their constraints, not of
-    [t].  Not memoized.  Raises [Invalid_argument] on an out-of-range
+    than copying them, so it is valid until the next {!add_allowed} or
+    {!allow_product}.  Its cost is in the size of [vars] and their
+    constraints, not of [t].  Not memoized.  Raises [Invalid_argument] on an out-of-range
     variable or an order that is not strictly ascending. *)
 
 val neighbors : 'a t -> int -> int list

@@ -65,7 +65,8 @@ let build_internal ?(relax = false) ?(candidates = fun _ -> []) ~make_sink prog 
      among the layouts the rest of the program might ask of it. *)
   let meaningful = Array.make (Array.length arrays) [] in
   (* per nest: the network variable of each touched array, and per
-     innermost loop the value each one demands (-1: none) *)
+     innermost loop the values each one allows: the one it demands, or
+     [||] when that restructuring leaves it free *)
   let demands =
     Array.mapi
       (fun i _ ->
@@ -77,13 +78,13 @@ let build_internal ?(relax = false) ?(candidates = fun _ -> []) ~make_sink prog 
               Array.mapi
                 (fun t demand ->
                   match demand with
-                  | None -> -1
+                  | None -> [||]
                   | Some l ->
                     let x = vars.(t) in
                     let v = value_of domains.(x) l in
                     if not (List.mem v meaningful.(x)) then
                       meaningful.(x) <- v :: meaningful.(x);
-                    v)
+                    [| v |])
                 n.Nest_summary.demands.(k))
             n.Nest_summary.inners
         in
@@ -91,73 +92,76 @@ let build_internal ?(relax = false) ?(candidates = fun _ -> []) ~make_sink prog 
       nests
   in
   let meaningful =
-    Array.map (fun vs -> if List.mem 0 vs then vs else 0 :: vs) meaningful
+    Array.map
+      (fun vs -> Array.of_list (if List.mem 0 vs then vs else 0 :: vs))
+      meaningful
   in
   let network = Network.create ~names ~domains:(Array.map values domains) in
-  (* Streaming pair insertion: one nest's proposed pairs (concrete and
-     wildcarded) at a time, keyed for idempotence, added to the network
-     and handed to [sink] (the weighting hook) before the next nest's
-     set is built — peak transient memory is the largest single nest's
-     pair set, not the whole program's. *)
+  (* Each restructuring allows, for each pair of the arrays it touches,
+     the product of the two sides' values: a demanded value alone, or
+     every meaningful layout of a free array.  One checked write per
+     (nest, innermost loop, array pair), handed to the nest's sink (the
+     weighting hook) as it is made. *)
   let sink = make_sink network in
+  let side vars allows a =
+    match allows.(a) with [||] -> meaningful.(vars.(a)) | vs -> vs
+  in
   Array.iteri
     (fun i (vars, per_inner) ->
-      let pairs = Hashtbl.create 64 in
-      let record ia va ib vb =
-        let k = if ia < ib then (ia, va, ib, vb) else (ib, vb, ia, va) in
-        Hashtbl.replace pairs k ()
-      in
+      let allow = sink nests.(i) in
       let m = Array.length vars in
       List.iter
-        (fun demanded ->
+        (fun allows ->
           for a = 0 to m - 1 do
             for b = a + 1 to m - 1 do
               let ia = vars.(a) and ib = vars.(b) in
-              match (demanded.(a), demanded.(b)) with
-              | -1, -1 ->
-                (* this restructuring is satisfied by any meaningful
-                   layout combination of the pair *)
-                List.iter
-                  (fun va ->
-                    List.iter (fun vb -> record ia va ib vb) meaningful.(ib))
-                  meaningful.(ia)
-              | va, -1 ->
-                List.iter (fun vb -> record ia va ib vb) meaningful.(ib)
-              | -1, vb ->
-                List.iter (fun va -> record ia va ib vb) meaningful.(ia)
-              | va, vb -> record ia va ib vb
+              let va = side vars allows a and vb = side vars allows b in
+              Network.allow_product network ia va ib vb;
+              allow ia va ib vb
             done
           done)
-        per_inner;
-      Hashtbl.iter
-        (fun (i, vi, j, vj) () -> Network.add_allowed network i j [ (vi, vj) ])
-        pairs;
-      sink nests.(i) pairs)
+        per_inner)
     demands;
-  if relax then
+  if relax then begin
+    let default = [| 0 |] in
     List.iter
-      (fun (i, j) -> Network.add_allowed network i j [ (0, 0) ])
-      (Network.constraint_pairs network);
+      (fun (i, j) -> Network.allow_product network i default j default)
+      (Network.constraint_pairs network)
+  end;
   { network; program = prog; constrained_arrays = names; var_index }
 
-let no_sink _network _nest _pairs = ()
+let ignore_product _ _ _ _ = ()
 
 let build ?relax ?candidates prog =
   Mlo_obs.Trace.with_span ~cat:"netgen" "build"
     ~args:[ ("program", Mlo_obs.Trace.Str (Program.name prog)) ]
   @@ fun () ->
-  build_internal ?relax ?candidates ~make_sink:(fun net -> no_sink net) prog
+  build_internal ?relax ?candidates
+    ~make_sink:(fun _network _nest -> ignore_product)
+    prog
 
 let weighted ?relax ?candidates prog =
   let w = ref None in
   let make_sink network =
     let ww = Weighted.create network in
     w := Some ww;
-    fun nest pairs ->
+    fun nest ->
+      (* a pair several restructurings of one nest allow is weighted
+         once for that nest *)
       let cost = float_of_int (Cost.nest_cost nest) in
-      Hashtbl.iter
-        (fun (i, vi, j, vj) () -> Weighted.add_weight ww i vi j vj cost)
-        pairs
+      let seen = Hashtbl.create 64 in
+      fun i vis j vjs ->
+        Array.iter
+          (fun vi ->
+            Array.iter
+              (fun vj ->
+                let k = if i < j then (i, vi, j, vj) else (j, vj, i, vi) in
+                if not (Hashtbl.mem seen k) then begin
+                  Hashtbl.add seen k ();
+                  Weighted.add_weight ww i vi j vj cost
+                end)
+              vjs)
+          vis
   in
   let t = build_internal ?relax ?candidates ~make_sink prog in
   (t, Option.get !w)

@@ -502,14 +502,8 @@ let test_med_im04_golden () =
 let layoutopt =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/layoutopt.exe"
 
-let run_for_error args =
-  let err = Filename.temp_file "layoutopt_bnb" ".err" in
-  let code =
-    Sys.command
-      (Printf.sprintf "%s %s >/dev/null 2>%s" layoutopt args
-         (Filename.quote err))
-  in
-  let ic = open_in err in
+let read_lines file =
+  let ic = open_in file in
   let lines = ref [] in
   (try
      while true do
@@ -517,14 +511,27 @@ let run_for_error args =
      done
    with End_of_file -> ());
   close_in ic;
-  Sys.remove err;
-  (code, List.rev !lines)
+  Sys.remove file;
+  List.rev !lines
+
+(* The exit code, stdout lines and stderr lines of one run. *)
+let run_for_error args =
+  let out = Filename.temp_file "layoutopt_bnb" ".out" in
+  let err = Filename.temp_file "layoutopt_bnb" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>%s" layoutopt args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let out = read_lines out in
+  (code, out, read_lines err)
 
 (* Bad bnb flags die like every other CLI validation: one line on
-   stderr naming the problem, exit 2. *)
+   stderr naming the problem, nothing on stdout, exit 2. *)
 let check_one_line_error name args expect_prefix =
-  let code, lines = run_for_error args in
+  let code, out, lines = run_for_error args in
   Alcotest.(check int) (name ^ ": exit code") 2 code;
+  Alcotest.(check (list string)) (name ^ ": stdout") [] out;
   match lines with
   | [ line ] ->
     Alcotest.(check bool)
@@ -579,7 +586,8 @@ let test_cli_errors () =
     "layoutopt: option '--bound-slack': must be non-negative (got nan)";
   (* coefficients whose exact elimination would wrap: lint's nullspace
      and the derived layout's rank check name the overflow, and so does
-     the address fold locality's trace runs on *)
+     the address fold that locality's trace and optimize-file's
+     simulation run on, before optimize-file prints its answer *)
   List.iter
     (fun (cmd, file) ->
       check_one_line_error
@@ -591,6 +599,7 @@ let test_cli_errors () =
     [
       ("lint", "overflow-lint.mlo");
       ("optimize-file", "overflow-layout.mlo");
+      ("optimize-file --simulate", "overflow-lint.mlo");
       ("locality", "overflow-lint.mlo");
       ("locality", "overflow-layout.mlo");
     ]

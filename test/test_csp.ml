@@ -141,9 +141,13 @@ let test_network_validation () =
 (* A network keeps each constraint only as the support rows and counts
    of both its directions, which the compiled view borrows; this checks
    that storage against a plain list of the pairs added.  Domains of up
-   to 40 values put rows across a 32-bit word, every call adds a third
-   of its pairs again in the other orientation, and some calls add
-   nothing. *)
+   to 40 values put rows across a 32-bit word.  Writes interleave the
+   two writers: an [add_allowed] call adds a third of its pairs again in
+   the other orientation, an [allow_product] call writes sides with
+   repeated values in either orientation, and some calls of each add
+   nothing.  Then rejected writes ([i = j], or a value out of range on
+   either side, among valid ones) must raise and leave the storage as it
+   was, creating no constraint. *)
 let prop_network_storage =
   QCheck.Test.make ~name:"network storage = the pairs added" ~count:300
     QCheck.small_nat (fun seed ->
@@ -155,18 +159,39 @@ let prop_network_storage =
           ~names:(Array.init n (Printf.sprintf "v%d"))
           ~domains:(Array.map (fun d -> Array.init d Fun.id) dom)
       in
+      (* a product side over [d] values: empty, or values drawn from a
+         random prefix of the domain, so repeats are common *)
+      let side d =
+        if Rng.int rng 5 = 0 then [||]
+        else
+          let pool = 1 + Rng.int rng d in
+          Array.init (1 + Rng.int rng 8) (fun _ -> Rng.int rng pool)
+      in
       let added = ref [] and called = ref [] in
       for _ = 1 to Rng.int rng 12 do
         let i = Rng.int rng n in
         let j = (i + 1 + Rng.int rng (n - 1)) mod n in
-        let count = if Rng.int rng 4 = 0 then 0 else Rng.int rng 60 in
         let pairs =
-          List.init count (fun _ -> (Rng.int rng dom.(i), Rng.int rng dom.(j)))
+          if Rng.int rng 2 = 0 then begin
+            let count = if Rng.int rng 4 = 0 then 0 else Rng.int rng 60 in
+            let pairs =
+              List.init count (fun _ -> (Rng.int rng dom.(i), Rng.int rng dom.(j)))
+            in
+            Network.add_allowed net i j pairs;
+            Network.add_allowed net j i
+              (List.filteri (fun k _ -> k mod 3 = 0) pairs
+              |> List.map (fun (vi, vj) -> (vj, vi)));
+            pairs
+          end
+          else begin
+            let vis = side dom.(i) and vjs = side dom.(j) in
+            if Rng.int rng 2 = 0 then Network.allow_product net i vis j vjs
+            else Network.allow_product net j vjs i vis;
+            List.concat_map
+              (fun vi -> List.map (fun vj -> (vi, vj)) (Array.to_list vjs))
+              (Array.to_list vis)
+          end
         in
-        Network.add_allowed net i j pairs;
-        Network.add_allowed net j i
-          (List.filteri (fun k _ -> k mod 3 = 0) pairs
-          |> List.map (fun (vi, vj) -> (vj, vi)));
         called := (min i j, max i j) :: !called;
         added := List.map (fun (vi, vj) -> (i, vi, j, vj)) pairs @ !added
       done;
@@ -188,88 +213,111 @@ let prop_network_storage =
         | exception Invalid_argument m -> m = "Network.support_count: " ^ msg
         | _ -> false
       in
-      for i = 0 to n - 1 do
-        expect
-          (Network.neighbors net i
-          = List.filter (fun j -> j <> i && con i j) (List.init n Fun.id))
-          "neighbors %d" i;
-        for j = 0 to n - 1 do
-          if j <> i then begin
-            expect (Network.constrained net i j = con i j) "constrained %d %d" i j;
-            for vi = -1 to dom.(i) do
-              for vj = -1 to dom.(j) do
-                let inside = vi >= 0 && vi < dom.(i) && vj >= 0 && vj < dom.(j) in
-                if con i j || inside then
-                  expect
-                    (Network.allowed net i vi j vj
-                    = ((not (con i j)) || (inside && mem i vi j vj)))
-                    "allowed %d %d %d %d" i vi j vj
-              done
-            done;
-            for vi = 0 to dom.(i) - 1 do
+      (* the whole storage against the model, after [stage] *)
+      let check stage =
+        for i = 0 to n - 1 do
+          expect
+            (Network.neighbors net i
+            = List.filter (fun j -> j <> i && con i j) (List.init n Fun.id))
+            "%s: neighbors %d" stage i;
+          for j = 0 to n - 1 do
+            if j <> i then begin
               expect
-                (Network.support_count net i vi j
-                = if con i j then List.length (sup i vi j) else dom.(j))
-                "support_count %d %d %d" i vi j;
-              if con i j then begin
-                let row = Bitset.row_make dom.(j) in
-                List.iter (Bitset.row_add row) (sup i vi j);
+                (Network.constrained net i j = con i j)
+                "%s: constrained %d %d" stage i j;
+              for vi = -1 to dom.(i) do
+                for vj = -1 to dom.(j) do
+                  let inside = vi >= 0 && vi < dom.(i) && vj >= 0 && vj < dom.(j) in
+                  if con i j || inside then
+                    expect
+                      (Network.allowed net i vi j vj
+                      = ((not (con i j)) || (inside && mem i vi j vj)))
+                      "%s: allowed %d %d %d %d" stage i vi j vj
+                done
+              done;
+              for vi = 0 to dom.(i) - 1 do
                 expect
-                  (Array.length (Network.supports net i j) = dom.(i)
-                  && (Network.supports net i j).(vi) = row)
-                  "supports %d %d, row %d" i j vi
-              end
-            done;
-            List.iter
-              (fun vi ->
-                expect
-                  (rejects "value out of range" (fun () ->
-                       Network.support_count net i vi j))
-                  "support_count %d %d %d: out of range, not rejected" i vi j)
-              [ -1; dom.(i) ]
-          end
-        done
-      done;
-      let k = Rng.int rng n in
-      expect
-        (rejects "i = j" (fun () -> Network.support_count net k 0 k)
-        && List.for_all
-             (fun (i, j) ->
-               rejects "variable out of range" (fun () ->
-                   Network.support_count net i 0 j))
-             [ (-1, k); (n, k); (k, -1); (k, n) ])
-        "support_count: bad variable not rejected";
-      expect
-        (Network.constraint_pairs net = List.sort_uniq compare !called)
-        "constraint_pairs";
-      for _ = 1 to 20 do
-        let partial = Array.init n (fun i -> Rng.int rng (dom.(i) + 1) - 1) in
-        let full = Array.map (fun v -> max v 0) partial in
-        let consistent a =
-          List.for_all
-            (fun (i, j) -> a.(i) < 0 || a.(j) < 0 || mem i a.(i) j a.(j))
-            !called
-        in
-        expect (Network.verify net full = consistent full) "verify";
+                  (Network.support_count net i vi j
+                  = if con i j then List.length (sup i vi j) else dom.(j))
+                  "%s: support_count %d %d %d" stage i vi j;
+                if con i j then begin
+                  let row = Bitset.row_make dom.(j) in
+                  List.iter (Bitset.row_add row) (sup i vi j);
+                  expect
+                    (Array.length (Network.supports net i j) = dom.(i)
+                    && (Network.supports net i j).(vi) = row)
+                    "%s: supports %d %d, row %d" stage i j vi
+                end
+              done;
+              List.iter
+                (fun vi ->
+                  expect
+                    (rejects "value out of range" (fun () ->
+                         Network.support_count net i vi j))
+                    "%s: support_count %d %d %d: out of range, not rejected"
+                    stage i vi j)
+                [ -1; dom.(i) ]
+            end
+          done
+        done;
+        let k = Rng.int rng n in
         expect
-          (Network.consistent_partial net partial = consistent partial)
-          "consistent_partial"
-      done;
-      let i = Rng.int rng n in
-      let j = (i + 1) mod n in
+          (rejects "i = j" (fun () -> Network.support_count net k 0 k)
+          && List.for_all
+               (fun (i, j) ->
+                 rejects "variable out of range" (fun () ->
+                     Network.support_count net i 0 j))
+               [ (-1, k); (n, k); (k, -1); (k, n) ])
+          "%s: support_count: bad variable not rejected" stage;
+        expect
+          (Network.constraint_pairs net = List.sort_uniq compare !called)
+          "%s: constraint_pairs" stage;
+        for _ = 1 to 20 do
+          let partial = Array.init n (fun i -> Rng.int rng (dom.(i) + 1) - 1) in
+          let full = Array.map (fun v -> max v 0) partial in
+          let consistent a =
+            List.for_all
+              (fun (i, j) -> a.(i) < 0 || a.(j) < 0 || mem i a.(i) j a.(j))
+              !called
+          in
+          expect (Network.verify net full = consistent full) "%s: verify" stage;
+          expect
+            (Network.consistent_partial net partial = consistent partial)
+            "%s: consistent_partial" stage
+        done
+      in
+      check "written";
       let raises f =
         match f () with exception Invalid_argument _ -> true | () -> false
       in
+      let i = Rng.int rng n in
+      let j = (i + 1) mod n in
       expect
         (raises (fun () -> Network.add_allowed net i j [ (0, 0); (dom.(i), 0) ])
         && raises (fun () -> Network.add_allowed net j i [ (0, -1) ]))
         "out-of-range value added";
-      (* a rejected call changes nothing *)
-      expect
-        (Network.constrained net i j = con i j
-        && Network.support_count net i 0 j
-           = if con i j then List.length (sup i 0 j) else dom.(j))
-        "a rejected call wrote";
+      (* a side of valid values with one bad value among them *)
+      let spoiled d =
+        let vs = Array.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng d) in
+        vs.(Rng.int rng (Array.length vs)) <- (if Rng.int rng 2 = 0 then -1 else d);
+        vs
+      in
+      let valid d = Array.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng d) in
+      for _ = 1 to 6 do
+        let i = Rng.int rng n in
+        let j = (i + 1 + Rng.int rng (n - 1)) mod n in
+        let vis, vjs =
+          if Rng.int rng 2 = 0 then (spoiled dom.(i), valid dom.(j))
+          else (valid dom.(i), spoiled dom.(j))
+        in
+        expect
+          (raises (fun () -> Network.allow_product net i vis j vjs)
+          && raises (fun () -> Network.allow_product net j vjs i vis)
+          && raises (fun () ->
+                 Network.allow_product net i (valid dom.(i)) i (valid dom.(i))))
+          "rejected product written without raising"
+      done;
+      check "rejected";
       true)
 
 let test_bitset () =
