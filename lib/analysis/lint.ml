@@ -22,7 +22,8 @@ let access_str nest a = Format.asprintf "%a" (Access.pp (Loop_nest.var_names nes
 (* Exact interval of an affine expression over the nest's iteration
    space: bounds are constants and the expression is affine, so the
    extremes are attained at per-loop endpoints chosen by coefficient
-   sign ([lo] inclusive, [hi] exclusive). *)
+   sign ([lo] inclusive, [hi] exclusive).  The arithmetic is checked: an
+   end that does not fit an [int] raises [Intvec.Overflow]. *)
 let interval nest e =
   let loops = Loop_nest.loops nest in
   let lo = ref e.Affine.const and hi = ref e.Affine.const in
@@ -30,12 +31,12 @@ let interval nest e =
     (fun j (l : Loop_nest.loop) ->
       let c = Affine.coeff e j in
       if c > 0 then begin
-        lo := !lo + (c * l.Loop_nest.lo);
-        hi := !hi + (c * (l.Loop_nest.hi - 1))
+        lo := Intvec.(!lo +! (c *! l.Loop_nest.lo));
+        hi := Intvec.(!hi +! (c *! (l.Loop_nest.hi - 1)))
       end
       else if c < 0 then begin
-        lo := !lo + (c * (l.Loop_nest.hi - 1));
-        hi := !hi + (c * l.Loop_nest.lo)
+        lo := Intvec.(!lo +! (c *! (l.Loop_nest.hi - 1)));
+        hi := Intvec.(!hi +! (c *! l.Loop_nest.lo))
       end)
     loops;
   (!lo, !hi)

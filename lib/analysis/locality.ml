@@ -5,6 +5,9 @@ module Hierarchy = Mlo_cachesim.Hierarchy
 module Compiled_trace = Mlo_cachesim.Compiled_trace
 module Trace = Mlo_obs.Trace
 module Json = Mlo_obs.Json
+module Array_info = Mlo_ir.Array_info
+module Layout = Mlo_layout.Layout
+module Transform = Mlo_layout.Transform
 
 type reuse_class = Temporal | Spatial | No_reuse
 
@@ -225,13 +228,21 @@ let count_set ~line x gap_span levels =
 (* Access groups                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* What a line count reads of a group of accesses to one array: the
+   lattice { base + g + sum_l k_l * deltas.(l) : g in gaps,
+   0 <= k_l < counts.(l) }. *)
 type raw_group = {
-  rg_array : string;
-  rg_members : int list;
+  rg_base : int;  (** leader = smallest addr0 *)
   rg_deltas : int array;  (** per level, dead levels (count <= 1) zeroed *)
   rg_counts : int array;
-  rg_base : int;  (** leader = smallest addr0 *)
   rg_gaps : int array;  (** sorted distinct offsets, first 0 *)
+}
+
+(* A group of the report: its array, its accesses and their lattice. *)
+type member_group = {
+  mg_array : string;
+  mg_members : int list;
+  mg_group : raw_group;
 }
 
 let rec ints_from a b i =
@@ -269,14 +280,103 @@ let build_groups (nf : Compiled_trace.nest_form) =
         List.sort_uniq compare (List.map (fun (_, a) -> a - base) members)
       in
       {
-        rg_array = name;
-        rg_members = List.map fst members;
-        rg_deltas = deltas;
-        rg_counts = counts;
-        rg_base = base;
-        rg_gaps = Array.of_list gaps;
+        mg_array = name;
+        mg_members = List.map fst members;
+        mg_group =
+          {
+            rg_base = base;
+            rg_deltas = deltas;
+            rg_counts = counts;
+            rg_gaps = Array.of_list gaps;
+          };
       })
     !groups
+
+(* Sorts [a] in place and returns its distinct elements. *)
+let sorted_distinct a =
+  Array.sort Int.compare a;
+  let w = ref 1 in
+  for i = 1 to Array.length a - 1 do
+    if a.(i) <> a.(!w - 1) then begin
+      a.(!w) <- a.(i);
+      incr w
+    end
+  done;
+  if !w = Array.length a then a else Array.sub a 0 !w
+
+let lone_gap = [| 0 |]
+
+(* The group led by access [k] of [group_forms]: the accesses [m] with
+   [lead.(m) = k], all at or after [k]. *)
+let lead_group counts lead (forms : Compiled_trace.access_form array) k =
+  let n = Array.length forms in
+  let base = ref max_int and size = ref 0 in
+  for m = k to n - 1 do
+    if lead.(m) = k then begin
+      let a = forms.(m).form_addr0 in
+      if a < !base then base := a;
+      incr size
+    end
+  done;
+  let gaps =
+    if !size = 1 then lone_gap
+    else begin
+      let gaps = Array.make !size 0 and i = ref 0 in
+      for m = k to n - 1 do
+        if lead.(m) = k then begin
+          gaps.(!i) <- forms.(m).form_addr0 - !base;
+          incr i
+        end
+      done;
+      sorted_distinct gaps
+    end
+  in
+  {
+    rg_base = !base;
+    rg_deltas = forms.(k).form_deltas;
+    rg_counts = counts;
+    rg_gaps = gaps;
+  }
+
+(* One array's groups in one nest, from the forms of its accesses, in
+   the order of their first accesses: [build_groups] for one array,
+   with no list, closure or tuple key.  [same.(k)] is the first listed
+   access with access [k]'s access matrix.  Two such accesses have the
+   same strides under every layout, so only the first access of each
+   matrix compares its strides with the groups found so far.  Those
+   first accesses' dead levels are zeroed in place, so [forms] must be
+   the caller's own (fresh from [relayout]). *)
+let group_forms counts same (forms : Compiled_trace.access_form array) =
+  let n = Array.length forms in
+  (* lead.(k): the first access of [k]'s group *)
+  let lead = Array.make n 0 and groups = ref 0 in
+  for k = 0 to n - 1 do
+    if same.(k) < k then lead.(k) <- lead.(same.(k))
+    else begin
+      let d = forms.(k).form_deltas in
+      for l = 0 to Array.length d - 1 do
+        if counts.(l) <= 1 then d.(l) <- 0
+      done;
+      let j = ref 0 in
+      while
+        !j < k
+        && not (lead.(!j) = !j && ints_equal forms.(!j).form_deltas d)
+      do
+        incr j
+      done;
+      lead.(k) <- !j;
+      if !j = k then incr groups
+    end
+  done;
+  let out = Array.make !groups (lead_group counts lead forms 0) in
+  let next = ref 1 in
+  for k = 1 to n - 1 do
+    if lead.(k) = k then begin
+      out.(!next) <- lead_group counts lead forms k;
+      incr next
+    end
+  done;
+  out
 
 (* Fold the group's constant offsets into one lattice level when they
    are all multiples [q*d] of a stride with consecutive quotients within
@@ -460,18 +560,72 @@ let make_view ~(geometry : Cache.geometry) ~count (g : raw_group) =
    leaves the rest of the count alone: both keys hold the leader's
    offset within a line in place of its address, and both store
    [cs_min] relative to the leader.  The count memo keys on the gap set
-   and the kept levels in order (the order reaches [absorb_gaps]' stable
-   sort).  The view memo keys on the gap set and the per-level strides
-   and trip counts.  A profile query reads one view per (loop order,
-   group); it counts only on a view's first use and on a realized-level
-   mask's first use, through the count memo. *)
+   and the kept levels ([levels_key]).  The view memo keys on the gap
+   set and the per-level strides and trip counts.  A view is made only
+   on its key's first use, and it counts only then and on a
+   realized-level mask's first use, through the count memo. *)
+
+let rec mix h a i =
+  if i = Array.length a then h else mix ((h * 65599) + a.(i)) a (i + 1)
+
+(* [levels] flattened into [a] from pair [i] on: stride, trip, ... *)
+let rec flatten_levels a i = function
+  | [] -> a
+  | (d, n) :: rest ->
+    a.(2 * i) <- d;
+    a.((2 * i) + 1) <- n;
+    flatten_levels a (i + 1) rest
+
+(* The count memo's key for [levels], flattened.  [count_set] sorts the
+   levels, so it reads them as a multiset; [absorb_gaps]' stable sort
+   reads their order, but only among levels of equal stride.  So levels
+   whose strides are pairwise distinct are keyed sorted, and any other
+   list as it comes.  The two kinds of key cannot meet: a sorted key
+   repeats no stride. *)
+let levels_key levels =
+  let a = flatten_levels (Array.make (2 * List.length levels) 0) 0 levels in
+  let pairs = Array.length a / 2 in
+  (* insertion sort of the pairs, by stride, then trip *)
+  for i = 1 to pairs - 1 do
+    let d = a.(2 * i) and n = a.((2 * i) + 1) and j = ref (i - 1) in
+    while !j >= 0 && (a.(2 * !j) > d || (a.(2 * !j) = d && a.((2 * !j) + 1) > n)) do
+      a.((2 * !j) + 2) <- a.(2 * !j);
+      a.((2 * !j) + 3) <- a.((2 * !j) + 1);
+      decr j
+    done;
+    a.((2 * !j) + 2) <- d;
+    a.((2 * !j) + 3) <- n
+  done;
+  let distinct = ref true in
+  for i = 1 to pairs - 1 do
+    if a.(2 * i) = a.(2 * (i - 1)) then distinct := false
+  done;
+  if !distinct then a else flatten_levels a 0 levels
+
+module Count_key = struct
+  type t = { offset : int; gaps : int array; levels : int array }
+
+  let equal a b =
+    a.offset = b.offset && ints_equal a.gaps b.gaps && ints_equal a.levels b.levels
+
+  let hash k = Hashtbl.hash (mix (mix k.offset k.gaps 0) k.levels 0)
+end
+
+module Count_tbl = Hashtbl.Make (Count_key)
+
 let memo_count ~line memo (g : raw_group) levels =
-  let key = (fmod g.rg_base line, g.rg_gaps, levels) in
-  match Hashtbl.find_opt memo key with
-  | Some c -> { c with cs_min = g.rg_base + c.cs_min }
-  | None ->
+  let key =
+    {
+      Count_key.offset = fmod g.rg_base line;
+      gaps = g.rg_gaps;
+      levels = levels_key levels;
+    }
+  in
+  match Count_tbl.find memo key with
+  | c -> { c with cs_min = g.rg_base + c.cs_min }
+  | exception Not_found ->
     let c = group_count ~line g levels in
-    Hashtbl.add memo key { c with cs_min = c.cs_min - g.rg_base };
+    Count_tbl.add memo key { c with cs_min = c.cs_min - g.rg_base };
     c
 
 module View_key = struct
@@ -481,27 +635,25 @@ module View_key = struct
     a.offset = b.offset && ints_equal a.gaps b.gaps
     && ints_equal a.deltas b.deltas && ints_equal a.counts b.counts
 
-  let rec mix h a i =
-    if i = Array.length a then h else mix ((h * 65599) + a.(i)) a (i + 1)
-
   let hash k =
     Hashtbl.hash (mix (mix (mix k.offset k.gaps 0) k.deltas 0) k.counts 0)
 end
 
 module View_tbl = Hashtbl.Make (View_key)
 
+let view_key ~line (g : raw_group) =
+  {
+    View_key.offset = fmod g.rg_base line;
+    gaps = g.rg_gaps;
+    deltas = g.rg_deltas;
+    counts = g.rg_counts;
+  }
+
 let memo_view ~(geometry : Cache.geometry) ~count tbl (g : raw_group) =
-  let key =
-    {
-      View_key.offset = fmod g.rg_base geometry.Cache.line_bytes;
-      gaps = g.rg_gaps;
-      deltas = g.rg_deltas;
-      counts = g.rg_counts;
-    }
-  in
-  match View_tbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
+  let key = view_key ~line:geometry.Cache.line_bytes g in
+  match View_tbl.find tbl key with
+  | v -> v
+  | exception Not_found ->
     let v = make_view ~geometry ~count g in
     View_tbl.add tbl key v;
     v
@@ -514,6 +666,10 @@ let memo_view ~(geometry : Cache.geometry) ~count tbl (g : raw_group) =
 let realized ~cap_lines ~inner v l =
   (not v.v_carries.(l)) || (inner.(l) <= cap_lines && v.v_fits.(l))
 
+let rec kept_lines mask = function
+  | (m, k) :: rest -> if m = mask then k else kept_lines mask rest
+  | [] -> raise_notrace Not_found
+
 (* The group's miss estimate: each unrealized level multiplies the lines
    the realized levels span by its trip count, and the misses never fall
    below the cold lines. *)
@@ -525,9 +681,9 @@ let group_misses ~count ~cap_lines ~inner v (g : raw_group) =
   done;
   let mask = !mask in
   let kept =
-    match List.assoc_opt mask v.v_kept with
-    | Some k -> k
-    | None ->
+    match kept_lines mask v.v_kept with
+    | k -> k
+    | exception Not_found ->
       let k =
         (count g (kept_levels g ~keep:(fun l -> mask land (1 lsl l) <> 0)))
           .cs_lines
@@ -537,43 +693,41 @@ let group_misses ~count ~cap_lines ~inner v (g : raw_group) =
   in
   Float.max v.v_cold.cs_lines (!factor *. kept)
 
-(* [base.(l)] plus the footprint inside level [l] of the viewed groups. *)
-let inner_lines base viewed =
-  let inner = Array.copy base in
-  List.iter
-    (fun (_, v) ->
-      for l = 0 to Array.length inner - 1 do
-        inner.(l) <- inner.(l) +. v.v_inside.(l)
-      done)
-    viewed;
-  inner
+(* Adds the footprint inside each level of [v]'s group to [inner]. *)
+let add_inside inner v =
+  for l = 0 to Array.length inner - 1 do
+    inner.(l) <- inner.(l) +. v.v_inside.(l)
+  done
 
 let analyze_nest ~geometry ~count ~view (nf : Compiled_trace.nest_form) =
   let line = geometry.Cache.line_bytes in
   let cap_lines = float_of_int (geometry.Cache.size_bytes / line) in
   let depth = Array.length nf.Compiled_trace.form_counts in
-  let viewed = List.map (fun g -> (g, view g)) (build_groups nf) in
-  let inner = inner_lines (Array.make depth 0.0) viewed in
+  let viewed = List.map (fun mg -> (mg, view mg.mg_group)) (build_groups nf) in
+  let inner = Array.make depth 0.0 in
+  List.iter (fun (_, v) -> add_inside inner v) viewed;
   let colds =
     List.map
-      (fun (g, v) -> (g, { v.v_cold with cs_min = g.rg_base + v.v_cold.cs_min }))
+      (fun (mg, v) ->
+        (mg, { v.v_cold with cs_min = mg.mg_group.rg_base + v.v_cold.cs_min }))
       viewed
   in
   (* Two groups of the same array whose byte ranges land on overlapping
      line intervals share lines the per-group counts each claim, so the
      summed distinct-line count is only an upper bound there. *)
-  let overlaps_sibling (g, a) =
+  let overlaps_sibling (mg, a) =
     List.exists
-      (fun (g', b) ->
-        g' != g
-        && g'.rg_array = g.rg_array
+      (fun (mg', b) ->
+        mg' != mg
+        && String.equal mg'.mg_array mg.mg_array
         && fdiv a.cs_min line <= fdiv (b.cs_min + b.cs_span - 1) line
         && fdiv b.cs_min line <= fdiv (a.cs_min + a.cs_span - 1) line)
       colds
   in
   let finished =
     List.map2
-      (fun (g, v) gc ->
+      (fun (mg, v) gc ->
+        let g = mg.mg_group in
         let levels =
           Array.init depth (fun l ->
               let d = g.rg_deltas.(l) in
@@ -585,8 +739,8 @@ let analyze_nest ~geometry ~count ~view (nf : Compiled_trace.nest_form) =
               })
         in
         {
-          g_array = g.rg_array;
-          g_accesses = g.rg_members;
+          g_array = mg.mg_array;
+          g_accesses = mg.mg_members;
           g_levels = levels;
           g_gaps = g.rg_gaps;
           g_lines = v.v_cold.cs_lines;
@@ -630,9 +784,10 @@ type touch = {
 let array_touches nest_groups =
   let tbl = Hashtbl.create 7 in
   List.iter
-    (fun ((rg, c), g) ->
+    (fun ((mg, c), g) ->
+      let rg = mg.mg_group in
       let prev =
-        match Hashtbl.find_opt tbl rg.rg_array with
+        match Hashtbl.find_opt tbl mg.mg_array with
         | Some t -> t
         | None ->
           {
@@ -645,7 +800,7 @@ let array_touches nest_groups =
             t_realized = true;
           }
       in
-      Hashtbl.replace tbl rg.rg_array
+      Hashtbl.replace tbl mg.mg_array
         {
           prev with
           t_lines = prev.t_lines +. g.g_lines;
@@ -720,7 +875,7 @@ let default_geometry = Hierarchy.paper_config.Hierarchy.l1
 let analyze_forms ~geometry ~program nfs =
   let line = geometry.Cache.line_bytes in
   let cap_lines = geometry.Cache.size_bytes / line in
-  let count = memo_count ~line (Hashtbl.create 64) in
+  let count = memo_count ~line (Count_tbl.create 64) in
   let view = memo_view ~geometry ~count (View_tbl.create 64) in
   let nests =
     Array.to_list nfs
@@ -745,16 +900,6 @@ let analyze ?(geometry = default_geometry) ?(layouts = fun _ -> None) prog =
   let tr = Compiled_trace.compile prog ~layouts in
   analyze_forms ~geometry ~program:(Program.name prog) (Compiled_trace.forms tr)
 
-(* A group of a nest, in the nest with its loops reordered by [perm]
-   (level [l] of the result is level [perm.(l)] of [g]'s nest): the
-   grouping, leader and offsets do not depend on the loop order. *)
-let permute_group perm (g : raw_group) =
-  {
-    g with
-    rg_deltas = Array.map (fun p -> g.rg_deltas.(p)) perm;
-    rg_counts = Array.map (fun p -> g.rg_counts.(p)) perm;
-  }
-
 (* The profiler's per-program entry: the program staged once, plus the
    query memo.  A profile is a pure function of (program, metric, array,
    layout); programs are immutable and dominance pruning asks the same
@@ -762,38 +907,108 @@ let permute_group perm (g : raw_group) =
    long-running optimizer service, or the bench harness re-extracting
    the same spec, re-profiles nothing after the first pass.  Entries are
    kept by [Program.memo], keyed by physical program identity in an
-   ephemeron table: the staged trace refers back to its program, and an
-   ephemeron's data does not keep its key alive, so an entry dies with
-   its program.  One mutex per entry: a caller may query from several
-   Domains. *)
+   ephemeron table, whose data does not keep its key alive, so an entry
+   dies with its program.  One mutex per entry: a caller may query from
+   several Domains. *)
 type metric = Misses | Lines
 
 module Profile_key = struct
-  type t = string * Mlo_layout.Layout.t * metric
+  type t = string * Layout.t * metric
 
   let equal (a, la, ma) (b, lb, mb) =
-    String.equal a b && ma = mb && Mlo_layout.Layout.equal la lb
+    String.equal a b && ma = mb && Layout.equal la lb
 
-  let hash (a, l, m) = Hashtbl.hash (a, Mlo_layout.Layout.hash l, m)
+  let hash (a, l, m) = Hashtbl.hash (a, Layout.hash l, m)
 end
 
 module Profile_tbl = Hashtbl.Make (Profile_key)
+
+module Transform_tbl = Hashtbl.Make (struct
+  type t = Layout.t * int array  (** layout, extents *)
+
+  let equal (la, ea) (lb, eb) = Layout.equal la lb && ints_equal ea eb
+  let hash (l, e) = Hashtbl.hash (Layout.hash l, mix 0 e 0)
+end)
+
+(* A loop order of a nest (level [l] of the reordered nest is level
+   [perm.(l)] of the nest as written) and its code, the permutation's
+   digits in base [depth]. *)
+type order = { o_perm : int array; o_code : int }
+
+let order perm =
+  {
+    o_perm = perm;
+    o_code = Array.fold_left (fun c p -> (c * Array.length perm) + p) 0 perm;
+  }
+
+(* A group of a nest, in the nest with its loops reordered by [perm]:
+   the grouping, leader and offsets do not depend on the loop order. *)
+let permute_group perm (g : raw_group) =
+  {
+    g with
+    rg_deltas = Array.map (fun p -> g.rg_deltas.(p)) perm;
+    rg_counts = Array.map (fun p -> g.rg_counts.(p)) perm;
+  }
+
+(* A group under one loop order, and its view. *)
+type permuted = { p_code : int; p_group : raw_group; p_view : view }
+
+(* The profiler's view-memo entry of a group as its nest is written:
+   the group under each loop order asked for, newest first.  The stored
+   group may lead at another address than a later group with the same
+   key, by whole lines, which no count reads. *)
+type order_views = permuted list ref
+
+let rec find_order code = function
+  | p :: rest -> if p.p_code = code then p else find_order code rest
+  | [] -> raise_notrace Not_found
+
+(* [g] under order [o] and its view, from [g]'s entry [e]; on the
+   order's first use, the permuted group's view comes from [view]. *)
+let permuted ~view (e : order_views) (g : raw_group) o =
+  match find_order o.o_code !e with
+  | p -> p
+  | exception Not_found ->
+    let g = permute_group o.o_perm g in
+    let p = { p_code = o.o_code; p_group = g; p_view = view g } in
+    e := p :: !e;
+    p
+
+(* One array's slots: the nests that reference it and its accesses in
+   each, staged for every query of the array. *)
+type touched = {
+  tc_info : Array_info.t;
+  tc_extents : int array;
+  tc_nests : int array;  (** ascending *)
+  tc_accesses : int array array;
+      (** per such nest, the indices of the array's accesses, ascending *)
+  tc_same : int array array;
+      (** per such nest and listed access, the position of the first
+          listed access with the same access matrix *)
+}
+
+type nest_stage = {
+  ns_orders : order array;  (** the dependence-legal orders, identity first *)
+  mutable ns_views : (string * view array) array option;
+      (** on first use: per default-layout group, its array and its
+          view under each legal order *)
+}
 
 type profile_entry = {
   pe_trace : Compiled_trace.t;
       (** every array at its default layout: the staged address map a
           query relayouts one array of *)
   pe_forms : Compiled_trace.nest_form array;  (** [pe_trace]'s forms *)
-  pe_perms : int array list array;  (** per nest: dependence-legal orders *)
-  pe_touched : (string, int array * int array array) Hashtbl.t;
-      (** array name -> the nests referencing it, ascending, and per
-          such nest the indices of the array's accesses, ascending *)
-  pe_others : (int * string, float array list) Hashtbl.t;
-      (** (nest, array) -> per legal order, the footprint inside each
-          level of every other array's groups *)
+  pe_nests : nest_stage array;
+  pe_touched : (string, touched) Hashtbl.t;
+  pe_transforms : Transform.t Transform_tbl.t;
+      (** per (layout, extents), the layout's transform *)
   pe_count : raw_group -> (int * int) list -> count;
       (** [group_count], memoized over the entry *)
   pe_view : raw_group -> view;  (** [make_view], memoized over the entry *)
+  pe_orders : order_views View_tbl.t;
+      (** per group as its nest is written, its views under the orders
+          asked for *)
   pe_profiles : float array Profile_tbl.t;
   pe_lock : Mutex.t;
 }
@@ -808,6 +1023,7 @@ let make_profile_entry prog =
   assert (Mlo_cachesim.Address_map.default_align mod line = 0);
   let trace = Compiled_trace.compile prog ~layouts:(fun _ -> None) in
   let forms = Compiled_trace.forms trace in
+  let summary = Nest_summary.of_program prog in
   (* name -> (nest, access indices) list, both ascending *)
   let touched = Hashtbl.create 16 in
   for i = Array.length forms - 1 downto 0 do
@@ -821,88 +1037,158 @@ let make_profile_entry prog =
         | _ -> (i, [ k ]) :: later)
     done
   done;
-  let count = memo_count ~line (Hashtbl.create 256) in
+  let stage name per_nest =
+    let info = Program.find_array prog name in
+    let nests = Array.of_list (List.map fst per_nest) in
+    let accesses =
+      Array.of_list (List.map (fun (_, ks) -> Array.of_list ks) per_nest)
+    in
+    let same i ks =
+      let columns k =
+        (Nest_summary.nest summary i).Nest_summary.accesses.(ks.(k))
+          .Nest_summary.columns
+      in
+      Array.init (Array.length ks) (fun k ->
+          let rec first k' =
+            if Array.for_all2 Mlo_linalg.Intvec.equal (columns k') (columns k)
+            then k'
+            else first (k' + 1)
+          in
+          first 0)
+    in
+    {
+      tc_info = info;
+      tc_extents = Array_info.extents info;
+      tc_nests = nests;
+      tc_accesses = accesses;
+      tc_same = Array.map2 same nests accesses;
+    }
+  in
+  let count = memo_count ~line (Count_tbl.create 256) in
   {
     pe_trace = trace;
     pe_forms = forms;
-    pe_perms =
-      (let summary = Nest_summary.of_program prog in
-       Array.mapi (fun i _ -> (Nest_summary.nest summary i).Nest_summary.orders) forms);
+    pe_nests =
+      Array.mapi
+        (fun i _ ->
+          {
+            ns_orders =
+              Array.of_list
+                (List.map order (Nest_summary.nest summary i).Nest_summary.orders);
+            ns_views = None;
+          })
+        forms;
     pe_touched =
       Hashtbl.of_seq
         (Seq.map
-           (fun (name, per_nest) ->
-             ( name,
-               ( Array.of_list (List.map fst per_nest),
-                 Array.of_list (List.map (fun (_, ks) -> Array.of_list ks) per_nest) ) ))
+           (fun (name, per_nest) -> (name, stage name per_nest))
            (Hashtbl.to_seq touched));
-    pe_others = Hashtbl.create 64;
+    pe_transforms = Transform_tbl.create 16;
     pe_count = count;
     pe_view = memo_view ~geometry:default_geometry ~count (View_tbl.create 256);
+    pe_orders = View_tbl.create 256;
     pe_profiles = Profile_tbl.create 64;
     pe_lock = Mutex.create ();
   }
 
 let profile_entry = Program.memo make_profile_entry
 
+let profile_line = default_geometry.Cache.line_bytes
+
+let profile_cap_lines =
+  float_of_int (default_geometry.Cache.size_bytes / profile_line)
+
+(* The entry of [g] in [pe_orders], made empty on first use. *)
+let order_views entry (g : raw_group) =
+  let key = view_key ~line:profile_line g in
+  match View_tbl.find entry.pe_orders key with
+  | e -> e
+  | exception Not_found ->
+    let e = ref [] in
+    View_tbl.add entry.pe_orders key e;
+    e
+
+(* The transform of [tc]'s array under [layout]: built on first use per
+   (layout, extents), with the rank check of [Address_map.build]. *)
+let transform entry tc layout =
+  let key = (layout, tc.tc_extents) in
+  match Transform_tbl.find entry.pe_transforms key with
+  | t -> t
+  | exception Not_found ->
+    let t = Mlo_cachesim.Address_map.transform_of tc.tc_info (Some layout) in
+    Transform_tbl.add entry.pe_transforms key t;
+    t
+
+(* Nest [i]'s default-layout groups, each with its array and its views
+   under the nest's legal orders: staged on the nest's first [Misses]
+   query, for every array the nest references. *)
+let nest_views entry i =
+  let ns = entry.pe_nests.(i) in
+  match ns.ns_views with
+  | Some vs -> vs
+  | None ->
+    let vs =
+      Array.of_list
+        (List.map
+           (fun mg ->
+             let e = order_views entry mg.mg_group in
+             ( mg.mg_array,
+               Array.map
+                 (fun o -> (permuted ~view:entry.pe_view e mg.mg_group o).p_view)
+                 ns.ns_orders ))
+           (build_groups entry.pe_forms.(i)))
+    in
+    ns.ns_views <- Some vs;
+    vs
+
 (* Nest [i]'s charge for [array_name], minimized over the nest's legal
-   orders, from [mine], the array's accesses in the nest under the
-   queried layout.  Only the array's own groups are analyzed: under
-   [Misses] the rest of the nest enters only through the footprint
-   inside each level, which does not depend on the queried layout and is
-   staged per (nest, legal order, array) on first use, from the staged
-   forms — every [cs_lines] is an integer far below 2^53, so splitting
-   that sum is exact. *)
-let nest_profile entry ~metric ~array_name i mine =
-  let nf = entry.pe_forms.(i) in
-  let viewed perm gs =
-    List.map
-      (fun g ->
-        let g = permute_group perm g in
-        (g, entry.pe_view g))
-      gs
-  in
-  let mine = build_groups { nf with form_accesses = mine }
-  and perms = entry.pe_perms.(i) in
-  match metric with
-  | Lines ->
-    List.fold_left
-      (fun best perm ->
-        Float.min best
-          (List.fold_left
-             (fun acc (_, v) -> acc +. v.v_cold.cs_lines)
-             0.0 (viewed perm mine)))
-      infinity perms
-  | Misses ->
-    let inners =
-      match Hashtbl.find_opt entry.pe_others (i, array_name) with
-      | Some inners -> inners
-      | None ->
-        let others =
-          List.filter
-            (fun g -> not (String.equal g.rg_array array_name))
-            (build_groups nf)
-        and none = Array.map (fun _ -> 0.0) nf.form_counts in
-        let inners =
-          List.map (fun perm -> inner_lines none (viewed perm others)) perms
-        in
-        Hashtbl.add entry.pe_others (i, array_name) inners;
-        inners
+   orders, from [forms], the array's accesses in the nest under the
+   queried layout ([same] as staged for them).  Only the array's own
+   groups are analyzed: under [Misses] the rest of the nest enters only
+   through the footprint inside each level, which does not depend on
+   the queried layout; it is the sum of the nest's staged views that
+   skips the array's groups.  Every [cs_lines] is an integer far below
+   2^53, so splitting that sum is exact. *)
+let nest_profile entry ~metric ~array_name i same forms =
+  let orders = entry.pe_nests.(i).ns_orders in
+  let mine = group_forms entry.pe_forms.(i).form_counts same forms in
+  let entries = Array.map (order_views entry) mine in
+  let best = ref infinity in
+  for o = 0 to Array.length orders - 1 do
+    let order = orders.(o) in
+    let charge =
+      match metric with
+      | Lines ->
+        let acc = ref 0.0 in
+        for k = 0 to Array.length mine - 1 do
+          let p = permuted ~view:entry.pe_view entries.(k) mine.(k) order in
+          acc := !acc +. p.p_view.v_cold.cs_lines
+        done;
+        !acc
+      | Misses ->
+        let inner = Array.make (Array.length order.o_perm) 0.0 in
+        let others = nest_views entry i in
+        for k = 0 to Array.length others - 1 do
+          let name, vs = others.(k) in
+          if not (String.equal name array_name) then add_inside inner vs.(o)
+        done;
+        for k = 0 to Array.length mine - 1 do
+          add_inside inner
+            (permuted ~view:entry.pe_view entries.(k) mine.(k) order).p_view
+        done;
+        let acc = ref 0.0 in
+        for k = 0 to Array.length mine - 1 do
+          let p = permuted ~view:entry.pe_view entries.(k) mine.(k) order in
+          acc :=
+            !acc
+            +. group_misses ~count:entry.pe_count ~cap_lines:profile_cap_lines
+                 ~inner p.p_view p.p_group
+        done;
+        !acc
     in
-    let cap_lines =
-      float_of_int
-        (default_geometry.Cache.size_bytes / default_geometry.Cache.line_bytes)
-    in
-    List.fold_left2
-      (fun best perm others ->
-        let vs = viewed perm mine in
-        let inner = inner_lines others vs in
-        Float.min best
-          (List.fold_left
-             (fun acc (g, v) ->
-               acc +. group_misses ~count:entry.pe_count ~cap_lines ~inner v g)
-             0.0 vs))
-      infinity perms inners
+    best := Float.min !best charge
+  done;
+  !best
 
 let profiler ?(metric = Misses) prog =
   let entry = profile_entry prog in
@@ -916,11 +1202,14 @@ let profiler ?(metric = Misses) prog =
         let profile =
           match Hashtbl.find_opt entry.pe_touched array_name with
           | None -> [||]
-          | Some (nests, accesses) ->
+          | Some tc ->
             Array.mapi
-              (fun j mine -> nest_profile entry ~metric ~array_name nests.(j) mine)
-              (Compiled_trace.relayout entry.pe_trace ~array_name ~layout ~nests
-                 ~accesses)
+              (fun j forms ->
+                nest_profile entry ~metric ~array_name tc.tc_nests.(j)
+                  tc.tc_same.(j) forms)
+              (Compiled_trace.relayout entry.pe_trace ~array_name
+                 ~transform:(transform entry tc layout) ~nests:tc.tc_nests
+                 ~accesses:tc.tc_accesses)
         in
         Profile_tbl.replace entry.pe_profiles key profile;
         profile

@@ -113,25 +113,35 @@ val profiler :
     compares candidate layouts with; its sum is the charge branch and
     bound minimizes.
 
-    The program is staged once, by the first profiler over it: the
-    default-layout compiled trace (address map and affine forms), each
-    nest's legal orders, and per array the nests referencing it and its
-    accesses in each.  A query then folds only those accesses again
-    under [layout] ({!Mlo_cachesim.Compiled_trace.relayout}) and
-    analyzes only the array's groups.  The other arrays' footprint
-    inside each loop level, which decides whether a level's reuse is
-    realized, is staged per (nest, legal order, array) on first use,
-    from the staged forms.  Under the queried layout a later array's
-    base moves, but by a multiple of the 64-byte alignment, hence of the
-    line, so it cannot change their counts.  What the estimate reads of
-    a group under one loop order (its cold lines, the lines inside each
-    level, whether those fit the sets they reach, which levels carry
-    reuse) is memoized over the program on exactly what it depends on:
-    the leader's offset within a line, the gap set and the per-level
-    strides and trip counts.  So are the lines each realized-level mask
-    keeps.  Each entry equals the minimum, over the nest's legal orders,
-    of the array's [g_misses] (or [g_lines]) in {!analyze} of the
-    program with that nest permuted — bit for bit.
+    The program is staged once, by the first profiler over it.  Per
+    entry: the default-layout compiled trace (address map and affine
+    forms), and per (layout, extents) the layout's transform, built on
+    first use.  Per nest: its legal orders, each with an order code,
+    and, on the nest's first [Misses] query, its default-layout groups'
+    views under each legal order.  Per array, its slots: the nests
+    referencing it, its accesses in each, and which of those share an
+    access matrix, found with one lookup per query.  A query then folds
+    only those accesses again under the layout's staged transform
+    ({!Mlo_cachesim.Compiled_trace.relayout}) and groups and analyzes
+    only them (accesses with one access matrix always share a group).
+    The other arrays' footprint inside each loop level, which decides
+    whether a level's reuse is realized, is the sum of the nest's staged
+    views that skips the array.  Under the queried layout a later
+    array's base moves, but by a multiple of the 64-byte alignment,
+    hence of the line, so it cannot change their counts.  What the
+    estimate reads of a group under one loop order (its cold lines, the
+    lines inside each level, whether those fit the sets they reach,
+    which levels carry reuse) is memoized over the program on exactly
+    what it depends on: the leader's offset within a line, the gap set
+    and the per-level strides and trip counts.  Per group as its nest
+    is written, one memo entry holds each legal order's permuted group
+    and view by order code, so a query makes one lookup per (nest,
+    group).  The lines each realized-level mask keeps are memoized too,
+    and every line count on the offset, the gap set and the kept
+    levels, sorted unless two share a stride.  Each entry equals the
+    minimum, over the nest's legal orders, of the array's [g_misses] (or
+    [g_lines]) in {!analyze} of the program with that nest permuted —
+    bit for bit.
 
     Queries are memoized: a profile is a pure function of
     (program, metric, array, layout), so results are cached under the

@@ -33,7 +33,6 @@ type skel_nest = {
 }
 
 type skeleton = {
-  sk_prog : Program.t;
   sk_nests : skel_nest array;
   sk_trips : int;
 }
@@ -64,7 +63,7 @@ let skeleton prog =
       (fun acc n -> acc + Array.fold_left ( * ) 1 n.sn_counts)
       0 nests
   in
-  { sk_prog = prog; sk_nests = nests; sk_trips = trips }
+  { sk_nests = nests; sk_trips = trips }
 
 (* ------------------------------------------------------------------ *)
 (* Compiled trace: affine address streams                               *)
@@ -95,7 +94,8 @@ type nest_form = {
   form_accesses : access_form array;
 }
 
-(* The affine fold of one access under its array's placement:
+(* The affine fold of one access under its array's placement, whose
+   transform's linear map ([Transform.linear_map]) is [(lin, c0)]:
      address(iter) = base + elem * (c0 + sum_j lin_j * (A_j . iter + off_j))
    collapses to addr0 + sum_level delta_level * (iter_level - low_level).
    Writes the per-level deltas into [deltas] and returns [addr0].  The
@@ -104,8 +104,7 @@ type nest_form = {
    delta * (count - 1): no address of the nest wraps, or
    [Intvec.Overflow] names it.  Zero terms are skipped (most loops
    start at 0), since every profile query folds again. *)
-let fold ~base ~elem ~transform sn sa deltas =
-  let lin, c0 = Transform.linear_map transform in
+let fold ~base ~elem ~lin ~c0 sn sa deltas =
   let depth = Array.length sn.sn_counts in
   let rank = Array.length sa.sa_offset in
   let cell0 = ref c0 in
@@ -154,12 +153,14 @@ let compile prog ~layouts =
         let deltas = Array.make_matrix depth na 0 in
         Array.iteri
           (fun k sa ->
+            let lin, c0 =
+              Transform.linear_map (Address_map.transform amap sa.sa_name)
+            in
             addr0.(k) <-
               fold
                 ~base:(Address_map.base amap sa.sa_name)
                 ~elem:(Address_map.elem_size amap sa.sa_name)
-                ~transform:(Address_map.transform amap sa.sa_name)
-                sn sa d;
+                ~lin ~c0 sn sa d;
             for l = 0 to depth - 1 do
               deltas.(l).(k) <- d.(l)
             done)
@@ -193,16 +194,13 @@ let forms t =
     t.nests
 
 (* One array's layout changed, everything else as compiled: only the
-   listed accesses of that array are folded again, at its compiled base
-   (a base depends only on the arrays declared before it). *)
-let relayout t ~array_name ~layout ~nests ~accesses =
+   listed accesses of that array are folded again, under its new
+   transform, at its compiled base (a base depends only on the arrays
+   declared before it). *)
+let relayout t ~array_name ~transform ~nests ~accesses =
   let base = Address_map.base t.amap array_name in
   let elem = Address_map.elem_size t.amap array_name in
-  let transform =
-    Address_map.transform_of
-      (Program.find_array t.skel.sk_prog array_name)
-      (Some layout)
-  in
+  let lin, c0 = Transform.linear_map transform in
   Array.mapi
     (fun j i ->
       let sn = t.skel.sk_nests.(i) in
@@ -212,7 +210,7 @@ let relayout t ~array_name ~layout ~nests ~accesses =
           if not (String.equal sa.sa_name array_name) then
             invalid_arg "Compiled_trace.relayout: access of another array";
           let deltas = Array.make (Array.length sn.sn_counts) 0 in
-          let addr0 = fold ~base ~elem ~transform sn sa deltas in
+          let addr0 = fold ~base ~elem ~lin ~c0 sn sa deltas in
           { form_array = array_name; form_addr0 = addr0; form_deltas = deltas })
         accesses.(j))
     nests

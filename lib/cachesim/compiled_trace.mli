@@ -71,25 +71,27 @@ val forms : t -> nest_form array
 val relayout :
   t ->
   array_name:string ->
-  layout:Mlo_layout.Layout.t ->
+  transform:Mlo_layout.Transform.t ->
   nests:int array ->
   accesses:int array array ->
   access_form array array
-(** [relayout t ~array_name ~layout ~nests ~accesses] folds again, with
-    [array_name] alone moved to [layout], the accesses [accesses.(j)]
-    (indices into the nest's accesses) of nest [nests.(j)] (a program
-    nest index): entry [j] holds their forms, in the order listed.  Each
-    listed access must read or write [array_name]; nothing else is
-    derived.  A base depends only on the arrays declared before it, so
-    the array's base does not move, and each form is bit-identical to
-    the same access's form in {!forms} of the trace compiled under the
-    changed assignment.  The other arrays' forms are not recomputed:
-    they are {!forms} of [t], except that an array declared after
-    [array_name] moves under the changed assignment by its base shift, a
-    multiple of the map's alignment.  The cost is linear in the listed
-    accesses.  Raises [Invalid_argument] like {!Address_map.build} on a
-    rank mismatch, like {!Address_map.base} on an unknown name, and when
-    a listed access belongs to another array. *)
+(** [relayout t ~array_name ~transform ~nests ~accesses] folds again,
+    with [array_name] alone moved to a layout whose transform is
+    [transform] ({!Address_map.transform_of} of the array and the
+    layout), the accesses [accesses.(j)] (indices into the nest's
+    accesses) of nest [nests.(j)] (a program nest index): entry [j]
+    holds their forms, in the order listed.  Each listed access must
+    read or write [array_name]; nothing else is derived.  A base depends
+    only on the arrays declared before it, so the array's base does not
+    move, and each form is bit-identical to the same access's form in
+    {!forms} of the trace compiled under the changed assignment.  The
+    other arrays' forms are not recomputed: they are {!forms} of [t],
+    except that an array declared after [array_name] moves under the
+    changed assignment by its base shift, a multiple of the map's
+    alignment.  The cost is linear in the listed accesses; the forms
+    and their delta arrays are fresh.  Raises [Invalid_argument] like
+    {!Address_map.base} on an unknown name, and when a listed access
+    belongs to another array. *)
 
 type machine
 (** A two-level LRU hierarchy and its counters, mutated by every

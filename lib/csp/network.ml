@@ -15,7 +15,8 @@ type 'a t = {
   names : string array;
   domains : 'a array array;
   cons : con Itbl.t; (* the constraint [a < b] is keyed [a * n + b] *)
-  neighbors : int list array; (* kept sorted ascending *)
+  neighbors : int list array; (* ascending, unless [unsorted] *)
+  unsorted : bool array; (* a neighbour was consed on since the last sort *)
   mutable compiled : Compiled.t option; (* memoized dense view *)
 }
 
@@ -30,6 +31,7 @@ let create ~names ~domains =
     domains = Array.map Array.copy domains;
     cons = Itbl.create 64;
     neighbors = Array.make (Array.length names) [];
+    unsorted = Array.make (Array.length names) false;
     compiled = None;
   }
 
@@ -50,13 +52,6 @@ let second t k = k mod num_vars t
 
 let check_var t i =
   if i < 0 || i >= num_vars t then invalid_arg "Network: variable out of range"
-
-let insert_sorted x l =
-  let rec go = function
-    | [] -> [ x ]
-    | y :: ys as l' -> if x < y then x :: l' else if x = y then l' else y :: go ys
-  in
-  go l
 
 (* Allows [a = va] with [b = vb], counting a pair already allowed only
    once. *)
@@ -88,8 +83,10 @@ let con t a b =
       }
     in
     Itbl.replace t.cons k c;
-    t.neighbors.(a) <- insert_sorted b t.neighbors.(a);
-    t.neighbors.(b) <- insert_sorted a t.neighbors.(b);
+    t.neighbors.(a) <- b :: t.neighbors.(a);
+    t.neighbors.(b) <- a :: t.neighbors.(b);
+    t.unsorted.(a) <- true;
+    t.unsorted.(b) <- true;
     c
 
 let check_pair fn t i j =
@@ -146,9 +143,20 @@ let supports t i j =
   | None -> invalid_arg "Network.supports: unconstrained pair"
   | Some c -> if i < j then c.fwd else c.bwd
 
+(* [i]'s neighbours, ascending: [con] conses each new one on, and the
+   first read after that sorts the list, once. *)
+let sorted_neighbors t i =
+  if t.unsorted.(i) then begin
+    let a = Array.of_list t.neighbors.(i) in
+    Array.sort Int.compare a;
+    t.neighbors.(i) <- Array.to_list a;
+    t.unsorted.(i) <- false
+  end;
+  t.neighbors.(i)
+
 let neighbors t i =
   check_var t i;
-  t.neighbors.(i)
+  sorted_neighbors t i
 
 let degree t i = List.length (neighbors t i)
 let num_constraints t = Itbl.length t.cons
@@ -202,7 +210,7 @@ let compile_vars t vars =
   let neighbors =
     Array.map
       (fun v ->
-        List.map (fun j -> local j 0 n) t.neighbors.(v)
+        List.map (fun j -> local j 0 n) (sorted_neighbors t v)
         |> List.filter (fun b -> b >= 0)
         |> Array.of_list)
       vars
@@ -250,7 +258,7 @@ let components t =
   in
   let rec sweep head tail =
     if head = tail then tail
-    else sweep (head + 1) (List.fold_left visit tail t.neighbors.(queue.(head)))
+    else sweep (head + 1) (List.fold_left visit tail (sorted_neighbors t queue.(head)))
   in
   let out = ref [] in
   for v = 0 to n - 1 do

@@ -585,9 +585,10 @@ let test_cli_errors () =
   check_one_line_error "NaN slack" "solve -s bnb -w mxm --bound-slack=nan"
     "layoutopt: option '--bound-slack': must be non-negative (got nan)";
   (* coefficients whose exact elimination would wrap: lint's nullspace
-     and the derived layout's rank check name the overflow, and so does
-     the address fold that locality's trace and optimize-file's
-     simulation run on, before optimize-file prints its answer *)
+     and the derived layout's rank check name the overflow, and so do
+     lint's bounds intervals and the address fold that locality's trace
+     and optimize-file's simulation run on, before optimize-file prints
+     its answer *)
   List.iter
     (fun (cmd, file) ->
       check_one_line_error
@@ -598,6 +599,7 @@ let test_cli_errors () =
          large)")
     [
       ("lint", "overflow-lint.mlo");
+      ("lint", "overflow-bounds.mlo");
       ("optimize-file", "overflow-layout.mlo");
       ("optimize-file --simulate", "overflow-lint.mlo");
       ("locality", "overflow-lint.mlo");

@@ -352,10 +352,10 @@ let test_profiler_distinct_layouts_distinct_entries () =
   and col = p ~array_name:"A" ~layout:(Layout.col_major 2) in
   Alcotest.(check bool) "row and col profiles differ" true (row <> col)
 
-(* The cache must not keep a program alive: the staged trace refers back
-   to its program, so an entry held strongly would pin every program the
-   process ever profiled, with its staged trace and memos.  Profile a
-   fresh program, drop it, and it must be collected. *)
+(* The cache must not keep a program alive: an entry held strongly would
+   pin every program the process ever profiled, with its staged trace
+   and memos.  Profile a fresh program, drop it, and it must be
+   collected. *)
 let[@inline never] profile_and_drop w =
   let x = B.ctx [ "i"; "j" ] in
   let nest =
@@ -506,7 +506,10 @@ let relayout_matches prog name layout =
   && Array.for_all
        (fun info -> shift (Array_info.name info) mod Address_map.default_align = 0)
        (Program.arrays prog)
-  && Compiled_trace.relayout trace ~array_name:name ~layout ~nests ~accesses
+  && Compiled_trace.relayout trace ~array_name:name
+       ~transform:
+         (Address_map.transform_of (Program.find_array prog name) (Some layout))
+       ~nests ~accesses
      = Array.mapi
          (fun j i -> Array.map (fun k -> fresh.(i).form_accesses.(k)) accesses.(j))
          nests
@@ -678,6 +681,124 @@ let test_profiler_memo_keys_on_offset () =
         ];
     ]
 
+(* [prog] with array [k]'s extents grown by [k] and [2k]: arrays of one
+   rank with different extents, whose transforms under one layout
+   differ. *)
+let vary_extents prog =
+  let arrays =
+    Array.to_list
+      (Array.mapi
+         (fun k info ->
+           Array_info.make ~elem_size:(Array_info.elem_size info)
+             (Array_info.name info)
+             (Array.to_list
+                (Array.mapi (fun d e -> e + (k * (d + 1))) (Array_info.extents info))))
+         (Program.arrays prog))
+  in
+  Program.make ~name:(Program.name prog) arrays (Array.to_list (Program.nests prog))
+
+(* Whole cost tables on one profiler: every (array, candidate layout) of
+   a program's network under both metrics, asked in a shuffled order.
+   The profiler's slot, view and transform memos are shared by all
+   these queries, and by both metrics, where one query per case shares
+   little; every entry must still be the oracle's.  The stress programs'
+   arrays get different extents, so that one layout has several
+   transforms. *)
+let prop_shuffled_cost_tables =
+  QCheck.Test.make ~name:"shuffled whole cost tables equal the oracle"
+    ~count:24 QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| 0x7ab1e5; seed |] in
+      let prog, net =
+        if seed mod 2 = 0 then generated_program seed
+        else
+          let prog, _, _ = stress_program st in
+          let prog = vary_extents prog in
+          (prog, (Build.build prog).Build.network)
+      in
+      let queries =
+        Array.of_list
+          (List.concat_map
+             (fun var ->
+               List.concat_map
+                 (fun layout ->
+                   [
+                     (Network.name net var, layout, Locality.Misses);
+                     (Network.name net var, layout, Locality.Lines);
+                   ])
+                 (Array.to_list (Network.domain net var)))
+             (List.init (Network.num_vars net) Fun.id))
+      in
+      for i = Array.length queries - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let q = queries.(i) in
+        queries.(i) <- queries.(j);
+        queries.(j) <- q
+      done;
+      let misses = Locality.profiler ~metric:Locality.Misses prog
+      and lines = Locality.profiler ~metric:Locality.Lines prog in
+      Array.for_all
+        (fun (array_name, layout, metric) ->
+          let p = match metric with Locality.Misses -> misses | Locality.Lines -> lines in
+          p ~array_name ~layout = oracle_profile ~metric prog ~array_name ~layout)
+        queries)
+
+(* The count memo keys a group's kept levels sorted, except when two of
+   them share a stride: [absorb_gaps] then folds the offsets into the
+   first of them that fits, so their order can change the count.  In
+   [A[i+j]] and [A[i+j+2]] under loops of 4 and 8 both levels have one
+   stride and both fit the offsets.  With a third loop of that stride
+   ([A[3i+3j+3k]] and [A[3i+3j+3k+18]] under loops of 6, 8 and 6) the
+   nest's orders count different lines (22 as written, 18 with [k]
+   outermost), so a memo that sorted those levels would answer every
+   order with the first order's count.  Every order is legal; the
+   profile must equal the oracle, which counts each order afresh. *)
+let test_profiler_equal_strides () =
+  let one_array name ~elem ~extent nest =
+    Program.make ~name [ Array_info.make ~elem_size:elem "A" [ extent ] ] [ nest ]
+  in
+  let x = B.ctx [ "i"; "j" ] in
+  let ij o = B.((var x "i" +: var x "j") +: const x o) in
+  let two =
+    one_array "two-levels" ~elem:8 ~extent:16
+      (B.nest "sum" x [ 4; 8 ] [ B.read "A" [ ij 0 ]; B.read "A" [ ij 2 ] ])
+  in
+  let x = B.ctx [ "i"; "j"; "k" ] in
+  let ijk o =
+    B.(((3 *: var x "i") +: (3 *: var x "j")) +: (3 *: var x "k") +: const x o)
+  in
+  let three =
+    one_array "three-levels" ~elem:8 ~extent:80
+      (B.nest "sum" x [ 6; 8; 6 ] [ B.read "A" [ ijk 0 ]; B.read "A" [ ijk 18 ] ])
+  in
+  let layout = Layout.row_major 1 in
+  List.iter
+    (fun prog ->
+      let nest = (Program.nests prog).(0) in
+      Alcotest.(check int)
+        (Program.name prog ^ ": every order is legal")
+        (if Loop_nest.depth nest = 2 then 2 else 6)
+        (List.length (Dependence.legal_permutations nest));
+      List.iter
+        (fun metric ->
+          Alcotest.(check bool)
+            (Program.name prog ^ ": the profile equals the oracle")
+            true
+            (Locality.profiler ~metric prog ~array_name:"A" ~layout
+            = oracle_profile ~metric prog ~array_name:"A" ~layout))
+        [ Locality.Lines; Locality.Misses ])
+    [ two; three ];
+  (* the orders of the three-level nest do count different lines *)
+  let lines order =
+    let nest = Loop_nest.permute (Program.nests three).(0) order in
+    let r =
+      Locality.analyze
+        (Program.make ~name:"three-levels" (Array.to_list (Program.arrays three)) [ nest ])
+    in
+    (List.hd (List.hd r.Locality.r_nests).Locality.n_groups).Locality.g_lines
+  in
+  Alcotest.(check (float 0.)) "as written" 22. (lines [| 0; 1; 2 |]);
+  Alcotest.(check (float 0.)) "k outermost" 18. (lines [| 2; 0; 1 |])
+
 let test_profiler_rank_mismatch () =
   let prog = (Suite.by_name "mxm").Spec.program in
   let p = Locality.profiler prog in
@@ -729,6 +850,8 @@ let () =
             test_profiler_entry_dies_with_program;
           Alcotest.test_case "count memo keys on the line offset" `Quick
             test_profiler_memo_keys_on_offset;
+          Alcotest.test_case "equal strides keep their order" `Quick
+            test_profiler_equal_strides;
         ] );
       ( "staged",
         [
@@ -736,5 +859,6 @@ let () =
           Alcotest.test_case "later arrays move by whole alignment units"
             `Quick test_relayout_later_arrays_move;
           QCheck_alcotest.to_alcotest prop_profiler_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_shuffled_cost_tables;
         ] );
     ]

@@ -67,6 +67,32 @@ let test_by_name () =
   Alcotest.check_raises "unknown" Not_found (fun () ->
       ignore (Suite.by_name "nope"))
 
+(* [by_name] builds only the workload it names; what it builds must be
+   the spec [all ()] holds: the same programs and the same network. *)
+let test_by_name_builds_the_suite_spec () =
+  List.iter
+    (fun spec ->
+      let name = spec.Spec.name in
+      let found = Suite.by_name (String.lowercase_ascii name) in
+      Alcotest.(check string) (name ^ " name") name found.Spec.name;
+      Alcotest.(check string)
+        (name ^ " program")
+        (Mlo_lang.Parser.to_source spec.Spec.program)
+        (Mlo_lang.Parser.to_source found.Spec.program);
+      Alcotest.(check string)
+        (name ^ " sim program")
+        (Mlo_lang.Parser.to_source spec.Spec.sim_program)
+        (Mlo_lang.Parser.to_source found.Spec.sim_program);
+      Alcotest.(check string)
+        (name ^ " network digest")
+        (Mlo_verify.Proof.digest (Spec.extract spec).Build.network)
+        (Mlo_verify.Proof.digest (Spec.extract found).Build.network))
+    (Suite.all ());
+  Alcotest.(check string) "a synthetic family" "scale-10"
+    (Suite.by_name "Scale-10").Spec.name;
+  Alcotest.check_raises "an empty family" Not_found (fun () ->
+      ignore (Suite.by_name "scale-0"))
+
 let test_sim_programs_structurally_equal () =
   List.iter
     (fun spec ->
@@ -268,6 +294,8 @@ let () =
           Alcotest.test_case "data sizes close" `Quick test_data_sizes_close_to_paper;
           Alcotest.test_case "networks satisfiable" `Quick test_networks_satisfiable;
           Alcotest.test_case "lookup by name" `Quick test_by_name;
+          Alcotest.test_case "by name = the suite's spec" `Quick
+            test_by_name_builds_the_suite_spec;
           Alcotest.test_case "sim programs match" `Quick
             test_sim_programs_structurally_equal;
         ] );
