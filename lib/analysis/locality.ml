@@ -238,10 +238,11 @@ type raw_group = {
   rg_gaps : int array;  (** sorted distinct offsets, first 0 *)
 }
 
-(* A group of the report: its array, its accesses and their lattice. *)
+(* A group of accesses: its array, its accesses (ascending indices into
+   the grouped forms) and their lattice. *)
 type member_group = {
   mg_array : string;
-  mg_members : int list;
+  mg_members : int array;
   mg_group : raw_group;
 }
 
@@ -251,46 +252,17 @@ let rec ints_from a b i =
 let ints_equal (a : int array) b =
   Array.length a = Array.length b && ints_from a b 0
 
-let build_groups (nf : Compiled_trace.nest_form) =
-  let counts = nf.Compiled_trace.form_counts in
-  (* (array, deltas, members newest first), newest group first *)
-  let groups = ref [] in
-  Array.iteri
-    (fun k (a : Compiled_trace.access_form) ->
-      let deltas =
-        Array.mapi
-          (fun l d -> if counts.(l) <= 1 then 0 else d)
-          a.Compiled_trace.form_deltas
-      in
-      let member = (k, a.Compiled_trace.form_addr0) in
-      match
-        List.find_opt
-          (fun (name, d, _) ->
-            String.equal name a.Compiled_trace.form_array && ints_equal d deltas)
-          !groups
-      with
-      | Some (_, _, cell) -> cell := member :: !cell
-      | None -> groups := (a.Compiled_trace.form_array, deltas, ref [ member ]) :: !groups)
-    nf.Compiled_trace.form_accesses;
-  List.rev_map
-    (fun (name, deltas, cell) ->
-      let members = List.rev !cell in
-      let base = List.fold_left (fun m (_, a) -> min m a) max_int members in
-      let gaps =
-        List.sort_uniq compare (List.map (fun (_, a) -> a - base) members)
-      in
-      {
-        mg_array = name;
-        mg_members = List.map fst members;
-        mg_group =
-          {
-            rg_base = base;
-            rg_deltas = deltas;
-            rg_counts = counts;
-            rg_gaps = Array.of_list gaps;
-          };
-      })
-    !groups
+(* Whether [a] and [b] agree on every live level (more than one trip). *)
+let rec live_equal counts (a : int array) b l =
+  l = Array.length a
+  || ((counts.(l) <= 1 || a.(l) = b.(l)) && live_equal counts a b (l + 1))
+
+(* Whether two accesses fall in one group: one array, and the same
+   strides on every live level. *)
+let same_group counts (a : Compiled_trace.access_form)
+    (b : Compiled_trace.access_form) =
+  String.equal a.form_array b.form_array
+  && live_equal counts a.form_deltas b.form_deltas 0
 
 (* Sorts [a] in place and returns its distinct elements. *)
 let sorted_distinct a =
@@ -306,77 +278,60 @@ let sorted_distinct a =
 
 let lone_gap = [| 0 |]
 
-(* The group led by access [k] of [group_forms]: the accesses [m] with
-   [lead.(m) = k], all at or after [k]. *)
-let lead_group counts lead (forms : Compiled_trace.access_form array) k =
+(* The accesses of one nest (of trip counts [counts]) in groups, in the
+   order of their first accesses.  A group's lattice leads at its
+   smallest [addr0], has its first access's strides with the dead levels
+   zeroed (in a copy, if there are any: [forms] is only read), and its
+   sorted distinct offsets from the leader.  The report groups a whole
+   nest; a profile query, the forms of the queried array alone. *)
+let group_forms counts (forms : Compiled_trace.access_form array) =
   let n = Array.length forms in
-  let base = ref max_int and size = ref 0 in
-  for m = k to n - 1 do
-    if lead.(m) = k then begin
-      let a = forms.(m).form_addr0 in
-      if a < !base then base := a;
-      incr size
-    end
+  (* group.(k): access [k]'s group; first.(g) and size.(g): group [g]'s
+     first access and its number of accesses *)
+  let group = Array.make n 0 and first = Array.make n 0 in
+  let size = Array.make n 0 and groups = ref 0 in
+  for k = 0 to n - 1 do
+    let g = ref 0 in
+    while !g < !groups && not (same_group counts forms.(first.(!g)) forms.(k)) do
+      incr g
+    done;
+    if !g = !groups then begin
+      first.(!g) <- k;
+      incr groups
+    end;
+    group.(k) <- !g;
+    size.(!g) <- size.(!g) + 1
   done;
-  let gaps =
-    if !size = 1 then lone_gap
-    else begin
-      let gaps = Array.make !size 0 and i = ref 0 in
-      for m = k to n - 1 do
-        if lead.(m) = k then begin
-          gaps.(!i) <- forms.(m).form_addr0 - !base;
-          incr i
+  Array.init !groups (fun g ->
+      let lead = forms.(first.(g)) in
+      let members = Array.make size.(g) 0 and i = ref 0 and base = ref max_int in
+      for k = first.(g) to n - 1 do
+        if group.(k) = g then begin
+          members.(!i) <- k;
+          incr i;
+          if forms.(k).form_addr0 < !base then base := forms.(k).form_addr0
         end
       done;
-      sorted_distinct gaps
-    end
-  in
-  {
-    rg_base = !base;
-    rg_deltas = forms.(k).form_deltas;
-    rg_counts = counts;
-    rg_gaps = gaps;
-  }
-
-(* One array's groups in one nest, from the forms of its accesses, in
-   the order of their first accesses: [build_groups] for one array,
-   with no list, closure or tuple key.  [same.(k)] is the first listed
-   access with access [k]'s access matrix.  Two such accesses have the
-   same strides under every layout, so only the first access of each
-   matrix compares its strides with the groups found so far.  Those
-   first accesses' dead levels are zeroed in place, so [forms] must be
-   the caller's own (fresh from [relayout]). *)
-let group_forms counts same (forms : Compiled_trace.access_form array) =
-  let n = Array.length forms in
-  (* lead.(k): the first access of [k]'s group *)
-  let lead = Array.make n 0 and groups = ref 0 in
-  for k = 0 to n - 1 do
-    if same.(k) < k then lead.(k) <- lead.(same.(k))
-    else begin
-      let d = forms.(k).form_deltas in
-      for l = 0 to Array.length d - 1 do
-        if counts.(l) <= 1 then d.(l) <- 0
-      done;
-      let j = ref 0 in
-      while
-        !j < k
-        && not (lead.(!j) = !j && ints_equal forms.(!j).form_deltas d)
-      do
-        incr j
-      done;
-      lead.(k) <- !j;
-      if !j = k then incr groups
-    end
-  done;
-  let out = Array.make !groups (lead_group counts lead forms 0) in
-  let next = ref 1 in
-  for k = 1 to n - 1 do
-    if lead.(k) = k then begin
-      out.(!next) <- lead_group counts lead forms k;
-      incr next
-    end
-  done;
-  out
+      let gaps =
+        if size.(g) = 1 then lone_gap
+        else begin
+          let gaps = Array.make size.(g) 0 in
+          for i = 0 to size.(g) - 1 do
+            gaps.(i) <- forms.(members.(i)).form_addr0 - !base
+          done;
+          sorted_distinct gaps
+        end
+      in
+      let deltas =
+        if Array.for_all (fun c -> c > 1) counts then lead.form_deltas
+        else Array.mapi (fun l d -> if counts.(l) <= 1 then 0 else d) lead.form_deltas
+      in
+      {
+        mg_array = lead.form_array;
+        mg_members = members;
+        mg_group =
+          { rg_base = !base; rg_deltas = deltas; rg_counts = counts; rg_gaps = gaps };
+      })
 
 (* Fold the group's constant offsets into one lattice level when they
    are all multiples [q*d] of a stride with consecutive quotients within
@@ -703,7 +658,12 @@ let analyze_nest ~geometry ~count ~view (nf : Compiled_trace.nest_form) =
   let line = geometry.Cache.line_bytes in
   let cap_lines = float_of_int (geometry.Cache.size_bytes / line) in
   let depth = Array.length nf.Compiled_trace.form_counts in
-  let viewed = List.map (fun mg -> (mg, view mg.mg_group)) (build_groups nf) in
+  let viewed =
+    Array.to_list
+      (Array.map
+         (fun mg -> (mg, view mg.mg_group))
+         (group_forms nf.Compiled_trace.form_counts nf.Compiled_trace.form_accesses))
+  in
   let inner = Array.make depth 0.0 in
   List.iter (fun (_, v) -> add_inside inner v) viewed;
   let colds =
@@ -740,7 +700,7 @@ let analyze_nest ~geometry ~count ~view (nf : Compiled_trace.nest_form) =
         in
         {
           g_array = mg.mg_array;
-          g_accesses = mg.mg_members;
+          g_accesses = Array.to_list mg.mg_members;
           g_levels = levels;
           g_gaps = g.rg_gaps;
           g_lines = v.v_cold.cs_lines;
@@ -982,9 +942,6 @@ type touched = {
   tc_nests : int array;  (** ascending *)
   tc_accesses : int array array;
       (** per such nest, the indices of the array's accesses, ascending *)
-  tc_same : int array array;
-      (** per such nest and listed access, the position of the first
-          listed access with the same access matrix *)
 }
 
 type nest_stage = {
@@ -1040,28 +997,12 @@ let make_profile_entry prog =
   let stage name per_nest =
     let info = Program.find_array prog name in
     let nests = Array.of_list (List.map fst per_nest) in
-    let accesses =
-      Array.of_list (List.map (fun (_, ks) -> Array.of_list ks) per_nest)
-    in
-    let same i ks =
-      let columns k =
-        (Nest_summary.nest summary i).Nest_summary.accesses.(ks.(k))
-          .Nest_summary.columns
-      in
-      Array.init (Array.length ks) (fun k ->
-          let rec first k' =
-            if Array.for_all2 Mlo_linalg.Intvec.equal (columns k') (columns k)
-            then k'
-            else first (k' + 1)
-          in
-          first 0)
-    in
     {
       tc_info = info;
       tc_extents = Array_info.extents info;
       tc_nests = nests;
-      tc_accesses = accesses;
-      tc_same = Array.map2 same nests accesses;
+      tc_accesses =
+        Array.of_list (List.map (fun (_, ks) -> Array.of_list ks) per_nest);
     }
   in
   let count = memo_count ~line (Count_tbl.create 256) in
@@ -1127,32 +1068,32 @@ let nest_views entry i =
   match ns.ns_views with
   | Some vs -> vs
   | None ->
+    let nf = entry.pe_forms.(i) in
     let vs =
-      Array.of_list
-        (List.map
-           (fun mg ->
-             let e = order_views entry mg.mg_group in
-             ( mg.mg_array,
-               Array.map
-                 (fun o -> (permuted ~view:entry.pe_view e mg.mg_group o).p_view)
-                 ns.ns_orders ))
-           (build_groups entry.pe_forms.(i)))
+      Array.map
+        (fun mg ->
+          let e = order_views entry mg.mg_group in
+          ( mg.mg_array,
+            Array.map
+              (fun o -> (permuted ~view:entry.pe_view e mg.mg_group o).p_view)
+              ns.ns_orders ))
+        (group_forms nf.form_counts nf.form_accesses)
     in
     ns.ns_views <- Some vs;
     vs
 
 (* Nest [i]'s charge for [array_name], minimized over the nest's legal
    orders, from [forms], the array's accesses in the nest under the
-   queried layout ([same] as staged for them).  Only the array's own
-   groups are analyzed: under [Misses] the rest of the nest enters only
-   through the footprint inside each level, which does not depend on
-   the queried layout; it is the sum of the nest's staged views that
-   skips the array's groups.  Every [cs_lines] is an integer far below
-   2^53, so splitting that sum is exact. *)
-let nest_profile entry ~metric ~array_name i same forms =
+   queried layout.  Only the array's own groups are analyzed: under
+   [Misses] the rest of the nest enters only through the footprint
+   inside each level, which does not depend on the queried layout; it
+   is the sum of the nest's staged views that skips the array's groups.
+   Every [cs_lines] is an integer far below 2^53, so splitting that sum
+   is exact. *)
+let nest_profile entry ~metric ~array_name i forms =
   let orders = entry.pe_nests.(i).ns_orders in
-  let mine = group_forms entry.pe_forms.(i).form_counts same forms in
-  let entries = Array.map (order_views entry) mine in
+  let mine = group_forms entry.pe_forms.(i).form_counts forms in
+  let entries = Array.map (fun mg -> order_views entry mg.mg_group) mine in
   let best = ref infinity in
   for o = 0 to Array.length orders - 1 do
     let order = orders.(o) in
@@ -1161,7 +1102,7 @@ let nest_profile entry ~metric ~array_name i same forms =
       | Lines ->
         let acc = ref 0.0 in
         for k = 0 to Array.length mine - 1 do
-          let p = permuted ~view:entry.pe_view entries.(k) mine.(k) order in
+          let p = permuted ~view:entry.pe_view entries.(k) mine.(k).mg_group order in
           acc := !acc +. p.p_view.v_cold.cs_lines
         done;
         !acc
@@ -1174,11 +1115,11 @@ let nest_profile entry ~metric ~array_name i same forms =
         done;
         for k = 0 to Array.length mine - 1 do
           add_inside inner
-            (permuted ~view:entry.pe_view entries.(k) mine.(k) order).p_view
+            (permuted ~view:entry.pe_view entries.(k) mine.(k).mg_group order).p_view
         done;
         let acc = ref 0.0 in
         for k = 0 to Array.length mine - 1 do
-          let p = permuted ~view:entry.pe_view entries.(k) mine.(k) order in
+          let p = permuted ~view:entry.pe_view entries.(k) mine.(k).mg_group order in
           acc :=
             !acc
             +. group_misses ~count:entry.pe_count ~cap_lines:profile_cap_lines
@@ -1205,8 +1146,7 @@ let profiler ?(metric = Misses) prog =
           | Some tc ->
             Array.mapi
               (fun j forms ->
-                nest_profile entry ~metric ~array_name tc.tc_nests.(j)
-                  tc.tc_same.(j) forms)
+                nest_profile entry ~metric ~array_name tc.tc_nests.(j) forms)
               (Compiled_trace.relayout entry.pe_trace ~array_name
                  ~transform:(transform entry tc layout) ~nests:tc.tc_nests
                  ~accesses:tc.tc_accesses)

@@ -119,11 +119,11 @@ val profiler :
     first use.  Per nest: its legal orders, each with an order code,
     and, on the nest's first [Misses] query, its default-layout groups'
     views under each legal order.  Per array, its slots: the nests
-    referencing it, its accesses in each, and which of those share an
-    access matrix, found with one lookup per query.  A query then folds
-    only those accesses again under the layout's staged transform
-    ({!Mlo_cachesim.Compiled_trace.relayout}) and groups and analyzes
-    only them (accesses with one access matrix always share a group).
+    referencing it and its accesses in each, found with one lookup per
+    query.  A query then folds only those accesses again under the
+    layout's staged transform ({!Mlo_cachesim.Compiled_trace.relayout})
+    and groups and analyzes only them, with the grouping {!analyze}
+    uses.
     The other arrays' footprint inside each loop level, which decides
     whether a level's reuse is realized, is the sum of the nest's staged
     views that skips the array.  Under the queried layout a later

@@ -15,8 +15,8 @@ type 'a t = {
   names : string array;
   domains : 'a array array;
   cons : con Itbl.t; (* the constraint [a < b] is keyed [a * n + b] *)
-  neighbors : int list array; (* ascending, unless [unsorted] *)
-  unsorted : bool array; (* a neighbour was consed on since the last sort *)
+  adj : int array array; (* [i]'s neighbours, ascending, in the first *)
+  deg : int array; (* [deg.(i)] cells of [adj.(i)] *)
   mutable compiled : Compiled.t option; (* memoized dense view *)
 }
 
@@ -30,8 +30,8 @@ let create ~names ~domains =
     names = Array.copy names;
     domains = Array.map Array.copy domains;
     cons = Itbl.create 64;
-    neighbors = Array.make (Array.length names) [];
-    unsorted = Array.make (Array.length names) false;
+    adj = Array.make (Array.length names) [||];
+    deg = Array.make (Array.length names) 0;
     compiled = None;
   }
 
@@ -52,6 +52,24 @@ let second t k = k mod num_vars t
 
 let check_var t i =
   if i < 0 || i >= num_vars t then invalid_arg "Network: variable out of range"
+
+(* Puts [j] into [i]'s neighbour row, which stays ascending: the larger
+   neighbours move up one cell, and a full row is copied into one twice
+   its size. *)
+let add_neighbor t i j =
+  let d = t.deg.(i) in
+  if d = Array.length t.adj.(i) then begin
+    let row = Array.make (max 4 (2 * d)) 0 in
+    Array.blit t.adj.(i) 0 row 0 d;
+    t.adj.(i) <- row
+  end;
+  let row = t.adj.(i) and p = ref d in
+  while !p > 0 && row.(!p - 1) > j do
+    row.(!p) <- row.(!p - 1);
+    decr p
+  done;
+  row.(!p) <- j;
+  t.deg.(i) <- d + 1
 
 (* Allows [a = va] with [b = vb], counting a pair already allowed only
    once. *)
@@ -83,10 +101,8 @@ let con t a b =
       }
     in
     Itbl.replace t.cons k c;
-    t.neighbors.(a) <- b :: t.neighbors.(a);
-    t.neighbors.(b) <- a :: t.neighbors.(b);
-    t.unsorted.(a) <- true;
-    t.unsorted.(b) <- true;
+    add_neighbor t a b;
+    add_neighbor t b a;
     c
 
 let check_pair fn t i j =
@@ -143,22 +159,16 @@ let supports t i j =
   | None -> invalid_arg "Network.supports: unconstrained pair"
   | Some c -> if i < j then c.fwd else c.bwd
 
-(* [i]'s neighbours, ascending: [con] conses each new one on, and the
-   first read after that sorts the list, once. *)
-let sorted_neighbors t i =
-  if t.unsorted.(i) then begin
-    let a = Array.of_list t.neighbors.(i) in
-    Array.sort Int.compare a;
-    t.neighbors.(i) <- Array.to_list a;
-    t.unsorted.(i) <- false
-  end;
-  t.neighbors.(i)
-
 let neighbors t i =
   check_var t i;
-  sorted_neighbors t i
+  let row = t.adj.(i) in
+  let rec from k acc = if k < 0 then acc else from (k - 1) (row.(k) :: acc) in
+  from (t.deg.(i) - 1) []
 
-let degree t i = List.length (neighbors t i)
+let degree t i =
+  check_var t i;
+  t.deg.(i)
+
 let num_constraints t = Itbl.length t.cons
 
 (* Keys ascending, i.e. constraints in (a, b) order. *)
@@ -210,9 +220,16 @@ let compile_vars t vars =
   let neighbors =
     Array.map
       (fun v ->
-        List.map (fun j -> local j 0 n) (sorted_neighbors t v)
-        |> List.filter (fun b -> b >= 0)
-        |> Array.of_list)
+        let row = t.adj.(v) and d = t.deg.(v) in
+        let nb = Array.make d 0 and kept = ref 0 in
+        for k = 0 to d - 1 do
+          let b = local row.(k) 0 n in
+          if b >= 0 then begin
+            nb.(!kept) <- b;
+            incr kept
+          end
+        done;
+        if !kept = d then nb else Array.sub nb 0 !kept)
       vars
   in
   (* each kept constraint is in both its endpoints' lists *)
@@ -248,7 +265,7 @@ let compile t =
     c
 
 (* Connected components by breadth-first search over the neighbour
-   lists, in order of their smallest variable, members ascending;
+   rows, in order of their smallest variable, members ascending;
    unconstrained variables are singletons. *)
 let components t =
   let n = num_vars t in
@@ -258,7 +275,13 @@ let components t =
   in
   let rec sweep head tail =
     if head = tail then tail
-    else sweep (head + 1) (List.fold_left visit tail (sorted_neighbors t queue.(head)))
+    else begin
+      let v = queue.(head) and tail = ref tail in
+      for k = 0 to t.deg.(v) - 1 do
+        tail := visit !tail t.adj.(v).(k)
+      done;
+      sweep (head + 1) !tail
+    end
   in
   let out = ref [] in
   for v = 0 to n - 1 do

@@ -90,6 +90,35 @@ let test_network_basics () =
     [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ]
     (Network.constraint_pairs net)
 
+(* A hub's constraints arrive in a scrambled order, from either side,
+   and some twice: its neighbours stay ascending and counted once while
+   its row grows past several capacities. *)
+let test_network_neighbor_rows () =
+  let n = 40 and hub = 17 in
+  let net =
+    Network.create
+      ~names:(Array.init n (Printf.sprintf "v%d"))
+      ~domains:(Array.make n [| 0; 1 |])
+  in
+  let others = List.filter (fun j -> j <> hub) (List.init n Fun.id) in
+  (* 23 is prime to 39, so this visits every other variable once *)
+  List.iteri
+    (fun k _ ->
+      let j = List.nth others (((k * 23) + 5) mod (n - 1)) in
+      Network.allow_product net hub [| 0 |] j [| 1 |];
+      if k mod 3 = 0 then Network.allow_product net j [| 0 |] hub [| 1 |])
+    others;
+  Alcotest.(check (list int)) "hub's neighbours" others (Network.neighbors net hub);
+  Alcotest.(check int) "hub's degree" (n - 1) (Network.degree net hub);
+  List.iter
+    (fun j ->
+      Alcotest.(check (list int)) "a leaf's neighbours" [ hub ] (Network.neighbors net j))
+    others;
+  Alcotest.(check (array int))
+    "the compiled view's row" (Array.of_list others)
+    (Mlo_csp.Compiled.neighbors (Network.compile net) hub);
+  Alcotest.(check int) "one component" 1 (Array.length (Network.components net))
+
 let test_network_allowed_orientation () =
   let net = paper_network () in
   (* S12 allows (Q1=0, Q2=1) in both orientations *)
@@ -220,6 +249,9 @@ let prop_network_storage =
             (Network.neighbors net i
             = List.filter (fun j -> j <> i && con i j) (List.init n Fun.id))
             "%s: neighbors %d" stage i;
+          expect
+            (Network.degree net i = List.length (Network.neighbors net i))
+            "%s: degree %d" stage i;
           for j = 0 to n - 1 do
             if j <> i then begin
               expect
@@ -698,6 +730,7 @@ let () =
       ( "network",
         [
           Alcotest.test_case "basics" `Quick test_network_basics;
+          Alcotest.test_case "neighbour rows" `Quick test_network_neighbor_rows;
           Alcotest.test_case "orientation" `Quick test_network_allowed_orientation;
           Alcotest.test_case "unconstrained pairs allowed" `Quick
             test_network_unconstrained_allowed;
