@@ -83,7 +83,7 @@ let section3 () =
   List.iter
     (fun (label, config) ->
       match Solver.solve ~config net with
-      | { Solver.outcome = Solver.Solution a; stats } ->
+      | { Solver.outcome = Solver.Solution a; stats; _ } ->
         Format.printf "  %-8s finds:" label;
         Array.iteri
           (fun i v ->

@@ -2,7 +2,6 @@ module Dependence = Mlo_ir.Dependence
 module Loop_nest = Mlo_ir.Loop_nest
 module Access = Mlo_ir.Access
 module Program = Mlo_ir.Program
-module Nest_summary = Mlo_layout.Nest_summary
 module Presburger = Mlo_ir.Presburger
 module Trace = Mlo_obs.Trace
 module Json = Mlo_obs.Json
@@ -39,7 +38,9 @@ type t = {
 let access_str nest a =
   Format.asprintf "%a" (Access.pp (Loop_nest.var_names nest)) a
 
-let nest_report nest legal =
+(* One dependence pass per nest: the pairs it prints are the
+   dependences the legal orders are counted under. *)
+let nest_report nest =
   let accs = Loop_nest.accesses nest in
   let pairs =
     List.map
@@ -57,27 +58,22 @@ let nest_report nest legal =
         })
       (Dependence.pair_deps nest)
   in
+  let orders = Loop_nest.orders nest in
+  let legal =
+    Dependence.order_legal (List.concat_map (fun pr -> pr.deps) pairs)
+  in
   {
     nest = Loop_nest.name nest;
     depth = Loop_nest.depth nest;
     pairs;
-    legal_orders = List.length legal;
-    total_orders = List.length (Loop_nest.orders nest);
+    legal_orders = List.length (List.filter legal orders);
+    total_orders = List.length orders;
   }
 
 let run prog =
   Trace.with_span ~cat:"analysis" "deps:analyze" @@ fun () ->
-  (* the legal orders come from the program's nest summary, derived
-     before the effort window so each pair's dependences count once *)
-  let summary = Nest_summary.of_program prog in
   let before = Presburger.stats () in
-  let nests =
-    Array.to_list
-      (Array.mapi
-         (fun i nest ->
-           nest_report nest (Nest_summary.nest summary i).Nest_summary.orders)
-         (Program.nests prog))
-  in
+  let nests = Array.to_list (Array.map nest_report (Program.nests prog)) in
   let after = Presburger.stats () in
   let checks = after.Presburger.checks - before.Presburger.checks
   and eliminations =

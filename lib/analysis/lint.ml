@@ -154,8 +154,8 @@ let pinning_pass prog =
             | _identity :: rest -> rest
             | [] -> []
           in
-          let admits perm =
-            List.for_all (fun (_, _, d) -> Dependence.dep_legal perm d) ds
+          let admits =
+            Dependence.order_legal (List.map (fun (_, _, d) -> d) ds)
           in
           if alternatives <> [] && not (List.exists admits alternatives) then begin
             (* Pinned: exactly the source order is legal.  Name the

@@ -40,7 +40,7 @@ let width_along net order =
   Array.iter
     (fun v ->
       let earlier =
-        List.fold_left
+        Array.fold_left
           (fun acc j -> if pos.(j) < pos.(v) then acc + 1 else acc)
           0 (Network.neighbors net v)
       in
@@ -57,7 +57,8 @@ let induced_width_along net order =
   let pos = positions net order in
   let module IS = Set.Make (Int) in
   let adj =
-    Array.init n (fun v -> IS.of_list (Network.neighbors net v))
+    Array.init n (fun v ->
+        Array.fold_left (Fun.flip IS.add) IS.empty (Network.neighbors net v))
   in
   let w = ref 0 in
   for k = n - 1 downto 0 do

@@ -195,10 +195,15 @@ let optimize ?candidates ?max_checks ?(prune_dominated = false)
               info.Prune.removed
           | None -> []
         in
+        (* then what the search's AC preprocessing removed: only
+           enhanced-ac's config preprocesses *)
         let dels =
-          match scheme with
-          | Enhanced_ac _ -> dominated @ Proof.arc_deletions ~survivors net
-          | Heuristic | Base _ | Enhanced _ | Cdl _ | Bnb _ -> dominated
+          dominated
+          @ List.map
+              (fun (var, v) ->
+                Proof.Del
+                  { var; value = orig var v; reason = Proof.Arc_inconsistent })
+              result.Solver.arc_deleted
         in
         sink (Proof.certificate header ~dels ~survivors ~costs recorder result))
       proof;

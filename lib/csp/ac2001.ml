@@ -72,14 +72,13 @@ let run comp =
   done;
   match !wiped with Some i -> Error i | None -> Ok domains
 
-let deletions comp =
-  Result.map
-    (fun doms ->
-      let dels = ref [] in
-      for i = Array.length doms - 1 downto 0 do
-        for v = Compiled.domain_size comp i - 1 downto 0 do
-          if not (Bitset.mem doms.(i) v) then dels := (i, v) :: !dels
-        done
-      done;
-      !dels)
-    (run comp)
+let removed comp doms =
+  let dels = ref [] in
+  for i = Array.length doms - 1 downto 0 do
+    for v = Compiled.domain_size comp i - 1 downto 0 do
+      if not (Bitset.mem doms.(i) v) then dels := (i, v) :: !dels
+    done
+  done;
+  !dels
+
+let deletions comp = Result.map (removed comp) (run comp)

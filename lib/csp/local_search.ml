@@ -14,7 +14,7 @@ let conflicts net a =
 
 (* Number of constraints involving [var] violated when it takes [v]. *)
 let var_conflicts net a var v =
-  List.fold_left
+  Array.fold_left
     (fun acc j -> if Network.allowed net var v j a.(j) then acc else acc + 1)
     0 (Network.neighbors net var)
 

@@ -161,9 +161,7 @@ let supports t i j =
 
 let neighbors t i =
   check_var t i;
-  let row = t.adj.(i) in
-  let rec from k acc = if k < 0 then acc else from (k - 1) (row.(k) :: acc) in
-  from (t.deg.(i) - 1) []
+  Array.sub t.adj.(i) 0 t.deg.(i)
 
 let degree t i =
   check_var t i;

@@ -87,8 +87,9 @@ val compile_vars : 'a t -> int array -> Compiled.t
     constraints, not of [t].  Not memoized.  Raises [Invalid_argument] on an out-of-range
     variable or an order that is not strictly ascending. *)
 
-val neighbors : 'a t -> int -> int list
-(** Variables sharing a constraint with the given one, ascending. *)
+val neighbors : 'a t -> int -> int array
+(** Variables sharing a constraint with the given one, ascending: a
+    fresh copy of the variable's neighbour row ({!degree} cells). *)
 
 val degree : 'a t -> int -> int
 val num_constraints : 'a t -> int

@@ -93,7 +93,11 @@ type event =
   | Incumbent of { assignment : int array }
   | Finished of outcome
 
-type result = { outcome : outcome; stats : Stats.t }
+type result = {
+  outcome : outcome;
+  stats : Stats.t;
+  arc_deleted : (int * int) list;
+}
 
 let cost_of ~costs a =
   let total = ref 0.0 in
@@ -354,10 +358,6 @@ let run ?on_event ~max_checks mode comp =
      branch when disabled. *)
   let tr = Trace.enabled () in
   let t_wall = Clock.wall_s () in
-  let finish outcome =
-    stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
-    { outcome; stats }
-  in
   (* A systematic config's optional AC-2001 preprocessing: shrink the
      domains the search (and, under forward checking, the pruning)
      starts from.  Propagation work is not counted in [stats.checks]. *)
@@ -367,6 +367,15 @@ let run ?on_event ~max_checks mode comp =
       Result.map Option.some (Ac2001.run comp)
     | Systematic { preprocess = No_preprocess; _ } | Satisfy _ | Minimize _ ->
       Ok None
+  in
+  let arc_deleted =
+    match reduced with
+    | Ok (Some d) -> Ac2001.removed comp d
+    | Ok None | Error _ -> []
+  in
+  let finish outcome =
+    stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
+    { outcome; stats; arc_deleted }
   in
   match reduced with
   | Error _wiped -> finish Unsatisfiable
@@ -1121,7 +1130,9 @@ let merge_component_stats stats (s : Stats.t) =
    each component gets what the earlier ones left, mirroring the
    whole-network abort, and the first component without a solution
    stops the run.  Each component's events go to [on_event] as they
-   happen, then its [Finished]. *)
+   happen, then its [Finished].  The AC deletions of the components
+   run, in whole-network indices, are sorted once at the end: a merge
+   per component would copy the list so far each time. *)
 let component_driver ?on_event ~max_checks ~run net =
   let run_one ~comp ~vars ~max_checks view =
     match on_event with
@@ -1144,6 +1155,7 @@ let component_driver ?on_event ~max_checks ~run net =
     let t_wall = Clock.wall_s () in
     let stats = Stats.create () in
     let assignment = Array.make (Network.num_vars net) (-1) in
+    let arc_parts = ref [] in
     let rec go k remaining =
       if k = ncomps then Solution assignment
       else begin
@@ -1153,6 +1165,9 @@ let component_driver ?on_event ~max_checks ~run net =
             (Network.compile_vars net vars)
         in
         merge_component_stats stats r.stats;
+        if r.arc_deleted <> [] then
+          arc_parts :=
+            List.map (fun (x, v) -> (vars.(x), v)) r.arc_deleted :: !arc_parts;
         match r.outcome with
         | Solution a ->
           Array.iteri (fun lv v -> assignment.(vars.(lv)) <- v) a;
@@ -1163,7 +1178,8 @@ let component_driver ?on_event ~max_checks ~run net =
     in
     let outcome = go 0 max_checks in
     stats.Stats.elapsed_s <- Clock.wall_s () -. t_wall;
-    { outcome; stats }
+    let arc_deleted = List.sort compare (List.concat !arc_parts) in
+    { outcome; stats; arc_deleted }
   end
 
 let solve_components ?(config = default_config) net =

@@ -90,7 +90,15 @@ type outcome =
   | Unsatisfiable
   | Aborted  (** check limit exhausted *)
 
-type result = { outcome : outcome; stats : Stats.t }
+type result = {
+  outcome : outcome;
+  stats : Stats.t;
+  arc_deleted : (int * int) list;
+      (** The [(variable, value)] pairs the run's AC-2001 preprocessing
+          removed, in ascending order, as {!Ac2001.deletions} lists
+          them; [[]] when the mode does not preprocess or AC wiped a
+          domain. *)
+}
 
 type event =
   | Learned of { dead : int; lits : (int * int) array }
@@ -224,7 +232,9 @@ val component_driver :
     array that maps its local variable indices back to the whole
     network, passes the rest of the [max_checks] budget from each
     component to the next, and merges results in component order up to
-    and including the first non-solution.  A single-component network
+    and including the first non-solution, with each component's
+    [arc_deleted] mapped through its [vars] and all of them in
+    ascending order.  A single-component network
     runs on the memoized {!Network.compile}, as component 0 with the
     identity mapping.  Each component's events go to [on_event] with
     its index [comp] and its [vars] (proof emission relies on both), as

@@ -34,7 +34,7 @@ let conflict_system nest a1 a2 =
   let cstrs = ref [] in
   Array.iteri
     (fun j l ->
-      let lo = l.Loop_nest.lo and hi = l.Loop_nest.hi - 1 in
+      let lo = l.Loop_nest.lo and hi = Intvec.(l.Loop_nest.hi -! 1) in
       cstrs :=
         P.between ~nvars j ~lo ~hi
         @ P.between ~nvars (d + j) ~lo ~hi
@@ -46,9 +46,9 @@ let conflict_system nest a1 a2 =
     let c = Array.make nvars 0 in
     for j = 0 to d - 1 do
       c.(j) <- m1.(r).(j);
-      c.(d + j) <- -m2.(r).(j)
+      c.(d + j) <- Intvec.(0 -! m2.(r).(j))
     done;
-    cstrs := P.eq c (o1.(r) - o2.(r)) :: !cstrs
+    cstrs := P.eq c Intvec.(o1.(r) -! o2.(r)) :: !cstrs
   done;
   P.make ~nvars !cstrs
 
@@ -125,7 +125,8 @@ let omega_pair_deps nest a1 a2 =
         let sys' = P.add sys [ dir_cstr nvars d level dir ] in
         if P.feasible sys' then Some sys' else None)
       ~range:(fun sys j _ ->
-        let span = loops.(j).Loop_nest.hi - 1 - loops.(j).Loop_nest.lo in
+        let l = loops.(j) in
+        let span = Intvec.(l.Loop_nest.hi -! 1 -! l.Loop_nest.lo) in
         match
           P.range sys ~coeffs:(delta_coeffs nvars d j) ~lo:(-span) ~hi:span
         with
@@ -295,17 +296,19 @@ let dep_legal perm = function
       in
       scan 0
 
-let legal_permutation nest perm =
-  is_identity perm
-  || List.for_all (fun (_, _, dep) -> dep_legal perm dep) (deps nest)
+(* [List.for_all (dep_legal perm)] without a closure per order *)
+let rec all_forward perm = function
+  | [] -> true
+  | d :: ds -> dep_legal perm d && all_forward perm ds
+
+let order_legal ds perm = is_identity perm || all_forward perm ds
+
+let dep_list nest = List.concat_map (fun (_, _, ds) -> ds) (pair_deps nest)
+
+let legal_permutation nest perm = order_legal (dep_list nest) perm
 
 let legal_orders nest =
-  let ds = deps nest in
-  List.filter
-    (fun perm ->
-      is_identity perm
-      || List.for_all (fun (_, _, dep) -> dep_legal perm dep) ds)
-    (Loop_nest.orders nest)
+  List.filter (order_legal (dep_list nest)) (Loop_nest.orders nest)
 
 let legal_permutations nest =
   List.map (fun p -> (p, Loop_nest.permute nest p)) (legal_orders nest)

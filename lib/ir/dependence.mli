@@ -61,17 +61,23 @@ val dep_legal : int array -> dep -> bool
     lexicographically forward under [perm].  Diagnostics use it to name
     the dependence blocking a rejected loop order. *)
 
+val order_legal : dep list -> int array -> bool
+(** The one legality rule: under the dependences [ds], the loop order
+    [perm] (new depth [p] takes old loop [perm.(p)]) is legal iff it is
+    the identity or every dependence stays lexicographically forward
+    ({!dep_legal}): each permuted distance stays lexicographically
+    non-negative and each permuted direction vector's first non-[Eq]
+    component is [Lt].  {!legal_permutation}, {!legal_orders}, the
+    [deps] report and lint's pinning pass all decide by it. *)
+
 val legal_permutation : Loop_nest.t -> int array -> bool
-(** [legal_permutation nest perm] is true iff applying [perm] (new depth
-    [p] takes old loop [perm.(p)]) preserves every dependence of [nest]:
-    each permuted distance stays lexicographically non-negative and each
-    permuted direction vector's first non-[Eq] component is [Lt].  The
-    identity permutation is always legal. *)
+(** [legal_permutation nest perm] is {!order_legal} under every
+    dependence of [nest]. *)
 
 val legal_orders : Loop_nest.t -> int array list
-(** The subset of {!Loop_nest.orders} that is dependence-legal (always
-    includes the identity, listed first).  The dependence set is
-    computed once and reused across candidate orders; no nest is
+(** The subset of {!Loop_nest.orders} that {!order_legal} admits
+    (always includes the identity, listed first).  The dependence set
+    is computed once and reused across candidate orders; no nest is
     permuted. *)
 
 val legal_permutations : Loop_nest.t -> (int array * Loop_nest.t) list

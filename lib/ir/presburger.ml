@@ -1,7 +1,14 @@
 (* Omega-test integer linear feasibility.  See the .mli for the
    algorithm outline; this file keeps the classic structure: normalize,
    eliminate equalities, then Fourier-Motzkin with dark-shadow
-   tightening and splintering as the integer-exactness fallback. *)
+   tightening and splintering as the integer-exactness fallback.  Every
+   coefficient and constant is computed with Intvec's checked
+   operators, so a result that does not fit an [int] raises
+   [Intvec.Overflow] instead of deciding a wrapped system. *)
+
+module Intvec = Mlo_linalg.Intvec
+
+let neg x = Intvec.(0 -! x)
 
 type op = Geq | Eq
 
@@ -12,7 +19,7 @@ type system = { nvars : int; cstrs : cstr list }
 let geq coeffs const = { op = Geq; coeffs = Array.copy coeffs; const }
 
 let leq coeffs const =
-  { op = Geq; coeffs = Array.map (fun c -> -c) coeffs; const = -const }
+  { op = Geq; coeffs = Array.map neg coeffs; const = neg const }
 
 let eq coeffs const = { op = Eq; coeffs = Array.copy coeffs; const }
 
@@ -22,7 +29,7 @@ let unit_coeffs nvars i v =
   c
 
 let between ~nvars i ~lo ~hi =
-  [ { op = Geq; coeffs = unit_coeffs nvars i 1; const = -lo };
+  [ { op = Geq; coeffs = unit_coeffs nvars i 1; const = neg lo };
     { op = Geq; coeffs = unit_coeffs nvars i (-1); const = hi } ]
 
 let check_width nvars c =
@@ -85,8 +92,8 @@ let all_zero c = Array.for_all (fun a -> a = 0) c
    most [m/2].  For [|a| = m-1] this is [-sign a], which is what makes
    the mod-elimination substitution produce a unit coefficient. *)
 let mhat b m =
-  let r = ((b mod m) + m) mod m in
-  if 2 * r >= m then r - m else r
+  let r = Intvec.((b mod m) +! m) mod m in
+  if Intvec.(2 *! r) >= m then r - m else r
 
 exception Infeasible
 
@@ -147,13 +154,13 @@ let substitute ~k ~sign ~coeffs ~const d =
   let dk = d.coeffs.(k) in
   if dk = 0 then d
   else
-    let f = -sign * dk in
+    let f = Intvec.(0 -! (sign *! dk)) in
     let cs =
       Array.mapi
-        (fun i a -> if i = k then 0 else a + (f * coeffs.(i)))
+        (fun i a -> if i = k then 0 else Intvec.(a +! (f *! coeffs.(i))))
         d.coeffs
     in
-    { d with coeffs = cs; const = d.const + (f * const) }
+    { d with coeffs = cs; const = Intvec.(d.const +! (f *! const)) }
 
 let append_var c = { c with coeffs = Array.append c.coeffs [| 0 |] }
 
@@ -209,11 +216,11 @@ and solve_eq depth nvars eqs geqs =
          |a_k| = (m+1) - 1.  Every integer solution extends with the
          unique integer s, so feasibility is preserved. *)
       ignore k;
-      let md = m + 1 in
+      let md = Intvec.(m +! 1) in
       let derived =
         let cs = Array.make (nvars + 1) 0 in
         Array.iteri (fun i a -> cs.(i) <- mhat a md) e.coeffs;
-        cs.(nvars) <- -md;
+        cs.(nvars) <- neg md;
         { op = Eq; coeffs = cs; const = mhat e.const md }
       in
       let eqs = List.map append_var eqs in
@@ -261,7 +268,7 @@ and solve_geqs depth nvars geqs =
               (fun c ->
                 let a = c.coeffs.(i) in
                 if a > 0 then max_l := max !max_l a
-                else if a < 0 then max_u := max !max_u (-a))
+                else if a < 0 then max_u := max !max_u (neg a))
               geqs;
             let exact = !max_l = 1 || !max_u = 1 in
             let cost = lower.(i) * upper.(i) in
@@ -280,14 +287,15 @@ and solve_geqs depth nvars geqs =
             let lowers = List.filter (fun c -> c.coeffs.(k) > 0) geqs in
             let uppers = List.filter (fun c -> c.coeffs.(k) < 0) geqs in
             let combine ~dark l u =
-              let a = l.coeffs.(k) and b = -u.coeffs.(k) in
+              let a = l.coeffs.(k) and b = neg u.coeffs.(k) in
               let cs =
                 Array.mapi
-                  (fun i al -> (b * al) + (a * u.coeffs.(i)))
+                  (fun i al -> Intvec.((b *! al) +! (a *! u.coeffs.(i))))
                   l.coeffs
               in
-              let tight = if dark then (a - 1) * (b - 1) else 0 in
-              { op = Geq; coeffs = cs; const = (b * l.const) + (a * u.const) - tight }
+              let tight = if dark then Intvec.((a - 1) *! (b - 1)) else 0 in
+              let const = Intvec.((b *! l.const) +! (a *! u.const) -! tight) in
+              { op = Geq; coeffs = cs; const }
             in
             let combos ~dark =
               List.concat_map
@@ -309,12 +317,13 @@ and splinter depth nvars geqs k lowers max_u =
   List.exists
     (fun l ->
       let a = l.coeffs.(k) in
-      let jmax = ((a * max_u) - a - max_u) / max_u in
+      let jmax = Intvec.((a *! max_u) -! a -! max_u) / max_u in
       let rec try_j j =
         if j > jmax then false
         else begin
           Atomic.incr splits_c;
-          let eq = { op = Eq; coeffs = l.coeffs; const = l.const - j } in
+          let const = Intvec.(l.const -! j) in
+          let eq = { op = Eq; coeffs = l.coeffs; const } in
           if solve (depth + 1) nvars [ eq ] geqs then true else try_j (j + 1)
         end
       in
@@ -337,16 +346,16 @@ let range sys ~coeffs ~lo ~hi =
     let rec bs_min l h =
       if l >= h then l
       else
-        let mid = l + ((h - l) / 2) in
-        if feasible (add sys [ leq coeffs (-mid) ]) then bs_min l mid
+        let mid = Intvec.(l +! ((h -! l) / 2)) in
+        if feasible (add sys [ leq coeffs (neg mid) ]) then bs_min l mid
         else bs_min (mid + 1) h
     in
     (* Largest v in [lo, hi] with feasible(form >= v). *)
     let rec bs_max l h =
       if l >= h then l
       else
-        let mid = l + ((h - l + 1) / 2) in
-        if feasible (add sys [ geq coeffs (-mid) ]) then bs_max mid h
+        let mid = Intvec.(l +! ((h -! l +! 1) / 2)) in
+        if feasible (add sys [ geq coeffs (neg mid) ]) then bs_max mid h
         else bs_max l (mid - 1)
     in
     Some (bs_min lo hi, bs_max lo hi)

@@ -33,9 +33,11 @@
       [a·x = α + j] for the finitely many [j] Pugh's bound allows and
       recurses.
 
-    All arithmetic is machine-integer; the systems arising from
-    constant-bounded loop nests keep every intermediate coefficient
-    tiny. *)
+    All arithmetic is machine-integer and checked: the systems arising
+    from constant-bounded loop nests keep every intermediate coefficient
+    tiny, and where one would not fit an [int], {!feasible} and {!range}
+    raise [Mlo_linalg.Intvec.Overflow] rather than decide a wrapped
+    system. *)
 
 type cstr
 (** One linear constraint over variables [x_0 .. x_{n-1}]. *)

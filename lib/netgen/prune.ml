@@ -55,11 +55,13 @@ let apply (b : Build.t) =
        in the same order. *)
     let totals = Array.map sum profiles in
     (* the network's support rows of each constraint, seen from i *)
-    let supports = List.map (Network.supports net i) (Network.neighbors net i) in
+    let supports =
+      Array.map (Network.supports net i) (Network.neighbors net i)
+    in
     let dominates v1 v2 =
       totals.(v1) <= totals.(v2)
       && below profiles.(v1) profiles.(v2)
-      && List.for_all (fun sup -> Bitset.row_subset sup.(v2) sup.(v1)) supports
+      && Array.for_all (fun sup -> Bitset.row_subset sup.(v2) sup.(v1)) supports
     in
     let removed = ref 0 in
     for v2 = 0 to d - 1 do

@@ -90,10 +90,7 @@ let check ?costs net (proof : Proof.t) =
     if Array.length h.Proof.names <> n || Array.length h.Proof.domain_sizes <> n
     then reject "header: variable count mismatch (%d in proof, %d in network)"
         (Array.length h.Proof.names) n;
-    let fx =
-      fixpoint net
-        (Array.init n (fun i -> Array.of_list (Network.neighbors net i)))
-    in
+    let fx = fixpoint net (Array.init n (Network.neighbors net)) in
     let dsize = fx.dsize in
     for i = 0 to n - 1 do
       if h.Proof.names.(i) <> Network.name net i then
@@ -386,7 +383,7 @@ let check ?costs net (proof : Proof.t) =
                     if not live.(var).(by) then
                       fail "dominance witness %d of %s is not live" by
                         (Network.name net var);
-                    List.iter
+                    Array.iter
                       (fun j ->
                         for w = 0 to dsize.(j) - 1 do
                           if
@@ -400,7 +397,7 @@ let check ?costs net (proof : Proof.t) =
                               by (Network.name net var) value
                               (Network.name net j)
                         done)
-                      (Network.neighbors net var);
+                      fx.nbrs.(var);
                     (match costs with
                     | Some costs ->
                         if
@@ -433,14 +430,14 @@ let check ?costs net (proof : Proof.t) =
               Array.iter (fun x -> comp_of.(x) <- id) vars;
               Array.iter
                 (fun x ->
-                  List.iter
+                  Array.iter
                     (fun y ->
                       if comp_of.(y) <> id then
                         fail
                           "component %d is not constraint-closed: %s has a \
                            neighbor outside it"
                           id (Network.name net x))
-                    (Network.neighbors net x))
+                    fx.nbrs.(x))
                 vars;
               Hashtbl.replace comp_members id vars;
               comp_order := id :: !comp_order

@@ -109,15 +109,6 @@ let record (r : recorder) ~comp ~vars ev =
 let original survivors i v =
   match survivors with Some s -> s.(i).(v) | None -> v
 
-let arc_deletions ~survivors net =
-  match Mlo_csp.Ac2001.deletions (Network.compile net) with
-  | Error _ -> []
-  | Ok dels ->
-    List.map
-      (fun (var, v) ->
-        Del { var; value = original survivors var v; reason = Arc_inconsistent })
-      dels
-
 let certificate header ~dels ~survivors ~costs (r : recorder)
     (result : Solver.result) =
   let orig = original survivors in

@@ -41,7 +41,7 @@ let run net =
     if revise net domains i j then
       if Bitset.is_empty domains.(i) then wiped := Some i
       else
-        List.iter
+        Array.iter
           (fun k -> if k <> j then Queue.add (k, i) queue)
           (Network.neighbors net i)
   done;

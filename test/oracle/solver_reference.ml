@@ -24,6 +24,7 @@ let solve ?(config = default_config) net =
   in
   let trail = Array.make n [] in
   let pruned_by = Array.make n Int_set.empty in
+  let neighbors var = Array.to_list (Network.neighbors net var) in
 
   let check i vi j vj =
     stats.Stats.checks <- stats.Stats.checks + 1;
@@ -41,7 +42,7 @@ let solve ?(config = default_config) net =
   let assigned_neighbor_levels var =
     List.fold_left
       (fun acc j -> if level_of.(j) >= 0 then Int_set.add level_of.(j) acc else acc)
-      Int_set.empty (Network.neighbors net var)
+      Int_set.empty (neighbors var)
   in
 
   let degree_split var =
@@ -49,7 +50,7 @@ let solve ?(config = default_config) net =
       (fun (to_unassigned, to_assigned) j ->
         if level_of.(j) < 0 then (to_unassigned + 1, to_assigned)
         else (to_unassigned, to_assigned + 1))
-      (0, 0) (Network.neighbors net var)
+      (0, 0) (neighbors var)
   in
 
   let current_domain_size var =
@@ -99,7 +100,7 @@ let solve ?(config = default_config) net =
             domains.(j) 0
           + acc
         else acc + Network.support_count net var v j)
-      0 (Network.neighbors net var)
+      0 (neighbors var)
   in
 
   let candidate_values var =
@@ -131,7 +132,7 @@ let solve ?(config = default_config) net =
      consistent with all instantiated variables, so this is skipped. *)
   let consistent_with_assigned var v level =
     let neighbors_by_level =
-      List.filter (fun j -> level_of.(j) >= 0) (Network.neighbors net var)
+      List.filter (fun j -> level_of.(j) >= 0) (neighbors var)
       |> List.sort (fun a b -> Int.compare level_of.(a) level_of.(b))
     in
     let rec go = function
@@ -184,7 +185,7 @@ let solve ?(config = default_config) net =
                   (Int_set.filter (fun l -> l < level) pruned_by.(j))
           end
         end)
-      (Network.neighbors net var);
+      (neighbors var);
     not !wiped
   in
 
@@ -266,4 +267,4 @@ let solve ?(config = default_config) net =
   (match outcome with
   | Solution a -> assert (Network.verify net a)
   | Unsatisfiable | Aborted -> ());
-  { outcome; stats }
+  { outcome; stats; arc_deleted = [] }

@@ -322,7 +322,7 @@ let prop_components_partition =
            (fun members ->
              Array.for_all
                (fun v ->
-                 List.for_all
+                 Array.for_all
                    (fun w -> Array.exists (fun m -> m = w) members)
                    (Network.neighbors net v))
                members)
@@ -512,6 +512,38 @@ let test_network_goldens () =
         (r.Netcheck.wiped = None))
     network_goldens
 
+(* The AC deletions a component-wise enhanced-ac solve reports are the
+   ones its certificate states.  Each component's arc-consistent core is
+   the whole network's restricted to it, so a solved network lists
+   exactly the whole network's AC-2001 deletions; a run that stopped at
+   a component lists those of the components it reached, a subset,
+   still ascending. *)
+let prop_component_arc_deletions =
+  QCheck.Test.make ~name:"solve_components lists the AC-2001 deletions"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let net = sparse_network seed in
+      QCheck.assume (Array.length (Network.components net) > 1);
+      let r =
+        Solver.solve_components
+          ~config:(Schemes.enhanced_with_ac ~seed:(seed + 1) ())
+          net
+      in
+      let listed = r.Solver.arc_deleted in
+      match
+        (r.Solver.outcome, Mlo_csp.Ac2001.deletions (Network.compile net))
+      with
+      | Solver.Solution _, Ok dels ->
+        listed = dels
+        || QCheck.Test.fail_reportf "solved: %d listed, %d AC deletions"
+             (List.length listed) (List.length dels)
+      | Solver.Solution _, Error _ ->
+        QCheck.Test.fail_report "solved a network AC wipes"
+      | (Solver.Unsatisfiable | Solver.Aborted), Ok dels ->
+        (List.for_all (fun p -> List.mem p dels) listed
+        && listed = List.sort compare listed)
+        || QCheck.Test.fail_report "unsolved: not an ascending subset"
+      | (Solver.Unsatisfiable | Solver.Aborted), Error _ -> true)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -520,6 +552,7 @@ let props =
       prop_solve_components_equivalent "sparse" sparse_network;
       prop_single_component_identical;
       prop_component_event_contract;
+      prop_component_arc_deletions;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -674,6 +707,60 @@ let test_depreport_json_shape () =
      | _ -> Alcotest.fail "presburger is not an object")
   | _ -> Alcotest.fail "report is not an object"
 
+(* Random programs of one to three nests, each a write and a second
+   reference to its own array, with small random affine subscripts so
+   that some nests are pinned and some are free. *)
+let random_program seed =
+  let rng = Rng.create (seed + 57) in
+  let nest k =
+    let depth = 2 + Rng.int rng 2 and dims = 1 + Rng.int rng 2 in
+    let loop l =
+      { Loop_nest.var = Printf.sprintf "i%d" l; lo = 0; hi = 2 + Rng.int rng 3 }
+    in
+    let loops = List.init depth loop in
+    let expr () =
+      Affine.make
+        (List.init depth (fun _ -> Rng.int rng 5 - 2))
+        (Rng.int rng 5 - 2)
+    in
+    let name = Printf.sprintf "A%d" k in
+    let access mk = mk name (List.init dims (fun _ -> expr ())) in
+    let second = if Rng.int rng 4 = 0 then Access.write else Access.read in
+    ( Array_info.make name (List.init dims (fun _ -> 64)),
+      Loop_nest.make ~name:(Printf.sprintf "n%d" k) loops
+        [ access Access.write; access second ] )
+  in
+  let parts = List.init (1 + Rng.int rng 3) nest in
+  Program.make ~name:"random" (List.map fst parts) (List.map snd parts)
+
+(* The deps report counts each nest's legal orders under the one
+   legality rule, from the dependences it prints: the count
+   [Dependence.legal_orders] gives, and a nest it calls pinned is one
+   lint's pinning pass names. *)
+let prop_depreport_orders =
+  QCheck.Test.make ~name:"deps legal orders and pins agree with lint"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let prog = random_program seed in
+      let lint = Lint.run prog in
+      let pinned_by_lint nest =
+        List.exists
+          (fun d ->
+            d.Diagnostic.code = "pinned-order" && d.Diagnostic.subject = nest)
+          lint.Lint.diagnostics
+      in
+      List.for_all2
+        (fun nest nr ->
+          let legal = List.length (Mlo_ir.Dependence.legal_orders nest) in
+          (nr.Depreport.legal_orders = legal
+          || QCheck.Test.fail_reportf "%s: %d legal orders reported, %d legal"
+               nr.Depreport.nest nr.Depreport.legal_orders legal)
+          && (Depreport.pinned nr = pinned_by_lint nr.Depreport.nest
+             || QCheck.Test.fail_reportf "%s: pinned %b, lint %b"
+                  nr.Depreport.nest (Depreport.pinned nr)
+                  (pinned_by_lint nr.Depreport.nest)))
+        (Array.to_list (Program.nests prog))
+        (Depreport.run prog).Depreport.nests)
+
 (* End-to-end: two runs of the full analysis pipeline on the same
    workload must produce byte-identical diagnostic renderings. *)
 let test_pipeline_output_deterministic () =
@@ -726,6 +813,7 @@ let () =
           Alcotest.test_case "nonuniform verdicts" `Quick
             test_depreport_nonuniform;
           Alcotest.test_case "json shape" `Quick test_depreport_json_shape;
+          QCheck_alcotest.to_alcotest prop_depreport_orders;
         ] );
       ( "diagnostics",
         [

@@ -586,9 +586,10 @@ let test_cli_errors () =
     "layoutopt: option '--bound-slack': must be non-negative (got nan)";
   (* coefficients whose exact elimination would wrap: lint's nullspace
      and the derived layout's rank check name the overflow, and so do
-     lint's bounds intervals and the address fold that locality's trace
-     and optimize-file's simulation run on, before optimize-file prints
-     its answer *)
+     lint's bounds intervals, the address fold that locality's trace
+     and optimize-file's simulation run on, and the Presburger engine
+     that decides deps' and optimize-file's dependences, before any of
+     them prints *)
   List.iter
     (fun (cmd, file) ->
       check_one_line_error
@@ -600,11 +601,29 @@ let test_cli_errors () =
     [
       ("lint", "overflow-lint.mlo");
       ("lint", "overflow-bounds.mlo");
+      ("deps", "overflow-bounds.mlo");
+      ("deps --json", "overflow-bounds.mlo");
+      ("optimize-file", "overflow-bounds.mlo");
       ("optimize-file", "overflow-layout.mlo");
       ("optimize-file --simulate", "overflow-lint.mlo");
       ("locality", "overflow-lint.mlo");
       ("locality", "overflow-layout.mlo");
     ]
+
+(* deps reports dependences and derives no layout, so a layout whose
+   rank check overflows (optimize-file's exit above) is no error here *)
+let test_deps_derives_no_layout () =
+  let code, out, err =
+    run_for_error
+      (Printf.sprintf "deps %s"
+         (Filename.concat
+            (Filename.dirname Sys.executable_name)
+            "overflow-layout.mlo"))
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check (list string)) "stderr" [] err;
+  Alcotest.(check bool) "prints the nest's report" true
+    (List.mem "nest wrap (depth 1): 1/1 loop orders legal" out)
 
 let () =
   Alcotest.run "bnb"
@@ -638,6 +657,10 @@ let () =
           Alcotest.test_case "Med-Im04 golden" `Slow test_med_im04_golden;
         ] );
       ( "cli",
-        [ Alcotest.test_case "one-line errors, exit 2" `Quick test_cli_errors ]
+        [
+          Alcotest.test_case "one-line errors, exit 2" `Quick test_cli_errors;
+          Alcotest.test_case "deps derives no layout" `Quick
+            test_deps_derives_no_layout;
+        ]
       );
     ]

@@ -82,7 +82,8 @@ let test_network_basics () =
   Alcotest.(check string) "name" "Q3" (Network.name net 2);
   Alcotest.(check int) "domain size" 2 (Network.domain_size net 1);
   Alcotest.(check string) "value" "(1 1)" (Network.value net 1 1);
-  Alcotest.(check (list int)) "neighbors of Q1" [ 1; 2; 3 ] (Network.neighbors net 0);
+  Alcotest.(check (array int))
+    "neighbors of Q1" [| 1; 2; 3 |] (Network.neighbors net 0);
   Alcotest.(check int) "degree" 3 (Network.degree net 3);
   Alcotest.(check bool) "constrained" true (Network.constrained net 2 3);
   Alcotest.(check (list (pair int int)))
@@ -108,11 +109,18 @@ let test_network_neighbor_rows () =
       Network.allow_product net hub [| 0 |] j [| 1 |];
       if k mod 3 = 0 then Network.allow_product net j [| 0 |] hub [| 1 |])
     others;
-  Alcotest.(check (list int)) "hub's neighbours" others (Network.neighbors net hub);
+  Alcotest.(check (array int))
+    "hub's neighbours" (Array.of_list others) (Network.neighbors net hub);
+  (* a reader gets a copy: writing to it leaves the row alone *)
+  (Network.neighbors net hub).(0) <- hub;
+  Alcotest.(check (array int))
+    "the row after a write to a copy" (Array.of_list others)
+    (Network.neighbors net hub);
   Alcotest.(check int) "hub's degree" (n - 1) (Network.degree net hub);
   List.iter
     (fun j ->
-      Alcotest.(check (list int)) "a leaf's neighbours" [ hub ] (Network.neighbors net j))
+      Alcotest.(check (array int))
+        "a leaf's neighbours" [| hub |] (Network.neighbors net j))
     others;
   Alcotest.(check (array int))
     "the compiled view's row" (Array.of_list others)
@@ -246,11 +254,11 @@ let prop_network_storage =
       let check stage =
         for i = 0 to n - 1 do
           expect
-            (Network.neighbors net i
+            (Array.to_list (Network.neighbors net i)
             = List.filter (fun j -> j <> i && con i j) (List.init n Fun.id))
             "%s: neighbors %d" stage i;
           expect
-            (Network.degree net i = List.length (Network.neighbors net i))
+            (Network.degree net i = Array.length (Network.neighbors net i))
             "%s: degree %d" stage i;
           for j = 0 to n - 1 do
             if j <> i then begin

@@ -105,6 +105,22 @@ let test_profile_spans_outside_prune () =
   Alcotest.(check bool) "emits profile spans" true (profiles > 0);
   Alcotest.(check bool) "no profile span inside prune-dominated" false nested
 
+(* A certified enhanced-ac solve runs AC-2001 once: the certificate
+   states the deletions of the search's own preprocessing. *)
+let test_one_ac_run_per_certified_solve () =
+  let spec = Suite.by_name "radar" in
+  let proof = ref None in
+  let s =
+    with_tracing @@ fun () ->
+    ignore
+      (Optimizer.optimize ~candidates:spec.Spec.candidates
+         ~proof:(fun p -> proof := Some p)
+         (Optimizer.Enhanced_ac 1) spec.Spec.program);
+    summarize ()
+  in
+  Alcotest.(check bool) "certificate written" true (!proof <> None);
+  Alcotest.(check int) "one ac2001 span" 1 (span_count s "solver" "ac2001")
+
 (* ------------------------------------------------------------------ *)
 (* Cache-simulation counters                                            *)
 (* ------------------------------------------------------------------ *)
@@ -243,6 +259,8 @@ let () =
             test_solver_trace_shape;
           Alcotest.test_case "profile spans outside the prune" `Quick
             test_profile_spans_outside_prune;
+          Alcotest.test_case "one AC run per certified solve" `Quick
+            test_one_ac_run_per_certified_solve;
         ] );
       ( "counters",
         [

@@ -27,6 +27,8 @@ module Build = Mlo_netgen.Build
 module Optimizer = Mlo_core.Optimizer
 module Netcheck = Mlo_analysis.Netcheck
 module Fixtures = Mlo_oracle.Fixtures
+module Ac2001 = Mlo_csp.Ac2001
+module Program = Mlo_ir.Program
 
 let random_costs seed net =
   let rng = Rng.create (seed + 9001) in
@@ -123,7 +125,9 @@ let prop_budgeted_bnb_certificates =
       let config =
         { Bnb.default_config with Bnb.max_checks = Some (1 + (seed mod 12)) }
       in
-      let proof, { Solver.outcome; stats } = certify_bnb ~config ~costs net in
+      let proof, { Solver.outcome; stats; _ } =
+        certify_bnb ~config ~costs net
+      in
       (match (outcome, proof.Proof.verdict) with
       | Solver.Aborted, Some Proof.Aborted ->
         check_rejected ~costs "aborted bnb" net proof
@@ -380,6 +384,77 @@ let test_pruned_golden () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "self-dominating deletion accepted"
 
+(* An enhanced-ac certificate states the AC deletions of the search's
+   own preprocessing, which runs per component.  On scale-100 (50
+   components) they are exactly the whole network's AC-2001 deletions:
+   each component's arc-consistent core is the whole core restricted
+   to it. *)
+let arc_steps proof =
+  List.filter_map
+    (function
+      | Proof.Del { var; value; reason = Proof.Arc_inconsistent } ->
+        Some (var, value)
+      | Proof.Del _ | Proof.Comp _ | Proof.Ng _ | Proof.Inc _ -> None)
+    proof.Proof.steps
+
+let test_enhanced_ac_components () =
+  let spec, proof, result =
+    capture_proof (Optimizer.Enhanced_ac 1) "scale-100"
+  in
+  (match result with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "scale-100 unexpectedly unsolved: %s" msg);
+  let net = (Spec.extract spec).Build.network in
+  Alcotest.(check int) "components" 50 (Array.length (Network.components net));
+  (match Ac2001.deletions (Network.compile net) with
+  | Ok dels ->
+    Alcotest.(check (list (pair int int)))
+      "the whole network's AC deletions" dels (arc_steps proof)
+  | Error _ -> Alcotest.fail "scale-100 wipes out");
+  alcotest_check ~what:"enhanced-ac scale-100" spec proof
+
+(* An unsatisfiable network of several components: MxM's arrays come
+   first, so its component is preprocessed and solved before AC wipes
+   hard-150's.  The certificate states MxM's deletions, and the checker
+   accepts them and derives the wipe on its own. *)
+let test_enhanced_ac_unsat_components () =
+  let mxm = Suite.by_name "mxm" and hard = Suite.by_name "hard-150" in
+  let both f =
+    Array.to_list (f mxm.Spec.program) @ Array.to_list (f hard.Spec.program)
+  in
+  let prog =
+    Program.make ~name:"mxm+hard-150" (both Program.arrays)
+      (both Program.nests)
+  in
+  let candidates name =
+    if List.mem name (Program.array_names mxm.Spec.program) then
+      mxm.Spec.candidates name
+    else hard.Spec.candidates name
+  in
+  let proof = ref None in
+  (match
+     Optimizer.optimize ~candidates ~proof:(fun p -> proof := Some p)
+       (Optimizer.Enhanced_ac 1) prog
+   with
+  | _ -> Alcotest.fail "mxm+hard-150 unexpectedly solved"
+  | exception Optimizer.No_solution _ -> ());
+  let proof = Option.get !proof in
+  let net = (Build.build ~candidates prog).Build.network in
+  let comps = Network.components net in
+  Alcotest.(check int) "components" 2 (Array.length comps);
+  (match Ac2001.deletions (Network.compile_vars net comps.(0)) with
+  | Ok dels ->
+    Alcotest.(check bool) "MxM has AC deletions" true (dels <> []);
+    Alcotest.(check (list (pair int int)))
+      "MxM's AC deletions" dels (arc_steps proof)
+  | Error _ -> Alcotest.fail "MxM wipes out");
+  (match proof.Proof.verdict with
+  | Some Proof.Unsat -> ()
+  | _ -> Alcotest.fail "expected an unsat verdict");
+  match Checker.check net proof with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "mxm+hard-150: rejected: %s" msg
+
 (* ------------------------------------------------------------------ *)
 (* Cancellation and truncation (partial proofs)                         *)
 (* ------------------------------------------------------------------ *)
@@ -536,6 +611,10 @@ let () =
           Alcotest.test_case "med-im04 bnb optimum" `Slow
             test_bnb_optimal_golden;
           Alcotest.test_case "dominance-pruned mxm" `Slow test_pruned_golden;
+          Alcotest.test_case "enhanced-ac on 50 components" `Slow
+            test_enhanced_ac_components;
+          Alcotest.test_case "enhanced-ac unsat over components" `Slow
+            test_enhanced_ac_unsat_components;
         ] );
       ( "partial",
         [
